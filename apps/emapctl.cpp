@@ -19,10 +19,15 @@
 //   emapctl synth-run   [duration_sec] [recordings-per-corpus]
 //       Builds an in-memory MDB, monitors a synthetic seizure input, and
 //       exercises the telemetry surface end to end (CI smoke path).
-//   emapctl trace       <spans.jsonl> [flight.jsonl]
+//   emapctl trace       <spans.jsonl> [flight.jsonl] [--json]
 //       Reconstructs per-window critical paths from a --spans-out file
 //       (plus an optional flight dump) and prints the Eq. 4 decomposition
-//       table — the in-binary twin of tools/tracecat.
+//       table; --json prints one JSONL record per trace instead.
+//   emapctl report      <series.jsonl> [--alerts <alerts.jsonl>]
+//                       [--html <out.html>] [--series-filter <substring>]
+//       Renders the post-run dashboard (ASCII sparklines with CUSUM
+//       changepoints, optional self-contained HTML) from a --series-out
+//       file and, optionally, the --alerts-out transition log.
 //
 // Telemetry flags (monitor and synth-run):
 //   --metrics-out <file>   write Prometheus text exposition at end of run
@@ -133,7 +138,7 @@ int usage() {
       "[telemetry flags]\n"
       "  emapctl synth-run  [duration_sec] [recordings-per-corpus] "
       "[telemetry flags]\n"
-      "  emapctl trace      <spans.jsonl> [flight.jsonl]\n"
+      "  emapctl trace      <spans.jsonl> [flight.jsonl] [--json]\n"
       "  emapctl report     <series.jsonl> [--alerts <alerts.jsonl>] "
       "[--html <out.html>]\n"
       "telemetry flags: --metrics-out <file> --trace-out <file> "
@@ -511,13 +516,12 @@ void emit_telemetry(const TelemetryOptions& telemetry,
   }
   if (!telemetry.spans_out.empty() && result.tracer != nullptr) {
     obs::write_spans_jsonl(telemetry.spans_out, *result.tracer);
-    std::printf("spans   -> %s (feed to tracecat or 'emapctl trace')\n",
+    std::printf("spans   -> %s (feed to 'emapctl trace')\n",
                 telemetry.spans_out.c_str());
   }
   if (!telemetry.series_out.empty() && result.series != nullptr) {
     result.series->write_jsonl(telemetry.series_out);
-    std::printf("series  -> %s (%llu scrape(s); feed to emapreport or "
-                "'emapctl report')\n",
+    std::printf("series  -> %s (%llu scrape(s); feed to 'emapctl report')\n",
                 telemetry.series_out.c_str(),
                 static_cast<unsigned long long>(result.series->scrapes()));
   }
@@ -947,27 +951,52 @@ int cmd_synth_run(int argc, char** argv) {
 }
 
 int cmd_trace(int argc, char** argv) {
-  if (argc < 1) {
+  std::string spans_path;
+  std::string flight_path;
+  bool json = false;
+  for (int i = 0; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--json") {
+      json = true;
+    } else if (arg.rfind("--", 0) == 0) {
+      return usage();
+    } else if (spans_path.empty()) {
+      spans_path = arg;
+    } else if (flight_path.empty()) {
+      flight_path = arg;
+    } else {
+      return usage();
+    }
+  }
+  if (spans_path.empty()) {
     return usage();
   }
-  const auto spans = obs::load_spans_jsonl(argv[0]);
+  const auto spans = obs::load_spans_jsonl(spans_path);
   std::vector<obs::ParsedFlightEvent> events;
-  if (argc > 1) {
-    const auto flight = obs::load_flight_jsonl(argv[1]);
-    events = flight.events;
-    if (!flight.dump_reason.empty()) {
-      std::printf("flight dump reason: %s\n", flight.dump_reason.c_str());
-    }
-    if (flight.skipped_lines > 0) {
-      std::printf("flight: skipped %zu malformed line(s)\n",
-                  flight.skipped_lines);
-    }
+  std::string dump_reason;
+  std::size_t flight_skipped = 0;
+  if (!flight_path.empty()) {
+    auto flight = obs::load_flight_jsonl(flight_path);
+    events = std::move(flight.events);
+    dump_reason = flight.dump_reason;
+    flight_skipped = flight.skipped_lines;
+  }
+  const auto paths = obs::build_critical_paths(spans.spans, events);
+  if (json) {
+    // Machine-readable: one record per trace and nothing else on stdout.
+    std::fputs(obs::critical_path_jsonl(paths).c_str(), stdout);
+    return 0;
+  }
+  if (!dump_reason.empty()) {
+    std::printf("flight dump reason: %s\n", dump_reason.c_str());
+  }
+  if (flight_skipped > 0) {
+    std::printf("flight: skipped %zu malformed line(s)\n", flight_skipped);
   }
   if (spans.skipped_lines > 0) {
     std::printf("spans: skipped %zu malformed line(s)\n",
                 spans.skipped_lines);
   }
-  const auto paths = obs::build_critical_paths(spans.spans, events);
   std::fputs(obs::critical_path_table(paths).c_str(), stdout);
   return 0;
 }

@@ -166,8 +166,11 @@ class BoundedQueue {
 
   /// Instantaneous item count (racy by nature; exact when quiescent).
   std::size_t depth() const {
-    const std::size_t tail = dequeue_pos_.load(std::memory_order_relaxed);
-    const std::size_t head = enqueue_pos_.load(std::memory_order_relaxed);
+    // Head before tail: a pop can only raise the tail between the two
+    // loads, so the difference never exceeds capacity().  The reverse
+    // order over-reports whenever pushes land between the loads.
+    const std::size_t head = enqueue_pos_.load(std::memory_order_acquire);
+    const std::size_t tail = dequeue_pos_.load(std::memory_order_acquire);
     return head >= tail ? head - tail : 0;
   }
 

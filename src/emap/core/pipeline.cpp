@@ -1,16 +1,10 @@
 #include "emap/core/pipeline.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <optional>
-#include <string>
+#include <vector>
 
-#include "emap/common/crc32.hpp"
-#include "emap/common/error.hpp"
-#include "emap/obs/export.hpp"
-#include "emap/obs/flight.hpp"
+#include "emap/core/session.hpp"
 #include "emap/obs/profiler.hpp"
-#include "emap/obs/slo.hpp"
 
 namespace emap::core {
 
@@ -125,23 +119,15 @@ EmapPipeline::EmapPipeline(mdb::MdbStore store, EmapConfig config,
   }
 }
 
-RunResult EmapPipeline::run(const synth::Recording& input,
-                            double stop_at_sec) {
-  const double saved = options_.stop_at_sec;
-  options_.stop_at_sec = stop_at_sec;
-  RunResult result = run(input);
-  options_.stop_at_sec = saved;
-  return result;
+RunResult EmapPipeline::run(const synth::Recording& input) {
+  return run(input, options_.stop_at_sec);
 }
 
-RunResult EmapPipeline::run(const synth::Recording& input) {
-  require(std::abs(input.fs() - config_.base_fs_hz) < 1e-9,
-          "EmapPipeline::run: input must be sampled at the base rate");
-  const std::size_t window = config_.window_length;
-  require(input.samples.size() >= window,
-          "EmapPipeline::run: input shorter than one window");
-
-  EdgeNode edge(config_);
+RunResult EmapPipeline::run(const synth::Recording& input,
+                            double stop_at_sec) {
+  // The batch loop's own link: one channel, one fault schedule, at most
+  // one outstanding cloud call.  Set up before the session so a fresh
+  // registry lists the link families first.
   net::Channel channel(options_.platform, options_.channel);
   net::FaultInjector injector(options_.fault);
   channel.set_fault_injector(&injector);
@@ -149,717 +135,71 @@ RunResult EmapPipeline::run(const synth::Recording& input) {
   if (options_.metrics != nullptr) {
     channel.set_metrics(options_.metrics);
     injector.set_metrics(options_.metrics);
-    edge.tracker().set_metrics(options_.metrics);
   }
-
-  RunResult result;
-
-  // Robustness closed loop: fresh per run, so every counter and state
-  // machine starts NOMINAL/closed (the per-run reset regression test
-  // reuses one pipeline across runs and asserts exactly this).
-  const bool robust_on = options_.robust.enabled;
-  std::optional<robust::DegradationController> controller;
-  std::optional<robust::CircuitBreaker> breaker;
-  std::optional<robust::StageWatchdog> watchdog;
-  std::optional<robust::SignalQualityGate> quality;
-  if (robust_on) {
-    controller.emplace(options_.robust.degrade, options_.metrics);
-    breaker.emplace(options_.robust.breaker, options_.metrics);
-    watchdog.emplace(options_.robust.watchdog, options_.metrics);
-    if (options_.robust.quality_gate) {
-      quality.emplace(options_.robust.quality, options_.metrics);
-      edge.set_quality_gate(&*quality);
-    }
-  }
-  result.robust.enabled = robust_on;
-  // P_A served while tracking is suspended (CRITICAL) or a window is
-  // quality-gated: the last value a real tracking step produced.
-  double last_pa = 0.0;
-  // Non-essential telemetry observations buffered while the controller is
-  // away from NOMINAL; flushed on return to NOMINAL or at run end.
-  std::vector<double> deferred_track_obs;
-  auto flush_deferred = [&] {
-    if (metrics_.track_step != nullptr) {
-      for (const double observation : deferred_track_obs) {
-        metrics_.track_step->observe(observation);
-      }
-    }
-    deferred_track_obs.clear();
-  };
-  obs::Tracer* tracer = nullptr;
-  if (options_.collect_trace) {
-    result.tracer = std::make_shared<obs::Tracer>();
-    tracer = result.tracer.get();
-  }
-  // Causal tracing: every window mints a deterministic trace id from this
-  // seed.  It rides the span log, so no tracer means no tracing — and the
-  // wire stays byte-identical V1 (the bit-identity tests rely on that).
-  std::uint64_t trace_seed = tracer != nullptr ? options_.trace_seed : 0;
-  obs::FlightRecorder* flight = options_.flight;
-  channel.set_flight_recorder(flight);
-  if (options_.crashpoints != nullptr) {
-    options_.crashpoints->set_flight_recorder(flight);
-  }
-
-  // Time-series scraping + alerting, both strictly opt-in: disabled, no
-  // hook runs anywhere in the loop and the run is bit-identical to a
-  // build without this subsystem.
-  std::shared_ptr<obs::TimeSeriesStore> series_store;
-  std::optional<obs::TimeSeriesScraper> scraper;
-  std::shared_ptr<obs::AlertEngine> alert_engine;
-  if (options_.timeseries.enabled && options_.metrics != nullptr) {
-    // These families measure *host* time (ScopedTimer / search wall
-    // clock), so their values differ between identical seeded runs.
-    // Excluding them keeps the exported JSONL bit-identical run to run;
-    // every other family the pipeline records is virtual-clock driven.
-    obs::TimeSeriesOptions scrape_options = options_.timeseries;
-    for (const char* family :
-         {"emap_search_wall_seconds", "emap_codec_encode_seconds",
-          "emap_codec_decode_seconds"}) {
-      scrape_options.skip_families.emplace_back(family);
-    }
-    series_store = std::make_shared<obs::TimeSeriesStore>(scrape_options);
-    scraper.emplace(options_.metrics, series_store.get());
-    result.series = series_store;
-    if (options_.alerts_enabled) {
-      obs::AlertEngine::Hooks hooks;
-      hooks.registry = options_.metrics;
-      hooks.tracer = tracer;
-      hooks.flight = flight;
-      alert_engine = std::make_shared<obs::AlertEngine>(
-          options_.alert_rules.empty() ? obs::default_alert_rules()
-                                       : options_.alert_rules,
-          hooks);
-      result.alerts = alert_engine;
-    }
-  }
-
-  // Fresh per run (runs are independent); the registry-side emap_slo_*
-  // counters accumulate across runs like every other pipeline metric.
-  obs::SloMonitor edge_slo(obs::edge_iteration_slo(), options_.metrics);
-  obs::SloMonitor initial_slo(obs::initial_response_slo(), options_.metrics);
+  channel.set_flight_recorder(options_.flight);
   std::optional<PendingSearch> pending;
-  bool first_round_trip_recorded = false;
-  std::int64_t last_loaded_sequence = -1;
-  double total_track_sec = 0.0;
-  std::size_t track_steps = 0;
-  double last_window_end_sec = 0.0;
 
-  // ---- Crash-consistent checkpoint/restore (robust/checkpoint.hpp). ----
-  robust::CrashPointRegistry* crashpoints = options_.crashpoints;
+  Session session(*this, input, stop_at_sec);
+  EdgeNode& edge = session.edge;
+  obs::Tracer* tracer = session.tracer();
+  robust::CrashPointRegistry* crashpoints = session.crashpoints();
+
+  if (std::optional<robust::SessionState> s = session.resume("", 0)) {
+    injector.restore(s->injector);
+    channel.restore_rng(s->channel_rng);
+    if (s->pending.has_value()) {
+      pending = from_call_checkpoint(std::move(*s->pending));
+    }
+  }
+
   const robust::RecoveryOptions& recovery = options_.recovery;
-  robust::RecoverySummary& recovery_summary = result.robust.recovery;
-  recovery_summary.enabled = recovery.enabled();
-  const std::string config_fp = config_.fingerprint();
-  const std::uint32_t input_fp = crc32(
-      input.samples.data(), input.samples.size() * sizeof(double));
-  // Baselines carried over from a restored snapshot for components whose
-  // own counters restart at zero in the resumed process (watchdog trips,
-  // quality-gate verdicts); folded back in at summary time.
-  std::size_t watchdog_trips_base = 0;
-  robust::QualitySummary quality_base{};
-  std::size_t start_window = 0;
-
-  if (recovery.enabled() && recovery.resume) {
-    try {
-      std::optional<robust::SessionState> snapshot =
-          robust::read_checkpoint(recovery.checkpoint_dir);
-      if (!snapshot.has_value()) {
-        throw robust::CheckpointError("checkpoint: no snapshot in " +
-                                      recovery.checkpoint_dir.string());
-      }
-      if (snapshot->config_fingerprint != config_fp) {
-        throw robust::CheckpointError(
-            "checkpoint: config fingerprint mismatch (snapshot " +
-            snapshot->config_fingerprint + ", pipeline " + config_fp + ")");
-      }
-      if (snapshot->input_fingerprint != input_fp) {
-        throw robust::CheckpointError(
-            "checkpoint: input fingerprint mismatch — snapshot belongs to "
-            "a different recording");
-      }
-      if (!snapshot->stream_fingerprint.empty()) {
-        throw robust::CheckpointError(
-            "checkpoint: stream topology mismatch (snapshot \"" +
-            snapshot->stream_fingerprint +
-            "\", batch loop takes only virtual-time snapshots)");
-      }
-      robust::SessionState& s = *snapshot;
-      std::vector<TrackedSignal> tracked;
-      tracked.reserve(s.tracker.tracked.size());
-      for (robust::TrackedSignalState& signal : s.tracker.tracked) {
-        tracked.push_back(from_signal_state(std::move(signal)));
-      }
-      edge.tracker().restore(
-          std::move(tracked), s.tracker.loaded,
-          static_cast<std::size_t>(s.tracker.steps_since_load));
-      edge.predictor().restore(
-          std::move(s.predictor.history), s.predictor.alarmed,
-          s.predictor.alarm_time_sec,
-          static_cast<std::size_t>(s.predictor.consecutive));
-      edge.filter().restore_stream(s.fir);
-      if (controller) {
-        controller->restore(s.degrade);
-      }
-      if (breaker) {
-        breaker->restore(s.breaker);
-      }
-      edge_slo.restore_state(s.edge_slo);
-      initial_slo.restore_state(s.initial_slo);
-      injector.restore(s.injector);
-      channel.restore_rng(s.channel_rng);
-      if (trace_seed != 0 && s.trace_seed != 0) {
-        // Re-adopt the writing run's seed: windows keep the trace ids the
-        // uninterrupted run would have minted — lineage survives the crash.
-        trace_seed = s.trace_seed;
-      }
-      if (s.pending.has_value()) {
-        pending = from_call_checkpoint(std::move(*s.pending));
-      }
-      last_pa = s.last_pa;
-      last_loaded_sequence = s.last_loaded_sequence;
-      first_round_trip_recorded = s.counters.first_round_trip_recorded;
-      total_track_sec = s.counters.total_track_sec;
-      track_steps = static_cast<std::size_t>(s.counters.track_steps);
-      result.cloud_calls = static_cast<std::size_t>(s.counters.cloud_calls);
-      result.failed_cloud_calls =
-          static_cast<std::size_t>(s.counters.failed_cloud_calls);
-      result.retry_attempts =
-          static_cast<std::size_t>(s.counters.retry_attempts);
-      result.duplicates_discarded =
-          static_cast<std::size_t>(s.counters.duplicates_discarded);
-      result.degraded = s.counters.degraded;
-      result.timings.delta_ec_sec = s.counters.delta_ec_sec;
-      result.timings.delta_cs_sec = s.counters.delta_cs_sec;
-      result.timings.delta_ce_sec = s.counters.delta_ce_sec;
-      result.timings.delta_initial_sec = s.counters.delta_initial_sec;
-      result.timings.max_track_sec = s.counters.max_track_sec;
-      result.robust.critical_windows =
-          static_cast<std::size_t>(s.counters.critical_windows);
-      result.robust.shed_loads =
-          static_cast<std::size_t>(s.counters.shed_loads);
-      result.robust.deferred_flushes =
-          static_cast<std::size_t>(s.counters.deferred_flushes);
-      watchdog_trips_base =
-          static_cast<std::size_t>(s.counters.watchdog_trips);
-      quality_base = s.counters.quality;
-      start_window = static_cast<std::size_t>(s.next_window);
-      recovery_summary.resumed = true;
-      recovery_summary.resume_window = start_window;
-      if (metrics_.recovery_resumes != nullptr) {
-        metrics_.recovery_resumes->increment();
-        metrics_.recovery_resume_window->set(
-            static_cast<double>(start_window));
-      }
-      const std::uint64_t resume_trace =
-          trace_seed != 0 ? obs::mint_trace_id(trace_seed, start_window)
-                          : 0;
-      if (tracer != nullptr) {
-        const double t_resume = static_cast<double>(start_window);
-        tracer->record_sim("recovery_resume", "recovery", t_resume,
-                           t_resume, 0, resume_trace);
-      }
-      if (flight != nullptr) {
-        flight->log(obs::FlightEventType::kResume, "resume",
-                    static_cast<double>(start_window), resume_trace,
-                    static_cast<double>(start_window));
-      }
-    } catch (const robust::CheckpointError& error) {
-      // Missing or rejected snapshot: fail closed in strict mode, fall
-      // back to a cold start otherwise (the run is then a fresh session).
-      if (recovery.strict) {
-        throw;
-      }
-      recovery_summary.cold_start_fallback = true;
-      recovery_summary.reject_reason = error.what();
-      if (metrics_.recovery_cold_starts != nullptr) {
-        metrics_.recovery_cold_starts->increment();
-      }
-    }
-  }
-
-  auto write_session_checkpoint = [&](std::size_t next_window) {
-    robust::SessionState s;
-    s.config_fingerprint = config_fp;
-    s.input_fingerprint = input_fp;
-    s.next_window = next_window;
-    s.last_pa = last_pa;
-    s.last_loaded_sequence = last_loaded_sequence;
-    s.counters.cloud_calls = result.cloud_calls;
-    s.counters.failed_cloud_calls = result.failed_cloud_calls;
-    s.counters.retry_attempts = result.retry_attempts;
-    s.counters.duplicates_discarded = result.duplicates_discarded;
-    s.counters.degraded = result.degraded;
-    s.counters.first_round_trip_recorded = first_round_trip_recorded;
-    s.counters.delta_ec_sec = result.timings.delta_ec_sec;
-    s.counters.delta_cs_sec = result.timings.delta_cs_sec;
-    s.counters.delta_ce_sec = result.timings.delta_ce_sec;
-    s.counters.delta_initial_sec = result.timings.delta_initial_sec;
-    s.counters.total_track_sec = total_track_sec;
-    s.counters.track_steps = track_steps;
-    s.counters.max_track_sec = result.timings.max_track_sec;
-    s.counters.critical_windows = result.robust.critical_windows;
-    s.counters.shed_loads = result.robust.shed_loads;
-    s.counters.deferred_flushes = result.robust.deferred_flushes;
-    s.counters.watchdog_trips =
-        watchdog_trips_base + (watchdog ? watchdog->trips() : 0);
-    s.counters.quality =
-        quality ? quality->summary() : robust::QualitySummary{};
-    s.counters.quality.assessed += quality_base.assessed;
-    s.counters.quality.good += quality_base.good;
-    s.counters.quality.nan += quality_base.nan;
-    s.counters.quality.flatline += quality_base.flatline;
-    s.counters.quality.saturated += quality_base.saturated;
-    s.counters.quality.artifact += quality_base.artifact;
-    s.tracker.loaded = edge.tracker().loaded();
-    s.tracker.steps_since_load = edge.tracker().steps_since_load();
-    s.tracker.tracked.reserve(edge.tracker().active().size());
-    for (const TrackedSignal& signal : edge.tracker().active()) {
-      s.tracker.tracked.push_back(to_signal_state(signal));
-    }
-    s.predictor.history = edge.predictor().history();
-    s.predictor.alarmed = edge.predictor().anomaly_predicted();
-    s.predictor.alarm_time_sec = edge.predictor().first_alarm_sec();
-    s.predictor.consecutive = edge.predictor().consecutive_hits();
-    s.fir = edge.filter().save_stream();
-    if (pending.has_value()) {
-      s.pending = to_call_checkpoint(*pending);
-    }
-    if (controller) {
-      s.degrade = controller->checkpoint();
-    }
-    if (breaker) {
-      s.breaker = breaker->checkpoint();
-    }
-    s.edge_slo = edge_slo.save_state();
-    s.initial_slo = initial_slo.save_state();
-    s.injector = injector.save();
-    s.channel_rng = channel.save_rng();
-    s.trace_seed = trace_seed;
-    robust::write_checkpoint(recovery.checkpoint_dir, s, crashpoints);
-    ++recovery_summary.checkpoints_written;
-    recovery_summary.last_snapshot_window = next_window;
-    if (metrics_.recovery_checkpoints != nullptr) {
-      metrics_.recovery_checkpoints->increment();
-    }
-    if (flight != nullptr) {
-      flight->log(obs::FlightEventType::kCheckpoint, "checkpoint",
-                  static_cast<double>(next_window),
-                  trace_seed != 0 && next_window > 0
-                      ? obs::mint_trace_id(trace_seed, next_window - 1)
-                      : 0,
-                  static_cast<double>(next_window));
-    }
-  };
-
-  // One-shot flight-dump latches (a page or a breaker open is interesting
-  // once; re-dumping every subsequent window would just thrash the file).
-  bool slo_burn_paged = false;
-  bool breaker_dumped = false;
-  bool watchdog_dumped = false;
-  bool watchdog_dump_pending = false;
-  robust::BreakerState last_breaker_state =
-      breaker ? breaker->state() : robust::BreakerState::kClosed;
-
-  std::size_t window_count =
-      std::min(options_.max_windows, input.samples.size() / window);
-  if (options_.stop_on_alarm && edge.predictor().anomaly_predicted()) {
-    // The restored predictor already latched its alarm; nothing is left to
-    // monitor.
-    window_count = start_window;
-  }
-
-  for (std::size_t w = start_window; w < window_count; ++w) {
-    // Window w covers input time [w, w+1) seconds; processing happens at
-    // its completion instant.
-    const double t_end = static_cast<double>(w + 1);
-    if (options_.stop_at_sec >= 0.0 && t_end > options_.stop_at_sec) {
-      break;
-    }
+  for (std::size_t w = session.first_window(); session.monitors(w); ++w) {
     EMAP_PROFILE_SCOPE("pipeline_window");
     EMAP_CRASH_POINT(crashpoints, "pipeline_window_start");
-    const std::span<const double> raw(input.samples.data() + w * window,
-                                      window);
-    // The window's causal identity: a deterministic trace id (pure function
-    // of seed and index) and a root span every edge- and cloud-side span of
-    // this window hangs off, directly or over the wire.
-    const std::uint64_t window_trace =
-        trace_seed != 0 ? obs::mint_trace_id(trace_seed, w) : 0;
-    std::uint64_t window_span = 0;
-    if (tracer != nullptr) {
-      window_span =
-          tracer->record_sim("window_" + std::to_string(w), "window",
-                             t_end - 1.0, t_end, 0, window_trace);
-      tracer->record_sim("sample", "sample", t_end - 1.0, t_end,
-                         window_span, window_trace);
-      tracer->record_sim("filter", "filter", t_end,
-                         t_end + options_.filter_accelerator_sec,
-                         window_span, window_trace);
-    }
-    if (flight != nullptr) {
-      flight->log(obs::FlightEventType::kSpan,
-                  ("window_" + std::to_string(w)).c_str(), t_end,
-                  window_trace, static_cast<double>(w));
-    }
-    const auto filtered = edge.acquire_window(raw);
+    const obs::TraceContext window = session.open_window(w);
+    const std::vector<double> filtered =
+        session.filter(session.raw_window(w));
+    IterationRecord record =
+        session.begin_window(w, edge.last_quality().verdict);
+    const double t_end = record.t_sec;
 
-    IterationRecord record;
-    record.window_index = w;
-    record.t_sec = t_end;
-    record.recovered = recovery_summary.resumed;
-    record.quality = edge.last_quality().verdict;
-    if (metrics_.windows != nullptr) {
-      metrics_.windows->increment();
-    }
-
-    // Apply the controller's decisions from the state the previous window
-    // left behind (act on state, run the window, feed the outcome back).
-    std::size_t shed_cap = 0;
-    if (controller) {
-      record.robust_state = controller->state();
-      edge.tracker().set_stride_multiplier(controller->stride_multiplier());
-      if (controller->shed_level() > 0) {
-        shed_cap = controller->tracked_cap(config_.top_k);
-        edge.tracker().set_recall_threshold(controller->recall_threshold(
-            config_.tracking_threshold_h, config_.top_k));
-        edge.tracker().shed_to(shed_cap);
-      } else {
-        edge.tracker().set_recall_threshold(0);
-      }
-      record.shed_cap = shed_cap;
-    }
-
-    // Deliver a completed cloud search (the paper reloads T wholesale; the
-    // edge kept tracking the old set in the meantime).
     if (pending && pending->ready_at_sec <= t_end) {
-      result.retry_attempts +=
-          pending->attempts > 0 ? pending->attempts - 1 : 0;
-      result.duplicates_discarded += pending->duplicates;
-      if (pending->succeeded &&
-          static_cast<std::int64_t>(pending->sequence) >
-              last_loaded_sequence) {
-        last_loaded_sequence =
-            static_cast<std::int64_t>(pending->sequence);
-        if (shed_cap > 0 && pending->correlation_set.size() > shed_cap) {
-          // Deliveries issued before shedding kicked in still carry the
-          // full top-k set; truncate to the active cap.
-          pending->correlation_set.resize(shed_cap);
-          ++result.robust.shed_loads;
-        }
-        edge.tracker().load(std::move(pending->correlation_set));
-        record.set_loaded = true;
-        record.pa_on_load = edge.tracker().anomaly_probability();
-        const double initial_sec =
-            pending->delta_ec + pending->delta_cs + pending->delta_ce;
-        initial_slo.observe(initial_sec);
-        if (flight != nullptr &&
-            initial_sec > initial_slo.spec().budget_sec) {
-          flight->log(obs::FlightEventType::kSloMiss, "initial_response",
-                      t_end, pending->trace.trace_id, initial_sec,
-                      initial_slo.spec().budget_sec);
-        }
-        if (!first_round_trip_recorded) {
-          result.timings.delta_ec_sec = pending->delta_ec;
-          result.timings.delta_cs_sec = pending->delta_cs;
-          result.timings.delta_ce_sec = pending->delta_ce;
-          result.timings.delta_initial_sec =
-              pending->delta_ec + pending->delta_cs + pending->delta_ce;
-          first_round_trip_recorded = true;
-        }
-        ++result.cloud_calls;
-      } else {
-        // Retries exhausted (or the response was stale): degrade — keep
-        // tracking whatever set is loaded and re-attempt on the next
-        // iteration that wants a cloud call.
-        record.degraded = true;
-        result.degraded = true;
-        ++result.failed_cloud_calls;
-        if (metrics_.degraded_windows != nullptr) {
-          metrics_.degraded_windows->increment();
-        }
-      }
+      session.deliver(std::move(*pending), record);
       pending.reset();
     }
-
-    const bool quality_bad = quality && !edge.last_quality().good();
-    bool stage_stuck = false;
-    bool observed_latency = false;
-    double step_latency = 0.0;
-    robust::CircuitBreaker* breaker_ptr = breaker ? &*breaker : nullptr;
-
-    if (controller && controller->critical()) {
-      // CRITICAL: tracking is suspended; serve the last-known P_A with the
-      // explicit stale flag and wait out the hold.
-      record.robust_critical = true;
-      record.anomaly_probability = last_pa;
-      ++result.robust.critical_windows;
-    } else if (quality_bad) {
-      // Quality-gated window: the FIR consumed it (stream continuity) but
-      // it must not reach tracking or P_A — an electrode pop would evict
-      // half the tracked set as "dissimilar".
-      record.anomaly_probability = last_pa;
-    } else if (edge.tracker().loaded()) {
-      EMAP_CRASH_POINT(crashpoints, "pipeline_tracker_step");
-      const TrackStepResult step = edge.tracker().step(filtered);
-      record.tracked = true;
-      record.anomaly_probability = step.anomaly_probability;
-      record.tracked_before = step.tracked_before;
-      record.tracked_after = step.tracked_after;
-      record.removed_dissimilar = step.removed_dissimilar;
-      record.removed_exhausted = step.removed_exhausted;
-      record.abs_ops = step.abs_ops;
-      record.track_device_sec =
-          edge_device_.seconds_for_abs(static_cast<double>(step.abs_ops)) +
-          edge_device_.per_signal_overhead_sec *
-              static_cast<double>(step.tracked_before);
-      total_track_sec += record.track_device_sec;
-      edge_slo.observe(record.track_device_sec);
-      if (flight != nullptr &&
-          record.track_device_sec > edge_slo.spec().budget_sec) {
-        flight->log(obs::FlightEventType::kSloMiss, "edge_iteration", t_end,
-                    window_trace, record.track_device_sec,
-                    edge_slo.spec().budget_sec);
-      }
-      result.timings.max_track_sec =
-          std::max(result.timings.max_track_sec, record.track_device_sec);
-      ++track_steps;
-      last_pa = step.anomaly_probability;
-      observed_latency = true;
-      step_latency = record.track_device_sec;
-      if (watchdog) {
-        stage_stuck = watchdog->check_stage(record.track_device_sec);
-      }
-      if (controller && controller->defer_flushes()) {
-        // Non-essential telemetry deferred while degraded; the latency
-        // histogram catches up once the controller returns to NOMINAL.
-        deferred_track_obs.push_back(record.track_device_sec);
-        ++result.robust.deferred_flushes;
-      } else if (metrics_.track_step != nullptr) {
-        metrics_.track_step->observe(record.track_device_sec);
-      }
-      if (tracer != nullptr) {
-        tracer->record_sim("edge-track", "edge-track", t_end,
-                           t_end + record.track_device_sec, window_span,
-                           window_trace);
-        tracer->record_sim("prediction", "prediction",
-                           t_end + record.track_device_sec,
-                           t_end + record.track_device_sec + 1e-3,
-                           window_span, window_trace);
-      }
-      if (step.tracked_after >= config_.predict_min_support) {
-        edge.predictor().observe(step.anomaly_probability, t_end);
-      }
-
-      // "The previous set of sampled signals is transmitted to the cloud
-      // ... while doing real-time signal tracking at the edge in parallel."
-      if (step.cloud_call_needed && !pending) {
-        if (breaker_ptr != nullptr && !breaker_ptr->allow(t_end)) {
-          record.breaker_rejected = true;
-          if (tracer != nullptr) {
-            tracer->record_sim("breaker_reject", "robust", t_end, t_end,
-                               window_span, window_trace);
-          }
-          if (flight != nullptr) {
-            flight->log(obs::FlightEventType::kShed, "breaker_reject",
-                        t_end, window_trace);
-          }
-        } else {
-          EMAP_CRASH_POINT(crashpoints, "pipeline_pre_cloud_call");
-          pending = executor_.issue(
-              static_cast<std::uint32_t>(w), filtered, t_end, channel,
-              retry, tracer, breaker_ptr,
-              obs::TraceContext{window_trace, window_span});
-          EMAP_CRASH_POINT(crashpoints, "pipeline_post_cloud_call");
-          record.cloud_call_issued = true;
-        }
-      }
-    } else if (!pending) {
-      // Cold start: the very first window triggers the initial MDB search.
-      if (breaker_ptr != nullptr && !breaker_ptr->allow(t_end)) {
-        record.breaker_rejected = true;
-        if (tracer != nullptr) {
-          tracer->record_sim("breaker_reject", "robust", t_end, t_end,
-                             window_span, window_trace);
-        }
-        if (flight != nullptr) {
-          flight->log(obs::FlightEventType::kShed, "breaker_reject", t_end,
-                      window_trace);
-        }
-      } else {
-        EMAP_CRASH_POINT(crashpoints, "pipeline_pre_cloud_call");
-        pending = executor_.issue(static_cast<std::uint32_t>(w), filtered,
-                                  t_end, channel, retry, tracer,
-                                  breaker_ptr,
-                                  obs::TraceContext{window_trace,
-                                                    window_span});
-        EMAP_CRASH_POINT(crashpoints, "pipeline_post_cloud_call");
-        record.cloud_call_issued = true;
-      }
+    if (session.track(filtered, pending ? 1 : 0, 1, window, record)) {
+      EMAP_CRASH_POINT(crashpoints, "pipeline_pre_cloud_call");
+      pending = executor_.issue(static_cast<std::uint32_t>(w), filtered,
+                                t_end, channel, retry, tracer,
+                                session.breaker(), window);
+      EMAP_CRASH_POINT(crashpoints, "pipeline_post_cloud_call");
+      record.cloud_call_issued = true;
     }
+    if (record.tracked &&
+        record.tracked_after >= config_.predict_min_support) {
+      edge.predictor().observe(record.anomaly_probability, t_end);
+    }
+    session.feedback(record, 0.0, window);
+    session.scrape(t_end, window.trace_id);
 
-    // Close the loop: feed the window's outcome back into the controller.
-    if (controller) {
-      robust::WindowSignal signal;
-      signal.window_index = w;
-      signal.t_sec = t_end;
-      signal.burn_rate = edge_slo.burn_rate();
-      signal.stage_stuck = stage_stuck;
-      if (observed_latency) {
-        const obs::SloSpec& spec = edge_slo.spec();
-        signal.deadline_miss = step_latency > spec.budget_sec;
-        signal.near_miss =
-            !signal.deadline_miss &&
-            step_latency > spec.near_miss_fraction * spec.budget_sec;
-      } else {
-        signal.no_observation = true;
-      }
-      const robust::DegradeState state_before = controller->state();
-      controller->observe_window(signal);
-      const robust::DegradeState state_after = controller->state();
-      if (flight != nullptr && state_after != state_before) {
-        flight->log(obs::FlightEventType::kRobustTransition,
-                    (std::string(robust::degrade_state_name(state_before)) +
-                     "_to_" + robust::degrade_state_name(state_after))
-                        .c_str(),
-                    t_end, window_trace);
-        // A watchdog trip that forces CRITICAL is exactly the moment the
-        // flight recorder exists for — the stuck step and everything that
-        // led to it are still in the ring.  Latched like the breaker-open
-        // and burn-page dumps, but written *after* this window's burn-page
-        // check below: the stuck step usually pages the edge SLO in the
-        // same window, and CRITICAL is the more severe verdict, so it
-        // should own the (single) dump file.
-        if (signal.stage_stuck &&
-            state_after == robust::DegradeState::kCritical &&
-            !watchdog_dumped) {
-          watchdog_dumped = true;
-          watchdog_dump_pending = true;
-        }
-      }
-      if (!controller->defer_flushes()) {
-        flush_deferred();
-      }
-    }
-
-    // Breaker state can flip anywhere inside the window (allow() or a
-    // failure recorded mid-call); detect the edge here, once per window.
-    if (breaker && flight != nullptr) {
-      const robust::BreakerState breaker_state = breaker->state();
-      if (breaker_state != last_breaker_state) {
-        if (breaker_state == robust::BreakerState::kOpen) {
-          flight->log(obs::FlightEventType::kBreakerOpen, "breaker_open",
-                      t_end, window_trace);
-          if (tracer != nullptr) {
-            tracer->record_sim("breaker_open", "robust", t_end, t_end,
-                               window_span, window_trace);
-          }
-          if (!breaker_dumped) {
-            breaker_dumped = true;
-            flight->trigger_dump("breaker_open");
-          }
-        } else if (breaker_state == robust::BreakerState::kClosed) {
-          flight->log(obs::FlightEventType::kBreakerClose, "breaker_close",
-                      t_end, window_trace);
-        }
-        last_breaker_state = breaker_state;
-      }
-    }
-    // A burning error budget is the page the flight recorder exists for:
-    // dump the ring once, while the events leading up to it are still in.
-    if (flight != nullptr && !slo_burn_paged) {
-      const bool edge_burning = !edge_slo.healthy();
-      if (edge_burning || !initial_slo.healthy()) {
-        slo_burn_paged = true;
-        obs::SloMonitor& burning = edge_burning ? edge_slo : initial_slo;
-        flight->log(obs::FlightEventType::kSloBurnPage,
-                    burning.spec().name.c_str(), t_end, window_trace,
-                    burning.burn_rate());
-        flight->trigger_dump("slo_burn_page");
-      }
-    }
-    if (flight != nullptr && watchdog_dump_pending) {
-      watchdog_dump_pending = false;
-      flight->trigger_dump("watchdog_critical");
-    }
-
-    // Scrape on the virtual clock at the window boundary; alert rules see
-    // the store immediately after, attributed to this window's trace.
-    if (scraper) {
-      last_window_end_sec = t_end;
-      if (scraper->maybe_scrape(t_end) && alert_engine) {
-        alert_engine->evaluate(*series_store, t_end, window_trace);
-      }
-    }
-
-    result.iterations.push_back(record);
+    session.result.iterations.push_back(record);
     EMAP_CRASH_POINT(crashpoints, "pipeline_window_end");
     // Snapshot at the window boundary (absolute index, so a resumed run
     // checkpoints at exactly the windows the uninterrupted run would).
     if (recovery.enabled() && (w + 1) % recovery.interval_windows == 0) {
-      write_session_checkpoint(w + 1);
+      robust::SessionState s = session.capture(w + 1);
+      if (pending.has_value()) {
+        s.pending = to_call_checkpoint(*pending);
+      }
+      s.injector = injector.save();
+      s.channel_rng = channel.save_rng();
+      session.publish(s, "checkpoint", session.window_trace(w));
     }
     if (options_.stop_on_alarm && edge.predictor().anomaly_predicted()) {
       break;
     }
   }
-
-  if (track_steps > 0) {
-    result.timings.mean_track_sec =
-        total_track_sec / static_cast<double>(track_steps);
-  }
-  result.anomaly_predicted = edge.predictor().anomaly_predicted();
-  result.first_alarm_sec = edge.predictor().first_alarm_sec();
-  // A run shorter than one scrape interval still exports one sample per
-  // series (otherwise short smoke runs produce an empty file).
-  if (scraper && series_store->scrapes() == 0) {
-    scraper->scrape_now(last_window_end_sec);
-    if (alert_engine) {
-      alert_engine->evaluate(*series_store, last_window_end_sec, 0);
-    }
-  }
-  result.slo = {edge_slo.summary(), initial_slo.summary()};
-  flush_deferred();
-  if (controller) {
-    result.robust.degrade = controller->summary();
-    if (tracer != nullptr) {
-      for (const auto& transition : controller->transitions()) {
-        // Attribute the transition to the window whose feedback caused it
-        // (transitions land at window completion instants, t_sec = w + 1).
-        const std::uint64_t transition_trace =
-            trace_seed != 0 && transition.t_sec >= 1.0
-                ? obs::mint_trace_id(
-                      trace_seed,
-                      static_cast<std::uint64_t>(transition.t_sec - 1.0))
-                : 0;
-        tracer->record_sim(
-            std::string("robust_") +
-                robust::degrade_state_name(transition.from) + "_to_" +
-                robust::degrade_state_name(transition.to),
-            "robust", transition.t_sec, transition.t_sec, 0,
-            transition_trace);
-      }
-    }
-  }
-  if (breaker) {
-    result.robust.breaker = breaker->summary();
-  }
-  if (quality) {
-    result.robust.quality = quality->summary();
-  }
-  // Fold in pre-crash counts a restored snapshot carried (zeros otherwise).
-  result.robust.quality.assessed += quality_base.assessed;
-  result.robust.quality.good += quality_base.good;
-  result.robust.quality.nan += quality_base.nan;
-  result.robust.quality.flatline += quality_base.flatline;
-  result.robust.quality.saturated += quality_base.saturated;
-  result.robust.quality.artifact += quality_base.artifact;
-  result.robust.watchdog_trips =
-      watchdog_trips_base + (watchdog ? watchdog->trips() : 0);
-  if (tracer != nullptr) {
-    // The legacy Fig. 9 timeline is a projection of the span log.
-    result.trace = obs::timeline_view(*tracer);
-  }
-  return result;
+  return session.finish();
 }
 
 }  // namespace emap::core

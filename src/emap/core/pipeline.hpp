@@ -245,6 +245,7 @@ class EmapPipeline {
   const sim::DeviceProfile& cloud_device() const { return cloud_device_; }
 
  private:
+  friend class Session;
   friend class StreamPipeline;
 
   EmapConfig config_;

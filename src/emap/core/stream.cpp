@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <limits>
 #include <map>
@@ -18,10 +17,8 @@
 #include <vector>
 
 #include "emap/common/bounded_queue.hpp"
-#include "emap/common/crc32.hpp"
 #include "emap/common/error.hpp"
-#include "emap/obs/export.hpp"
-#include "emap/obs/flight.hpp"
+#include "emap/core/session.hpp"
 #include "emap/robust/checkpoint.hpp"
 #include "emap/robust/crashpoint.hpp"
 
@@ -32,20 +29,16 @@ namespace {
 /// acquire → filter: one raw input window plus its causal identity.
 struct RawItem {
   std::size_t window_index = 0;
-  double t_end = 0.0;
-  std::uint64_t trace_id = 0;
-  std::uint64_t span_id = 0;
+  obs::TraceContext trace{};
   std::vector<double> raw;
 };
 
 /// filter → track: the filtered window plus the quality verdict.
 struct FilteredItem {
   std::size_t window_index = 0;
-  double t_end = 0.0;
-  std::uint64_t trace_id = 0;
-  std::uint64_t span_id = 0;
+  obs::TraceContext trace{};
   std::vector<double> filtered;
-  robust::QualityReport quality{};
+  robust::QualityVerdict quality = robust::QualityVerdict::kGood;
 };
 
 /// track → uplink worker: one cloud-call job.
@@ -60,7 +53,6 @@ struct UplinkJob {
 struct OutcomeItem {
   IterationRecord record{};
   bool supports_predict = false;
-  double t_end = 0.0;
   std::uint64_t trace_id = 0;
 };
 
@@ -139,80 +131,14 @@ RunResult StreamPipeline::run(const synth::Recording& input) {
 
 RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
   EmapPipeline& p = pipeline_;
-  const EmapConfig& config = p.config_;
   const PipelineOptions& opts = p.options_;
-  require(std::abs(input.fs() - config.base_fs_hz) < 1e-9,
-          "StreamPipeline::run: input must be sampled at the base rate");
-  const std::size_t window = config.window_length;
-  require(input.samples.size() >= window,
-          "StreamPipeline::run: input shorter than one window");
-
-  EdgeNode edge(config);
-  if (opts.metrics != nullptr) {
-    edge.tracker().set_metrics(opts.metrics);
-  }
-
-  RunResult result;
-
-  const bool robust_on = opts.robust.enabled;
-  std::optional<robust::DegradationController> controller;
-  std::optional<robust::CircuitBreaker> breaker;
-  std::optional<robust::StageWatchdog> watchdog;
-  std::optional<robust::SignalQualityGate> quality;
-  if (robust_on) {
-    controller.emplace(opts.robust.degrade, opts.metrics);
-    breaker.emplace(opts.robust.breaker, opts.metrics);
-    watchdog.emplace(opts.robust.watchdog, opts.metrics);
-    if (opts.robust.quality_gate) {
-      quality.emplace(opts.robust.quality, opts.metrics);
-      edge.set_quality_gate(&*quality);
-    }
-  }
-  result.robust.enabled = robust_on;
-  result.robust.streamed = true;
-  robust::CircuitBreaker* breaker_ptr = breaker ? &*breaker : nullptr;
-
-  obs::Tracer* tracer = nullptr;
-  if (opts.collect_trace) {
-    result.tracer = std::make_shared<obs::Tracer>();
-    tracer = result.tracer.get();
-  }
-  std::uint64_t trace_seed =
-      tracer != nullptr ? opts.trace_seed : 0;
-  obs::FlightRecorder* flight = opts.flight;
-  robust::CrashPointRegistry* crashpoints = opts.crashpoints;
-  if (crashpoints != nullptr) {
-    crashpoints->set_flight_recorder(flight);
-  }
-
-  std::shared_ptr<obs::TimeSeriesStore> series_store;
-  std::optional<obs::TimeSeriesScraper> scraper;
-  std::shared_ptr<obs::AlertEngine> alert_engine;
-  if (opts.timeseries.enabled && opts.metrics != nullptr) {
-    obs::TimeSeriesOptions scrape_options = opts.timeseries;
-    for (const char* family :
-         {"emap_search_wall_seconds", "emap_codec_encode_seconds",
-          "emap_codec_decode_seconds"}) {
-      scrape_options.skip_families.emplace_back(family);
-    }
-    series_store = std::make_shared<obs::TimeSeriesStore>(scrape_options);
-    scraper.emplace(opts.metrics, series_store.get());
-    result.series = series_store;
-    if (opts.alerts_enabled) {
-      obs::AlertEngine::Hooks hooks;
-      hooks.registry = opts.metrics;
-      hooks.tracer = tracer;
-      hooks.flight = flight;
-      alert_engine = std::make_shared<obs::AlertEngine>(
-          opts.alert_rules.empty() ? obs::default_alert_rules()
-                                   : opts.alert_rules,
-          hooks);
-      result.alerts = alert_engine;
-    }
-  }
-
-  obs::SloMonitor edge_slo(obs::edge_iteration_slo(), opts.metrics);
-  obs::SloMonitor initial_slo(obs::initial_response_slo(), opts.metrics);
+  Session session(p, input, opts.stop_at_sec);
+  session.result.robust.streamed = true;
+  EdgeNode& edge = session.edge;
+  obs::Tracer* tracer = session.tracer();
+  obs::FlightRecorder* flight = session.flight();
+  robust::CrashPointRegistry* crashpoints = session.crashpoints();
+  robust::CircuitBreaker* breaker = session.breaker();
 
   // ---- Durable streaming (robust/checkpoint.hpp): quiesce-barrier
   // snapshots on the acquire cadence, emergency / clean-shutdown snapshots
@@ -220,22 +146,9 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
   // quiesce machinery is gated on `durable`, so a run without recovery
   // keeps the original blocking pops untouched. ----
   const robust::RecoveryOptions& recovery = opts.recovery;
-  robust::RecoverySummary& recovery_summary = result.robust.recovery;
-  recovery_summary.enabled = recovery.enabled();
+  robust::RecoverySummary& recovery_summary = session.result.robust.recovery;
   const bool durable = recovery.enabled();
-  const std::string config_fp = config.fingerprint();
-  const std::uint32_t input_fp = crc32(
-      input.samples.data(), input.samples.size() * sizeof(double));
   const std::string stream_fp = options_.fingerprint();
-  // Baselines carried over from a restored snapshot for components whose
-  // own counters restart at zero in the resumed process (watchdog trips,
-  // quality-gate verdicts); folded back in at summary time.
-  std::size_t watchdog_trips_base = 0;
-  robust::QualitySummary quality_base{};
-  std::size_t start_window = 0;
-
-  std::size_t window_count =
-      std::min(opts.max_windows, input.samples.size() / window);
   const std::size_t workers = options_.stage_threads;
 
   // ---- The stage graph. ----
@@ -342,12 +255,9 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
   } filter_state;
 
   struct TrackState {
-    std::uint64_t processed = 0;
-    double last_pa = 0.0;
-    std::int64_t last_loaded_sequence = -1;
-    bool first_round_trip_recorded = false;
-    double total_track_sec = 0.0;
-    std::size_t track_steps = 0;
+    /// Atomic: the supervisor's failure handler reads it from whichever
+    /// thread gives up.
+    std::atomic<std::uint64_t> processed{0};
     std::uint64_t issued = 0;    ///< uplink jobs enqueued
     std::uint64_t applied = 0;   ///< deliveries applied (or discarded)
     std::vector<PendingSearch> completed;  ///< popped, not yet ready
@@ -357,23 +267,14 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
     /// only when durable checkpointing is on.
     std::map<std::uint32_t, std::pair<double, obs::TraceContext>>
         outstanding_jobs;
-    std::vector<double> deferred_track_obs;
-    bool slo_burn_paged = false;
-    bool breaker_dumped = false;
-    bool watchdog_dumped = false;
-    bool watchdog_dump_pending = false;
-    robust::BreakerState last_breaker_state = robust::BreakerState::kClosed;
     /// Timestamped queue-pressure samples inside the debounce window.
     std::vector<std::pair<double, double>> pressure_samples;
     /// Downstream shed/drop total at the previous window (loss detector).
     std::uint64_t last_loss_total = 0;
   } ts;
-  ts.last_breaker_state =
-      breaker ? breaker->state() : robust::BreakerState::kClosed;
 
   struct PredictState {
     std::uint64_t processed = 0;
-    double last_window_end_sec = 0.0;
   } ps;
 
   // Uplink workers: each owns its Channel + FaultInjector fork, so the
@@ -431,163 +332,36 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
   std::atomic<std::size_t> active_workers{workers};
 
   // ---- Resume (single-threaded: the stage graph has not spawned yet).
-  // Mirrors the batch loop's restore sequence, then rebuilds the settled
-  // ledger: snapshot-completed calls are re-delivered from here, and every
-  // to-replay entry lands as a failed call at its issue time — the
-  // documented ≤1-lost-window-per-stage-death degradation. ----
-  if (durable && recovery.resume) {
-    try {
-      std::optional<robust::SessionState> snapshot =
-          robust::read_checkpoint(recovery.checkpoint_dir);
-      if (!snapshot.has_value()) {
-        throw robust::CheckpointError("checkpoint: no snapshot in " +
-                                      recovery.checkpoint_dir.string());
-      }
-      if (snapshot->config_fingerprint != config_fp) {
-        throw robust::CheckpointError(
-            "checkpoint: config fingerprint mismatch (snapshot " +
-            snapshot->config_fingerprint + ", pipeline " + config_fp + ")");
-      }
-      if (snapshot->input_fingerprint != input_fp) {
-        throw robust::CheckpointError(
-            "checkpoint: input fingerprint mismatch — snapshot belongs to "
-            "a different recording");
-      }
-      if (snapshot->stream_fingerprint != stream_fp) {
-        throw robust::CheckpointError(
-            "checkpoint: stream topology mismatch (snapshot \"" +
-            snapshot->stream_fingerprint + "\", run \"" + stream_fp +
-            "\")");
-      }
-      if (snapshot->workers.size() != workers) {
-        // Unreachable while worker count rides the fingerprint, but a
-        // truncated-yet-valid payload must never index out of range.
-        throw robust::CheckpointError(
-            "checkpoint: stream topology mismatch (snapshot carries " +
-            std::to_string(snapshot->workers.size()) +
-            " worker cursors, run has " + std::to_string(workers) + ")");
-      }
-      robust::SessionState& s = *snapshot;
-      std::vector<TrackedSignal> tracked;
-      tracked.reserve(s.tracker.tracked.size());
-      for (robust::TrackedSignalState& signal : s.tracker.tracked) {
-        tracked.push_back(from_signal_state(std::move(signal)));
-      }
-      edge.tracker().restore(
-          std::move(tracked), s.tracker.loaded,
-          static_cast<std::size_t>(s.tracker.steps_since_load));
-      edge.predictor().restore(
-          std::move(s.predictor.history), s.predictor.alarmed,
-          s.predictor.alarm_time_sec,
-          static_cast<std::size_t>(s.predictor.consecutive));
-      edge.filter().restore_stream(s.fir);
-      if (controller) {
-        controller->restore(s.degrade);
-      }
-      if (breaker) {
-        breaker->restore(s.breaker);
-        ts.last_breaker_state = breaker->state();
-      }
-      edge_slo.restore_state(s.edge_slo);
-      initial_slo.restore_state(s.initial_slo);
-      for (std::size_t k = 0; k < workers; ++k) {
-        WorkerState& ws = *worker_states[k];
-        ws.injector.restore(s.workers[k].injector);
-        ws.channel.restore_rng(s.workers[k].channel_rng);
-        ws.mailbox.injector = s.workers[k].injector;
-        ws.mailbox.channel_rng = s.workers[k].channel_rng;
-      }
-      if (trace_seed != 0 && s.trace_seed != 0) {
-        // Re-adopt the writing run's seed: windows keep the trace ids the
-        // uninterrupted run would have minted — lineage survives the
-        // crash.
-        trace_seed = s.trace_seed;
-      }
-      for (robust::PendingCallCheckpoint& call : s.completed_calls) {
-        PendingSearch restored = from_call_checkpoint(std::move(call));
-        ts.outstanding_jobs[restored.sequence] = {restored.ready_at_sec,
-                                                  restored.trace};
-        ts.completed.push_back(std::move(restored));
-      }
-      for (const robust::ReplayEntryCheckpoint& entry : s.replay) {
-        PendingSearch lost;
-        lost.sequence = entry.sequence;
-        lost.ready_at_sec = entry.t_issue_sec;
-        lost.succeeded = false;
-        lost.trace = obs::TraceContext{entry.trace_id, entry.parent_span};
-        ts.outstanding_jobs[lost.sequence] = {entry.t_issue_sec,
-                                              lost.trace};
-        ts.completed.push_back(std::move(lost));
-      }
-      recovery_summary.replay_redelivered = s.replay.size();
-      ts.issued = s.completed_calls.size() + s.replay.size();
-      ts.applied = 0;
-      ts.last_pa = s.last_pa;
-      ts.last_loaded_sequence = s.last_loaded_sequence;
-      ts.first_round_trip_recorded = s.counters.first_round_trip_recorded;
-      ts.total_track_sec = s.counters.total_track_sec;
-      ts.track_steps = static_cast<std::size_t>(s.counters.track_steps);
-      result.cloud_calls = static_cast<std::size_t>(s.counters.cloud_calls);
-      result.failed_cloud_calls =
-          static_cast<std::size_t>(s.counters.failed_cloud_calls);
-      result.retry_attempts =
-          static_cast<std::size_t>(s.counters.retry_attempts);
-      result.duplicates_discarded =
-          static_cast<std::size_t>(s.counters.duplicates_discarded);
-      result.degraded = s.counters.degraded;
-      result.timings.delta_ec_sec = s.counters.delta_ec_sec;
-      result.timings.delta_cs_sec = s.counters.delta_cs_sec;
-      result.timings.delta_ce_sec = s.counters.delta_ce_sec;
-      result.timings.delta_initial_sec = s.counters.delta_initial_sec;
-      result.timings.max_track_sec = s.counters.max_track_sec;
-      result.robust.critical_windows =
-          static_cast<std::size_t>(s.counters.critical_windows);
-      result.robust.shed_loads =
-          static_cast<std::size_t>(s.counters.shed_loads);
-      result.robust.deferred_flushes =
-          static_cast<std::size_t>(s.counters.deferred_flushes);
-      watchdog_trips_base =
-          static_cast<std::size_t>(s.counters.watchdog_trips);
-      quality_base = s.counters.quality;
-      start_window = static_cast<std::size_t>(s.next_window);
-      recovery_summary.resumed = true;
-      recovery_summary.resume_window = start_window;
-      recovery_summary.last_snapshot_window = s.next_window;
-      if (p.metrics_.recovery_resumes != nullptr) {
-        p.metrics_.recovery_resumes->increment();
-        p.metrics_.recovery_resume_window->set(
-            static_cast<double>(start_window));
-      }
-      const std::uint64_t resume_trace =
-          trace_seed != 0 ? obs::mint_trace_id(trace_seed, start_window)
-                          : 0;
-      if (tracer != nullptr) {
-        const double t_resume = static_cast<double>(start_window);
-        tracer->record_sim("recovery_resume", "recovery", t_resume,
-                           t_resume, 0, resume_trace);
-      }
-      if (flight != nullptr) {
-        flight->log(obs::FlightEventType::kResume, "resume",
-                    static_cast<double>(start_window), resume_trace,
-                    static_cast<double>(start_window));
-      }
-    } catch (const robust::CheckpointError& error) {
-      // Missing or rejected snapshot: fail closed in strict mode, fall
-      // back to a cold start otherwise (the run is then a fresh session).
-      if (recovery.strict) {
-        throw;
-      }
-      recovery_summary.cold_start_fallback = true;
-      recovery_summary.reject_reason = error.what();
-      if (p.metrics_.recovery_cold_starts != nullptr) {
-        p.metrics_.recovery_cold_starts->increment();
-      }
+  // The session restores the shared state; here the worker cursors and the
+  // settled ledger: snapshot-completed calls are re-delivered from here,
+  // and every to-replay entry lands as a failed call at its issue time —
+  // the documented ≤1-lost-window-per-stage-death degradation. ----
+  if (std::optional<robust::SessionState> s =
+          session.resume(stream_fp, workers)) {
+    for (std::size_t k = 0; k < workers; ++k) {
+      WorkerState& ws = *worker_states[k];
+      ws.injector.restore(s->workers[k].injector);
+      ws.channel.restore_rng(s->workers[k].channel_rng);
+      ws.mailbox.injector = s->workers[k].injector;
+      ws.mailbox.channel_rng = s->workers[k].channel_rng;
     }
-  }
-  if (opts.stop_on_alarm && edge.predictor().anomaly_predicted()) {
-    // The restored predictor already latched its alarm; nothing is left to
-    // monitor.
-    window_count = start_window;
+    for (robust::PendingCallCheckpoint& call : s->completed_calls) {
+      PendingSearch restored = from_call_checkpoint(std::move(call));
+      ts.outstanding_jobs[restored.sequence] = {restored.ready_at_sec,
+                                                restored.trace};
+      ts.completed.push_back(std::move(restored));
+    }
+    for (const robust::ReplayEntryCheckpoint& entry : s->replay) {
+      PendingSearch lost;
+      lost.sequence = entry.sequence;
+      lost.ready_at_sec = entry.t_issue_sec;
+      lost.succeeded = false;
+      lost.trace = obs::TraceContext{entry.trace_id, entry.parent_span};
+      ts.outstanding_jobs[lost.sequence] = {entry.t_issue_sec, lost.trace};
+      ts.completed.push_back(std::move(lost));
+    }
+    recovery_summary.replay_redelivered = s->replay.size();
+    ts.issued = s->completed_calls.size() + s->replay.size();
   }
 
   robust::StageSupervisor supervisor(options_.supervisor, opts.metrics,
@@ -596,8 +370,8 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
     // A stage out of restart budget ends the run: force CRITICAL (the
     // operator-visible verdict), stop the source, and close every queue so
     // the rest of the graph drains and unwinds.
-    if (controller) {
-      controller->force_critical(ts.processed, 0.0);
+    if (robust::DegradationController* controller = session.controller()) {
+      controller->force_critical(ts.processed.load(), 0.0);
     }
     stop.store(true, std::memory_order_release);
     close_all_queues();
@@ -704,61 +478,11 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
   // either every stage is parked at the gate (cadence snapshots) or the
   // stage threads are joined (epilogue snapshots).
   auto build_session_state = [&](std::size_t next_window) {
-    robust::SessionState s;
-    s.config_fingerprint = config_fp;
-    s.input_fingerprint = input_fp;
+    robust::SessionState s = session.capture(next_window);
     s.stream_fingerprint = stream_fp;
-    s.next_window = next_window;
-    s.last_pa = ts.last_pa;
-    s.last_loaded_sequence = ts.last_loaded_sequence;
-    s.counters.cloud_calls = result.cloud_calls;
-    s.counters.failed_cloud_calls = result.failed_cloud_calls;
-    s.counters.retry_attempts = result.retry_attempts;
-    s.counters.duplicates_discarded = result.duplicates_discarded;
-    s.counters.degraded = result.degraded;
-    s.counters.first_round_trip_recorded = ts.first_round_trip_recorded;
-    s.counters.delta_ec_sec = result.timings.delta_ec_sec;
-    s.counters.delta_cs_sec = result.timings.delta_cs_sec;
-    s.counters.delta_ce_sec = result.timings.delta_ce_sec;
-    s.counters.delta_initial_sec = result.timings.delta_initial_sec;
-    s.counters.total_track_sec = ts.total_track_sec;
-    s.counters.track_steps = ts.track_steps;
-    s.counters.max_track_sec = result.timings.max_track_sec;
-    s.counters.critical_windows = result.robust.critical_windows;
-    s.counters.shed_loads = result.robust.shed_loads;
-    s.counters.deferred_flushes = result.robust.deferred_flushes;
-    s.counters.watchdog_trips =
-        watchdog_trips_base + (watchdog ? watchdog->trips() : 0);
-    s.counters.quality =
-        quality ? quality->summary() : robust::QualitySummary{};
-    s.counters.quality.assessed += quality_base.assessed;
-    s.counters.quality.good += quality_base.good;
-    s.counters.quality.nan += quality_base.nan;
-    s.counters.quality.flatline += quality_base.flatline;
-    s.counters.quality.saturated += quality_base.saturated;
-    s.counters.quality.artifact += quality_base.artifact;
-    s.tracker.loaded = edge.tracker().loaded();
-    s.tracker.steps_since_load = edge.tracker().steps_since_load();
-    s.tracker.tracked.reserve(edge.tracker().active().size());
-    for (const TrackedSignal& signal : edge.tracker().active()) {
-      s.tracker.tracked.push_back(to_signal_state(signal));
-    }
-    s.predictor.history = edge.predictor().history();
-    s.predictor.alarmed = edge.predictor().anomaly_predicted();
-    s.predictor.alarm_time_sec = edge.predictor().first_alarm_sec();
-    s.predictor.consecutive = edge.predictor().consecutive_hits();
-    s.fir = edge.filter().save_stream();
-    if (controller) {
-      s.degrade = controller->checkpoint();
-    }
-    if (breaker) {
-      s.breaker = breaker->checkpoint();
-    }
-    s.edge_slo = edge_slo.save_state();
-    s.initial_slo = initial_slo.save_state();
-    // The batch-mode injector/channel slots stay default-initialised: a
-    // threaded session's fault state lives per worker below.
-    s.trace_seed = trace_seed;
+    // The batch-mode pending/injector/channel slots stay default-
+    // initialised: a threaded session's calls live in the ledger and its
+    // fault state per worker below.
     s.completed_calls.reserve(ts.completed.size());
     for (const PendingSearch& call : ts.completed) {
       s.completed_calls.push_back(to_call_checkpoint(call));
@@ -869,22 +593,8 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
       if (gate.drain_expired.load(std::memory_order_acquire)) {
         ++recovery_summary.drain_timeouts;
       }
-      robust::SessionState s = build_session_state(next_window);
-      recovery_summary.replay_recorded += s.replay.size();
-      robust::write_checkpoint(recovery.checkpoint_dir, s, crashpoints);
-      ++recovery_summary.checkpoints_written;
-      recovery_summary.last_snapshot_window = next_window;
-      if (p.metrics_.recovery_checkpoints != nullptr) {
-        p.metrics_.recovery_checkpoints->increment();
-      }
-      if (flight != nullptr) {
-        flight->log(obs::FlightEventType::kCheckpoint, "checkpoint",
-                    static_cast<double>(next_window),
-                    trace_seed != 0 && next_window > 0
-                        ? obs::mint_trace_id(trace_seed, next_window - 1)
-                        : 0,
-                    static_cast<double>(next_window));
-      }
+      session.publish(build_session_state(next_window), "checkpoint",
+                      session.window_trace(next_window - 1));
     } catch (...) {
       // An injected crash (kThrow) or I/O failure inside the capture must
       // not leave the gate raised: count the abort, release the stages,
@@ -899,7 +609,7 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
   // The acquire stage's admission cursor: the next window it would push.
   // Thread-confined to the acquire thread; read after join for the
   // shutdown snapshots.
-  std::size_t acquired_next = start_window;
+  std::size_t acquired_next = session.first_window();
 
   // ---- Stage bodies. ----
 
@@ -908,13 +618,10 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
     // A restarted incarnation resumes at its heartbeat cursor; a resumed
     // session starts at the snapshot's next window, whichever is later.
     for (std::size_t w = std::max(
-             start_window, static_cast<std::size_t>(health.resume_cursor()));
-         w < window_count; ++w) {
+             session.first_window(),
+             static_cast<std::size_t>(health.resume_cursor()));
+         session.monitors(w); ++w) {
       if (stop.load(std::memory_order_acquire) || health.abort_requested()) {
-        break;
-      }
-      const double t_end = static_cast<double>(w + 1);
-      if (opts.stop_at_sec >= 0.0 && t_end > opts.stop_at_sec) {
         break;
       }
       maybe_fault("acquire", w + 1, health);
@@ -924,28 +631,9 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
       EMAP_CRASH_POINT(crashpoints, "pipeline_window_start");
       RawItem item;
       item.window_index = w;
-      item.t_end = t_end;
-      item.trace_id =
-          trace_seed != 0 ? obs::mint_trace_id(trace_seed, w) : 0;
-      if (tracer != nullptr) {
-        item.span_id =
-            tracer->record_sim("window_" + std::to_string(w), "window",
-                               t_end - 1.0, t_end, 0, item.trace_id);
-        tracer->record_sim("sample", "sample", t_end - 1.0, t_end,
-                           item.span_id, item.trace_id);
-        tracer->record_sim("filter", "filter", t_end,
-                           t_end + opts.filter_accelerator_sec, item.span_id,
-                           item.trace_id);
-      }
-      if (flight != nullptr) {
-        flight->log(obs::FlightEventType::kSpan,
-                    ("window_" + std::to_string(w)).c_str(), t_end,
-                    item.trace_id, static_cast<double>(w));
-      }
-      item.raw.assign(input.samples.begin() +
-                          static_cast<std::ptrdiff_t>(w * window),
-                      input.samples.begin() +
-                          static_cast<std::ptrdiff_t>((w + 1) * window));
+      item.trace = session.open_window(w);
+      const std::span<const double> raw = session.raw_window(w);
+      item.raw.assign(raw.begin(), raw.end());
       health.set_idle(true);  // a blocked push is backpressure, not a stall
       // The source is always paced by blocking backpressure: acquire runs
       // at virtual speed (no wall-clock cost per window), so a lossy
@@ -1000,15 +688,9 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
       }
       FilteredItem out;
       out.window_index = item->window_index;
-      out.t_end = item->t_end;
-      out.trace_id = item->trace_id;
-      out.span_id = item->span_id;
-      out.filtered = edge.acquire_window(
-          std::span<const double>(item->raw.data(), item->raw.size()));
-      out.quality = edge.last_quality();
-      if (p.metrics_.windows != nullptr) {
-        p.metrics_.windows->increment();
-      }
+      out.trace = item->trace;
+      out.filtered = session.filter(item->raw);
+      out.quality = edge.last_quality().verdict;
       health.heartbeat(filter_state.processed);
       health.set_idle(true);
       const bool pushed = push_with_policy(q_filtered, std::move(out));
@@ -1019,6 +701,72 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
     }
     health.set_idle(true);
     q_filtered.close();
+  };
+
+  // Queue pressure for the degradation controller, sampled once per track
+  // window (track thread only).
+  auto sustained_pressure = [&] {
+    double pressure = 0.0;
+    auto fold = [&pressure](std::size_t depth, std::size_t capacity) {
+      pressure = std::max(
+          pressure, static_cast<double>(depth) /
+                        static_cast<double>(capacity));
+    };
+    // The ingest queues (q_raw, q_filtered) are deliberately excluded:
+    // the virtual-speed source saturates everything upstream of the
+    // wall-clock bottleneck by design (blocking backpressure IS the
+    // pacing), so their depth measures how far the simulation outruns
+    // real time, not overload.  Pressure watches the cloud path and
+    // the egress consumer, whose backlog is always genuine.
+    fold(q_uplink.depth(), q_uplink.capacity());
+    fold(q_deliver.depth(), q_deliver.capacity());
+    fold(q_outcome.depth(), q_outcome.capacity());
+    // Debounce on WALL time: at virtual speed the producer fills a
+    // queue in microseconds, so a single descheduling of a consumer
+    // thread reads as a full queue for many windows.  Report the
+    // MINIMUM instantaneous pressure over the last quarter second of
+    // wall clock — only saturation that persists that long (a
+    // genuinely wedged or lagging consumer, e.g. a supervisor-level
+    // stall) registers as pressure for the degrade controller.
+    constexpr double kPressureSustainSec = 0.25;
+    const double now_wall =
+        std::chrono::duration<double>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count();
+    ts.pressure_samples.emplace_back(now_wall, std::min(pressure, 1.0));
+    // Prune, but keep ONE sample at or before the window start so we
+    // can tell whether the window is fully covered by history.
+    std::size_t keep_from = 0;
+    while (keep_from + 1 < ts.pressure_samples.size() &&
+           ts.pressure_samples[keep_from + 1].first <=
+               now_wall - kPressureSustainSec) {
+      ++keep_from;
+    }
+    ts.pressure_samples.erase(ts.pressure_samples.begin(),
+                              ts.pressure_samples.begin() +
+                                  static_cast<std::ptrdiff_t>(keep_from));
+    if (ts.pressure_samples.front().first >
+        now_wall - kPressureSustainSec) {
+      // Not enough history yet to prove the backlog persisted.
+      pressure = 0.0;
+    } else {
+      pressure = 1.0;
+      for (const auto& [when, sample] : ts.pressure_samples) {
+        pressure = std::min(pressure, sample);
+      }
+    }
+    // Actual record loss is unambiguous overload regardless of how
+    // briefly the depth spiked: a transient the buffer absorbed is
+    // what buffers are for, but a shed/dropped record means the
+    // consumer truly fell behind its bound.
+    const std::uint64_t loss_total =
+        q_outcome.shed() + q_deliver.shed() + q_uplink.shed() +
+        dropped_newest.load(std::memory_order_relaxed);
+    if (loss_total > ts.last_loss_total) {
+      pressure = 1.0;
+    }
+    ts.last_loss_total = loss_total;
+    return pressure;
   };
 
   auto track_body = [&](robust::StageHealth& health) {
@@ -1034,36 +782,14 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
         return;
       }
       ++ts.processed;
-      maybe_fault("track", ts.processed, health);
+      maybe_fault("track", ts.processed.load(), health);
       if (health.abort_requested()) {
         return;
       }
       const std::size_t w = item->window_index;
-      const double t_end = item->t_end;
-      const std::uint64_t window_trace = item->trace_id;
-      const std::uint64_t window_span = item->span_id;
-
-      IterationRecord record;
-      record.window_index = w;
-      record.t_sec = t_end;
-      record.quality = item->quality.verdict;
-      record.recovered = recovery_summary.resumed;
-
-      std::size_t shed_cap = 0;
-      if (controller) {
-        record.robust_state = controller->state();
-        edge.tracker().set_stride_multiplier(
-            controller->stride_multiplier());
-        if (controller->shed_level() > 0) {
-          shed_cap = controller->tracked_cap(config.top_k);
-          edge.tracker().set_recall_threshold(controller->recall_threshold(
-              config.tracking_threshold_h, config.top_k));
-          edge.tracker().shed_to(shed_cap);
-        } else {
-          edge.tracker().set_recall_threshold(0);
-        }
-        record.shed_cap = shed_cap;
-      }
+      const obs::TraceContext window = item->trace;
+      IterationRecord record = session.begin_window(w, item->quality);
+      const double t_end = record.t_sec;
 
       // Collect finished cloud calls and deliver every one whose virtual
       // ready time has arrived, oldest sequence first (the batch loop has
@@ -1100,78 +826,16 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
         if (durable) {
           ts.outstanding_jobs.erase(pending.sequence);
         }
-        result.retry_attempts +=
-            pending.attempts > 0 ? pending.attempts - 1 : 0;
-        result.duplicates_discarded += pending.duplicates;
-        if (pending.succeeded &&
-            static_cast<std::int64_t>(pending.sequence) >
-                ts.last_loaded_sequence) {
-          ts.last_loaded_sequence =
-              static_cast<std::int64_t>(pending.sequence);
-          if (shed_cap > 0 && pending.correlation_set.size() > shed_cap) {
-            pending.correlation_set.resize(shed_cap);
-            ++result.robust.shed_loads;
-          }
-          edge.tracker().load(std::move(pending.correlation_set));
-          record.set_loaded = true;
-          record.pa_on_load = edge.tracker().anomaly_probability();
-          const double initial_sec =
-              pending.delta_ec + pending.delta_cs + pending.delta_ce;
-          initial_slo.observe(initial_sec);
-          if (flight != nullptr &&
-              initial_sec > initial_slo.spec().budget_sec) {
-            flight->log(obs::FlightEventType::kSloMiss, "initial_response",
-                        t_end, pending.trace.trace_id, initial_sec,
-                        initial_slo.spec().budget_sec);
-          }
-          if (!ts.first_round_trip_recorded) {
-            result.timings.delta_ec_sec = pending.delta_ec;
-            result.timings.delta_cs_sec = pending.delta_cs;
-            result.timings.delta_ce_sec = pending.delta_ce;
-            result.timings.delta_initial_sec = initial_sec;
-            ts.first_round_trip_recorded = true;
-          }
-          ++result.cloud_calls;
-        } else if (pending.succeeded) {
-          // Stale success: with several uplink workers, an older search
-          // can complete after a newer set already loaded.  The round
-          // trip itself succeeded — count the call, discard the payload.
-          // (Impossible in the batch loop, which holds one outstanding
-          // call at a time.)
-          ++result.cloud_calls;
-        } else {
-          record.degraded = true;
-          result.degraded = true;
-          ++result.failed_cloud_calls;
-          if (p.metrics_.degraded_windows != nullptr) {
-            p.metrics_.degraded_windows->increment();
-          }
-        }
+        session.deliver(std::move(pending), record);
       }
 
-      const bool quality_bad = quality && !item->quality.good();
-      bool stage_stuck = false;
-      bool observed_latency = false;
-      double step_latency = 0.0;
-      const std::uint64_t outstanding = ts.issued - ts.applied;
-      auto issue_job = [&] {
-        if (breaker_ptr != nullptr && !breaker_ptr->allow(t_end)) {
-          record.breaker_rejected = true;
-          if (tracer != nullptr) {
-            tracer->record_sim("breaker_reject", "robust", t_end, t_end,
-                               window_span, window_trace);
-          }
-          if (flight != nullptr) {
-            flight->log(obs::FlightEventType::kShed, "breaker_reject",
-                        t_end, window_trace);
-          }
-          return;
-        }
+      if (session.track(item->filtered, ts.issued - ts.applied, workers,
+                        window, record)) {
         EMAP_CRASH_POINT(crashpoints, "pipeline_pre_cloud_call");
         UplinkJob job;
         job.sequence = static_cast<std::uint32_t>(w);
         job.t_issue_sec = t_end;
-        job.trace = obs::TraceContext{window_trace, window_span};
+        job.trace = window;
         job.filtered = item->filtered;
         health.set_idle(true);
         // Cloud jobs are never shed once created: a shed job would strand
@@ -1183,176 +847,15 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
           ++ts.issued;
           record.cloud_call_issued = true;
           if (durable) {
-            ts.outstanding_jobs[static_cast<std::uint32_t>(w)] = {
-                t_end, obs::TraceContext{window_trace, window_span}};
+            ts.outstanding_jobs[static_cast<std::uint32_t>(w)] = {t_end,
+                                                                   window};
           }
         }
-      };
-
-      if (controller && controller->critical()) {
-        record.robust_critical = true;
-        record.anomaly_probability = ts.last_pa;
-        ++result.robust.critical_windows;
-      } else if (quality_bad) {
-        record.anomaly_probability = ts.last_pa;
-      } else if (edge.tracker().loaded()) {
-        EMAP_CRASH_POINT(crashpoints, "pipeline_tracker_step");
-        const TrackStepResult step = edge.tracker().step(item->filtered);
-        record.tracked = true;
-        record.anomaly_probability = step.anomaly_probability;
-        record.tracked_before = step.tracked_before;
-        record.tracked_after = step.tracked_after;
-        record.removed_dissimilar = step.removed_dissimilar;
-        record.removed_exhausted = step.removed_exhausted;
-        record.abs_ops = step.abs_ops;
-        record.track_device_sec =
-            p.edge_device_.seconds_for_abs(
-                static_cast<double>(step.abs_ops)) +
-            p.edge_device_.per_signal_overhead_sec *
-                static_cast<double>(step.tracked_before);
-        ts.total_track_sec += record.track_device_sec;
-        edge_slo.observe(record.track_device_sec);
-        if (flight != nullptr &&
-            record.track_device_sec > edge_slo.spec().budget_sec) {
-          flight->log(obs::FlightEventType::kSloMiss, "edge_iteration",
-                      t_end, window_trace, record.track_device_sec,
-                      edge_slo.spec().budget_sec);
-        }
-        result.timings.max_track_sec =
-            std::max(result.timings.max_track_sec, record.track_device_sec);
-        ++ts.track_steps;
-        ts.last_pa = step.anomaly_probability;
-        observed_latency = true;
-        step_latency = record.track_device_sec;
-        if (watchdog) {
-          stage_stuck = watchdog->check_stage(record.track_device_sec);
-        }
-        if (controller && controller->defer_flushes()) {
-          ts.deferred_track_obs.push_back(record.track_device_sec);
-          ++result.robust.deferred_flushes;
-        } else if (p.metrics_.track_step != nullptr) {
-          p.metrics_.track_step->observe(record.track_device_sec);
-        }
-        if (tracer != nullptr) {
-          tracer->record_sim("edge-track", "edge-track", t_end,
-                             t_end + record.track_device_sec, window_span,
-                             window_trace);
-          tracer->record_sim("prediction", "prediction",
-                             t_end + record.track_device_sec,
-                             t_end + record.track_device_sec + 1e-3,
-                             window_span, window_trace);
-        }
-        if (step.cloud_call_needed && outstanding < workers) {
-          issue_job();
-        }
-      } else if (outstanding == 0) {
-        // Cold start: the first window triggers the initial MDB search.
-        issue_job();
       }
 
-      if (controller) {
-        robust::WindowSignal signal;
-        signal.window_index = w;
-        signal.t_sec = t_end;
-        signal.burn_rate = edge_slo.burn_rate();
-        signal.stage_stuck = stage_stuck;
-        double pressure = 0.0;
-        auto fold = [&pressure](std::size_t depth, std::size_t capacity) {
-          pressure = std::max(
-              pressure, static_cast<double>(depth) /
-                            static_cast<double>(capacity));
-        };
-        // The ingest queues (q_raw, q_filtered) are deliberately excluded:
-        // the virtual-speed source saturates everything upstream of the
-        // wall-clock bottleneck by design (blocking backpressure IS the
-        // pacing), so their depth measures how far the simulation outruns
-        // real time, not overload.  Pressure watches the cloud path and
-        // the egress consumer, whose backlog is always genuine.
-        fold(q_uplink.depth(), q_uplink.capacity());
-        fold(q_deliver.depth(), q_deliver.capacity());
-        fold(q_outcome.depth(), q_outcome.capacity());
-        // Debounce on WALL time: at virtual speed the producer fills a
-        // queue in microseconds, so a single descheduling of a consumer
-        // thread reads as a full queue for many windows.  Report the
-        // MINIMUM instantaneous pressure over the last quarter second of
-        // wall clock — only saturation that persists that long (a
-        // genuinely wedged or lagging consumer, e.g. a supervisor-level
-        // stall) registers as pressure for the degrade controller.
-        constexpr double kPressureSustainSec = 0.25;
-        const double now_wall =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count();
-        ts.pressure_samples.emplace_back(now_wall, std::min(pressure, 1.0));
-        // Prune, but keep ONE sample at or before the window start so we
-        // can tell whether the window is fully covered by history.
-        std::size_t keep_from = 0;
-        while (keep_from + 1 < ts.pressure_samples.size() &&
-               ts.pressure_samples[keep_from + 1].first <=
-                   now_wall - kPressureSustainSec) {
-          ++keep_from;
-        }
-        ts.pressure_samples.erase(ts.pressure_samples.begin(),
-                                  ts.pressure_samples.begin() +
-                                      static_cast<std::ptrdiff_t>(keep_from));
-        if (ts.pressure_samples.front().first >
-            now_wall - kPressureSustainSec) {
-          // Not enough history yet to prove the backlog persisted.
-          signal.queue_pressure = 0.0;
-        } else {
-          double sustained = 1.0;
-          for (const auto& [when, sample] : ts.pressure_samples) {
-            sustained = std::min(sustained, sample);
-          }
-          signal.queue_pressure = sustained;
-        }
-        // Actual record loss is unambiguous overload regardless of how
-        // briefly the depth spiked: a transient the buffer absorbed is
-        // what buffers are for, but a shed/dropped record means the
-        // consumer truly fell behind its bound.
-        const std::uint64_t loss_total =
-            q_outcome.shed() + q_deliver.shed() + q_uplink.shed() +
-            dropped_newest.load(std::memory_order_relaxed);
-        if (loss_total > ts.last_loss_total) {
-          signal.queue_pressure = 1.0;
-        }
-        ts.last_loss_total = loss_total;
-        if (observed_latency) {
-          const obs::SloSpec& spec = edge_slo.spec();
-          signal.deadline_miss = step_latency > spec.budget_sec;
-          signal.near_miss =
-              !signal.deadline_miss &&
-              step_latency > spec.near_miss_fraction * spec.budget_sec;
-        } else {
-          signal.no_observation = true;
-        }
-        const robust::DegradeState state_before = controller->state();
-        controller->observe_window(signal);
-        const robust::DegradeState state_after = controller->state();
-        if (flight != nullptr && state_after != state_before) {
-          flight->log(
-              obs::FlightEventType::kRobustTransition,
-              (std::string(robust::degrade_state_name(state_before)) +
-               "_to_" + robust::degrade_state_name(state_after))
-                  .c_str(),
-              t_end, window_trace);
-          if (signal.stage_stuck &&
-              state_after == robust::DegradeState::kCritical &&
-              !ts.watchdog_dumped) {
-            ts.watchdog_dumped = true;
-            ts.watchdog_dump_pending = true;
-          }
-        }
-        if (!controller->defer_flushes() &&
-            !ts.deferred_track_obs.empty()) {
-          if (p.metrics_.track_step != nullptr) {
-            for (const double observation : ts.deferred_track_obs) {
-              p.metrics_.track_step->observe(observation);
-            }
-          }
-          ts.deferred_track_obs.clear();
-        }
-      }
+      const double pressure =
+          session.controller() != nullptr ? sustained_pressure() : 0.0;
+      session.feedback(record, pressure, window);
       if (depth_raw != nullptr) {
         depth_raw->set(static_cast<double>(q_raw.depth()));
         depth_filtered->set(static_cast<double>(q_filtered.depth()));
@@ -1361,53 +864,13 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
         depth_outcome->set(static_cast<double>(q_outcome.depth()));
       }
 
-      if (breaker && flight != nullptr) {
-        const robust::BreakerState breaker_state = breaker->state();
-        if (breaker_state != ts.last_breaker_state) {
-          if (breaker_state == robust::BreakerState::kOpen) {
-            flight->log(obs::FlightEventType::kBreakerOpen, "breaker_open",
-                        t_end, window_trace);
-            if (tracer != nullptr) {
-              tracer->record_sim("breaker_open", "robust", t_end, t_end,
-                                 window_span, window_trace);
-            }
-            if (!ts.breaker_dumped) {
-              ts.breaker_dumped = true;
-              flight->trigger_dump("breaker_open");
-            }
-          } else if (breaker_state == robust::BreakerState::kClosed) {
-            flight->log(obs::FlightEventType::kBreakerClose,
-                        "breaker_close", t_end, window_trace);
-          }
-          ts.last_breaker_state = breaker_state;
-        }
-      }
-      if (flight != nullptr && !ts.slo_burn_paged) {
-        const bool edge_burning = !edge_slo.healthy();
-        if (edge_burning || !initial_slo.healthy()) {
-          ts.slo_burn_paged = true;
-          obs::SloMonitor& burning = edge_burning ? edge_slo : initial_slo;
-          flight->log(obs::FlightEventType::kSloBurnPage,
-                      burning.spec().name.c_str(), t_end, window_trace,
-                      burning.burn_rate());
-          flight->trigger_dump("slo_burn_page");
-        }
-      }
-      // After the burn-page check so CRITICAL owns the single dump file
-      // (mirrors the batch loop's ordering).
-      if (flight != nullptr && ts.watchdog_dump_pending) {
-        ts.watchdog_dump_pending = false;
-        flight->trigger_dump("watchdog_critical");
-      }
-
       OutcomeItem out;
       out.supports_predict =
           record.tracked &&
-          record.tracked_after >= config.predict_min_support;
-      out.t_end = t_end;
-      out.trace_id = window_trace;
+          record.tracked_after >= p.config_.predict_min_support;
+      out.trace_id = window.trace_id;
       out.record = std::move(record);
-      health.heartbeat(ts.processed);
+      health.heartbeat(ts.processed.load());
       health.set_idle(true);
       const bool pushed = push_with_policy(q_outcome, std::move(out));
       health.set_idle(false);
@@ -1457,18 +920,12 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
       if (health.abort_requested()) {
         return;
       }
+      const double t_end = item->record.t_sec;
       if (item->supports_predict) {
-        edge.predictor().observe(item->record.anomaly_probability,
-                                 item->t_end);
+        edge.predictor().observe(item->record.anomaly_probability, t_end);
       }
-      if (scraper) {
-        ps.last_window_end_sec = item->t_end;
-        if (scraper->maybe_scrape(item->t_end) && alert_engine) {
-          alert_engine->evaluate(*series_store, item->t_end,
-                                 item->trace_id);
-        }
-      }
-      result.iterations.push_back(std::move(item->record));
+      session.scrape(t_end, item->trace_id);
+      session.result.iterations.push_back(std::move(item->record));
       EMAP_CRASH_POINT(crashpoints, "pipeline_window_end");
       if (opts.stop_on_alarm && edge.predictor().anomaly_predicted()) {
         stop.store(true, std::memory_order_release);
@@ -1529,7 +986,7 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
         }
         PendingSearch pending = p.executor_.issue(
             job->sequence, job->filtered, job->t_issue_sec, me.channel,
-            me.retry, tracer, breaker_ptr, job->trace);
+            me.retry, tracer, breaker, job->trace);
         EMAP_CRASH_POINT(crashpoints, "pipeline_post_cloud_call");
         if (durable) {
           // Republish the draw cursors at the job boundary, before the
@@ -1582,81 +1039,17 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
   if (durable) {
     const bool emergency = supervisor.any_failed();
     try {
-      robust::SessionState s = build_session_state(acquired_next);
-      recovery_summary.replay_recorded += s.replay.size();
-      robust::write_checkpoint(recovery.checkpoint_dir, s, crashpoints);
-      ++recovery_summary.checkpoints_written;
-      recovery_summary.last_snapshot_window = acquired_next;
+      session.publish(build_session_state(acquired_next),
+                      emergency ? "emergency_checkpoint"
+                                : "shutdown_checkpoint",
+                      0);
       recovery_summary.emergency_snapshot = emergency;
-      if (p.metrics_.recovery_checkpoints != nullptr) {
-        p.metrics_.recovery_checkpoints->increment();
-      }
-      if (flight != nullptr) {
-        flight->log(obs::FlightEventType::kCheckpoint,
-                    emergency ? "emergency_checkpoint"
-                              : "shutdown_checkpoint",
-                    static_cast<double>(acquired_next), 0,
-                    static_cast<double>(acquired_next));
-      }
     } catch (const std::exception&) {
       ++recovery_summary.snapshot_aborts;
     }
   }
 
-  if (ts.track_steps > 0) {
-    result.timings.mean_track_sec =
-        ts.total_track_sec / static_cast<double>(ts.track_steps);
-  }
-  result.anomaly_predicted = edge.predictor().anomaly_predicted();
-  result.first_alarm_sec = edge.predictor().first_alarm_sec();
-  if (scraper && series_store->scrapes() == 0) {
-    scraper->scrape_now(ps.last_window_end_sec);
-    if (alert_engine) {
-      alert_engine->evaluate(*series_store, ps.last_window_end_sec, 0);
-    }
-  }
-  result.slo = {edge_slo.summary(), initial_slo.summary()};
-  if (p.metrics_.track_step != nullptr) {
-    for (const double observation : ts.deferred_track_obs) {
-      p.metrics_.track_step->observe(observation);
-    }
-  }
-  ts.deferred_track_obs.clear();
-  if (controller) {
-    result.robust.degrade = controller->summary();
-    if (tracer != nullptr) {
-      for (const auto& transition : controller->transitions()) {
-        const std::uint64_t transition_trace =
-            trace_seed != 0 && transition.t_sec >= 1.0
-                ? obs::mint_trace_id(
-                      trace_seed,
-                      static_cast<std::uint64_t>(transition.t_sec - 1.0))
-                : 0;
-        tracer->record_sim(
-            std::string("robust_") +
-                robust::degrade_state_name(transition.from) + "_to_" +
-                robust::degrade_state_name(transition.to),
-            "robust", transition.t_sec, transition.t_sec, 0,
-            transition_trace);
-      }
-    }
-  }
-  if (breaker) {
-    result.robust.breaker = breaker->summary();
-  }
-  if (quality) {
-    result.robust.quality = quality->summary();
-  }
-  // Fold in pre-crash counts a restored snapshot carried (zeros
-  // otherwise), mirroring the batch epilogue.
-  result.robust.quality.assessed += quality_base.assessed;
-  result.robust.quality.good += quality_base.good;
-  result.robust.quality.nan += quality_base.nan;
-  result.robust.quality.flatline += quality_base.flatline;
-  result.robust.quality.saturated += quality_base.saturated;
-  result.robust.quality.artifact += quality_base.artifact;
-  result.robust.watchdog_trips =
-      watchdog_trips_base + (watchdog ? watchdog->trips() : 0);
+  RunResult result = session.finish();
   result.robust.supervisor_stalls = supervisor.stalls_detected();
   result.robust.supervisor_restarts = supervisor.restarts();
   result.robust.supervisor_crashes = supervisor.crashes();
@@ -1694,9 +1087,6 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
   queue_row("outcome", q_outcome.capacity(), q_outcome.max_depth(),
             q_outcome.pushed(), q_outcome.popped(),
             q_outcome.shed() + dropped_newest.load());
-  if (tracer != nullptr) {
-    result.trace = obs::timeline_view(*tracer);
-  }
   return result;
 }
 

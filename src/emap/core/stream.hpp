@@ -126,7 +126,7 @@ const char* queue_full_policy_name(QueueFullPolicy policy);
 
 /// The staged scheduler.  Borrows the pipeline: configuration, cloud node,
 /// device models, and the cloud-call executor are shared with the batch
-/// loop, so both engines run the same per-window code.
+/// loop, and the per-window steps run through the same core::Session.
 class StreamPipeline {
  public:
   explicit StreamPipeline(EmapPipeline& pipeline, StreamOptions options = {});

@@ -2,10 +2,10 @@
 // alert transitions) into an ASCII sparkline table and a self-contained
 // HTML page, with a CUSUM changepoint pass per series.
 //
-// This is the read side of timeseries.hpp/alert.hpp, consumed by the
-// `emapreport` CLI and `emapctl report`.  Loading follows the tracecat
-// convention: malformed lines are skipped and counted, never fatal, so a
-// report still renders from a truncated file.
+// This is the read side of timeseries.hpp/alert.hpp, consumed by
+// `emapctl report`.  Loading follows the tracecat convention: malformed
+// lines are skipped and counted, never fatal, so a report still renders
+// from a truncated file.
 //
 // The CUSUM pass answers "when did this series change level?" after the
 // fact: per-bucket means are standardized against the series' own

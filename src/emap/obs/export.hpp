@@ -52,8 +52,8 @@ std::string metrics_table(const MetricsRegistry& registry);
 sim::TimelineTrace timeline_view(const Tracer& tracer);
 
 /// One span as a flat JSON object line.  The machine-readable sibling of
-/// the Chrome trace: `tools/tracecat` and `emapctl trace` reconstruct
-/// per-window critical paths from these lines.  trace_id is emitted as a
+/// the Chrome trace: `emapctl trace` reconstructs per-window critical
+/// paths from these lines.  trace_id is emitted as a
 /// 16-char hex string (64-bit ids do not survive a JSON double).
 std::string span_json(const SpanRecord& span);
 

@@ -6,8 +6,8 @@
 // and flight-recorder dumps (obs::FlightRecorder::trigger_dump), groups
 // records by trace id, and decomposes each window's initial-response
 // latency into its Eq. 4 legs — uplink, cloud queue wait, scan, downlink —
-// plus the edge-side compute and any retry/backoff tax.  The `tracecat`
-// CLI and `emapctl trace` are thin wrappers over these functions.
+// plus the edge-side compute and any retry/backoff tax.  `emapctl trace`
+// is a thin wrapper over these functions.
 //
 // Loading is lenient: lines that are not valid flat JSON objects (or miss
 // required fields) are skipped and counted, never fatal — a flight dump

@@ -4,9 +4,10 @@
 #include <string>
 #include <vector>
 
-#include "emap/sim/event_queue.hpp"
-
 namespace emap::sim {
+
+/// Simulated time in seconds.
+using SimTime = double;
 
 /// Activity categories of the EMAP timing diagram.
 enum class ActivityKind {

@@ -1,10 +1,7 @@
-// Parameterized properties of the filtering stack (FIR + biquad).
+// Parameterized properties of the FIR filtering stack.
 #include <gtest/gtest.h>
 
-#include "emap/dsp/biquad.hpp"
 #include "emap/dsp/fir.hpp"
-#include "emap/dsp/stats.hpp"
-#include "support/test_util.hpp"
 
 namespace emap::dsp {
 namespace {
@@ -33,63 +30,6 @@ TEST_P(FirTapSweep, GroupDelayIsHalfLength) {
 
 INSTANTIATE_TEST_SUITE_P(Lengths, FirTapSweep,
                          ::testing::Values(64u, 100u, 101u, 150u, 255u));
-
-class NotchFrequencySweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(NotchFrequencySweep, NotchIsDeepAndNarrow) {
-  const double freq = GetParam();
-  auto filter = Biquad::notch(freq, 256.0, 30.0);
-  EXPECT_LT(filter.magnitude_response(freq, 256.0), 0.01);
-  EXPECT_GT(filter.magnitude_response(freq * 0.8, 256.0), 0.9);
-  EXPECT_GT(filter.magnitude_response(freq * 1.2, 256.0), 0.9);
-}
-
-TEST_P(NotchFrequencySweep, EnergyRemovalMatchesResponse) {
-  const double freq = GetParam();
-  auto filter = Biquad::notch(freq, 256.0, 30.0);
-  const auto tone = testing::sine(freq, 256.0, 8192);
-  const auto output = filter.process_block(tone);
-  const std::span<const double> steady(output.data() + 4096, 4096);
-  EXPECT_LT(rms(steady), 0.05);
-}
-
-INSTANTIATE_TEST_SUITE_P(Frequencies, NotchFrequencySweep,
-                         ::testing::Values(25.0, 50.0, 60.0, 100.0));
-
-class CascadedStabilityProperty
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(CascadedStabilityProperty, FrontendOutputStaysBounded) {
-  // IIR stability smoke test: bounded random input through the acquisition
-  // front end must never blow up.
-  auto frontend = make_acquisition_frontend(256.0, 50.0);
-  Rng rng(GetParam());
-  double peak = 0.0;
-  for (int i = 0; i < 100000; ++i) {
-    const double y = frontend.process_sample(rng.uniform(-100.0, 100.0));
-    peak = std::max(peak, std::abs(y));
-  }
-  EXPECT_LT(peak, 1000.0);
-}
-
-TEST_P(CascadedStabilityProperty, FirThenBiquadCommutesApproximately) {
-  // LTI systems commute; the implementations must agree to rounding.
-  const auto input = testing::noise(GetParam(), 2048, 5.0);
-  FirFilter fir_a(FirDesign{});
-  auto notch_a = Biquad::notch(50.0, 256.0);
-  const auto path_a = notch_a.process_block(fir_a.apply(input));
-
-  FirFilter fir_b(FirDesign{});
-  auto notch_b = Biquad::notch(50.0, 256.0);
-  const auto path_b = fir_b.apply(notch_b.process_block(input));
-
-  for (std::size_t i = 0; i < input.size(); i += 31) {
-    EXPECT_NEAR(path_a[i], path_b[i], 1e-6);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CascadedStabilityProperty,
-                         ::testing::Range<std::uint64_t>(1, 6));
 
 }  // namespace
 }  // namespace emap::dsp

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "emap/core/pipeline.hpp"
+#include "emap/robust/crashpoint.hpp"
 #include "support/test_util.hpp"
 
 namespace emap::core {
@@ -59,6 +60,24 @@ TEST(PipelineOptions, StopAtOverrideDoesNotStickAcrossRuns) {
   // A second full run matches the first: the override did not persist.
   const auto full_again = pipeline.run(input);
   EXPECT_EQ(full.iterations.size(), full_again.iterations.size());
+}
+
+// A run that throws must not leave its stop time behind either: the
+// override is an argument of that run, not a change to the options.
+TEST(PipelineOptions, StopAtOverrideDoesNotStickAfterAThrow) {
+  robust::CrashPointRegistry registry;
+  PipelineOptions options;
+  options.crashpoints = &registry;
+  EmapPipeline pipeline(testing::small_mdb(2), EmapConfig{}, options);
+  const auto input = input_recording(4);
+  {
+    robust::ScopedCrashSchedule guard(registry,
+                                      {"pipeline_window_start", 3});
+    EXPECT_THROW(pipeline.run(input, 10.0), robust::InjectedCrash);
+  }
+  const auto full = pipeline.run(input);
+  EXPECT_EQ(full.iterations.size(),
+            input.samples.size() / EmapConfig{}.window_length);
 }
 
 TEST(PipelineOptions, FilterAcceleratorTimeAppearsInTrace) {

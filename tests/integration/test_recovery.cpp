@@ -181,6 +181,26 @@ TEST_F(RecoveryTest, IntervalWindowsControlsTheCheckpointCadence) {
   EXPECT_GT(snapshot->next_window, 0u);
 }
 
+// A resumed run that publishes no further snapshot still reports the one
+// it resumed from: last_snapshot_window names the newest snapshot on disk.
+TEST_F(RecoveryTest, ResumeWithoutANewSnapshotReportsTheRestoredOne) {
+  testing::TempDir dir("recovery_last_snapshot");
+  PipelineOptions options = base_options();
+  options.recovery.checkpoint_dir = dir.path();
+  options.recovery.interval_windows = 5;
+  EmapPipeline first(testing::small_mdb(4), EmapConfig{}, options);
+  EXPECT_EQ(first.run(input(), 10.0).robust.recovery.last_snapshot_window,
+            10u);
+  options.recovery.resume = true;
+  EmapPipeline resumed_pipeline(testing::small_mdb(4), EmapConfig{}, options);
+  const RunResult resumed = resumed_pipeline.run(input(), 12.0);
+  ASSERT_TRUE(resumed.robust.recovery.resumed);
+  EXPECT_EQ(resumed.robust.recovery.resume_window, 10u);
+  EXPECT_EQ(resumed.iterations.size(), 2u);
+  EXPECT_EQ(resumed.robust.recovery.checkpoints_written, 0u);
+  EXPECT_EQ(resumed.robust.recovery.last_snapshot_window, 10u);
+}
+
 TEST_F(RecoveryTest, MissingSnapshotFallsBackToColdStart) {
   testing::TempDir dir("recovery_cold");
   PipelineOptions options = base_options();
