@@ -39,7 +39,6 @@ void CloudNode::set_metrics(obs::MetricsRegistry* registry) {
 
 SearchResult CloudNode::search(std::span<const double> input_window) const {
   SearchResult result = searcher_.search(input_window, store_);
-  last_stats_ = result.stats;
   if (metrics_.requests != nullptr) {
     metrics_.requests->increment();
     metrics_.sets_scanned->increment(result.stats.sets_scanned);
@@ -55,43 +54,10 @@ net::CorrelationSetMessage CloudNode::respond(
     const net::SignalUploadMessage& request, SearchStats* stats_out) const {
   require(request.samples.size() == config_.window_length,
           "CloudNode::respond: bad request window length");
-  // Same search path as search(), but the stats land in the caller's slot:
-  // the shared mutable last_stats_ would be a data race under concurrent
-  // uplink workers (metrics below are lock-free and safe).
-  SearchResult result = searcher_.search(request.samples, store_);
+  const SearchResult result = search(request.samples);
   if (stats_out != nullptr) {
     *stats_out = result.stats;
   }
-  if (metrics_.requests != nullptr) {
-    metrics_.requests->increment();
-    metrics_.sets_scanned->increment(result.stats.sets_scanned);
-    metrics_.correlation_evals->increment(result.stats.correlation_evals);
-    metrics_.candidates->increment(result.stats.candidates);
-    metrics_.skip_ratio->observe(result.stats.skip_ratio());
-    metrics_.wall_seconds->observe(result.stats.wall_seconds);
-  }
-
-  net::CorrelationSetMessage response;
-  response.request_sequence = request.sequence;
-  response.entries.reserve(result.matches.size());
-  for (const auto& match : result.matches) {
-    net::CorrelationEntry entry;
-    entry.set_id = match.set_id;
-    entry.omega = static_cast<float>(match.omega);
-    entry.beta = static_cast<std::uint32_t>(match.beta);
-    entry.anomalous = match.anomalous ? 1 : 0;
-    entry.class_tag = match.class_tag;
-    entry.samples = store_.at(match.store_index).samples;
-    response.entries.push_back(std::move(entry));
-  }
-  return response;
-}
-
-net::CorrelationSetMessage CloudNode::respond(
-    const net::SignalUploadMessage& request) const {
-  require(request.samples.size() == config_.window_length,
-          "CloudNode::respond: bad request window length");
-  const SearchResult result = search(request.samples);
 
   net::CorrelationSetMessage response;
   response.request_sequence = request.sequence;

@@ -29,20 +29,11 @@ class CloudNode {
 
   /// Full request path: decodes nothing (message is already structured),
   /// runs the search, and packages the correlation set with the matched
-  /// signal-sets' samples for download.
-  net::CorrelationSetMessage respond(
-      const net::SignalUploadMessage& request) const;
-
-  /// Thread-safe respond: writes the search stats into `stats_out` instead
-  /// of the shared last_stats() slot, so concurrent uplink workers can call
-  /// it without racing on the timing accounting.
+  /// signal-sets' samples for download.  The search stats land in
+  /// `stats_out` when non-null; nothing is shared between calls, so
+  /// concurrent uplink workers may call it.
   net::CorrelationSetMessage respond(const net::SignalUploadMessage& request,
-                                     SearchStats* stats_out) const;
-
-  /// Stats of the most recent search (for timing accounting).  Only
-  /// meaningful with single-threaded callers; concurrent paths use the
-  /// stats-out respond overload.
-  const SearchStats& last_stats() const { return last_stats_; }
+                                     SearchStats* stats_out = nullptr) const;
 
   /// Attaches a telemetry registry (borrowed; nullptr disables).  Every
   /// search then records scan counters, the exponential-window skip ratio,
@@ -54,7 +45,6 @@ class CloudNode {
   mdb::MdbStore store_;
   std::unique_ptr<ThreadPool> pool_;
   CrossCorrelationSearch searcher_;
-  mutable SearchStats last_stats_{};
 
   /// Cached instrument handles (registry lookups happen once, in
   /// set_metrics, keeping the search hot path lock-free).

@@ -123,8 +123,8 @@ std::vector<ServiceResponse> CloudService::process_all() {
     response.arrival_sec = request.arrival_sec;
     response.start_sec = std::max(*worker, request.arrival_sec);
 
-    response.correlation_set = node_.respond(request.upload);
-    const SearchStats& stats = node_.last_stats();
+    SearchStats stats;
+    response.correlation_set = node_.respond(request.upload, &stats);
     const double service =
         device_.seconds_for_macs(static_cast<double>(stats.mac_ops)) +
         device_.per_signal_overhead_sec *

@@ -1,13 +1,14 @@
 #include "emap/core/search.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <mutex>
 
 #include "emap/common/error.hpp"
+#include "emap/dsp/kernels.hpp"
 #include "emap/dsp/simd.hpp"
 #include "emap/dsp/xcorr.hpp"
 #include "emap/obs/profiler.hpp"
@@ -25,43 +26,20 @@ bool better_match(const SearchMatch& a, const SearchMatch& b) {
 // headlines distinguish scalar from AVX2 scans.  ProfileScope keys nodes
 // by literal pointer identity, hence one literal per arm rather than a
 // formatted string.
-const char* scan_stage_name() {
-  return dsp::simd::active_level() == dsp::simd::Level::kAvx2
-             ? "search_scan[impl=avx2]"
-             : "search_scan[impl=scalar]";
+const char* scan_stage_name(dsp::simd::Level level) {
+  return level == dsp::simd::Level::kAvx2 ? "search_scan[impl=avx2]"
+                                          : "search_scan[impl=scalar]";
 }
+
+/// One signal-set's β walk inside the lockstep scan.
+struct Lane {
+  std::size_t index = 0;  ///< store position of the set
+  const double* samples = nullptr;
+  std::size_t beta = 0;
+  std::size_t limit = 0;  ///< paper line 4: β < Length(S) - Length(I_N)
+};
 
 }  // namespace
-
-namespace {
-
-// -1 = no override; >= 0 = forced block size (tests).
-std::atomic<long long> forced_scan_block{-1};
-
-}  // namespace
-
-void force_scan_block(std::optional<std::size_t> block) {
-  forced_scan_block.store(
-      block.has_value() ? static_cast<long long>(*block) : -1,
-      std::memory_order_relaxed);
-}
-
-std::size_t scan_block_samples() {
-  const long long forced = forced_scan_block.load(std::memory_order_relaxed);
-  if (forced >= 0) {
-    return static_cast<std::size_t>(forced);
-  }
-  static const std::size_t block = [] {
-    if (const char* env = std::getenv("EMAP_SCAN_BLOCK");
-        env != nullptr && *env != '\0') {
-      const long parsed = std::strtol(env, nullptr, 10);
-      return parsed > 0 ? static_cast<std::size_t>(parsed)
-                        : static_cast<std::size_t>(0);
-    }
-    return kDefaultScanBlockSamples;
-  }();
-  return block;
-}
 
 std::vector<SearchMatch> select_top_k(std::vector<SearchMatch> candidates,
                                       std::size_t k) {
@@ -107,44 +85,75 @@ SearchResult CrossCorrelationSearch::search(
   std::atomic<std::uint64_t> total_hits{0};
   std::atomic<std::uint64_t> total_offsets{0};
 
-  const std::size_t block = scan_block_samples();
-
+  // Lockstep scan: up to kNccLanes signal-sets walk their own β
+  // sequences side by side, one ncc_x4 call evaluating the next offset of
+  // each.  A set's walk stays serial (its next β depends on ω), but the
+  // walks of different sets are independent, so interleaving them fills
+  // the FMA pipeline a single latency-bound reduction leaves idle.  Every
+  // lane's ω is bit-identical to probe.correlate() at the same β, hence
+  // the β sequences, candidates and counts match a set-by-set scan.
   auto scan_range = [&](std::size_t begin, std::size_t end) {
+    const auto& kernel = dsp::kernels::active();
     // The work counter records offsets leapt over by the exponential
     // window (offsets covered minus correlations evaluated) — the quantity
     // Algorithm 1's speedup claim rides on.
-    obs::ProfileScope profile_scope(scan_stage_name());
+    obs::ProfileScope profile_scope(scan_stage_name(kernel.level));
     std::vector<SearchMatch> local;
     std::uint64_t evals = 0;
     std::uint64_t offsets = 0;
-    for (std::size_t index = begin; index < end; ++index) {
-      const auto& set = store.at(index);
-      if (set.samples.size() < window) {
-        continue;  // degenerate record; nothing to correlate
+    std::size_t next = begin;
+    // Loads the shard's next set with at least one offset into `lane`.
+    auto refill = [&](Lane& lane) {
+      while (next < end) {
+        const std::size_t index = next++;
+        const auto& set = store.at(index);
+        if (set.samples.size() < window) {
+          continue;  // degenerate record; nothing to correlate
+        }
+        const std::size_t limit = set.samples.size() - window;
+        offsets += limit;
+        if (limit > 0) {
+          lane = Lane{index, set.samples.data(), 0, limit};
+          return true;
+        }
       }
-      const std::span<const double> samples(set.samples);
-      // Paper line 4: while β < Length(S) - Length(I_N).
-      const std::size_t limit = set.samples.size() - window;
-      offsets += limit;
-      // Cache-blocked scan: the inner loop runs the skip sequence only
-      // within one `block`-sample chunk of the signal-set before any
-      // outer-loop bookkeeping, keeping that chunk plus the normalized
-      // probe resident.  The β sequence is exactly the unblocked one —
-      // blocking is pure iteration structure, so results (and the
-      // deterministic tests) are unchanged; sets smaller than a block
-      // degenerate to the original single loop.
-      std::size_t beta = 0;
-      while (beta < limit) {
-        const std::size_t block_limit =
-            block > 0 ? std::min(limit, beta + block) : limit;
-        while (beta < block_limit) {
-          const double omega = probe.correlate(samples.subspan(beta, window));
-          ++evals;
-          if (omega > config_.delta) {
-            local.push_back(SearchMatch{index, set.id, omega, beta,
-                                        set.anomalous, set.class_tag});
-          }
-          beta += skip_for_omega(omega);
+      return false;
+    };
+    std::array<Lane, dsp::kernels::kNccLanes> lanes;
+    std::size_t live = 0;
+    while (live < lanes.size() && refill(lanes[live])) {
+      ++live;
+    }
+    std::array<const double*, dsp::kernels::kNccLanes> cand{};
+    std::array<dsp::kernels::DotNormSq, dsp::kernels::kNccLanes> out{};
+    while (live > 0) {
+      // A degenerate probe correlates as 0 everywhere; otherwise idle
+      // lanes (fewer than kNccLanes sets left) re-read lane 0's window.
+      if (!probe.degenerate()) {
+        for (std::size_t l = 0; l < cand.size(); ++l) {
+          const Lane& lane = lanes[l < live ? l : 0];
+          cand[l] = lane.samples + lane.beta;
+        }
+        kernel.ncc_x4(probe.samples().data(), cand.data(), window,
+                      out.data());
+      }
+      // Walk the live lanes from the top so a finished lane can take the
+      // last live lane's place without skipping an unprocessed one.
+      for (std::size_t l = live; l-- > 0;) {
+        Lane& lane = lanes[l];
+        const double omega =
+            probe.degenerate()
+                ? 0.0
+                : dsp::ncc_from_centered(out[l].dot, out[l].norm_sq);
+        ++evals;
+        if (omega > config_.delta) {
+          const auto& set = store.at(lane.index);
+          local.push_back(SearchMatch{lane.index, set.id, omega, lane.beta,
+                                      set.anomalous, set.class_tag});
+        }
+        lane.beta += skip_for_omega(omega);
+        if (lane.beta >= lane.limit && !refill(lane)) {
+          lane = lanes[--live];
         }
       }
     }

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -89,24 +88,5 @@ class CrossCorrelationSearch {
 /// from an unsorted candidate list.  Shared with the exhaustive baseline.
 std::vector<SearchMatch> select_top_k(std::vector<SearchMatch> candidates,
                                       std::size_t k);
-
-/// Samples per resident chunk of the cache-blocked MDB scan: the inner
-/// scan loop never ranges over more than this many candidate offsets of
-/// one signal-set before outer-loop bookkeeping runs.  Blocking is pure
-/// iteration structure — the evaluated β sequence and every result are
-/// identical for any block size (asserted by the search equivalence
-/// tests).  32k samples (256 KiB) keeps a chunk plus the probe inside a
-/// typical L2.
-inline constexpr std::size_t kDefaultScanBlockSamples = 32768;
-
-/// The active block size: the forced value if set, else $EMAP_SCAN_BLOCK
-/// (samples; 0 disables blocking) read once per process, else
-/// kDefaultScanBlockSamples.
-std::size_t scan_block_samples();
-
-/// Test hook: overrides the scan block size (0 disables blocking) until
-/// reset with std::nullopt — the invariance tests sweep block sizes
-/// within one process.
-void force_scan_block(std::optional<std::size_t> block);
 
 }  // namespace emap::core

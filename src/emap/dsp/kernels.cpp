@@ -58,17 +58,27 @@ double abs_sum_capped_scalar(const double* a, const double* b, std::size_t n,
   return acc;
 }
 
+void ncc_x4_scalar(const double* probe, const double* const* cand,
+                   std::size_t n, DotNormSq* out) {
+  for (std::size_t lane = 0; lane < kNccLanes; ++lane) {
+    const double mean = sum_scalar(cand[lane], n) / static_cast<double>(n);
+    out[lane] = centered_dot_norm_scalar(probe, cand[lane], n, mean);
+  }
+}
+
 namespace {
 
 constexpr KernelTable kScalarTable{
-    simd::Level::kScalar, &sum_scalar,     &dot_scalar,
+    simd::Level::kScalar,      &sum_scalar,     &dot_scalar,
     &centered_dot_norm_scalar, &abs_sum_scalar, &abs_sum_capped_scalar,
+    &ncc_x4_scalar,
 };
 
 #ifdef EMAP_HAVE_AVX2
 constexpr KernelTable kAvx2Table{
-    simd::Level::kAvx2, &sum_avx2,     &dot_avx2,
+    simd::Level::kAvx2,      &sum_avx2,     &dot_avx2,
     &centered_dot_norm_avx2, &abs_sum_avx2, &abs_sum_capped_avx2,
+    &ncc_x4_avx2,
 };
 #endif
 

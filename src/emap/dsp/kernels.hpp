@@ -34,6 +34,9 @@ struct DotNormSq {
   double norm_sq = 0.0;
 };
 
+/// Candidates per lockstep NCC call (ncc_x4).
+inline constexpr std::size_t kNccLanes = 4;
+
 // --- scalar arm: the original sequential loops, bit-for-bit -------------
 
 double sum_scalar(const double* x, std::size_t n);
@@ -46,6 +49,13 @@ double abs_sum_scalar(const double* a, const double* b, std::size_t n);
 /// of samples read — exact for this arm.
 double abs_sum_capped_scalar(const double* a, const double* b, std::size_t n,
                              double threshold, std::size_t* consumed);
+/// Lockstep NCC pass over kNccLanes candidates: for each lane, mean =
+/// sum(cand) / n, then out[lane] = centered_dot_norm(probe, cand, n, mean).
+/// Every lane is bit-identical to that arm's sum + centered_dot_norm on
+/// the same candidate; the lanes only share the call.  This arm calls the
+/// frozen scalar kernels once per lane.
+void ncc_x4_scalar(const double* probe, const double* const* cand,
+                   std::size_t n, DotNormSq* out);
 
 // --- AVX2+FMA arm: defined in kernels_avx2.cpp (EMAP_HAVE_AVX2 builds);
 // --- never call without a cpu_supports_avx2() check upstream ------------
@@ -63,6 +73,11 @@ double abs_sum_avx2(const double* a, const double* b, std::size_t n);
 /// > threshold.
 double abs_sum_capped_avx2(const double* a, const double* b, std::size_t n,
                            double threshold, std::size_t* consumed);
+/// Same lane contract as ncc_x4_scalar against sum_avx2 +
+/// centered_dot_norm_avx2; the four lanes' dependency chains are
+/// interleaved so the FMA pipeline stays full.
+void ncc_x4_avx2(const double* probe, const double* const* cand,
+                 std::size_t n, DotNormSq* out);
 #endif
 
 /// One arm's kernel set.  Function pointers, so benches and the harness
@@ -76,6 +91,8 @@ struct KernelTable {
   double (*abs_sum)(const double*, const double*, std::size_t) = nullptr;
   double (*abs_sum_capped)(const double*, const double*, std::size_t, double,
                            std::size_t*) = nullptr;
+  void (*ncc_x4)(const double*, const double* const*, std::size_t,
+                 DotNormSq*) = nullptr;
 };
 
 /// The requested arm's table.  Requesting kAvx2 when the binary lacks the

@@ -33,24 +33,138 @@ inline double hsum(__m256d v) {
   return _mm_cvtsd_f64(_mm_add_sd(lo, swapped));
 }
 
+// The lockstep helpers below are force-inlined so their per-lane
+// accumulator arrays live in registers rather than on the stack.
+
+/// sum_avx2 over L arrays in lockstep: lane l is exactly sum_avx2(x[l], n)
+/// (same 2x4-lane accumulators, fold and scalar tail), with the lanes'
+/// independent add chains interleaved.
+template <std::size_t L>
+[[gnu::always_inline]] inline void sum_lanes(const double* const* x,
+                                             std::size_t n, double* total) {
+  __m256d acc0[L];
+  __m256d acc1[L];
+  for (std::size_t l = 0; l < L; ++l) {
+    acc0[l] = _mm256_setzero_pd();
+    acc1[l] = _mm256_setzero_pd();
+  }
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (std::size_t l = 0; l < L; ++l) {
+      acc0[l] = _mm256_add_pd(acc0[l], _mm256_loadu_pd(x[l] + i));
+      acc1[l] = _mm256_add_pd(acc1[l], _mm256_loadu_pd(x[l] + i + 4));
+    }
+  }
+  if (i + 4 <= n) {
+    for (std::size_t l = 0; l < L; ++l) {
+      acc0[l] = _mm256_add_pd(acc0[l], _mm256_loadu_pd(x[l] + i));
+    }
+    i += 4;
+  }
+  for (std::size_t l = 0; l < L; ++l) {
+    total[l] = hsum(_mm256_add_pd(acc0[l], acc1[l]));
+    for (std::size_t j = i; j < n; ++j) {
+      total[l] += x[l][j];
+    }
+  }
+}
+
+/// Per-lane state of centered_dot_norm_avx2: the broadcast mean and the
+/// even (samples [8k, 8k+4) plus a trailing 4-block) and odd (samples
+/// [8k+4, 8k+8)) dot / squared-norm accumulators.
+template <std::size_t L>
+struct CenteredAcc {
+  __m256d vmean[L];
+  __m256d dot0[L];
+  __m256d nsq0[L];
+  __m256d dot1[L];
+  __m256d nsq1[L];
+};
+
+/// Runs the even chains (kEven) and/or the odd chains (kOdd) of every lane
+/// over the vector part of the window; returns where the scalar tail
+/// starts.
+template <std::size_t L, bool kEven, bool kOdd>
+[[gnu::always_inline]] inline std::size_t centered_chains(
+    const double* probe, const double* const* cand, std::size_t n,
+    CenteredAcc<L>& acc) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (std::size_t l = 0; l < L; ++l) {
+      if constexpr (kEven) {
+        const __m256d c0 =
+            _mm256_sub_pd(_mm256_loadu_pd(cand[l] + i), acc.vmean[l]);
+        acc.dot0[l] =
+            _mm256_fmadd_pd(_mm256_loadu_pd(probe + i), c0, acc.dot0[l]);
+        acc.nsq0[l] = _mm256_fmadd_pd(c0, c0, acc.nsq0[l]);
+      }
+      if constexpr (kOdd) {
+        const __m256d c1 =
+            _mm256_sub_pd(_mm256_loadu_pd(cand[l] + i + 4), acc.vmean[l]);
+        acc.dot1[l] =
+            _mm256_fmadd_pd(_mm256_loadu_pd(probe + i + 4), c1, acc.dot1[l]);
+        acc.nsq1[l] = _mm256_fmadd_pd(c1, c1, acc.nsq1[l]);
+      }
+    }
+  }
+  if (i + 4 <= n) {
+    if constexpr (kEven) {
+      for (std::size_t l = 0; l < L; ++l) {
+        const __m256d c0 =
+            _mm256_sub_pd(_mm256_loadu_pd(cand[l] + i), acc.vmean[l]);
+        acc.dot0[l] =
+            _mm256_fmadd_pd(_mm256_loadu_pd(probe + i), c0, acc.dot0[l]);
+        acc.nsq0[l] = _mm256_fmadd_pd(c0, c0, acc.nsq0[l]);
+      }
+    }
+    i += 4;
+  }
+  return i;
+}
+
+/// centered_dot_norm_avx2 over L candidates in lockstep: lane l is exactly
+/// centered_dot_norm_avx2(probe, cand[l], n, mean[l]).  One lane runs both
+/// chain pairs in one pass; several lanes run the even and the odd chains
+/// as two passes, so all accumulators fit in the 16 vector registers.
+template <std::size_t L>
+[[gnu::always_inline]] inline void centered_lanes(const double* probe,
+                                                  const double* const* cand,
+                                                  std::size_t n,
+                                                  const double* mean,
+                                                  DotNormSq* out) {
+  CenteredAcc<L> acc;
+  for (std::size_t l = 0; l < L; ++l) {
+    acc.vmean[l] = _mm256_set1_pd(mean[l]);
+    acc.dot0[l] = _mm256_setzero_pd();
+    acc.nsq0[l] = _mm256_setzero_pd();
+    acc.dot1[l] = _mm256_setzero_pd();
+    acc.nsq1[l] = _mm256_setzero_pd();
+  }
+  std::size_t i = 0;
+  if constexpr (L == 1) {
+    i = centered_chains<L, true, true>(probe, cand, n, acc);
+  } else {
+    i = centered_chains<L, true, false>(probe, cand, n, acc);
+    centered_chains<L, false, true>(probe, cand, n, acc);
+  }
+  for (std::size_t l = 0; l < L; ++l) {
+    out[l].dot = hsum(_mm256_add_pd(acc.dot0[l], acc.dot1[l]));
+    out[l].norm_sq = hsum(_mm256_add_pd(acc.nsq0[l], acc.nsq1[l]));
+    // Explicit fma: left to the compiler, contraction differs between lane
+    // counts and optimization levels, and lanes would stop matching.
+    for (std::size_t j = i; j < n; ++j) {
+      const double centered = cand[l][j] - mean[l];
+      out[l].dot = std::fma(probe[j], centered, out[l].dot);
+      out[l].norm_sq = std::fma(centered, centered, out[l].norm_sq);
+    }
+  }
+}
+
 }  // namespace
 
 double sum_avx2(const double* x, std::size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_add_pd(acc0, _mm256_loadu_pd(x + i));
-    acc1 = _mm256_add_pd(acc1, _mm256_loadu_pd(x + i + 4));
-  }
-  if (i + 4 <= n) {
-    acc0 = _mm256_add_pd(acc0, _mm256_loadu_pd(x + i));
-    i += 4;
-  }
-  double total = hsum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) {
-    total += x[i];
-  }
+  double total = 0.0;
+  sum_lanes<1>(&x, n, &total);
   return total;
 }
 
@@ -78,35 +192,19 @@ double dot_avx2(const double* a, const double* b, std::size_t n) {
 
 DotNormSq centered_dot_norm_avx2(const double* probe, const double* cand,
                                  std::size_t n, double mean) {
-  const __m256d vmean = _mm256_set1_pd(mean);
-  __m256d dot0 = _mm256_setzero_pd();
-  __m256d dot1 = _mm256_setzero_pd();
-  __m256d nsq0 = _mm256_setzero_pd();
-  __m256d nsq1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d c0 = _mm256_sub_pd(_mm256_loadu_pd(cand + i), vmean);
-    const __m256d c1 = _mm256_sub_pd(_mm256_loadu_pd(cand + i + 4), vmean);
-    dot0 = _mm256_fmadd_pd(_mm256_loadu_pd(probe + i), c0, dot0);
-    dot1 = _mm256_fmadd_pd(_mm256_loadu_pd(probe + i + 4), c1, dot1);
-    nsq0 = _mm256_fmadd_pd(c0, c0, nsq0);
-    nsq1 = _mm256_fmadd_pd(c1, c1, nsq1);
-  }
-  if (i + 4 <= n) {
-    const __m256d c0 = _mm256_sub_pd(_mm256_loadu_pd(cand + i), vmean);
-    dot0 = _mm256_fmadd_pd(_mm256_loadu_pd(probe + i), c0, dot0);
-    nsq0 = _mm256_fmadd_pd(c0, c0, nsq0);
-    i += 4;
-  }
   DotNormSq out;
-  out.dot = hsum(_mm256_add_pd(dot0, dot1));
-  out.norm_sq = hsum(_mm256_add_pd(nsq0, nsq1));
-  for (; i < n; ++i) {
-    const double centered = cand[i] - mean;
-    out.dot += probe[i] * centered;
-    out.norm_sq += centered * centered;
-  }
+  centered_lanes<1>(probe, &cand, n, &mean, &out);
   return out;
+}
+
+void ncc_x4_avx2(const double* probe, const double* const* cand,
+                 std::size_t n, DotNormSq* out) {
+  double mean[kNccLanes];
+  sum_lanes<kNccLanes>(cand, n, mean);
+  for (double& m : mean) {
+    m /= static_cast<double>(n);
+  }
+  centered_lanes<kNccLanes>(probe, cand, n, mean, out);
 }
 
 double abs_sum_avx2(const double* a, const double* b, std::size_t n) {

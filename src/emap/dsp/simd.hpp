@@ -61,7 +61,7 @@ void force_level(std::optional<Level> level);
 
 /// Number of dispatched kernel-group invocations that took `level`'s arm
 /// since the last reset.  One increment per public DSP kernel entry
-/// (a correlate, an area sum), not per sample.
+/// (a correlate, an area sum, one search shard's scan), not per sample.
 std::uint64_t kernel_invocations(Level level);
 
 /// Zeroes both invocation counters (tests).

@@ -31,6 +31,14 @@ double normalized_correlation(std::span<const double> a,
   return na.correlate(b);
 }
 
+double ncc_from_centered(double dot, double norm_sq) {
+  const double norm = std::sqrt(norm_sq);
+  if (norm < kDegenerateNorm) {
+    return 0.0;
+  }
+  return std::clamp(dot / norm, -1.0, 1.0);
+}
+
 NormalizedWindow::NormalizedWindow(std::span<const double> window) {
   require(!window.empty(), "NormalizedWindow: empty window");
   normalized_.assign(window.begin(), window.end());
@@ -71,11 +79,7 @@ double NormalizedWindow::correlate(std::span<const double> candidate) const {
                       static_cast<double>(candidate.size());
   const kernels::DotNormSq cd = kernel.centered_dot_norm(
       normalized_.data(), candidate.data(), candidate.size(), mean);
-  const double norm = std::sqrt(cd.norm_sq);
-  if (norm < kDegenerateNorm) {
-    return 0.0;
-  }
-  return std::clamp(cd.dot / norm, -1.0, 1.0);
+  return ncc_from_centered(cd.dot, cd.norm_sq);
 }
 
 double NormalizedWindow::correlate(const NormalizedWindow& other) const {

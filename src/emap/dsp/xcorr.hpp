@@ -34,6 +34,13 @@ double dot_correlation(std::span<const double> a, std::span<const double> b);
 double normalized_correlation(std::span<const double> a,
                               std::span<const double> b);
 
+/// Finishes one NCC from a candidate's centered dot product with a
+/// normalized probe and its centered squared norm (kernels::DotNormSq):
+/// dot / ||candidate||, clamped to [-1, 1]; 0 for a degenerate (zero
+/// variance) candidate.  NormalizedWindow::correlate and the lockstep MDB
+/// scan both end here, so they agree bit for bit.
+double ncc_from_centered(double dot, double norm_sq);
+
 /// Precomputed zero-mean/unit-norm view of a window, so one input can be
 /// correlated against many candidates without re-normalizing.
 class NormalizedWindow {

@@ -92,12 +92,14 @@ TEST(CloudNode, RespondRejectsBadWindow) {
   EXPECT_THROW(cloud.respond(request), InvalidArgument);
 }
 
-TEST(CloudNode, LastStatsReflectMostRecentSearch) {
+TEST(CloudNode, RespondStatsOutReflectsTheSearch) {
   CloudNode cloud(testing::small_mdb(1), EmapConfig{}, 1);
-  const auto window = testing::sine(18.0, 256.0, 256, 7.0);
-  (void)cloud.search(window);
-  EXPECT_EQ(cloud.last_stats().sets_scanned, cloud.store().size());
-  EXPECT_GT(cloud.last_stats().correlation_evals, 0u);
+  net::SignalUploadMessage request;
+  request.samples = testing::sine(18.0, 256.0, 256, 7.0);
+  SearchStats stats;
+  (void)cloud.respond(request, &stats);
+  EXPECT_EQ(stats.sets_scanned, cloud.store().size());
+  EXPECT_GT(stats.correlation_evals, 0u);
 }
 
 TEST(CloudNode, EntriesMirrorSearchMatches) {

@@ -1,15 +1,19 @@
-// Algorithm 1 scan under SIMD dispatch and cache blocking: the blocked
-// scan must be pure iteration structure (identical results for any block
-// size), forced-scalar must be bit-identical run to run, and the AVX2 arm
-// must agree with scalar within the end-to-end NCC bound.
+// Algorithm 1 scan under SIMD dispatch and the lockstep multi-set walk:
+// the lockstep scan must reproduce a set-by-set, offset-by-offset
+// correlate() walk bit for bit (every arm, pool size and window shape),
+// forced-scalar must be bit-identical run to run, and the AVX2 arm must
+// agree with scalar within the end-to-end NCC bound.
 #include "emap/core/search.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "emap/dsp/simd.hpp"
+#include "emap/dsp/xcorr.hpp"
 #include "support/kernel_diff.hpp"
 #include "support/test_util.hpp"
 
@@ -19,12 +23,6 @@ namespace {
 using emap::testing::kdiff::ScopedSimdLevel;
 using emap::testing::kdiff::ulp_distance;
 using Level = dsp::simd::Level;
-
-/// Restores automatic block sizing when the test ends.
-struct ScopedScanBlock {
-  explicit ScopedScanBlock(std::size_t block) { force_scan_block(block); }
-  ~ScopedScanBlock() { force_scan_block(std::nullopt); }
-};
 
 EmapConfig permissive_config() {
   EmapConfig config;
@@ -37,47 +35,154 @@ mdb::MdbStore corpus_store() { return emap::testing::small_mdb(2); }
 // A probe cut from offset 0 of a stored set: offset 0 is on every
 // exponential-window probe grid (see test_search.cpp's PlantedFixture),
 // so the scan is guaranteed to evaluate the planted alignment and the
-// invariance checks compare non-trivial result sets.
-std::vector<double> corpus_probe(const mdb::MdbStore& store) {
-  const auto& samples = store.at(1).samples;
-  return {samples.begin(), samples.begin() + 256};
+// equivalence checks compare non-trivial result sets.
+std::vector<double> corpus_probe(const mdb::MdbStore& store,
+                                 std::size_t window = 256) {
+  const auto& samples = store.at(store.size() > 1 ? 1 : 0).samples;
+  return {samples.begin(),
+          samples.begin() + static_cast<std::ptrdiff_t>(window)};
 }
 
 void expect_identical_results(const SearchResult& a, const SearchResult& b,
-                              const char* what) {
+                              const std::string& what) {
   ASSERT_EQ(a.matches.size(), b.matches.size()) << what;
   for (std::size_t i = 0; i < a.matches.size(); ++i) {
+    EXPECT_EQ(a.matches[i].store_index, b.matches[i].store_index)
+        << what << " #" << i;
     EXPECT_EQ(a.matches[i].set_id, b.matches[i].set_id) << what << " #" << i;
     EXPECT_EQ(a.matches[i].beta, b.matches[i].beta) << what << " #" << i;
-    EXPECT_EQ(a.matches[i].omega, b.matches[i].omega) << what << " #" << i;
+    EXPECT_EQ(ulp_distance(a.matches[i].omega, b.matches[i].omega), 0u)
+        << what << " #" << i << ": " << a.matches[i].omega << " vs "
+        << b.matches[i].omega;
   }
   EXPECT_EQ(a.stats.correlation_evals, b.stats.correlation_evals) << what;
   EXPECT_EQ(a.stats.offsets_total, b.stats.offsets_total) << what;
   EXPECT_EQ(a.stats.candidates, b.stats.candidates) << what;
 }
 
-// Blocking must not change the evaluated beta sequence: any block size —
-// including pathological 1-sample blocks and blocking disabled — yields
-// the same matches, the same omegas (bit-for-bit), the same eval counts.
-TEST(SearchSimd, BlockedScanIsBlockSizeInvariant) {
-  const auto store = corpus_store();
-  const auto probe = corpus_probe(store);
-  CrossCorrelationSearch search(permissive_config());
-  ScopedSimdLevel forced(Level::kScalar);  // isolate blocking from dispatch
+// Algorithm 1 written the plain way: one set at a time, one
+// NormalizedWindow::correlate per evaluated offset.
+SearchResult per_offset_reference(const EmapConfig& config,
+                                  std::span<const double> probe,
+                                  const mdb::MdbStore& store) {
+  const CrossCorrelationSearch skips(config);
+  const dsp::NormalizedWindow normalized(probe);
+  const std::size_t window = config.window_length;
+  std::vector<SearchMatch> candidates;
+  SearchResult result;
+  for (std::size_t index = 0; index < store.size(); ++index) {
+    const auto& set = store.at(index);
+    if (set.samples.size() < window) {
+      continue;
+    }
+    const std::span<const double> samples(set.samples);
+    const std::size_t limit = set.samples.size() - window;
+    result.stats.offsets_total += limit;
+    std::size_t beta = 0;
+    while (beta < limit) {
+      const double omega = normalized.correlate(samples.subspan(beta, window));
+      ++result.stats.correlation_evals;
+      if (omega > config.delta) {
+        candidates.push_back(SearchMatch{index, set.id, omega, beta,
+                                         set.anomalous, set.class_tag});
+      }
+      beta += skips.skip_for_omega(omega);
+    }
+  }
+  result.stats.candidates = candidates.size();
+  result.matches = select_top_k(std::move(candidates), config.top_k);
+  return result;
+}
 
-  SearchResult reference;
-  {
-    ScopedScanBlock block(0);  // blocking disabled: the original loop
-    reference = search.search(probe, store);
+// `count` noise sets of `slice` samples; set #1 carries the probe region
+// at offset 0 (scaled and shifted) and set #2 is flat, so planted hits,
+// noise and degenerate candidates share the lanes.
+mdb::MdbStore mixed_store(std::size_t count, std::uint32_t slice) {
+  mdb::MdbStore store(mdb::StoreInfo{256.0, slice});
+  const auto shape = emap::testing::sine(11.0, 256.0, slice, 3.0);
+  for (std::size_t i = 0; i < count; ++i) {
+    mdb::SignalSet set;
+    set.samples = emap::testing::noise(700 + i, slice, 4.0);
+    set.anomalous = (i % 3 == 0);
+    set.class_tag = static_cast<std::uint8_t>(i % 4);
+    if (i == 1) {
+      for (std::size_t k = 0; k < slice; ++k) {
+        set.samples[k] = 0.9 * shape[k] + 2.0 + 0.05 * set.samples[k];
+      }
+    } else if (i == 2) {
+      set.samples.assign(slice, 1.5);
+    }
+    store.insert(std::move(set));
   }
-  ASSERT_FALSE(reference.matches.empty());
-  for (const std::size_t block_size :
-       {std::size_t{1}, std::size_t{7}, std::size_t{300},
-        kDefaultScanBlockSamples, std::size_t{1} << 30}) {
-    ScopedScanBlock block(block_size);
-    const auto result = search.search(probe, store);
-    expect_identical_results(reference, result, "block-size sweep");
+  return store;
+}
+
+TEST(SearchSimd, LockstepScanMatchesPerOffsetReference) {
+  struct Case {
+    std::string name;
+    mdb::MdbStore store;
+    EmapConfig config;
+  };
+  std::vector<Case> cases;
+  // Set counts that are not multiples of the lane count, windows that are
+  // not multiples of 8, sets equal to and shorter than the window.
+  const struct {
+    std::size_t sets;
+    std::uint32_t slice;
+    std::size_t window;
+  } shapes[] = {
+      {1, 1000, 256}, {3, 1000, 256}, {5, 700, 100}, {7, 400, 37},
+      {13, 300, 13},  {6, 256, 256},  {5, 250, 256}, {9, 1000, 250},
+  };
+  for (const auto& shape : shapes) {
+    EmapConfig config = permissive_config();
+    config.window_length = shape.window;
+    config.top_k = 40;  // below the candidate count: selection matters
+    cases.push_back({"sets=" + std::to_string(shape.sets) +
+                         " slice=" + std::to_string(shape.slice) +
+                         " window=" + std::to_string(shape.window),
+                     mixed_store(shape.sets, shape.slice), config});
   }
+  cases.push_back({"corpus", corpus_store(), permissive_config()});
+
+  std::vector<Level> arms = {Level::kScalar};
+  if (dsp::simd::compiled_with_avx2() && dsp::simd::cpu_supports_avx2()) {
+    arms.push_back(Level::kAvx2);
+  }
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (const std::size_t threads : {2, 3, 5}) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  std::size_t non_trivial = 0;
+  for (const Case& c : cases) {
+    const std::size_t window = c.config.window_length;
+    std::vector<std::vector<double>> probes;
+    if (c.store.at(0).samples.size() >= window) {
+      probes.push_back(corpus_probe(c.store, window));
+    } else {
+      probes.push_back(emap::testing::noise(99, window));
+    }
+    probes.emplace_back(window, -0.25);  // degenerate probe
+    for (const Level arm : arms) {
+      ScopedSimdLevel forced(arm);
+      for (std::size_t p = 0; p < probes.size(); ++p) {
+        const SearchResult reference =
+            per_offset_reference(c.config, probes[p], c.store);
+        non_trivial += reference.matches.empty() ? 0 : 1;
+        for (const auto& pool : pools) {
+          const CrossCorrelationSearch search(c.config, pool.get());
+          const std::string what =
+              std::string(dsp::simd::level_name(arm)) + " " + c.name +
+              " probe=" + std::to_string(p) +
+              " threads=" + std::to_string(pool ? pool->size() : 1);
+          expect_identical_results(
+              reference, search.search(probes[p], c.store), what);
+        }
+      }
+    }
+  }
+  EXPECT_GE(non_trivial, arms.size() * 6);
 }
 
 TEST(SearchSimd, ForcedScalarSearchIsBitIdenticalAcrossRuns) {
@@ -127,19 +232,6 @@ TEST(SearchSimd, Avx2SearchMatchesScalarWithinNccBound) {
                        << scalar.matches[i].omega << " vs avx2 "
                        << avx2.matches[i].omega;
   }
-}
-
-TEST(SearchSimd, ScanBlockDefaultsAndOverride) {
-  force_scan_block(std::nullopt);
-  // Without an override the value is whatever the process env resolved to;
-  // it must be stable across calls (read-once contract).
-  const std::size_t first = scan_block_samples();
-  EXPECT_EQ(first, scan_block_samples());
-  {
-    ScopedScanBlock block(123);
-    EXPECT_EQ(scan_block_samples(), 123u);
-  }
-  EXPECT_EQ(scan_block_samples(), first);
 }
 
 }  // namespace

@@ -315,6 +315,69 @@ TEST(KernelDiff, SlidingNccAndAreaScalarVsAvx2) {
   EXPECT_TRUE(area_report.ok()) << "sliding_area: " << area_report.summary();
 }
 
+// --- lockstep NCC: every lane equals that arm's single-candidate pass ---
+
+// The four candidates of one ncc_x4 call built from a case: the case's
+// `b`, a flat (degenerate) window, `b` with a NaN planted mid-window, and
+// the probe `a` itself, so normal, degenerate and NaN lanes share a call
+// (adversarial cases add ±Inf/NaN/huge/denormal lanes on top).
+std::vector<std::vector<double>> lockstep_lanes(const kdiff::Case& c) {
+  std::vector<double> nan_lane = c.b;
+  if (!nan_lane.empty()) {
+    nan_lane[nan_lane.size() / 2] = std::numeric_limits<double>::quiet_NaN();
+  }
+  return {c.b, std::vector<double>(c.size(), 3.25), std::move(nan_lane), c.a};
+}
+
+// Runs `table.ncc_x4` against `table.sum` + `table.centered_dot_norm` per
+// lane and per output field, demanding 0 ULP.
+void expect_lockstep_matches_single(const kernels::KernelTable& table) {
+  static_assert(kernels::kNccLanes == 4);
+  const auto cases = full_suite(0x4C4E5);
+  const auto single = [&](const kdiff::Case& c, std::size_t lane) {
+    const auto lanes = lockstep_lanes(c);
+    const double mean = table.sum(lanes[lane].data(), c.size()) /
+                        static_cast<double>(c.size());
+    return table.centered_dot_norm(c.a.data(), lanes[lane].data(), c.size(),
+                                   mean);
+  };
+  const auto lockstep = [&](const kdiff::Case& c, std::size_t lane) {
+    const auto lanes = lockstep_lanes(c);
+    const double* cand[kernels::kNccLanes];
+    for (std::size_t l = 0; l < kernels::kNccLanes; ++l) {
+      cand[l] = lanes[l].data();
+    }
+    kernels::DotNormSq out[kernels::kNccLanes];
+    table.ncc_x4(c.a.data(), cand, c.size(), out);
+    return out[lane];
+  };
+  for (std::size_t lane = 0; lane < kernels::kNccLanes; ++lane) {
+    const auto dot_report = kdiff::run_diff(
+        cases, [&](const kdiff::Case& c) { return single(c, lane).dot; },
+        [&](const kdiff::Case& c) { return lockstep(c, lane).dot; },
+        kdiff::ExactAcceptor{});
+    EXPECT_TRUE(dot_report.ok())
+        << "lane " << lane << " dot: " << dot_report.summary();
+    const auto norm_report = kdiff::run_diff(
+        cases, [&](const kdiff::Case& c) { return single(c, lane).norm_sq; },
+        [&](const kdiff::Case& c) { return lockstep(c, lane).norm_sq; },
+        kdiff::ExactAcceptor{});
+    EXPECT_TRUE(norm_report.ok())
+        << "lane " << lane << " norm_sq: " << norm_report.summary();
+  }
+}
+
+TEST(KernelDiff, LockstepNccScalarLanesMatchSinglePass) {
+  expect_lockstep_matches_single(kernels::table(Level::kScalar));
+}
+
+TEST(KernelDiff, LockstepNccAvx2LanesMatchSinglePass) {
+  if (!avx2_arm_available()) {
+    GTEST_SKIP() << "AVX2 arm not available on this build/host";
+  }
+  expect_lockstep_matches_single(kernels::table(Level::kAvx2));
+}
+
 // --- forced-scalar bit-identity against the pre-SIMD implementations ----
 
 // Verbatim replicas of the original (pre-dispatch) loops.  If the scalar

@@ -8,7 +8,8 @@
 // The faulted run also pins the bytes of its final snapshot file.  Any
 // change to the per-window steps that alters a single bit of the output
 // changes a digest.  The DSP kernels are pinned to the scalar arm so the
-// digests hold on every host and build type.
+// digests hold on every host and build type; the clean and faulted runs
+// are pinned on the AVX2 arm too, skipped on hosts without it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "emap/common/crc32.hpp"
@@ -107,22 +109,14 @@ synth::Recording seizure_input(std::uint64_t seed, double duration,
   return synth::make_eval_input(spec);
 }
 
-class SessionGolden : public ::testing::Test {
- protected:
-  void SetUp() override { dsp::simd::force_level(dsp::simd::Level::kScalar); }
-  void TearDown() override { dsp::simd::force_level(std::nullopt); }
-};
-
-TEST_F(SessionGolden, CleanRun) {
+RunResult clean_run() {
   EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{},
                         PipelineOptions{});
-  const RunResult result = pipeline.run(seizure_input(21, 60.0, 40.0));
-  ASSERT_GE(result.cloud_calls, 2u);
-  EXPECT_TRUE(result.anomaly_predicted);
-  EXPECT_EQ(digest(result), 0x45e3d7aau);
+  return pipeline.run(seizure_input(21, 60.0, 40.0));
 }
 
-TEST_F(SessionGolden, FaultedRunCheckpointingEveryWindow) {
+/// The faulted run's digest and the CRC of its final snapshot file.
+std::pair<std::uint32_t, std::uint32_t> faulted_run_digests() {
   testing::TempDir dir("session_golden");
   PipelineOptions options;
   options.fault.up.drop = 0.2;
@@ -140,8 +134,54 @@ TEST_F(SessionGolden, FaultedRunCheckpointingEveryWindow) {
   EXPECT_GE(result.failed_cloud_calls, 1u);
   EXPECT_EQ(result.robust.recovery.checkpoints_written,
             result.iterations.size());
-  EXPECT_EQ(digest(result), 0x7b5124e1u);
-  EXPECT_EQ(file_crc(robust::checkpoint_path(dir.path())), 0x59549b2du);
+  return {digest(result), file_crc(robust::checkpoint_path(dir.path()))};
+}
+
+bool avx2_arm_available() {
+  return dsp::simd::compiled_with_avx2() && dsp::simd::cpu_supports_avx2();
+}
+
+class SessionGolden : public ::testing::Test {
+ protected:
+  void SetUp() override { dsp::simd::force_level(dsp::simd::Level::kScalar); }
+  void TearDown() override { dsp::simd::force_level(std::nullopt); }
+};
+
+TEST_F(SessionGolden, CleanRun) {
+  const RunResult result = clean_run();
+  ASSERT_GE(result.cloud_calls, 2u);
+  EXPECT_TRUE(result.anomaly_predicted);
+  EXPECT_EQ(digest(result), 0x45e3d7aau);
+}
+
+TEST_F(SessionGolden, FaultedRunCheckpointingEveryWindow) {
+  const auto [run, snapshot] = faulted_run_digests();
+  EXPECT_EQ(run, 0x7b5124e1u);
+  EXPECT_EQ(snapshot, 0x59549b2du);
+}
+
+// The same two runs on the AVX2 arm, the one production hosts dispatch
+// to.  Its reductions round differently from scalar, so the run digests
+// differ from the scalar ones; they pin the AVX2 arm's decisions.
+TEST_F(SessionGolden, CleanRunAvx2) {
+  if (!avx2_arm_available()) {
+    GTEST_SKIP() << "AVX2 arm not available on this build/host";
+  }
+  dsp::simd::force_level(dsp::simd::Level::kAvx2);
+  const RunResult result = clean_run();
+  ASSERT_GE(result.cloud_calls, 2u);
+  EXPECT_TRUE(result.anomaly_predicted);
+  EXPECT_EQ(digest(result), 0xa81cbcfau);
+}
+
+TEST_F(SessionGolden, FaultedRunCheckpointingEveryWindowAvx2) {
+  if (!avx2_arm_available()) {
+    GTEST_SKIP() << "AVX2 arm not available on this build/host";
+  }
+  dsp::simd::force_level(dsp::simd::Level::kAvx2);
+  const auto [run, snapshot] = faulted_run_digests();
+  EXPECT_EQ(run, 0xe8386636u);
+  EXPECT_EQ(snapshot, 0x59549b2du);
 }
 
 TEST_F(SessionGolden, RobustRunOnSlowedEdge) {
