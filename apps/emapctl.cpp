@@ -106,6 +106,7 @@
 #include "emap/common/build_info.hpp"
 #include "emap/common/error.hpp"
 #include "emap/core/pipeline.hpp"
+#include "emap/core/report.hpp"
 #include "emap/core/stream.hpp"
 #include "emap/dsp/montage.hpp"
 #include "emap/dsp/resample.hpp"
@@ -546,56 +547,17 @@ void emit_telemetry(const TelemetryOptions& telemetry,
   }
 }
 
-/// One JSONL record of the run's headline numbers.
+/// One JSONL record of the run's headline numbers, led by the run name
+/// and build provenance.
 std::string run_summary_line(const std::string& run_name,
                              const core::RunResult& result,
                              double duration_sec) {
-  obs::JsonWriter json;
-  json.field("run", run_name)
-      .field("git_sha", std::string(build_info::kGitSha))
-      .field("build_type", std::string(build_info::kBuildType))
-      .field("duration_sec", duration_sec)
-      .field("windows", static_cast<std::uint64_t>(result.iterations.size()))
-      .field("cloud_calls", static_cast<std::uint64_t>(result.cloud_calls))
-      .field("delta_ec_sec", result.timings.delta_ec_sec)
-      .field("delta_cs_sec", result.timings.delta_cs_sec)
-      .field("delta_ce_sec", result.timings.delta_ce_sec)
-      .field("delta_initial_sec", result.timings.delta_initial_sec)
-      .field("mean_track_sec", result.timings.mean_track_sec)
-      .field("max_track_sec", result.timings.max_track_sec)
-      .field("anomaly_predicted", result.anomaly_predicted)
-      .field("first_alarm_sec", result.first_alarm_sec)
-      .field("failed_cloud_calls",
-             static_cast<std::uint64_t>(result.failed_cloud_calls))
-      .field("retry_attempts",
-             static_cast<std::uint64_t>(result.retry_attempts))
-      .field("duplicates_discarded",
-             static_cast<std::uint64_t>(result.duplicates_discarded))
-      .field("degraded", result.degraded)
-      .field("robust_enabled", result.robust.enabled)
-      .field("robust_entered_degraded",
-             result.robust.degrade.entered_degraded)
-      .field("robust_final_state",
-             std::string(robust::degrade_state_name(
-                 result.robust.degrade.final_state)));
-  // Final P_A plus the recovery outcome: the CI crash-recovery matrix
-  // diffs these fields between a crashed-then-resumed run and an
-  // uninterrupted one.
-  const auto pa = result.pa_history();
-  json.field("final_pa", pa.empty() ? 0.0 : pa.back())
-      .field("robust_recovered", result.robust.recovery.resumed)
-      .field("recovery_resume_window",
-             static_cast<std::uint64_t>(result.robust.recovery.resume_window))
-      .field("recovery_checkpoints_written",
-             static_cast<std::uint64_t>(
-                 result.robust.recovery.checkpoints_written))
-      .field("recovery_cold_start_fallback",
-             result.robust.recovery.cold_start_fallback);
-  for (const auto& slo : result.slo) {
-    json.field("slo_" + slo.name + "_deadline_misses",
-               static_cast<std::uint64_t>(slo.deadline_misses));
-  }
-  return json.str();
+  obs::JsonWriter header;
+  header.field("run", run_name)
+      .field("git_sha", build_info::kGitSha)
+      .field("build_type", build_info::kBuildType)
+      .field("duration_sec", duration_sec);
+  return core::run_summary_json(result, std::move(header));
 }
 
 edf::EdfFile to_edf(const synth::Recording& recording) {
@@ -782,9 +744,7 @@ int cmd_monitor(int argc, char** argv) {
   for (const auto& channel : file.channels) {
     block.push_back(channel.samples);
   }
-  const std::size_t picked =
-      dsp::pick_channel(block, dsp::ChannelPick::kMaxBandPower,
-                        file.sample_rate_hz);
+  const std::size_t picked = dsp::pick_channel(block, file.sample_rate_hz);
   std::printf("monitoring channel %zu/%zu ('%s')\n", picked + 1,
               file.channels.size(), file.channels[picked].label.c_str());
   synth::Recording input;

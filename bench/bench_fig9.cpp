@@ -8,6 +8,7 @@
 
 #include "bench_util.hpp"
 #include "emap/core/pipeline.hpp"
+#include "emap/obs/export.hpp"
 
 int main() {
   using namespace emap;
@@ -62,7 +63,8 @@ int main() {
 
   std::printf("\nactivity timeline, first 20 s "
               "(#: busy; tracking overlaps the background cloud call):\n");
-  std::printf("%s", result.trace.render_ascii(20.0, 100).c_str());
+  std::printf("%s",
+              obs::render_timeline_ascii(*result.tracer, 20.0, 100).c_str());
 
   bench::write_headline(
       "fig9", {{"delta_ec_sec", result.timings.delta_ec_sec},

@@ -152,8 +152,7 @@ PendingSearch CloudCallExecutor::issue(
   for (std::size_t attempt = 0;; ++attempt) {
     // The breaker's remaining OPEN cooldown doubles as a RetryAfter hint:
     // a retry against a link the edge itself has declared down waits out
-    // the cooldown instead of hammering it (the cloud's admission
-    // controller feeds the same parameter on its shed responses).
+    // the cooldown instead of hammering it.
     const double retry_after_hint =
         breaker != nullptr ? breaker->retry_after_hint(now_sec + elapsed)
                            : 0.0;
@@ -225,8 +224,8 @@ PendingSearch CloudCallExecutor::issue(
     // ---- Cloud search. ----
     SearchStats stats;
     net::CorrelationSetMessage response = cloud_->respond(*at_cloud, &stats);
-    // Echo the *received* context back, exactly as CloudService does: the
-    // downlink message then carries the chain for the edge's delta_CE leg.
+    // Echo the *received* context back: the downlink message then carries
+    // the chain for the edge's delta_CE leg.
     response.trace = at_cloud->trace;
     const double cs_sec =
         cloud_device_->seconds_for_macs(static_cast<double>(stats.mac_ops)) +

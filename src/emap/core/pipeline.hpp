@@ -38,7 +38,6 @@
 #include "emap/obs/trace_context.hpp"
 #include "emap/robust/robust.hpp"
 #include "emap/sim/device.hpp"
-#include "emap/sim/trace.hpp"
 #include "emap/synth/generator.hpp"
 
 namespace emap::obs {
@@ -70,7 +69,7 @@ struct PipelineOptions {
   bool stop_on_alarm = false;
   /// Number of cloud worker threads (0 = hardware concurrency).
   std::size_t cloud_threads = 0;
-  /// Collect the Fig. 9 activity trace (span log + TimelineTrace view).
+  /// Collect the Fig. 9 activity trace (the span log in RunResult::tracer).
   bool collect_trace = true;
   /// Seed for the per-window causal trace ids (obs::mint_trace_id).  With
   /// collect_trace on, every window mints a deterministic 64-bit trace id
@@ -190,11 +189,9 @@ struct RunResult {
   /// True when any cloud call exhausted its retries during the run.
   bool degraded = false;
   RunTimings timings;
-  /// Fig. 9 view of the span log below (kept for the ASCII renderer and
-  /// existing callers; both are projections of the same spans).
-  sim::TimelineTrace trace;
   /// Full span log of the run (null when options.collect_trace is false);
-  /// export with obs::to_chrome_trace / obs::write_chrome_trace.
+  /// export with obs::to_chrome_trace / obs::write_chrome_trace, or draw
+  /// the Fig. 9 chart with obs::render_timeline_ascii.
   std::shared_ptr<obs::Tracer> tracer;
   /// Verdicts of the paper's two latency budgets over this run
   /// (edge_iteration, initial_response); export with

@@ -1,26 +1,17 @@
 #include "emap/core/report.hpp"
 
+#include <cstdint>
 #include <fstream>
-#include <sstream>
 
 #include "emap/common/error.hpp"
 
 namespace emap::core {
-namespace {
-
-std::ofstream open_for_write(const std::filesystem::path& path) {
+void write_iterations_csv(const RunResult& result,
+                          const std::filesystem::path& path) {
   std::ofstream stream(path, std::ios::trunc);
   if (!stream) {
     throw IoError("report: cannot open " + path.string());
   }
-  return stream;
-}
-
-}  // namespace
-
-void write_iterations_csv(const RunResult& result,
-                          const std::filesystem::path& path) {
-  auto stream = open_for_write(path);
   stream << "window,t_sec,tracked,set_loaded,pa_on_load,"
             "anomaly_probability,tracked_before,tracked_after,"
             "removed_dissimilar,removed_exhausted,cloud_call_issued,"
@@ -48,65 +39,60 @@ void write_iterations_csv(const RunResult& result,
   }
 }
 
-void write_trace_csv(const RunResult& result,
-                     const std::filesystem::path& path) {
-  auto stream = open_for_write(path);
-  stream << "kind,start_sec,end_sec,label\n";
-  for (const auto& activity : result.trace.activities()) {
-    stream << sim::activity_name(activity.kind) << ',' << activity.start
-           << ',' << activity.end << ',' << activity.label << '\n';
-  }
-  if (!stream) {
-    throw IoError("report: write failed for " + path.string());
-  }
-}
-
-std::string run_summary_json(const RunResult& result) {
-  std::ostringstream json;
-  json << "{";
-  json << "\"iterations\":" << result.iterations.size() << ",";
-  json << "\"cloud_calls\":" << result.cloud_calls << ",";
-  json << "\"failed_cloud_calls\":" << result.failed_cloud_calls << ",";
-  json << "\"retry_attempts\":" << result.retry_attempts << ",";
-  json << "\"duplicates_discarded\":" << result.duplicates_discarded << ",";
-  json << "\"degraded\":" << (result.degraded ? "true" : "false") << ",";
-  json << "\"anomaly_predicted\":"
-       << (result.anomaly_predicted ? "true" : "false") << ",";
-  json << "\"first_alarm_sec\":" << result.first_alarm_sec << ",";
-  json << "\"delta_ec_sec\":" << result.timings.delta_ec_sec << ",";
-  json << "\"delta_cs_sec\":" << result.timings.delta_cs_sec << ",";
-  json << "\"delta_ce_sec\":" << result.timings.delta_ce_sec << ",";
-  json << "\"delta_initial_sec\":" << result.timings.delta_initial_sec
-       << ",";
-  json << "\"mean_track_sec\":" << result.timings.mean_track_sec << ",";
-  json << "\"max_track_sec\":" << result.timings.max_track_sec;
+std::string run_summary_json(const RunResult& result,
+                             obs::JsonWriter json) {
+  json.field("windows", static_cast<std::uint64_t>(result.iterations.size()))
+      .field("cloud_calls", static_cast<std::uint64_t>(result.cloud_calls))
+      .field("delta_ec_sec", result.timings.delta_ec_sec)
+      .field("delta_cs_sec", result.timings.delta_cs_sec)
+      .field("delta_ce_sec", result.timings.delta_ce_sec)
+      .field("delta_initial_sec", result.timings.delta_initial_sec)
+      .field("mean_track_sec", result.timings.mean_track_sec)
+      .field("max_track_sec", result.timings.max_track_sec)
+      .field("anomaly_predicted", result.anomaly_predicted)
+      .field("first_alarm_sec", result.first_alarm_sec)
+      .field("failed_cloud_calls",
+             static_cast<std::uint64_t>(result.failed_cloud_calls))
+      .field("retry_attempts",
+             static_cast<std::uint64_t>(result.retry_attempts))
+      .field("duplicates_discarded",
+             static_cast<std::uint64_t>(result.duplicates_discarded))
+      .field("degraded", result.degraded);
+  // Final P_A plus the recovery outcome: the CI crash-recovery matrix
+  // diffs these fields between a crashed-then-resumed run and an
+  // uninterrupted one.
+  const auto pa = result.pa_history();
+  json.field("final_pa", pa.empty() ? 0.0 : pa.back());
   for (const auto& slo : result.slo) {
-    json << ",\"slo_" << slo.name
-         << "_deadline_misses\":" << slo.deadline_misses;
-    json << ",\"slo_" << slo.name << "_near_misses\":" << slo.near_misses;
-    json << ",\"slo_" << slo.name << "_burn_rate\":" << slo.burn_rate;
+    json.field("slo_" + slo.name + "_deadline_misses", slo.deadline_misses)
+        .field("slo_" + slo.name + "_near_misses", slo.near_misses)
+        .field("slo_" + slo.name + "_burn_rate", slo.burn_rate);
   }
   const robust::RobustSummary& rb = result.robust;
-  json << ",\"robust_enabled\":" << (rb.enabled ? "true" : "false");
-  json << ",\"robust_final_state\":\""
-       << robust::degrade_state_name(rb.degrade.final_state) << "\"";
-  json << ",\"robust_transitions\":" << rb.degrade.transitions;
-  json << ",\"robust_max_shed_level\":" << rb.degrade.max_shed_level;
-  json << ",\"robust_entered_degraded\":"
-       << (rb.degrade.entered_degraded ? "true" : "false");
-  json << ",\"robust_critical_windows\":" << rb.critical_windows;
-  json << ",\"robust_breaker_opens\":" << rb.breaker.opens;
-  json << ",\"robust_breaker_rejected\":" << rb.breaker.rejected;
-  json << ",\"robust_quality_bad_windows\":" << rb.quality.bad();
-  json << ",\"robust_watchdog_trips\":" << rb.watchdog_trips;
-  json << ",\"robust_shed_loads\":" << rb.shed_loads;
-  json << ",\"robust_recovered\":" << (rb.recovery.resumed ? "true" : "false");
-  json << ",\"recovery_resume_window\":" << rb.recovery.resume_window;
-  json << ",\"recovery_checkpoints_written\":"
-       << rb.recovery.checkpoints_written;
-  json << ",\"recovery_cold_start_fallback\":"
-       << (rb.recovery.cold_start_fallback ? "true" : "false");
-  json << "}";
+  json.field("robust_enabled", rb.enabled)
+      .field("robust_final_state",
+             robust::degrade_state_name(rb.degrade.final_state))
+      .field("robust_transitions",
+             static_cast<std::uint64_t>(rb.degrade.transitions))
+      .field("robust_max_shed_level",
+             static_cast<std::uint64_t>(rb.degrade.max_shed_level))
+      .field("robust_entered_degraded", rb.degrade.entered_degraded)
+      .field("robust_critical_windows",
+             static_cast<std::uint64_t>(rb.critical_windows))
+      .field("robust_breaker_opens",
+             static_cast<std::uint64_t>(rb.breaker.opens))
+      .field("robust_breaker_rejected",
+             static_cast<std::uint64_t>(rb.breaker.rejected))
+      .field("robust_quality_bad_windows",
+             static_cast<std::uint64_t>(rb.quality.bad()))
+      .field("robust_watchdog_trips",
+             static_cast<std::uint64_t>(rb.watchdog_trips))
+      .field("robust_shed_loads", static_cast<std::uint64_t>(rb.shed_loads))
+      .field("robust_recovered", rb.recovery.resumed)
+      .field("recovery_resume_window", rb.recovery.resume_window)
+      .field("recovery_checkpoints_written", rb.recovery.checkpoints_written)
+      .field("recovery_cold_start_fallback",
+             rb.recovery.cold_start_fallback);
   return json.str();
 }
 

@@ -1,15 +1,16 @@
 // Export of pipeline run results for offline analysis.
 //
 // The paper's figures are time series over the run (P_A trajectories,
-// activity timelines).  These writers dump a RunResult in the two formats
-// an analysis notebook actually wants: per-iteration CSV and a compact
-// JSON summary.
+// alarm times).  These writers dump a RunResult in the two formats an
+// analysis notebook actually wants: per-iteration CSV and a compact JSON
+// summary.
 #pragma once
 
 #include <filesystem>
 #include <string>
 
 #include "emap/core/pipeline.hpp"
+#include "emap/obs/export.hpp"
 
 namespace emap::core {
 
@@ -21,13 +22,12 @@ namespace emap::core {
 void write_iterations_csv(const RunResult& result,
                           const std::filesystem::path& path);
 
-/// Writes the Fig. 9-style activity trace as CSV:
-///   kind,start_sec,end_sec,label
-void write_trace_csv(const RunResult& result,
-                     const std::filesystem::path& path);
-
-/// Compact JSON summary (timings, alarm, cloud calls, iteration count) —
-/// a flat object of scalars, no external JSON dependency needed.
-std::string run_summary_json(const RunResult& result);
+/// The run's headline numbers as one flat JSON object line: window and
+/// cloud-call counts, the Eq. 4 timings, the alarm, final P_A, the
+/// per-SLO verdicts and the robust/recovery outcome.  Fields already in
+/// `json` come first (emapctl's --summary-out puts the run name and build
+/// provenance there).
+std::string run_summary_json(const RunResult& result,
+                             obs::JsonWriter json = {});
 
 }  // namespace emap::core

@@ -5,7 +5,6 @@
 
 #include "emap/common/crc32.hpp"
 #include "emap/common/error.hpp"
-#include "emap/obs/export.hpp"
 #include "emap/obs/flight.hpp"
 #include "emap/robust/crashpoint.hpp"
 
@@ -654,10 +653,6 @@ RunResult Session::finish() {
   // Fold in pre-crash counts a restored snapshot carried (zeros otherwise).
   result.robust.quality = quality_total();
   result.robust.watchdog_trips = watchdog_total();
-  if (tracer_ != nullptr) {
-    // The legacy Fig. 9 timeline is a projection of the span log.
-    result.trace = obs::timeline_view(*tracer_);
-  }
   return std::move(result);
 }
 

@@ -2,12 +2,10 @@
 
 #include "emap/common/error.hpp"
 #include "emap/dsp/fft.hpp"
-#include "emap/dsp/stats.hpp"
 
 namespace emap::dsp {
-namespace {
 
-void check_block(const ChannelBlock& channels) {
+std::size_t pick_channel(const ChannelBlock& channels, double fs_hz) {
   require(!channels.empty(), "montage: empty channel block");
   const std::size_t length = channels.front().size();
   require(length > 0, "montage: empty channels");
@@ -15,57 +13,10 @@ void check_block(const ChannelBlock& channels) {
     require(channel.size() == length,
             "montage: channels must have equal length");
   }
-}
-
-}  // namespace
-
-ChannelBlock common_average_reference(const ChannelBlock& channels) {
-  check_block(channels);
-  const std::size_t length = channels.front().size();
-  const double inv_count = 1.0 / static_cast<double>(channels.size());
-  ChannelBlock referenced = channels;
-  for (std::size_t k = 0; k < length; ++k) {
-    double mean = 0.0;
-    for (const auto& channel : channels) {
-      mean += channel[k];
-    }
-    mean *= inv_count;
-    for (auto& channel : referenced) {
-      channel[k] -= mean;
-    }
-  }
-  return referenced;
-}
-
-std::vector<double> bipolar(std::span<const double> a,
-                            std::span<const double> b) {
-  require(!a.empty() && a.size() == b.size(),
-          "bipolar: channels must have equal non-zero length");
-  std::vector<double> derivation(a.size(), 0.0);
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    derivation[k] = a[k] - b[k];
-  }
-  return derivation;
-}
-
-std::size_t pick_channel(const ChannelBlock& channels, ChannelPick criterion,
-                         double fs_hz) {
-  check_block(channels);
   std::size_t best = 0;
   double best_score = -1.0;
   for (std::size_t i = 0; i < channels.size(); ++i) {
-    double score = 0.0;
-    switch (criterion) {
-      case ChannelPick::kMaxVariance:
-        score = variance(channels[i]);
-        break;
-      case ChannelPick::kMaxLineLength:
-        score = line_length(channels[i]);
-        break;
-      case ChannelPick::kMaxBandPower:
-        score = band_power(channels[i], fs_hz, 11.0, 40.0);
-        break;
-    }
+    const double score = band_power(channels[i], fs_hz, 11.0, 40.0);
     if (score > best_score) {
       best_score = score;
       best = i;

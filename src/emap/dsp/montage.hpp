@@ -1,40 +1,22 @@
-// Multi-channel montage utilities.
+// Channel selection for multi-channel recordings.
 //
 // The paper's sensor head is a 10-20 electrode cap (Section II), but the
-// framework itself consumes one channel.  These helpers provide the
-// standard front-end reductions: common-average re-referencing, bipolar
-// derivations, and data-driven selection of the channel to monitor.
+// framework itself consumes one channel: the edge monitors the electrode
+// with the strongest content in the EMAP passband.
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 namespace emap::dsp {
 
 /// A multi-channel recording block: channels[i] is one electrode's samples.
-/// All channels must have equal length for the operations below.
+/// All channels must have equal length.
 using ChannelBlock = std::vector<std::vector<double>>;
 
-/// Common average reference: subtracts the instantaneous mean across
-/// channels from every channel.  Requires a non-empty block of equal-length
-/// channels.
-ChannelBlock common_average_reference(const ChannelBlock& channels);
-
-/// Bipolar derivation a - b (equal non-zero lengths).
-std::vector<double> bipolar(std::span<const double> a,
-                            std::span<const double> b);
-
-/// Criteria for picking the channel the edge node monitors.
-enum class ChannelPick {
-  kMaxVariance,    ///< most active electrode
-  kMaxLineLength,  ///< most rhythmic/spiky electrode (seizure-sensitive)
-  kMaxBandPower,   ///< strongest 11-40 Hz content (the EMAP passband)
-};
-
-/// Index of the channel maximizing the criterion.  Requires a non-empty
-/// block; `fs_hz` is only used by kMaxBandPower.
-std::size_t pick_channel(const ChannelBlock& channels, ChannelPick criterion,
-                         double fs_hz = 256.0);
+/// Index of the channel with the strongest 11-40 Hz band power (the EMAP
+/// passband) at sample rate `fs_hz`.  Requires a non-empty block of
+/// non-empty, equal-length channels.
+std::size_t pick_channel(const ChannelBlock& channels, double fs_hz);
 
 }  // namespace emap::dsp

@@ -16,8 +16,6 @@ const char* reject_reason_name(RejectReason reason) {
       return "timeout";
     case RejectReason::kCorrupt:
       return "corrupt";
-    case RejectReason::kShed:
-      return "shed";
   }
   return "?";
 }
@@ -86,10 +84,8 @@ double RetryPolicy::backoff_for(std::size_t attempt, RejectReason reason,
     }
   }
   // A positive RetryAfter hint floors the backoff regardless of reason:
-  // the cloud's admission controller attaches one to a shed, and the
-  // edge's own circuit breaker advertises its remaining OPEN cooldown the
-  // same way — either authority said when to come back; never come back
-  // sooner.
+  // the edge's own circuit breaker advertises its remaining OPEN cooldown
+  // this way — it said when to come back; never come back sooner.
   return std::max(backoff, std::max(retry_after_hint_sec, 0.0));
 }
 

@@ -20,16 +20,14 @@ namespace emap::net {
 /// Why a cloud-call attempt failed, as seen from the edge.  The retry
 /// schedule differentiates: silence (loss) earns the full exponential
 /// backoff, a CRC-detected corrupt delivery retries after a flat base
-/// backoff (the link works, the payload was garbled), and a cloud-side
-/// shed honors the RetryAfter hint the admission controller attached.
+/// backoff (the link works, the payload was garbled).
 enum class RejectReason : std::uint8_t {
   kNone = 0,  ///< the attempt succeeded
   kTimeout,   ///< silence: message lost (or unreadable at the receiver)
   kCorrupt,   ///< garbage detected at decode on the edge (fails fast)
-  kShed,      ///< cloud admission rejected with a RetryAfter hint
 };
 
-/// Lowercase reason label ("none", "timeout", "corrupt", "shed").
+/// Lowercase reason label ("none", "timeout", "corrupt").
 const char* reject_reason_name(RejectReason reason);
 
 /// Retry knobs.  Defaults keep the worst-case stall of one logical cloud
@@ -71,11 +69,9 @@ class RetryPolicy {
   /// kTimeout follows backoff_before's exponential schedule; kCorrupt
   /// waits only the flat base backoff (jittered, capped) since the link
   /// itself is alive.  A positive `retry_after_hint_sec` floors the result
-  /// for every reason: the cloud's admission controller attaches one to a
-  /// shed (kShed) and the edge's circuit breaker advertises its remaining
-  /// OPEN cooldown the same way — whoever issued the hint said when to
-  /// come back, and the edge never comes back sooner.  Attempt 0 never
-  /// waits.
+  /// for every reason: the edge's circuit breaker advertises its remaining
+  /// OPEN cooldown this way — the hint says when to come back, and the
+  /// edge never comes back sooner.  Attempt 0 never waits.
   double backoff_for(std::size_t attempt, RejectReason reason,
                      double retry_after_hint_sec = 0.0) const;
 

@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include "emap/common/error.hpp"
 #include "emap/obs/trace_context.hpp"
@@ -241,12 +243,15 @@ std::string metrics_table(const MetricsRegistry& registry) {
 
 namespace {
 
+/// The span categories drawn as Fig. 9 rows, top to bottom.
+constexpr const char* kFig9Rows[] = {
+    "sample",   "filter",     "upload",     "cloud-search",
+    "download", "edge-track", "prediction",
+};
+
 /// Stable track order: the Fig. 9 rows first, then first-seen categories.
 std::vector<std::string> trace_tracks(const std::vector<SpanRecord>& spans) {
-  std::vector<std::string> tracks = {
-      "sample",   "filter",     "upload",     "cloud-search",
-      "download", "edge-track", "prediction",
-  };
+  std::vector<std::string> tracks(std::begin(kFig9Rows), std::end(kFig9Rows));
   for (const auto& span : spans) {
     if (std::find(tracks.begin(), tracks.end(), span.category) ==
         tracks.end()) {
@@ -314,26 +319,42 @@ void write_chrome_trace(const std::filesystem::path& path,
   stream << to_chrome_trace(tracer) << '\n';
 }
 
-sim::TimelineTrace timeline_view(const Tracer& tracer) {
-  sim::TimelineTrace trace;
-  for (const auto& span : tracer.spans()) {
-    if (span.sim_start_sec < 0.0) {
-      continue;  // wall-only span: no place on the virtual timeline
-    }
-    for (sim::ActivityKind kind :
-         {sim::ActivityKind::kSample, sim::ActivityKind::kFilter,
-          sim::ActivityKind::kUpload, sim::ActivityKind::kCloudSearch,
-          sim::ActivityKind::kDownload, sim::ActivityKind::kEdgeTrack,
-          sim::ActivityKind::kPrediction}) {
-      if (span.category == sim::activity_name(kind)) {
-        trace.record(kind, span.sim_start_sec,
-                     span.sim_start_sec + span.sim_dur_sec,
-                     span.name == span.category ? std::string{} : span.name);
-        break;
+std::string render_timeline_ascii(const Tracer& tracer, double horizon_sec,
+                                  std::size_t columns) {
+  require(horizon_sec > 0.0, "render_timeline_ascii: horizon must be > 0");
+  require(columns >= 10, "render_timeline_ascii: need at least 10 columns");
+  const auto spans = tracer.spans();
+  const double bucket = horizon_sec / static_cast<double>(columns);
+  std::ostringstream out;
+  for (const std::string_view row_name : kFig9Rows) {
+    std::string row(columns, '.');
+    for (const auto& span : spans) {
+      const double start = span.sim_start_sec;
+      const double end = start + span.sim_dur_sec;
+      // A wall-only span (no virtual stamp) has no place on the chart, and
+      // one entirely outside [0, horizon) has nothing to draw.
+      if (span.category != row_name || start < 0.0 || start >= horizon_sec ||
+          end <= 0.0) {
+        continue;
       }
+      // Clamp the visible part to the horizon before bucketing, so a span
+      // straddling it fills up to the last bucket instead of being dropped
+      // or indexing past the row.
+      const auto first_col =
+          std::min(static_cast<std::size_t>(start / bucket), columns - 1);
+      const auto last_col = std::min(
+          static_cast<std::size_t>(std::min(horizon_sec, end) / bucket),
+          columns - 1);
+      std::fill(row.begin() + static_cast<std::ptrdiff_t>(first_col),
+                row.begin() + static_cast<std::ptrdiff_t>(last_col) + 1, '#');
     }
+    out << row_name
+        << std::string(14 - std::min<std::size_t>(13, row_name.size()), ' ')
+        << '|' << row << "|\n";
   }
-  return trace;
+  out << "time axis: 0 .. " << horizon_sec << " s (" << bucket
+      << " s per column)\n";
+  return out.str();
 }
 
 std::string span_json(const SpanRecord& span) {

@@ -6,9 +6,8 @@
 //  - Prometheus text exposition (counters, gauges, cumulative histogram
 //    buckets with only the populated `le` bounds emitted);
 //  - compact JSONL records for run-summary / bench-trajectory files.
-// Plus an aligned human-readable end-of-run table and the
-// sim::TimelineTrace view that makes the legacy ASCII Gantt a projection
-// of the span log.
+// Plus an aligned human-readable end-of-run table and the ASCII Fig. 9
+// Gantt chart of the span log's virtual-clock intervals.
 #pragma once
 
 #include <filesystem>
@@ -17,7 +16,6 @@
 
 #include "emap/obs/metrics.hpp"
 #include "emap/obs/span.hpp"
-#include "emap/sim/trace.hpp"
 
 namespace emap::obs {
 
@@ -46,10 +44,14 @@ void write_prometheus(const std::filesystem::path& path,
 /// `--metrics-dump` end-of-run view).
 std::string metrics_table(const MetricsRegistry& registry);
 
-/// Legacy Fig. 9 timeline as a view over the span log: every span whose
-/// category names a sim::ActivityKind row and carries a SimTime stamp
-/// becomes one activity, in span order.
-sim::TimelineTrace timeline_view(const Tracer& tracer);
+/// ASCII Gantt chart of the Fig. 9 timeline: one row per category
+/// (sample, filter, upload, cloud-search, download, edge-track,
+/// prediction), covering [0, horizon] seconds of virtual time in `columns`
+/// buckets.  Only spans with a virtual-clock stamp are drawn; a span
+/// straddling the horizon is clamped to it.  Throws InvalidArgument when
+/// horizon_sec <= 0 or columns < 10.
+std::string render_timeline_ascii(const Tracer& tracer, double horizon_sec,
+                                  std::size_t columns);
 
 /// One span as a flat JSON object line.  The machine-readable sibling of
 /// the Chrome trace: `emapctl trace` reconstructs per-window critical

@@ -32,7 +32,7 @@ enum class FlightEventType : std::uint8_t {
   kBreakerClose,      ///< circuit breaker closed again
   kFaultVerdict,      ///< fault injector hit a transfer
   kRetry,             ///< cloud-call attempt rejected, retry scheduled
-  kShed,              ///< admission control shed a request
+  kShed,              ///< a cloud call was shed (open breaker rejected it)
   kCheckpoint,        ///< session checkpoint written
   kResume,            ///< run resumed from a checkpoint
   kCrashPoint,        ///< crash point tripped (always the dump's last event)

@@ -5,9 +5,9 @@
 // sub-second edge iterations, the 6.8× search speedup); this module gives
 // every layer of the reproduction one uniform way to record them.  All
 // instruments are lock-free on the hot path (atomics only), so the
-// ThreadPool-parallel cloud search and CloudService workers can record
-// without contention; the registry itself takes a mutex only on metric
-// creation/lookup, and call sites cache the returned references.
+// ThreadPool-parallel cloud search and the threaded scheduler's stages
+// can record without contention; the registry itself takes a mutex only on
+// metric creation/lookup, and call sites cache the returned references.
 //
 // Dependency-free by design: standard library only.
 #pragma once

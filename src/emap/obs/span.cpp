@@ -108,17 +108,6 @@ std::size_t Tracer::size() const {
   return spans_.size();
 }
 
-double Tracer::sim_total_seconds(const std::string& category) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  double total = 0.0;
-  for (const auto& span : spans_) {
-    if (span.category == category && span.sim_start_sec >= 0.0) {
-      total += span.sim_dur_sec;
-    }
-  }
-  return total;
-}
-
 double Tracer::wall_now_us() const {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - epoch_)

@@ -4,8 +4,8 @@
 // A Tracer collects SpanRecords; RAII Tracer::Span scopes measure wall
 // time and nest parent/child automatically, while record_sim() logs
 // intervals on the pipeline's virtual clock (the Fig. 9 timeline).  The
-// sim::TimelineTrace ASCII view and the Chrome trace_event exporter are
-// both projections of the same span log (see export.hpp).
+// ASCII Fig. 9 chart and the Chrome trace_event exporter both draw this
+// one span log (see export.hpp).
 #pragma once
 
 #include <atomic>
@@ -78,9 +78,6 @@ class Tracer {
   /// Snapshot of the recorded spans in completion order.
   std::vector<SpanRecord> spans() const;
   std::size_t size() const;
-
-  /// Total virtual-clock busy time of one category.
-  double sim_total_seconds(const std::string& category) const;
 
   /// Microseconds of wall time since the tracer was constructed.
   double wall_now_us() const;

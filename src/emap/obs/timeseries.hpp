@@ -190,9 +190,8 @@ class TimeSeriesStore {
 std::string series_key_for(const std::string& name, const Labels& labels);
 
 /// Interval-driven scrape helper: call maybe_scrape at any virtual-time
-/// checkpoint (the pipeline does so at every window boundary, CloudService
-/// at every completed request); it scrapes at most once per
-/// scrape_interval_sec and always in forward time order.
+/// checkpoint (the pipeline does so at every window boundary); it scrapes
+/// at most once per scrape_interval_sec and always in forward time order.
 class TimeSeriesScraper {
  public:
   /// Both pointers are borrowed and must outlive the scraper.

@@ -79,7 +79,7 @@ struct TraceCriticalPath {
   double uplink_sec = 0.0;    ///< delta_EC (category "upload")
   double queue_sec = 0.0;     ///< cloud queue wait (name "queue_wait")
   double scan_sec = 0.0;      ///< cloud search (category "cloud-search" /
-                              ///< CloudService "cloud_scan")
+                              ///< category "cloud", name "cloud_scan")
   double downlink_sec = 0.0;  ///< delta_CE (category "download")
   // Off-path decomposition.
   double edge_sec = 0.0;      ///< edge compute (categories "edge-track",

@@ -45,16 +45,6 @@ TEST(Report, IterationsCsvHasHeaderAndOneRowPerIteration) {
   }
 }
 
-TEST(Report, TraceCsvMatchesActivities) {
-  testing::TempDir dir("report");
-  const auto result = sample_run();
-  const auto path = dir.path() / "trace.csv";
-  write_trace_csv(result, path);
-  const auto lines = read_lines(path);
-  ASSERT_EQ(lines.size(), result.trace.activities().size() + 1);
-  EXPECT_NE(lines[1].find("sample"), std::string::npos);
-}
-
 TEST(Report, WriteToUnwritablePathThrows) {
   const auto result = sample_run();
   EXPECT_THROW(write_iterations_csv(result, "/nonexistent/dir/out.csv"),
@@ -65,7 +55,7 @@ TEST(Report, JsonSummaryContainsAllKeys) {
   const auto result = sample_run();
   const auto json = run_summary_json(result);
   for (const char* key :
-       {"iterations", "cloud_calls", "anomaly_predicted", "first_alarm_sec",
+       {"windows", "cloud_calls", "anomaly_predicted", "first_alarm_sec",
         "delta_ec_sec", "delta_cs_sec", "delta_ce_sec", "delta_initial_sec",
         "mean_track_sec", "max_track_sec"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;

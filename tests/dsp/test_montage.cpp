@@ -3,103 +3,26 @@
 #include <gtest/gtest.h>
 
 #include "emap/common/error.hpp"
-#include "emap/dsp/fft.hpp"
-#include "emap/dsp/stats.hpp"
 #include "support/test_util.hpp"
 
 namespace emap::dsp {
 namespace {
-
-TEST(Montage, CarRemovesCommonMode) {
-  // Two channels sharing a strong common-mode tone plus distinct content.
-  const auto common = testing::sine(7.0, 256.0, 512, 10.0);
-  ChannelBlock block(2);
-  block[0] = testing::sine(20.0, 256.0, 512, 1.0);
-  block[1] = testing::sine(25.0, 256.0, 512, 1.0);
-  for (std::size_t k = 0; k < 512; ++k) {
-    block[0][k] += common[k];
-    block[1][k] += common[k];
-  }
-  const auto referenced = common_average_reference(block);
-  // The common-mode tone is identical in both channels, so CAR removes it
-  // exactly; the 7 Hz content must vanish.
-  for (const auto& channel : referenced) {
-    EXPECT_LT(band_power(channel, 256.0, 5.0, 9.0), 0.01);
-  }
-  // The distinct content survives (halved: the other channel's mean share).
-  EXPECT_GT(band_power(referenced[0], 256.0, 18.0, 22.0), 0.05);
-}
-
-TEST(Montage, CarOfSingleChannelIsZero) {
-  ChannelBlock block(1, testing::noise(1, 64));
-  const auto referenced = common_average_reference(block);
-  for (double v : referenced[0]) {
-    EXPECT_NEAR(v, 0.0, 1e-12);
-  }
-}
-
-TEST(Montage, CarPreservesShape) {
-  ChannelBlock block(3);
-  for (std::size_t i = 0; i < 3; ++i) {
-    block[i] = testing::noise(i + 2, 128);
-  }
-  const auto referenced = common_average_reference(block);
-  ASSERT_EQ(referenced.size(), 3u);
-  for (const auto& channel : referenced) {
-    EXPECT_EQ(channel.size(), 128u);
-  }
-  // Instantaneous sum across CAR channels is zero.
-  for (std::size_t k = 0; k < 128; ++k) {
-    double sum = 0.0;
-    for (const auto& channel : referenced) {
-      sum += channel[k];
-    }
-    EXPECT_NEAR(sum, 0.0, 1e-9);
-  }
-}
-
-TEST(Montage, CarRejectsRaggedBlock) {
-  ChannelBlock block(2);
-  block[0] = testing::noise(5, 64);
-  block[1] = testing::noise(6, 32);
-  EXPECT_THROW(common_average_reference(block), InvalidArgument);
-  EXPECT_THROW(common_average_reference({}), InvalidArgument);
-}
-
-TEST(Montage, BipolarIsDifference) {
-  const std::vector<double> a = {3.0, 2.0, 1.0};
-  const std::vector<double> b = {1.0, 1.0, 1.0};
-  const auto d = bipolar(a, b);
-  EXPECT_EQ(d, (std::vector<double>{2.0, 1.0, 0.0}));
-}
-
-TEST(Montage, BipolarRejectsMismatch) {
-  const std::vector<double> a = {1.0};
-  const std::vector<double> b = {1.0, 2.0};
-  EXPECT_THROW(bipolar(a, b), InvalidArgument);
-}
-
-TEST(Montage, PickMaxVarianceFindsActiveChannel) {
-  ChannelBlock block(3);
-  block[0] = testing::noise(7, 256, 0.5);
-  block[1] = testing::noise(8, 256, 5.0);  // most active
-  block[2] = testing::noise(9, 256, 1.0);
-  EXPECT_EQ(pick_channel(block, ChannelPick::kMaxVariance), 1u);
-}
 
 TEST(Montage, PickMaxBandPowerFindsInBandChannel) {
   ChannelBlock block(3);
   block[0] = testing::sine(3.0, 256.0, 512, 5.0);   // out of band, strong
   block[1] = testing::sine(20.0, 256.0, 512, 2.0);  // in band
   block[2] = testing::sine(90.0, 256.0, 512, 5.0);  // out of band
-  EXPECT_EQ(pick_channel(block, ChannelPick::kMaxBandPower), 1u);
+  EXPECT_EQ(pick_channel(block, 256.0), 1u);
 }
 
-TEST(Montage, PickMaxLineLengthFindsSpikyChannel) {
-  ChannelBlock block(2);
-  block[0] = testing::sine(2.0, 256.0, 512, 1.0);
-  block[1] = testing::sine(40.0, 256.0, 512, 1.0);  // same amp, faster
-  EXPECT_EQ(pick_channel(block, ChannelPick::kMaxLineLength), 1u);
+TEST(Montage, PickRejectsEmptyOrRaggedBlock) {
+  EXPECT_THROW(pick_channel({}, 256.0), InvalidArgument);
+  EXPECT_THROW(pick_channel(ChannelBlock(2), 256.0), InvalidArgument);
+  ChannelBlock ragged(2);
+  ragged[0] = testing::noise(5, 64);
+  ragged[1] = testing::noise(6, 32);
+  EXPECT_THROW(pick_channel(ragged, 256.0), InvalidArgument);
 }
 
 }  // namespace

@@ -7,15 +7,14 @@
 // degrade, shed, exclude the artifacts, and return to NOMINAL with zero
 // deadline misses after stabilization.  Satellite scenarios cover the
 // clean-run bit-identity contract, the watchdog's CRITICAL escape hatch,
-// per-run counter reset on a reused pipeline, the breaker under permanent
-// outage, and cloud-side admission shedding.
+// per-run counter reset on a reused pipeline, and the breaker under
+// permanent outage.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
 
-#include "emap/core/cloud_service.hpp"
 #include "emap/core/pipeline.hpp"
 #include "emap/obs/export.hpp"
 #include "emap/sim/device.hpp"
@@ -262,57 +261,6 @@ TEST(Overload, BreakerOpensUnderPermanentOutageAndRunSurvives) {
   }
   EXPECT_TRUE(saw_rejected_window);
   EXPECT_EQ(result.iterations.size(), 20u);  // the run completed
-}
-
-TEST(Overload, CloudAdmissionShedsBurstBeyondCapacity) {
-  CloudService service(testing::small_mdb(2), EmapConfig{}, 1);
-  robust::AdmissionOptions admission;
-  admission.max_queue_depth = 4;
-  service.enable_admission(admission);
-
-  net::SignalUploadMessage upload;
-  upload.samples = testing::sine(16.0, 256.0, kWindow, 7.0);
-  std::size_t shed = 0;
-  double max_hint = 0.0;
-  for (std::uint32_t i = 0; i < 12; ++i) {
-    upload.sequence = i;
-    ServiceRequest request{i, upload, 0.0};
-    const robust::AdmissionDecision decision = service.submit(request);
-    if (!decision.accepted) {
-      ++shed;
-      EXPECT_EQ(decision.reason, robust::ShedReason::kQueueFull);
-      max_hint = std::max(max_hint, decision.retry_after_sec);
-    }
-  }
-  EXPECT_EQ(shed, 8u);
-  EXPECT_GT(max_hint, 0.0);
-
-  const auto responses = service.process_all();
-  EXPECT_EQ(responses.size(), 4u);
-  EXPECT_EQ(service.stats().shed_requests, 8u);
-  EXPECT_EQ(service.stats().requests, 4u);
-}
-
-TEST(Overload, AdmissionShedsOnExpiredDeadline) {
-  CloudService service(testing::small_mdb(2), EmapConfig{}, 1);
-  service.enable_admission();
-
-  net::SignalUploadMessage upload;
-  upload.sequence = 1;
-  upload.samples = testing::sine(16.0, 256.0, kWindow, 7.0);
-  // No remaining budget at all: shed for deadline, never queued.
-  ServiceRequest hopeless{1, upload, 10.0};
-  hopeless.deadline_sec = 10.0;
-  const robust::AdmissionDecision decision = service.submit(hopeless);
-  EXPECT_FALSE(decision.accepted);
-  EXPECT_EQ(decision.reason, robust::ShedReason::kDeadline);
-  EXPECT_EQ(service.pending(), 0u);
-
-  // A request with an open deadline sails through.
-  ServiceRequest fine{2, upload, 10.0};
-  EXPECT_TRUE(service.submit(fine).accepted);
-  EXPECT_EQ(service.process_all().size(), 1u);
-  EXPECT_EQ(service.stats().shed_requests, 1u);
 }
 
 }  // namespace

@@ -135,14 +135,14 @@ TEST(RetryPolicy, AllowAttemptEnforcesDeadline) {
   EXPECT_TRUE(policy.allow_attempt(1, 0.0, 1.0));
 }
 
-// A RetryAfter hint — whether attached to a cloud-side shed or advertised
-// by the edge's open circuit breaker — floors the backoff for EVERY reject
-// reason: whoever issued the hint said when to come back.
+// A RetryAfter hint — advertised by the edge's open circuit breaker —
+// floors the backoff for EVERY reject reason: whoever issued the hint said
+// when to come back.
 TEST(RetryPolicy, RetryAfterHintFloorsBackoffForEveryReason) {
   const RetryPolicy policy;
   const double hint = 7.5;  // far above any scheduled backoff
   for (const RejectReason reason :
-       {RejectReason::kTimeout, RejectReason::kCorrupt, RejectReason::kShed}) {
+       {RejectReason::kTimeout, RejectReason::kCorrupt}) {
     for (std::size_t attempt = 1; attempt <= 4; ++attempt) {
       EXPECT_DOUBLE_EQ(policy.backoff_for(attempt, reason, hint), hint)
           << reject_reason_name(reason) << " attempt " << attempt;
@@ -153,7 +153,25 @@ TEST(RetryPolicy, RetryAfterHintFloorsBackoffForEveryReason) {
   EXPECT_DOUBLE_EQ(policy.backoff_for(3, RejectReason::kTimeout, 1e-6),
                    scheduled);
   // Attempt 0 never waits, hint or not.
-  EXPECT_DOUBLE_EQ(policy.backoff_for(0, RejectReason::kShed, hint), 0.0);
+  EXPECT_DOUBLE_EQ(policy.backoff_for(0, RejectReason::kTimeout, hint), 0.0);
+}
+
+TEST(RetryPolicy, RetryAfterHintDominatesButNeverShortensBackoff) {
+  RetryOptions options;
+  options.base_backoff_sec = 0.1;
+  options.jitter_fraction = 0.0;
+  const RetryPolicy policy(options);
+  for (const RejectReason reason :
+       {RejectReason::kTimeout, RejectReason::kCorrupt}) {
+    // A hint dominates the policy's own schedule...
+    EXPECT_DOUBLE_EQ(policy.backoff_for(1, reason, /*hint=*/2.5), 2.5)
+        << reject_reason_name(reason);
+    // ...but never shortens it.
+    const double own = policy.backoff_for(1, reason, 0.0);
+    EXPECT_DOUBLE_EQ(own, policy.backoff_for(1, reason));
+    EXPECT_GE(policy.backoff_for(1, reason, own / 2.0), own)
+        << reject_reason_name(reason);
+  }
 }
 
 TEST(RetryOptions, ValidateRejectsInconsistentKnobs) {

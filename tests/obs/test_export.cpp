@@ -53,8 +53,8 @@ TEST(Tracer, RecordSimStampsVirtualTime) {
   EXPECT_DOUBLE_EQ(spans[0].sim_start_sec, 1.0);
   EXPECT_DOUBLE_EQ(spans[0].sim_dur_sec, 3.0);
   EXPECT_EQ(spans[1].parent, parent);
-  EXPECT_DOUBLE_EQ(tracer.sim_total_seconds("cloud-search"), 1.5);
-  EXPECT_DOUBLE_EQ(tracer.sim_total_seconds("absent"), 0.0);
+  EXPECT_DOUBLE_EQ(testing::busy_seconds(&tracer, "cloud-search"), 1.5);
+  EXPECT_DOUBLE_EQ(testing::busy_seconds(&tracer, "absent"), 0.0);
 }
 
 TEST(ScopedTimer, RecordsIntoHistogram) {
@@ -64,20 +64,81 @@ TEST(ScopedTimer, RecordsIntoHistogram) {
   EXPECT_GE(sink.sum(), 0.0);
 }
 
+/// The chart row of one category, from its label to the closing '|'.
+std::string timeline_row(const std::string& chart,
+                         const std::string& category) {
+  const auto row_start = chart.find(category);
+  return chart.substr(row_start, chart.find('\n', row_start) - row_start);
+}
+
+TEST(TimelineAscii, ContainsAllRows) {
+  Tracer tracer;
+  tracer.record_sim("sample", "sample", 0.0, 1.0);
+  tracer.record_sim("delta_CS", "cloud-search", 1.0, 4.0);
+  const std::string art = render_timeline_ascii(tracer, 10.0, 50);
+  EXPECT_NE(art.find("sample"), std::string::npos);
+  EXPECT_NE(art.find("cloud-search"), std::string::npos);
+  EXPECT_NE(art.find("prediction"), std::string::npos);
+  EXPECT_NE(art.find('#'), std::string::npos);
+}
+
+TEST(TimelineAscii, ClipsToHorizon) {
+  Tracer tracer;
+  tracer.record_sim("sample", "sample", 100.0, 200.0);  // beyond horizon
+  const std::string art = render_timeline_ascii(tracer, 10.0, 40);
+  // The sample row must contain no marks.
+  EXPECT_EQ(timeline_row(art, "sample").find('#'), std::string::npos);
+}
+
+TEST(TimelineAscii, ClampsSpanStraddlingHorizon) {
+  Tracer tracer;
+  tracer.record_sim("track", "edge-track", 8.0, 15.0);  // straddles horizon
+  const std::string row =
+      timeline_row(render_timeline_ascii(tracer, 10.0, 40), "edge-track");
+  const auto open = row.find('|');
+  // Marks start at 8 s (column 32 of 40) and run through the final column
+  // without indexing past the row.
+  EXPECT_EQ(row.find('#'), open + 1 + 32);
+  EXPECT_EQ(row.rfind('#'), row.rfind('|') - 1);
+}
+
+TEST(Trace, AsciiRenderClampsActivityStraddlingTimeZero) {
+  Tracer tracer;
+  { auto wall_only = tracer.scope("wall-only", "filter"); }  // no sim stamp
+  tracer.record_sim("early", "filter", -5.0, -1.0);  // entirely before zero
+  tracer.record_sim("fir", "filter", 0.0, 2.0);
+  const std::string row =
+      timeline_row(render_timeline_ascii(tracer, 10.0, 40), "filter");
+  const auto open = row.find('|');
+  // A negative start is the tracer's "no virtual stamp" mark, so only the
+  // [0, 2] span is drawn, starting at the first column.
+  EXPECT_EQ(row.find('#'), open + 1);
+  EXPECT_EQ(row.rfind('#'), open + 1 + 8);
+}
+
 TEST(TimelineView, ProjectsSimSpansOntoActivityRows) {
   Tracer tracer;
   tracer.record_sim("upload", "upload", 0.0, 0.25);
   tracer.record_sim("delta_CS", "cloud-search", 0.25, 2.25);
   tracer.record_sim("wall-only", "cloud-search", -1.0, 0.0);  // no sim stamp
   tracer.record_sim("aux", "not-a-row", 0.0, 1.0);
-  const auto trace = timeline_view(tracer);
-  EXPECT_DOUBLE_EQ(trace.total_seconds(sim::ActivityKind::kUpload), 0.25);
-  EXPECT_DOUBLE_EQ(trace.total_seconds(sim::ActivityKind::kCloudSearch), 2.0);
-  const auto* search = trace.first(sim::ActivityKind::kCloudSearch);
-  ASSERT_NE(search, nullptr);
-  // Span name becomes the label; a name equal to the category collapses.
-  EXPECT_EQ(search->label, "delta_CS");
-  EXPECT_EQ(trace.first(sim::ActivityKind::kUpload)->label, "");
+  const std::string art = render_timeline_ascii(tracer, 10.0, 40);
+  // 0.25 s per column; a span fills every column it touches.
+  const std::string upload = timeline_row(art, "upload");
+  EXPECT_EQ(upload.find('#'), upload.find('|') + 1);
+  EXPECT_EQ(upload.rfind('#'), upload.find('|') + 1 + 1);
+  const std::string search = timeline_row(art, "cloud-search");
+  EXPECT_EQ(search.find('#'), search.find('|') + 1 + 1);
+  EXPECT_EQ(search.rfind('#'), search.find('|') + 1 + 9);
+  // A category that is not one of the Fig. 9 rows gets no row.
+  EXPECT_EQ(art.find("not-a-row"), std::string::npos);
+  EXPECT_DOUBLE_EQ(testing::busy_seconds(&tracer, "cloud-search"), 2.0);
+}
+
+TEST(TimelineAscii, RejectsBadArguments) {
+  const Tracer tracer;
+  EXPECT_THROW(render_timeline_ascii(tracer, 0.0, 100), InvalidArgument);
+  EXPECT_THROW(render_timeline_ascii(tracer, 10.0, 2), InvalidArgument);
 }
 
 TEST(ChromeTrace, EmitsNamedTracksAndCompleteEvents) {

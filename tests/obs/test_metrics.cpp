@@ -23,7 +23,7 @@ TEST(Counter, StartsAtZeroAndAccumulates) {
 }
 
 TEST(Counter, ConcurrentIncrementsLoseNothing) {
-  // The hot paths (ThreadPool search, CloudService workers) record from
+  // The hot paths (ThreadPool search, scheduler stages) record from
   // many threads; every increment must land.
   Counter counter;
   constexpr int kThreads = 8;

@@ -110,7 +110,7 @@ TEST(BuildCriticalPaths, DecomposesTheEqFourLegs) {
   EXPECT_DOUBLE_EQ(path.window_start_sec, 4.0);
   EXPECT_DOUBLE_EQ(path.uplink_sec, 0.30);
   EXPECT_DOUBLE_EQ(path.queue_sec, 0.05);
-  // Both the CloudService cloud_scan span and the edge-side delta_CS
+  // Both a cloud-side cloud_scan span and the edge-side delta_CS
   // estimate count as scan time.
   EXPECT_NEAR(path.scan_sec, 2.45, 1e-12);
   EXPECT_DOUBLE_EQ(path.downlink_sec, 0.20);

@@ -10,6 +10,7 @@
 
 #include "emap/common/rng.hpp"
 #include "emap/mdb/builder.hpp"
+#include "emap/obs/span.hpp"
 #include "emap/synth/corpus.hpp"
 
 namespace emap::testing {
@@ -67,6 +68,22 @@ inline mdb::MdbStore small_mdb(std::size_t recordings_per_corpus = 4) {
     }
   }
   return builder.take_store();
+}
+
+/// Virtual-clock busy seconds of one span category: the sim_dur_sec sum
+/// of its spans that carry a virtual stamp (0 with no tracer, i.e. a run
+/// with trace collection off).
+inline double busy_seconds(const obs::Tracer* tracer,
+                           const std::string& category) {
+  double total = 0.0;
+  if (tracer != nullptr) {
+    for (const auto& span : tracer->spans()) {
+      if (span.category == category && span.sim_start_sec >= 0.0) {
+        total += span.sim_dur_sec;
+      }
+    }
+  }
+  return total;
 }
 
 }  // namespace emap::testing
