@@ -5,30 +5,57 @@
 namespace emap {
 namespace {
 
-std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
+using Table = std::array<std::uint32_t, 256>;
+
+// Slicing-by-8 tables: kTables[0] is the bytewise table; kTables[k][b] is
+// the CRC of byte b followed by k zero bytes, so eight table lookups fold
+// eight input bytes at once.
+constexpr std::array<Table, 8> make_tables() {
+  std::array<Table, 8> tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffu];
+    }
+  }
+  return tables;
 }
 
-const std::array<std::uint32_t, 256>& table() {
-  static const auto t = make_table();
-  return t;
+constexpr std::array<Table, 8> kTables = make_tables();
+
+std::uint32_t load_le32(const std::byte* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
 void Crc32::update(std::span<const std::byte> bytes) {
-  const auto& t = table();
-  for (std::byte b : bytes) {
-    state_ = t[(state_ ^ static_cast<std::uint8_t>(b)) & 0xffu] ^ (state_ >> 8);
+  const std::byte* p = bytes.data();
+  std::size_t n = bytes.size();
+  std::uint32_t crc = state_;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ crc;
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = kTables[7][lo & 0xffu] ^ kTables[6][(lo >> 8) & 0xffu] ^
+          kTables[5][(lo >> 16) & 0xffu] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xffu] ^ kTables[2][(hi >> 8) & 0xffu] ^
+          kTables[1][(hi >> 16) & 0xffu] ^ kTables[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) {
+    crc = kTables[0][(crc ^ static_cast<std::uint8_t>(*p)) & 0xffu] ^
+          (crc >> 8);
+  }
+  state_ = crc;
 }
 
 void Crc32::update(const void* data, std::size_t size) {

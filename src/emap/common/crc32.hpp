@@ -1,4 +1,5 @@
-// CRC-32 (IEEE 802.3 polynomial) used to validate persisted MDB records.
+// CRC-32 (IEEE 802.3 polynomial) guarding MDB records, checkpoint snapshots
+// and wire messages.  Computed eight bytes per step (slicing-by-8).
 #pragma once
 
 #include <cstddef>

@@ -15,6 +15,7 @@ void AnomalyPredictor::observe(double anomaly_probability, double t_sec) {
   require(anomaly_probability >= 0.0 && anomaly_probability <= 1.0,
           "AnomalyPredictor::observe: probability out of [0, 1]");
   history_.push_back(anomaly_probability);
+  trim_history();
   if (!alarmed_) {
     evaluate(t_sec);
     if (alarmed_) {
@@ -48,6 +49,14 @@ double AnomalyPredictor::trend_rise() const {
   return new_mean - old_mean;
 }
 
+void AnomalyPredictor::trim_history() {
+  if (history_.size() > config_.predict_trend_window) {
+    history_.erase(history_.begin(),
+                   history_.end() - static_cast<std::ptrdiff_t>(
+                                        config_.predict_trend_window));
+  }
+}
+
 void AnomalyPredictor::evaluate(double) {
   const double p = latest();
   const bool condition =
@@ -75,6 +84,7 @@ void AnomalyPredictor::restore(std::vector<double> history, bool alarmed,
             "AnomalyPredictor::restore: probability out of [0, 1]");
   }
   history_ = std::move(history);
+  trim_history();
   alarmed_ = alarmed;
   alarm_time_sec_ = alarm_time_sec;
   consecutive_ = consecutive;

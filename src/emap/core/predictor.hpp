@@ -36,12 +36,16 @@ class AnomalyPredictor {
   /// mean of the oldest half of the last `predict_trend_window` samples.
   double trend_rise() const;
 
+  /// The newest `predict_trend_window` observations, oldest first: all
+  /// that latest() and trend_rise() read, so the state stays O(1) per
+  /// session.
   const std::vector<double>& history() const { return history_; }
 
   /// Clears observations and the alarm latch.
   void reset();
 
-  /// Reinstates a previously captured P_A history, alarm latch, and
+  /// Reinstates a previously captured P_A history (only its newest
+  /// `predict_trend_window` entries are kept), alarm latch, and
   /// persistence streak (checkpoint support).
   void restore(std::vector<double> history, bool alarmed,
                double alarm_time_sec, std::size_t consecutive);
@@ -51,6 +55,7 @@ class AnomalyPredictor {
 
  private:
   void evaluate(double t_sec);
+  void trim_history();
 
   EmapConfig config_;
   std::vector<double> history_;

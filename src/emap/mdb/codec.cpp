@@ -45,6 +45,10 @@ void Encoder::write_string(const std::string& value) {
   bytes_.insert(bytes_.end(), value.begin(), value.end());
 }
 
+void Encoder::write_bytes(std::span<const std::uint8_t> bytes) {
+  bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
+}
+
 void Decoder::need(std::size_t bytes) const {
   if (cursor_ + bytes > bytes_.size()) {
     throw CorruptData("Decoder: truncated input");

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "emap/mdb/signal_set.hpp"
@@ -65,6 +66,10 @@ class Encoder {
   void write_f32(float value);
   void write_f64(double value);
   void write_string(const std::string& value);
+  /// Appends a run of bytes the caller has already laid out, in one copy.
+  void write_bytes(std::span<const std::uint8_t> bytes);
+  /// Makes room for `bytes` more bytes of writes without reallocating.
+  void reserve(std::size_t bytes) { bytes_.reserve(bytes_.size() + bytes); }
 
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }

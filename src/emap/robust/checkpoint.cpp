@@ -1,6 +1,15 @@
 #include "emap/robust/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <bit>
+#include <cerrno>
+#include <cmath>
+#include <cstring>
 #include <fstream>
+#include <utility>
 
 #include "emap/common/crc32.hpp"
 #include "emap/mdb/codec.hpp"
@@ -12,6 +21,11 @@ namespace {
 constexpr std::uint8_t kMagic[4] = {'E', 'M', 'C', 'K'};
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
 constexpr std::size_t kTrailerBytes = 4;
+
+// Sample encodings, the tag after a signal's sample count (see the framing
+// in checkpoint.hpp).
+constexpr std::uint8_t kSamplesF64 = 0;
+constexpr std::uint8_t kSamplesInt16 = 1;
 
 [[noreturn]] void reject(const std::string& what) {
   throw CheckpointError("checkpoint: " + what);
@@ -68,9 +82,47 @@ net::FaultCounts decode_fault_counts(mdb::Decoder& dec) {
   return counts;
 }
 
+// Lays out the little-endian int16 image of `samples` in `image` and
+// returns its scale when int16 * scale, the arithmetic of net::dequantize,
+// reproduces every sample bit for bit; nullopt otherwise (non-finite,
+// -0.0, all-zero, or samples that never were a wire image).
+std::optional<float> wire_image(const std::vector<double>& samples,
+                                std::vector<std::uint8_t>& image) {
+  double peak = 0.0;
+  for (const double x : samples) {
+    if (!std::isfinite(x)) {
+      return std::nullopt;
+    }
+    peak = std::max(peak, std::abs(x));
+  }
+  const float scale = static_cast<float>(peak / 32767.0);
+  if (!(scale > 0.0f) || !std::isfinite(scale)) {
+    return std::nullopt;
+  }
+  const double step = scale;
+  image.resize(2 * samples.size());
+  std::uint8_t* out = image.data();
+  for (const double x : samples) {
+    const double q = x / step;
+    if (!(q >= -32768.0 && q <= 32767.0)) {
+      return std::nullopt;
+    }
+    const auto value = static_cast<std::int16_t>(q);
+    if (std::bit_cast<std::uint64_t>(static_cast<double>(value) * step) !=
+        std::bit_cast<std::uint64_t>(x)) {
+      return std::nullopt;
+    }
+    const auto raw = static_cast<std::uint16_t>(value);
+    *out++ = static_cast<std::uint8_t>(raw & 0xffu);
+    *out++ = static_cast<std::uint8_t>(raw >> 8);
+  }
+  return scale;
+}
+
 void encode_signals(mdb::Encoder& enc,
                     const std::vector<TrackedSignalState>& signals) {
   enc.write_u64(signals.size());
+  std::vector<std::uint8_t> image;
   for (const TrackedSignalState& signal : signals) {
     enc.write_u64(signal.set_id);
     enc.write_f64(signal.omega);
@@ -78,17 +130,50 @@ void encode_signals(mdb::Encoder& enc,
     enc.write_u8(signal.anomalous ? 1 : 0);
     enc.write_u8(signal.class_tag);
     enc.write_u64(signal.samples.size());
-    for (const double sample : signal.samples) {
-      enc.write_f64(sample);
+    if (const std::optional<float> scale = wire_image(signal.samples, image)) {
+      enc.write_u8(kSamplesInt16);
+      enc.write_f32(*scale);
+      enc.write_bytes(image);
+    } else {
+      enc.write_u8(kSamplesF64);
+      for (const double sample : signal.samples) {
+        enc.write_f64(sample);
+      }
     }
   }
+}
+
+std::vector<double> decode_samples(mdb::Decoder& dec,
+                                   std::size_t total_bytes) {
+  const std::uint64_t count = dec.read_u64();
+  const std::uint8_t encoding = dec.read_u8();
+  if (encoding != kSamplesF64 && encoding != kSamplesInt16) {
+    reject("unknown sample encoding");
+  }
+  check_count(count, encoding == kSamplesInt16 ? 2 : 8, total_bytes);
+  std::vector<double> samples(static_cast<std::size_t>(count));
+  if (encoding == kSamplesF64) {
+    for (double& sample : samples) {
+      sample = dec.read_f64();
+    }
+    return samples;
+  }
+  const float scale = dec.read_f32();
+  if (!(scale > 0.0f) || !std::isfinite(scale)) {
+    reject("bad sample scale");
+  }
+  for (double& sample : samples) {
+    sample = static_cast<double>(static_cast<std::int16_t>(dec.read_u16())) *
+             scale;
+  }
+  return samples;
 }
 
 std::vector<TrackedSignalState> decode_signals(mdb::Decoder& dec,
                                                std::size_t total_bytes) {
   const std::uint64_t count = dec.read_u64();
   // Each signal carries at least its fixed fields.
-  check_count(count, 8 + 8 + 8 + 1 + 1 + 8, total_bytes);
+  check_count(count, 8 + 8 + 8 + 1 + 1 + 8 + 1, total_bytes);
   std::vector<TrackedSignalState> signals;
   signals.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -98,12 +183,7 @@ std::vector<TrackedSignalState> decode_signals(mdb::Decoder& dec,
     signal.beta = dec.read_u64();
     signal.anomalous = dec.read_u8() != 0;
     signal.class_tag = dec.read_u8();
-    const std::uint64_t samples = dec.read_u64();
-    check_count(samples, 8, total_bytes);
-    signal.samples.reserve(static_cast<std::size_t>(samples));
-    for (std::uint64_t s = 0; s < samples; ++s) {
-      signal.samples.push_back(dec.read_f64());
-    }
+    signal.samples = decode_samples(dec, total_bytes);
     signals.push_back(std::move(signal));
   }
   return signals;
@@ -475,10 +555,99 @@ SessionState decode_payload(mdb::Decoder& dec, std::size_t total_bytes) {
   return state;
 }
 
+// Payload capacity for the common case: the fixed fields plus every
+// signal's int16 image, so the encoder does not reallocate as it grows.
+std::size_t payload_size_hint(const SessionState& state) {
+  std::size_t bytes = 4096 + 8 * (state.predictor.history.size() +
+                                   state.fir.history.size());
+  const auto add = [&bytes](const std::vector<TrackedSignalState>& signals) {
+    for (const TrackedSignalState& signal : signals) {
+      bytes += 64 + 2 * signal.samples.size();
+    }
+  };
+  add(state.tracker.tracked);
+  if (state.pending.has_value()) {
+    add(state.pending->correlation_set);
+  }
+  for (const PendingCallCheckpoint& call : state.completed_calls) {
+    add(call.correlation_set);
+  }
+  return bytes;
+}
+
+[[noreturn]] void throw_io(const std::string& what,
+                           const std::filesystem::path& path) {
+  const int error = errno;  // before the message's allocations
+  throw IoError("write_checkpoint: " + what + " " + path.string() + ": " +
+                std::strerror(error));
+}
+
+// Owns a POSIX descriptor so every error path closes it.
+class FileDescriptor {
+ public:
+  explicit FileDescriptor(int fd) : fd_(fd) {}
+  FileDescriptor(const FileDescriptor&) = delete;
+  FileDescriptor& operator=(const FileDescriptor&) = delete;
+  ~FileDescriptor() {
+    if (fd_ >= 0) {
+      ::close(fd_);
+    }
+  }
+  int get() const { return fd_; }
+  /// Closes now; false (errno set) when the close reported an error.
+  bool close() { return ::close(std::exchange(fd_, -1)) == 0; }
+
+ private:
+  int fd_;
+};
+
+// Writes `bytes` to a fresh `path` and flushes them to stable storage.
+void write_durably(const std::filesystem::path& path,
+                   const std::vector<std::uint8_t>& bytes) {
+  FileDescriptor file(::open(path.c_str(),
+                             O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
+  if (file.get() < 0) {
+    throw_io("cannot open", path);
+  }
+  const std::uint8_t* data = bytes.data();
+  std::size_t left = bytes.size();
+  while (left > 0) {
+    const ssize_t written = ::write(file.get(), data, left);
+    if (written < 0 && errno == EINTR) {
+      continue;
+    }
+    if (written <= 0) {
+      throw_io("write failed for", path);
+    }
+    data += written;
+    left -= static_cast<std::size_t>(written);
+  }
+  if (::fdatasync(file.get()) != 0) {
+    throw_io("fdatasync failed for", path);
+  }
+  if (!file.close()) {
+    throw_io("close failed for", path);
+  }
+}
+
+// Makes a rename inside `dir` durable: the directory entry is metadata
+// that fdatasync on the file does not cover.
+void sync_directory(const std::filesystem::path& dir) {
+  FileDescriptor handle(
+      ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC));
+  if (handle.get() < 0) {
+    throw_io("cannot open directory", dir);
+  }
+  if (::fsync(handle.get()) != 0) {
+    throw_io("fsync failed for directory", dir);
+  }
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_session(const SessionState& state) {
   mdb::Encoder payload_enc;
+  payload_enc.reserve(payload_size_hint(state));
   encode_payload(payload_enc, state);
   const std::vector<std::uint8_t> payload = payload_enc.take();
 
@@ -554,21 +723,10 @@ void write_checkpoint(const std::filesystem::path& dir,
       final_path.string() + ".tmp";
 
   EMAP_CRASH_POINT(crashpoints, "checkpoint_pre_write");
-  {
-    std::ofstream stream(temp_path, std::ios::binary | std::ios::trunc);
-    if (!stream) {
-      throw IoError("write_checkpoint: cannot open " + temp_path.string());
-    }
-    stream.write(reinterpret_cast<const char*>(bytes.data()),
-                 static_cast<std::streamsize>(bytes.size()));
-    stream.flush();
-    if (!stream) {
-      throw IoError("write_checkpoint: write failed for " +
-                    temp_path.string());
-    }
-  }
+  write_durably(temp_path, bytes);
   // The rename is the commit point: a crash on either side of it leaves a
-  // complete snapshot (old or new) under the final name.
+  // complete snapshot (old or new) under the final name, and the directory
+  // sync makes the new name survive a power loss too.
   EMAP_CRASH_POINT(crashpoints, "checkpoint_pre_rename");
   std::error_code rename_error;
   std::filesystem::rename(temp_path, final_path, rename_error);
@@ -576,6 +734,7 @@ void write_checkpoint(const std::filesystem::path& dir,
     throw IoError("write_checkpoint: rename failed for " +
                   final_path.string() + ": " + rename_error.message());
   }
+  sync_directory(dir);
   EMAP_CRASH_POINT(crashpoints, "checkpoint_post_write");
 }
 

@@ -7,9 +7,9 @@
 // subsystem makes the pipeline restartable: at the end of each window it
 // serializes the full resumable session state (SessionState below) into a
 // versioned, CRC-32-guarded binary snapshot and publishes it with an
-// atomic temp-write + rename, so the file on disk is always either the
-// previous complete snapshot or the new complete snapshot — never a torn
-// one.  A resumed run restores every state machine and RNG stream and
+// atomic temp-write + fdatasync + rename + directory fsync, so the file on
+// disk is always either the previous complete snapshot or the new complete
+// snapshot — never a torn one, also across a power loss.  A resumed run restores every state machine and RNG stream and
 // replays from the first un-checkpointed window; on a clean link its P_A
 // trajectory is bit-identical to the uninterrupted run's (the recovery
 // integration test crashes at every registered crash point and asserts
@@ -18,6 +18,10 @@
 // Snapshot framing (little-endian, mirrors the MDB store format):
 //   file    := magic "EMCK" | u32 version | u64 payload_size | payload |
 //              u32 crc32(payload)
+//   signal  := u64 set_id | f64 omega | u64 beta | u8 anomalous |
+//              u8 class_tag | u64 n | samples
+//   samples := u8 1 | f32 scale | i16[n]     (wire image: x = i16 * scale)
+//            | u8 0 | f64[n]                 (anything else)
 // Loads fail closed: truncated, bit-flipped, version-skewed, or
 // wrong-config snapshots throw CheckpointError (a CorruptData) and are
 // never partially applied.  Versioning policy: `kCheckpointVersion` bumps
@@ -30,7 +34,10 @@
 // the pipeline converts at the boundary.  Tracked samples are persisted in
 // full: the edge's copies went through the 16-bit wire quantization, so
 // they cannot be re-fetched from the MDB without changing every subsequent
-// area verdict.
+// area verdict.  They are stored as that 16-bit image, though: the encoder
+// recomputes the wire scale from the samples themselves and keeps the
+// int16 form only when it decodes back to the same doubles bit for bit,
+// so no other module knows the snapshot format and nothing is lost.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +73,9 @@ class CheckpointError : public CorruptData {
 /// v3: streaming extension (stream topology fingerprint, settled-call and
 ///     to-replay ledgers, per-worker fault/channel cursors, injector draw
 ///     cursors) appended.
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+/// v4: tracked samples tagged and stored as their int16 wire image when
+///     it is exact (f64 otherwise).
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// One tracked signal-set as the edge holds it (robust-layer mirror of
 /// core::TrackedSignal; samples included — see the layering note above).
@@ -86,7 +95,8 @@ struct TrackerCheckpoint {
   std::vector<TrackedSignalState> tracked;
 };
 
-/// Anomaly predictor state: P_A history plus the latched alarm.
+/// Anomaly predictor state: the newest `predict_trend_window` P_A values
+/// (all the predictor keeps) plus the latched alarm.
 struct PredictorCheckpoint {
   std::vector<double> history;
   bool alarmed = false;
@@ -220,10 +230,11 @@ SessionState decode_session(const std::vector<std::uint8_t>& bytes);
 /// The snapshot file inside a checkpoint directory.
 std::filesystem::path checkpoint_path(const std::filesystem::path& dir);
 
-/// Atomically publishes `state` into `dir` (created if needed): encode,
-/// write to a temp file, fsync-close, rename over checkpoint_path(dir).
-/// A crash anywhere before the rename leaves the previous snapshot
-/// intact.  `crashpoints` (may be null) is consulted at
+/// Atomically and durably publishes `state` into `dir` (created if
+/// needed): encode, write to a temp file, fdatasync and close it, rename
+/// over checkpoint_path(dir), fsync the directory.  A crash anywhere
+/// before the rename leaves the previous snapshot intact; once this
+/// returns, the new one survives a power loss.  `crashpoints` (may be null) is consulted at
 /// checkpoint_pre_write / checkpoint_pre_rename / checkpoint_post_write.
 /// Throws IoError on filesystem failure.
 void write_checkpoint(const std::filesystem::path& dir,

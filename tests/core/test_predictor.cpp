@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "emap/common/error.hpp"
+#include "emap/robust/checkpoint.hpp"
 
 namespace emap::core {
 namespace {
@@ -114,13 +117,47 @@ TEST(Predictor, DefaultConfigUsesPersistence) {
   EXPECT_TRUE(predictor.anomaly_predicted());
 }
 
-TEST(Predictor, HistoryAccumulates) {
-  AnomalyPredictor predictor{EmapConfig{}};
+TEST(Predictor, HistoryKeepsOnlyTheTrendWindow) {
+  const EmapConfig config;
+  AnomalyPredictor predictor{config};
   for (int i = 0; i < 10; ++i) {
     predictor.observe(0.05 * i, static_cast<double>(i));
   }
-  EXPECT_EQ(predictor.history().size(), 10u);
+  ASSERT_EQ(config.predict_trend_window, 5u);
+  const std::vector<double> newest = {0.05 * 5, 0.05 * 6, 0.05 * 7, 0.05 * 8,
+                                      0.05 * 9};
+  EXPECT_EQ(predictor.history(), newest);
   EXPECT_DOUBLE_EQ(predictor.latest(), 0.45);
+}
+
+TEST(Predictor, RestoreKeepsTheNewestTrendWindow) {
+  AnomalyPredictor predictor{EmapConfig{}};
+  predictor.restore({0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7}, false, -1.0, 0);
+  EXPECT_EQ(predictor.history(),
+            (std::vector<double>{0.3, 0.4, 0.5, 0.6, 0.7}));
+}
+
+// Snapshot bytes of the predictor part alone, captured the way the session
+// captures it at each window boundary.
+std::size_t predictor_snapshot_bytes(const AnomalyPredictor& predictor) {
+  robust::SessionState state;
+  state.predictor.history = predictor.history();
+  state.predictor.alarmed = predictor.anomaly_predicted();
+  state.predictor.alarm_time_sec = predictor.first_alarm_sec();
+  state.predictor.consecutive = predictor.consecutive_hits();
+  return robust::encode_session(state).size();
+}
+
+TEST(Predictor, SnapshotSizeDoesNotGrowWithSessionLength) {
+  AnomalyPredictor predictor{EmapConfig{}};
+  std::size_t at_60 = 0;
+  for (int w = 1; w <= 600; ++w) {
+    predictor.observe(0.001 * (w % 97), static_cast<double>(w));
+    if (w == 60) {
+      at_60 = predictor_snapshot_bytes(predictor);
+    }
+  }
+  EXPECT_EQ(predictor_snapshot_bytes(predictor), at_60);
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ TimeSeriesOptions enabled_options() {
 AlertRule threshold_rule(std::string series, double value,
                          double for_sec = 0.0, AlertOp op = AlertOp::kGt) {
   AlertRule rule;
-  rule.name = "r";
+  rule.name = std::string("r");
   rule.kind = AlertRuleKind::kThreshold;
   rule.series = std::move(series);
   rule.op = op;

@@ -33,6 +33,11 @@ const StageProfile* find_stage(const std::vector<StageProfile>& stages,
   return nullptr;
 }
 
+// The returned pointer aims into `stages`; a temporary report would leave it
+// dangling, so binding one is a compile error.
+const StageProfile* find_stage(std::vector<StageProfile>&& stages,
+                               const std::string& path) = delete;
+
 TEST(Profiler, AggregatesNestedScopesByPath) {
   Profiler profiler;
   for (int i = 0; i < 3; ++i) {
@@ -145,7 +150,8 @@ TEST(Profiler, ResetClearsCountsButKeepsRecording) {
     EXPECT_EQ(stage.calls, 0u);
   }
   { ProfileScope scope("stage", profiler); }
-  const auto* stage = find_stage(profiler.report(), "stage");
+  const auto stages = profiler.report();
+  const auto* stage = find_stage(stages, "stage");
   ASSERT_NE(stage, nullptr);
   EXPECT_EQ(stage->calls, 1u);
 }
@@ -171,7 +177,8 @@ TEST(Profiler, MergesSamePathAcrossThreads) {
   record();
   std::thread worker(record);
   worker.join();
-  const auto* stage = find_stage(profiler.report(), "shared_stage");
+  const auto stages = profiler.report();
+  const auto* stage = find_stage(stages, "shared_stage");
   ASSERT_NE(stage, nullptr);
   EXPECT_EQ(stage->calls, 2u);
   EXPECT_EQ(stage->work, 2u);
@@ -188,7 +195,8 @@ TEST(Profiler, AttributesAllocationsToTheActiveScope) {
     (void)keep;
     delete victim;
   }
-  const auto* stage = find_stage(profiler.report(), "allocating_stage");
+  const auto stages = profiler.report();
+  const auto* stage = find_stage(stages, "allocating_stage");
   ASSERT_NE(stage, nullptr);
   EXPECT_GE(stage->alloc_count, 1u);
   EXPECT_GE(stage->alloc_bytes, 1024u * sizeof(double));
@@ -208,7 +216,8 @@ TEST(Profiler, NestedScopeAllocationsDoNotDoubleCountInTheParent) {
       touch[0] = 1;
       delete[] block;
     }
-    const auto* inner_stage = find_stage(profiler.report(), "outer/inner");
+    const auto stages = profiler.report();
+    const auto* inner_stage = find_stage(stages, "outer/inner");
     ASSERT_NE(inner_stage, nullptr);
     inner_bytes = inner_stage->alloc_bytes;
   }
@@ -216,9 +225,10 @@ TEST(Profiler, NestedScopeAllocationsDoNotDoubleCountInTheParent) {
   // The parent's own counter only holds what it allocated itself (the
   // report() call above may allocate under "outer", so bound it rather
   // than requiring zero): the inner 4096-byte block must not re-appear.
-  const auto* outer_stage = find_stage(profiler.report(), "outer");
+  const auto stages = profiler.report();
+  const auto* outer_stage = find_stage(stages, "outer");
   ASSERT_NE(outer_stage, nullptr);
-  const auto* inner_stage = find_stage(profiler.report(), "outer/inner");
+  const auto* inner_stage = find_stage(stages, "outer/inner");
   ASSERT_NE(inner_stage, nullptr);
   EXPECT_GE(inner_stage->alloc_bytes, 4096u);
 }
@@ -226,12 +236,17 @@ TEST(Profiler, NestedScopeAllocationsDoNotDoubleCountInTheParent) {
 TEST(Profiler, AllocationOutsideAnyScopeIsNotAttributed) {
   Profiler profiler;
   { ProfileScope scope("quiet", profiler); }
-  const auto before = find_stage(profiler.report(), "quiet")->alloc_count;
+  const auto before_stages = profiler.report();
+  const auto* before = find_stage(before_stages, "quiet");
+  ASSERT_NE(before, nullptr);
   auto* block = new char[512];
   volatile auto* keep = block;
   (void)keep;
   delete[] block;
-  EXPECT_EQ(find_stage(profiler.report(), "quiet")->alloc_count, before);
+  const auto after_stages = profiler.report();
+  const auto* after = find_stage(after_stages, "quiet");
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->alloc_count, before->alloc_count);
 }
 
 TEST(Profiler, ResetClearsAllocationCounters) {
@@ -242,7 +257,8 @@ TEST(Profiler, ResetClearsAllocationCounters) {
     delete keep;
   }
   profiler.reset();
-  const auto* stage = find_stage(profiler.report(), "stage");
+  const auto stages = profiler.report();
+  const auto* stage = find_stage(stages, "stage");
   ASSERT_NE(stage, nullptr);
   EXPECT_EQ(stage->alloc_count, 0u);
   EXPECT_EQ(stage->alloc_bytes, 0u);

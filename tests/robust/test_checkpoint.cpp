@@ -2,16 +2,23 @@
 // decode_session(encode_session(s)) == s for fuzzed session states, the
 // corruption fuzz (bit flips, truncation, version skew all fail closed
 // with CheckpointError — never UB; CI runs this binary under ASan/UBSan),
-// and the atomic write-rename publication semantics.
+// the sample encodings (int16 wire image, exact f64 fallback), and the
+// atomic write-rename publication semantics.
 #include "emap/robust/checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <utility>
 
+#include "emap/common/crc32.hpp"
 #include "emap/common/error.hpp"
 #include "emap/common/rng.hpp"
+#include "emap/net/transport.hpp"
 #include "emap/robust/crashpoint.hpp"
 #include "support/test_util.hpp"
 
@@ -414,6 +421,152 @@ TEST(Checkpoint, CrashAfterRenameKeepsTheNewSnapshot) {
   const auto loaded = read_checkpoint(dir.path());
   ASSERT_TRUE(loaded.has_value());
   expect_state_eq(second, *loaded);
+}
+
+// Signals as the edge holds them: a correlation set encoded by the cloud
+// and decoded by the edge, samples dequantized from the int16 wire image.
+std::vector<TrackedSignalState> wire_decoded_signals() {
+  Rng rng(0x5eed);
+  net::CorrelationSetMessage message;
+  message.request_sequence = 9;
+  for (std::size_t e = 0; e < 6; ++e) {
+    net::CorrelationEntry entry;
+    entry.set_id = 1000 + e;
+    entry.omega = 0.9f - 0.1f * static_cast<float>(e);
+    entry.beta = static_cast<std::uint32_t>(17 * e);
+    entry.anomalous = e % 2;
+    entry.class_tag = static_cast<std::uint8_t>(e % 3);
+    entry.samples.resize(1000);
+    const double amplitude = 40.0 * static_cast<double>(e + 1);
+    for (double& sample : entry.samples) {
+      sample = amplitude * rng.normal();
+    }
+    message.entries.push_back(std::move(entry));
+  }
+  const net::CorrelationSetMessage decoded =
+      net::decode_correlation_set(net::encode_correlation_set(message));
+  std::vector<TrackedSignalState> signals;
+  for (const net::CorrelationEntry& entry : decoded.entries) {
+    TrackedSignalState signal;
+    signal.set_id = entry.set_id;
+    signal.omega = entry.omega;
+    signal.beta = entry.beta;
+    signal.anomalous = entry.anomalous != 0;
+    signal.class_tag = entry.class_tag;
+    signal.samples = entry.samples;
+    signals.push_back(std::move(signal));
+  }
+  return signals;
+}
+
+bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Snapshot bytes one tracked signal adds to an otherwise empty session.
+std::size_t signal_cost(const TrackedSignalState& signal) {
+  SessionState with;
+  with.tracker.tracked.push_back(signal);
+  return encode_session(with).size() - encode_session(SessionState{}).size();
+}
+
+// set_id, omega, beta, anomalous, class_tag, sample count, encoding tag.
+constexpr std::size_t kSignalFixedBytes = 8 + 8 + 8 + 1 + 1 + 8 + 1;
+
+TEST(CheckpointSamples, WireDecodedSetsRoundTripAtTwoBytesPerSample) {
+  SessionState state;
+  state.tracker.tracked = wire_decoded_signals();
+  PendingCallCheckpoint pending;
+  pending.correlation_set = wire_decoded_signals();
+  state.pending = pending;
+  state.completed_calls.push_back(pending);
+  const SessionState decoded = decode_session(encode_session(state));
+  const auto expect_same = [](const std::vector<TrackedSignalState>& a,
+                              const std::vector<TrackedSignalState>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].set_id, b[i].set_id);
+      EXPECT_EQ(a[i].omega, b[i].omega);
+      EXPECT_TRUE(bits_equal(a[i].samples, b[i].samples)) << "signal " << i;
+    }
+  };
+  expect_same(state.tracker.tracked, decoded.tracker.tracked);
+  ASSERT_TRUE(decoded.pending.has_value());
+  expect_same(state.pending->correlation_set, decoded.pending->correlation_set);
+  ASSERT_EQ(decoded.completed_calls.size(), 1u);
+  expect_same(pending.correlation_set,
+              decoded.completed_calls[0].correlation_set);
+  for (const TrackedSignalState& signal : state.tracker.tracked) {
+    // The f32 scale is the only addition to the fixed fields.
+    EXPECT_LE(signal_cost(signal),
+              kSignalFixedBytes + 4 + 2 * signal.samples.size())
+        << "set " << signal.set_id;
+  }
+}
+
+TEST(CheckpointSamples, SamplesWithoutAnExactWireImageRoundTripAsF64) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double subnormal = std::numeric_limits<double>::denorm_min() * 3;
+  std::vector<double> off_by_one_ulp = wire_decoded_signals()[0].samples;
+  off_by_one_ulp[123] = std::nextafter(off_by_one_ulp[123], inf);
+  const std::vector<std::pair<const char*, std::vector<double>>> cases = {
+      {"negative zero", {1.0, -0.0, 2.0}},
+      {"nan", {1.0, nan, 2.0}},
+      {"+inf", {1.0, inf, 2.0}},
+      {"-inf", {-inf, 1.0}},
+      {"subnormal", {subnormal, subnormal}},
+      {"subnormal among normals", {1.0, subnormal, -3.0}},
+      {"huge", {1e300, -1.0}},
+      {"all zero", {0.0, 0.0, 0.0, 0.0}},
+      {"empty", {}},
+      {"one sample off by one ulp", off_by_one_ulp},
+  };
+  for (const auto& [label, samples] : cases) {
+    TrackedSignalState signal;
+    signal.set_id = 77;
+    signal.samples = samples;
+    SessionState state;
+    state.tracker.tracked.push_back(signal);
+    const SessionState decoded = decode_session(encode_session(state));
+    ASSERT_EQ(decoded.tracker.tracked.size(), 1u) << label;
+    EXPECT_TRUE(bits_equal(decoded.tracker.tracked[0].samples, samples))
+        << label;
+    EXPECT_EQ(signal_cost(signal), kSignalFixedBytes + 8 * samples.size())
+        << label;
+  }
+}
+
+// A payload that passes the CRC yet names an unknown sample encoding is
+// rejected, not guessed at.
+TEST(CheckpointSamples, UnknownSampleEncodingIsRejected) {
+  SessionState state;
+  TrackedSignalState signal;
+  signal.set_id = 0x1122334455667788u;
+  signal.samples = {1.0, 2.0};
+  state.tracker.tracked.push_back(signal);
+  std::vector<std::uint8_t> bytes = encode_session(state);
+  const std::uint8_t id_bytes[8] = {0x88, 0x77, 0x66, 0x55,
+                                    0x44, 0x33, 0x22, 0x11};
+  const auto at = std::search(bytes.begin(), bytes.end(), std::begin(id_bytes),
+                              std::end(id_bytes));
+  ASSERT_NE(at, bytes.end());
+  const auto tag = static_cast<std::size_t>(at - bytes.begin()) +
+                   kSignalFixedBytes - 1;
+  ASSERT_EQ(bytes[tag], 0u);  // the f64 encoding
+  bytes[tag] = 7;
+  const std::size_t payload_end = bytes.size() - 4;
+  const std::uint32_t crc = crc32(bytes.data() + 16, payload_end - 16);
+  std::memcpy(bytes.data() + payload_end, &crc, sizeof(crc));
+  try {
+    decode_session(bytes);
+    FAIL() << "unknown sample encoding accepted";
+  } catch (const CheckpointError& error) {
+    EXPECT_NE(std::string(error.what()).find("sample encoding"),
+              std::string::npos);
+  }
 }
 
 TEST(Checkpoint, RecoveryOptionsValidateRejectsZeroInterval) {
