@@ -31,16 +31,18 @@ core::SearchResult ExhaustiveSearch::search(
 
   auto scan_range = [&](std::size_t begin, std::size_t end) {
     std::vector<core::SearchMatch> local;
+    std::vector<double> samples;  // the set widened to f64 (exact)
     std::uint64_t evals = 0;
     for (std::size_t index = begin; index < end; ++index) {
       const auto& set = store.at(index);
       if (set.samples.size() < window) {
         continue;
       }
-      const std::span<const double> samples(set.samples);
+      samples.assign(set.samples.begin(), set.samples.end());
       const std::size_t limit = set.samples.size() - window;
       for (std::size_t beta = 0; beta < limit; ++beta) {
-        const double omega = probe.correlate(samples.subspan(beta, window));
+        const double omega = probe.correlate(
+            std::span<const double>(samples).subspan(beta, window));
         ++evals;
         if (omega > config_.delta) {
           local.push_back(core::SearchMatch{index, set.id, omega, beta,

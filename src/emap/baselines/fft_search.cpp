@@ -100,6 +100,7 @@ core::SearchResult FftSearch::search(std::span<const double> input_window,
 
   auto scan_range = [&](std::size_t begin, std::size_t end) {
     std::vector<core::SearchMatch> local;
+    std::vector<double> samples;  // the set widened to f64 (exact)
     std::uint64_t mults = 0;
     std::uint64_t evals = 0;
     for (std::size_t index = begin; index < end; ++index) {
@@ -108,8 +109,9 @@ core::SearchResult FftSearch::search(std::span<const double> input_window,
           set.samples.size() != set_length) {
         continue;
       }
-      const auto ncc = ncc_series_fft(probe_spectrum, window, padded,
-                                      set.samples);
+      samples.assign(set.samples.begin(), set.samples.end());
+      const auto ncc =
+          ncc_series_fft(probe_spectrum, window, padded, samples);
       // Cost: two FFTs of `padded` points (~padded log2(padded) complex
       // multiplies) plus the pointwise product.
       const auto log2_padded = static_cast<std::uint64_t>(

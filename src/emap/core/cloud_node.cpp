@@ -69,7 +69,8 @@ net::CorrelationSetMessage CloudNode::respond(
     entry.beta = static_cast<std::uint32_t>(match.beta);
     entry.anomalous = match.anomalous ? 1 : 0;
     entry.class_tag = match.class_tag;
-    entry.samples = store_.at(match.store_index).samples;
+    const auto& samples = store_.at(match.store_index).samples;
+    entry.samples.assign(samples.begin(), samples.end());  // f32 -> f64
     response.entries.push_back(std::move(entry));
   }
   return response;

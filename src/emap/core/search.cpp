@@ -5,7 +5,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <mutex>
+#include <utility>
 
 #include "emap/common/error.hpp"
 #include "emap/dsp/kernels.hpp"
@@ -31,10 +33,17 @@ const char* scan_stage_name(dsp::simd::Level level) {
                                           : "search_scan[impl=scalar]";
 }
 
+/// min(α^(ω-1), max_skip) for ω already clamped to [0, 1]: the value
+/// skip_for_omega rounds.
+double bounded_step(const EmapConfig& config, double clamped) {
+  return std::min(std::pow(config.alpha, clamped - 1.0),
+                  static_cast<double>(config.max_skip));
+}
+
 /// One signal-set's β walk inside the lockstep scan.
 struct Lane {
   std::size_t index = 0;  ///< store position of the set
-  const double* samples = nullptr;
+  const float* samples = nullptr;
   std::size_t beta = 0;
   std::size_t limit = 0;  ///< paper line 4: β < Length(S) - Length(I_N)
 };
@@ -57,17 +66,73 @@ CrossCorrelationSearch::CrossCorrelationSearch(const EmapConfig& config,
                                                ThreadPool* pool)
     : config_(config), pool_(pool) {
   config_.validate();
+  build_skip_table();
 }
 
 std::size_t CrossCorrelationSearch::skip_for_omega(double omega) const {
   // Paper lines 9-11: negative correlations are clamped to zero before the
   // skip computation, so anti-correlated regions jump the farthest.
-  const double clamped = std::clamp(omega, 0.0, 1.0);
-  const double step = std::pow(config_.alpha, clamped - 1.0);
-  const double bounded =
-      std::min(step, static_cast<double>(config_.max_skip));
+  const double bounded = bounded_step(config_, std::clamp(omega, 0.0, 1.0));
   return std::max<std::size_t>(
       1, static_cast<std::size_t>(std::llround(bounded)));
+}
+
+// Exactness: validate() keeps α in (0, 1), so α^(x-1) strictly decreases
+// in x, and ω - 1 rounds monotonically, so over a cell [a, b) every
+// min(α^(ω-1), max_skip) lies between the two endpoint values up to pow's
+// error (glibc: < 1 ULP, far below kMargin).  Endpoint values kMargin
+// (relative) clear of every rounding edge k ± ½ and of max_skip therefore
+// bound all values in the cell away from those edges: no edge between
+// them means one answer for the whole cell, and one edge means one step,
+// whose position t bisection on skip_for_omega itself finds.  Near t only
+// ω within pow's error of the true crossing can round either way, a band
+// far inside kSkipGuard.
+void CrossCorrelationSearch::build_skip_table() {
+  constexpr double kMargin = 1e-12;
+  const double cap = static_cast<double>(config_.max_skip);
+  const auto settled = [&](double v) {
+    const double margin = kMargin * v;
+    return std::abs(v - std::floor(v) - 0.5) >= margin &&
+           std::abs(v - cap) >= margin && v <= UINT32_MAX;
+  };
+  skip_at_zero_ = skip_for_omega(0.0);
+  skip_cells_.assign(kSkipCells,
+                     SkipCell{std::numeric_limits<double>::quiet_NaN(), 0, 0});
+  const double cells = static_cast<double>(kSkipCells);
+  double value_a = bounded_step(config_, 0.0);
+  for (std::size_t j = 0; j < kSkipCells; ++j) {
+    const double a = static_cast<double>(j) / cells;
+    const double b = static_cast<double>(j + 1) / cells;
+    const double value_b = bounded_step(config_, b);
+    const double value_at_a = std::exchange(value_a, value_b);
+    if (!settled(value_at_a) || !settled(value_b)) {
+      continue;
+    }
+    // Rounding edges k + ½ in (value_b, value_at_a); α^(ω-1) decreases.
+    const double edges =
+        std::floor(value_at_a - 0.5) - std::floor(value_b - 0.5);
+    if (edges > 1.0) {
+      continue;
+    }
+    const auto below = static_cast<std::uint32_t>(skip_for_omega(a));
+    if (edges == 0.0) {
+      skip_cells_[j] =
+          SkipCell{std::numeric_limits<double>::infinity(), below, below};
+      continue;
+    }
+    double lo = a;  // skip_for_omega(lo) == below
+    double hi = b;  // skip_for_omega(hi) != below
+    for (double mid = lo + (hi - lo) / 2; mid > lo && mid < hi;
+         mid = lo + (hi - lo) / 2) {
+      if (skip_for_omega(mid) == below) {
+        lo = mid;
+      } else {
+        hi = mid;
+      }
+    }
+    skip_cells_[j] =
+        SkipCell{hi, below, static_cast<std::uint32_t>(skip_for_omega(b))};
+  }
 }
 
 SearchResult CrossCorrelationSearch::search(
@@ -124,7 +189,7 @@ SearchResult CrossCorrelationSearch::search(
     while (live < lanes.size() && refill(lanes[live])) {
       ++live;
     }
-    std::array<const double*, dsp::kernels::kNccLanes> cand{};
+    std::array<const float*, dsp::kernels::kNccLanes> cand{};
     std::array<dsp::kernels::DotNormSq, dsp::kernels::kNccLanes> out{};
     while (live > 0) {
       // A degenerate probe correlates as 0 everywhere; otherwise idle
@@ -151,7 +216,7 @@ SearchResult CrossCorrelationSearch::search(
           local.push_back(SearchMatch{lane.index, set.id, omega, lane.beta,
                                       set.anomalous, set.class_tag});
         }
-        lane.beta += skip_for_omega(omega);
+        lane.beta += skip(omega);
         if (lane.beta >= lane.limit && !refill(lane)) {
           lane = lanes[--live];
         }

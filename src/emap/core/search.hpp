@@ -79,9 +79,52 @@ class CrossCorrelationSearch {
   /// clamped below at 0 (paper Algorithm 1 lines 9-12).
   std::size_t skip_for_omega(double omega) const;
 
+  /// skip_for_omega(omega) for every ω, read from a table built at
+  /// construction: the scan's per-evaluation pow leaves the critical path.
+  /// ω ≤ 0 answers skip_for_omega(0); ω in (0, 1) reads cell ⌊ω·kSkipCells⌋.
+  /// A cell answers only when the rounding of min(α^(ω-1), max_skip) over
+  /// it is provably settled (see docs/performance.md): constant, or one
+  /// step at a located ω = t, outside t ± kSkipGuard.  NaN, ω ≥ 1, guard
+  /// bands and unsettled cells call skip_for_omega.
+  std::size_t skip(double omega) const {
+    if (omega <= 0.0) {
+      return skip_at_zero_;
+    }
+    if (omega < 1.0) {
+      const SkipCell& cell =
+          skip_cells_[static_cast<std::size_t>(omega * kSkipCells)];
+      if (omega < cell.split - kSkipGuard) {
+        return cell.below;
+      }
+      if (omega > cell.split + kSkipGuard) {
+        return cell.above;
+      }
+    }
+    return skip_for_omega(omega);
+  }
+
+  /// Table cells over (0, 1); a power of two, so ω·kSkipCells is exact.
+  static constexpr std::size_t kSkipCells = 4096;
+  /// Half-width of the band around a cell's located step that falls back.
+  static constexpr double kSkipGuard = 1e-9;
+
  private:
+  /// One cell [j, j+1)/kSkipCells of the skip table: the answer is `below`
+  /// for ω < split - kSkipGuard and `above` for ω > split + kSkipGuard.
+  /// A cell without a step has split = +inf; an unsettled cell has split =
+  /// NaN, so neither comparison holds and it falls back.
+  struct SkipCell {
+    double split = 0.0;
+    std::uint32_t below = 0;
+    std::uint32_t above = 0;
+  };
+
+  void build_skip_table();
+
   EmapConfig config_;
   ThreadPool* pool_;
+  std::size_t skip_at_zero_ = 0;
+  std::vector<SkipCell> skip_cells_;
 };
 
 /// Selects the top-k matches (descending ω, ties broken by set id then β)

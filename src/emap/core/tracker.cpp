@@ -34,7 +34,8 @@ void EdgeTracker::load_from_search(const SearchResult& result,
     signal.beta = match.beta;
     signal.anomalous = match.anomalous;
     signal.class_tag = match.class_tag;
-    signal.samples = store.at(match.store_index).samples;
+    const auto& samples = store.at(match.store_index).samples;
+    signal.samples.assign(samples.begin(), samples.end());  // f32 -> f64
     set.push_back(std::move(signal));
   }
   load(std::move(set));

@@ -5,14 +5,34 @@
 #include "emap/common/error.hpp"
 
 namespace emap::dsp::kernels {
+namespace {
 
-double sum_scalar(const double* x, std::size_t n) {
+// The sum and centered pass over f64 or f32 samples; an f32 sample is
+// widened exactly, so both instantiations run the same f64 arithmetic.
+template <typename T>
+double sum_of(const T* x, std::size_t n) {
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    acc += x[i];
+    acc += static_cast<double>(x[i]);
   }
   return acc;
 }
+
+template <typename T>
+DotNormSq centered_dot_norm_of(const double* probe, const T* cand,
+                               std::size_t n, double mean) {
+  DotNormSq out;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double centered = static_cast<double>(cand[i]) - mean;
+    out.dot += probe[i] * centered;
+    out.norm_sq += centered * centered;
+  }
+  return out;
+}
+
+}  // namespace
+
+double sum_scalar(const double* x, std::size_t n) { return sum_of(x, n); }
 
 double dot_scalar(const double* a, const double* b, std::size_t n) {
   double acc = 0.0;
@@ -24,13 +44,7 @@ double dot_scalar(const double* a, const double* b, std::size_t n) {
 
 DotNormSq centered_dot_norm_scalar(const double* probe, const double* cand,
                                    std::size_t n, double mean) {
-  DotNormSq out;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double centered = cand[i] - mean;
-    out.dot += probe[i] * centered;
-    out.norm_sq += centered * centered;
-  }
-  return out;
+  return centered_dot_norm_of(probe, cand, n, mean);
 }
 
 double abs_sum_scalar(const double* a, const double* b, std::size_t n) {
@@ -58,11 +72,11 @@ double abs_sum_capped_scalar(const double* a, const double* b, std::size_t n,
   return acc;
 }
 
-void ncc_x4_scalar(const double* probe, const double* const* cand,
+void ncc_x4_scalar(const double* probe, const float* const* cand,
                    std::size_t n, DotNormSq* out) {
   for (std::size_t lane = 0; lane < kNccLanes; ++lane) {
-    const double mean = sum_scalar(cand[lane], n) / static_cast<double>(n);
-    out[lane] = centered_dot_norm_scalar(probe, cand[lane], n, mean);
+    const double mean = sum_of(cand[lane], n) / static_cast<double>(n);
+    out[lane] = centered_dot_norm_of(probe, cand[lane], n, mean);
   }
 }
 

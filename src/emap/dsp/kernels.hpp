@@ -49,12 +49,14 @@ double abs_sum_scalar(const double* a, const double* b, std::size_t n);
 /// of samples read — exact for this arm.
 double abs_sum_capped_scalar(const double* a, const double* b, std::size_t n,
                              double threshold, std::size_t* consumed);
-/// Lockstep NCC pass over kNccLanes candidates: for each lane, mean =
-/// sum(cand) / n, then out[lane] = centered_dot_norm(probe, cand, n, mean).
-/// Every lane is bit-identical to that arm's sum + centered_dot_norm on
-/// the same candidate; the lanes only share the call.  This arm calls the
-/// frozen scalar kernels once per lane.
-void ncc_x4_scalar(const double* probe, const double* const* cand,
+/// Lockstep NCC pass over kNccLanes f32 candidates (the MDB's resident
+/// samples) against an f64 probe: for each lane, mean = sum(cand) / n,
+/// then out[lane] = centered_dot_norm(probe, cand, n, mean).  Every lane
+/// is bit-identical to that arm's sum + centered_dot_norm on the
+/// candidate widened to f64 (widening is exact); the lanes only share the
+/// call.  This arm runs the frozen scalar loops once per lane, reading
+/// each sample as static_cast<double>(cand[i]).
+void ncc_x4_scalar(const double* probe, const float* const* cand,
                    std::size_t n, DotNormSq* out);
 
 // --- AVX2+FMA arm: defined in kernels_avx2.cpp (EMAP_HAVE_AVX2 builds);
@@ -74,9 +76,10 @@ double abs_sum_avx2(const double* a, const double* b, std::size_t n);
 double abs_sum_capped_avx2(const double* a, const double* b, std::size_t n,
                            double threshold, std::size_t* consumed);
 /// Same lane contract as ncc_x4_scalar against sum_avx2 +
-/// centered_dot_norm_avx2; the four lanes' dependency chains are
-/// interleaved so the FMA pipeline stays full.
-void ncc_x4_avx2(const double* probe, const double* const* cand,
+/// centered_dot_norm_avx2; each 4-sample candidate block is widened with
+/// one cvtps2pd, and the four lanes' dependency chains are interleaved so
+/// the FMA pipeline stays full.
+void ncc_x4_avx2(const double* probe, const float* const* cand,
                  std::size_t n, DotNormSq* out);
 #endif
 
@@ -91,7 +94,7 @@ struct KernelTable {
   double (*abs_sum)(const double*, const double*, std::size_t) = nullptr;
   double (*abs_sum_capped)(const double*, const double*, std::size_t, double,
                            std::size_t*) = nullptr;
-  void (*ncc_x4)(const double*, const double* const*, std::size_t,
+  void (*ncc_x4)(const double*, const float* const*, std::size_t,
                  DotNormSq*) = nullptr;
 };
 

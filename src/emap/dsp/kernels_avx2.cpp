@@ -33,14 +33,22 @@ inline double hsum(__m256d v) {
   return _mm_cvtsd_f64(_mm_add_sd(lo, swapped));
 }
 
+/// Four samples as f64: a plain load, or an f32 load widened by cvtps2pd
+/// (exact), so the f32 candidates of ncc_x4 feed the same f64 arithmetic.
+inline __m256d load4(const double* p) { return _mm256_loadu_pd(p); }
+inline __m256d load4(const float* p) {
+  return _mm256_cvtps_pd(_mm_loadu_ps(p));
+}
+
 // The lockstep helpers below are force-inlined so their per-lane
-// accumulator arrays live in registers rather than on the stack.
+// accumulator arrays live in registers rather than on the stack.  T is
+// the candidate sample type (double, or the MDB's resident float).
 
 /// sum_avx2 over L arrays in lockstep: lane l is exactly sum_avx2(x[l], n)
 /// (same 2x4-lane accumulators, fold and scalar tail), with the lanes'
 /// independent add chains interleaved.
-template <std::size_t L>
-[[gnu::always_inline]] inline void sum_lanes(const double* const* x,
+template <std::size_t L, typename T>
+[[gnu::always_inline]] inline void sum_lanes(const T* const* x,
                                              std::size_t n, double* total) {
   __m256d acc0[L];
   __m256d acc1[L];
@@ -51,20 +59,20 @@ template <std::size_t L>
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     for (std::size_t l = 0; l < L; ++l) {
-      acc0[l] = _mm256_add_pd(acc0[l], _mm256_loadu_pd(x[l] + i));
-      acc1[l] = _mm256_add_pd(acc1[l], _mm256_loadu_pd(x[l] + i + 4));
+      acc0[l] = _mm256_add_pd(acc0[l], load4(x[l] + i));
+      acc1[l] = _mm256_add_pd(acc1[l], load4(x[l] + i + 4));
     }
   }
   if (i + 4 <= n) {
     for (std::size_t l = 0; l < L; ++l) {
-      acc0[l] = _mm256_add_pd(acc0[l], _mm256_loadu_pd(x[l] + i));
+      acc0[l] = _mm256_add_pd(acc0[l], load4(x[l] + i));
     }
     i += 4;
   }
   for (std::size_t l = 0; l < L; ++l) {
     total[l] = hsum(_mm256_add_pd(acc0[l], acc1[l]));
     for (std::size_t j = i; j < n; ++j) {
-      total[l] += x[l][j];
+      total[l] += static_cast<double>(x[l][j]);
     }
   }
 }
@@ -84,23 +92,23 @@ struct CenteredAcc {
 /// Runs the even chains (kEven) and/or the odd chains (kOdd) of every lane
 /// over the vector part of the window; returns where the scalar tail
 /// starts.
-template <std::size_t L, bool kEven, bool kOdd>
+template <std::size_t L, bool kEven, bool kOdd, typename T>
 [[gnu::always_inline]] inline std::size_t centered_chains(
-    const double* probe, const double* const* cand, std::size_t n,
+    const double* probe, const T* const* cand, std::size_t n,
     CenteredAcc<L>& acc) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     for (std::size_t l = 0; l < L; ++l) {
       if constexpr (kEven) {
         const __m256d c0 =
-            _mm256_sub_pd(_mm256_loadu_pd(cand[l] + i), acc.vmean[l]);
+            _mm256_sub_pd(load4(cand[l] + i), acc.vmean[l]);
         acc.dot0[l] =
             _mm256_fmadd_pd(_mm256_loadu_pd(probe + i), c0, acc.dot0[l]);
         acc.nsq0[l] = _mm256_fmadd_pd(c0, c0, acc.nsq0[l]);
       }
       if constexpr (kOdd) {
         const __m256d c1 =
-            _mm256_sub_pd(_mm256_loadu_pd(cand[l] + i + 4), acc.vmean[l]);
+            _mm256_sub_pd(load4(cand[l] + i + 4), acc.vmean[l]);
         acc.dot1[l] =
             _mm256_fmadd_pd(_mm256_loadu_pd(probe + i + 4), c1, acc.dot1[l]);
         acc.nsq1[l] = _mm256_fmadd_pd(c1, c1, acc.nsq1[l]);
@@ -111,7 +119,7 @@ template <std::size_t L, bool kEven, bool kOdd>
     if constexpr (kEven) {
       for (std::size_t l = 0; l < L; ++l) {
         const __m256d c0 =
-            _mm256_sub_pd(_mm256_loadu_pd(cand[l] + i), acc.vmean[l]);
+            _mm256_sub_pd(load4(cand[l] + i), acc.vmean[l]);
         acc.dot0[l] =
             _mm256_fmadd_pd(_mm256_loadu_pd(probe + i), c0, acc.dot0[l]);
         acc.nsq0[l] = _mm256_fmadd_pd(c0, c0, acc.nsq0[l]);
@@ -126,9 +134,9 @@ template <std::size_t L, bool kEven, bool kOdd>
 /// centered_dot_norm_avx2(probe, cand[l], n, mean[l]).  One lane runs both
 /// chain pairs in one pass; several lanes run the even and the odd chains
 /// as two passes, so all accumulators fit in the 16 vector registers.
-template <std::size_t L>
+template <std::size_t L, typename T>
 [[gnu::always_inline]] inline void centered_lanes(const double* probe,
-                                                  const double* const* cand,
+                                                  const T* const* cand,
                                                   std::size_t n,
                                                   const double* mean,
                                                   DotNormSq* out) {
@@ -153,7 +161,7 @@ template <std::size_t L>
     // Explicit fma: left to the compiler, contraction differs between lane
     // counts and optimization levels, and lanes would stop matching.
     for (std::size_t j = i; j < n; ++j) {
-      const double centered = cand[l][j] - mean[l];
+      const double centered = static_cast<double>(cand[l][j]) - mean[l];
       out[l].dot = std::fma(probe[j], centered, out[l].dot);
       out[l].norm_sq = std::fma(centered, centered, out[l].norm_sq);
     }
@@ -197,7 +205,7 @@ DotNormSq centered_dot_norm_avx2(const double* probe, const double* cand,
   return out;
 }
 
-void ncc_x4_avx2(const double* probe, const double* const* cand,
+void ncc_x4_avx2(const double* probe, const float* const* cand,
                  std::size_t n, DotNormSq* out) {
   double mean[kNccLanes];
   sum_lanes<kNccLanes>(cand, n, mean);

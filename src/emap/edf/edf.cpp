@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "emap/common/error.hpp"
+#include "emap/common/file_io.hpp"
 
 namespace emap::edf {
 namespace {
@@ -316,14 +317,7 @@ void write_edf(const std::filesystem::path& path, const EdfFile& file) {
 }
 
 EdfFile read_edf(const std::filesystem::path& path) {
-  std::ifstream stream(path, std::ios::binary);
-  if (!stream) {
-    throw IoError("read_edf: cannot open " + path.string());
-  }
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(stream)),
-      std::istreambuf_iterator<char>());
-  return decode_edf(bytes);
+  return decode_edf(read_file(path));
 }
 
 }  // namespace emap::edf

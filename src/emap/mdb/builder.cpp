@@ -53,6 +53,8 @@ std::size_t MdbBuilder::add_signal(std::span<const double> samples,
        begin + config_.slice_length <= filtered.size();
        begin += config_.slice_stride) {
     SignalSet set;
+    // Rounded to f32 here, so the in-memory store holds exactly what its
+    // saved file would.
     set.samples.assign(
         filtered.begin() + static_cast<std::ptrdiff_t>(begin),
         filtered.begin() +

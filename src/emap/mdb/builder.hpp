@@ -3,7 +3,8 @@
 // For every source signal: up-/down-sample to the 256 Hz base rate, pass
 // through the 100-tap 11-40 Hz bandpass (the same filter the edge applies
 // to the live input, "to ensure consistency, uniformity, and ease of
-// search"), slice into 1000-sample signal-sets, label each slice, insert.
+// search"), slice into 1000-sample signal-sets rounded to f32, label each
+// slice, insert.
 #pragma once
 
 #include <filesystem>

@@ -121,8 +121,8 @@ std::vector<std::uint8_t> encode_record(const SignalSet& set) {
   payload.write_f64(set.start_sec);
   require(set.samples.size() <= UINT32_MAX, "encode_record: too many samples");
   payload.write_u32(static_cast<std::uint32_t>(set.samples.size()));
-  for (double sample : set.samples) {
-    payload.write_f32(static_cast<float>(sample));
+  for (const float sample : set.samples) {
+    payload.write_f32(sample);
   }
 
   const auto& body = payload.bytes();
@@ -142,7 +142,7 @@ std::vector<std::uint8_t> encode_record(const SignalSet& set) {
 
 SignalSet Decoder::read_record() {
   const std::uint32_t payload_size = read_u32();
-  need(payload_size + 4);  // payload + trailing CRC
+  need(std::size_t{payload_size} + 4);  // payload + trailing CRC
   const std::size_t payload_start = cursor_;
   const std::uint32_t expected_crc =
       crc32(bytes_.data() + payload_start, payload_size);
@@ -159,9 +159,18 @@ SignalSet Decoder::read_record() {
       payload_start + payload_size) {
     throw CorruptData("Decoder: record sample count exceeds payload");
   }
-  set.samples.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    set.samples.push_back(static_cast<double>(read_f32()));
+  set.samples.resize(count);
+  if constexpr (std::endian::native == std::endian::little) {
+    // The file's f32 run is already the in-memory image: one copy.
+    if (count > 0) {
+      std::memcpy(set.samples.data(), bytes_.data() + cursor_,
+                  static_cast<std::size_t>(count) * sizeof(float));
+    }
+    cursor_ += static_cast<std::size_t>(count) * sizeof(float);
+  } else {
+    for (float& sample : set.samples) {
+      sample = read_f32();
+    }
   }
   if (cursor_ != payload_start + payload_size) {
     throw CorruptData("Decoder: record payload size mismatch");

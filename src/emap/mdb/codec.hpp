@@ -7,8 +7,10 @@
 //   payload     := u64 id | u8 anomalous | u8 class_tag | str source |
 //                  u32 source_recording | f64 start_sec | u32 n | f32[n]
 //   str         := u16 size | bytes
-// Samples are stored as f32: the source data is 16-bit (paper Section V-A),
-// so single precision is lossless in practice and halves the footprint.
+// Samples are f32 on disk and in memory (SignalSet::samples): the source
+// data is 16-bit (paper Section V-A), so single precision keeps everything
+// it carries, and a decoded store holds exactly the values it was saved
+// with.  On little-endian hosts a record's sample run decodes in one copy.
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,11 @@
 // SignalSet also carries provenance (corpus, recording, slice offset) and
 // the anomaly class tag used by the evaluation harnesses; the search and
 // tracking algorithms only ever read `samples` and `anomalous`.
+//
+// Samples are single precision, the same f32 values the store file holds
+// (codec.hpp): the sources are 16-bit recordings (paper Section V-A), so
+// f32 loses nothing they carry, and the Algorithm 1 scan streams half the
+// bytes.  Readers that compute in f64 widen, which is exact.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +30,7 @@ struct SignalSet {
   std::string source;              ///< corpus name
   std::uint32_t source_recording = 0;  ///< recording index within the corpus
   double start_sec = 0.0;          ///< slice offset inside the recording
-  std::vector<double> samples;     ///< filtered, 256 Hz base-rate samples
+  std::vector<float> samples;      ///< filtered, 256 Hz base-rate samples
 };
 
 }  // namespace emap::mdb

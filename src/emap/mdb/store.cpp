@@ -4,12 +4,15 @@
 #include <fstream>
 
 #include "emap/common/error.hpp"
+#include "emap/common/file_io.hpp"
 
 namespace emap::mdb {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x42444d45u;  // "EMDB" little-endian
 constexpr std::uint32_t kVersion = 1;
+// u32 size + id, label, class, empty source, recording, start, n + u32 crc.
+constexpr std::uint64_t kMinRecordBytes = 4 + 8 + 1 + 1 + 2 + 4 + 8 + 4 + 4;
 
 }  // namespace
 
@@ -35,39 +38,6 @@ std::size_t MdbStore::count_anomalous() const {
   return static_cast<std::size_t>(
       std::count_if(sets_.begin(), sets_.end(),
                     [](const SignalSet& s) { return s.anomalous; }));
-}
-
-std::vector<std::size_t> MdbStore::query_label(bool anomalous) const {
-  std::vector<std::size_t> positions;
-  for (std::size_t i = 0; i < sets_.size(); ++i) {
-    if (sets_[i].anomalous == anomalous) {
-      positions.push_back(i);
-    }
-  }
-  return positions;
-}
-
-std::vector<std::size_t> MdbStore::query_source(
-    std::string_view source) const {
-  std::vector<std::size_t> positions;
-  for (std::size_t i = 0; i < sets_.size(); ++i) {
-    if (sets_[i].source == source) {
-      positions.push_back(i);
-    }
-  }
-  return positions;
-}
-
-std::vector<std::pair<std::size_t, std::size_t>> MdbStore::shards(
-    std::size_t shard_count) const {
-  require(shard_count > 0, "MdbStore::shards: shard_count must be > 0");
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  const std::size_t total = sets_.size();
-  const std::size_t per_shard = (total + shard_count - 1) / shard_count;
-  for (std::size_t begin = 0; begin < total; begin += per_shard) {
-    ranges.emplace_back(begin, std::min(total, begin + per_shard));
-  }
-  return ranges;
 }
 
 std::vector<std::uint8_t> MdbStore::encode() const {
@@ -102,8 +72,15 @@ MdbStore MdbStore::decode(const std::vector<std::uint8_t>& bytes) {
     throw CorruptData("MdbStore::decode: invalid store info");
   }
   const std::uint64_t count = decoder.read_u64();
+  // A forged count must not drive the reserve: every record holds at least
+  // its framing, fixed fields and slice_length f32 samples.
+  const std::uint64_t min_record =
+      kMinRecordBytes + std::uint64_t{4} * info.slice_length;
+  if (count > (bytes.size() - decoder.cursor()) / min_record) {
+    throw CorruptData("MdbStore::decode: record count exceeds file size");
+  }
   MdbStore store(info);
-  store.sets_.reserve(count);
+  store.sets_.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     SignalSet set = decoder.read_record();
     if (set.samples.size() != info.slice_length) {
@@ -132,13 +109,7 @@ void MdbStore::save(const std::filesystem::path& path) const {
 }
 
 MdbStore MdbStore::load(const std::filesystem::path& path) {
-  std::ifstream stream(path, std::ios::binary);
-  if (!stream) {
-    throw IoError("MdbStore::load: cannot open " + path.string());
-  }
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(stream)),
-                                  std::istreambuf_iterator<char>());
-  return decode(bytes);
+  return decode(read_file(path));
 }
 
 }  // namespace emap::mdb

@@ -1,14 +1,14 @@
 // MdbStore: the mega-database of labeled signal-sets.
 //
-// Stands in for the paper's MongoDB instance: durable storage, label and
-// provenance queries, and a sharded view for the parallel cloud search.
-// The store is append-only; signal-sets are immutable once inserted.
+// Stands in for the paper's MongoDB instance: durable storage and
+// positional access for the cloud search, which splits [0, size()) across
+// its thread pool.  The store is append-only; signal-sets are immutable
+// once inserted, and hold the f32 samples their file stores.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "emap/mdb/codec.hpp"
@@ -40,17 +40,6 @@ class MdbStore {
 
   /// Number of anomalous records.
   std::size_t count_anomalous() const;
-
-  /// Positions of records with the given label.
-  std::vector<std::size_t> query_label(bool anomalous) const;
-
-  /// Positions of records from the given corpus.
-  std::vector<std::size_t> query_source(std::string_view source) const;
-
-  /// Splits [0, size()) into `shard_count` near-equal [begin, end) ranges
-  /// for parallel scanning; empty shards are omitted.
-  std::vector<std::pair<std::size_t, std::size_t>> shards(
-      std::size_t shard_count) const;
 
   /// Serializes the whole store (file format in codec.hpp).
   std::vector<std::uint8_t> encode() const;

@@ -8,10 +8,10 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "emap/common/crc32.hpp"
+#include "emap/common/file_io.hpp"
 #include "emap/mdb/codec.hpp"
 
 namespace emap::robust {
@@ -745,17 +745,7 @@ std::optional<SessionState> read_checkpoint(
   if (!std::filesystem::exists(path, exists_error) || exists_error) {
     return std::nullopt;
   }
-  std::ifstream stream(path, std::ios::binary);
-  if (!stream) {
-    throw IoError("read_checkpoint: cannot open " + path.string());
-  }
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(stream)),
-      std::istreambuf_iterator<char>());
-  if (stream.bad()) {
-    throw IoError("read_checkpoint: read failed for " + path.string());
-  }
-  return decode_session(bytes);
+  return decode_session(read_file(path));
 }
 
 void RecoveryOptions::validate() const {

@@ -10,7 +10,7 @@ namespace {
 TEST(Exhaustive, EvaluatesEveryFullOverlapOffset) {
   mdb::MdbStore store;
   mdb::SignalSet set;
-  set.samples = testing::noise(1, mdb::kSignalSetLength, 5.0);
+  set.samples = testing::to_f32(testing::noise(1, mdb::kSignalSetLength, 5.0));
   store.insert(std::move(set));
   ExhaustiveSearch search{core::EmapConfig{}};
   const auto probe = testing::noise(2, 256, 5.0);
@@ -23,7 +23,7 @@ TEST(Exhaustive, FindsGlobalBestOffset) {
   mdb::MdbStore store;
   const auto probe = testing::sine(21.0, 256.0, 256, 5.0);
   mdb::SignalSet set;
-  set.samples = testing::noise(3, mdb::kSignalSetLength, 5.0);
+  set.samples = testing::to_f32(testing::noise(3, mdb::kSignalSetLength, 5.0));
   for (std::size_t i = 0; i < 256; ++i) {
     set.samples[333 + i] = probe[i] * 0.9 + 0.2;
   }

@@ -12,7 +12,7 @@ TEST(FftSearch, MatchesExhaustiveOnPlantedSignal) {
   mdb::MdbStore store;
   const auto probe = testing::sine(21.0, 256.0, 256, 5.0);
   mdb::SignalSet set;
-  set.samples = testing::noise(1, mdb::kSignalSetLength, 5.0);
+  set.samples = testing::to_f32(testing::noise(1, mdb::kSignalSetLength, 5.0));
   for (std::size_t i = 0; i < 256; ++i) {
     set.samples[333 + i] = probe[i] * 0.9 + 0.2;
   }

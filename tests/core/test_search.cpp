@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "emap/common/error.hpp"
+#include "emap/common/rng.hpp"
 #include "emap/dsp/xcorr.hpp"
 #include "support/test_util.hpp"
 
@@ -27,7 +33,8 @@ struct PlantedFixture {
     }
     for (std::size_t i = 0; i < 8; ++i) {
       mdb::SignalSet set;
-      set.samples = testing::noise(1000 + i, mdb::kSignalSetLength, 5.0);
+      set.samples =
+          testing::to_f32(testing::noise(1000 + i, mdb::kSignalSetLength, 5.0));
       set.anomalous = (i % 2 == 1);
       set.source = "fixture";
       if (i == kPlantedIndex) {
@@ -69,6 +76,135 @@ TEST(SkipForOmega, RespectsMaxSkipClamp) {
   config.max_skip = 100;
   CrossCorrelationSearch search(config);
   EXPECT_EQ(search.skip_for_omega(0.0), 100u);
+}
+
+// --- the skip table: skip() must equal skip_for_omega() for every ω ---
+
+// The configs the table is checked under: the paper's α, a slow decay,
+// saturating (α = 1e-6 against max_skip 4096) and tiny caps, and α = 0.16,
+// whose value at the cell edge ω = ½ is the rounding edge 0.16^(-½) = 2.5.
+std::vector<EmapConfig> skip_configs() {
+  std::vector<EmapConfig> configs(6);
+  configs[1].alpha = 0.5;
+  configs[2].alpha = 1e-6;
+  configs[2].max_skip = 4096;
+  configs[3].max_skip = 1;
+  configs[4].max_skip = 7;
+  configs[5].alpha = 0.16;
+  return configs;
+}
+
+std::string describe(const EmapConfig& config) {
+  return "alpha=" + std::to_string(config.alpha) +
+         " max_skip=" + std::to_string(config.max_skip);
+}
+
+// Checks skip() at ω and at every ω up to `ulps` representable steps away
+// on either side; returns the number of disagreements.
+std::size_t mismatches_around(const CrossCorrelationSearch& search,
+                              double omega, int ulps) {
+  std::size_t bad = 0;
+  double down = omega;
+  double up = omega;
+  for (int k = 0; k <= ulps; ++k) {
+    for (const double w : {down, up}) {
+      if (search.skip(w) != search.skip_for_omega(w)) {
+        ADD_FAILURE() << "omega " << w << ": table " << search.skip(w)
+                      << " vs " << search.skip_for_omega(w);
+        ++bad;
+      }
+    }
+    down = std::nextafter(down, -2.0);
+    up = std::nextafter(up, 2.0);
+  }
+  return bad;
+}
+
+TEST(SkipForOmega, TableMatchesAtCellEdgesAndSteps) {
+  constexpr double kCells = CrossCorrelationSearch::kSkipCells;
+  for (const EmapConfig& config : skip_configs()) {
+    SCOPED_TRACE(describe(config));
+    const CrossCorrelationSearch search(config);
+    std::size_t steps = 0;
+    for (std::size_t j = 0; j < CrossCorrelationSearch::kSkipCells; ++j) {
+      const double a = static_cast<double>(j) / kCells;
+      const double b = static_cast<double>(j + 1) / kCells;
+      ASSERT_EQ(mismatches_around(search, a, 64), 0u) << "cell " << j;
+      // Locate each step of skip_for_omega inside the cell independently
+      // of the table, then probe it and the edges of its guard band.
+      double lo = a;
+      double hi = b;
+      const std::size_t below = search.skip_for_omega(lo);
+      if (search.skip_for_omega(hi) == below) {
+        continue;
+      }
+      for (double mid = lo + (hi - lo) / 2; mid > lo && mid < hi;
+           mid = lo + (hi - lo) / 2) {
+        (search.skip_for_omega(mid) == below ? lo : hi) = mid;
+      }
+      ++steps;
+      const double guard = CrossCorrelationSearch::kSkipGuard;
+      for (const double t : {hi, hi - guard, hi + guard}) {
+        ASSERT_EQ(mismatches_around(search, t, 64), 0u) << "step in " << j;
+      }
+    }
+    if (config.max_skip > 1) {
+      EXPECT_GT(steps, 0u);
+    }
+  }
+}
+
+TEST(SkipForOmega, TableMatchesOnTenMillionSeededOmegas) {
+  const auto configs = skip_configs();
+  std::vector<CrossCorrelationSearch> searches;
+  for (const EmapConfig& config : configs) {
+    searches.emplace_back(config);
+  }
+  Rng rng(0x5c1bu);
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < 10'000'000; ++i) {
+    const double omega = rng.uniform(-1.5, 1.5);
+    const CrossCorrelationSearch& search = searches[i % searches.size()];
+    if (search.skip(omega) != search.skip_for_omega(omega) && bad++ < 5) {
+      ADD_FAILURE() << describe(configs[i % configs.size()]) << " omega "
+                    << omega << ": table " << search.skip(omega) << " vs "
+                    << search.skip_for_omega(omega);
+    }
+  }
+  EXPECT_EQ(bad, 0u);
+}
+
+TEST(SkipForOmega, TableMatchesAtSpecialValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  const double specials[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      kInf,
+      -kInf,
+      kDenorm,
+      -kDenorm,
+      std::numeric_limits<double>::min() / 2,  // subnormal
+      std::numeric_limits<double>::min(),
+      std::nextafter(1.0, 0.0),
+      1.0,
+      std::nextafter(1.0, 2.0),
+      -1.0,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest()};
+  for (const EmapConfig& config : skip_configs()) {
+    SCOPED_TRACE(describe(config));
+    const CrossCorrelationSearch search(config);
+    for (const double omega : specials) {
+      EXPECT_EQ(search.skip(omega), search.skip_for_omega(omega))
+          << "omega " << omega;
+    }
+    // ω ≤ 0 clamps to 0 before the power, so all of them share one answer.
+    EXPECT_EQ(search.skip(-0.0), search.skip_for_omega(0.0));
+    EXPECT_EQ(search.skip(-kInf), search.skip_for_omega(0.0));
+  }
 }
 
 TEST(Search, FindsPlantedMatchAtCorrectOffset) {

@@ -75,12 +75,13 @@ SearchResult per_offset_reference(const EmapConfig& config,
     if (set.samples.size() < window) {
       continue;
     }
-    const std::span<const double> samples(set.samples);
+    const std::vector<double> samples(set.samples.begin(), set.samples.end());
     const std::size_t limit = set.samples.size() - window;
     result.stats.offsets_total += limit;
     std::size_t beta = 0;
     while (beta < limit) {
-      const double omega = normalized.correlate(samples.subspan(beta, window));
+      const double omega = normalized.correlate(
+          std::span<const double>(samples).subspan(beta, window));
       ++result.stats.correlation_evals;
       if (omega > config.delta) {
         candidates.push_back(SearchMatch{index, set.id, omega, beta,
@@ -102,7 +103,8 @@ mdb::MdbStore mixed_store(std::size_t count, std::uint32_t slice) {
   const auto shape = emap::testing::sine(11.0, 256.0, slice, 3.0);
   for (std::size_t i = 0; i < count; ++i) {
     mdb::SignalSet set;
-    set.samples = emap::testing::noise(700 + i, slice, 4.0);
+    set.samples =
+        emap::testing::to_f32(emap::testing::noise(700 + i, slice, 4.0));
     set.anomalous = (i % 3 == 0);
     set.class_tag = static_cast<std::uint8_t>(i % 4);
     if (i == 1) {

@@ -184,7 +184,7 @@ TEST(Tracker, LoadFromSearchCopiesSamples) {
   mdb::SignalSet set;
   set.anomalous = true;
   set.class_tag = 1;
-  set.samples = testing::noise(38, mdb::kSignalSetLength);
+  set.samples = testing::to_f32(testing::noise(38, mdb::kSignalSetLength));
   store.insert(std::move(set));
 
   SearchResult search_result;
@@ -199,7 +199,9 @@ TEST(Tracker, LoadFromSearchCopiesSamples) {
   EdgeTracker tracker(small_config());
   tracker.load_from_search(search_result, store);
   ASSERT_EQ(tracker.active_count(), 1u);
-  EXPECT_EQ(tracker.active()[0].samples, store.at(0).samples);
+  const auto& stored = store.at(0).samples;
+  EXPECT_EQ(tracker.active()[0].samples,
+            std::vector<double>(stored.begin(), stored.end()));
   EXPECT_EQ(tracker.active()[0].beta, 10u);
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -317,54 +318,60 @@ TEST(KernelDiff, SlidingNccAndAreaScalarVsAvx2) {
 
 // --- lockstep NCC: every lane equals that arm's single-candidate pass ---
 
-// The four candidates of one ncc_x4 call built from a case: the case's
-// `b`, a flat (degenerate) window, `b` with a NaN planted mid-window, and
-// the probe `a` itself, so normal, degenerate and NaN lanes share a call
-// (adversarial cases add ±Inf/NaN/huge/denormal lanes on top).
-std::vector<std::vector<double>> lockstep_lanes(const kdiff::Case& c) {
-  std::vector<double> nan_lane = c.b;
+// The four f32 candidates of one ncc_x4 call built from a case: the
+// case's `b`, a flat (degenerate) window, `b` with a NaN planted
+// mid-window, and the probe `a` itself, each rounded to f32 as the MDB
+// stores them, so normal, degenerate and NaN lanes share a call
+// (adversarial cases add ±Inf/NaN/huge/denormal lanes on top, and values
+// beyond f32 range round to ±Inf).
+std::vector<std::vector<float>> lockstep_lanes(const kdiff::Case& c) {
+  std::vector<float> nan_lane(c.b.begin(), c.b.end());
   if (!nan_lane.empty()) {
-    nan_lane[nan_lane.size() / 2] = std::numeric_limits<double>::quiet_NaN();
+    nan_lane[nan_lane.size() / 2] = std::numeric_limits<float>::quiet_NaN();
   }
-  return {c.b, std::vector<double>(c.size(), 3.25), std::move(nan_lane), c.a};
+  return {{c.b.begin(), c.b.end()},
+          std::vector<float>(c.size(), 3.25f),
+          std::move(nan_lane),
+          {c.a.begin(), c.a.end()}};
 }
 
-// Runs `table.ncc_x4` against `table.sum` + `table.centered_dot_norm` per
-// lane and per output field, demanding 0 ULP.
+// Runs `table.ncc_x4` on the f32 lanes against `table.sum` +
+// `table.centered_dot_norm` on each lane widened to f64, demanding the
+// same bits (memcmp, so NaN payloads and signed zeros count too).
 void expect_lockstep_matches_single(const kernels::KernelTable& table) {
   static_assert(kernels::kNccLanes == 4);
   const auto cases = full_suite(0x4C4E5);
-  const auto single = [&](const kdiff::Case& c, std::size_t lane) {
+  std::size_t mismatches = 0;
+  for (const kdiff::Case& c : cases) {
     const auto lanes = lockstep_lanes(c);
-    const double mean = table.sum(lanes[lane].data(), c.size()) /
-                        static_cast<double>(c.size());
-    return table.centered_dot_norm(c.a.data(), lanes[lane].data(), c.size(),
-                                   mean);
-  };
-  const auto lockstep = [&](const kdiff::Case& c, std::size_t lane) {
-    const auto lanes = lockstep_lanes(c);
-    const double* cand[kernels::kNccLanes];
+    const float* cand[kernels::kNccLanes];
     for (std::size_t l = 0; l < kernels::kNccLanes; ++l) {
       cand[l] = lanes[l].data();
     }
-    kernels::DotNormSq out[kernels::kNccLanes];
-    table.ncc_x4(c.a.data(), cand, c.size(), out);
-    return out[lane];
-  };
-  for (std::size_t lane = 0; lane < kernels::kNccLanes; ++lane) {
-    const auto dot_report = kdiff::run_diff(
-        cases, [&](const kdiff::Case& c) { return single(c, lane).dot; },
-        [&](const kdiff::Case& c) { return lockstep(c, lane).dot; },
-        kdiff::ExactAcceptor{});
-    EXPECT_TRUE(dot_report.ok())
-        << "lane " << lane << " dot: " << dot_report.summary();
-    const auto norm_report = kdiff::run_diff(
-        cases, [&](const kdiff::Case& c) { return single(c, lane).norm_sq; },
-        [&](const kdiff::Case& c) { return lockstep(c, lane).norm_sq; },
-        kdiff::ExactAcceptor{});
-    EXPECT_TRUE(norm_report.ok())
-        << "lane " << lane << " norm_sq: " << norm_report.summary();
+    kernels::DotNormSq lockstep[kernels::kNccLanes];
+    table.ncc_x4(c.a.data(), cand, c.size(), lockstep);
+    for (std::size_t lane = 0; lane < kernels::kNccLanes; ++lane) {
+      const std::vector<double> widened(lanes[lane].begin(),
+                                        lanes[lane].end());
+      const double mean = table.sum(widened.data(), c.size()) /
+                          static_cast<double>(c.size());
+      const kernels::DotNormSq single = table.centered_dot_norm(
+          c.a.data(), widened.data(), c.size(), mean);
+      if (std::memcmp(&single.dot, &lockstep[lane].dot, sizeof(double)) !=
+              0 ||
+          std::memcmp(&single.norm_sq, &lockstep[lane].norm_sq,
+                      sizeof(double)) != 0) {
+        if (mismatches++ < 5) {
+          ADD_FAILURE() << c.tag << " lane " << lane << ": single ("
+                        << single.dot << ", " << single.norm_sq
+                        << ") vs lockstep (" << lockstep[lane].dot << ", "
+                        << lockstep[lane].norm_sq << ")";
+        }
+      }
+    }
   }
+  EXPECT_EQ(mismatches, 0u) << "of " << cases.size() * kernels::kNccLanes
+                            << " lanes";
 }
 
 TEST(KernelDiff, LockstepNccScalarLanesMatchSinglePass) {

@@ -2,6 +2,8 @@
 // search -> tracking -> prediction.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "emap/core/pipeline.hpp"
 #include "emap/edf/edf.hpp"
 #include "emap/mdb/builder.hpp"
@@ -71,15 +73,26 @@ TEST(EndToEnd, MdbPersistenceRoundTripPreservesSearchResults) {
   const auto filtered = filter.apply(input.samples);
   const std::span<const double> window(filtered.data() + 115 * 256, 256);
 
+  // The built store already holds the f32 samples its file stores, so the
+  // loaded store searches to the same bits.
   const auto a = search.search(window, store);
   const auto b = search.search(window, loaded);
   ASSERT_EQ(a.matches.size(), b.matches.size());
   for (std::size_t i = 0; i < a.matches.size(); ++i) {
+    EXPECT_EQ(a.matches[i].store_index, b.matches[i].store_index);
     EXPECT_EQ(a.matches[i].set_id, b.matches[i].set_id);
     EXPECT_EQ(a.matches[i].beta, b.matches[i].beta);
-    // f32 storage rounds omega in the 7th digit.
-    EXPECT_NEAR(a.matches[i].omega, b.matches[i].omega, 1e-5);
+    EXPECT_EQ(std::memcmp(&a.matches[i].omega, &b.matches[i].omega,
+                          sizeof(double)),
+              0);
+    EXPECT_EQ(a.matches[i].anomalous, b.matches[i].anomalous);
+    EXPECT_EQ(a.matches[i].class_tag, b.matches[i].class_tag);
   }
+  EXPECT_EQ(a.stats.correlation_evals, b.stats.correlation_evals);
+  EXPECT_EQ(a.stats.mac_ops, b.stats.mac_ops);
+  EXPECT_EQ(a.stats.candidates, b.stats.candidates);
+  EXPECT_EQ(a.stats.sets_scanned, b.stats.sets_scanned);
+  EXPECT_EQ(a.stats.offsets_total, b.stats.offsets_total);
 }
 
 TEST(EndToEnd, SeizureInputAlarmsBeforeOnset) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "emap/common/error.hpp"
 #include "support/test_util.hpp"
 
@@ -16,7 +18,7 @@ SignalSet make_set(std::uint64_t id = 1) {
   set.source = "physionet-chbmit";
   set.source_recording = 7;
   set.start_sec = 12.5;
-  set.samples = testing::noise(id, kSignalSetLength, 5.0);
+  set.samples = testing::to_f32(testing::noise(id, kSignalSetLength, 5.0));
   return set;
 }
 
@@ -31,10 +33,11 @@ TEST(Codec, RecordRoundTrip) {
   EXPECT_EQ(decoded.source, set.source);
   EXPECT_EQ(decoded.source_recording, set.source_recording);
   EXPECT_DOUBLE_EQ(decoded.start_sec, set.start_sec);
+  // Samples are f32 in memory and on disk: the round trip is bit-exact.
   ASSERT_EQ(decoded.samples.size(), set.samples.size());
-  for (std::size_t i = 0; i < set.samples.size(); ++i) {
-    EXPECT_NEAR(decoded.samples[i], set.samples[i], 1e-5);  // f32 storage
-  }
+  EXPECT_EQ(std::memcmp(decoded.samples.data(), set.samples.data(),
+                        set.samples.size() * sizeof(float)),
+            0);
   EXPECT_TRUE(decoder.at_end());
 }
 
@@ -70,6 +73,19 @@ TEST(Codec, TruncatedRecordThrows) {
   bytes.resize(bytes.size() / 2);
   Decoder decoder(bytes);
   EXPECT_THROW(decoder.read_record(), CorruptData);
+}
+
+TEST(Codec, ForgedPayloadSizeNearFourGigabytesThrows) {
+  // payload_size + 4 must not wrap in 32 bits: a size within 4 of 2^32
+  // would otherwise pass the bounds check and drive the CRC off the end.
+  for (const std::uint32_t size : {0xFFFFFFFCu, 0xFFFFFFFEu, 0xFFFFFFFFu}) {
+    auto bytes = encode_record(make_set());
+    for (int i = 0; i < 4; ++i) {
+      bytes[i] = static_cast<std::uint8_t>(size >> (8 * i));
+    }
+    Decoder decoder(bytes);
+    EXPECT_THROW(decoder.read_record(), CorruptData) << "size " << size;
+  }
 }
 
 TEST(Codec, EveryTruncationPointFailsCleanly) {

@@ -17,7 +17,7 @@ TEST_P(CodecFuzz, RecordMutationsDetectedOrHarmless) {
   set.id = GetParam();
   set.anomalous = true;
   set.source = "fuzz";
-  set.samples = testing::noise(GetParam(), kSignalSetLength);
+  set.samples = testing::to_f32(testing::noise(GetParam(), kSignalSetLength));
   const auto bytes = encode_record(set);
 
   Rng rng(GetParam() * 7919);
@@ -45,8 +45,8 @@ TEST_P(CodecFuzz, StoreMutationsDetectedOrHarmless) {
   MdbStore store;
   for (int i = 0; i < 3; ++i) {
     SignalSet set;
-    set.samples = testing::noise(GetParam() + static_cast<std::uint64_t>(i),
-                                 kSignalSetLength);
+    set.samples = testing::to_f32(testing::noise(
+        GetParam() + static_cast<std::uint64_t>(i), kSignalSetLength));
     store.insert(std::move(set));
   }
   const auto bytes = store.encode();

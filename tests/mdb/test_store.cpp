@@ -13,7 +13,7 @@ SignalSet make_set(bool anomalous, const std::string& source = "corpus-a") {
   SignalSet set;
   set.anomalous = anomalous;
   set.source = source;
-  set.samples = testing::noise(++salt, kSignalSetLength);
+  set.samples = testing::to_f32(testing::noise(++salt, kSignalSetLength));
   return set;
 }
 
@@ -52,40 +52,6 @@ TEST(Store, LabelQueries) {
   store.insert(make_set(true));
   store.insert(make_set(true));
   EXPECT_EQ(store.count_anomalous(), 2u);
-  EXPECT_EQ(store.query_label(true).size(), 2u);
-  EXPECT_EQ(store.query_label(false).size(), 1u);
-}
-
-TEST(Store, SourceQueries) {
-  MdbStore store;
-  store.insert(make_set(false, "a"));
-  store.insert(make_set(false, "b"));
-  store.insert(make_set(false, "a"));
-  EXPECT_EQ(store.query_source("a").size(), 2u);
-  EXPECT_EQ(store.query_source("b").size(), 1u);
-  EXPECT_TRUE(store.query_source("c").empty());
-}
-
-TEST(Store, ShardsPartitionExactly) {
-  MdbStore store;
-  for (int i = 0; i < 10; ++i) {
-    store.insert(make_set(false));
-  }
-  const auto shards = store.shards(3);
-  std::size_t covered = 0;
-  std::size_t expected_begin = 0;
-  for (const auto& [begin, end] : shards) {
-    EXPECT_EQ(begin, expected_begin);
-    EXPECT_GT(end, begin);
-    covered += end - begin;
-    expected_begin = end;
-  }
-  EXPECT_EQ(covered, 10u);
-}
-
-TEST(Store, ShardsOfEmptyStoreIsEmpty) {
-  MdbStore store;
-  EXPECT_TRUE(store.shards(4).empty());
 }
 
 TEST(Store, EncodeDecodeRoundTrip) {
@@ -145,6 +111,23 @@ TEST(Store, DecodeRejectsTrailingGarbage) {
   auto bytes = store.encode();
   bytes.push_back(0x00);
   EXPECT_THROW(MdbStore::decode(bytes), CorruptData);
+}
+
+TEST(Store, DecodeRejectsForgedRecordCount) {
+  // An empty store's file is its 28-byte header; the record count is its
+  // last 8 bytes.  A count no file of this size could hold must fail as
+  // corrupt data before anything is reserved for it.
+  const auto header = MdbStore(StoreInfo{256.0, kSignalSetLength}).encode();
+  ASSERT_EQ(header.size(), 28u);
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 26, std::uint64_t{1},
+        ~std::uint64_t{0}}) {
+    auto bytes = header;
+    for (int i = 0; i < 8; ++i) {
+      bytes[20 + i] = static_cast<std::uint8_t>(count >> (8 * i));
+    }
+    EXPECT_THROW(MdbStore::decode(bytes), CorruptData) << "count " << count;
+  }
 }
 
 TEST(Store, DecodeRejectsTruncation) {

@@ -56,6 +56,11 @@ inline std::vector<double> noise(std::uint64_t seed, std::size_t count,
   return samples;
 }
 
+/// `samples` rounded to f32, the sample type MDB signal-sets hold.
+inline std::vector<float> to_f32(const std::vector<double>& samples) {
+  return {samples.begin(), samples.end()};
+}
+
 /// Small MDB for search/tracker tests: `recordings_per_corpus` recordings
 /// from each of the five standard corpora.
 inline mdb::MdbStore small_mdb(std::size_t recordings_per_corpus = 4) {
