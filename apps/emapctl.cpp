@@ -23,10 +23,10 @@
 //       Reconstructs per-window critical paths from a --spans-out file
 //       (plus an optional flight dump) and prints the Eq. 4 decomposition
 //       table; --json prints one JSONL record per trace instead.
-//   emapctl report      <series.jsonl> [--alerts <alerts.jsonl>]
+//   emapctl report      <record.jsonl> [--alerts <alerts.jsonl>]
 //                       [--html <out.html>] [--series-filter <substring>]
 //       Renders the post-run dashboard (ASCII sparklines with CUSUM
-//       changepoints, optional self-contained HTML) from a --series-out
+//       changepoints, optional self-contained HTML) from a --record-out
 //       file and, optionally, the --alerts-out transition log.
 //
 // Telemetry flags (monitor and synth-run):
@@ -41,6 +41,12 @@
 //                          stacks for flamegraph.pl / speedscope
 //   --slo-report <file>    write the SLO summary (".csv" extension selects
 //                          CSV, anything else JSON)
+//   --record-out <file>    write the per-window decision record as JSONL
+//                          (input for `emapctl report`)
+//   --alerts-out <file>    evaluate alert rules every window and write
+//                          the transitions as JSONL
+//   --alert-rules <file>   the rules to evaluate (default with
+//                          --alerts-out: obs::default_alert_rules())
 //
 // Fault/retry flags (monitor and synth-run) — exercise the lossy-link
 // recovery path (docs/fault_injection.md):
@@ -140,14 +146,14 @@ int usage() {
       "  emapctl synth-run  [duration_sec] [recordings-per-corpus] "
       "[telemetry flags]\n"
       "  emapctl trace      <spans.jsonl> [flight.jsonl] [--json]\n"
-      "  emapctl report     <series.jsonl> [--alerts <alerts.jsonl>] "
-      "[--html <out.html>]\n"
+      "  emapctl report     <record.jsonl> [--alerts <alerts.jsonl>] "
+      "[--html <out.html>] [--series-filter <s>]\n"
       "telemetry flags: --metrics-out <file> --trace-out <file> "
       "--summary-out <file> --metrics-dump\n"
       "profiling flags: --profile-out <file> --flame-out <file> "
       "--slo-report <file>\n"
-      "series flags:    --series-out <file> --alerts-out <file> "
-      "--scrape-interval <sec> --alert-rules <file>\n"
+      "record flags:    --record-out <file> --alerts-out <file> "
+      "--alert-rules <file>\n"
       "fault flags:     --fault-drop <p> --fault-corrupt <p> "
       "--fault-duplicate <p> --fault-delay <p> --fault-seed <n>\n"
       "retry flags:     --retry-attempts <n> --retry-deadline <sec>\n"
@@ -182,9 +188,8 @@ struct TelemetryOptions {
   std::string spans_out;
   std::string flight_out;
   double edge_slowdown = 1.0;  ///< > 1 divides edge device throughput
-  std::string series_out;      ///< time-series JSONL (enables scraping)
+  std::string record_out;      ///< per-window decision record JSONL
   std::string alerts_out;      ///< alert-transition JSONL
-  double scrape_interval_sec = 1.0;
   std::string alert_rules;     ///< rule file; empty = default rules
   bool stream = false;         ///< threaded stage graph instead of batch
   std::size_t stage_threads = 2;
@@ -286,14 +291,10 @@ bool extract_telemetry_flags(int& argc, char** argv,
       if (!take_double(
               [&](double factor) { telemetry.edge_slowdown = factor; }))
         return false;
-    } else if (arg == "--series-out") {
-      if (!take_value(telemetry.series_out)) return false;
+    } else if (arg == "--record-out") {
+      if (!take_value(telemetry.record_out)) return false;
     } else if (arg == "--alerts-out") {
       if (!take_value(telemetry.alerts_out)) return false;
-    } else if (arg == "--scrape-interval") {
-      if (!take_double(
-              [&](double sec) { telemetry.scrape_interval_sec = sec; }))
-        return false;
     } else if (arg == "--alert-rules") {
       if (!take_value(telemetry.alert_rules)) return false;
     } else if (arg == "--stream") {
@@ -382,16 +383,11 @@ obs::FlightRecorder* apply_tracing_flags(const TelemetryOptions& telemetry,
   return &flight;
 }
 
-/// Applies the time-series/alerting flags: any of --series-out or
-/// --alerts-out turns scraping on; --alert-rules replaces the default
-/// rule set.  Returns false on an unparseable rule file.
-bool apply_timeseries_flags(const TelemetryOptions& telemetry,
-                            core::PipelineOptions& options) {
-  if (telemetry.series_out.empty() && telemetry.alerts_out.empty()) {
-    return true;
-  }
-  options.timeseries.enabled = true;
-  options.timeseries.scrape_interval_sec = telemetry.scrape_interval_sec;
+/// Applies the alerting flags: --alert-rules installs its rule file,
+/// --alerts-out alone the default rules.  Returns false on an unparseable
+/// rule file.
+bool apply_alert_flags(const TelemetryOptions& telemetry,
+                       core::PipelineOptions& options) {
   if (!telemetry.alert_rules.empty()) {
     std::string error;
     options.alert_rules = obs::load_alert_rules(telemetry.alert_rules, &error);
@@ -399,6 +395,8 @@ bool apply_timeseries_flags(const TelemetryOptions& telemetry,
       std::fprintf(stderr, "emapctl: %s\n", error.c_str());
       return false;
     }
+  } else if (!telemetry.alerts_out.empty()) {
+    options.alert_rules = obs::default_alert_rules();
   }
   return true;
 }
@@ -520,11 +518,10 @@ void emit_telemetry(const TelemetryOptions& telemetry,
     std::printf("spans   -> %s (feed to 'emapctl trace')\n",
                 telemetry.spans_out.c_str());
   }
-  if (!telemetry.series_out.empty() && result.series != nullptr) {
-    result.series->write_jsonl(telemetry.series_out);
-    std::printf("series  -> %s (%llu scrape(s); feed to 'emapctl report')\n",
-                telemetry.series_out.c_str(),
-                static_cast<unsigned long long>(result.series->scrapes()));
+  if (!telemetry.record_out.empty()) {
+    core::write_iterations_jsonl(result, telemetry.record_out);
+    std::printf("record  -> %s (%zu window(s); feed to 'emapctl report')\n",
+                telemetry.record_out.c_str(), result.iterations.size());
   }
   if (!telemetry.alerts_out.empty() && result.alerts != nullptr) {
     result.alerts->write_jsonl(telemetry.alerts_out);
@@ -765,7 +762,7 @@ int cmd_monitor(int argc, char** argv) {
   pipeline_options.robust.enabled = !telemetry.robust_off;
   robust::CrashPointRegistry crashpoints;
   if (!apply_recovery_flags(telemetry, pipeline_options, crashpoints) ||
-      !apply_timeseries_flags(telemetry, pipeline_options)) {
+      !apply_alert_flags(telemetry, pipeline_options)) {
     return usage();
   }
   obs::FlightRecorder flight_recorder;
@@ -866,7 +863,7 @@ int cmd_synth_run(int argc, char** argv) {
   options.robust.enabled = !telemetry.robust_off;
   robust::CrashPointRegistry crashpoints;
   if (!apply_recovery_flags(telemetry, options, crashpoints) ||
-      !apply_timeseries_flags(telemetry, options)) {
+      !apply_alert_flags(telemetry, options)) {
     return usage();
   }
   obs::FlightRecorder flight_recorder;
@@ -962,7 +959,7 @@ int cmd_trace(int argc, char** argv) {
 }
 
 int cmd_report(int argc, char** argv) {
-  std::string series_path;
+  std::string record_path;
   std::string alerts_path;
   std::string html_path;
   obs::ReportOptions report;
@@ -985,26 +982,26 @@ int cmd_report(int argc, char** argv) {
       report.series_filter = v;
     } else if (arg.rfind("--", 0) == 0) {
       return usage();
-    } else if (series_path.empty()) {
-      series_path = arg;
+    } else if (record_path.empty()) {
+      record_path = arg;
     } else {
       return usage();
     }
   }
-  if (series_path.empty()) {
+  if (record_path.empty()) {
     return usage();
   }
-  const auto series = obs::load_series_jsonl(series_path);
+  const auto record = obs::load_record_jsonl(record_path);
   obs::AlertLoadResult alerts;
   if (!alerts_path.empty()) {
     alerts = obs::load_alerts_jsonl(alerts_path);
   }
-  std::fputs(obs::render_ascii_report(series, alerts, report).c_str(),
+  std::fputs(obs::render_ascii_report(record, alerts, report).c_str(),
              stdout);
   if (!html_path.empty()) {
     std::ofstream html(html_path);
     require(static_cast<bool>(html), "report: cannot write the HTML output");
-    html << obs::render_html_report(series, alerts, report);
+    html << obs::render_html_report(record, alerts, report);
     std::printf("\nhtml report -> %s\n", html_path.c_str());
   }
   return 0;

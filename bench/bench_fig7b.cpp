@@ -19,7 +19,7 @@
 #include "emap/baselines/exhaustive.hpp"
 #include "emap/core/search.hpp"
 #include "emap/obs/profiler.hpp"
-#include "emap/obs/timeseries.hpp"
+#include "emap/obs/alert.hpp"
 #include "emap/sim/device.hpp"
 
 namespace {
@@ -142,11 +142,11 @@ double measure_profiler_overhead_pct() {
   return overhead_pct;
 }
 
-// Time-series scrape tax on the same scan: each rep records the
-// pipeline's typical per-window telemetry and advances virtual time by one
-// scrape interval, so the "on" run scrapes the registry once per rep —
-// the pipeline's worst-case cadence.  Budget: < 2 %.
-double measure_scrape_overhead_pct() {
+// Alert-evaluation tax on the same scan: each rep records the pipeline's
+// typical per-window telemetry and, in the "on" run, evaluates the default
+// alert rules against the registry once — the pipeline's cadence (one
+// evaluation per window).  Budget: < 2 %.
+double measure_alert_eval_overhead_pct() {
   const auto store = subset(bench::quick_mode() ? 500 : 2000);
   const auto probe = probe_window();
   core::CrossCorrelationSearch search{core::EmapConfig{}};
@@ -158,14 +158,17 @@ double measure_scrape_overhead_pct() {
   obs::Gauge& tracked = registry.gauge("emap_tracked_set_size");
   obs::Histogram& track_step = registry.histogram(
       "emap_track_step_seconds", {}, obs::Histogram::default_latency_bounds());
-  // Pad the registry to a pipeline-sized series population so the scrape
-  // walks a realistic number of instruments.
+  for (const char* slo : {"edge_iteration", "initial_response"}) {
+    registry.gauge("emap_slo_burn_rate", {{"slo", slo}}).set(0.1);
+  }
+  // Pad the registry to a pipeline-sized series population so each rule
+  // resolves its key against a realistic number of instruments.
   for (int i = 0; i < 40; ++i) {
     registry.counter("emap_bench_pad_total", {{"i", std::to_string(i)}})
         .increment();
   }
 
-  auto time_runs = [&](obs::TimeSeriesScraper* scraper) {
+  auto time_runs = [&](obs::AlertEngine* engine) {
     double t_virtual = 0.0;
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < reps; ++i) {
@@ -174,8 +177,8 @@ double measure_scrape_overhead_pct() {
       tracked.set(static_cast<double>(i));
       track_step.observe(0.1);
       t_virtual += 1.0;
-      if (scraper != nullptr) {
-        scraper->maybe_scrape(t_virtual);
+      if (engine != nullptr) {
+        engine->evaluate(registry, t_virtual);
       }
     }
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -183,17 +186,14 @@ double measure_scrape_overhead_pct() {
         .count();
   };
   const double disabled_sec = time_runs(nullptr);
-  obs::TimeSeriesOptions options;
-  options.enabled = true;
-  obs::TimeSeriesStore series_store(options);
-  obs::TimeSeriesScraper scraper(&registry, &series_store);
-  const double enabled_sec = time_runs(&scraper);
+  obs::AlertEngine engine(obs::default_alert_rules());
+  const double enabled_sec = time_runs(&engine);
   const double overhead_pct = (enabled_sec / disabled_sec - 1.0) * 100.0;
-  std::printf("time-series scrape overhead on the Algorithm 1 scan: %.2f%% "
-              "(disabled %.3fs, enabled %.3fs over %d reps, %zu series) -> "
-              "%s\n",
+  std::printf("alert evaluation overhead on the Algorithm 1 scan: %.2f%% "
+              "(disabled %.3fs, enabled %.3fs over %d reps, %zu rules, "
+              "%zu registry series) -> %s\n",
               overhead_pct, disabled_sec, enabled_sec, reps,
-              series_store.keys().size(),
+              engine.rules().size(), registry.entries().size(),
               overhead_pct < 2.0 ? "within 2% budget" : "OVER 2% budget");
   return overhead_pct;
 }
@@ -208,10 +208,10 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   const double mean_speedup = print_device_model_table();
   const double overhead_pct = measure_profiler_overhead_pct();
-  const double scrape_pct = measure_scrape_overhead_pct();
+  const double alert_pct = measure_alert_eval_overhead_pct();
   bench::write_headline("fig7b",
                         {{"mean_search_speedup", mean_speedup},
                          {"profiler_overhead_pct", overhead_pct},
-                         {"scrape_overhead_pct", scrape_pct}});
+                         {"alert_eval_overhead_pct", alert_pct}});
   return 0;
 }

@@ -3,6 +3,7 @@
 #include <optional>
 #include <vector>
 
+#include "emap/common/error.hpp"
 #include "emap/core/session.hpp"
 #include "emap/obs/profiler.hpp"
 
@@ -68,6 +69,26 @@ PendingSearch from_call_checkpoint(robust::PendingCallCheckpoint&& call) {
   return out;
 }
 
+const char* no_call_reason_name(NoCallReason reason) {
+  switch (reason) {
+    case NoCallReason::kNone:
+      return "none";
+    case NoCallReason::kCritical:
+      return "critical";
+    case NoCallReason::kQualityGated:
+      return "quality_gated";
+    case NoCallReason::kInFlight:
+      return "in_flight";
+    case NoCallReason::kNotNeeded:
+      return "not_needed";
+    case NoCallReason::kBreakerOpen:
+      return "breaker_open";
+    case NoCallReason::kStopping:
+      return "stopping";
+  }
+  return "unknown";
+}
+
 std::vector<double> RunResult::pa_history() const {
   std::vector<double> history;
   for (const auto& record : iterations) {
@@ -92,6 +113,8 @@ EmapPipeline::EmapPipeline(mdb::MdbStore store, EmapConfig config,
   options_.retry.validate();
   options_.robust.validate();
   options_.recovery.validate();
+  require(options_.alert_rules.empty() || options_.metrics != nullptr,
+          "PipelineOptions: alert_rules need a metrics registry");
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& registry = *options_.metrics;
     cloud_.set_metrics(&registry);
@@ -179,8 +202,9 @@ RunResult EmapPipeline::run(const synth::Recording& input,
         record.tracked_after >= config_.predict_min_support) {
       edge.predictor().observe(record.anomaly_probability, t_end);
     }
+    record.anomaly_predicted = edge.predictor().anomaly_predicted();
     session.feedback(record, 0.0, window);
-    session.scrape(t_end, window.trace_id);
+    session.evaluate_alerts(t_end, window.trace_id);
 
     session.result.iterations.push_back(record);
     EMAP_CRASH_POINT(crashpoints, "pipeline_window_end");

@@ -33,7 +33,6 @@
 #include "emap/obs/alert.hpp"
 #include "emap/obs/metrics.hpp"
 #include "emap/obs/slo.hpp"
-#include "emap/obs/timeseries.hpp"
 #include "emap/obs/span.hpp"
 #include "emap/obs/trace_context.hpp"
 #include "emap/robust/robust.hpp"
@@ -114,32 +113,46 @@ struct PipelineOptions {
   /// points fire inside the window loop and the checkpoint writer; see
   /// robust::crash_point_catalog() for the registered names.
   robust::CrashPointRegistry* crashpoints = nullptr;
-  /// Time-series scraping of options.metrics into per-series ring buffers
-  /// (obs/timeseries.hpp).  Requires metrics != nullptr; scrapes happen at
-  /// window boundaries on the virtual clock, so identical seeded runs
-  /// export bit-identical series JSONL.  Disabled (the default) installs
-  /// no hook at all — runs stay bit-identical to pre-time-series output.
-  obs::TimeSeriesOptions timeseries{};
-  /// Alert rules evaluated after every scrape (only with
-  /// timeseries.enabled).  Empty installs obs::default_alert_rules();
-  /// alerts_enabled = false evaluates nothing.
+  /// Alert rules evaluated against `metrics` at the end of every window,
+  /// on the virtual clock.  Non-empty requires metrics != nullptr; empty
+  /// (the default) evaluates nothing.
   std::vector<obs::AlertRule> alert_rules{};
-  bool alerts_enabled = true;
 };
+
+/// Why a window issued no cloud call, in the order Session::track checks.
+enum class NoCallReason {
+  kNone,          ///< a call was issued
+  kCritical,      ///< CRITICAL: tracking suspended
+  kQualityGated,  ///< the quality gate excluded the window
+  kInFlight,      ///< cold start with a call outstanding, or the
+                  ///< outstanding-call limit reached
+  kNotNeeded,     ///< the tracker did not ask for a call
+  kBreakerOpen,   ///< the circuit breaker turned the call away
+  kStopping,      ///< the threaded uplink queue closed at shutdown
+};
+
+const char* no_call_reason_name(NoCallReason reason);
 
 /// Per-iteration record of the run.
 struct IterationRecord {
   std::size_t window_index = 0;
   double t_sec = 0.0;                ///< virtual time at window completion
   bool set_loaded = false;           ///< a correlation set arrived here
+  /// Sequence of the call whose set loaded here (the issuing window's
+  /// index); -1 when no set loaded.
+  std::int64_t loaded_sequence = -1;
   double pa_on_load = -1.0;          ///< P_A of the freshly loaded set
   bool tracked = false;              ///< a tracking step ran this window
   double anomaly_probability = 0.0;  ///< P_A after the step
+  /// The predictor's alarm has latched by the end of this window.
+  bool anomaly_predicted = false;
   std::size_t tracked_before = 0;
   std::size_t tracked_after = 0;
   std::size_t removed_dissimilar = 0;
   std::size_t removed_exhausted = 0;
   bool cloud_call_issued = false;
+  /// Why no call was issued (kNone exactly when cloud_call_issued).
+  NoCallReason no_call_reason = NoCallReason::kNone;
   /// A cloud call exhausted its retries at this window; the edge kept the
   /// stale correlation set instead of loading a fresh one.
   bool degraded = false;
@@ -200,11 +213,8 @@ struct RunResult {
   /// Robustness controller-loop outcome (all zeros with enabled = false);
   /// export with robust::write_robust_summary.
   robust::RobustSummary robust;
-  /// Scraped time series (null when options.timeseries.enabled is false);
-  /// export with TimeSeriesStore::write_jsonl.
-  std::shared_ptr<obs::TimeSeriesStore> series;
   /// Alert engine after the run — rule states and the transition log
-  /// (null when time-series scraping or alerting is off); export with
+  /// (null when options.alert_rules is empty); export with
   /// AlertEngine::write_jsonl.
   std::shared_ptr<obs::AlertEngine> alerts;
 

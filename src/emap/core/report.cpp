@@ -6,34 +6,49 @@
 #include "emap/common/error.hpp"
 
 namespace emap::core {
-void write_iterations_csv(const RunResult& result,
-                          const std::filesystem::path& path) {
+std::string iterations_jsonl(const RunResult& result) {
+  std::string out;
+  for (const IterationRecord& r : result.iterations) {
+    obs::JsonWriter json;
+    json.field("window", static_cast<std::uint64_t>(r.window_index))
+        .field("t_sec", r.t_sec)
+        .field("tracked", r.tracked)
+        .field("set_loaded", r.set_loaded)
+        .field("loaded_sequence", static_cast<double>(r.loaded_sequence))
+        .field("pa_on_load", r.pa_on_load)
+        .field("anomaly_probability", r.anomaly_probability)
+        .field("anomaly_predicted", r.anomaly_predicted)
+        .field("tracked_before", static_cast<std::uint64_t>(r.tracked_before))
+        .field("tracked_after", static_cast<std::uint64_t>(r.tracked_after))
+        .field("removed_dissimilar",
+               static_cast<std::uint64_t>(r.removed_dissimilar))
+        .field("removed_exhausted",
+               static_cast<std::uint64_t>(r.removed_exhausted))
+        .field("abs_ops", r.abs_ops)
+        .field("track_device_sec", r.track_device_sec)
+        .field("cloud_call_issued", r.cloud_call_issued)
+        .field("no_call_reason", no_call_reason_name(r.no_call_reason))
+        .field("degraded", r.degraded)
+        .field("robust_state", robust::degrade_state_name(r.robust_state))
+        .field("shed_cap", static_cast<std::uint64_t>(r.shed_cap))
+        .field("quality", robust::quality_verdict_name(r.quality))
+        .field("breaker_rejected", r.breaker_rejected)
+        .field("robust_critical", r.robust_critical)
+        .field("robust_recovered", r.recovered);
+    out += json.str();
+    out += '\n';
+  }
+  return out;
+}
+
+void write_iterations_jsonl(const RunResult& result,
+                            const std::filesystem::path& path) {
   std::ofstream stream(path, std::ios::trunc);
   if (!stream) {
     throw IoError("report: cannot open " + path.string());
   }
-  stream << "window,t_sec,tracked,set_loaded,pa_on_load,"
-            "anomaly_probability,tracked_before,tracked_after,"
-            "removed_dissimilar,removed_exhausted,cloud_call_issued,"
-            "degraded,track_device_sec,robust_state,shed_cap,quality,"
-            "breaker_rejected,robust_critical,robust_recovered\n";
-  for (const auto& record : result.iterations) {
-    stream << record.window_index << ',' << record.t_sec << ','
-           << (record.tracked ? 1 : 0) << ',' << (record.set_loaded ? 1 : 0)
-           << ',' << record.pa_on_load << ',' << record.anomaly_probability
-           << ',' << record.tracked_before << ',' << record.tracked_after
-           << ',' << record.removed_dissimilar << ','
-           << record.removed_exhausted << ','
-           << (record.cloud_call_issued ? 1 : 0) << ','
-           << (record.degraded ? 1 : 0) << ','
-           << record.track_device_sec << ','
-           << robust::degrade_state_name(record.robust_state) << ','
-           << record.shed_cap << ','
-           << robust::quality_verdict_name(record.quality) << ','
-           << (record.breaker_rejected ? 1 : 0) << ','
-           << (record.robust_critical ? 1 : 0) << ','
-           << (record.recovered ? 1 : 0) << '\n';
-  }
+  stream << iterations_jsonl(result);
+  stream.flush();
   if (!stream) {
     throw IoError("report: write failed for " + path.string());
   }

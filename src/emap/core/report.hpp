@@ -2,8 +2,9 @@
 //
 // The paper's figures are time series over the run (P_A trajectories,
 // alarm times).  These writers dump a RunResult in the two formats an
-// analysis notebook actually wants: per-iteration CSV and a compact JSON
-// summary.
+// analysis notebook actually wants: the per-window decision record as
+// JSONL (`emapctl --record-out`, read back by `emapctl report`) and a
+// compact JSON summary.
 #pragma once
 
 #include <filesystem>
@@ -14,13 +15,17 @@
 
 namespace emap::core {
 
-/// Writes one CSV row per iteration:
-///   window,t_sec,tracked,set_loaded,pa_on_load,anomaly_probability,
-///   tracked_before,tracked_after,removed_dissimilar,removed_exhausted,
-///   cloud_call_issued,degraded,track_device_sec
-/// Throws IoError on filesystem failure.
-void write_iterations_csv(const RunResult& result,
-                          const std::filesystem::path& path);
+/// The decision record: one JSON object line per window with every
+/// IterationRecord field, doubles at full precision.  Keys are the field
+/// names, except `window` (window_index) and `robust_recovered`
+/// (recovered); the enums are written by name (no_call_reason_name,
+/// degrade_state_name, quality_verdict_name).
+std::string iterations_jsonl(const RunResult& result);
+
+/// iterations_jsonl into `path`.  Throws IoError when the file cannot be
+/// opened or written.
+void write_iterations_jsonl(const RunResult& result,
+                            const std::filesystem::path& path);
 
 /// The run's headline numbers as one flat JSON object line: window and
 /// cloud-call counts, the Eq. 4 timings, the alarm, final P_A, the

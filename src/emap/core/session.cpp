@@ -58,34 +58,14 @@ Session::Session(const EmapPipeline& pipeline, const synth::Recording& input,
     crashpoints_->set_flight_recorder(flight_);
   }
 
-  // Time-series scraping + alerting, both strictly opt-in: disabled, no
-  // hook runs anywhere in the loop and the run is bit-identical to a
-  // build without this subsystem.
-  if (options_.timeseries.enabled && options_.metrics != nullptr) {
-    // These families measure *host* time (ScopedTimer / search wall
-    // clock), so their values differ between identical seeded runs.
-    // Excluding them keeps the exported JSONL bit-identical run to run;
-    // every other family the pipeline records is virtual-clock driven.
-    obs::TimeSeriesOptions scrape_options = options_.timeseries;
-    for (const char* family :
-         {"emap_search_wall_seconds", "emap_codec_encode_seconds",
-          "emap_codec_decode_seconds"}) {
-      scrape_options.skip_families.emplace_back(family);
-    }
-    series_store_ = std::make_shared<obs::TimeSeriesStore>(scrape_options);
-    scraper_.emplace(options_.metrics, series_store_.get());
-    result.series = series_store_;
-    if (options_.alerts_enabled) {
-      obs::AlertEngine::Hooks hooks;
-      hooks.registry = options_.metrics;
-      hooks.tracer = tracer_;
-      hooks.flight = flight_;
-      alert_engine_ = std::make_shared<obs::AlertEngine>(
-          options_.alert_rules.empty() ? obs::default_alert_rules()
-                                       : options_.alert_rules,
-          hooks);
-      result.alerts = alert_engine_;
-    }
+  if (!options_.alert_rules.empty()) {
+    obs::AlertEngine::Hooks hooks;
+    hooks.registry = options_.metrics;
+    hooks.tracer = tracer_;
+    hooks.flight = flight_;
+    alert_engine_ =
+        std::make_shared<obs::AlertEngine>(options_.alert_rules, hooks);
+    result.alerts = alert_engine_;
   }
   edge_slo_.emplace(obs::edge_iteration_slo(), options_.metrics);
   initial_slo_.emplace(obs::initial_response_slo(), options_.metrics);
@@ -382,6 +362,7 @@ void Session::deliver(PendingSearch&& call, IterationRecord& record) {
     }
     edge.tracker().load(std::move(call.correlation_set));
     record.set_loaded = true;
+    record.loaded_sequence = last_loaded_sequence_;
     record.pa_on_load = edge.tracker().anomaly_probability();
     const double initial_sec = call.delta_ec + call.delta_cs + call.delta_ce;
     initial_slo_->observe(initial_sec);
@@ -427,6 +408,7 @@ bool Session::track(std::span<const double> filtered, std::size_t outstanding,
   auto admit_call = [&] {
     if (breaker_ && !breaker_->allow(t_end)) {
       record.breaker_rejected = true;
+      record.no_call_reason = NoCallReason::kBreakerOpen;
       if (tracer_ != nullptr) {
         tracer_->record_sim("breaker_reject", "robust", t_end, t_end,
                             window.parent_span, window.trace_id);
@@ -444,6 +426,7 @@ bool Session::track(std::span<const double> filtered, std::size_t outstanding,
     // CRITICAL: tracking is suspended; serve the last-known P_A with the
     // explicit stale flag and wait out the hold.
     record.robust_critical = true;
+    record.no_call_reason = NoCallReason::kCritical;
     record.anomaly_probability = last_pa_;
     ++result.robust.critical_windows;
     return false;
@@ -452,12 +435,17 @@ bool Session::track(std::span<const double> filtered, std::size_t outstanding,
     // Quality-gated window: the FIR consumed it (stream continuity) but it
     // must not reach tracking or P_A — an electrode pop would evict half
     // the tracked set as "dissimilar".
+    record.no_call_reason = NoCallReason::kQualityGated;
     record.anomaly_probability = last_pa_;
     return false;
   }
   if (!edge.tracker().loaded()) {
     // Cold start: the first window triggers the initial MDB search.
-    return outstanding == 0 && admit_call();
+    if (outstanding > 0) {
+      record.no_call_reason = NoCallReason::kInFlight;
+      return false;
+    }
+    return admit_call();
   }
 
   EMAP_CRASH_POINT(crashpoints_, "pipeline_tracker_step");
@@ -506,8 +494,15 @@ bool Session::track(std::span<const double> filtered, std::size_t outstanding,
                         t_end + record.track_device_sec + 1e-3,
                         window.parent_span, window.trace_id);
   }
-  return step.cloud_call_needed && outstanding < max_outstanding &&
-         admit_call();
+  if (!step.cloud_call_needed) {
+    record.no_call_reason = NoCallReason::kNotNeeded;
+    return false;
+  }
+  if (outstanding >= max_outstanding) {
+    record.no_call_reason = NoCallReason::kInFlight;
+    return false;
+  }
+  return admit_call();
 }
 
 void Session::feedback(const IterationRecord& record, double queue_pressure,
@@ -599,14 +594,9 @@ void Session::feedback(const IterationRecord& record, double queue_pressure,
   }
 }
 
-void Session::scrape(double t_end, std::uint64_t trace_id) {
-  // Scrape on the virtual clock at the window boundary; alert rules see the
-  // store immediately after, attributed to this window's trace.
-  if (scraper_) {
-    last_window_end_sec_ = t_end;
-    if (scraper_->maybe_scrape(t_end) && alert_engine_) {
-      alert_engine_->evaluate(*series_store_, t_end, trace_id);
-    }
+void Session::evaluate_alerts(double t_end, std::uint64_t trace_id) {
+  if (alert_engine_) {
+    alert_engine_->evaluate(*options_.metrics, t_end, trace_id);
   }
 }
 
@@ -617,14 +607,6 @@ RunResult Session::finish() {
   }
   result.anomaly_predicted = edge.predictor().anomaly_predicted();
   result.first_alarm_sec = edge.predictor().first_alarm_sec();
-  // A run shorter than one scrape interval still exports one sample per
-  // series (otherwise short smoke runs produce an empty file).
-  if (scraper_ && series_store_->scrapes() == 0) {
-    scraper_->scrape_now(last_window_end_sec_);
-    if (alert_engine_) {
-      alert_engine_->evaluate(*series_store_, last_window_end_sec_, 0);
-    }
-  }
   result.slo = {edge_slo_->summary(), initial_slo_->summary()};
   flush_deferred();
   if (controller_) {

@@ -10,7 +10,8 @@
 //   StreamPipeline (kThreaded) calls open_window on its acquire stage,
 //                           filter on its filter stage, begin_window →
 //                           deliver → track → feedback on its track stage,
-//                           and the predictor + scrape on its predict stage.
+//                           and the predictor + alert evaluation on its
+//                           predict stage.
 //
 // What the schedulers still do differently stays with them: when a finished
 // call reaches deliver() (batch: at its virtual ready time; threaded: once
@@ -92,7 +93,8 @@ class Session {
   /// CRITICAL or quality-gated.  Returns true when a cloud call should be
   /// issued now: the tracker wants one (every window before the first
   /// load), fewer than `max_outstanding` are outstanding (one before the
-  /// first load), and the circuit breaker admits it.
+  /// first load), and the circuit breaker admits it.  Otherwise sets the
+  /// record's no_call_reason to the first check that failed.
   bool track(std::span<const double> filtered, std::size_t outstanding,
              std::size_t max_outstanding, const obs::TraceContext& window,
              IterationRecord& record);
@@ -100,8 +102,9 @@ class Session {
   /// breaker edges and takes the one-shot SLO-burn and watchdog dumps.
   void feedback(const IterationRecord& record, double queue_pressure,
                 const obs::TraceContext& window);
-  /// Scrapes the time series at the window boundary and evaluates alerts.
-  void scrape(double t_end, std::uint64_t trace_id);
+  /// Evaluates the alert rules against the registry at the window
+  /// boundary, attributed to the window's trace.
+  void evaluate_alerts(double t_end, std::uint64_t trace_id);
 
   /// Completes and hands over the run record (call once, after the loop).
   RunResult finish();
@@ -142,8 +145,6 @@ class Session {
   std::uint64_t trace_seed_ = 0;
   obs::FlightRecorder* flight_ = nullptr;
   robust::CrashPointRegistry* crashpoints_ = nullptr;
-  std::shared_ptr<obs::TimeSeriesStore> series_store_;
-  std::optional<obs::TimeSeriesScraper> scraper_;
   std::shared_ptr<obs::AlertEngine> alert_engine_;
   // Fresh per run (runs are independent); the registry-side emap_slo_*
   // counters accumulate across runs like every other pipeline metric.
@@ -165,7 +166,6 @@ class Session {
   /// quality-gate verdicts); folded back in at summary time.
   std::size_t watchdog_trips_base_ = 0;
   robust::QualitySummary quality_base_{};
-  double last_window_end_sec_ = 0.0;
 
   // Per-window scratch between track() and feedback().
   bool stage_stuck_ = false;

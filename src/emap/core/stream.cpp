@@ -843,7 +843,9 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
         // the uplink queue always blocks regardless of policy.
         const bool pushed = q_uplink.push(std::move(job));
         health.set_idle(false);
-        if (pushed) {
+        if (!pushed) {
+          record.no_call_reason = NoCallReason::kStopping;
+        } else {
           ++ts.issued;
           record.cloud_call_issued = true;
           if (durable) {
@@ -924,7 +926,8 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
       if (item->supports_predict) {
         edge.predictor().observe(item->record.anomaly_probability, t_end);
       }
-      session.scrape(t_end, item->trace_id);
+      item->record.anomaly_predicted = edge.predictor().anomaly_predicted();
+      session.evaluate_alerts(t_end, item->trace_id);
       session.result.iterations.push_back(std::move(item->record));
       EMAP_CRASH_POINT(crashpoints, "pipeline_window_end");
       if (opts.stop_on_alarm && edge.predictor().anomaly_predicted()) {

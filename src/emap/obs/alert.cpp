@@ -1,8 +1,10 @@
 #include "emap/obs/alert.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "emap/common/error.hpp"
 #include "emap/obs/export.hpp"
@@ -86,40 +88,91 @@ bool compare(AlertOp op, double value, double limit) {
 }  // namespace
 
 AlertEngine::AlertEngine(std::vector<AlertRule> rules, Hooks hooks)
-    : rules_(std::move(rules)), status_(rules_.size()), hooks_(hooks) {
+    : rules_(std::move(rules)),
+      status_(rules_.size()),
+      cursors_(rules_.size()),
+      hooks_(hooks) {
   for (const AlertRule& rule : rules_) {
     rule.validate();
   }
 }
 
+std::optional<double> AlertEngine::read(
+    std::size_t rule_index, const std::vector<const MetricEntry*>& entries) {
+  const std::string& key = rules_[rule_index].series;
+  for (const MetricEntry* entry : entries) {
+    if (key.compare(0, entry->name.size(), entry->name) != 0) {
+      continue;
+    }
+    const std::string base = series_key_for(entry->name, entry->labels);
+    if (entry->kind == MetricKind::kCounter && key == base) {
+      return static_cast<double>(entry->counter->value());
+    }
+    if (entry->kind == MetricKind::kGauge && key == base) {
+      return entry->gauge->value();
+    }
+    if (entry->kind != MetricKind::kHistogram || key.size() <= base.size() ||
+        key.compare(0, base.size(), base) != 0 || key[base.size()] != ':') {
+      continue;
+    }
+    const std::string_view suffix =
+        std::string_view(key).substr(base.size() + 1);
+    const Histogram& histogram = *entry->histogram;
+    if (suffix == "count") {
+      return static_cast<double>(histogram.count());
+    }
+    if (suffix == "sum") {
+      return histogram.sum();
+    }
+    if (suffix == "p95") {
+      return histogram.quantile(0.95);
+    }
+    if (suffix == "mean") {
+      // Per-interval mean: Δsum/Δcount since the previous evaluation; an
+      // interval with no observations carries the last mean forward.
+      Cursor& cursor = cursors_[rule_index];
+      const double sum = histogram.sum();
+      const std::uint64_t count = histogram.count();
+      const std::uint64_t delta_count = count - cursor.count;
+      if (delta_count > 0) {
+        cursor.last_mean =
+            (sum - cursor.sum) / static_cast<double>(delta_count);
+      }
+      cursor.sum = sum;
+      cursor.count = count;
+      return cursor.last_mean;
+    }
+  }
+  return std::nullopt;
+}
+
 AlertEngine::RuleEval AlertEngine::evaluate_rule(std::size_t rule_index,
-                                                 const TimeSeriesStore& store) {
+                                                 double t_sec, double value) {
   const AlertRule& rule = rules_[rule_index];
   AlertRuleStatus& status = status_[rule_index];
   RuleEval eval;
-  const Series* series = store.find(rule.series);
-  if (series == nullptr) {
-    return eval;  // watched series not scraped yet: never a breach
-  }
-  const std::optional<double> last = series->last_value();
-  if (!last.has_value()) {
-    return eval;
-  }
-  eval.has_value = true;
+  eval.value = value;
+  eval.threshold = rule.value;
   switch (rule.kind) {
     case AlertRuleKind::kThreshold:
     case AlertRuleKind::kBurnRate:
-      eval.value = *last;
-      eval.threshold = rule.value;
       eval.breached = compare(rule.op, eval.value, eval.threshold);
       break;
-    case AlertRuleKind::kRate:
-      eval.value = series->rate_over(rule.window_sec);
-      eval.threshold = rule.value;
+    case AlertRuleKind::kRate: {
+      // Increase from the oldest point still inside the trailing window to
+      // this one, per second of the time actually spanned.
+      auto& points = cursors_[rule_index].points;
+      points.emplace_back(t_sec, value);
+      const double from = t_sec - rule.window_sec;
+      while (points.front().first < from) {
+        points.pop_front();
+      }
+      const double dt = t_sec - points.front().first;
+      eval.value = dt > 0.0 ? (value - points.front().second) / dt : 0.0;
       eval.breached = compare(rule.op, eval.value, eval.threshold);
       break;
+    }
     case AlertRuleKind::kEwma: {
-      eval.value = *last;
       if (status.ewma_samples == 0) {
         status.ewma_mean = eval.value;
         status.ewma_var = 0.0;
@@ -203,17 +256,24 @@ void AlertEngine::transition(std::size_t rule_index, double t_sec,
   }
 }
 
-std::size_t AlertEngine::evaluate(const TimeSeriesStore& store, double t_sec,
-                                  std::uint64_t trace_id) {
+std::size_t AlertEngine::evaluate(const MetricsRegistry& registry,
+                                  double t_sec, std::uint64_t trace_id) {
   ++evaluations_;
+  // Read every watched value first: transitions below bump emap_alerts_*
+  // in this same registry, and no rule may see this pass's own bumps.
+  const std::vector<const MetricEntry*> entries = registry.entries();
+  std::vector<std::optional<double>> values(rules_.size());
+  for (std::size_t i = 0; i < rules_.size(); ++i) {
+    values[i] = read(i, entries);
+  }
   std::size_t changed = 0;
   for (std::size_t i = 0; i < rules_.size(); ++i) {
+    if (!values[i].has_value()) {
+      continue;  // watched series not registered yet: never a breach
+    }
     const AlertRule& rule = rules_[i];
     AlertRuleStatus& status = status_[i];
-    const RuleEval eval = evaluate_rule(i, store);
-    if (!eval.has_value) {
-      continue;
-    }
+    const RuleEval eval = evaluate_rule(i, t_sec, *values[i]);
     status.ever_evaluated = true;
     status.last_value = eval.value;
     status.last_breached = eval.breached;
@@ -299,9 +359,32 @@ void AlertEngine::write_jsonl(const std::filesystem::path& path) const {
     std::filesystem::create_directories(path.parent_path());
   }
   std::ofstream stream(path);
-  require(static_cast<bool>(stream),
-          ("AlertEngine::write_jsonl: cannot open " + path.string()).c_str());
+  if (!stream) {
+    throw IoError("AlertEngine::write_jsonl: cannot open " + path.string());
+  }
   stream << to_jsonl();
+  stream.flush();
+  if (!stream) {
+    throw IoError("AlertEngine::write_jsonl: write failed for " +
+                  path.string());
+  }
+}
+
+std::string series_key_for(const std::string& name, const Labels& labels) {
+  std::string key = name;
+  if (!labels.empty()) {
+    key += '{';
+    bool first = true;
+    for (const auto& [label, value] : labels) {
+      if (!first) {
+        key += ',';
+      }
+      first = false;
+      key += label + "=\"" + value + '"';
+    }
+    key += '}';
+  }
+  return key;
 }
 
 std::string burn_rate_series_key(const std::string& slo_name) {
@@ -322,6 +405,30 @@ bool parse_op(const std::string& text, AlertOp* op) {
   } else {
     return false;
   }
+  return true;
+}
+
+/// A whole-token finite number (std::stod would accept "80abc", "nan").
+bool parse_finite(const std::string& text, double* out) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// A whole-token non-negative integer (std::stoul wraps "-1" to 2^64-1).
+bool parse_count(const std::string& text, std::size_t* out) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return false;
+  }
+  *out = value;
   return true;
 }
 
@@ -388,33 +495,33 @@ std::vector<AlertRule> parse_alert_rules(const std::string& text,
       }
       const std::string key = token.substr(0, eq);
       const std::string value = token.substr(eq + 1);
-      try {
-        if (key == "series") {
-          rule.series = value;
-        } else if (key == "slo") {
-          rule.series = burn_rate_series_key(value);
-        } else if (key == "op") {
-          if (!parse_op(value, &rule.op)) {
-            return fail("unknown op '" + value + "'");
-          }
-        } else if (key == "value") {
-          rule.value = std::stod(value);
-        } else if (key == "window") {
-          rule.window_sec = std::stod(value);
-        } else if (key == "alpha") {
-          rule.alpha = std::stod(value);
-        } else if (key == "sigma") {
-          rule.sigma = std::stod(value);
-        } else if (key == "warmup") {
-          rule.warmup = static_cast<std::size_t>(std::stoul(value));
-        } else if (key == "min_delta") {
-          rule.min_delta = std::stod(value);
-        } else if (key == "for") {
-          rule.for_sec = std::stod(value);
-        } else {
-          return fail("unknown key '" + key + "'");
+      bool number_ok = true;
+      if (key == "series") {
+        rule.series = value;
+      } else if (key == "slo") {
+        rule.series = burn_rate_series_key(value);
+      } else if (key == "op") {
+        if (!parse_op(value, &rule.op)) {
+          return fail("unknown op '" + value + "'");
         }
-      } catch (const std::exception&) {
+      } else if (key == "value") {
+        number_ok = parse_finite(value, &rule.value);
+      } else if (key == "window") {
+        number_ok = parse_finite(value, &rule.window_sec);
+      } else if (key == "alpha") {
+        number_ok = parse_finite(value, &rule.alpha);
+      } else if (key == "sigma") {
+        number_ok = parse_finite(value, &rule.sigma);
+      } else if (key == "warmup") {
+        number_ok = parse_count(value, &rule.warmup);
+      } else if (key == "min_delta") {
+        number_ok = parse_finite(value, &rule.min_delta);
+      } else if (key == "for") {
+        number_ok = parse_finite(value, &rule.for_sec);
+      } else {
+        return fail("unknown key '" + key + "'");
+      }
+      if (!number_ok) {
         return fail("bad number in '" + token + "'");
       }
     }
@@ -450,7 +557,7 @@ std::vector<AlertRule> load_alert_rules(const std::filesystem::path& path,
 
 std::vector<AlertRule> default_alert_rules() {
   const std::string text =
-      "# Installed when alerting is enabled without a rule file.\n"
+      "# Installed by emapctl --alerts-out without --alert-rules.\n"
       "rule track_latency_step ewma series=emap_track_step_seconds:mean "
       "alpha=0.1 sigma=4 warmup=30 min_delta=1e-6 for=3\n"
       "rule edge_iteration_burn burn slo=edge_iteration value=1.0 for=5\n"

@@ -1,8 +1,10 @@
-// Declarative alert rules evaluated over the time-series store.
+// Declarative alert rules evaluated against the metrics registry.
 //
-// The time-series store (timeseries.hpp) gives a run history; this module
-// closes the loop by watching that history as it accumulates.  Four rule
-// kinds cover the monitoring idioms the ROADMAP's soak tests need:
+// The pipeline calls evaluate() once per window, at the window's
+// completion instant on the virtual clock.  Each rule names one series of
+// the registry (`name{label="value",...}`, histograms with a `:count`,
+// `:sum`, `:mean` or `:p95` suffix).  Four rule kinds cover the
+// monitoring idioms the soak tests need:
 //
 //   threshold — latest value of a series compared against a constant
 //   rate      — counter increase per second over a trailing window
@@ -25,11 +27,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "emap/obs/timeseries.hpp"
+#include "emap/obs/metrics.hpp"
 
 namespace emap::obs {
 
@@ -95,7 +100,7 @@ struct AlertRuleStatus {
   std::size_t ewma_samples = 0;
 };
 
-/// Evaluates a fixed rule set at every scrape instant.
+/// Evaluates a fixed rule set once per window.
 class AlertEngine {
  public:
   /// Optional side-effect sinks; any may be null.  All borrowed.
@@ -109,11 +114,14 @@ class AlertEngine {
       : AlertEngine(std::move(rules), Hooks()) {}
   AlertEngine(std::vector<AlertRule> rules, Hooks hooks);
 
-  /// Evaluates every rule against the store at virtual time `t_sec`
-  /// (call right after each scrape).  `trace_id` attributes any
-  /// transitions to the causal chain being processed.  Returns the
-  /// number of transitions this evaluation produced.
-  std::size_t evaluate(const TimeSeriesStore& store, double t_sec,
+  /// Evaluates every rule against the registry's current values at
+  /// virtual time `t_sec`.  All watched values are read before any rule
+  /// transitions, so a rule watching `emap_alerts_*` sees the previous
+  /// pass's counts.  A rule whose series is not registered yet is
+  /// skipped.  `trace_id` attributes any transitions to the causal chain
+  /// being processed.  Returns the number of transitions this evaluation
+  /// produced.
+  std::size_t evaluate(const MetricsRegistry& registry, double t_sec,
                        std::uint64_t trace_id = 0);
 
   const std::vector<AlertRule>& rules() const { return rules_; }
@@ -133,32 +141,52 @@ class AlertEngine {
   ///   {"rule":...,"series":...,"t_sec":...,"state":"firing"|"resolved",
   ///    "value":...,"threshold":...,"trace_id":...}
   std::string to_jsonl() const;
+  /// Throws IoError when the file cannot be opened or written.
   void write_jsonl(const std::filesystem::path& path) const;
 
  private:
   struct RuleEval {
-    bool has_value = false;
     double value = 0.0;
     double threshold = 0.0;
     bool breached = false;
   };
-  RuleEval evaluate_rule(std::size_t rule_index, const TimeSeriesStore& store);
+  /// Per-rule history the derived values need.
+  struct Cursor {
+    /// `:mean`: the histogram's sum and count at the previous evaluation,
+    /// and the last per-interval mean (carried through empty intervals).
+    double sum = 0.0;
+    std::uint64_t count = 0;
+    double last_mean = 0.0;
+    /// rate: (t_sec, value) points inside the trailing window.
+    std::deque<std::pair<double, double>> points;
+  };
+  std::optional<double> read(std::size_t rule_index,
+                             const std::vector<const MetricEntry*>& entries);
+  RuleEval evaluate_rule(std::size_t rule_index, double t_sec, double value);
   void transition(std::size_t rule_index, double t_sec, bool firing,
                   const RuleEval& eval, std::uint64_t trace_id);
 
   std::vector<AlertRule> rules_;
   std::vector<AlertRuleStatus> status_;
+  std::vector<Cursor> cursors_;
   std::vector<AlertTransition> transitions_;
   Hooks hooks_;
   std::uint64_t evaluations_ = 0;
 };
+
+/// Canonical series key of a registry entry: `name{k="v",...}` with the
+/// labels in registry (sorted) order, `name` alone when label-free.
+std::string series_key_for(const std::string& name, const Labels& labels);
 
 /// The burn-rate gauge series key of one SLO (matches SloMonitor's
 /// registration: `emap_slo_burn_rate{slo="<name>"}`).
 std::string burn_rate_series_key(const std::string& slo_name);
 
 /// Parses the rule text format (one `rule ...` statement per line, `#`
-/// comments and blank lines ignored; see AlertRule).  On malformed input
+/// comments and blank lines ignored; see AlertRule).  Every number must
+/// parse as a whole token: `value`, `window`, `alpha`, `sigma`,
+/// `min_delta` and `for` finite, `warmup` a non-negative integer.  On
+/// malformed input
 /// returns the rules parsed so far and sets *error to a one-line
 /// diagnostic naming the line; *error is cleared on success.
 std::vector<AlertRule> parse_alert_rules(const std::string& text,
@@ -168,8 +196,8 @@ std::vector<AlertRule> parse_alert_rules(const std::string& text,
 std::vector<AlertRule> load_alert_rules(const std::filesystem::path& path,
                                         std::string* error = nullptr);
 
-/// The rules the pipeline installs when alerting is enabled and no rule
-/// file is given: EWMA-deviation on the edge window-latency mean and
+/// The rules emapctl installs when --alerts-out is given without a rule
+/// file: EWMA-deviation on the edge window-latency mean and
 /// burn-rate watches on both paper SLOs.
 std::vector<AlertRule> default_alert_rules();
 

@@ -1,6 +1,7 @@
 #include "emap/obs/dashboard.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -34,6 +35,19 @@ std::string field_text(const std::map<std::string, std::string>& fields,
   return found == fields.end() ? std::string() : found->second;
 }
 
+/// A record value as a number: JSON booleans as 0/1, otherwise the whole
+/// token must parse to a finite value (so string columns — including a
+/// quality verdict named "nan" — and null are not numbers).
+bool record_number(const std::string& text, double* out) {
+  if (text == "true" || text == "false") {
+    *out = text == "true" ? 1.0 : 0.0;
+    return true;
+  }
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end && std::isfinite(*out);
+}
+
 std::string format_number(double value) {
   char buffer[32];
   if (value == 0.0) {
@@ -50,10 +64,11 @@ std::string format_number(double value) {
 
 }  // namespace
 
-SeriesLoadResult load_series_jsonl(const std::filesystem::path& path) {
+SeriesLoadResult load_record_jsonl(const std::filesystem::path& path) {
   std::ifstream stream(path);
-  require(static_cast<bool>(stream),
-          ("load_series_jsonl: cannot open " + path.string()).c_str());
+  if (!stream) {
+    throw IoError("load_record_jsonl: cannot open " + path.string());
+  }
   SeriesLoadResult result;
   std::map<std::string, std::size_t> index;
   std::string line;
@@ -62,40 +77,37 @@ SeriesLoadResult load_series_jsonl(const std::filesystem::path& path) {
       continue;
     }
     std::map<std::string, std::string> fields;
-    if (!parse_flat_json(line, fields) || !fields.count("series") ||
-        !fields.count("t0") || !fields.count("t1")) {
+    double t_sec = 0.0;
+    if (!parse_flat_json(line, fields) || !fields.count("t_sec") ||
+        !record_number(fields["t_sec"], &t_sec)) {
       ++result.skipped_lines;
       continue;
     }
-    const std::string key = fields["series"];
-    const auto found = index.find(key);
-    LoadedSeries* series;
-    if (found == index.end()) {
-      index.emplace(key, result.series.size());
-      result.series.push_back({key, field_text(fields, "kind"), {}});
-      series = &result.series.back();
-    } else {
-      series = &result.series[found->second];
+    for (const auto& [key, text] : fields) {
+      double value = 0.0;
+      if (key == "t_sec" || !record_number(text, &value)) {
+        continue;
+      }
+      const auto found = index.try_emplace(key, result.series.size());
+      if (found.second) {
+        result.series.push_back({key, {}});
+      }
+      SeriesBucket bucket;
+      bucket.t_start_sec = bucket.t_end_sec = t_sec;
+      bucket.min = bucket.max = bucket.sum = value;
+      bucket.first = bucket.last = value;
+      bucket.count = 1;
+      result.series[found.first->second].buckets.push_back(bucket);
     }
-    SeriesBucket bucket;
-    bucket.t_start_sec = field_number(fields, "t0");
-    bucket.t_end_sec = field_number(fields, "t1");
-    bucket.min = field_number(fields, "min");
-    bucket.max = field_number(fields, "max");
-    bucket.sum = field_number(fields, "sum");
-    bucket.first = field_number(fields, "first");
-    bucket.last = field_number(fields, "last");
-    bucket.count =
-        static_cast<std::uint64_t>(field_number(fields, "count", 1.0));
-    series->buckets.push_back(bucket);
   }
   return result;
 }
 
 AlertLoadResult load_alerts_jsonl(const std::filesystem::path& path) {
   std::ifstream stream(path);
-  require(static_cast<bool>(stream),
-          ("load_alerts_jsonl: cannot open " + path.string()).c_str());
+  if (!stream) {
+    throw IoError("load_alerts_jsonl: cannot open " + path.string());
+  }
   AlertLoadResult result;
   std::string line;
   while (std::getline(stream, line)) {
@@ -328,7 +340,7 @@ std::string html_escape(const std::string& text) {
   return out;
 }
 
-/// One series as an inline SVG polyline with alert + changepoint markers.
+/// One column as an inline SVG polyline with alert + changepoint markers.
 std::string svg_chart(const LoadedSeries& series,
                       const std::vector<LoadedAlertTransition>& alerts,
                       const Changepoint& change) {
@@ -369,10 +381,9 @@ std::string svg_chart(const LoadedSeries& series,
         << format_number(x) << "\" y2=\"" << static_cast<int>(kHeight)
         << "\" stroke=\"#c87a2a\" stroke-dasharray=\"4 3\"/>";
   }
+  // Alert rules watch registry series, not record columns; every chart
+  // shares the run's time axis, so each marks every transition.
   for (const LoadedAlertTransition& alert : alerts) {
-    if (alert.series != series.key) {
-      continue;
-    }
     const double x = x_of(alert.t_sec);
     svg << "<line x1=\"" << format_number(x) << "\" y1=\"0\" x2=\""
         << format_number(x) << "\" y2=\"" << static_cast<int>(kHeight)
@@ -431,8 +442,8 @@ std::string render_html_report(const SeriesLoadResult& series,
     const Changepoint change =
         cusum_changepoint(one.buckets, options.cusum_k, options.cusum_h);
     out << "<h3 style=\"font-size:13px;margin-bottom:2px\">"
-        << html_escape(one.key) << " <span class=\"meta\">(" << one.kind
-        << ", " << one.buckets.size() << " buckets)</span></h3>";
+        << html_escape(one.key) << " <span class=\"meta\">("
+        << one.buckets.size() << " windows)</span></h3>";
     if (change.found) {
       out << "<p class=\"meta\">changepoint at t="
           << format_number(change.t_sec)

@@ -1,44 +1,64 @@
-// Post-run dashboard: renders a time-series JSONL export (and optional
-// alert transitions) into an ASCII sparkline table and a self-contained
-// HTML page, with a CUSUM changepoint pass per series.
+// Post-run dashboard: renders a per-window decision record (one JSONL
+// object per window, core::write_iterations_jsonl) and optional alert
+// transitions into an ASCII sparkline table and a self-contained HTML
+// page, with a CUSUM changepoint pass per column.
 //
-// This is the read side of timeseries.hpp/alert.hpp, consumed by
+// This is the read side of the record and of alert.hpp, consumed by
 // `emapctl report`.  Loading follows the tracecat convention: malformed
 // lines are skipped and counted, never fatal, so a report still renders
 // from a truncated file.
 //
-// The CUSUM pass answers "when did this series change level?" after the
-// fact: per-bucket means are standardized against the series' own
+// The CUSUM pass answers "when did this column change level?" after the
+// fact: per-window values are standardized against the column's own
 // mean/stddev, and the changepoint is the peak of the cumulative-sum
 // curve of those deviations (the offline CUSUM estimator — a level shift
-// makes |ΣZ| a tent whose apex is the shift bucket).  `h` gates the peak
+// makes |ΣZ| a tent whose apex is the shift window).  `h` gates the peak
 // height and `k` the implied shift, which in the soak test lands the
-// estimate within a couple of scrape intervals of the injected step.
+// estimate within a couple of windows of the injected step.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <vector>
 
-#include "emap/obs/timeseries.hpp"
-
 namespace emap::obs {
 
-/// One series parsed back from TimeSeriesStore::to_jsonl output.
+/// The closed interval [t_start, t_end] and the aggregates of every value
+/// that landed in it (a record column has one value per bucket).
+struct SeriesBucket {
+  double t_start_sec = 0.0;
+  double t_end_sec = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  double sum = 0.0;
+  double first = 0.0;   ///< chronologically first value
+  double last = 0.0;    ///< chronologically last value
+  std::uint64_t count = 0;
+
+  double mean() const {
+    return count == 0 ? 0.0 : sum / static_cast<double>(count);
+  }
+};
+
+/// One numeric record column as a time series.
 struct LoadedSeries {
   std::string key;
-  std::string kind;  ///< "counter" | "gauge" | "sample"
   std::vector<SeriesBucket> buckets;  ///< chronological, as exported
 };
 
 struct SeriesLoadResult {
-  std::vector<LoadedSeries> series;  ///< in file order (first-scrape order)
+  std::vector<LoadedSeries> series;  ///< in first-seen column order
   std::size_t skipped_lines = 0;
 };
 
-/// Loads a series JSONL file; throws on open failure, skips bad lines.
-SeriesLoadResult load_series_jsonl(const std::filesystem::path& path);
+/// Loads a per-window record and pivots every numeric column (booleans as
+/// 0/1) except `t_sec` into a series with one single-value bucket per
+/// window, placed at the window's `t_sec`.  String columns and null
+/// values are left out; lines without a numeric `t_sec` are skipped.
+/// Throws IoError when the file cannot be opened.
+SeriesLoadResult load_record_jsonl(const std::filesystem::path& path);
 
 /// One alert transition parsed back from AlertEngine::to_jsonl output.
 struct LoadedAlertTransition {
@@ -55,6 +75,8 @@ struct AlertLoadResult {
   std::size_t skipped_lines = 0;
 };
 
+/// Loads an alert-transition JSONL file; throws IoError when it cannot be
+/// opened, skips bad lines.
 AlertLoadResult load_alerts_jsonl(const std::filesystem::path& path);
 
 /// Result of the CUSUM pass over one series.

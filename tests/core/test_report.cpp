@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
+#include <map>
+#include <utility>
 
 #include "emap/common/error.hpp"
+#include "emap/obs/dashboard.hpp"
+#include "emap/obs/tracecat.hpp"
 #include "support/test_util.hpp"
 
 namespace emap::core {
@@ -30,25 +35,102 @@ std::vector<std::string> read_lines(const std::filesystem::path& path) {
   return lines;
 }
 
-TEST(Report, IterationsCsvHasHeaderAndOneRowPerIteration) {
+/// Bit-exact double comparison (== would equate -0.0 and 0.0).
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(Report, IterationsJsonlHasOneObjectPerIteration) {
   testing::TempDir dir("report");
   const auto result = sample_run();
-  const auto path = dir.path() / "iterations.csv";
-  write_iterations_csv(result, path);
+  const auto path = dir.path() / "record.jsonl";
+  write_iterations_jsonl(result, path);
   const auto lines = read_lines(path);
-  ASSERT_EQ(lines.size(), result.iterations.size() + 1);
-  EXPECT_NE(lines[0].find("anomaly_probability"), std::string::npos);
-  // Every data row has the full column count.
-  const auto commas = std::count(lines[0].begin(), lines[0].end(), ',');
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    EXPECT_EQ(std::count(lines[i].begin(), lines[i].end(), ','), commas);
+  ASSERT_EQ(lines.size(), result.iterations.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    std::map<std::string, std::string> fields;
+    ASSERT_TRUE(obs::parse_flat_json(lines[i], fields)) << lines[i];
+    EXPECT_EQ(fields.size(), 23u);
+    EXPECT_EQ(fields["window"], std::to_string(i));
+  }
+}
+
+TEST(Report, RecordJsonlRoundTripsEveryFieldBitExact) {
+  RunResult result = sample_run();
+  // Values a 6-significant-digit writer would lose.
+  IterationRecord edge;
+  edge.window_index = result.iterations.size();
+  edge.t_sec = 1.0 / 3.0;
+  edge.anomaly_probability = 0.1 + 0.2;
+  edge.track_device_sec = 5e-324;
+  edge.abs_ops = (std::uint64_t{1} << 53) - 1;
+  edge.loaded_sequence = 123456789;
+  edge.set_loaded = true;
+  edge.anomaly_predicted = true;
+  edge.no_call_reason = NoCallReason::kStopping;
+  edge.robust_state = robust::DegradeState::kRecovering;
+  edge.quality = robust::QualityVerdict::kNan;
+  result.iterations.push_back(edge);
+  ASSERT_EQ(result.iterations.front().pa_on_load, -1.0);
+
+  testing::TempDir dir("report_roundtrip");
+  const auto path = dir.path() / "record.jsonl";
+  write_iterations_jsonl(result, path);
+  const obs::SeriesLoadResult loaded = obs::load_record_jsonl(path);
+  EXPECT_EQ(loaded.skipped_lines, 0u);
+  std::map<std::string, const obs::LoadedSeries*> column;
+  for (const obs::LoadedSeries& series : loaded.series) {
+    ASSERT_EQ(series.buckets.size(), result.iterations.size()) << series.key;
+    column[series.key] = &series;
+  }
+  ASSERT_EQ(column.size(), 19u);  // 23 fields - t_sec - 3 string columns
+  const auto lines = read_lines(path);
+  for (std::size_t i = 0; i < result.iterations.size(); ++i) {
+    const IterationRecord& r = result.iterations[i];
+    const std::pair<const char*, double> expected[] = {
+        {"window", static_cast<double>(r.window_index)},
+        {"tracked", r.tracked ? 1.0 : 0.0},
+        {"set_loaded", r.set_loaded ? 1.0 : 0.0},
+        {"loaded_sequence", static_cast<double>(r.loaded_sequence)},
+        {"pa_on_load", r.pa_on_load},
+        {"anomaly_probability", r.anomaly_probability},
+        {"anomaly_predicted", r.anomaly_predicted ? 1.0 : 0.0},
+        {"tracked_before", static_cast<double>(r.tracked_before)},
+        {"tracked_after", static_cast<double>(r.tracked_after)},
+        {"removed_dissimilar", static_cast<double>(r.removed_dissimilar)},
+        {"removed_exhausted", static_cast<double>(r.removed_exhausted)},
+        {"abs_ops", static_cast<double>(r.abs_ops)},
+        {"track_device_sec", r.track_device_sec},
+        {"cloud_call_issued", r.cloud_call_issued ? 1.0 : 0.0},
+        {"degraded", r.degraded ? 1.0 : 0.0},
+        {"shed_cap", static_cast<double>(r.shed_cap)},
+        {"breaker_rejected", r.breaker_rejected ? 1.0 : 0.0},
+        {"robust_critical", r.robust_critical ? 1.0 : 0.0},
+        {"robust_recovered", r.recovered ? 1.0 : 0.0},
+    };
+    for (const auto& [key, value] : expected) {
+      ASSERT_EQ(column.count(key), 1u) << key;
+      const obs::SeriesBucket& bucket = column[key]->buckets[i];
+      EXPECT_TRUE(same_bits(bucket.last, value))
+          << key << " window " << i << ": " << bucket.last << " vs " << value;
+      EXPECT_TRUE(same_bits(bucket.t_start_sec, r.t_sec)) << i;
+    }
+    std::map<std::string, std::string> fields;
+    ASSERT_TRUE(obs::parse_flat_json(lines[i], fields));
+    EXPECT_EQ(fields["no_call_reason"], no_call_reason_name(r.no_call_reason));
+    EXPECT_EQ(fields["robust_state"],
+              robust::degrade_state_name(r.robust_state));
+    EXPECT_EQ(fields["quality"], robust::quality_verdict_name(r.quality));
   }
 }
 
 TEST(Report, WriteToUnwritablePathThrows) {
   const auto result = sample_run();
-  EXPECT_THROW(write_iterations_csv(result, "/nonexistent/dir/out.csv"),
+  EXPECT_THROW(write_iterations_jsonl(result, "/nonexistent/dir/out.jsonl"),
                IoError);
+  // A directory where the file should go.
+  testing::TempDir dir("report_dir");
+  EXPECT_THROW(write_iterations_jsonl(result, dir.path()), IoError);
 }
 
 TEST(Report, JsonSummaryContainsAllKeys) {

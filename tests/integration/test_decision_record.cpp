@@ -1,0 +1,147 @@
+// The per-window decision record says why each window did or did not call
+// the cloud.  One seeded run per reason: a cold start waiting on its
+// first search, a dead downlink that opens the breaker, a NaN window the
+// quality gate excludes, and a slowed edge that forces CRITICAL.  Every
+// run also keeps the record's basic contract: a call was issued exactly
+// when the reason is `none`.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <limits>
+
+#include "emap/core/pipeline.hpp"
+#include "emap/sim/device.hpp"
+#include "support/test_util.hpp"
+
+namespace emap::core {
+namespace {
+
+constexpr std::size_t kWindow = 256;
+
+synth::Recording seizure_input(std::uint64_t seed, double duration,
+                               double onset) {
+  synth::EvalInputSpec spec;
+  spec.cls = synth::AnomalyClass::kSeizure;
+  spec.seed = seed;
+  spec.duration_sec = duration;
+  spec.onset_sec = onset;
+  return synth::make_eval_input(spec);
+}
+
+std::size_t count_reason(const RunResult& result, NoCallReason reason) {
+  std::size_t count = 0;
+  for (const IterationRecord& record : result.iterations) {
+    EXPECT_EQ(record.cloud_call_issued,
+              record.no_call_reason == NoCallReason::kNone)
+        << "window " << record.window_index;
+    count += record.no_call_reason == reason ? 1 : 0;
+  }
+  return count;
+}
+
+TEST(DecisionRecord, ColdStartWaitsOnTheFirstSearch) {
+  // A cloud 20x slower than the i7 model, so the initial search spans
+  // several windows.
+  sim::DeviceProfile cloud = sim::cloud_i7();
+  cloud.name = "slowed-cloud";
+  cloud.mac_ops_per_sec /= 20.0;
+  cloud.abs_ops_per_sec /= 20.0;
+  cloud.per_signal_overhead_sec *= 20.0;
+  PipelineOptions options;
+  options.cloud_device = cloud;
+  // H = 1: once a set is loaded, the tracker asks again only when it has
+  // lost every signal.
+  EmapConfig config;
+  config.tracking_threshold_h = 1;
+  EmapPipeline pipeline(testing::small_mdb(4), config, options);
+  const RunResult result = pipeline.run(seizure_input(21, 30.0, 20.0));
+  ASSERT_GE(result.iterations.size(), 3u);
+  EXPECT_EQ(result.iterations[0].no_call_reason, NoCallReason::kNone);
+  std::size_t first_load = 0;
+  while (first_load < result.iterations.size() &&
+         !result.iterations[first_load].set_loaded) {
+    ++first_load;
+  }
+  ASSERT_LT(first_load, result.iterations.size());
+  ASSERT_GE(first_load, 2u);  // the initial search spans windows
+  EXPECT_EQ(result.iterations[first_load].loaded_sequence, 0);
+  for (std::size_t w = 1; w < first_load; ++w) {
+    EXPECT_EQ(result.iterations[w].no_call_reason, NoCallReason::kInFlight)
+        << "window " << w;
+  }
+  // Once tracking, windows did not need the cloud.
+  EXPECT_GT(count_reason(result, NoCallReason::kNotNeeded), 0u);
+}
+
+TEST(DecisionRecord, OpenBreakerIsTheReasonUnderPermanentOutage) {
+  PipelineOptions options;
+  options.robust.enabled = true;
+  options.fault.down.drop = 1.0;  // no response ever arrives
+  options.retry.max_attempts = 2;
+  options.retry.max_timeout_sec = 1.5;
+  options.retry.deadline_sec = 3.0;
+  EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{}, options);
+  const RunResult result = pipeline.run(seizure_input(3, 20.0, 15.0));
+  ASSERT_GT(result.robust.breaker.rejected, 0u);
+  EXPECT_GT(count_reason(result, NoCallReason::kBreakerOpen), 0u);
+  for (const IterationRecord& record : result.iterations) {
+    EXPECT_EQ(record.breaker_rejected,
+              record.no_call_reason == NoCallReason::kBreakerOpen);
+    EXPECT_FALSE(record.set_loaded);
+  }
+}
+
+TEST(DecisionRecord, QualityGatedWindowIssuesNoCall) {
+  synth::Recording input = seizure_input(5, 30.0, 25.0);
+  constexpr std::size_t kGated = 12;
+  input.samples[kGated * kWindow + 7] =
+      std::numeric_limits<double>::quiet_NaN();
+  PipelineOptions options;
+  options.robust.enabled = true;
+  EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{}, options);
+  const RunResult result = pipeline.run(input);
+  ASSERT_GT(result.iterations.size(), kGated);
+  const IterationRecord& gated = result.iterations[kGated];
+  EXPECT_EQ(gated.quality, robust::QualityVerdict::kNan);
+  EXPECT_EQ(gated.no_call_reason, NoCallReason::kQualityGated);
+  EXPECT_FALSE(gated.tracked);
+  EXPECT_EQ(count_reason(result, NoCallReason::kQualityGated),
+            result.robust.quality.bad());
+}
+
+TEST(DecisionRecord, CriticalWindowsSayCritical) {
+  // The slowed edge of the robust golden run: the full set trips the
+  // watchdog, which forces CRITICAL.
+  EmapConfig config;
+  config.delta = -0.5;
+  sim::DeviceProfile edge = sim::edge_raspberry_pi();
+  edge.name = "slowed-edge";
+  edge.per_signal_overhead_sec = 0.05;
+  PipelineOptions options;
+  options.robust.enabled = true;
+  options.edge_device = edge;
+  EmapPipeline pipeline(testing::small_mdb(4), config, options);
+  const RunResult result = pipeline.run(seizure_input(11, 60.0, 45.0));
+  ASSERT_GE(result.robust.critical_windows, 1u);
+  EXPECT_EQ(count_reason(result, NoCallReason::kCritical),
+            result.robust.critical_windows);
+  for (const IterationRecord& record : result.iterations) {
+    EXPECT_EQ(record.robust_critical,
+              record.no_call_reason == NoCallReason::kCritical);
+  }
+}
+
+TEST(DecisionRecord, ReasonNamesAreStable) {
+  EXPECT_STREQ(no_call_reason_name(NoCallReason::kNone), "none");
+  EXPECT_STREQ(no_call_reason_name(NoCallReason::kCritical), "critical");
+  EXPECT_STREQ(no_call_reason_name(NoCallReason::kQualityGated),
+               "quality_gated");
+  EXPECT_STREQ(no_call_reason_name(NoCallReason::kInFlight), "in_flight");
+  EXPECT_STREQ(no_call_reason_name(NoCallReason::kNotNeeded), "not_needed");
+  EXPECT_STREQ(no_call_reason_name(NoCallReason::kBreakerOpen),
+               "breaker_open");
+  EXPECT_STREQ(no_call_reason_name(NoCallReason::kStopping), "stopping");
+}
+
+}  // namespace
+}  // namespace emap::core

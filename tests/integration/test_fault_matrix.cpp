@@ -250,7 +250,7 @@ TEST_F(FaultMatrixTest, ChaosCellSurvivesEverythingAtOnce) {
   EXPECT_NE(json.find("\"degraded\":"), std::string::npos);
   EXPECT_NE(json.find("\"failed_cloud_calls\":"), std::string::npos);
   const testing::TempDir dir("fault_matrix");
-  write_iterations_csv(result, dir.path() / "iterations.csv");
+  write_iterations_jsonl(result, dir.path() / "record.jsonl");
 }
 
 TEST_F(FaultMatrixTest, PermanentOutageDegradesEveryCallButKeepsTracking) {

@@ -7,9 +7,11 @@
 // device-model step times, counters, Eq. 4 timings and the robust summary.
 // The faulted run also pins the bytes of its final snapshot file.  Any
 // change to the per-window steps that alters a single bit of the output
-// changes a digest.  The DSP kernels are pinned to the scalar arm so the
-// digests hold on every host and build type; the clean and faulted runs
-// are pinned on the AVX2 arm too, skipped on hosts without it.
+// changes a digest.  The same runs check that the decision record
+// explains every window's cloud call.  The DSP kernels are pinned to the
+// scalar arm so the digests hold on every host and build type; the clean
+// and faulted runs are pinned on the AVX2 arm too, skipped on hosts
+// without it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -115,9 +117,8 @@ RunResult clean_run() {
   return pipeline.run(seizure_input(21, 60.0, 40.0));
 }
 
-/// The faulted run's digest and the CRC of its final snapshot file.
-std::pair<std::uint32_t, std::uint32_t> faulted_run_digests() {
-  testing::TempDir dir("session_golden");
+/// The faulted run, checkpointing into `dir` after every window.
+RunResult faulted_run(const std::filesystem::path& dir) {
   PipelineOptions options;
   options.fault.up.drop = 0.2;
   options.fault.down.drop = 0.1;
@@ -126,15 +127,68 @@ std::pair<std::uint32_t, std::uint32_t> faulted_run_digests() {
   options.fault.up.delay = 0.2;
   options.fault.seed = 0x5e55u;
   options.retry.max_attempts = 2;
-  options.recovery.checkpoint_dir = dir.path();
+  options.recovery.checkpoint_dir = dir;
   options.recovery.interval_windows = 1;
   EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{}, options);
-  const RunResult result = pipeline.run(seizure_input(33, 60.0, 40.0));
+  return pipeline.run(seizure_input(33, 60.0, 40.0));
+}
+
+/// The faulted run's digest and the CRC of its final snapshot file.
+std::pair<std::uint32_t, std::uint32_t> faulted_run_digests() {
+  testing::TempDir dir("session_golden");
+  const RunResult result = faulted_run(dir.path());
   EXPECT_GE(result.retry_attempts, 1u);
   EXPECT_GE(result.failed_cloud_calls, 1u);
   EXPECT_EQ(result.robust.recovery.checkpoints_written,
             result.iterations.size());
   return {digest(result), file_crc(robust::checkpoint_path(dir.path()))};
+}
+
+RunResult robust_run() {
+  // delta = -0.5 makes every offset a candidate, so each delivery carries
+  // the full top-100 set and is truncated to the shed cap.  At 50 ms per
+  // tracked signal the full set trips the watchdog, which forces CRITICAL.
+  EmapConfig config;
+  config.delta = -0.5;
+  sim::DeviceProfile edge = sim::edge_raspberry_pi();
+  edge.name = "slowed-edge";
+  edge.per_signal_overhead_sec = 0.05;
+  PipelineOptions options;
+  options.robust.enabled = true;
+  options.edge_device = edge;
+  EmapPipeline pipeline(testing::small_mdb(4), config, options);
+  return pipeline.run(seizure_input(11, 60.0, 45.0));
+}
+
+/// The decision record explains every window: a call was issued exactly
+/// when no reason says otherwise, every loaded set names the earlier
+/// window whose call delivered it, and the last window carries the run's
+/// alarm.
+void expect_decisions_explained(const RunResult& result) {
+  ASSERT_FALSE(result.iterations.empty());
+  EXPECT_EQ(result.iterations.back().anomaly_predicted,
+            result.anomaly_predicted);
+  for (std::size_t i = 0; i < result.iterations.size(); ++i) {
+    const IterationRecord& r = result.iterations[i];
+    EXPECT_EQ(r.cloud_call_issued, r.no_call_reason == NoCallReason::kNone)
+        << "window " << i << ": " << no_call_reason_name(r.no_call_reason);
+    EXPECT_EQ(r.breaker_rejected,
+              r.no_call_reason == NoCallReason::kBreakerOpen)
+        << "window " << i;
+    if (!r.set_loaded) {
+      EXPECT_EQ(r.loaded_sequence, -1) << "window " << i;
+      continue;
+    }
+    bool issued_earlier = false;
+    for (std::size_t j = 0; j < i; ++j) {
+      issued_earlier |= static_cast<std::int64_t>(
+                            result.iterations[j].window_index) ==
+                            r.loaded_sequence &&
+                        result.iterations[j].cloud_call_issued;
+    }
+    EXPECT_TRUE(issued_earlier)
+        << "window " << i << " loaded sequence " << r.loaded_sequence;
+  }
 }
 
 bool avx2_arm_available() {
@@ -185,23 +239,20 @@ TEST_F(SessionGolden, FaultedRunCheckpointingEveryWindowAvx2) {
 }
 
 TEST_F(SessionGolden, RobustRunOnSlowedEdge) {
-  // delta = -0.5 makes every offset a candidate, so each delivery carries
-  // the full top-100 set and is truncated to the shed cap.  At 50 ms per
-  // tracked signal the full set trips the watchdog, which forces CRITICAL.
-  EmapConfig config;
-  config.delta = -0.5;
-  sim::DeviceProfile edge = sim::edge_raspberry_pi();
-  edge.name = "slowed-edge";
-  edge.per_signal_overhead_sec = 0.05;
-  PipelineOptions options;
-  options.robust.enabled = true;
-  options.edge_device = edge;
-  EmapPipeline pipeline(testing::small_mdb(4), config, options);
-  const RunResult result = pipeline.run(seizure_input(11, 60.0, 45.0));
+  const RunResult result = robust_run();
   EXPECT_GE(result.robust.shed_loads, 1u);
   EXPECT_GE(result.robust.critical_windows, 1u);
   EXPECT_GE(result.robust.deferred_flushes, 1u);
   EXPECT_EQ(digest(result), 0x9501f463u);
+}
+
+TEST_F(SessionGolden, RecordExplainsEveryCallDecision) {
+  expect_decisions_explained(clean_run());
+  {
+    testing::TempDir dir("session_golden_record");
+    expect_decisions_explained(faulted_run(dir.path()));
+  }
+  expect_decisions_explained(robust_run());
 }
 
 }  // namespace

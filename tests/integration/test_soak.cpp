@@ -1,28 +1,30 @@
-// Soak: hours of virtual time under the time-series/alerting stack.
+// Soak: hours of virtual time under the alerting stack and the decision
+// record.
 //
-// The engine-level soak drives the exact series and rules the pipeline
-// installs (default_alert_rules over emap_track_step_seconds:mean and the
-// two SLO burn gauges) through 2+ simulated hours with a latency step
-// injected late in the run, then asserts the whole closed loop: bounded
-// series memory, the EWMA and burn rules firing with a correlated flight
-// dump, and the offline CUSUM report reconstructing the changepoint
-// within ±2 scrape intervals.  The pipeline-level soak runs the real
-// EmapPipeline under the fault injector and pins down determinism
-// (bit-identical JSONL across identical seeded runs) and the off-switch
-// (timeseries disabled changes nothing about the run).
+// The engine-level soak drives the exact series and rules the default
+// alerting installs (default_alert_rules over emap_track_step_seconds:mean
+// and the two SLO burn gauges) straight from a registry through 2+
+// simulated hours with a latency step injected late in the run, then
+// asserts the whole closed loop: the EWMA and burn rules firing with a
+// correlated flight dump, and the offline CUSUM report reconstructing the
+// changepoint from a 7,200-window record within ±2 windows.  The
+// pipeline-level soak runs the real EmapPipeline under the fault injector
+// and pins down determinism (bit-identical record and alert JSONL across
+// identical seeded runs) and that alerting is a pure observer of the run.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "emap/core/pipeline.hpp"
+#include "emap/core/report.hpp"
 #include "emap/obs/alert.hpp"
 #include "emap/obs/dashboard.hpp"
 #include "emap/obs/flight.hpp"
 #include "emap/obs/metrics.hpp"
 #include "emap/obs/span.hpp"
-#include "emap/obs/timeseries.hpp"
 #include "support/test_util.hpp"
 
 namespace emap::core {
@@ -43,6 +45,20 @@ synth::Recording seizure_input(std::uint64_t seed, double duration = 40.0,
   return synth::make_eval_input(spec);
 }
 
+/// The default rules plus one that fires on every window, so the hooks
+/// run inside the pipeline.
+std::vector<obs::AlertRule> firing_rules() {
+  std::vector<obs::AlertRule> rules = obs::default_alert_rules();
+  std::string error;
+  const std::vector<obs::AlertRule> always = obs::parse_alert_rules(
+      "rule windows threshold series=emap_pipeline_windows_total op=gt "
+      "value=0\n",
+      &error);
+  EXPECT_TRUE(error.empty()) << error;
+  rules.insert(rules.end(), always.begin(), always.end());
+  return rules;
+}
+
 TEST(Soak, TwoVirtualHoursWithLateLatencyStep) {
   emap::testing::TempDir dir("soak");
 
@@ -53,11 +69,6 @@ TEST(Soak, TwoVirtualHoursWithLateLatencyStep) {
                                          {{"slo", "edge_iteration"}});
   obs::Gauge& initial_burn = registry.gauge("emap_slo_burn_rate",
                                             {{"slo", "initial_response"}});
-
-  obs::TimeSeriesOptions ts_options;
-  ts_options.enabled = true;
-  obs::TimeSeriesStore store(ts_options);
-  obs::TimeSeriesScraper scraper(&registry, &store);
 
   obs::Tracer tracer;
   obs::FlightRecorder flight(256);
@@ -70,27 +81,26 @@ TEST(Soak, TwoVirtualHoursWithLateLatencyStep) {
   obs::AlertEngine engine(obs::default_alert_rules(), hooks);
 
   // One virtual second per iteration, exactly like the pipeline's window
-  // cadence.  Deterministic wobble keeps the EWMA variance finite.
+  // cadence; each window's step time also goes into its record.
+  // Deterministic wobble keeps the EWMA variance finite.
+  RunResult record;
   for (double t = 1.0; t <= kSoakSeconds; t += 1.0) {
     const double wobble = 0.001 * std::sin(0.37 * t);
     const bool stepped = t >= kStepAtSec;
-    track.observe((stepped ? kSteppedTrack : kBaselineTrack) + wobble);
+    const double step_sec = (stepped ? kSteppedTrack : kBaselineTrack) + wobble;
+    track.observe(step_sec);
     edge_burn.set(stepped ? 3.0 : 0.2 + 0.05 * std::sin(0.11 * t));
     initial_burn.set(0.1);
-    if (scraper.maybe_scrape(t)) {
-      engine.evaluate(store, t, static_cast<std::uint64_t>(t));
-    }
+    engine.evaluate(registry, t, static_cast<std::uint64_t>(t));
+    IterationRecord window;
+    window.window_index = record.iterations.size();
+    window.t_sec = t;
+    window.tracked = true;
+    window.track_device_sec = step_sec;
+    window.no_call_reason = NoCallReason::kNotNeeded;
+    record.iterations.push_back(window);
   }
-
-  // Memory stayed bounded: the retention policy's hard cap held through
-  // 7200 scrapes, with the raw tier long since compacting into coarser
-  // ones for every series.
-  EXPECT_EQ(store.scrapes(), static_cast<std::uint64_t>(kSoakSeconds));
-  EXPECT_LE(store.total_buckets(), store.bucket_capacity());
-  const obs::Series* mean_series = store.find("emap_track_step_seconds:mean");
-  ASSERT_NE(mean_series, nullptr);
-  EXPECT_LE(mean_series->total_buckets(), 3 * ts_options.tier_capacity);
-  EXPECT_GT(mean_series->tier_size(1), 0u);  // compaction actually ran
+  EXPECT_EQ(engine.evaluations(), static_cast<std::uint64_t>(kSoakSeconds));
 
   // The injected step tripped both default watchdogs...
   EXPECT_TRUE(engine.ever_fired("track_latency_step"));
@@ -134,24 +144,27 @@ TEST(Soak, TwoVirtualHoursWithLateLatencyStep) {
             1u);
   EXPECT_GE(tracer.size(), 2u);
 
-  // Offline reconstruction: export, reload, and the CUSUM pass finds the
-  // changepoint within ±2 scrape intervals of the injected step.
-  store.write_jsonl(dir.path() / "series.jsonl");
+  // Offline reconstruction: export the 7,200-window record, reload it,
+  // and the CUSUM pass finds the changepoint within ±2 windows of the
+  // injected step.
+  write_iterations_jsonl(record, dir.path() / "record.jsonl");
   engine.write_jsonl(dir.path() / "alerts.jsonl");
   const obs::SeriesLoadResult loaded =
-      obs::load_series_jsonl(dir.path() / "series.jsonl");
+      obs::load_record_jsonl(dir.path() / "record.jsonl");
   EXPECT_EQ(loaded.skipped_lines, 0u);
-  const obs::LoadedSeries* loaded_mean = nullptr;
+  const obs::LoadedSeries* loaded_step = nullptr;
   for (const obs::LoadedSeries& series : loaded.series) {
-    if (series.key == "emap_track_step_seconds:mean") {
-      loaded_mean = &series;
+    if (series.key == "track_device_sec") {
+      loaded_step = &series;
     }
   }
-  ASSERT_NE(loaded_mean, nullptr);
-  const obs::Changepoint cp = obs::cusum_changepoint(loaded_mean->buckets);
+  ASSERT_NE(loaded_step, nullptr);
+  ASSERT_EQ(loaded_step->buckets.size(),
+            static_cast<std::size_t>(kSoakSeconds));
+  const obs::Changepoint cp = obs::cusum_changepoint(loaded_step->buckets);
   ASSERT_TRUE(cp.found);
-  EXPECT_GE(cp.t_sec, kStepAtSec - 2.0 * ts_options.scrape_interval_sec);
-  EXPECT_LE(cp.t_sec, kStepAtSec + 2.0 * ts_options.scrape_interval_sec);
+  EXPECT_GE(cp.t_sec, kStepAtSec - 2.0);
+  EXPECT_LE(cp.t_sec, kStepAtSec + 2.0);
   EXPECT_NEAR(cp.shift, kSteppedTrack - kBaselineTrack, 0.1);
 
   // The rendered report ties it together (rule names + changepoint rows).
@@ -159,31 +172,31 @@ TEST(Soak, TwoVirtualHoursWithLateLatencyStep) {
       obs::load_alerts_jsonl(dir.path() / "alerts.jsonl");
   EXPECT_GE(alerts.transitions.size(), 3u);
   obs::ReportOptions report_options;
-  report_options.series_filter = "track_step";
+  report_options.series_filter = "track_device";
   const std::string report =
       obs::render_ascii_report(loaded, alerts, report_options);
   EXPECT_NE(report.find("changepoint"), std::string::npos);
   EXPECT_NE(report.find("track_latency_step"), std::string::npos);
 }
 
-TEST(Soak, PipelineScrapesUnderFaultsWithBoundedSeries) {
+TEST(Soak, PipelineEvaluatesAlertsUnderFaults) {
   obs::MetricsRegistry registry;
   PipelineOptions options;
   options.metrics = &registry;
-  options.timeseries.enabled = true;
+  options.alert_rules = obs::default_alert_rules();
   options.fault.up.drop = 0.2;
   options.fault.seed = 99;
   const auto result =
       EmapPipeline(emap::testing::small_mdb(4), EmapConfig{}, options)
           .run(seizure_input(21));
 
-  ASSERT_NE(result.series, nullptr);
   ASSERT_NE(result.alerts, nullptr);
-  EXPECT_GT(result.series->scrapes(), 0u);
-  EXPECT_LE(result.series->total_buckets(), result.series->bucket_capacity());
-  // The pipeline's own window-latency series got scraped.
-  EXPECT_NE(result.series->find("emap_track_step_seconds:mean"), nullptr);
-  EXPECT_EQ(result.alerts->evaluations(), result.series->scrapes());
+  // One evaluation per window, and every default rule found its series.
+  EXPECT_EQ(result.alerts->evaluations(), result.iterations.size());
+  for (std::size_t i = 0; i < result.alerts->rules().size(); ++i) {
+    EXPECT_TRUE(result.alerts->status(i).ever_evaluated)
+        << result.alerts->rules()[i].name;
+  }
   // A healthy short run fires nothing.
   EXPECT_EQ(result.alerts->firing_count(), 0u);
 }
@@ -193,45 +206,47 @@ TEST(Soak, IdenticalSeededRunsExportBitIdenticalTelemetry) {
     obs::MetricsRegistry registry;
     PipelineOptions options;
     options.metrics = &registry;
-    options.timeseries.enabled = true;
+    options.alert_rules = firing_rules();
     options.fault.up.drop = 0.1;
     options.fault.seed = 7;
     const auto result =
         EmapPipeline(emap::testing::small_mdb(4), EmapConfig{}, options)
             .run(seizure_input(31));
-    return std::pair<std::string, std::string>(result.series->to_jsonl(),
+    return std::pair<std::string, std::string>(iterations_jsonl(result),
                                                result.alerts->to_jsonl());
   };
   const auto first = run_once();
   const auto second = run_once();
-  EXPECT_EQ(first.first, second.first);    // series JSONL bit-identical
+  EXPECT_EQ(first.first, second.first);    // record JSONL bit-identical
   EXPECT_EQ(first.second, second.second);  // alert JSONL bit-identical
   EXPECT_FALSE(first.first.empty());
+  EXPECT_FALSE(first.second.empty());
 }
 
-TEST(Soak, ScrapingIsAPureObserverOfTheRun) {
-  auto run_with = [](bool timeseries_enabled) {
+TEST(Soak, AlertingIsAPureObserverOfTheRun) {
+  auto run_with = [](bool alerting) {
     obs::MetricsRegistry registry;
     PipelineOptions options;
     options.metrics = &registry;
-    options.timeseries.enabled = timeseries_enabled;
+    if (alerting) {
+      options.alert_rules = firing_rules();
+    }
     return EmapPipeline(emap::testing::small_mdb(4), EmapConfig{}, options)
         .run(seizure_input(41));
   };
-  const auto with_scraping = run_with(true);
-  const auto without_scraping = run_with(false);
+  const auto with_alerts = run_with(true);
+  const auto without_alerts = run_with(false);
 
-  // Off = no store, no engine, and — the off-switch contract — the run
+  // No rules = no engine; with rules, transitions happened — and the run
   // itself is untouched by the observer.
-  EXPECT_EQ(without_scraping.series, nullptr);
-  EXPECT_EQ(without_scraping.alerts, nullptr);
-  ASSERT_NE(with_scraping.series, nullptr);
-  EXPECT_EQ(with_scraping.pa_history(), without_scraping.pa_history());
-  EXPECT_EQ(with_scraping.iterations.size(),
-            without_scraping.iterations.size());
-  EXPECT_EQ(with_scraping.first_alarm_sec, without_scraping.first_alarm_sec);
-  EXPECT_EQ(with_scraping.timings.delta_initial_sec,
-            without_scraping.timings.delta_initial_sec);
+  EXPECT_EQ(without_alerts.alerts, nullptr);
+  ASSERT_NE(with_alerts.alerts, nullptr);
+  EXPECT_FALSE(with_alerts.alerts->transitions().empty());
+  EXPECT_EQ(with_alerts.pa_history(), without_alerts.pa_history());
+  EXPECT_EQ(iterations_jsonl(with_alerts), iterations_jsonl(without_alerts));
+  EXPECT_EQ(with_alerts.first_alarm_sec, without_alerts.first_alarm_sec);
+  EXPECT_EQ(with_alerts.timings.delta_initial_sec,
+            without_alerts.timings.delta_initial_sec);
 }
 
 }  // namespace

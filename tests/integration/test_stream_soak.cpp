@@ -17,6 +17,7 @@
 
 #include "emap/core/pipeline.hpp"
 #include "emap/core/stream.hpp"
+#include "emap/obs/alert.hpp"
 #include "emap/obs/flight.hpp"
 #include "emap/obs/metrics.hpp"
 #include "emap/robust/crashpoint.hpp"
@@ -69,7 +70,7 @@ TEST(StreamSoak, TwoVirtualHoursThreadedUnderFaultsAndStageFailures) {
   options.metrics = &registry;
   options.flight = &flight;
   options.crashpoints = &crashpoints;
-  options.timeseries.enabled = true;
+  options.alert_rules = obs::default_alert_rules();
   options.fault.up.drop = 0.05;
   options.fault.down.drop = 0.05;
   options.fault.seed = 23;
@@ -135,10 +136,10 @@ TEST(StreamSoak, TwoVirtualHoursThreadedUnderFaultsAndStageFailures) {
   EXPECT_GE(result.cloud_calls, 1u);
   EXPECT_GE(result.retry_attempts, 1u);
 
-  // Telemetry survived the soak bounded, and the supervisor's
+  // Alerts were evaluated once per recorded window, and the supervisor's
   // interventions are in the flight ring.
-  ASSERT_NE(result.series, nullptr);
-  EXPECT_LE(result.series->total_buckets(), result.series->bucket_capacity());
+  ASSERT_NE(result.alerts, nullptr);
+  EXPECT_EQ(result.alerts->evaluations(), result.iterations.size());
   std::size_t stall_events = 0;
   for (const obs::FlightEvent& event : flight.snapshot()) {
     stall_events += event.type == obs::FlightEventType::kStageStall ? 1 : 0;

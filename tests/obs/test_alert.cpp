@@ -6,19 +6,13 @@
 #include <filesystem>
 #include <fstream>
 
+#include "emap/common/error.hpp"
 #include "emap/obs/flight.hpp"
 #include "emap/obs/metrics.hpp"
 #include "emap/obs/span.hpp"
-#include "emap/obs/timeseries.hpp"
 
 namespace emap::obs {
 namespace {
-
-TimeSeriesOptions enabled_options() {
-  TimeSeriesOptions options;
-  options.enabled = true;
-  return options;
-}
 
 AlertRule threshold_rule(std::string series, double value,
                          double for_sec = 0.0, AlertOp op = AlertOp::kGt) {
@@ -32,11 +26,10 @@ AlertRule threshold_rule(std::string series, double value,
   return rule;
 }
 
-// Drives a single-gauge store: set value, scrape, evaluate.
+// Drives a single-gauge registry: set value, evaluate.
 struct GaugeHarness {
   MetricsRegistry registry;
   Gauge& gauge = registry.gauge("emap_g");
-  TimeSeriesStore store{enabled_options()};
   AlertEngine engine;
 
   explicit GaugeHarness(std::vector<AlertRule> rules,
@@ -45,10 +38,20 @@ struct GaugeHarness {
 
   std::size_t step(double t_sec, double value, std::uint64_t trace_id = 0) {
     gauge.set(value);
-    store.scrape(registry, t_sec);
-    return engine.evaluate(store, t_sec, trace_id);
+    return engine.evaluate(registry, t_sec, trace_id);
   }
 };
+
+AlertRule rate_rule(double value, double window_sec) {
+  AlertRule rule;
+  rule.name = std::string("rate");
+  rule.kind = AlertRuleKind::kRate;
+  rule.series = std::string("emap_c");
+  rule.op = AlertOp::kGt;
+  rule.value = value;
+  rule.window_sec = window_sec;
+  return rule;
+}
 
 TEST(AlertRule, Validation) {
   AlertRule rule = threshold_rule("emap_g", 1.0);
@@ -121,30 +124,112 @@ TEST(AlertEngine, MissingSeriesNeverBreaches) {
 }
 
 TEST(AlertEngine, RateRuleWatchesCounterSlope) {
-  AlertRule rule;
-  rule.name = "rate";
-  rule.kind = AlertRuleKind::kRate;
-  rule.series = "emap_c";
-  rule.op = AlertOp::kGt;
-  rule.value = 5.0;      // fire above 5 increments/sec
-  rule.window_sec = 10.0;
-
   MetricsRegistry registry;
   Counter& counter = registry.counter("emap_c");
-  TimeSeriesStore store(enabled_options());
-  AlertEngine engine({rule});
+  // Fire above 5 increments/sec.
+  AlertEngine engine({rate_rule(5.0, 10.0)});
   for (int t = 1; t <= 20; ++t) {
     counter.increment(2);  // 2/s: under the limit
-    store.scrape(registry, static_cast<double>(t));
-    engine.evaluate(store, static_cast<double>(t));
+    engine.evaluate(registry, static_cast<double>(t));
   }
   EXPECT_EQ(engine.status(0).state, AlertState::kInactive);
+  EXPECT_EQ(engine.status(0).last_value, 2.0);
   for (int t = 21; t <= 40; ++t) {
     counter.increment(10);  // 10/s: over
-    store.scrape(registry, static_cast<double>(t));
-    engine.evaluate(store, static_cast<double>(t));
+    engine.evaluate(registry, static_cast<double>(t));
   }
   EXPECT_EQ(engine.status(0).state, AlertState::kFiring);
+}
+
+TEST(AlertEngine, RateWindowForgetsPointsOlderThanTheWindow) {
+  MetricsRegistry registry;
+  Counter& counter = registry.counter("emap_c");
+  AlertEngine engine({rate_rule(5.0, 3.0)});
+  engine.evaluate(registry, 1.0);  // one point: no slope yet
+  EXPECT_EQ(engine.status(0).last_value, 0.0);
+  counter.increment(100);
+  engine.evaluate(registry, 2.0);  // 100 over 1 s
+  EXPECT_EQ(engine.status(0).last_value, 100.0);
+  EXPECT_EQ(engine.status(0).state, AlertState::kFiring);
+  engine.evaluate(registry, 3.0);
+  engine.evaluate(registry, 4.0);
+  // The window [1, 4] still holds the pre-burst point at t=1.
+  EXPECT_EQ(engine.status(0).last_value, 100.0 / 3.0);
+  engine.evaluate(registry, 5.0);  // [2, 5]: that point has left
+  EXPECT_EQ(engine.status(0).last_value, 0.0);
+  EXPECT_EQ(engine.status(0).state, AlertState::kInactive);
+}
+
+TEST(AlertEngine, ResolvesEveryInstrumentKind) {
+  MetricsRegistry registry;
+  registry.counter("emap_c", {}, "c").increment(5);
+  registry.gauge("emap_g", {{"shard", "0"}}, "g").set(2.5);
+  Histogram& histogram =
+      registry.histogram("emap_h", {}, Histogram::linear_bounds(0, 10, 10));
+  histogram.observe(1.0);
+  histogram.observe(3.0);
+
+  std::vector<AlertRule> rules;
+  for (const char* key : {"emap_c", "emap_g{shard=\"0\"}", "emap_h:count",
+                          "emap_h:sum", "emap_h:mean", "emap_h:p95",
+                          "emap_h", "emap_c:count", "emap_g"}) {
+    rules.push_back(threshold_rule(key, 1e9));
+  }
+  AlertEngine engine(rules);
+  engine.evaluate(registry, 1.0);
+
+  EXPECT_EQ(engine.status(0).last_value, 5.0);
+  EXPECT_EQ(engine.status(1).last_value, 2.5);
+  EXPECT_EQ(engine.status(2).last_value, 2.0);
+  EXPECT_EQ(engine.status(3).last_value, 4.0);
+  EXPECT_EQ(engine.status(4).last_value, 2.0);
+  EXPECT_EQ(engine.status(5).last_value, histogram.quantile(0.95));
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_TRUE(engine.status(i).ever_evaluated) << rules[i].series;
+  }
+  // A bare histogram name, a suffix on a counter and a label-less key for
+  // a labelled gauge name no registry series.
+  for (std::size_t i = 6; i < rules.size(); ++i) {
+    EXPECT_FALSE(engine.status(i).ever_evaluated) << rules[i].series;
+  }
+}
+
+TEST(AlertEngine, HistogramMeanIsPerIntervalWithCarryForward) {
+  MetricsRegistry registry;
+  Histogram& histogram =
+      registry.histogram("emap_h", {}, Histogram::linear_bounds(0, 100, 10));
+  AlertEngine engine({threshold_rule("emap_h:mean", 1e9)});
+
+  histogram.observe(10.0);
+  engine.evaluate(registry, 1.0);  // interval mean 10
+  EXPECT_EQ(engine.status(0).last_value, 10.0);
+  histogram.observe(20.0);
+  histogram.observe(40.0);
+  engine.evaluate(registry, 2.0);  // interval mean (20+40)/2 = 30
+  EXPECT_EQ(engine.status(0).last_value, 30.0);
+  engine.evaluate(registry, 3.0);  // empty interval: carries 30 forward
+  EXPECT_EQ(engine.status(0).last_value, 30.0);
+}
+
+TEST(AlertEngine, RulesSeeTheRegistryAsOfThePassStart) {
+  // Rule "b" watches the fired counter rule "a" bumps.  In the pass where
+  // "a" fires, "b" must not see that bump; it sees it one pass later.
+  MetricsRegistry registry;
+  Gauge& gauge = registry.gauge("emap_g");
+  AlertRule a = threshold_rule("emap_g", 5.0);
+  a.name = std::string("a");
+  AlertRule b = threshold_rule("emap_alerts_fired_total{rule=\"a\"}", 0.0);
+  b.name = std::string("b");
+  AlertEngine::Hooks hooks;
+  hooks.registry = &registry;
+  AlertEngine engine({a, b}, hooks);
+
+  gauge.set(9.0);
+  EXPECT_EQ(engine.evaluate(registry, 1.0), 1u);
+  EXPECT_FALSE(engine.status(1).ever_evaluated);
+  EXPECT_EQ(engine.evaluate(registry, 2.0), 1u);
+  EXPECT_EQ(engine.status(1).state, AlertState::kFiring);
+  EXPECT_EQ(engine.status(1).last_value, 1.0);
 }
 
 TEST(AlertEngine, EwmaFiresOnStepAndResolvesAsMeanAdapts) {
@@ -224,15 +309,12 @@ TEST(AlertEngine, BurnRuleWatchesSloGaugeSeries) {
   MetricsRegistry registry;
   Gauge& burn = registry.gauge("emap_slo_burn_rate",
                                {{"slo", "edge_iteration"}});
-  TimeSeriesStore store(enabled_options());
   AlertEngine engine({rule});
   burn.set(0.4);
-  store.scrape(registry, 1.0);
-  engine.evaluate(store, 1.0);
+  engine.evaluate(registry, 1.0);
   EXPECT_EQ(engine.status(0).state, AlertState::kInactive);
   burn.set(2.5);
-  store.scrape(registry, 2.0);
-  engine.evaluate(store, 2.0);
+  engine.evaluate(registry, 2.0);
   EXPECT_EQ(engine.status(0).state, AlertState::kFiring);
 }
 
@@ -307,6 +389,10 @@ TEST(AlertEngine, TransitionsExportAsJsonl) {
   h.engine.write_jsonl(path);
   std::ifstream stream(path);
   ASSERT_TRUE(stream.good());
+
+  // A directory where the file should go is an I/O error, not a bad
+  // argument.
+  EXPECT_THROW(h.engine.write_jsonl(path.parent_path()), IoError);
   std::filesystem::remove_all(path.parent_path());
 }
 
@@ -360,6 +446,20 @@ TEST(ParseAlertRules, ReportsLineNumberOnMalformedInput) {
   error.clear();
   parse_alert_rules("rule x threshold series=emap_g value=abc\n", &error);
   EXPECT_FALSE(error.empty());
+
+  // Trailing text, a non-finite value and a negative count are malformed
+  // too; each names its line.
+  for (const char* bad :
+       {"rule x threshold series=emap_g value=80abc\n",
+        "rule x ewma series=emap_g warmup=-1\n",
+        "rule x threshold series=emap_g value=nan\n"}) {
+    error.clear();
+    const auto rules = parse_alert_rules(
+        std::string("rule ok threshold series=emap_g value=1\n") + bad,
+        &error);
+    EXPECT_EQ(rules.size(), 1u) << bad;
+    EXPECT_NE(error.find("line 2"), std::string::npos) << bad;
+  }
 }
 
 TEST(LoadAlertRules, MissingFileIsAnError) {
@@ -395,6 +495,12 @@ TEST(DefaultAlertRules, CoverLatencyStepAndBothSlos) {
   EXPECT_EQ(rules[1].kind, AlertRuleKind::kBurnRate);
   EXPECT_EQ(rules[1].series, burn_rate_series_key("edge_iteration"));
   EXPECT_EQ(rules[2].series, burn_rate_series_key("initial_response"));
+}
+
+TEST(SeriesKeyFor, FormatsLabels) {
+  EXPECT_EQ(series_key_for("emap_x", {}), "emap_x");
+  EXPECT_EQ(series_key_for("emap_x", {{"a", "1"}, {"b", "2"}}),
+            "emap_x{a=\"1\",b=\"2\"}");
 }
 
 TEST(AlertNames, StableStrings) {

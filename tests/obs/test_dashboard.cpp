@@ -6,9 +6,9 @@
 #include <filesystem>
 #include <fstream>
 
+#include "emap/common/error.hpp"
 #include "emap/obs/alert.hpp"
 #include "emap/obs/metrics.hpp"
-#include "emap/obs/timeseries.hpp"
 
 namespace emap::obs {
 namespace {
@@ -35,74 +35,76 @@ std::vector<SeriesBucket> step_series(std::size_t n, std::size_t step_at,
   return buckets;
 }
 
-TEST(LoadSeriesJsonl, RoundTripsAStoreExport) {
-  MetricsRegistry registry;
-  Counter& counter = registry.counter("emap_c");
-  registry.gauge("emap_g", {{"shard", "1"}}).set(3.5);
-  TimeSeriesOptions options;
-  options.enabled = true;
-  TimeSeriesStore store(options);
-  for (int t = 1; t <= 5; ++t) {
-    counter.increment(2);
-    store.scrape(registry, static_cast<double>(t));
+TEST(LoadRecordJsonl, PivotsNumericColumnsIntoSeries) {
+  const auto path = temp_file("emap_dashboard_record.jsonl");
+  {
+    std::ofstream stream(path);
+    stream << R"({"window":0,"t_sec":1,"tracked":false,"pa_on_load":-1,)"
+           << R"("no_call_reason":"in_flight","track_device_sec":null})"
+           << "\n";
+    stream << R"({"window":1,"t_sec":2,"tracked":true,"pa_on_load":0.25,)"
+           << R"("no_call_reason":"none","track_device_sec":0.125})"
+           << "\n";
   }
-  const auto path = temp_file("emap_dashboard_roundtrip.jsonl");
-  store.write_jsonl(path);
-
-  const SeriesLoadResult loaded = load_series_jsonl(path);
+  const SeriesLoadResult loaded = load_record_jsonl(path);
   std::filesystem::remove(path);
   EXPECT_EQ(loaded.skipped_lines, 0u);
-  ASSERT_EQ(loaded.series.size(), 2u);
-  EXPECT_EQ(loaded.series[0].key, "emap_c");
-  EXPECT_EQ(loaded.series[0].kind, "counter");
-  ASSERT_EQ(loaded.series[0].buckets.size(), 5u);
-  EXPECT_EQ(loaded.series[0].buckets.back().last, 10.0);
-  EXPECT_EQ(loaded.series[0].buckets.back().t_end_sec, 5.0);
-  EXPECT_EQ(loaded.series[1].key, "emap_g{shard=\"1\"}");
-  EXPECT_EQ(loaded.series[1].kind, "gauge");
+  // Numeric and boolean columns only, t_sec is the time axis, strings
+  // are left out.  Columns come in first-seen order (key order within a
+  // line); a null value leaves its window out of that column only.
+  ASSERT_EQ(loaded.series.size(), 4u);
+  EXPECT_EQ(loaded.series[0].key, "pa_on_load");
+  EXPECT_EQ(loaded.series[1].key, "tracked");
+  EXPECT_EQ(loaded.series[2].key, "window");
+  EXPECT_EQ(loaded.series[3].key, "track_device_sec");
+  ASSERT_EQ(loaded.series[0].buckets.size(), 2u);
+  EXPECT_EQ(loaded.series[0].buckets[0].last, -1.0);
+  EXPECT_EQ(loaded.series[0].buckets[1].last, 0.25);
+  EXPECT_EQ(loaded.series[0].buckets[1].t_start_sec, 2.0);
+  EXPECT_EQ(loaded.series[0].buckets[1].count, 1u);
+  EXPECT_EQ(loaded.series[1].buckets[0].last, 0.0);
+  EXPECT_EQ(loaded.series[1].buckets[1].last, 1.0);
+  ASSERT_EQ(loaded.series[3].buckets.size(), 1u);
+  EXPECT_EQ(loaded.series[3].buckets[0].t_start_sec, 2.0);
+  EXPECT_EQ(loaded.series[3].buckets[0].last, 0.125);
 }
 
-TEST(LoadSeriesJsonl, SkipsMalformedLinesLeniently) {
+TEST(LoadRecordJsonl, SkipsMalformedLinesLeniently) {
   const auto path = temp_file("emap_dashboard_malformed.jsonl");
   {
     std::ofstream stream(path);
-    stream << R"({"series":"emap_g","kind":"gauge","tier":0,"t0":1,"t1":1,)"
-           << R"("min":2,"max":2,"sum":2,"count":1,"first":2,"last":2})"
-           << "\n";
+    stream << R"({"window":0,"t_sec":1,"anomaly_probability":0.5})" << "\n";
     stream << "this is not json\n";
-    stream << R"({"series":"emap_g","kind":"gauge","tier":0,"t0":2)"  // cut off
+    stream << R"({"window":1,"t_sec":2)"  // cut off
+           << "\n";
+    stream << R"({"window":2,"anomaly_probability":0.5})"  // no t_sec
            << "\n";
     stream << "\n";  // blank: ignored, not counted as skipped
   }
-  const SeriesLoadResult loaded = load_series_jsonl(path);
+  const SeriesLoadResult loaded = load_record_jsonl(path);
   std::filesystem::remove(path);
-  ASSERT_EQ(loaded.series.size(), 1u);
+  ASSERT_EQ(loaded.series.size(), 2u);
   EXPECT_EQ(loaded.series[0].buckets.size(), 1u);
-  EXPECT_EQ(loaded.skipped_lines, 2u);
+  EXPECT_EQ(loaded.skipped_lines, 3u);
 }
 
-TEST(LoadSeriesJsonl, ThrowsOnMissingFile) {
-  EXPECT_THROW(load_series_jsonl("/nonexistent/series.jsonl"),
-               std::exception);
+TEST(LoadRecordJsonl, ThrowsOnMissingFile) {
+  EXPECT_THROW(load_record_jsonl("/nonexistent/record.jsonl"), IoError);
+  EXPECT_THROW(load_alerts_jsonl("/nonexistent/alerts.jsonl"), IoError);
 }
 
 TEST(LoadAlertsJsonl, RoundTripsEngineExport) {
-  TimeSeriesOptions options;
-  options.enabled = true;
   MetricsRegistry registry;
   Gauge& gauge = registry.gauge("emap_g");
-  TimeSeriesStore store(options);
   AlertRule rule;
   rule.name = "r";
   rule.series = "emap_g";
   rule.value = 5.0;
   AlertEngine engine({rule});
   gauge.set(9.0);
-  store.scrape(registry, 1.0);
-  engine.evaluate(store, 1.0);
+  engine.evaluate(registry, 1.0);
   gauge.set(1.0);
-  store.scrape(registry, 2.0);
-  engine.evaluate(store, 2.0);
+  engine.evaluate(registry, 2.0);
 
   const auto path = temp_file("emap_dashboard_alerts.jsonl");
   engine.write_jsonl(path);
@@ -168,29 +170,26 @@ TEST(Sparkline, MapsRangeOntoBlocksAtRequestedWidth) {
 TEST(RenderAsciiReport, ShowsSeriesAlertsAndChangepoints) {
   SeriesLoadResult series;
   series.series.push_back(
-      {"emap_track_step_seconds:mean", "sample",
-       step_series(100, 60, 0.1, 0.4, 0.005)});
-  series.series.push_back({"emap_windows_total", "counter",
-                           step_series(100, 100, 50.0, 50.0)});
+      {"track_device_sec", step_series(100, 60, 0.1, 0.4, 0.005)});
+  series.series.push_back({"tracked_after", step_series(100, 100, 50.0, 50.0)});
   AlertLoadResult alerts;
   alerts.transitions.push_back(
       {"track_latency_step", "emap_track_step_seconds:mean", 62.0, true,
        0.4, 0.12});
 
   const std::string report = render_ascii_report(series, alerts);
-  EXPECT_NE(report.find("emap_track_step_seconds:mean"), std::string::npos);
-  EXPECT_NE(report.find("emap_windows_total"), std::string::npos);
+  EXPECT_NE(report.find("track_device_sec"), std::string::npos);
+  EXPECT_NE(report.find("tracked_after"), std::string::npos);
   EXPECT_NE(report.find("changepoint"), std::string::npos);
   EXPECT_NE(report.find("track_latency_step"), std::string::npos);
   EXPECT_NE(report.find("FIRING"), std::string::npos);
 
   // Filter narrows the table to matching keys.
   ReportOptions options;
-  options.series_filter = "track_step";
+  options.series_filter = "device";
   const std::string filtered = render_ascii_report(series, alerts, options);
-  EXPECT_NE(filtered.find("emap_track_step_seconds:mean"),
-            std::string::npos);
-  EXPECT_EQ(filtered.find("emap_windows_total"), std::string::npos);
+  EXPECT_NE(filtered.find("track_device_sec"), std::string::npos);
+  EXPECT_EQ(filtered.find("tracked_after"), std::string::npos);
 }
 
 TEST(RenderAsciiReport, HandlesEmptyInputs) {
@@ -201,8 +200,8 @@ TEST(RenderAsciiReport, HandlesEmptyInputs) {
 
 TEST(RenderHtmlReport, SelfContainedWithMarkersAndEscaping) {
   SeriesLoadResult series;
-  series.series.push_back({"emap_g{shard=\"<0>\"}", "gauge",
-                           step_series(50, 30, 1.0, 2.0, 0.02)});
+  series.series.push_back(
+      {"emap_g{shard=\"<0>\"}", step_series(50, 30, 1.0, 2.0, 0.02)});
   AlertLoadResult alerts;
   alerts.transitions.push_back(
       {"rule_a", "emap_g{shard=\"<0>\"}", 31.0, true, 2.0, 1.1});
