@@ -126,6 +126,13 @@ EmapPipeline::EmapPipeline(mdb::MdbStore store, EmapConfig config,
     metrics_.recovery_checkpoints = &registry.counter(
         "emap_recovery_checkpoints_total", {},
         "Session snapshots atomically published");
+    metrics_.recovery_compactions = &registry.counter(
+        "emap_recovery_checkpoint_compactions_total", {},
+        "Snapshot publishes that rewrote the whole image (the rest "
+        "appended one record)");
+    metrics_.recovery_checkpoint_bytes = &registry.counter(
+        "emap_recovery_checkpoint_bytes_total", {},
+        "Bytes snapshot publishes wrote to the checkpoint file");
     metrics_.recovery_resumes = &registry.counter(
         "emap_recovery_resumes_total", {},
         "Runs resumed from a session snapshot");
@@ -217,7 +224,7 @@ RunResult EmapPipeline::run(const synth::Recording& input,
       }
       s.injector = injector.save();
       s.channel_rng = channel.save_rng();
-      session.publish(s, "checkpoint", session.window_trace(w));
+      session.publish(std::move(s), "checkpoint", session.window_trace(w));
     }
     if (options_.stop_on_alarm && edge.predictor().anomaly_predicted()) {
       break;

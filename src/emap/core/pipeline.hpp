@@ -272,6 +272,8 @@ class EmapPipeline {
     obs::Counter* windows = nullptr;
     obs::Counter* degraded_windows = nullptr;
     obs::Counter* recovery_checkpoints = nullptr;
+    obs::Counter* recovery_compactions = nullptr;
+    obs::Counter* recovery_checkpoint_bytes = nullptr;
     obs::Counter* recovery_resumes = nullptr;
     obs::Counter* recovery_cold_starts = nullptr;
     obs::Gauge* recovery_resume_window = nullptr;

@@ -106,6 +106,10 @@ std::string run_summary_json(const RunResult& result,
       .field("robust_recovered", rb.recovery.resumed)
       .field("recovery_resume_window", rb.recovery.resume_window)
       .field("recovery_checkpoints_written", rb.recovery.checkpoints_written)
+      .field("recovery_checkpoint_compactions",
+             rb.recovery.checkpoint_compactions)
+      .field("recovery_checkpoint_bytes_written",
+             rb.recovery.checkpoint_bytes_written)
       .field("recovery_cold_start_fallback",
              rb.recovery.cold_start_fallback);
   return json.str();

@@ -70,6 +70,9 @@ Session::Session(const EmapPipeline& pipeline, const synth::Recording& input,
   edge_slo_.emplace(obs::edge_iteration_slo(), options_.metrics);
   initial_slo_.emplace(obs::initial_response_slo(), options_.metrics);
   result.robust.recovery.enabled = options_.recovery.enabled();
+  if (options_.recovery.enabled()) {
+    log_.emplace(options_.recovery.checkpoint_dir);
+  }
 }
 
 std::optional<robust::SessionState> Session::resume(
@@ -254,21 +257,30 @@ robust::SessionState Session::capture(std::size_t next_window) const {
   return s;
 }
 
-void Session::publish(const robust::SessionState& state,
-                      const char* flight_label, std::uint64_t flight_trace) {
+void Session::publish(robust::SessionState state, const char* flight_label,
+                      std::uint64_t flight_trace) {
   robust::RecoverySummary& summary = result.robust.recovery;
   summary.replay_recorded += state.replay.size();
-  robust::write_checkpoint(options_.recovery.checkpoint_dir, state,
-                           crashpoints_);
+  const std::uint64_t next_window = state.next_window;
+  log_->publish(std::move(state), crashpoints_);
   ++summary.checkpoints_written;
-  summary.last_snapshot_window = state.next_window;
-  if (pipeline_.metrics_.recovery_checkpoints != nullptr) {
-    pipeline_.metrics_.recovery_checkpoints->increment();
+  summary.last_snapshot_window = next_window;
+  const std::uint64_t compactions =
+      log_->compactions() - summary.checkpoint_compactions;
+  const std::uint64_t bytes =
+      log_->bytes_written() - summary.checkpoint_bytes_written;
+  summary.checkpoint_compactions += compactions;
+  summary.checkpoint_bytes_written += bytes;
+  const auto& metrics = pipeline_.metrics_;
+  if (metrics.recovery_checkpoints != nullptr) {
+    metrics.recovery_checkpoints->increment();
+    metrics.recovery_compactions->increment(compactions);
+    metrics.recovery_checkpoint_bytes->increment(bytes);
   }
   if (flight_ != nullptr) {
-    const double next_window = static_cast<double>(state.next_window);
     flight_->log(obs::FlightEventType::kCheckpoint, flight_label,
-                 next_window, flight_trace, next_window);
+                 static_cast<double>(next_window), flight_trace,
+                 static_cast<double>(next_window));
   }
 }
 
@@ -635,6 +647,14 @@ RunResult Session::finish() {
   // Fold in pre-crash counts a restored snapshot carried (zeros otherwise).
   result.robust.quality = quality_total();
   result.robust.watchdog_trips = watchdog_total();
+  if (log_) {
+    try {
+      log_->close();
+    } catch (const IoError&) {
+      // The log still holds the last published state durably; a failed
+      // tidy-up into one image must not take down a finished run.
+    }
+  }
   return std::move(result);
 }
 

@@ -60,9 +60,10 @@ class Session {
   /// no window is in progress.
   robust::SessionState capture(std::size_t next_window) const;
 
-  /// Atomically writes `state` and records it in the recovery summary, the
-  /// metrics and the flight recorder (as `flight_label`, `flight_trace`).
-  void publish(const robust::SessionState& state, const char* flight_label,
+  /// Durably publishes `state` through the run's checkpoint log and
+  /// records it in the recovery summary, the metrics and the flight
+  /// recorder (as `flight_label`, `flight_trace`).
+  void publish(robust::SessionState state, const char* flight_label,
                std::uint64_t flight_trace);
 
   // ---- Per-window steps, in loop order. ----
@@ -106,7 +107,9 @@ class Session {
   /// boundary, attributed to the window's trace.
   void evaluate_alerts(double t_end, std::uint64_t trace_id);
 
-  /// Completes and hands over the run record (call once, after the loop).
+  /// Completes and hands over the run record (call once, after the loop),
+  /// leaving the checkpoint file as the single image of the last published
+  /// state.
   RunResult finish();
 
   // ---- Pieces the schedulers drive directly. ----
@@ -145,6 +148,8 @@ class Session {
   std::uint64_t trace_seed_ = 0;
   obs::FlightRecorder* flight_ = nullptr;
   robust::CrashPointRegistry* crashpoints_ = nullptr;
+  /// The snapshot writer both schedulers publish through (recovery on).
+  std::optional<robust::CheckpointLog> log_;
   std::shared_ptr<obs::AlertEngine> alert_engine_;
   // Fresh per run (runs are independent); the registry-side emap_slo_*
   // counters accumulate across runs like every other pipeline metric.

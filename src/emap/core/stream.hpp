@@ -36,8 +36,8 @@
 //       topological order, the issued/applied ledger drains (bounded by
 //       drain_timeout_sec — unsettled in-flight windows fall back to
 //       to-replay entries in the snapshot), and the session state is
-//       published with the same atomic temp-write+rename + CRC discipline
-//       as the batch loop.  Resume rebuilds the stage graph from the
+//       published through the same append-only checkpoint log as the
+//       batch loop.  Resume rebuilds the stage graph from the
 //       snapshot with the settled-ledger semantics above (≤1 in-flight
 //       window per stage death re-delivered as failed/degraded).
 //

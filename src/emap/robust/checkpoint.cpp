@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <unordered_map>
 #include <utility>
 
 #include "emap/common/crc32.hpp"
@@ -17,15 +18,18 @@
 namespace emap::robust {
 namespace {
 
-// Framing: magic | u32 version | u64 payload_size | payload | u32 crc.
+// Image framing: magic | u32 version | u64 payload_size | payload | u32 crc.
 constexpr std::uint8_t kMagic[4] = {'E', 'M', 'C', 'K'};
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
 constexpr std::size_t kTrailerBytes = 4;
+// Record framing: u64 payload_size | u32 crc(size) | payload | u32 crc.
+constexpr std::size_t kRecordHeaderBytes = 8 + 4;
 
 // Sample encodings, the tag after a signal's sample count (see the framing
 // in checkpoint.hpp).
 constexpr std::uint8_t kSamplesF64 = 0;
 constexpr std::uint8_t kSamplesInt16 = 1;
+constexpr std::uint8_t kSamplesRef = 2;
 
 [[noreturn]] void reject(const std::string& what) {
   throw CheckpointError("checkpoint: " + what);
@@ -39,6 +43,18 @@ void check_count(std::uint64_t count, std::size_t element_bytes,
   if (element_bytes > 0 &&
       count > static_cast<std::uint64_t>(total_bytes) / element_bytes) {
     reject("element count exceeds payload size");
+  }
+}
+
+void store_u32(std::uint8_t* at, std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    at[i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
+void store_u64(std::uint8_t* at, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    at[i] = static_cast<std::uint8_t>(value >> (8 * i));
   }
 }
 
@@ -119,10 +135,144 @@ std::optional<float> wire_image(const std::vector<double>& samples,
   return scale;
 }
 
+// One inline sample run as the file stores it: the encoding tag, the
+// int16 scale, and the little-endian sample bytes (i16[n] or f64[n]).
+struct StoredRun {
+  std::uint8_t encoding = kSamplesF64;
+  float scale = 0.0f;
+  std::vector<std::uint8_t> bytes;
+
+  std::size_t size() const { return bytes.size() / width(); }
+  std::size_t width() const { return encoding == kSamplesInt16 ? 2 : 8; }
+
+  // Sample i's bits as the decoder yields them.
+  std::uint64_t bits(std::size_t i) const {
+    if (encoding == kSamplesInt16) {
+      return int16_bits(i);
+    }
+    const std::uint8_t* at = bytes.data() + 8 * i;
+    std::uint64_t word = 0;
+    for (int b = 7; b >= 0; --b) {
+      word = (word << 8) | at[b];
+    }
+    return word;
+  }
+
+  std::vector<double> samples() const {
+    std::vector<double> out(size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = std::bit_cast<double>(bits(i));
+    }
+    return out;
+  }
+
+  // Whether the run decodes to exactly `samples`, bit for bit (one pass
+  // without early exit, which the compiler vectorizes).
+  bool holds(const std::vector<double>& samples) const {
+    if (size() != samples.size()) {
+      return false;
+    }
+    std::uint64_t differ = 0;
+    if (encoding == kSamplesInt16) {
+      for (std::size_t i = 0; i < samples.size(); ++i) {
+        differ |= int16_bits(i) ^ std::bit_cast<std::uint64_t>(samples[i]);
+      }
+    } else {
+      for (std::size_t i = 0; i < samples.size(); ++i) {
+        differ |= bits(i) ^ std::bit_cast<std::uint64_t>(samples[i]);
+      }
+    }
+    return differ == 0;
+  }
+
+  std::uint64_t int16_bits(std::size_t i) const {
+    const auto raw =
+        static_cast<std::uint16_t>(bytes[2 * i] | (bytes[2 * i + 1] << 8));
+    return std::bit_cast<std::uint64_t>(
+        static_cast<double>(static_cast<std::int16_t>(raw)) *
+        static_cast<double>(scale));
+  }
+};
+
+// The stored form of `samples`: the int16 wire image when it is exact.
+StoredRun store_run(const std::vector<double>& samples) {
+  StoredRun run;
+  if (const std::optional<float> scale = wire_image(samples, run.bytes)) {
+    run.encoding = kSamplesInt16;
+    run.scale = *scale;
+    return run;
+  }
+  run.bytes.resize(8 * samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const auto bits = std::bit_cast<std::uint64_t>(samples[i]);
+    for (int b = 0; b < 8; ++b) {
+      run.bytes[8 * i + static_cast<std::size_t>(b)] =
+          static_cast<std::uint8_t>(bits >> (8 * b));
+    }
+  }
+  return run;
+}
+
+// The inline sample runs of one file since its image, in file order, kept
+// at their stored size.  The writer looks a signal's samples up here to
+// refer back instead of storing them again; the reader resolves
+// back-references against it.
+class SampleRuns {
+ public:
+  /// A stored run that decodes to exactly `samples`, with its index.
+  std::optional<std::uint32_t> find(const std::vector<double>& samples) const {
+    const auto [first, last] = by_key_.equal_range(key(samples));
+    for (auto it = first; it != last; ++it) {
+      if (runs_[it->second].holds(samples)) {
+        return it->second;
+      }
+    }
+    return std::nullopt;
+  }
+
+  /// Records the next inline run, which decodes to `samples`.
+  void add(StoredRun run, const std::vector<double>& samples) {
+    by_key_.emplace(key(samples), static_cast<std::uint32_t>(runs_.size()));
+    runs_.push_back(std::move(run));
+  }
+
+  /// The run a back-reference names; null when the file holds none.
+  const StoredRun* at(std::uint64_t index) const {
+    return index < runs_.size() ? &runs_[static_cast<std::size_t>(index)]
+                                : nullptr;
+  }
+
+ private:
+  // Length and three samples' bits: equal runs share a key, and different
+  // signals practically never do, so a lookup compares about one run.
+  static std::uint64_t key(const std::vector<double>& samples) {
+    std::uint64_t key = samples.size() * 0x9e3779b97f4a7c15u;
+    if (!samples.empty()) {
+      key ^= std::bit_cast<std::uint64_t>(samples.front()) ^
+             std::rotl(std::bit_cast<std::uint64_t>(
+                           samples[samples.size() / 2]), 21) ^
+             std::rotl(std::bit_cast<std::uint64_t>(samples.back()), 42);
+    }
+    return key;
+  }
+
+  std::vector<StoredRun> runs_;
+  std::unordered_multimap<std::uint64_t, std::uint32_t> by_key_;
+};
+
+// How one payload encode treats sample runs.  Every inline run is added to
+// `runs` (when set); with `refer`, a run already there is written as a
+// back-reference instead (images never refer, so they decode on their
+// own).
+struct RunSink {
+  SampleRuns* runs = nullptr;
+  bool refer = false;
+};
+
 void encode_signals(mdb::Encoder& enc,
-                    const std::vector<TrackedSignalState>& signals) {
+                    const std::vector<TrackedSignalState>& signals,
+                    RunSink sink) {
   enc.write_u64(signals.size());
-  std::vector<std::uint8_t> image;
   for (const TrackedSignalState& signal : signals) {
     enc.write_u64(signal.set_id);
     enc.write_f64(signal.omega);
@@ -130,47 +280,71 @@ void encode_signals(mdb::Encoder& enc,
     enc.write_u8(signal.anomalous ? 1 : 0);
     enc.write_u8(signal.class_tag);
     enc.write_u64(signal.samples.size());
-    if (const std::optional<float> scale = wire_image(signal.samples, image)) {
-      enc.write_u8(kSamplesInt16);
-      enc.write_f32(*scale);
-      enc.write_bytes(image);
-    } else {
-      enc.write_u8(kSamplesF64);
-      for (const double sample : signal.samples) {
-        enc.write_f64(sample);
+    if (sink.refer) {
+      if (const std::optional<std::uint32_t> index =
+              sink.runs->find(signal.samples)) {
+        enc.write_u8(kSamplesRef);
+        enc.write_u32(*index);
+        continue;
       }
+    }
+    StoredRun run = store_run(signal.samples);
+    enc.write_u8(run.encoding);
+    if (run.encoding == kSamplesInt16) {
+      enc.write_f32(run.scale);
+    }
+    enc.write_bytes(run.bytes);
+    if (sink.runs != nullptr) {
+      sink.runs->add(std::move(run), signal.samples);
     }
   }
 }
 
-std::vector<double> decode_samples(mdb::Decoder& dec,
-                                   std::size_t total_bytes) {
+// `runs` is null for a standalone image, where a back-reference is invalid.
+std::vector<double> decode_samples(mdb::Decoder& dec, std::size_t total_bytes,
+                                   SampleRuns* runs) {
   const std::uint64_t count = dec.read_u64();
   const std::uint8_t encoding = dec.read_u8();
+  if (encoding == kSamplesRef) {
+    if (runs == nullptr) {
+      reject("sample back-reference outside a log");
+    }
+    const StoredRun* run = runs->at(dec.read_u32());
+    if (run == nullptr) {
+      reject("back-reference to an unknown sample run");
+    }
+    if (run->size() != count) {
+      reject("back-referenced sample run has the wrong length");
+    }
+    return run->samples();
+  }
   if (encoding != kSamplesF64 && encoding != kSamplesInt16) {
     reject("unknown sample encoding");
   }
-  check_count(count, encoding == kSamplesInt16 ? 2 : 8, total_bytes);
-  std::vector<double> samples(static_cast<std::size_t>(count));
-  if (encoding == kSamplesF64) {
-    for (double& sample : samples) {
-      sample = dec.read_f64();
+  const std::size_t width = encoding == kSamplesInt16 ? 2 : 8;
+  check_count(count, width, total_bytes);
+  StoredRun run;
+  run.encoding = encoding;
+  if (encoding == kSamplesInt16) {
+    run.scale = dec.read_f32();
+    if (!(run.scale > 0.0f) || !std::isfinite(run.scale)) {
+      reject("bad sample scale");
     }
-    return samples;
   }
-  const float scale = dec.read_f32();
-  if (!(scale > 0.0f) || !std::isfinite(scale)) {
-    reject("bad sample scale");
+  run.bytes.resize(static_cast<std::size_t>(count) * width);
+  for (std::uint8_t& byte : run.bytes) {
+    byte = dec.read_u8();
   }
-  for (double& sample : samples) {
-    sample = static_cast<double>(static_cast<std::int16_t>(dec.read_u16())) *
-             scale;
+  std::vector<double> samples = run.samples();
+  if (runs != nullptr) {
+    runs->add(std::move(run), samples);
   }
   return samples;
 }
 
 std::vector<TrackedSignalState> decode_signals(mdb::Decoder& dec,
-                                               std::size_t total_bytes) {
+                                               std::size_t total_bytes,
+                                               SampleRuns* runs) {
   const std::uint64_t count = dec.read_u64();
   // Each signal carries at least its fixed fields.
   check_count(count, 8 + 8 + 8 + 1 + 1 + 8 + 1, total_bytes);
@@ -183,7 +357,7 @@ std::vector<TrackedSignalState> decode_signals(mdb::Decoder& dec,
     signal.beta = dec.read_u64();
     signal.anomalous = dec.read_u8() != 0;
     signal.class_tag = dec.read_u8();
-    signal.samples = decode_samples(dec, total_bytes);
+    signal.samples = decode_samples(dec, total_bytes, runs);
     signals.push_back(std::move(signal));
   }
   return signals;
@@ -339,7 +513,7 @@ net::FaultInjectorState decode_injector(mdb::Decoder& dec) {
 }
 
 void encode_pending_call(mdb::Encoder& enc,
-                         const PendingCallCheckpoint& pending) {
+                         const PendingCallCheckpoint& pending, RunSink sink) {
   enc.write_f64(pending.ready_at_sec);
   enc.write_f64(pending.delta_ec);
   enc.write_f64(pending.delta_cs);
@@ -350,11 +524,12 @@ void encode_pending_call(mdb::Encoder& enc,
   enc.write_u8(pending.succeeded ? 1 : 0);
   enc.write_u64(pending.trace_id);
   enc.write_u64(pending.parent_span);
-  encode_signals(enc, pending.correlation_set);
+  encode_signals(enc, pending.correlation_set, sink);
 }
 
 PendingCallCheckpoint decode_pending_call(mdb::Decoder& dec,
-                                          std::size_t total_bytes) {
+                                          std::size_t total_bytes,
+                                          SampleRuns* runs) {
   PendingCallCheckpoint pending;
   pending.ready_at_sec = dec.read_f64();
   pending.delta_ec = dec.read_f64();
@@ -366,11 +541,12 @@ PendingCallCheckpoint decode_pending_call(mdb::Decoder& dec,
   pending.succeeded = dec.read_u8() != 0;
   pending.trace_id = dec.read_u64();
   pending.parent_span = dec.read_u64();
-  pending.correlation_set = decode_signals(dec, total_bytes);
+  pending.correlation_set = decode_signals(dec, total_bytes, runs);
   return pending;
 }
 
-void encode_payload(mdb::Encoder& enc, const SessionState& state) {
+void encode_payload(mdb::Encoder& enc, const SessionState& state,
+                    RunSink sink) {
   enc.write_string(state.config_fingerprint);
   enc.write_u32(state.input_fingerprint);
   enc.write_u64(state.next_window);
@@ -404,7 +580,7 @@ void encode_payload(mdb::Encoder& enc, const SessionState& state) {
 
   enc.write_u8(state.tracker.loaded ? 1 : 0);
   enc.write_u64(state.tracker.steps_since_load);
-  encode_signals(enc, state.tracker.tracked);
+  encode_signals(enc, state.tracker.tracked, sink);
 
   enc.write_u64(state.predictor.history.size());
   for (const double p : state.predictor.history) {
@@ -422,7 +598,7 @@ void encode_payload(mdb::Encoder& enc, const SessionState& state) {
 
   enc.write_u8(state.pending.has_value() ? 1 : 0);
   if (state.pending.has_value()) {
-    encode_pending_call(enc, *state.pending);
+    encode_pending_call(enc, *state.pending, sink);
   }
 
   encode_degrade(enc, state.degrade);
@@ -438,7 +614,7 @@ void encode_payload(mdb::Encoder& enc, const SessionState& state) {
   enc.write_string(state.stream_fingerprint);
   enc.write_u64(state.completed_calls.size());
   for (const PendingCallCheckpoint& call : state.completed_calls) {
-    encode_pending_call(enc, call);
+    encode_pending_call(enc, call, sink);
   }
   enc.write_u64(state.replay.size());
   for (const ReplayEntryCheckpoint& entry : state.replay) {
@@ -454,7 +630,8 @@ void encode_payload(mdb::Encoder& enc, const SessionState& state) {
   }
 }
 
-SessionState decode_payload(mdb::Decoder& dec, std::size_t total_bytes) {
+SessionState decode_payload(mdb::Decoder& dec, std::size_t total_bytes,
+                            SampleRuns* runs) {
   SessionState state;
   state.config_fingerprint = dec.read_string();
   state.input_fingerprint = dec.read_u32();
@@ -489,7 +666,7 @@ SessionState decode_payload(mdb::Decoder& dec, std::size_t total_bytes) {
 
   state.tracker.loaded = dec.read_u8() != 0;
   state.tracker.steps_since_load = dec.read_u64();
-  state.tracker.tracked = decode_signals(dec, total_bytes);
+  state.tracker.tracked = decode_signals(dec, total_bytes, runs);
 
   const std::uint64_t history = dec.read_u64();
   check_count(history, 8, total_bytes);
@@ -510,7 +687,7 @@ SessionState decode_payload(mdb::Decoder& dec, std::size_t total_bytes) {
   state.fir.history_pos = static_cast<std::size_t>(dec.read_u64());
 
   if (dec.read_u8() != 0) {
-    state.pending = decode_pending_call(dec, total_bytes);
+    state.pending = decode_pending_call(dec, total_bytes, runs);
   }
 
   state.degrade = decode_degrade(dec);
@@ -529,7 +706,8 @@ SessionState decode_payload(mdb::Decoder& dec, std::size_t total_bytes) {
   check_count(completed, 4 * 8 + 4 + 2 * 8 + 1 + 2 * 8 + 8, total_bytes);
   state.completed_calls.reserve(static_cast<std::size_t>(completed));
   for (std::uint64_t i = 0; i < completed; ++i) {
-    state.completed_calls.push_back(decode_pending_call(dec, total_bytes));
+    state.completed_calls.push_back(
+        decode_pending_call(dec, total_bytes, runs));
   }
   const std::uint64_t replay = dec.read_u64();
   check_count(replay, 4 + 8 + 8 + 8, total_bytes);
@@ -575,6 +753,128 @@ std::size_t payload_size_hint(const SessionState& state) {
   return bytes;
 }
 
+// The image of `state` (see RunSink for `sink`).
+std::vector<std::uint8_t> encode_image(const SessionState& state,
+                                       RunSink sink) {
+  mdb::Encoder enc;
+  enc.reserve(kHeaderBytes + payload_size_hint(state) + kTrailerBytes);
+  for (const std::uint8_t byte : kMagic) {
+    enc.write_u8(byte);
+  }
+  enc.write_u32(kCheckpointVersion);
+  enc.write_u64(0);  // payload size, patched below
+  encode_payload(enc, state, sink);
+  std::vector<std::uint8_t> out = enc.take();
+  const std::size_t payload_size = out.size() - kHeaderBytes;
+  store_u64(out.data() + 8, payload_size);
+  const std::uint32_t crc = crc32(out.data() + kHeaderBytes, payload_size);
+  out.resize(out.size() + kTrailerBytes);
+  store_u32(out.data() + kHeaderBytes + payload_size, crc);
+  return out;
+}
+
+// One log record of `state`: runs already in `runs` become references,
+// new ones are stored inline and added.
+std::vector<std::uint8_t> encode_record(const SessionState& state,
+                                        SampleRuns& runs) {
+  mdb::Encoder enc;
+  enc.write_u64(0);  // payload size and its CRC, patched below
+  enc.write_u32(0);
+  encode_payload(enc, state, RunSink{&runs, true});
+  std::vector<std::uint8_t> out = enc.take();
+  const std::size_t payload_size = out.size() - kRecordHeaderBytes;
+  store_u64(out.data(), payload_size);
+  store_u32(out.data() + 8, crc32(out.data(), 8));
+  const std::uint32_t crc =
+      crc32(out.data() + kRecordHeaderBytes, payload_size);
+  out.resize(out.size() + kTrailerBytes);
+  store_u32(out.data() + kRecordHeaderBytes + payload_size, crc);
+  return out;
+}
+
+// Checks the CRC trailer after the payload at [begin, begin + size) of
+// `bytes`, then decodes it; the payload must account for every byte.
+SessionState decode_framed(const std::vector<std::uint8_t>& bytes,
+                           std::size_t begin, std::size_t size,
+                           SampleRuns* runs) {
+  mdb::Decoder dec(bytes);
+  dec.seek(begin + size);
+  if (dec.read_u32() != crc32(bytes.data() + begin, size)) {
+    reject("CRC mismatch");
+  }
+  dec.seek(begin);
+  SessionState state = decode_payload(dec, size, runs);
+  if (dec.cursor() != begin + size) {
+    reject("payload structure does not match declared size");
+  }
+  return state;
+}
+
+// Decodes the image at the head of `bytes`; returns its state and sets
+// `end` to the offset just past it.
+SessionState decode_image(const std::vector<std::uint8_t>& bytes,
+                          SampleRuns* runs, std::size_t& end) {
+  if (bytes.size() < kHeaderBytes + kTrailerBytes) {
+    reject("truncated header");
+  }
+  mdb::Decoder dec(bytes);
+  for (const std::uint8_t expected : kMagic) {
+    if (dec.read_u8() != expected) {
+      reject("bad magic");
+    }
+  }
+  const std::uint32_t version = dec.read_u32();
+  if (version != kCheckpointVersion) {
+    reject("version skew (snapshot v" + std::to_string(version) +
+           ", expected v" + std::to_string(kCheckpointVersion) + ")");
+  }
+  const std::uint64_t payload_size = dec.read_u64();
+  if (payload_size > bytes.size() - kHeaderBytes - kTrailerBytes) {
+    reject("payload size does not match file size");
+  }
+  const auto size = static_cast<std::size_t>(payload_size);
+  end = kHeaderBytes + size + kTrailerBytes;
+  return decode_framed(bytes, kHeaderBytes, size, runs);
+}
+
+// The last committed state of a log file: its image, then every complete
+// record.  A final record cut short by the end of the file is a torn
+// append and is dropped; anything else that fails validation rejects.
+SessionState decode_log(const std::vector<std::uint8_t>& bytes) {
+  SampleRuns runs;
+  std::size_t at = 0;
+  SessionState state = decode_image(bytes, &runs, at);
+  while (bytes.size() - at >= kRecordHeaderBytes) {
+    mdb::Decoder dec(bytes);
+    dec.seek(at);
+    const std::uint64_t payload_size = dec.read_u64();
+    if (dec.read_u32() != crc32(bytes.data() + at, 8)) {
+      reject("record header CRC mismatch");
+    }
+    const std::size_t left = bytes.size() - at - kRecordHeaderBytes;
+    if (left < kTrailerBytes || payload_size > left - kTrailerBytes) {
+      break;  // torn tail
+    }
+    const auto size = static_cast<std::size_t>(payload_size);
+    state = decode_framed(bytes, at + kRecordHeaderBytes, size, &runs);
+    at += kRecordHeaderBytes + size + kTrailerBytes;
+  }
+  return state;
+}
+
+// Runs `decode` with decoder truncation and framing errors surfacing as
+// the typed checkpoint rejection the recovery layer switches on.
+template <typename Decode>
+SessionState rejecting(Decode decode) {
+  try {
+    return decode();
+  } catch (const CheckpointError&) {
+    throw;
+  } catch (const CorruptData& error) {
+    reject(error.what());
+  }
+}
+
 [[noreturn]] void throw_io(const std::string& what,
                            const std::filesystem::path& path) {
   const int error = errno;  // before the message's allocations
@@ -588,12 +888,16 @@ class FileDescriptor {
   explicit FileDescriptor(int fd) : fd_(fd) {}
   FileDescriptor(const FileDescriptor&) = delete;
   FileDescriptor& operator=(const FileDescriptor&) = delete;
+  FileDescriptor(FileDescriptor&& other) noexcept
+      : fd_(std::exchange(other.fd_, -1)) {}
   ~FileDescriptor() {
     if (fd_ >= 0) {
       ::close(fd_);
     }
   }
   int get() const { return fd_; }
+  /// Hands the descriptor over to the caller.
+  int release() { return std::exchange(fd_, -1); }
   /// Closes now; false (errno set) when the close reported an error.
   bool close() { return ::close(std::exchange(fd_, -1)) == 0; }
 
@@ -601,18 +905,11 @@ class FileDescriptor {
   int fd_;
 };
 
-// Writes `bytes` to a fresh `path` and flushes them to stable storage.
-void write_durably(const std::filesystem::path& path,
-                   const std::vector<std::uint8_t>& bytes) {
-  FileDescriptor file(::open(path.c_str(),
-                             O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
-  if (file.get() < 0) {
-    throw_io("cannot open", path);
-  }
-  const std::uint8_t* data = bytes.data();
-  std::size_t left = bytes.size();
-  while (left > 0) {
-    const ssize_t written = ::write(file.get(), data, left);
+// Writes `size` bytes at the descriptor's position.
+void write_all(int fd, const std::uint8_t* data, std::size_t size,
+               const std::filesystem::path& path) {
+  while (size > 0) {
+    const ssize_t written = ::write(fd, data, size);
     if (written < 0 && errno == EINTR) {
       continue;
     }
@@ -620,13 +917,7 @@ void write_durably(const std::filesystem::path& path,
       throw_io("write failed for", path);
     }
     data += written;
-    left -= static_cast<std::size_t>(written);
-  }
-  if (::fdatasync(file.get()) != 0) {
-    throw_io("fdatasync failed for", path);
-  }
-  if (!file.close()) {
-    throw_io("close failed for", path);
+    size -= static_cast<std::size_t>(written);
   }
 }
 
@@ -643,70 +934,52 @@ void sync_directory(const std::filesystem::path& dir) {
   }
 }
 
+// Publishes `image` as the whole snapshot file of `dir`: temp write +
+// fdatasync, rename over the final name (the commit point — a crash on
+// either side leaves a complete file, old or new), directory fsync so the
+// new name survives a power loss too.  Returns the new file's descriptor,
+// still open and positioned at its end.
+FileDescriptor publish_image(const std::filesystem::path& dir,
+                             const std::vector<std::uint8_t>& image,
+                             CrashPointRegistry* crashpoints) {
+  const std::filesystem::path final_path = checkpoint_path(dir);
+  const std::filesystem::path temp_path = final_path.string() + ".tmp";
+  EMAP_CRASH_POINT(crashpoints, "checkpoint_pre_write");
+  FileDescriptor file(::open(temp_path.c_str(),
+                             O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
+  if (file.get() < 0) {
+    throw_io("cannot open", temp_path);
+  }
+  write_all(file.get(), image.data(), image.size(), temp_path);
+  if (::fdatasync(file.get()) != 0) {
+    throw_io("fdatasync failed for", temp_path);
+  }
+  EMAP_CRASH_POINT(crashpoints, "checkpoint_pre_rename");
+  std::error_code rename_error;
+  std::filesystem::rename(temp_path, final_path, rename_error);
+  if (rename_error) {
+    throw IoError("write_checkpoint: rename failed for " +
+                  final_path.string() + ": " + rename_error.message());
+  }
+  sync_directory(dir);
+  return file;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_session(const SessionState& state) {
-  mdb::Encoder payload_enc;
-  payload_enc.reserve(payload_size_hint(state));
-  encode_payload(payload_enc, state);
-  const std::vector<std::uint8_t> payload = payload_enc.take();
-
-  mdb::Encoder head;
-  for (const std::uint8_t byte : kMagic) {
-    head.write_u8(byte);
-  }
-  head.write_u32(kCheckpointVersion);
-  head.write_u64(payload.size());
-  std::vector<std::uint8_t> out = head.take();
-  out.insert(out.end(), payload.begin(), payload.end());
-
-  mdb::Encoder tail;
-  tail.write_u32(crc32(payload.data(), payload.size()));
-  const std::vector<std::uint8_t>& crc_bytes = tail.bytes();
-  out.insert(out.end(), crc_bytes.begin(), crc_bytes.end());
-  return out;
+  return encode_image(state, RunSink{});
 }
 
 SessionState decode_session(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < kHeaderBytes + kTrailerBytes) {
-    reject("truncated header");
-  }
-  try {
-    mdb::Decoder dec(bytes);
-    for (const std::uint8_t expected : kMagic) {
-      if (dec.read_u8() != expected) {
-        reject("bad magic");
-      }
-    }
-    const std::uint32_t version = dec.read_u32();
-    if (version != kCheckpointVersion) {
-      reject("version skew (snapshot v" + std::to_string(version) +
-             ", expected v" + std::to_string(kCheckpointVersion) + ")");
-    }
-    const std::uint64_t payload_size = dec.read_u64();
-    if (payload_size != bytes.size() - kHeaderBytes - kTrailerBytes) {
+  return rejecting([&bytes] {
+    std::size_t end = 0;
+    SessionState state = decode_image(bytes, nullptr, end);
+    if (end != bytes.size()) {
       reject("payload size does not match file size");
     }
-    const std::uint32_t computed =
-        crc32(bytes.data() + kHeaderBytes,
-              static_cast<std::size_t>(payload_size));
-    mdb::Decoder crc_dec(bytes);
-    crc_dec.seek(kHeaderBytes + static_cast<std::size_t>(payload_size));
-    if (crc_dec.read_u32() != computed) {
-      reject("CRC mismatch");
-    }
-    SessionState state = decode_payload(dec, bytes.size());
-    if (dec.cursor() != kHeaderBytes + payload_size) {
-      reject("payload structure does not match declared size");
-    }
     return state;
-  } catch (const CheckpointError&) {
-    throw;
-  } catch (const CorruptData& error) {
-    // Decoder truncation and framing errors surface as the typed
-    // checkpoint rejection the recovery layer switches on.
-    reject(error.what());
-  }
+  });
 }
 
 std::filesystem::path checkpoint_path(const std::filesystem::path& dir) {
@@ -717,35 +990,105 @@ void write_checkpoint(const std::filesystem::path& dir,
                       const SessionState& state,
                       CrashPointRegistry* crashpoints) {
   std::filesystem::create_directories(dir);
-  const std::vector<std::uint8_t> bytes = encode_session(state);
-  const std::filesystem::path final_path = checkpoint_path(dir);
-  const std::filesystem::path temp_path =
-      final_path.string() + ".tmp";
-
-  EMAP_CRASH_POINT(crashpoints, "checkpoint_pre_write");
-  write_durably(temp_path, bytes);
-  // The rename is the commit point: a crash on either side of it leaves a
-  // complete snapshot (old or new) under the final name, and the directory
-  // sync makes the new name survive a power loss too.
-  EMAP_CRASH_POINT(crashpoints, "checkpoint_pre_rename");
-  std::error_code rename_error;
-  std::filesystem::rename(temp_path, final_path, rename_error);
-  if (rename_error) {
-    throw IoError("write_checkpoint: rename failed for " +
-                  final_path.string() + ": " + rename_error.message());
+  FileDescriptor file = publish_image(dir, encode_session(state), crashpoints);
+  if (!file.close()) {
+    throw_io("close failed for", checkpoint_path(dir));
   }
-  sync_directory(dir);
   EMAP_CRASH_POINT(crashpoints, "checkpoint_post_write");
 }
 
 std::optional<SessionState> read_checkpoint(
     const std::filesystem::path& dir) {
   const std::filesystem::path path = checkpoint_path(dir);
+  // Only "not found" means a fresh session; any other failure to look
+  // (ENAMETOOLONG, EACCES, ...) must not pass for one.
   std::error_code exists_error;
-  if (!std::filesystem::exists(path, exists_error) || exists_error) {
+  const bool exists = std::filesystem::exists(path, exists_error);
+  if (exists_error) {
+    throw IoError("read_checkpoint: cannot stat " + path.string() + ": " +
+                  exists_error.message());
+  }
+  if (!exists) {
     return std::nullopt;
   }
-  return decode_session(read_file(path));
+  const std::vector<std::uint8_t> bytes = read_file(path);
+  return rejecting([&bytes] { return decode_log(bytes); });
+}
+
+class CheckpointLog::Runs : public SampleRuns {};
+
+CheckpointLog::CheckpointLog(std::filesystem::path dir)
+    : dir_(std::move(dir)) {}
+
+CheckpointLog::~CheckpointLog() {
+  if (fd_ >= 0) {
+    ::close(fd_);
+  }
+}
+
+void CheckpointLog::publish(SessionState state,
+                            CrashPointRegistry* crashpoints) {
+  if (needs_image_ || appended_bytes_ > image_bytes_) {
+    bytes_written_ += write_image(state, crashpoints);
+    ++compactions_;
+  } else {
+    append(state, crashpoints);
+  }
+  last_ = std::move(state);
+  EMAP_CRASH_POINT(crashpoints, "checkpoint_post_write");
+}
+
+void CheckpointLog::close() {
+  if (fd_ < 0) {
+    return;
+  }
+  if (needs_image_ || appended_bytes_ > 0) {
+    write_image(*last_, nullptr);
+  }
+  runs_.reset();
+  last_.reset();
+  ::close(std::exchange(fd_, -1));
+  needs_image_ = true;
+}
+
+std::size_t CheckpointLog::write_image(const SessionState& state,
+                                       CrashPointRegistry* crashpoints) {
+  needs_image_ = true;
+  std::filesystem::create_directories(dir_);
+  runs_ = std::make_unique<Runs>();  // frees the old image's runs
+  const std::vector<std::uint8_t> image =
+      encode_image(state, RunSink{runs_.get(), false});
+  FileDescriptor file = publish_image(dir_, image, crashpoints);
+  if (fd_ >= 0) {
+    ::close(fd_);
+  }
+  fd_ = file.release();
+  image_bytes_ = image.size();
+  appended_bytes_ = 0;
+  needs_image_ = false;
+  return image.size();
+}
+
+void CheckpointLog::append(const SessionState& state,
+                           CrashPointRegistry* crashpoints) {
+  // Until the trailer is durable, the retained runs may name runs the file
+  // does not hold.
+  needs_image_ = true;
+  const std::vector<std::uint8_t> record = encode_record(state, *runs_);
+  const std::filesystem::path path = checkpoint_path(dir_);
+  const std::size_t body = record.size() - kTrailerBytes;
+  EMAP_CRASH_POINT(crashpoints, "checkpoint_pre_write");
+  write_all(fd_, record.data(), body, path);
+  // The trailer is the commit point: without it the record is a torn tail
+  // and the previous state stands.
+  EMAP_CRASH_POINT(crashpoints, "checkpoint_pre_rename");
+  write_all(fd_, record.data() + body, kTrailerBytes, path);
+  if (::fdatasync(fd_) != 0) {
+    throw_io("fdatasync failed for", path);
+  }
+  appended_bytes_ += record.size();
+  bytes_written_ += record.size();
+  needs_image_ = false;
 }
 
 void RecoveryOptions::validate() const {

@@ -5,29 +5,39 @@
 // one-second windows, so a process crash discards the patient's tracking
 // history and forces a cold ~3 s cloud re-search.  The checkpoint
 // subsystem makes the pipeline restartable: at the end of each window it
-// serializes the full resumable session state (SessionState below) into a
-// versioned, CRC-32-guarded binary snapshot and publishes it with an
-// atomic temp-write + fdatasync + rename + directory fsync, so the file on
-// disk is always either the previous complete snapshot or the new complete
-// snapshot — never a torn one, also across a power loss.  A resumed run restores every state machine and RNG stream and
-// replays from the first un-checkpointed window; on a clean link its P_A
-// trajectory is bit-identical to the uninterrupted run's (the recovery
+// serializes the full resumable session state (SessionState below) and
+// makes it durable, so the file on disk always yields either the previous
+// complete state or the new complete state — never a torn one, also across
+// a power loss.  A resumed run restores every state machine and RNG stream
+// and replays from the first un-checkpointed window; on a clean link its
+// P_A trajectory is bit-identical to the uninterrupted run's (the recovery
 // integration test crashes at every registered crash point and asserts
 // exactly that).
 //
-// Snapshot framing (little-endian, mirrors the MDB store format):
-//   file    := magic "EMCK" | u32 version | u64 payload_size | payload |
+// The snapshot file is an append-only log (little-endian, sample framing
+// mirrors the MDB store format):
+//   file    := image record*
+//   image   := magic "EMCK" | u32 version | u64 payload_size | payload |
+//              u32 crc32(payload)
+//   record  := u64 payload_size | u32 crc32(payload_size) | payload |
 //              u32 crc32(payload)
 //   signal  := u64 set_id | f64 omega | u64 beta | u8 anomalous |
 //              u8 class_tag | u64 n | samples
 //   samples := u8 1 | f32 scale | i16[n]     (wire image: x = i16 * scale)
 //            | u8 0 | f64[n]                 (anything else)
-// Loads fail closed: truncated, bit-flipped, version-skewed, or
-// wrong-config snapshots throw CheckpointError (a CorruptData) and are
-// never partially applied.  Versioning policy: `kCheckpointVersion` bumps
-// on ANY layout change; there is no cross-version migration — an old
-// snapshot is rejected and the session cold-starts (documented in
-// docs/robustness.md, "Crash recovery").
+//            | u8 2 | u32 run               (records only: the run-th inline
+//                                             sample run of the file)
+// Every payload is a whole SessionState; the file's state is the last
+// committed one.  An image is published by temp write + fdatasync +
+// rename + directory fsync (write_checkpoint), a record by appending its
+// body, then its CRC trailer, then fdatasync (CheckpointLog).  A record
+// cut short by end of file is a torn tail and is dropped; any complete
+// record or image that fails its CRCs or its structure — including a
+// back-reference to a run the file does not hold — throws CheckpointError
+// (a CorruptData) and is never partially applied.  Versioning policy:
+// `kCheckpointVersion` bumps on ANY layout change; there is no
+// cross-version migration — an old snapshot is rejected and the session
+// cold-starts (documented in docs/robustness.md, "Crash recovery").
 //
 // Layering note: this is the robust layer, below core — so the snapshot
 // carries its own plain TrackedSignalState rather than core::TrackedSignal;
@@ -37,11 +47,15 @@
 // area verdict.  They are stored as that 16-bit image, though: the encoder
 // recomputes the wire scale from the samples themselves and keeps the
 // int16 form only when it decodes back to the same doubles bit for bit,
-// so no other module knows the snapshot format and nothing is lost.
+// so no other module knows the snapshot format and nothing is lost.  A
+// record names a run the file already holds instead of storing it again,
+// so the tracked set, unchanged between cloud calls, is written once per
+// image.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -75,7 +89,9 @@ class CheckpointError : public CorruptData {
 ///     cursors) appended.
 /// v4: tracked samples tagged and stored as their int16 wire image when
 ///     it is exact (f64 otherwise).
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+/// v5: the file is an image followed by appended records, whose samples
+///     may refer back to a run stored earlier in the file.
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// One tracked signal-set as the edge holds it (robust-layer mirror of
 /// core::TrackedSignal; samples included — see the layering note above).
@@ -218,7 +234,8 @@ struct SessionState {
   std::vector<WorkerCheckpoint> workers;
 };
 
-/// Serializes one session snapshot (full file image, framing included).
+/// Serializes one session snapshot image (framing included; no
+/// back-references, so it decodes on its own).
 std::vector<std::uint8_t> encode_session(const SessionState& state);
 
 /// Parses and validates a snapshot image.  Throws CheckpointError on any
@@ -231,21 +248,86 @@ SessionState decode_session(const std::vector<std::uint8_t>& bytes);
 std::filesystem::path checkpoint_path(const std::filesystem::path& dir);
 
 /// Atomically and durably publishes `state` into `dir` (created if
-/// needed): encode, write to a temp file, fdatasync and close it, rename
-/// over checkpoint_path(dir), fsync the directory.  A crash anywhere
-/// before the rename leaves the previous snapshot intact; once this
-/// returns, the new one survives a power loss.  `crashpoints` (may be null) is consulted at
-/// checkpoint_pre_write / checkpoint_pre_rename / checkpoint_post_write.
-/// Throws IoError on filesystem failure.
+/// needed) as a single image: encode, write to a temp file and fdatasync
+/// it, rename over checkpoint_path(dir), fsync the directory.  A crash
+/// anywhere before the rename leaves the previous file intact; once this
+/// returns, the new one survives a power loss.  `crashpoints` (may be
+/// null) is consulted at checkpoint_pre_write / checkpoint_pre_rename /
+/// checkpoint_post_write.  Throws IoError on filesystem failure.
 void write_checkpoint(const std::filesystem::path& dir,
                       const SessionState& state,
                       CrashPointRegistry* crashpoints = nullptr);
 
-/// Loads the snapshot from `dir`.  Returns nullopt when no snapshot file
-/// exists (fresh session); throws CheckpointError when one exists but
-/// fails validation; throws IoError when it cannot be read.
+/// Loads the last committed state of the snapshot file in `dir`: its
+/// image, then each complete record; a torn final record is dropped.
+/// Returns nullopt when no snapshot file exists (fresh session); throws
+/// CheckpointError when one exists but fails validation; throws IoError
+/// when it cannot be read (any error but "not found", e.g. a path
+/// component longer than NAME_MAX).
 std::optional<SessionState> read_checkpoint(
     const std::filesystem::path& dir);
+
+/// One run's writer of the snapshot file in a checkpoint directory.
+///
+/// Most publishes append one record (body, CRC trailer, fdatasync — no
+/// temp file, rename or directory fsync); its sample runs refer back to
+/// bit-equal runs already in the file, so a window that loaded no new set
+/// writes a few kB.  A publish compacts instead — a whole image through
+/// write_checkpoint's temp + rename path, whose descriptor then becomes
+/// the append descriptor — when it is the log's first (a run never
+/// appends to a file another process left behind), when the bytes
+/// appended since the last image exceed that image's size, or when an
+/// earlier write failed part-way.  The file therefore never exceeds two
+/// images plus one record.  Crash points fire on both paths: on an append,
+/// checkpoint_pre_write before any byte, checkpoint_pre_rename between
+/// the body and the trailer, checkpoint_post_write after the fdatasync.
+class CheckpointLog {
+ public:
+  explicit CheckpointLog(std::filesystem::path dir);
+  ~CheckpointLog();
+  CheckpointLog(const CheckpointLog&) = delete;
+  CheckpointLog& operator=(const CheckpointLog&) = delete;
+
+  /// Durably publishes `state` (append or compaction, see above).  Throws
+  /// IoError on filesystem failure; the next publish then compacts.
+  void publish(SessionState state, CrashPointRegistry* crashpoints = nullptr);
+
+  /// Ends the run's log: rewrites the file as the single image of the last
+  /// published state unless it already is one, then frees the retained
+  /// sample runs and closes the file.  Not a publish: no crash points, no
+  /// counters.  A no-op when nothing was published.
+  void close();
+
+  /// Publishes that took the compaction path.
+  std::uint64_t compactions() const { return compactions_; }
+  /// Bytes the publishes wrote to the file (images and records).
+  std::uint64_t bytes_written() const { return bytes_written_; }
+
+ private:
+  class Runs;
+
+  /// Compaction: publishes the image of `state`; returns its size.
+  std::size_t write_image(const SessionState& state,
+                          CrashPointRegistry* crashpoints);
+  void append(const SessionState& state, CrashPointRegistry* crashpoints);
+
+  std::filesystem::path dir_;
+  /// Sample runs the file holds since its image, in file order (null
+  /// before the first image and after close()).
+  std::unique_ptr<Runs> runs_;
+  /// The file, open for appending; -1 before the first image.
+  int fd_ = -1;
+  /// The file's committed state, kept for close().
+  std::optional<SessionState> last_;
+  /// Size of the file's image and of the records appended after it.
+  std::uint64_t image_bytes_ = 0;
+  std::uint64_t appended_bytes_ = 0;
+  /// A write failed part-way (or none happened yet): the file's tail and
+  /// the retained runs cannot be trusted, so the next publish compacts.
+  bool needs_image_ = true;
+  std::uint64_t compactions_ = 0;
+  std::uint64_t bytes_written_ = 0;
+};
 
 /// Pipeline-facing recovery switches (PipelineOptions::recovery).
 struct RecoveryOptions {
@@ -271,6 +353,11 @@ struct RecoverySummary {
   bool resumed = false;            ///< state restored from a snapshot
   std::uint64_t resume_window = 0; ///< first window executed by this run
   std::uint64_t checkpoints_written = 0;
+  /// Of those, the publishes that wrote a whole image (the rest appended
+  /// one record to the log; see CheckpointLog).
+  std::uint64_t checkpoint_compactions = 0;
+  /// Bytes those publishes wrote to the snapshot file.
+  std::uint64_t checkpoint_bytes_written = 0;
   /// Resume was requested but no usable snapshot existed; ran cold.
   bool cold_start_fallback = false;
   /// Why the snapshot was rejected (empty when none was).

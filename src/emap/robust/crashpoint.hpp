@@ -20,9 +20,11 @@
 //   pipeline_pre_cloud_call  after the decision to call, before any message
 //   pipeline_post_cloud_call after the call returned (pending recorded)
 //   pipeline_window_end      after the window's checkpoint was written
-//   checkpoint_pre_write     before the temp snapshot file is opened
-//   checkpoint_pre_rename    temp written+closed, before the atomic rename
-//   checkpoint_post_write    snapshot durable under its final name
+//   checkpoint_pre_write     before any snapshot byte is written
+//   checkpoint_pre_rename    compaction: temp written, before the atomic
+//                            rename; append: record body written, before
+//                            its commit trailer
+//   checkpoint_post_write    the new snapshot state is durable
 #pragma once
 
 #include <cstdint>

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "emap/common/file_io.hpp"
 #include "emap/core/pipeline.hpp"
 #include "emap/core/report.hpp"
 #include "emap/robust/checkpoint.hpp"
@@ -199,6 +200,42 @@ TEST_F(RecoveryTest, ResumeWithoutANewSnapshotReportsTheRestoredOne) {
   EXPECT_EQ(resumed.iterations.size(), 2u);
   EXPECT_EQ(resumed.robust.recovery.checkpoints_written, 0u);
   EXPECT_EQ(resumed.robust.recovery.last_snapshot_window, 10u);
+}
+
+// Most windows append one record to the log; a finished run still leaves
+// a single image of its last published state, which decode_session reads
+// on its own.  The summary, the metrics and the run-summary JSON tell the
+// compactions from the appends and count the bytes written.
+TEST_F(RecoveryTest, FinishedRunLeavesOneImageAndReportsTheWritePaths) {
+  testing::TempDir dir("recovery_log_paths");
+  obs::MetricsRegistry registry;
+  PipelineOptions options = base_options();
+  options.recovery.checkpoint_dir = dir.path();
+  options.metrics = &registry;
+  const RunResult result = run_with(options);
+  const robust::RecoverySummary& recovery = result.robust.recovery;
+  EXPECT_EQ(recovery.checkpoints_written, result.iterations.size());
+  EXPECT_GE(recovery.checkpoint_compactions, 1u);
+  EXPECT_LT(recovery.checkpoint_compactions, recovery.checkpoints_written / 2);
+  EXPECT_GT(recovery.checkpoint_bytes_written, 0u);
+
+  const robust::SessionState state =
+      robust::decode_session(read_file(robust::checkpoint_path(dir.path())));
+  EXPECT_EQ(state.next_window, result.iterations.size());
+  EXPECT_EQ(recovery.last_snapshot_window, state.next_window);
+
+  EXPECT_EQ(
+      registry.counter("emap_recovery_checkpoint_compactions_total").value(),
+      recovery.checkpoint_compactions);
+  EXPECT_EQ(registry.counter("emap_recovery_checkpoint_bytes_total").value(),
+            recovery.checkpoint_bytes_written);
+  const std::string summary = run_summary_json(result);
+  EXPECT_NE(summary.find("\"recovery_checkpoint_compactions\":" +
+                         std::to_string(recovery.checkpoint_compactions)),
+            std::string::npos);
+  EXPECT_NE(summary.find("\"recovery_checkpoint_bytes_written\":" +
+                         std::to_string(recovery.checkpoint_bytes_written)),
+            std::string::npos);
 }
 
 TEST_F(RecoveryTest, MissingSnapshotFallsBackToColdStart) {

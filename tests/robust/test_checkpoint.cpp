@@ -2,8 +2,10 @@
 // decode_session(encode_session(s)) == s for fuzzed session states, the
 // corruption fuzz (bit flips, truncation, version skew all fail closed
 // with CheckpointError — never UB; CI runs this binary under ASan/UBSan),
-// the sample encodings (int16 wire image, exact f64 fallback), and the
-// atomic write-rename publication semantics.
+// the sample encodings (int16 wire image, exact f64 fallback), the atomic
+// write-rename publication semantics, and the append-only log
+// (CheckpointLog): back-references, torn tails, corrupt records, crashes
+// on both write paths, and the compaction bound.
 #include "emap/robust/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -12,11 +14,13 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <utility>
 
 #include "emap/common/crc32.hpp"
 #include "emap/common/error.hpp"
+#include "emap/common/file_io.hpp"
 #include "emap/common/rng.hpp"
 #include "emap/net/transport.hpp"
 #include "emap/robust/crashpoint.hpp"
@@ -386,6 +390,14 @@ TEST(Checkpoint, MissingSnapshotReadsAsNullopt) {
       read_checkpoint(dir.path() / "never_created").has_value());
 }
 
+// Only "not found" means a fresh session: a path the filesystem refuses to
+// look up (a component longer than NAME_MAX, ENAMETOOLONG) is an I/O
+// error, not a silent cold start.
+TEST(Checkpoint, UnreadablePathThrowsIoErrorInsteadOfReadingAsMissing) {
+  testing::TempDir dir("ckpt_name_too_long");
+  EXPECT_THROW(read_checkpoint(dir.path() / std::string(300, 'x')), IoError);
+}
+
 // Atomicity: a crash before the rename — whether before the temp file is
 // opened or after it is fully written — leaves the previous snapshot
 // intact and loadable.
@@ -425,11 +437,12 @@ TEST(Checkpoint, CrashAfterRenameKeepsTheNewSnapshot) {
 
 // Signals as the edge holds them: a correlation set encoded by the cloud
 // and decoded by the edge, samples dequantized from the int16 wire image.
-std::vector<TrackedSignalState> wire_decoded_signals() {
-  Rng rng(0x5eed);
+std::vector<TrackedSignalState> wire_decoded_signals(
+    std::uint64_t seed = 0x5eed, std::size_t count = 6) {
+  Rng rng(seed);
   net::CorrelationSetMessage message;
   message.request_sequence = 9;
-  for (std::size_t e = 0; e < 6; ++e) {
+  for (std::size_t e = 0; e < count; ++e) {
     net::CorrelationEntry entry;
     entry.set_id = 1000 + e;
     entry.omega = 0.9f - 0.1f * static_cast<float>(e);
@@ -567,6 +580,312 @@ TEST(CheckpointSamples, UnknownSampleEncodingIsRejected) {
     EXPECT_NE(std::string(error.what()).find("sample encoding"),
               std::string::npos);
   }
+}
+
+// ---- The append-only log (CheckpointLog). ----
+
+/// A window's state for the log tests: fuzzed fixed fields around the
+/// tracked set, so consecutive records share the set's sample runs.
+SessionState log_state(std::uint64_t window,
+                       const std::vector<TrackedSignalState>& tracked) {
+  SessionState state = fuzz_state(1000 + window);
+  state.next_window = window;
+  state.tracker.tracked = tracked;
+  return state;
+}
+
+std::uintmax_t log_size(const testing::TempDir& dir) {
+  return std::filesystem::file_size(checkpoint_path(dir.path()));
+}
+
+void overwrite(const testing::TempDir& dir,
+               const std::vector<std::uint8_t>& bytes, std::size_t length) {
+  std::ofstream out(checkpoint_path(dir.path()),
+                    std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(length));
+}
+
+void store_le(std::vector<std::uint8_t>& bytes, std::size_t at,
+              std::uint64_t value, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
+std::uint64_t load_le(const std::vector<std::uint8_t>& bytes, std::size_t at,
+                      std::size_t width) {
+  std::uint64_t value = 0;
+  for (std::size_t i = width; i-- > 0;) {
+    value = (value << 8) | bytes[at + i];
+  }
+  return value;
+}
+
+// Record framing: u64 payload size | u32 CRC of it | payload | u32 CRC.
+constexpr std::size_t kRecordHeaderBytes = 12;
+
+TEST(CheckpointLog, AppendsReferBackToTheRunsTheImageHolds) {
+  testing::TempDir dir("ckpt_log_append");
+  const std::vector<TrackedSignalState> tracked = wire_decoded_signals();
+  CheckpointLog log(dir.path());
+  log.publish(log_state(1, tracked));
+  const std::uintmax_t image = log_size(dir);
+  EXPECT_EQ(log.compactions(), 1u);
+  EXPECT_EQ(log.bytes_written(), image);
+
+  const SessionState second = log_state(2, tracked);
+  log.publish(second);
+  EXPECT_EQ(log.compactions(), 1u);
+  const std::uintmax_t record = log_size(dir) - image;
+  EXPECT_EQ(log.bytes_written(), image + record);
+  // The six 1000-sample signals ride as 5-byte references, not 12 kB of
+  // int16 images.
+  EXPECT_LT(record, image - 6 * 2000);
+  const auto loaded = read_checkpoint(dir.path());
+  ASSERT_TRUE(loaded.has_value());
+  expect_state_eq(second, *loaded);
+  for (std::size_t i = 0; i < tracked.size(); ++i) {
+    EXPECT_TRUE(bits_equal(loaded->tracker.tracked[i].samples,
+                           tracked[i].samples));
+  }
+  // An image followed by records is no longer a standalone image.
+  EXPECT_THROW(decode_session(read_file(checkpoint_path(dir.path()))),
+               CheckpointError);
+}
+
+// A record cut short by the end of the file — anywhere from its first
+// header byte to its last trailer byte — is a torn append: the state
+// before it stands.
+TEST(CheckpointLog, TruncationInsideTheLastRecordReadsThePreviousState) {
+  testing::TempDir dir("ckpt_log_torn");
+  const std::vector<TrackedSignalState> tracked = wire_decoded_signals();
+  CheckpointLog log(dir.path());
+  log.publish(log_state(1, tracked));
+  const SessionState second = log_state(2, tracked);
+  log.publish(second);
+  const std::uintmax_t second_end = log_size(dir);
+  const SessionState third = log_state(3, tracked);
+  log.publish(third);
+  ASSERT_EQ(log.compactions(), 1u);
+  const std::vector<std::uint8_t> bytes =
+      read_file(checkpoint_path(dir.path()));
+  for (std::size_t length = second_end; length < bytes.size(); ++length) {
+    overwrite(dir, bytes, length);
+    const auto loaded = read_checkpoint(dir.path());
+    ASSERT_TRUE(loaded.has_value()) << "truncated to " << length;
+    ASSERT_EQ(loaded->next_window, 2u) << "truncated to " << length;
+  }
+  overwrite(dir, bytes, second_end + 1);
+  expect_state_eq(second, *read_checkpoint(dir.path()));
+  overwrite(dir, bytes, bytes.size());
+  expect_state_eq(third, *read_checkpoint(dir.path()));
+}
+
+// Every complete record — the final one included — is CRC-guarded in its
+// header (so a flipped size cannot pass for a torn tail), its payload and
+// its trailer.
+TEST(CheckpointLog, BitFlipInAnyCompleteRecordFailsClosed) {
+  testing::TempDir dir("ckpt_log_flip");
+  const std::vector<TrackedSignalState> tracked = wire_decoded_signals();
+  CheckpointLog log(dir.path());
+  log.publish(log_state(1, tracked));
+  const std::uintmax_t image = log_size(dir);
+  log.publish(log_state(2, tracked));
+  log.publish(log_state(3, tracked));
+  const std::vector<std::uint8_t> bytes =
+      read_file(checkpoint_path(dir.path()));
+  for (std::size_t i = image; i < bytes.size(); ++i) {
+    std::vector<std::uint8_t> corrupt = bytes;
+    corrupt[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
+    overwrite(dir, corrupt, corrupt.size());
+    EXPECT_THROW(read_checkpoint(dir.path()), CheckpointError)
+        << "flip at byte " << i;
+  }
+}
+
+// A CRC-valid record that names a sample run the file does not hold is
+// rejected, never resolved to some other run.
+TEST(CheckpointLog, BackReferenceToAnUnknownRunFailsClosed) {
+  testing::TempDir dir("ckpt_log_unknown_run");
+  const std::vector<TrackedSignalState> tracked = wire_decoded_signals();
+  CheckpointLog log(dir.path());
+  log.publish(log_state(1, tracked));
+  const std::size_t record = log_size(dir);
+  log.publish(log_state(2, tracked));
+  std::vector<std::uint8_t> bytes = read_file(checkpoint_path(dir.path()));
+
+  // The first tracked signal's set id, then its sample tag and run index.
+  const std::uint8_t id_bytes[8] = {0xe8, 0x03, 0, 0, 0, 0, 0, 0};  // 1000
+  const auto at = std::search(bytes.begin() + static_cast<std::ptrdiff_t>(record),
+                              bytes.end(), std::begin(id_bytes),
+                              std::end(id_bytes));
+  ASSERT_NE(at, bytes.end());
+  const auto tag = static_cast<std::size_t>(at - bytes.begin()) +
+                   kSignalFixedBytes - 1;
+  ASSERT_EQ(bytes[tag], 2u);  // a back-reference
+  store_le(bytes, tag + 1, 999, 4);
+  const auto payload_size =
+      static_cast<std::size_t>(load_le(bytes, record, 8));
+  const std::size_t payload = record + kRecordHeaderBytes;
+  store_le(bytes, payload + payload_size,
+           crc32(bytes.data() + payload, payload_size), 4);
+  overwrite(dir, bytes, bytes.size());
+  try {
+    read_checkpoint(dir.path());
+    FAIL() << "back-reference to an unknown run accepted";
+  } catch (const CheckpointError& error) {
+    EXPECT_NE(std::string(error.what()).find("unknown sample run"),
+              std::string::npos);
+  }
+}
+
+// The append path: a crash before any byte or between the body and its
+// commit trailer leaves the previous state; a crash after the fdatasync
+// leaves the new one.  The same log then carries on, compacting over a
+// torn tail.
+TEST(CheckpointLog, CrashOnTheAppendPathKeepsOldOrNew) {
+  for (const char* point : {"checkpoint_pre_write", "checkpoint_pre_rename",
+                            "checkpoint_post_write"}) {
+    testing::TempDir dir(std::string("ckpt_log_crash_append_") + point);
+    const std::vector<TrackedSignalState> tracked = wire_decoded_signals();
+    const SessionState first = log_state(1, tracked);
+    const SessionState second = log_state(2, tracked);
+    const bool committed = std::string(point) == "checkpoint_post_write";
+    CheckpointLog log(dir.path());
+    log.publish(first);
+    CrashPointRegistry registry;
+    {
+      ScopedCrashSchedule guard(registry, {point, 1});
+      EXPECT_THROW(log.publish(second, &registry), InjectedCrash) << point;
+    }
+    EXPECT_EQ(log.compactions(), 1u) << point;  // the crash hit an append
+    const auto loaded = read_checkpoint(dir.path());
+    ASSERT_TRUE(loaded.has_value()) << point;
+    expect_state_eq(committed ? second : first, *loaded);
+
+    const SessionState third = log_state(3, tracked);
+    log.publish(third);
+    EXPECT_EQ(log.compactions(), committed ? 1u : 2u) << point;
+    expect_state_eq(third, *read_checkpoint(dir.path()));
+  }
+}
+
+// The compaction path (here: a run's first publish over a log another run
+// left behind) keeps the rename as its commit point.
+TEST(CheckpointLog, CrashOnTheCompactionPathKeepsOldOrNew) {
+  for (const char* point : {"checkpoint_pre_write", "checkpoint_pre_rename",
+                            "checkpoint_post_write"}) {
+    testing::TempDir dir(std::string("ckpt_log_crash_compact_") + point);
+    const std::vector<TrackedSignalState> tracked = wire_decoded_signals();
+    const SessionState left_behind = log_state(2, tracked);
+    {
+      CheckpointLog earlier(dir.path());
+      earlier.publish(log_state(1, tracked));
+      earlier.publish(left_behind);
+    }
+    const SessionState next = log_state(3, tracked);
+    CheckpointLog log(dir.path());
+    CrashPointRegistry registry;
+    {
+      ScopedCrashSchedule guard(registry, {point, 1});
+      EXPECT_THROW(log.publish(next, &registry), InjectedCrash) << point;
+    }
+    const auto loaded = read_checkpoint(dir.path());
+    ASSERT_TRUE(loaded.has_value()) << point;
+    if (std::string(point) == "checkpoint_post_write") {
+      expect_state_eq(next, *loaded);
+      EXPECT_NO_THROW(
+          decode_session(read_file(checkpoint_path(dir.path()))));
+    } else {
+      expect_state_eq(left_behind, *loaded);
+    }
+  }
+}
+
+// A resumed run reads the state before a torn tail, and its first publish
+// replaces the whole file with one image instead of appending after the
+// torn bytes.
+TEST(CheckpointLog, ResumedRunThatFindsATornTailWritesAFreshImage) {
+  testing::TempDir dir("ckpt_log_resume_torn");
+  const std::vector<TrackedSignalState> tracked = wire_decoded_signals();
+  const SessionState first = log_state(1, tracked);
+  {
+    CheckpointLog crashed(dir.path());
+    crashed.publish(first);
+    CrashPointRegistry registry;
+    ScopedCrashSchedule guard(registry, {"checkpoint_pre_rename", 1});
+    EXPECT_THROW(crashed.publish(log_state(2, tracked), &registry),
+                 InjectedCrash);
+  }
+  const auto resumed_from = read_checkpoint(dir.path());
+  ASSERT_TRUE(resumed_from.has_value());
+  expect_state_eq(first, *resumed_from);
+
+  const SessionState next = log_state(2, tracked);
+  CheckpointLog resumed(dir.path());
+  resumed.publish(next);
+  EXPECT_EQ(resumed.compactions(), 1u);
+  EXPECT_EQ(log_size(dir), resumed.bytes_written());
+  expect_state_eq(next,
+                  decode_session(read_file(checkpoint_path(dir.path()))));
+}
+
+// Over a faulted 600-window trajectory — sets reloaded after cloud calls,
+// failed calls, signals removed one by one — the file never exceeds two
+// images plus the record just appended, every state reads back, and
+// close() leaves one image of the last state.
+TEST(CheckpointLog, FileNeverExceedsTwoImagesPlusOneRecord) {
+  testing::TempDir dir("ckpt_log_bound");
+  Rng rng(600);
+  std::vector<TrackedSignalState> tracked = wire_decoded_signals(1, 12);
+  std::optional<PendingCallCheckpoint> pending;
+  std::uint64_t sets = 1;
+  std::uint64_t delivery = 0;
+  CheckpointLog log(dir.path());
+  std::uintmax_t image = 0;
+  std::uintmax_t size = 0;
+  SessionState state;
+  for (std::uint64_t w = 1; w <= 600; ++w) {
+    if (pending && w == delivery) {
+      if (pending->succeeded) {
+        tracked = pending->correlation_set;
+      }
+      pending.reset();
+    } else if (!pending && rng.bernoulli(0.2)) {
+      pending.emplace();
+      pending->succeeded = rng.bernoulli(0.8);
+      if (pending->succeeded) {
+        pending->correlation_set = wire_decoded_signals(++sets, 12);
+      }
+      delivery = w + 1 + rng.uniform_index(3);
+    }
+    if (tracked.size() > 1 && rng.bernoulli(0.3)) {
+      tracked.pop_back();
+    }
+    state = log_state(w, tracked);
+    state.pending = pending;
+    const std::uint64_t compactions = log.compactions();
+    log.publish(state);
+    const std::uintmax_t previous = size;
+    size = log_size(dir);
+    if (log.compactions() != compactions) {
+      image = size;
+    } else {
+      ASSERT_LE(size, 2 * image + (size - previous)) << "window " << w;
+    }
+    if (w % 50 == 0) {
+      const auto loaded = read_checkpoint(dir.path());
+      ASSERT_TRUE(loaded.has_value());
+      expect_state_eq(state, *loaded);
+    }
+  }
+  EXPECT_GT(log.compactions(), 1u);
+  EXPECT_LT(log.compactions(), 300u);
+  log.close();
+  const std::vector<std::uint8_t> bytes =
+      read_file(checkpoint_path(dir.path()));
+  EXPECT_EQ(bytes, encode_session(state));
 }
 
 TEST(Checkpoint, RecoveryOptionsValidateRejectsZeroInterval) {
