@@ -95,19 +95,25 @@ int main() {
   // committed baselines (docs/performance.md) and gated with the
   // perfdiff --require absolute floor instead.
   std::printf("\n=== scan throughput per dispatch arm (alpha = 0.004) ===\n");
-  std::printf("%-8s %12s %14s %12s\n", "impl", "wall[ms]", "Mmac/s",
-              "kernel calls");
+  std::printf("%-8s %12s %14s %12s %10s %12s %8s\n", "impl", "wall[ms]",
+              "Mmac/s", "kernel calls", "evals", "exact evals", "settled");
   core::CrossCorrelationSearch pinned_search{core::EmapConfig{}};
   const int reps = bench::quick_mode() ? 2 : 3;
+  // `settled_ratio`: the share of evaluations the arm's f32 screen
+  // settled without the exact f64 kernel (0 for the scalar arm).
   auto time_arm = [&](dsp::simd::Level level, double& wall_ms,
-                      double& mmacs_per_sec) {
+                      double& mmacs_per_sec, double& settled_ratio) {
     dsp::simd::force_level(level);
     dsp::simd::reset_kernel_invocations();
     double best_ms = 1e300;
     double macs = 0.0;
+    std::uint64_t evals = 0;
+    std::uint64_t exact = 0;
     for (int rep = 0; rep < reps; ++rep) {
       double rep_ms = 0.0;
       macs = 0.0;
+      evals = 0;
+      exact = 0;
       for (const auto& probe : probes) {
         const auto start = std::chrono::steady_clock::now();
         const auto result = pinned_search.search(probe, store);
@@ -115,6 +121,8 @@ int main() {
                       std::chrono::steady_clock::now() - start)
                       .count();
         macs += static_cast<double>(result.stats.mac_ops);
+        evals += result.stats.correlation_evals;
+        exact += result.stats.exact_evals;
       }
       best_ms = std::min(best_ms, rep_ms);
     }
@@ -122,19 +130,28 @@ int main() {
     dsp::simd::force_level(std::nullopt);
     wall_ms = best_ms;
     mmacs_per_sec = macs / best_ms / 1e3;  // macs per ms -> M per s
-    std::printf("%-8s %12.1f %14.1f %12llu\n", dsp::simd::level_name(level),
-                wall_ms, mmacs_per_sec,
-                static_cast<unsigned long long>(calls));
+    settled_ratio =
+        evals == 0 ? 0.0
+                   : 1.0 - static_cast<double>(exact) /
+                               static_cast<double>(evals);
+    std::printf("%-8s %12.1f %14.1f %12llu %10llu %12llu %8.4f\n",
+                dsp::simd::level_name(level), wall_ms, mmacs_per_sec,
+                static_cast<unsigned long long>(calls),
+                static_cast<unsigned long long>(evals),
+                static_cast<unsigned long long>(exact), settled_ratio);
   };
   double scalar_ms = 0.0;
   double scalar_mmacs = 0.0;
-  time_arm(dsp::simd::Level::kScalar, scalar_ms, scalar_mmacs);
+  double scalar_settled = 0.0;
+  time_arm(dsp::simd::Level::kScalar, scalar_ms, scalar_mmacs,
+           scalar_settled);
   const bool avx2_available =
       dsp::simd::compiled_with_avx2() && dsp::simd::cpu_supports_avx2();
   double avx2_ms = 0.0;
   double avx2_mmacs = 0.0;
+  double avx2_settled = 0.0;
   if (avx2_available) {
-    time_arm(dsp::simd::Level::kAvx2, avx2_ms, avx2_mmacs);
+    time_arm(dsp::simd::Level::kAvx2, avx2_ms, avx2_mmacs, avx2_settled);
     std::printf("speedup avx2/scalar: %.2fx\n", scalar_ms / avx2_ms);
   } else {
     std::printf("avx2     (arm unavailable on this build/host)\n");
@@ -148,9 +165,10 @@ int main() {
                    (corr_at_max / corr_at_0004 - 1.0) * 100.0},
                   {"scan_throughput_mmacs_scalar", scalar_mmacs},
                   {"scan_throughput_mmacs_avx2", avx2_mmacs},
-                  {"scan_speedup_avx2", scalar_ms / avx2_ms}});
+                  {"scan_speedup_avx2", scalar_ms / avx2_ms},
+                  {"screen_settled_ratio", avx2_settled}});
   } else {
-    // No AVX2 metrics at all: the perfdiff --require floor skips (with a
+    // No AVX2 metrics at all: the perfdiff --require floors skip (with a
     // note) instead of failing on hosts that cannot run the arm.
     bench::write_headline(
         "fig7a", {{"model_ms_alpha0004", model_ms_at_0004},

@@ -51,11 +51,24 @@ void ThreadPool::parallel_for(
   }
   const std::size_t chunks = std::min(count, threads * 4);
   const std::size_t chunk_size = (count + chunks - 1) / chunks;
+  // This call's own latch: other callers' chunks may share the queue, and
+  // waiting for the whole pool to drain would block on them too.  The
+  // last chunk notifies while holding mutex_, so the caller cannot wake,
+  // return and destroy `done` before notify_all has finished with it.
+  std::size_t pending = (count + chunk_size - 1) / chunk_size;
+  std::condition_variable done;
   for (std::size_t begin = 0; begin < count; begin += chunk_size) {
     const std::size_t end = std::min(count, begin + chunk_size);
-    submit([&body, begin, end] { body(begin, end); });
+    submit([this, &body, &pending, &done, begin, end] {
+      body(begin, end);
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (--pending == 0) {
+        done.notify_all();
+      }
+    });
   }
-  wait_idle();
+  std::unique_lock<std::mutex> lock(mutex_);
+  done.wait(lock, [&pending] { return pending == 0; });
 }
 
 void ThreadPool::worker_loop() {

@@ -42,9 +42,10 @@ class ThreadPool {
   void wait_idle();
 
   /// Splits [0, count) into contiguous chunks, runs
-  /// `body(begin, end)` for each chunk on the pool, and blocks until all
-  /// chunks complete.  Runs inline when count is small or the pool has a
-  /// single worker.
+  /// `body(begin, end)` for each chunk on the pool, and blocks until this
+  /// call's chunks complete (not other callers' tasks, so concurrent
+  /// callers do not wait on each other).  Runs inline when count is small
+  /// or the pool has a single worker.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t, std::size_t)>& body);
 

@@ -135,6 +135,44 @@ void CrossCorrelationSearch::build_skip_table() {
   }
 }
 
+std::size_t CrossCorrelationSearch::settled_skip(double lo, double hi) const {
+  // Written so that NaN fails.
+  if (!(lo <= hi && hi < 1.0)) {
+    return 0;
+  }
+  if (hi <= 0.0) {
+    return skip_at_zero_;
+  }
+  // ω <= 0 answers skip_for_omega(0), cell 0's value at its left end, so
+  // the part of [lo, hi] below 0 joins cell 0.
+  const double cells = static_cast<double>(kSkipCells);
+  const std::size_t first =
+      lo <= 0.0 ? 0 : static_cast<std::size_t>(lo * cells);
+  const std::size_t last = static_cast<std::size_t>(hi * cells);
+  if (last > first + 1) {
+    return 0;
+  }
+  std::size_t answer = 0;
+  for (std::size_t j = first; j <= last; ++j) {
+    const SkipCell& cell = skip_cells_[j];
+    const double from = j == first ? lo : static_cast<double>(j) / cells;
+    const double to = j == last ? hi : static_cast<double>(j + 1) / cells;
+    std::size_t value = 0;
+    if (to < cell.split - kSkipGuard) {
+      value = cell.below;
+    } else if (from > cell.split + kSkipGuard) {
+      value = cell.above;
+    } else {
+      return 0;  // a step's guard band, or an unsettled cell (NaN split)
+    }
+    if (j != first && value != answer) {
+      return 0;
+    }
+    answer = value;
+  }
+  return answer;
+}
+
 SearchResult CrossCorrelationSearch::search(
     std::span<const double> input_window, const mdb::MdbStore& store) const {
   const auto start_time = std::chrono::steady_clock::now();
@@ -142,11 +180,13 @@ SearchResult CrossCorrelationSearch::search(
           "CrossCorrelationSearch: input window length mismatch");
 
   const dsp::NormalizedWindow probe(input_window);
+  const dsp::kernels::ScreenProbe screen(probe.samples());
   const std::size_t window = config_.window_length;
 
   std::mutex merge_mutex;
   std::vector<SearchMatch> candidates;
   std::atomic<std::uint64_t> total_evals{0};
+  std::atomic<std::uint64_t> total_exact{0};
   std::atomic<std::uint64_t> total_hits{0};
   std::atomic<std::uint64_t> total_offsets{0};
 
@@ -157,14 +197,22 @@ SearchResult CrossCorrelationSearch::search(
   // the FMA pipeline a single latency-bound reduction leaves idle.  Every
   // lane's ω is bit-identical to probe.correlate() at the same β, hence
   // the β sequences, candidates and counts match a set-by-set scan.
+  //
+  // Where the arm has an f32 screen, the call screens the four lanes
+  // instead, and a lane whose enclosure [lo, hi] of ω lies at or below δ
+  // and inside one skip is settled: it is not a candidate and takes that
+  // skip, as its exact ω would.  Only the other lanes run the exact
+  // ncc_x1, whose ω is again bit-identical to probe.correlate().
   auto scan_range = [&](std::size_t begin, std::size_t end) {
     const auto& kernel = dsp::kernels::active();
     // The work counter records offsets leapt over by the exponential
     // window (offsets covered minus correlations evaluated) — the quantity
     // Algorithm 1's speedup claim rides on.
     obs::ProfileScope profile_scope(scan_stage_name(kernel.level));
+    const bool screened = kernel.screen_x4 != nullptr && !probe.degenerate();
     std::vector<SearchMatch> local;
     std::uint64_t evals = 0;
+    std::uint64_t exact = 0;
     std::uint64_t offsets = 0;
     std::size_t next = begin;
     // Loads the shard's next set with at least one offset into `lane`.
@@ -191,6 +239,7 @@ SearchResult CrossCorrelationSearch::search(
     }
     std::array<const float*, dsp::kernels::kNccLanes> cand{};
     std::array<dsp::kernels::DotNormSq, dsp::kernels::kNccLanes> out{};
+    std::array<dsp::kernels::OmegaRange, dsp::kernels::kNccLanes> ranges{};
     while (live > 0) {
       // A degenerate probe correlates as 0 everywhere; otherwise idle
       // lanes (fewer than kNccLanes sets left) re-read lane 0's window.
@@ -199,30 +248,50 @@ SearchResult CrossCorrelationSearch::search(
           const Lane& lane = lanes[l < live ? l : 0];
           cand[l] = lane.samples + lane.beta;
         }
-        kernel.ncc_x4(probe.samples().data(), cand.data(), window,
-                      out.data());
+        if (screened) {
+          kernel.screen_x4(screen, cand.data(), window, ranges.data());
+        } else {
+          kernel.ncc_x4(probe.samples().data(), cand.data(), window,
+                        out.data());
+          exact += live;
+        }
       }
       // Walk the live lanes from the top so a finished lane can take the
       // last live lane's place without skipping an unprocessed one.
       for (std::size_t l = live; l-- > 0;) {
         Lane& lane = lanes[l];
-        const double omega =
-            probe.degenerate()
-                ? 0.0
-                : dsp::ncc_from_centered(out[l].dot, out[l].norm_sq);
         ++evals;
-        if (omega > config_.delta) {
-          const auto& set = store.at(lane.index);
-          local.push_back(SearchMatch{lane.index, set.id, omega, lane.beta,
-                                      set.anomalous, set.class_tag});
+        std::size_t step = 0;
+        if (screened) {
+          if (ranges[l].hi <= config_.delta) {
+            step = settled_skip(ranges[l].lo, ranges[l].hi);
+          }
+          if (step == 0) {
+            out[l] = kernel.ncc_x1(probe.samples().data(), cand[l], window);
+            ++exact;
+          }
         }
-        lane.beta += skip(omega);
+        if (step == 0) {
+          const double omega =
+              probe.degenerate()
+                  ? 0.0
+                  : dsp::ncc_from_centered(out[l].dot, out[l].norm_sq);
+          if (omega > config_.delta) {
+            const auto& set = store.at(lane.index);
+            local.push_back(SearchMatch{lane.index, set.id, omega,
+                                        lane.beta, set.anomalous,
+                                        set.class_tag});
+          }
+          step = skip(omega);
+        }
+        lane.beta += step;
         if (lane.beta >= lane.limit && !refill(lane)) {
           lane = lanes[--live];
         }
       }
     }
     total_evals.fetch_add(evals, std::memory_order_relaxed);
+    total_exact.fetch_add(exact, std::memory_order_relaxed);
     total_hits.fetch_add(local.size(), std::memory_order_relaxed);
     total_offsets.fetch_add(offsets, std::memory_order_relaxed);
     profile_scope.add_work(offsets > evals ? offsets - evals : 0);
@@ -239,6 +308,7 @@ SearchResult CrossCorrelationSearch::search(
   SearchResult result;
   result.matches = select_top_k(std::move(candidates), config_.top_k);
   result.stats.correlation_evals = total_evals.load();
+  result.stats.exact_evals = total_exact.load();
   result.stats.mac_ops = total_evals.load() * window;
   result.stats.candidates = total_hits.load();
   result.stats.sets_scanned = store.size();

@@ -37,6 +37,10 @@ struct SearchMatch {
 /// Cost and coverage accounting of one search.
 struct SearchStats {
   std::uint64_t correlation_evals = 0;  ///< windows correlated
+  /// Evaluations that ran the exact f64 kernel; the rest were settled by
+  /// the f32 screen (AVX2 arm only; docs/performance.md, "Screened
+  /// evaluation").
+  std::uint64_t exact_evals = 0;
   std::uint64_t mac_ops = 0;            ///< correlation_evals * window length
   std::uint64_t candidates = 0;         ///< evaluations with ω > δ
   std::uint64_t sets_scanned = 0;
@@ -102,6 +106,14 @@ class CrossCorrelationSearch {
     }
     return skip_for_omega(omega);
   }
+
+  /// The skip every ω in [lo, hi] gets, or 0 when the table cannot show
+  /// that one skip holds for the whole interval.  Nonzero only when [lo,
+  /// hi] lies in at most two cells of (-inf, 1), each of which answers
+  /// one value over its part of the interval (a cell without a step, or
+  /// one side of a step's guard band) and the answers agree.  NaN and
+  /// hi >= 1 give 0.
+  std::size_t settled_skip(double lo, double hi) const;
 
   /// Table cells over (0, 1); a power of two, so ω·kSkipCells is exact.
   static constexpr std::size_t kSkipCells = 4096;

@@ -1,5 +1,6 @@
 #include "emap/dsp/fir.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <numbers>
@@ -142,12 +143,57 @@ double FirFilter::process_sample(double sample) {
   return acc;
 }
 
+// Bit-identical to repeated process_sample: each output sums
+// coefficients_[k] * x[t - k] for k = 0, 1, ... in that order, one
+// rounded multiply and one rounded add per tap (this file is compiled
+// without FMA, so nothing contracts).  The block runs over a linear copy
+// of the delay line followed by the input, four outputs per pass over
+// the taps: four independent add chains instead of one, and no
+// circular-index branch.
 std::vector<double> FirFilter::process_block(std::span<const double> input) {
-  std::vector<double> output;
-  output.reserve(input.size());
-  for (double sample : input) {
-    output.push_back(process_sample(sample));
+  const std::size_t taps = coefficients_.size();
+  const std::size_t n = input.size();
+  // linear[taps - 1 + t] = input[t]; below it, the previous taps - 1
+  // samples, oldest first (history_ slot history_pos_ + 1 onward).
+  std::vector<double> linear(taps - 1 + n);
+  for (std::size_t j = 0; j + 1 < taps; ++j) {
+    linear[j] = history_[(history_pos_ + 1 + j) % taps];
   }
+  std::copy(input.begin(), input.end(), linear.begin() + (taps - 1));
+  std::vector<double> output(n);
+  const double* h = coefficients_.data();
+  const double* x = linear.data() + (taps - 1);  // x[t - k], k < taps
+  std::size_t t = 0;
+  for (; t + 4 <= n; t += 4) {
+    double acc0 = 0.0;
+    double acc1 = 0.0;
+    double acc2 = 0.0;
+    double acc3 = 0.0;
+    for (std::size_t k = 0; k < taps; ++k) {
+      const double* row = x + t - k;
+      acc0 += h[k] * row[0];
+      acc1 += h[k] * row[1];
+      acc2 += h[k] * row[2];
+      acc3 += h[k] * row[3];
+    }
+    output[t] = acc0;
+    output[t + 1] = acc1;
+    output[t + 2] = acc2;
+    output[t + 3] = acc3;
+  }
+  for (; t < n; ++t) {
+    double acc = 0.0;
+    for (std::size_t k = 0; k < taps; ++k) {
+      acc += h[k] * x[t - k];
+    }
+    output[t] = acc;
+  }
+  // Leave the delay line as n process_sample calls would: the last
+  // min(n, taps) samples in the slots they would have been written to.
+  for (std::size_t i = n - std::min(n, taps); i < n; ++i) {
+    history_[(history_pos_ + i) % taps] = input[i];
+  }
+  history_pos_ = (history_pos_ + n) % taps;
   return output;
 }
 

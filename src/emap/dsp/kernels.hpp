@@ -17,11 +17,16 @@
 //   - the scalar arm accumulates strictly left-to-right and is bit-
 //     identical to the pre-SIMD code; the AVX2 arm uses 4-lane partial
 //     sums + FMA, so it matches scalar only within the pinned ULP bound
-//     (see docs/performance.md, "SIMD dispatch and ULP equivalence").
+//     (see docs/performance.md, "SIMD dispatch and ULP equivalence");
+//   - the AVX2 arm's screen_x4 has no scalar twin: it returns, per lane,
+//     an interval proven to hold the ω both arms' exact kernels compute
+//     (docs/performance.md, "Screened evaluation").
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "emap/dsp/simd.hpp"
 
@@ -36,6 +41,15 @@ struct DotNormSq {
 
 /// Candidates per lockstep NCC call (ncc_x4).
 inline constexpr std::size_t kNccLanes = 4;
+
+/// An interval [lo, hi] that holds ω.  {NaN, NaN} when none is known, so
+/// every ordered comparison against it fails.
+struct OmegaRange {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
+class ScreenProbe;
 
 // --- scalar arm: the original sequential loops, bit-for-bit -------------
 
@@ -58,6 +72,9 @@ double abs_sum_capped_scalar(const double* a, const double* b, std::size_t n,
 /// each sample as static_cast<double>(cand[i]).
 void ncc_x4_scalar(const double* probe, const float* const* cand,
                    std::size_t n, DotNormSq* out);
+/// One lane of ncc_x4_scalar, bit for bit.
+DotNormSq ncc_x1_scalar(const double* probe, const float* cand,
+                        std::size_t n);
 
 // --- AVX2+FMA arm: defined in kernels_avx2.cpp (EMAP_HAVE_AVX2 builds);
 // --- never call without a cpu_supports_avx2() check upstream ------------
@@ -81,6 +98,25 @@ double abs_sum_capped_avx2(const double* a, const double* b, std::size_t n,
 /// the FMA pipeline stays full.
 void ncc_x4_avx2(const double* probe, const float* const* cand,
                  std::size_t n, DotNormSq* out);
+/// One lane of ncc_x4_avx2, bit for bit (sum_lanes<1> + centered_lanes<1>
+/// on the f32 candidate).
+DotNormSq ncc_x1_avx2(const double* probe, const float* cand, std::size_t n);
+/// The f32 screen of kNccLanes candidates.  Per lane, against the f32
+/// probe copy (ScreenProbe::samples): the f32 sum over one 8-wide
+/// accumulator, mean m = sum / n, then one 8-wide FMA chain each for the
+/// centered dot d and the centered squared norm q; no f64 widening.
+/// Every reduction is a chain of at most floor(n/8) vector steps, a
+/// 3-level fold and an (n mod 8)-step scalar tail, within the depth
+/// ScreenProbe::Bound assumes.  out[lane] = clamp(ω̃ ± E, -1, 1) with
+/// ω̃ = d / sqrt(q) and E that lane's error bound, evaluated for the four
+/// lanes at once: an interval holding the ω that either arm's exact path
+/// computes for the candidate (dsp::ncc_from_centered of ncc_x1 or of a
+/// lane of ncc_x4).  {NaN, NaN} when m, d or q is not finite, when the
+/// candidate's centered norm could be degenerate, or when the probe is
+/// not finite or longer than the bound covers (docs/performance.md,
+/// "Screened evaluation").  `n` must equal the probe's length.
+void screen_x4_avx2(const ScreenProbe& probe, const float* const* cand,
+                    std::size_t n, OmegaRange* out);
 #endif
 
 /// One arm's kernel set.  Function pointers, so benches and the harness
@@ -96,6 +132,11 @@ struct KernelTable {
                            std::size_t*) = nullptr;
   void (*ncc_x4)(const double*, const float* const*, std::size_t,
                  DotNormSq*) = nullptr;
+  DotNormSq (*ncc_x1)(const double*, const float*, std::size_t) = nullptr;
+  /// Null in the scalar arm, which stays the reference and evaluates
+  /// every lane exactly.
+  void (*screen_x4)(const ScreenProbe&, const float* const*, std::size_t,
+                    OmegaRange*) = nullptr;
 };
 
 /// The requested arm's table.  Requesting kAvx2 when the binary lacks the
@@ -106,5 +147,48 @@ const KernelTable& table(simd::Level level);
 /// The dispatched table for simd::active_level(); bumps that arm's
 /// invocation counter (one count per kernel-group use, not per sample).
 const KernelTable& active();
+
+/// One probe as the f32 screen sees it: the f32 copy screen_x4 reads and
+/// the per-probe constants of the screen's error bound.
+class ScreenProbe {
+ public:
+  /// Constants of E (docs/performance.md, "Screened evaluation"): with
+  /// the lane's f32 mean m, dot d and squared norm q,
+  ///   r = sqrt(q) * rms_scale          >= sqrt(N_hi / n)
+  ///   Δ32 = mean32[0] |m| + mean32[1] r + mean32[2]
+  ///   X²_lo = q * norm_lo - norm_slack - n Δ32²
+  ///   Δ64 = mean64[0] (|m| + Δ32) + mean64[1] r + mean64[2]
+  ///   t = n (Δ32² + Δ64²) / X²_lo
+  ///   E = (rounding + probe_sum (2 + t) + probe_norm t / 2) * inflate
+  ///       + floor.
+  /// The lane has no interval when m, d, q or E is not finite, or when q
+  /// or X²_lo is below min_norm_sq.  `rounding` is NaN when the bound
+  /// does not apply to this probe.
+  struct Bound {
+    double n = 0.0;
+    double rounding = 0.0;
+    double rms_scale = 0.0;
+    double norm_lo = 0.0;
+    double norm_slack = 0.0;
+    double mean32[3] = {};
+    double mean64[3] = {};
+    double probe_norm = 0.0;  ///< P >= ||p||, ||f32(p)||
+    double probe_sum = 0.0;   ///< S / (2 sqrt(n)), S >= |Σ p|
+    double min_norm_sq = 0.0;
+    double inflate = 0.0;
+    double floor = 0.0;
+  };
+
+  /// `probe` is the normalized f64 probe the exact kernels read
+  /// (NormalizedWindow::samples).
+  explicit ScreenProbe(std::span<const double> probe);
+
+  const float* samples() const { return samples_.data(); }
+  const Bound& bound() const { return bound_; }
+
+ private:
+  std::vector<float> samples_;
+  Bound bound_;
+};
 
 }  // namespace emap::dsp::kernels

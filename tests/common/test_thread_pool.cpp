@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace emap {
@@ -73,6 +76,43 @@ TEST(ThreadPool, ParallelSumMatchesSerial) {
   });
   const long long serial = std::accumulate(data.begin(), data.end(), 0LL);
   EXPECT_EQ(parallel_sum.load(), serial);
+}
+
+// Two callers share the pool: one parallel_for is held up by a slow chunk,
+// the other's chunks are quick.  The quick call returns while the slow one
+// is still running, instead of waiting for the whole pool to drain.
+TEST(ThreadPool, ConcurrentParallelForWaitsOnlyForItsOwnChunks) {
+  ThreadPool pool(4);
+  std::promise<void> slow_started;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::thread slow_caller([&] {
+    pool.parallel_for(2, [&](std::size_t begin, std::size_t) {
+      if (begin == 0) {
+        slow_started.set_value();
+        gate.wait();
+      }
+    });
+  });
+  std::future<void> started = slow_started.get_future();
+  ASSERT_EQ(started.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  std::atomic<int> fast_chunks{0};
+  std::promise<void> fast_returned;
+  std::thread fast_caller([&] {
+    pool.parallel_for(2, [&](std::size_t, std::size_t) {
+      fast_chunks.fetch_add(1);
+    });
+    fast_returned.set_value();
+  });
+  const auto status =
+      fast_returned.get_future().wait_for(std::chrono::seconds(5));
+  release.set_value();  // let the slow chunk finish either way
+  fast_caller.join();
+  slow_caller.join();
+  EXPECT_EQ(status, std::future_status::ready)
+      << "the quick parallel_for waited for the other caller's slow chunk";
+  EXPECT_EQ(fast_chunks.load(), 2);
 }
 
 TEST(ThreadPool, DestructorDrainsPendingTasks) {

@@ -207,6 +207,60 @@ TEST(SkipForOmega, TableMatchesAtSpecialValues) {
   }
 }
 
+// settled_skip(lo, hi) answers only a skip that skip_for_omega gives at
+// both ends and everywhere between; the screened scan steps by it without
+// knowing the exact ω inside [lo, hi].
+TEST(SkipForOmega, SettledSkipHoldsOverItsWholeInterval) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const EmapConfig& config : skip_configs()) {
+    SCOPED_TRACE(describe(config));
+    const CrossCorrelationSearch search(config);
+    Rng rng(0x5e771eu);
+    std::size_t settled = 0;
+    std::size_t narrow = 0;
+    for (std::size_t i = 0; i < 200'000; ++i) {
+      const double width = std::pow(10.0, rng.uniform(-12.0, -2.0));
+      const double lo = rng.uniform(-0.05, 1.0);
+      const double hi = lo + width;
+      const std::size_t skip = search.settled_skip(lo, hi);
+      narrow += width < 1e-5 ? 1 : 0;
+      if (skip == 0) {
+        continue;
+      }
+      ++settled;
+      for (std::size_t k = 0; k <= 16; ++k) {
+        const double omega = k == 16 ? hi : lo + width * k / 16.0;
+        ASSERT_EQ(search.skip_for_omega(omega), skip)
+            << "[" << lo << ", " << hi << "] at " << omega;
+      }
+    }
+    // Nearly every narrow interval settles (steps are rare at this
+    // scale), except where min(α^(ω-1), max_skip) saturates: the table
+    // leaves those cells to skip_for_omega, so they never settle.
+    if (1.0 / config.alpha < static_cast<double>(config.max_skip)) {
+      EXPECT_GT(settled, narrow * 9 / 10);
+    }
+    // Around a located step, no interval settles.
+    for (double from = 0.0; from < 0.999; from += 1.0 / 64) {
+      double a = from;
+      double b = std::min(from + 1.0 / 64, 0.999);
+      if (search.skip_for_omega(a) == search.skip_for_omega(b)) {
+        continue;
+      }
+      while (b - a > 1e-15) {
+        const double mid = a + (b - a) / 2;
+        (search.skip_for_omega(mid) == search.skip_for_omega(a) ? a : b) = mid;
+      }
+      EXPECT_EQ(search.settled_skip(a - 1e-12, b + 1e-12), 0u) << "step " << b;
+    }
+    EXPECT_EQ(search.settled_skip(-2.0, -1.0), search.skip_for_omega(0.0));
+    EXPECT_EQ(search.settled_skip(kNan, 0.5), 0u);
+    EXPECT_EQ(search.settled_skip(0.5, kNan), 0u);
+    EXPECT_EQ(search.settled_skip(0.5, 0.4), 0u);
+    EXPECT_EQ(search.settled_skip(0.999, 1.0), 0u);
+  }
+}
+
 TEST(Search, FindsPlantedMatchAtCorrectOffset) {
   PlantedFixture fixture;
   CrossCorrelationSearch search{EmapConfig{}};

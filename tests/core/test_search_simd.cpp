@@ -2,11 +2,14 @@
 // the lockstep scan must reproduce a set-by-set, offset-by-offset
 // correlate() walk bit for bit (every arm, pool size and window shape),
 // forced-scalar must be bit-identical run to run, and the AVX2 arm must
-// agree with scalar within the end-to-end NCC bound.
+// agree with scalar within the end-to-end NCC bound.  On the AVX2 arm the
+// scan settles most lanes with the f32 screen; the reference comparison
+// covers windows built to sit where the screen must fall back.
 #include "emap/core/search.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -119,6 +122,86 @@ mdb::MdbStore mixed_store(std::size_t count, std::uint32_t slice) {
   return store;
 }
 
+// ω values within 1e-7..1e-5 of δ and of four skip steps (located by
+// bisection on skip_for_omega), on both sides.
+std::vector<double> near_threshold_omegas(const EmapConfig& config) {
+  const CrossCorrelationSearch search(config);
+  std::vector<double> anchors = {config.delta};
+  for (const double from : {0.1, 0.4, 0.7, 0.9}) {
+    double lo = from;
+    double hi = from;
+    while (search.skip_for_omega(hi) == search.skip_for_omega(lo)) {
+      hi += 1.0 / 1024;
+    }
+    while (hi - lo > 1e-15) {
+      const double mid = lo + (hi - lo) / 2;
+      (search.skip_for_omega(mid) == search.skip_for_omega(lo) ? lo : hi) =
+          mid;
+    }
+    anchors.push_back(hi);
+  }
+  std::vector<double> omegas;
+  for (const double anchor : anchors) {
+    for (const double distance : {1e-7, 3e-7, 1e-6, 3e-6, 1e-5}) {
+      omegas.push_back(anchor - distance);
+      omegas.push_back(anchor + distance);
+    }
+  }
+  return omegas;
+}
+
+// Set #1 holds the probe at offset 0 (where corpus_probe cuts it); every
+// other set starts with a window whose ω against that probe is one of
+// near_threshold_omegas, up to the f32 rounding of its samples (a few
+// 1e-8), followed by noise.  The screen's enclosure of most of those
+// windows straddles δ or a skip step, so their lanes fall back to the
+// exact kernel.
+mdb::MdbStore near_threshold_store(const EmapConfig& config,
+                                   std::uint32_t slice) {
+  const std::size_t window = config.window_length;
+  mdb::MdbStore store(mdb::StoreInfo{256.0, slice});
+  const std::vector<float> probe_f32 =
+      emap::testing::to_f32(emap::testing::noise(4242, window, 3.0));
+  const dsp::NormalizedWindow probe(
+      std::vector<double>(probe_f32.begin(), probe_f32.end()));
+  // A zero-mean unit vector orthogonal to the normalized probe.
+  std::vector<double> other = emap::testing::noise(4343, window);
+  double mean = 0.0;
+  double along = 0.0;
+  for (std::size_t i = 0; i < window; ++i) {
+    mean += other[i] / static_cast<double>(window);
+    along += other[i] * probe.samples()[i];
+  }
+  double norm_sq = 0.0;
+  for (std::size_t i = 0; i < window; ++i) {
+    other[i] -= mean + along * probe.samples()[i];
+    norm_sq += other[i] * other[i];
+  }
+  for (double& v : other) {
+    v /= std::sqrt(norm_sq);
+  }
+  const auto omegas = near_threshold_omegas(config);
+  const double scale = 3.0 * std::sqrt(static_cast<double>(window));
+  for (std::size_t k = 0; k <= omegas.size(); ++k) {
+    mdb::SignalSet set;
+    set.samples = emap::testing::to_f32(
+        emap::testing::noise(900 + k, slice, 3.0));
+    set.anomalous = k % 2 == 0;
+    if (k == 1) {
+      std::copy(probe_f32.begin(), probe_f32.end(), set.samples.begin());
+    } else {
+      const double omega = omegas[k == 0 ? 0 : k - 1];
+      const double rest = std::sqrt(1.0 - omega * omega);
+      for (std::size_t i = 0; i < window; ++i) {
+        set.samples[i] = static_cast<float>(
+            2.0 + scale * (omega * probe.samples()[i] + rest * other[i]));
+      }
+    }
+    store.insert(std::move(set));
+  }
+  return store;
+}
+
 TEST(SearchSimd, LockstepScanMatchesPerOffsetReference) {
   struct Case {
     std::string name;
@@ -146,6 +229,9 @@ TEST(SearchSimd, LockstepScanMatchesPerOffsetReference) {
                      mixed_store(shape.sets, shape.slice), config});
   }
   cases.push_back({"corpus", corpus_store(), permissive_config()});
+  cases.push_back({"near_threshold",
+                   near_threshold_store(permissive_config(), 400),
+                   permissive_config()});
 
   std::vector<Level> arms = {Level::kScalar};
   if (dsp::simd::compiled_with_avx2() && dsp::simd::cpu_supports_avx2()) {
@@ -157,6 +243,8 @@ TEST(SearchSimd, LockstepScanMatchesPerOffsetReference) {
     pools.push_back(std::make_unique<ThreadPool>(threads));
   }
   std::size_t non_trivial = 0;
+  std::uint64_t near_threshold_exact = 0;  // AVX2 arm, non-degenerate probe
+  std::uint64_t near_threshold_evals = 0;
   for (const Case& c : cases) {
     const std::size_t window = c.config.window_length;
     std::vector<std::vector<double>> probes;
@@ -178,13 +266,27 @@ TEST(SearchSimd, LockstepScanMatchesPerOffsetReference) {
               std::string(dsp::simd::level_name(arm)) + " " + c.name +
               " probe=" + std::to_string(p) +
               " threads=" + std::to_string(pool ? pool->size() : 1);
-          expect_identical_results(
-              reference, search.search(probes[p], c.store), what);
+          const SearchResult got = search.search(probes[p], c.store);
+          expect_identical_results(reference, got, what);
+          if (arm == Level::kScalar && p == 0) {
+            EXPECT_EQ(got.stats.exact_evals, got.stats.correlation_evals)
+                << what << ": the scalar arm evaluates every lane exactly";
+          }
+          if (arm == Level::kAvx2 && p == 0 && c.name == "near_threshold") {
+            near_threshold_exact += got.stats.exact_evals;
+            near_threshold_evals += got.stats.correlation_evals;
+          }
         }
       }
     }
   }
   EXPECT_GE(non_trivial, arms.size() * 6);
+  if (arms.size() > 1) {
+    // Some lanes fell back to the exact kernel, and the screen still
+    // settled the rest.
+    EXPECT_GT(near_threshold_exact, 0u);
+    EXPECT_LT(near_threshold_exact, near_threshold_evals);
+  }
 }
 
 TEST(SearchSimd, ForcedScalarSearchIsBitIdenticalAcrossRuns) {

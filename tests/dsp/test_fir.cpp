@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "emap/common/error.hpp"
 #include "support/test_util.hpp"
 
@@ -123,6 +126,40 @@ TEST(FirFilter, StreamingAcrossBlockBoundariesIsSeamless) {
   ASSERT_EQ(actual.size(), expected.size());
   for (std::size_t i = 0; i < actual.size(); ++i) {
     EXPECT_NEAR(actual[i], expected[i], 1e-9);
+  }
+}
+
+// process_block must equal process_sample bit for bit, and leave the same
+// delay line (save_stream), for every block length against every tap
+// count: checkpoints and the SessionGolden digests depend on both.
+TEST(FirFilter, BlockIsBitIdenticalToPerSampleStreaming) {
+  const std::vector<std::vector<double>> designs = {
+      {0.75},
+      {0.5, -0.25, 0.125},
+      FirFilter::paper_bandpass().coefficients(),
+  };
+  const std::size_t blocks[] = {0, 1, 2, 3, 4, 5, 7, 99, 100, 101, 256, 257};
+  for (const auto& coefficients : designs) {
+    FirFilter block(coefficients);
+    FirFilter reference(coefficients);
+    std::uint64_t seed = 40;
+    for (int round = 0; round < 3; ++round) {
+      for (const std::size_t length : blocks) {
+        const auto input = testing::noise(++seed, length, 50.0);
+        const auto got = block.process_block(input);
+        ASSERT_EQ(got.size(), length);
+        for (std::size_t i = 0; i < length; ++i) {
+          const double want = reference.process_sample(input[i]);
+          ASSERT_EQ(std::memcmp(&want, &got[i], sizeof(double)), 0)
+              << coefficients.size() << " taps, block " << length << " at "
+              << i << ": " << want << " vs " << got[i];
+        }
+        const FirStreamState a = block.save_stream();
+        const FirStreamState b = reference.save_stream();
+        ASSERT_EQ(a.history_pos, b.history_pos);
+        ASSERT_EQ(a.history, b.history);
+      }
+    }
   }
 }
 

@@ -2,7 +2,8 @@
 // pair driven through tests/support/kernel_diff.hpp over 10k seeded
 // random cases plus edge shapes, IEEE adversarial inputs, and corpus
 // windows.  The pinned ULP bound here is the contract docs/performance.md
-// publishes; tightening or loosening it is an API change.
+// publishes; tightening or loosening it is an API change.  The AVX2 arm's
+// f32 screen has no scalar twin and is held to its error bound instead.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -383,6 +384,202 @@ TEST(KernelDiff, LockstepNccAvx2LanesMatchSinglePass) {
     GTEST_SKIP() << "AVX2 arm not available on this build/host";
   }
   expect_lockstep_matches_single(kernels::table(Level::kAvx2));
+}
+
+// Bit identity up to a NaN's sign and payload.  When two NaNs meet in a
+// vector add, x86 returns the first operand's, and the compiler may swap
+// the operands of a commutative add between two instantiations of one
+// template; the scan reads no NaN's bits.
+bool same_bits_or_both_nan(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// ncc_x1 is one lane of that arm's ncc_x4, bit for bit: the screened scan
+// falls back to it lane by lane.
+void expect_single_lane_matches_lockstep(const kernels::KernelTable& table) {
+  const auto cases = full_suite(0x1A4E);
+  std::size_t mismatches = 0;
+  for (const kdiff::Case& c : cases) {
+    const auto lanes = lockstep_lanes(c);
+    const float* cand[kernels::kNccLanes];
+    for (std::size_t l = 0; l < kernels::kNccLanes; ++l) {
+      cand[l] = lanes[l].data();
+    }
+    kernels::DotNormSq lockstep[kernels::kNccLanes];
+    table.ncc_x4(c.a.data(), cand, c.size(), lockstep);
+    for (std::size_t lane = 0; lane < kernels::kNccLanes; ++lane) {
+      const kernels::DotNormSq single =
+          table.ncc_x1(c.a.data(), cand[lane], c.size());
+      if (!same_bits_or_both_nan(single.dot, lockstep[lane].dot) ||
+          !same_bits_or_both_nan(single.norm_sq, lockstep[lane].norm_sq)) {
+        if (mismatches++ < 5) {
+          ADD_FAILURE() << c.tag << " lane " << lane << ": single ("
+                        << single.dot << ", " << single.norm_sq
+                        << ") vs lockstep (" << lockstep[lane].dot << ", "
+                        << lockstep[lane].norm_sq << ")";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << cases.size() * kernels::kNccLanes
+                            << " lanes";
+}
+
+TEST(KernelDiff, SingleLaneNccScalarMatchesLockstep) {
+  expect_single_lane_matches_lockstep(kernels::table(Level::kScalar));
+}
+
+TEST(KernelDiff, SingleLaneNccAvx2MatchesLockstep) {
+  if (!avx2_arm_available()) {
+    GTEST_SKIP() << "AVX2 arm not available on this build/host";
+  }
+  expect_single_lane_matches_lockstep(kernels::table(Level::kAvx2));
+}
+
+// --- f32 screen: both arms' exact ω lies in the screen's ω̃ ± E ----------
+
+// Candidates built for the screen's weak spots, against random probes:
+// a DC offset far above the spread (the f32 mean cancels), near-constant
+// windows, f32 subnormals, 1e30 (f32 squares overflow) and NaN/±Inf.
+// `b` mixes the probe's own shape into noise, so ω spans (-1, 1).
+std::vector<kdiff::Case> screen_cases(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<kdiff::Case> cases;
+  const auto add = [&](const std::string& kind, std::size_t len,
+                       double offset, double spread, double shape) {
+    kdiff::Case c;
+    c.tag = "screen[kind=" + kind + ",len=" + std::to_string(len) +
+            ",offset=" + std::to_string(offset) +
+            ",spread=" + std::to_string(spread) + "]";
+    c.a.resize(len);
+    c.b.resize(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      c.a[i] = rng.normal(0.0, 1.0);
+      c.b[i] = offset + spread * (shape * c.a[i] +
+                                  (1.0 - shape) * rng.normal(0.0, 1.0));
+    }
+    cases.push_back(std::move(c));
+  };
+  for (const std::size_t len : {7, 64, 256, 257}) {
+    for (const double offset : {1e1, 1e3, 1e4, 1e5, 1e7, -1e6}) {
+      for (const double shape : {0.0, 0.5, 0.95}) {
+        add("dc_offset", len, offset, 1.0, shape);
+      }
+    }
+    add("near_constant", len, 3.25, 1e-7, 0.5);
+    add("near_constant", len, -1e4, 1e-3, 0.9);
+    add("denormal", len, 0.0, 1e-40, 0.5);
+    add("huge", len, 0.0, 1e30, 0.5);
+    for (const double special :
+         {std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity()}) {
+      for (const std::size_t pos : {std::size_t{0}, len / 2, len - 1}) {
+        add("non_finite", len, 0.0, 1.0, 0.5);
+        cases.back().b[pos] = special;
+      }
+    }
+  }
+  return cases;
+}
+
+bool all_finite(const std::vector<float>& samples) {
+  return std::all_of(samples.begin(), samples.end(),
+                     [](float v) { return std::isfinite(v); });
+}
+
+TEST(KernelDiff, ScreenEnclosesExactOmegaOfBothArms) {
+  if (!avx2_arm_available()) {
+    GTEST_SKIP() << "AVX2 arm not available on this build/host";
+  }
+  auto cases = full_suite(0x5C4EE);
+  kdiff::append_cases(cases, screen_cases(0x5C4EF));
+  std::erase_if(cases, [](const kdiff::Case& c) { return c.size() == 0; });
+  const kernels::KernelTable* arms[] = {&kernels::table(Level::kScalar),
+                                        &kernels::table(Level::kAvx2)};
+  std::size_t enclosed = 0;
+  std::size_t fell_back = 0;  ///< of the lanes that may be screened
+  std::size_t failures = 0;
+  for (const kdiff::Case& c : cases) {
+    const dsp::NormalizedWindow probe(c.a);
+    if (probe.degenerate()) {
+      continue;  // the scan screens no degenerate probe
+    }
+    const kernels::ScreenProbe screen(probe.samples());
+    const auto lanes = lockstep_lanes(c);
+    const float* cand[kernels::kNccLanes];
+    for (std::size_t l = 0; l < kernels::kNccLanes; ++l) {
+      cand[l] = lanes[l].data();
+    }
+    kernels::OmegaRange ranges[kernels::kNccLanes];
+    kernels::table(Level::kAvx2).screen_x4(screen, cand, c.size(), ranges);
+    const bool screenable_kind = c.tag.find("kind=denormal") ==
+                                     std::string::npos &&
+                                 c.tag.find("kind=huge") == std::string::npos;
+    const bool finite_probe =
+        std::all_of(probe.samples().begin(), probe.samples().end(),
+                    [](double v) { return std::isfinite(v); });
+    for (std::size_t l = 0; l < kernels::kNccLanes; ++l) {
+      // Lanes that must fall back: non-finite samples (the last group and
+      // the NaN-planted lane), the flat lane, f32 subnormals and squares
+      // beyond f32 range, and every lane of a non-finite probe.
+      const bool must_fall_back = !all_finite(lanes[l]) || l == 1 ||
+                                  (l == 0 && !screenable_kind) ||
+                                  !finite_probe;
+      const kernels::OmegaRange& range = ranges[l];
+      if (std::isnan(range.lo) || std::isnan(range.hi)) {
+        fell_back += must_fall_back ? 0 : 1;
+        continue;
+      }
+      ++enclosed;
+      if (must_fall_back) {
+        if (failures++ < 5) {
+          ADD_FAILURE() << c.tag << " lane " << l
+                        << " was screened; it must fall back";
+        }
+        continue;
+      }
+      for (const kernels::KernelTable* arm : arms) {
+        const kernels::DotNormSq exact =
+            arm->ncc_x1(probe.samples().data(), cand[l], c.size());
+        const double omega = dsp::ncc_from_centered(exact.dot, exact.norm_sq);
+        if (!(range.lo <= omega && omega <= range.hi) && failures++ < 5) {
+          ADD_FAILURE() << c.tag << " lane " << l << " "
+                        << dsp::simd::level_name(arm->level) << ": omega "
+                        << std::hexfloat << omega << " outside ["
+                        << range.lo << ", " << range.hi << "]";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(failures, 0u);
+  // The bound is not vacuous: most lanes that may be screened are.
+  EXPECT_GT(enclosed, 9 * fell_back) << enclosed << " enclosed, "
+                                     << fell_back << " fell back";
+}
+
+// On the windows the scan sees (the corpus), the screen settles almost
+// every step only because E is a few 1e-6 wide: pin that.
+TEST(KernelDiff, ScreenBoundIsTightOnCorpusWindows) {
+  if (!avx2_arm_available()) {
+    GTEST_SKIP() << "AVX2 arm not available on this build/host";
+  }
+  const auto cases = kdiff::corpus_cases(/*count=*/64, /*window_len=*/256);
+  ASSERT_FALSE(cases.empty());
+  for (const kdiff::Case& c : cases) {
+    const dsp::NormalizedWindow probe(c.a);
+    ASSERT_FALSE(probe.degenerate()) << c.tag;
+    const kernels::ScreenProbe screen(probe.samples());
+    const std::vector<float> cand_b(c.b.begin(), c.b.end());
+    const float* cand[kernels::kNccLanes] = {cand_b.data(), cand_b.data(),
+                                             cand_b.data(), cand_b.data()};
+    kernels::OmegaRange ranges[kernels::kNccLanes];
+    kernels::table(Level::kAvx2).screen_x4(screen, cand, c.size(), ranges);
+    const kernels::OmegaRange& range = ranges[0];
+    ASSERT_FALSE(std::isnan(range.lo)) << c.tag;
+    EXPECT_LT(range.hi - range.lo, 2e-5) << c.tag;
+  }
 }
 
 // --- forced-scalar bit-identity against the pre-SIMD implementations ----
