@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "emap/common/error.hpp"
@@ -180,7 +181,14 @@ SearchResult CrossCorrelationSearch::search(
           "CrossCorrelationSearch: input window length mismatch");
 
   const dsp::NormalizedWindow probe(input_window);
-  const dsp::kernels::ScreenProbe screen(probe.samples());
+  // The f32 probe copy and its error bound, built only where the arm has
+  // a screen (the scalar arm evaluates every lane exactly).  A degenerate
+  // probe correlates as 0 everywhere and runs no kernel at all.
+  std::optional<dsp::kernels::ScreenProbe> screen;
+  if (!probe.degenerate() &&
+      dsp::kernels::table(dsp::simd::active_level()).screen_x4 != nullptr) {
+    screen.emplace(probe.samples());
+  }
   const std::size_t window = config_.window_length;
 
   std::mutex merge_mutex;
@@ -191,25 +199,22 @@ SearchResult CrossCorrelationSearch::search(
   std::atomic<std::uint64_t> total_offsets{0};
 
   // Lockstep scan: up to kNccLanes signal-sets walk their own β
-  // sequences side by side, one ncc_x4 call evaluating the next offset of
-  // each.  A set's walk stays serial (its next β depends on ω), but the
-  // walks of different sets are independent, so interleaving them fills
-  // the FMA pipeline a single latency-bound reduction leaves idle.  Every
-  // lane's ω is bit-identical to probe.correlate() at the same β, hence
-  // the β sequences, candidates and counts match a set-by-set scan.
-  //
-  // Where the arm has an f32 screen, the call screens the four lanes
-  // instead, and a lane whose enclosure [lo, hi] of ω lies at or below δ
-  // and inside one skip is settled: it is not a candidate and takes that
-  // skip, as its exact ω would.  Only the other lanes run the exact
-  // ncc_x1, whose ω is again bit-identical to probe.correlate().
+  // sequences side by side.  A set's walk stays serial (its next β
+  // depends on ω), but the walks of different sets are independent.
+  // Where the arm has an f32 screen, one screen_x4 call screens the next
+  // offset of every lane, and a lane whose enclosure [lo, hi] of ω lies
+  // at or below δ and inside one skip is settled: it is not a candidate
+  // and takes that skip, as its exact ω would.  Every other lane runs the
+  // exact ncc_x1, whose ω is bit-identical to probe.correlate() at the
+  // same β, hence the β sequences, candidates and counts match a
+  // set-by-set scan.
   auto scan_range = [&](std::size_t begin, std::size_t end) {
     const auto& kernel = dsp::kernels::active();
     // The work counter records offsets leapt over by the exponential
     // window (offsets covered minus correlations evaluated) — the quantity
     // Algorithm 1's speedup claim rides on.
     obs::ProfileScope profile_scope(scan_stage_name(kernel.level));
-    const bool screened = kernel.screen_x4 != nullptr && !probe.degenerate();
+    const bool screened = kernel.screen_x4 != nullptr && screen.has_value();
     std::vector<SearchMatch> local;
     std::uint64_t evals = 0;
     std::uint64_t exact = 0;
@@ -238,44 +243,33 @@ SearchResult CrossCorrelationSearch::search(
       ++live;
     }
     std::array<const float*, dsp::kernels::kNccLanes> cand{};
-    std::array<dsp::kernels::DotNormSq, dsp::kernels::kNccLanes> out{};
     std::array<dsp::kernels::OmegaRange, dsp::kernels::kNccLanes> ranges{};
     while (live > 0) {
-      // A degenerate probe correlates as 0 everywhere; otherwise idle
-      // lanes (fewer than kNccLanes sets left) re-read lane 0's window.
-      if (!probe.degenerate()) {
-        for (std::size_t l = 0; l < cand.size(); ++l) {
-          const Lane& lane = lanes[l < live ? l : 0];
-          cand[l] = lane.samples + lane.beta;
-        }
-        if (screened) {
-          kernel.screen_x4(screen, cand.data(), window, ranges.data());
-        } else {
-          kernel.ncc_x4(probe.samples().data(), cand.data(), window,
-                        out.data());
-          exact += live;
-        }
+      // Idle lanes (fewer than kNccLanes sets left) re-read lane 0's
+      // window.
+      for (std::size_t l = 0; l < cand.size(); ++l) {
+        const Lane& lane = lanes[l < live ? l : 0];
+        cand[l] = lane.samples + lane.beta;
+      }
+      if (screened) {
+        kernel.screen_x4(*screen, cand.data(), window, ranges.data());
       }
       // Walk the live lanes from the top so a finished lane can take the
       // last live lane's place without skipping an unprocessed one.
       for (std::size_t l = live; l-- > 0;) {
         Lane& lane = lanes[l];
         ++evals;
-        std::size_t step = 0;
-        if (screened) {
-          if (ranges[l].hi <= config_.delta) {
-            step = settled_skip(ranges[l].lo, ranges[l].hi);
-          }
-          if (step == 0) {
-            out[l] = kernel.ncc_x1(probe.samples().data(), cand[l], window);
+        std::size_t step = screened && ranges[l].hi <= config_.delta
+                               ? settled_skip(ranges[l].lo, ranges[l].hi)
+                               : 0;
+        if (step == 0) {
+          double omega = 0.0;
+          if (!probe.degenerate()) {
+            const dsp::kernels::DotNormSq sums =
+                kernel.ncc_x1(probe.samples().data(), cand[l], window);
+            omega = dsp::ncc_from_centered(sums.dot, sums.norm_sq);
             ++exact;
           }
-        }
-        if (step == 0) {
-          const double omega =
-              probe.degenerate()
-                  ? 0.0
-                  : dsp::ncc_from_centered(out[l].dot, out[l].norm_sq);
           if (omega > config_.delta) {
             const auto& set = store.at(lane.index);
             local.push_back(SearchMatch{lane.index, set.id, omega,

@@ -226,9 +226,9 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
   std::atomic<std::uint64_t> dropped_newest{0};
   // Applies the configured backpressure policy to one push.  Returns false
   // when the item was not enqueued (queue closed, or kDegrade dropped it).
-  // Only the processing queues (q_filtered, q_outcome) are governed by
-  // the policy; the source queue and the cloud-call queues always block
-  // (see the comments at their push sites).
+  // Only the egress queue (q_outcome) is governed by the policy; the
+  // ingest queues and the cloud-call queues always block (see the
+  // comments at their push sites).
   auto push_with_policy = [&](auto& queue, auto item) -> bool {
     switch (policy) {
       case QueueFullPolicy::kBlock:
@@ -639,7 +639,7 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
       // at virtual speed (no wall-clock cost per window), so a lossy
       // policy here would flood q_raw and shed most of the input before
       // the filter stage ever saw it.  The configured policy governs the
-      // downstream processing queues instead.
+      // egress queue (q_outcome) instead.
       const bool pushed = q_raw.push(std::move(item));
       health.set_idle(false);
       if (!pushed && q_raw.closed()) {
@@ -693,7 +693,10 @@ RunResult StreamPipeline::run_threaded(const synth::Recording& input) {
       out.quality = edge.last_quality().verdict;
       health.heartbeat(filter_state.processed);
       health.set_idle(true);
-      const bool pushed = push_with_policy(q_filtered, std::move(out));
+      // Blocking, like q_raw: the filter is a CPU transform of a
+      // virtual-speed source, so it outruns the track stage by design and
+      // a lossy policy here would shed most windows before track saw them.
+      const bool pushed = q_filtered.push(std::move(out));
       health.set_idle(false);
       if (!pushed && q_filtered.closed()) {
         break;

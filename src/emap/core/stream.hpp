@@ -67,7 +67,8 @@ enum class SchedulerMode {
   kThreaded,     ///< supervised stage threads over bounded queues
 };
 
-/// What a producer does when its outbound queue is full.
+/// What the track stage does when the egress queue (q_outcome) is full;
+/// the ingest and cloud-call queues always block (docs/streaming.md).
 enum class QueueFullPolicy {
   kBlock,      ///< wait for space (lossless backpressure, default)
   kShedOldest, ///< discard the stalest queued item to admit the newest

@@ -79,26 +79,19 @@ DotNormSq ncc_x1_scalar(const double* probe, const float* cand,
   return centered_dot_norm_of(probe, cand, n, mean);
 }
 
-void ncc_x4_scalar(const double* probe, const float* const* cand,
-                   std::size_t n, DotNormSq* out) {
-  for (std::size_t lane = 0; lane < kNccLanes; ++lane) {
-    out[lane] = ncc_x1_scalar(probe, cand[lane], n);
-  }
-}
-
 namespace {
 
 constexpr KernelTable kScalarTable{
     simd::Level::kScalar,      &sum_scalar,     &dot_scalar,
     &centered_dot_norm_scalar, &abs_sum_scalar, &abs_sum_capped_scalar,
-    &ncc_x4_scalar,            &ncc_x1_scalar,  nullptr,
+    &ncc_x1_scalar,            nullptr,
 };
 
 #ifdef EMAP_HAVE_AVX2
 constexpr KernelTable kAvx2Table{
     simd::Level::kAvx2,      &sum_avx2,     &dot_avx2,
     &centered_dot_norm_avx2, &abs_sum_avx2, &abs_sum_capped_avx2,
-    &ncc_x4_avx2,            &ncc_x1_avx2,  &screen_x4_avx2,
+    &ncc_x1_avx2,            &screen_x4_avx2,
 };
 #endif
 
@@ -145,14 +138,6 @@ constexpr double kTiny32 = 0x1p-149;
 constexpr double kTiny64 = 0x1p-1074;
 /// Longest window the bound covers; keeps every γ_k below 1e-3.
 constexpr std::size_t kMaxScreenWindow = 65536;
-/// Smallest screened q and bound on X² accepted: 100 times
-/// kDegenerateNorm² (dsp/xcorr.cpp), so the exact path's norm is surely
-/// above kDegenerateNorm and never answers the degenerate 0.
-constexpr double kMinNormSq = 1e-22;
-/// Covers the f64 evaluation of ω̃ and E, and sqrt(1 + slack / q).
-constexpr double kInflate = 1.0 + 0x1p-20;
-/// Covers the exact path's final sqrt and divide and all underflow.
-constexpr double kFloor = 1e-12;
 
 /// γ_k = k u / (1 - k u): relative error bound of a depth-k chain.
 double gamma(double k, double unit) { return k * unit / (1.0 - k * unit); }
@@ -163,9 +148,6 @@ ScreenProbe::ScreenProbe(std::span<const double> probe)
     : samples_(probe.begin(), probe.end()) {
   Bound& b = bound_;
   b.n = static_cast<double>(probe.size());
-  b.min_norm_sq = kMinNormSq;
-  b.inflate = kInflate;
-  b.floor = kFloor;
   if (probe.empty() || probe.size() > kMaxScreenWindow) {
     b.rounding = std::numeric_limits<double>::quiet_NaN();
     return;

@@ -39,7 +39,8 @@ struct DotNormSq {
   double norm_sq = 0.0;
 };
 
-/// Candidates per lockstep NCC call (ncc_x4).
+/// Signal-sets the lockstep scan walks side by side; candidates per
+/// screen_x4 call.
 inline constexpr std::size_t kNccLanes = 4;
 
 /// An interval [lo, hi] that holds ω.  {NaN, NaN} when none is known, so
@@ -63,16 +64,12 @@ double abs_sum_scalar(const double* a, const double* b, std::size_t n);
 /// of samples read — exact for this arm.
 double abs_sum_capped_scalar(const double* a, const double* b, std::size_t n,
                              double threshold, std::size_t* consumed);
-/// Lockstep NCC pass over kNccLanes f32 candidates (the MDB's resident
-/// samples) against an f64 probe: for each lane, mean = sum(cand) / n,
-/// then out[lane] = centered_dot_norm(probe, cand, n, mean).  Every lane
-/// is bit-identical to that arm's sum + centered_dot_norm on the
-/// candidate widened to f64 (widening is exact); the lanes only share the
-/// call.  This arm runs the frozen scalar loops once per lane, reading
-/// each sample as static_cast<double>(cand[i]).
-void ncc_x4_scalar(const double* probe, const float* const* cand,
-                   std::size_t n, DotNormSq* out);
-/// One lane of ncc_x4_scalar, bit for bit.
+/// The exact NCC pass over one f32 candidate (the MDB's resident
+/// samples) against an f64 probe: mean = sum(cand) / n, then
+/// centered_dot_norm(probe, cand, n, mean).  Bit-identical to that arm's
+/// sum + centered_dot_norm on the candidate widened to f64 (widening is
+/// exact).  This arm runs the frozen scalar loops, reading each sample as
+/// static_cast<double>(cand[i]).
 DotNormSq ncc_x1_scalar(const double* probe, const float* cand,
                         std::size_t n);
 
@@ -92,14 +89,9 @@ double abs_sum_avx2(const double* a, const double* b, std::size_t n);
 /// > threshold.
 double abs_sum_capped_avx2(const double* a, const double* b, std::size_t n,
                            double threshold, std::size_t* consumed);
-/// Same lane contract as ncc_x4_scalar against sum_avx2 +
+/// Same contract as ncc_x1_scalar against sum_avx2 +
 /// centered_dot_norm_avx2; each 4-sample candidate block is widened with
-/// one cvtps2pd, and the four lanes' dependency chains are interleaved so
-/// the FMA pipeline stays full.
-void ncc_x4_avx2(const double* probe, const float* const* cand,
-                 std::size_t n, DotNormSq* out);
-/// One lane of ncc_x4_avx2, bit for bit (sum_lanes<1> + centered_lanes<1>
-/// on the f32 candidate).
+/// one cvtps2pd.
 DotNormSq ncc_x1_avx2(const double* probe, const float* cand, std::size_t n);
 /// The f32 screen of kNccLanes candidates.  Per lane, against the f32
 /// probe copy (ScreenProbe::samples): the f32 sum over one 8-wide
@@ -110,8 +102,8 @@ DotNormSq ncc_x1_avx2(const double* probe, const float* cand, std::size_t n);
 /// ScreenProbe::Bound assumes.  out[lane] = clamp(ω̃ ± E, -1, 1) with
 /// ω̃ = d / sqrt(q) and E that lane's error bound, evaluated for the four
 /// lanes at once: an interval holding the ω that either arm's exact path
-/// computes for the candidate (dsp::ncc_from_centered of ncc_x1 or of a
-/// lane of ncc_x4).  {NaN, NaN} when m, d or q is not finite, when the
+/// computes for the candidate (dsp::ncc_from_centered of ncc_x1).
+/// {NaN, NaN} when m, d or q is not finite, when the
 /// candidate's centered norm could be degenerate, or when the probe is
 /// not finite or longer than the bound covers (docs/performance.md,
 /// "Screened evaluation").  `n` must equal the probe's length.
@@ -130,8 +122,6 @@ struct KernelTable {
   double (*abs_sum)(const double*, const double*, std::size_t) = nullptr;
   double (*abs_sum_capped)(const double*, const double*, std::size_t, double,
                            std::size_t*) = nullptr;
-  void (*ncc_x4)(const double*, const float* const*, std::size_t,
-                 DotNormSq*) = nullptr;
   DotNormSq (*ncc_x1)(const double*, const float*, std::size_t) = nullptr;
   /// Null in the scalar arm, which stays the reference and evaluates
   /// every lane exactly.
@@ -159,10 +149,10 @@ class ScreenProbe {
   ///   X²_lo = q * norm_lo - norm_slack - n Δ32²
   ///   Δ64 = mean64[0] (|m| + Δ32) + mean64[1] r + mean64[2]
   ///   t = n (Δ32² + Δ64²) / X²_lo
-  ///   E = (rounding + probe_sum (2 + t) + probe_norm t / 2) * inflate
-  ///       + floor.
+  ///   E = (rounding + probe_sum (2 + t) + probe_norm t / 2) * kInflate
+  ///       + kFloor.
   /// The lane has no interval when m, d, q or E is not finite, or when q
-  /// or X²_lo is below min_norm_sq.  `rounding` is NaN when the bound
+  /// or X²_lo is below kMinNormSq.  `rounding` is NaN when the bound
   /// does not apply to this probe.
   struct Bound {
     double n = 0.0;
@@ -174,10 +164,16 @@ class ScreenProbe {
     double mean64[3] = {};
     double probe_norm = 0.0;  ///< P >= ||p||, ||f32(p)||
     double probe_sum = 0.0;   ///< S / (2 sqrt(n)), S >= |Σ p|
-    double min_norm_sq = 0.0;
-    double inflate = 0.0;
-    double floor = 0.0;
   };
+
+  /// Smallest screened q and bound on X² accepted: 100 times
+  /// kDegenerateNorm² (dsp/xcorr.cpp), so the exact path's norm is surely
+  /// above kDegenerateNorm and never answers the degenerate 0.
+  static constexpr double kMinNormSq = 1e-22;
+  /// Covers the f64 evaluation of ω̃ and E, and sqrt(1 + slack / q).
+  static constexpr double kInflate = 1.0 + 0x1p-20;
+  /// Covers the exact path's final sqrt and divide and all underflow.
+  static constexpr double kFloor = 1e-12;
 
   /// `probe` is the normalized f64 probe the exact kernels read
   /// (NormalizedWindow::samples).

@@ -49,147 +49,78 @@ inline float hsum(__m256 v) {
 }
 
 /// Four samples as f64: a plain load, or an f32 load widened by cvtps2pd
-/// (exact), so the f32 candidates of ncc_x4 feed the same f64 arithmetic.
+/// (exact), so the f32 candidates of ncc_x1 feed the same f64 arithmetic.
 inline __m256d load4(const double* p) { return _mm256_loadu_pd(p); }
 inline __m256d load4(const float* p) {
   return _mm256_cvtps_pd(_mm_loadu_ps(p));
 }
 
-// The lockstep helpers below are force-inlined so their per-lane
-// accumulator arrays live in registers rather than on the stack.  T is
-// the candidate sample type (double, or the MDB's resident float).
-
-/// sum_avx2 over L arrays in lockstep: lane l is exactly sum_avx2(x[l], n)
-/// (same 2x4-lane accumulators, fold and scalar tail), with the lanes'
-/// independent add chains interleaved.
-template <std::size_t L, typename T>
-[[gnu::always_inline]] inline void sum_lanes(const T* const* x,
-                                             std::size_t n, double* total) {
-  __m256d acc0[L];
-  __m256d acc1[L];
-  for (std::size_t l = 0; l < L; ++l) {
-    acc0[l] = _mm256_setzero_pd();
-    acc1[l] = _mm256_setzero_pd();
-  }
+/// The sum over f64 or f32 samples (an f32 block is widened exactly, so
+/// both instantiations run the same f64 arithmetic): 2x4-lane
+/// accumulators, one fold and a scalar tail.
+template <typename T>
+double sum_of(const T* x, std::size_t n) {
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    for (std::size_t l = 0; l < L; ++l) {
-      acc0[l] = _mm256_add_pd(acc0[l], load4(x[l] + i));
-      acc1[l] = _mm256_add_pd(acc1[l], load4(x[l] + i + 4));
-    }
+    acc0 = _mm256_add_pd(acc0, load4(x + i));
+    acc1 = _mm256_add_pd(acc1, load4(x + i + 4));
   }
   if (i + 4 <= n) {
-    for (std::size_t l = 0; l < L; ++l) {
-      acc0[l] = _mm256_add_pd(acc0[l], load4(x[l] + i));
-    }
+    acc0 = _mm256_add_pd(acc0, load4(x + i));
     i += 4;
   }
-  for (std::size_t l = 0; l < L; ++l) {
-    total[l] = hsum(_mm256_add_pd(acc0[l], acc1[l]));
-    for (std::size_t j = i; j < n; ++j) {
-      total[l] += static_cast<double>(x[l][j]);
-    }
+  double total = hsum(_mm256_add_pd(acc0, acc1));
+  for (; i < n; ++i) {
+    total += static_cast<double>(x[i]);
   }
+  return total;
 }
 
-/// Per-lane state of centered_dot_norm_avx2: the broadcast mean and the
+/// The centered dot and squared norm over f64 or f32 candidate samples:
 /// even (samples [8k, 8k+4) plus a trailing 4-block) and odd (samples
-/// [8k+4, 8k+8)) dot / squared-norm accumulators.
-template <std::size_t L>
-struct CenteredAcc {
-  __m256d vmean[L];
-  __m256d dot0[L];
-  __m256d nsq0[L];
-  __m256d dot1[L];
-  __m256d nsq1[L];
-};
-
-/// Runs the even chains (kEven) and/or the odd chains (kOdd) of every lane
-/// over the vector part of the window; returns where the scalar tail
-/// starts.
-template <std::size_t L, bool kEven, bool kOdd, typename T>
-[[gnu::always_inline]] inline std::size_t centered_chains(
-    const double* probe, const T* const* cand, std::size_t n,
-    CenteredAcc<L>& acc) {
+/// [8k+4, 8k+8)) FMA chains, one fold each and a scalar tail.
+template <typename T>
+DotNormSq centered_of(const double* probe, const T* cand, std::size_t n,
+                      double mean) {
+  const __m256d vmean = _mm256_set1_pd(mean);
+  __m256d dot0 = _mm256_setzero_pd();
+  __m256d nsq0 = _mm256_setzero_pd();
+  __m256d dot1 = _mm256_setzero_pd();
+  __m256d nsq1 = _mm256_setzero_pd();
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    for (std::size_t l = 0; l < L; ++l) {
-      if constexpr (kEven) {
-        const __m256d c0 =
-            _mm256_sub_pd(load4(cand[l] + i), acc.vmean[l]);
-        acc.dot0[l] =
-            _mm256_fmadd_pd(_mm256_loadu_pd(probe + i), c0, acc.dot0[l]);
-        acc.nsq0[l] = _mm256_fmadd_pd(c0, c0, acc.nsq0[l]);
-      }
-      if constexpr (kOdd) {
-        const __m256d c1 =
-            _mm256_sub_pd(load4(cand[l] + i + 4), acc.vmean[l]);
-        acc.dot1[l] =
-            _mm256_fmadd_pd(_mm256_loadu_pd(probe + i + 4), c1, acc.dot1[l]);
-        acc.nsq1[l] = _mm256_fmadd_pd(c1, c1, acc.nsq1[l]);
-      }
-    }
+    const __m256d c0 = _mm256_sub_pd(load4(cand + i), vmean);
+    dot0 = _mm256_fmadd_pd(_mm256_loadu_pd(probe + i), c0, dot0);
+    nsq0 = _mm256_fmadd_pd(c0, c0, nsq0);
+    const __m256d c1 = _mm256_sub_pd(load4(cand + i + 4), vmean);
+    dot1 = _mm256_fmadd_pd(_mm256_loadu_pd(probe + i + 4), c1, dot1);
+    nsq1 = _mm256_fmadd_pd(c1, c1, nsq1);
   }
   if (i + 4 <= n) {
-    if constexpr (kEven) {
-      for (std::size_t l = 0; l < L; ++l) {
-        const __m256d c0 =
-            _mm256_sub_pd(load4(cand[l] + i), acc.vmean[l]);
-        acc.dot0[l] =
-            _mm256_fmadd_pd(_mm256_loadu_pd(probe + i), c0, acc.dot0[l]);
-        acc.nsq0[l] = _mm256_fmadd_pd(c0, c0, acc.nsq0[l]);
-      }
-    }
+    const __m256d c0 = _mm256_sub_pd(load4(cand + i), vmean);
+    dot0 = _mm256_fmadd_pd(_mm256_loadu_pd(probe + i), c0, dot0);
+    nsq0 = _mm256_fmadd_pd(c0, c0, nsq0);
     i += 4;
   }
-  return i;
-}
-
-/// centered_dot_norm_avx2 over L candidates in lockstep: lane l is exactly
-/// centered_dot_norm_avx2(probe, cand[l], n, mean[l]).  One lane runs both
-/// chain pairs in one pass; several lanes run the even and the odd chains
-/// as two passes, so all accumulators fit in the 16 vector registers.
-template <std::size_t L, typename T>
-[[gnu::always_inline]] inline void centered_lanes(const double* probe,
-                                                  const T* const* cand,
-                                                  std::size_t n,
-                                                  const double* mean,
-                                                  DotNormSq* out) {
-  CenteredAcc<L> acc;
-  for (std::size_t l = 0; l < L; ++l) {
-    acc.vmean[l] = _mm256_set1_pd(mean[l]);
-    acc.dot0[l] = _mm256_setzero_pd();
-    acc.nsq0[l] = _mm256_setzero_pd();
-    acc.dot1[l] = _mm256_setzero_pd();
-    acc.nsq1[l] = _mm256_setzero_pd();
+  DotNormSq out;
+  out.dot = hsum(_mm256_add_pd(dot0, dot1));
+  out.norm_sq = hsum(_mm256_add_pd(nsq0, nsq1));
+  // Explicit fma: left to the compiler, contraction could differ between
+  // the f64 and f32 instantiations, and ncc_x1 would stop matching
+  // centered_dot_norm.
+  for (; i < n; ++i) {
+    const double centered = static_cast<double>(cand[i]) - mean;
+    out.dot = std::fma(probe[i], centered, out.dot);
+    out.norm_sq = std::fma(centered, centered, out.norm_sq);
   }
-  std::size_t i = 0;
-  if constexpr (L == 1) {
-    i = centered_chains<L, true, true>(probe, cand, n, acc);
-  } else {
-    i = centered_chains<L, true, false>(probe, cand, n, acc);
-    centered_chains<L, false, true>(probe, cand, n, acc);
-  }
-  for (std::size_t l = 0; l < L; ++l) {
-    out[l].dot = hsum(_mm256_add_pd(acc.dot0[l], acc.dot1[l]));
-    out[l].norm_sq = hsum(_mm256_add_pd(acc.nsq0[l], acc.nsq1[l]));
-    // Explicit fma: left to the compiler, contraction differs between lane
-    // counts and optimization levels, and lanes would stop matching.
-    for (std::size_t j = i; j < n; ++j) {
-      const double centered = static_cast<double>(cand[l][j]) - mean[l];
-      out[l].dot = std::fma(probe[j], centered, out[l].dot);
-      out[l].norm_sq = std::fma(centered, centered, out[l].norm_sq);
-    }
-  }
+  return out;
 }
 
 }  // namespace
 
-double sum_avx2(const double* x, std::size_t n) {
-  double total = 0.0;
-  sum_lanes<1>(&x, n, &total);
-  return total;
-}
+double sum_avx2(const double* x, std::size_t n) { return sum_of(x, n); }
 
 double dot_avx2(const double* a, const double* b, std::size_t n) {
   __m256d acc0 = _mm256_setzero_pd();
@@ -215,28 +146,12 @@ double dot_avx2(const double* a, const double* b, std::size_t n) {
 
 DotNormSq centered_dot_norm_avx2(const double* probe, const double* cand,
                                  std::size_t n, double mean) {
-  DotNormSq out;
-  centered_lanes<1>(probe, &cand, n, &mean, &out);
-  return out;
-}
-
-void ncc_x4_avx2(const double* probe, const float* const* cand,
-                 std::size_t n, DotNormSq* out) {
-  double mean[kNccLanes];
-  sum_lanes<kNccLanes>(cand, n, mean);
-  for (double& m : mean) {
-    m /= static_cast<double>(n);
-  }
-  centered_lanes<kNccLanes>(probe, cand, n, mean, out);
+  return centered_of(probe, cand, n, mean);
 }
 
 DotNormSq ncc_x1_avx2(const double* probe, const float* cand, std::size_t n) {
-  double mean = 0.0;
-  sum_lanes<1>(&cand, n, &mean);
-  mean /= static_cast<double>(n);
-  DotNormSq out;
-  centered_lanes<1>(probe, &cand, n, &mean, &out);
-  return out;
+  const double mean = sum_of(cand, n) / static_cast<double>(n);
+  return centered_of(probe, cand, n, mean);
 }
 
 void screen_x4_avx2(const ScreenProbe& probe, const float* const* cand,
@@ -304,7 +219,7 @@ void screen_x4_avx2(const ScreenProbe& probe, const float* const* cand,
       _mm256_cmp_pd(m, inf, _CMP_LT_OQ),
       _mm256_cmp_pd(_mm256_andnot_pd(sign, vd), inf, _CMP_LT_OQ));
   ok = _mm256_and_pd(ok, _mm256_cmp_pd(vq, inf, _CMP_LT_OQ));
-  ok = _mm256_and_pd(ok, _mm256_cmp_pd(vq, set(b.min_norm_sq), _CMP_GE_OQ));
+  ok = _mm256_and_pd(ok, _mm256_cmp_pd(vq, set(ScreenProbe::kMinNormSq), _CMP_GE_OQ));
   const __m256d root = _mm256_sqrt_pd(vq);
   const __m256d omega = _mm256_div_pd(vd, root);
   const __m256d rms = _mm256_mul_pd(root, set(b.rms_scale));
@@ -317,7 +232,7 @@ void screen_x4_avx2(const ScreenProbe& probe, const float* const* cand,
       _mm256_sub_pd(_mm256_mul_pd(vq, set(b.norm_lo)), set(b.norm_slack)),
       _mm256_mul_pd(n_d, gap32_sq));  // <= X²
   ok = _mm256_and_pd(ok,
-                     _mm256_cmp_pd(spread_sq, set(b.min_norm_sq), _CMP_GE_OQ));
+                     _mm256_cmp_pd(spread_sq, set(ScreenProbe::kMinNormSq), _CMP_GE_OQ));
   const __m256d gap64 = _mm256_add_pd(
       _mm256_add_pd(_mm256_mul_pd(set(b.mean64[0]), _mm256_add_pd(m, gap32)),
                     _mm256_mul_pd(set(b.mean64[1]), rms)),
@@ -332,8 +247,8 @@ void screen_x4_avx2(const ScreenProbe& probe, const float* const* cand,
                             _mm256_mul_pd(set(b.probe_sum),
                                           _mm256_add_pd(set(2.0), t))),
               _mm256_mul_pd(set(0.5 * b.probe_norm), t)),
-          set(b.inflate)),
-      set(b.floor));
+          set(ScreenProbe::kInflate)),
+      set(ScreenProbe::kFloor));
   ok = _mm256_and_pd(ok, _mm256_cmp_pd(e, inf, _CMP_LT_OQ));  // NaN probe
   // clamp(x, -1, 1) where ok, NaN elsewhere.
   const auto finish = [&](__m256d x) {

@@ -187,6 +187,33 @@ TEST(Stream, ThreadedCleanRunProcessesEveryWindowInOrder) {
   EXPECT_NE(text.find("emap_stage_queue_depth"), std::string::npos);
 }
 
+// A lossy policy sheds only at the egress queue.  The filter stage is a
+// CPU transform of a virtual-speed source and outruns track, so a lossy
+// q_filtered would drop windows before track saw them: every window must
+// still reach track.
+TEST(Stream, ShedOldestShedsOnlyAtTheEgressQueue) {
+  constexpr std::size_t kWindows = 120;
+  const synth::Recording input =
+      seizure_input(29, static_cast<double>(kWindows), 110.0);
+
+  PipelineOptions options;
+  options.robust.enabled = true;
+  EmapPipeline engine(testing::small_mdb(4), EmapConfig{}, options);
+  StreamOptions stream_options = threaded_options();
+  stream_options.policy = QueueFullPolicy::kShedOldest;
+  StreamPipeline stream(engine, stream_options);
+  const RunResult result = stream.run(input);
+
+  for (const char* queue : {"q_raw", "q_filtered", "q_uplink", "q_deliver"}) {
+    const robust::StageQueueSummary* row = find_stage(result, queue);
+    ASSERT_NE(row, nullptr) << queue;
+    EXPECT_EQ(row->queue_shed, 0u) << queue;
+  }
+  const robust::StageQueueSummary* track = find_stage(result, "track");
+  ASSERT_NE(track, nullptr);
+  EXPECT_EQ(track->processed, kWindows);
+}
+
 // An injected crash in the track stage loses at most its in-flight window:
 // the supervisor restarts the body, per-stage state survives (same tracker,
 // same outstanding-call accounting), and the run completes.

@@ -317,12 +317,12 @@ TEST(KernelDiff, SlidingNccAndAreaScalarVsAvx2) {
   EXPECT_TRUE(area_report.ok()) << "sliding_area: " << area_report.summary();
 }
 
-// --- lockstep NCC: every lane equals that arm's single-candidate pass ---
+// --- lockstep NCC: every lane's ncc_x1 equals that arm's f64 pass ------
 
-// The four f32 candidates of one ncc_x4 call built from a case: the
+// The four f32 candidates of one lockstep step built from a case: the
 // case's `b`, a flat (degenerate) window, `b` with a NaN planted
 // mid-window, and the probe `a` itself, each rounded to f32 as the MDB
-// stores them, so normal, degenerate and NaN lanes share a call
+// stores them, so normal, degenerate and NaN lanes share a step
 // (adversarial cases add ±Inf/NaN/huge/denormal lanes on top, and values
 // beyond f32 range round to ±Inf).
 std::vector<std::vector<float>> lockstep_lanes(const kdiff::Case& c) {
@@ -336,8 +336,8 @@ std::vector<std::vector<float>> lockstep_lanes(const kdiff::Case& c) {
           {c.a.begin(), c.a.end()}};
 }
 
-// Runs `table.ncc_x4` on the f32 lanes against `table.sum` +
-// `table.centered_dot_norm` on each lane widened to f64, demanding the
+// Runs `table.ncc_x1` on each f32 lane against `table.sum` +
+// `table.centered_dot_norm` on the lane widened to f64, demanding the
 // same bits (memcmp, so NaN payloads and signed zeros count too).
 void expect_lockstep_matches_single(const kernels::KernelTable& table) {
   static_assert(kernels::kNccLanes == 4);
@@ -345,28 +345,23 @@ void expect_lockstep_matches_single(const kernels::KernelTable& table) {
   std::size_t mismatches = 0;
   for (const kdiff::Case& c : cases) {
     const auto lanes = lockstep_lanes(c);
-    const float* cand[kernels::kNccLanes];
-    for (std::size_t l = 0; l < kernels::kNccLanes; ++l) {
-      cand[l] = lanes[l].data();
-    }
-    kernels::DotNormSq lockstep[kernels::kNccLanes];
-    table.ncc_x4(c.a.data(), cand, c.size(), lockstep);
     for (std::size_t lane = 0; lane < kernels::kNccLanes; ++lane) {
+      const kernels::DotNormSq lockstep =
+          table.ncc_x1(c.a.data(), lanes[lane].data(), c.size());
       const std::vector<double> widened(lanes[lane].begin(),
                                         lanes[lane].end());
       const double mean = table.sum(widened.data(), c.size()) /
                           static_cast<double>(c.size());
       const kernels::DotNormSq single = table.centered_dot_norm(
           c.a.data(), widened.data(), c.size(), mean);
-      if (std::memcmp(&single.dot, &lockstep[lane].dot, sizeof(double)) !=
-              0 ||
-          std::memcmp(&single.norm_sq, &lockstep[lane].norm_sq,
-                      sizeof(double)) != 0) {
+      if (std::memcmp(&single.dot, &lockstep.dot, sizeof(double)) != 0 ||
+          std::memcmp(&single.norm_sq, &lockstep.norm_sq, sizeof(double)) !=
+              0) {
         if (mismatches++ < 5) {
           ADD_FAILURE() << c.tag << " lane " << lane << ": single ("
                         << single.dot << ", " << single.norm_sq
-                        << ") vs lockstep (" << lockstep[lane].dot << ", "
-                        << lockstep[lane].norm_sq << ")";
+                        << ") vs lockstep (" << lockstep.dot << ", "
+                        << lockstep.norm_sq << ")";
         }
       }
     }
@@ -384,57 +379,6 @@ TEST(KernelDiff, LockstepNccAvx2LanesMatchSinglePass) {
     GTEST_SKIP() << "AVX2 arm not available on this build/host";
   }
   expect_lockstep_matches_single(kernels::table(Level::kAvx2));
-}
-
-// Bit identity up to a NaN's sign and payload.  When two NaNs meet in a
-// vector add, x86 returns the first operand's, and the compiler may swap
-// the operands of a commutative add between two instantiations of one
-// template; the scan reads no NaN's bits.
-bool same_bits_or_both_nan(double a, double b) {
-  return (std::isnan(a) && std::isnan(b)) ||
-         std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-// ncc_x1 is one lane of that arm's ncc_x4, bit for bit: the screened scan
-// falls back to it lane by lane.
-void expect_single_lane_matches_lockstep(const kernels::KernelTable& table) {
-  const auto cases = full_suite(0x1A4E);
-  std::size_t mismatches = 0;
-  for (const kdiff::Case& c : cases) {
-    const auto lanes = lockstep_lanes(c);
-    const float* cand[kernels::kNccLanes];
-    for (std::size_t l = 0; l < kernels::kNccLanes; ++l) {
-      cand[l] = lanes[l].data();
-    }
-    kernels::DotNormSq lockstep[kernels::kNccLanes];
-    table.ncc_x4(c.a.data(), cand, c.size(), lockstep);
-    for (std::size_t lane = 0; lane < kernels::kNccLanes; ++lane) {
-      const kernels::DotNormSq single =
-          table.ncc_x1(c.a.data(), cand[lane], c.size());
-      if (!same_bits_or_both_nan(single.dot, lockstep[lane].dot) ||
-          !same_bits_or_both_nan(single.norm_sq, lockstep[lane].norm_sq)) {
-        if (mismatches++ < 5) {
-          ADD_FAILURE() << c.tag << " lane " << lane << ": single ("
-                        << single.dot << ", " << single.norm_sq
-                        << ") vs lockstep (" << lockstep[lane].dot << ", "
-                        << lockstep[lane].norm_sq << ")";
-        }
-      }
-    }
-  }
-  EXPECT_EQ(mismatches, 0u) << "of " << cases.size() * kernels::kNccLanes
-                            << " lanes";
-}
-
-TEST(KernelDiff, SingleLaneNccScalarMatchesLockstep) {
-  expect_single_lane_matches_lockstep(kernels::table(Level::kScalar));
-}
-
-TEST(KernelDiff, SingleLaneNccAvx2MatchesLockstep) {
-  if (!avx2_arm_available()) {
-    GTEST_SKIP() << "AVX2 arm not available on this build/host";
-  }
-  expect_single_lane_matches_lockstep(kernels::table(Level::kAvx2));
 }
 
 // --- f32 screen: both arms' exact ω lies in the screen's ω̃ ± E ----------

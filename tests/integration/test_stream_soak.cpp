@@ -159,14 +159,11 @@ TEST(StreamSoak, ShedOldestPolicyBoundsBacklogWhenConsumerStalls) {
   stream_options.policy = QueueFullPolicy::kShedOldest;
   stream_options.supervisor.poll_interval_sec = 0.01;
   stream_options.supervisor.stall_timeout_sec = 2.0;
-  // Predict wedges while the producers run on: with shed-oldest, the
-  // producer side never blocks — q_outcome stays bounded by discarding
-  // the stalest records while the supervisor deals with the wedged
-  // consumer.  How many records predict sees before the run ends depends
-  // on thread scheduling (the queue sheds whatever it falls behind on),
-  // so the stall is keyed to its first record, the one it is sure to see.
+  // Predict wedges mid-run: with shed-oldest, the producer side never
+  // blocks — q_outcome stays bounded by discarding the stalest records
+  // while the supervisor deals with the wedged consumer.
   stream_options.faults.push_back(
-      {"predict", 1, StageFaultSpec::Kind::kStall, 10.0});
+      {"predict", 100, StageFaultSpec::Kind::kStall, 10.0});
   StreamPipeline stream(engine, stream_options);
   const RunResult result = stream.run(input);
 
