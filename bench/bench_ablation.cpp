@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "emap/baselines/exhaustive.hpp"
-#include "emap/baselines/fft_search.hpp"
 #include "emap/core/pipeline.hpp"
 #include "emap/core/search.hpp"
 
@@ -72,7 +70,6 @@ int main() {
   double a1_corr_gain = 0.0;
   double a2_default_detect = 0.0;
   double a4_wire_detect = 0.0;
-  double a5_mac_reduction = 0.0;
 
   // --- A1: skip policy. ---
   std::printf("A1. sliding-window skip policy (search cost at equal "
@@ -185,51 +182,9 @@ int main() {
   }
   std::printf("  -> the paper's 16-bit links lose essentially nothing\n\n");
 
-  // --- A5: FFT-accelerated exhaustive search (our extension). ---
-  std::printf("A5. cloud search engines (one probe, full store)\n");
-  {
-    synth::EvalInputSpec spec;
-    spec.cls = synth::AnomalyClass::kSeizure;
-    spec.seed = 62000;
-    const auto input = synth::make_eval_input(spec);
-    const auto filtered = bench::filter_recording(input);
-    const auto probe = bench::window_at(filtered, spec.onset_sec - 40.0);
-
-    auto top_mean = [](const core::SearchResult& result) {
-      if (result.matches.empty()) return 0.0;
-      double sum = 0.0;
-      for (const auto& match : result.matches) sum += match.omega;
-      return sum / static_cast<double>(result.matches.size());
-    };
-    const auto alg1 = core::CrossCorrelationSearch(base).search(probe, store);
-    const auto exhaustive =
-        baselines::ExhaustiveSearch(base).search(probe, store);
-    const auto fft = baselines::FftSearch(base).search(probe, store);
-    std::printf("  %-14s %12s %14s %16s\n", "engine", "wall[ms]",
-                "multiplies", "top-100 corr");
-    std::printf("  %-14s %12.1f %14llu %16.4f\n", "Algorithm 1",
-                alg1.stats.wall_seconds * 1e3,
-                static_cast<unsigned long long>(alg1.stats.mac_ops),
-                top_mean(alg1));
-    std::printf("  %-14s %12.1f %14llu %16.4f\n", "exhaustive",
-                exhaustive.stats.wall_seconds * 1e3,
-                static_cast<unsigned long long>(exhaustive.stats.mac_ops),
-                top_mean(exhaustive));
-    std::printf("  %-14s %12.1f %14llu %16.4f\n", "FFT (exact)",
-                fft.stats.wall_seconds * 1e3,
-                static_cast<unsigned long long>(fft.stats.mac_ops),
-                top_mean(fft));
-    a5_mac_reduction = static_cast<double>(exhaustive.stats.mac_ops) /
-                       static_cast<double>(
-                           std::max<std::uint64_t>(1, fft.stats.mac_ops));
-    std::printf("  -> the FFT engine delivers exhaustive-quality matches at "
-                "~%.0fx fewer multiplies than the direct exhaustive scan\n",
-                a5_mac_reduction);
-  }
   bench::write_headline(
       "ablation", {{"a1_exp_skip_corr_gain", a1_corr_gain},
                    {"a2_default_detect_accuracy", a2_default_detect},
-                   {"a4_wire_detect_accuracy", a4_wire_detect},
-                   {"a5_fft_mac_reduction_ratio", a5_mac_reduction}});
+                   {"a4_wire_detect_accuracy", a4_wire_detect}});
   return 0;
 }

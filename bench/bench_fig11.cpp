@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
   // size at our scale (spoiler: it is roughly constant here — the gap is
   // dominated by the probe grid's phase misses within each matching set,
   // so closing it needs redundancy orders of magnitude beyond this MDB, or
-  // the exact FFT engine of bench_ablation A5).
+  // the exhaustive scan itself).
   std::printf("scale sweep: Algorithm 1 loss vs MDB size\n");
   std::printf("%-10s %14s\n", "sets", "mean loss");
   const std::size_t sweep_full[] = {1000u, 2000u, 4000u, 8190u};

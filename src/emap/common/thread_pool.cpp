@@ -33,11 +33,6 @@ void ThreadPool::submit(std::function<void()> task) {
   task_ready_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return tasks_.empty() && active_tasks_ == 0; });
-}
-
 void ThreadPool::parallel_for(
     std::size_t count,
     const std::function<void(std::size_t, std::size_t)>& body) {
@@ -82,16 +77,8 @@ void ThreadPool::worker_loop() {
       }
       task = std::move(tasks_.front());
       tasks_.pop();
-      ++active_tasks_;
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_tasks_;
-      if (tasks_.empty() && active_tasks_ == 0) {
-        idle_.notify_all();
-      }
-    }
   }
 }
 

@@ -38,9 +38,6 @@ class ThreadPool {
   /// Enqueues a task for asynchronous execution.
   void submit(std::function<void()> task);
 
-  /// Blocks until every task submitted so far has finished.
-  void wait_idle();
-
   /// Splits [0, count) into contiguous chunks, runs
   /// `body(begin, end)` for each chunk on the pool, and blocks until this
   /// call's chunks complete (not other callers' tasks, so concurrent
@@ -56,8 +53,6 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable task_ready_;
-  std::condition_variable idle_;
-  std::size_t active_tasks_ = 0;
   bool stopping_ = false;
 };
 

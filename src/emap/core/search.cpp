@@ -34,13 +34,6 @@ const char* scan_stage_name(dsp::simd::Level level) {
                                           : "search_scan[impl=scalar]";
 }
 
-/// min(α^(ω-1), max_skip) for ω already clamped to [0, 1]: the value
-/// skip_for_omega rounds.
-double bounded_step(const EmapConfig& config, double clamped) {
-  return std::min(std::pow(config.alpha, clamped - 1.0),
-                  static_cast<double>(config.max_skip));
-}
-
 /// One signal-set's β walk inside the lockstep scan.
 struct Lane {
   std::size_t index = 0;  ///< store position of the set
@@ -73,7 +66,9 @@ CrossCorrelationSearch::CrossCorrelationSearch(const EmapConfig& config,
 std::size_t CrossCorrelationSearch::skip_for_omega(double omega) const {
   // Paper lines 9-11: negative correlations are clamped to zero before the
   // skip computation, so anti-correlated regions jump the farthest.
-  const double bounded = bounded_step(config_, std::clamp(omega, 0.0, 1.0));
+  const double bounded =
+      std::min(std::pow(config_.alpha, std::clamp(omega, 0.0, 1.0) - 1.0),
+               static_cast<double>(config_.max_skip));
   return std::max<std::size_t>(
       1, static_cast<std::size_t>(std::llround(bounded)));
 }
@@ -87,7 +82,9 @@ std::size_t CrossCorrelationSearch::skip_for_omega(double omega) const {
 // them means one answer for the whole cell, and one edge means one step,
 // whose position t bisection on skip_for_omega itself finds.  Near t only
 // ω within pow's error of the true crossing can round either way, a band
-// far inside kSkipGuard.
+// far inside kSkipGuard.  Likewise, when both unclamped endpoint values
+// α^(ω-1) clear max_skip by kMargin, every value in the cell clamps to
+// max_skip, so the cell answers max_skip throughout.
 void CrossCorrelationSearch::build_skip_table() {
   constexpr double kMargin = 1e-12;
   const double cap = static_cast<double>(config_.max_skip);
@@ -96,16 +93,27 @@ void CrossCorrelationSearch::build_skip_table() {
     return std::abs(v - std::floor(v) - 0.5) >= margin &&
            std::abs(v - cap) >= margin && v <= UINT32_MAX;
   };
+  const auto saturated = [&](double raw) {
+    return raw - cap >= kMargin * raw && cap <= UINT32_MAX;
+  };
   skip_at_zero_ = skip_for_omega(0.0);
   skip_cells_.assign(kSkipCells,
                      SkipCell{std::numeric_limits<double>::quiet_NaN(), 0, 0});
   const double cells = static_cast<double>(kSkipCells);
-  double value_a = bounded_step(config_, 0.0);
+  double raw_a = std::pow(config_.alpha, -1.0);
   for (std::size_t j = 0; j < kSkipCells; ++j) {
     const double a = static_cast<double>(j) / cells;
     const double b = static_cast<double>(j + 1) / cells;
-    const double value_b = bounded_step(config_, b);
-    const double value_at_a = std::exchange(value_a, value_b);
+    const double raw_b = std::pow(config_.alpha, b - 1.0);
+    const double raw_at_a = std::exchange(raw_a, raw_b);
+    if (saturated(raw_at_a) && saturated(raw_b)) {
+      const auto max_skip = static_cast<std::uint32_t>(config_.max_skip);
+      skip_cells_[j] = SkipCell{std::numeric_limits<double>::infinity(),
+                                max_skip, max_skip};
+      continue;
+    }
+    const double value_at_a = std::min(raw_at_a, cap);
+    const double value_b = std::min(raw_b, cap);
     if (!settled(value_at_a) || !settled(value_b)) {
       continue;
     }

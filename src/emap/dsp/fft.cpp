@@ -12,7 +12,9 @@ bool is_pow2(std::size_t n) {
   return n != 0 && (n & (n - 1)) == 0;
 }
 
-void fft_core(std::vector<std::complex<double>>& data, bool inverse) {
+}  // namespace
+
+void fft_inplace(std::vector<std::complex<double>>& data) {
   const std::size_t n = data.size();
   require(is_pow2(n), "fft: size must be a non-zero power of two");
 
@@ -29,8 +31,7 @@ void fft_core(std::vector<std::complex<double>>& data, bool inverse) {
   }
 
   for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle =
-        (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
+    const double angle = -2.0 * std::numbers::pi / static_cast<double>(len);
     const std::complex<double> wlen(std::cos(angle), std::sin(angle));
     for (std::size_t i = 0; i < n; i += len) {
       std::complex<double> w(1.0, 0.0);
@@ -43,23 +44,6 @@ void fft_core(std::vector<std::complex<double>>& data, bool inverse) {
       }
     }
   }
-
-  if (inverse) {
-    const double scale = 1.0 / static_cast<double>(n);
-    for (auto& value : data) {
-      value *= scale;
-    }
-  }
-}
-
-}  // namespace
-
-void fft_inplace(std::vector<std::complex<double>>& data) {
-  fft_core(data, /*inverse=*/false);
-}
-
-void ifft_inplace(std::vector<std::complex<double>>& data) {
-  fft_core(data, /*inverse=*/true);
 }
 
 std::size_t next_pow2(std::size_t n) {

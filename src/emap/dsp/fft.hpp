@@ -16,9 +16,6 @@ namespace emap::dsp {
 /// Requires data.size() to be a power of two (and non-zero).
 void fft_inplace(std::vector<std::complex<double>>& data);
 
-/// In-place inverse FFT (includes the 1/N scaling).
-void ifft_inplace(std::vector<std::complex<double>>& data);
-
 /// FFT of a real signal, zero-padded to the next power of two.
 /// Returns the full complex spectrum (length = padded size).
 std::vector<std::complex<double>> fft_real(std::span<const double> signal);

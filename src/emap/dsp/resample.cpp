@@ -78,39 +78,4 @@ std::vector<double> resample(std::span<const double> input,
   return output;
 }
 
-std::vector<double> upsample_linear(std::span<const double> input,
-                                    std::size_t factor) {
-  require(factor >= 1, "upsample_linear: factor must be >= 1");
-  if (input.empty() || factor == 1) {
-    return {input.begin(), input.end()};
-  }
-  std::vector<double> output;
-  output.reserve(input.size() * factor);
-  for (std::size_t i = 0; i + 1 < input.size(); ++i) {
-    for (std::size_t k = 0; k < factor; ++k) {
-      const double frac = static_cast<double>(k) / static_cast<double>(factor);
-      output.push_back(input[i] * (1.0 - frac) + input[i + 1] * frac);
-    }
-  }
-  output.push_back(input.back());
-  return output;
-}
-
-std::vector<double> decimate(std::span<const double> input,
-                             std::size_t factor) {
-  require(factor >= 1, "decimate: factor must be >= 1");
-  if (input.empty() || factor == 1) {
-    return {input.begin(), input.end()};
-  }
-  const double input_rate = 1.0;  // rate cancels; cutoff relative to output
-  const auto filtered =
-      antialias(input, input_rate, 0.45 * input_rate / static_cast<double>(factor));
-  std::vector<double> output;
-  output.reserve(input.size() / factor + 1);
-  for (std::size_t i = 0; i < filtered.size(); i += factor) {
-    output.push_back(filtered[i]);
-  }
-  return output;
-}
-
 }  // namespace emap::dsp

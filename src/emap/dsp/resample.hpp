@@ -22,13 +22,4 @@ namespace emap::dsp {
 std::vector<double> resample(std::span<const double> input,
                              double input_rate_hz, double output_rate_hz);
 
-/// Exact integer upsampling by repetition-free interpolation used in tests:
-/// inserts `factor - 1` linearly interpolated samples between neighbours.
-std::vector<double> upsample_linear(std::span<const double> input,
-                                    std::size_t factor);
-
-/// Integer decimation keeping every `factor`-th sample after anti-alias
-/// filtering.  factor must be >= 1.
-std::vector<double> decimate(std::span<const double> input, std::size_t factor);
-
 }  // namespace emap::dsp

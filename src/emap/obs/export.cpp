@@ -287,11 +287,6 @@ std::string to_chrome_trace(const Tracer& tracer) {
         << (i + 1) << ",\"args\":{\"sort_index\":" << (i + 1) << "}}";
   }
   for (const auto& span : spans) {
-    const bool simulated = span.sim_start_sec >= 0.0;
-    const double ts_us =
-        simulated ? span.sim_start_sec * 1e6 : span.wall_start_us;
-    const double dur_us =
-        simulated ? span.sim_dur_sec * 1e6 : span.wall_dur_us;
     if (!first) {
       out << ',';
     }
@@ -299,10 +294,11 @@ std::string to_chrome_trace(const Tracer& tracer) {
     out << "{\"name\":\"" << json_escape(span.name) << "\",\"cat\":\""
         << json_escape(span.category) << "\",\"ph\":\"X\",\"pid\":1,"
         << "\"tid\":" << tid_of(span.category) << ",\"ts\":"
-        << format_double(ts_us) << ",\"dur\":" << format_double(dur_us)
+        << format_double(span.sim_start_sec * 1e6)
+        << ",\"dur\":" << format_double(span.sim_dur_sec * 1e6)
         << ",\"args\":{\"span_id\":" << span.id << ",\"parent\":"
         << span.parent << ",\"trace_id\":\"" << trace_id_hex(span.trace_id)
-        << "\",\"clock\":\"" << (simulated ? "sim" : "wall") << "\"}}";
+        << "\",\"clock\":\"sim\"}}";
   }
   out << "],\"displayTimeUnit\":\"ms\"}";
   return out.str();
@@ -331,17 +327,16 @@ std::string render_timeline_ascii(const Tracer& tracer, double horizon_sec,
     for (const auto& span : spans) {
       const double start = span.sim_start_sec;
       const double end = start + span.sim_dur_sec;
-      // A wall-only span (no virtual stamp) has no place on the chart, and
-      // one entirely outside [0, horizon) has nothing to draw.
-      if (span.category != row_name || start < 0.0 || start >= horizon_sec ||
-          end <= 0.0) {
+      // A span entirely outside [0, horizon) has nothing to draw.
+      if (span.category != row_name || start >= horizon_sec || end <= 0.0) {
         continue;
       }
-      // Clamp the visible part to the horizon before bucketing, so a span
-      // straddling it fills up to the last bucket instead of being dropped
-      // or indexing past the row.
-      const auto first_col =
-          std::min(static_cast<std::size_t>(start / bucket), columns - 1);
+      // Clamp the visible part to [0, horizon] before bucketing, so a span
+      // straddling either edge fills up to the first or last bucket instead
+      // of being dropped or indexing past the row.
+      const auto first_col = std::min(
+          static_cast<std::size_t>(std::max(0.0, start) / bucket),
+          columns - 1);
       const auto last_col = std::min(
           static_cast<std::size_t>(std::min(horizon_sec, end) / bucket),
           columns - 1);
@@ -366,8 +361,6 @@ std::string span_json(const SpanRecord& span) {
   writer.field("category", span.category);
   writer.field("sim_start_sec", span.sim_start_sec);
   writer.field("sim_dur_sec", span.sim_dur_sec);
-  writer.field("wall_start_us", span.wall_start_us);
-  writer.field("wall_dur_us", span.wall_dur_us);
   return writer.str();
 }
 

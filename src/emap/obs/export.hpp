@@ -19,9 +19,9 @@
 
 namespace emap::obs {
 
-/// Chrome trace_event JSON of the span log.  Spans with a virtual-clock
-/// stamp are placed at their SimTime (µs scale); wall-only spans at their
-/// wall offset.  Categories become named tracks via thread_name metadata.
+/// Chrome trace_event JSON of the span log.  Spans are placed at their
+/// SimTime (µs scale).  Categories become named tracks via thread_name
+/// metadata.
 std::string to_chrome_trace(const Tracer& tracer);
 void write_chrome_trace(const std::filesystem::path& path,
                         const Tracer& tracer);

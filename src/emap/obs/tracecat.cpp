@@ -269,12 +269,8 @@ std::vector<TraceCriticalPath> build_critical_paths(
     } else if (span.category == "download") {
       path.downlink_sec += span.sim_dur_sec;
       path.has_edge = true;
-    } else if (span.category == "cloud-search" ||
-               (span.category == "cloud" && span.name == "cloud_scan")) {
+    } else if (span.category == "cloud-search") {
       path.scan_sec += span.sim_dur_sec;
-      path.has_cloud = true;
-    } else if (span.category == "cloud" && span.name == "queue_wait") {
-      path.queue_sec += span.sim_dur_sec;
       path.has_cloud = true;
     } else if (span.category == "retry") {
       path.retry_sec += span.sim_dur_sec;
@@ -323,9 +319,9 @@ std::string critical_path_table(
   std::ostringstream out;
   char line[256];
   std::snprintf(line, sizeof(line),
-                "%-8s %-16s %9s %9s %9s %9s %9s %9s %9s %6s %6s\n", "window",
-                "trace_id", "uplink", "queue", "scan", "downlink", "initial",
-                "edge", "retry", "spans", "events");
+                "%-8s %-16s %9s %9s %9s %9s %9s %9s %6s %6s\n", "window",
+                "trace_id", "uplink", "scan", "downlink", "initial", "edge",
+                "retry", "spans", "events");
   out << line;
   TraceCriticalPath total;
   std::size_t complete = 0;
@@ -338,16 +334,14 @@ std::string critical_path_table(
       std::snprintf(window, sizeof(window), "?");
     }
     std::snprintf(line, sizeof(line),
-                  "%-8s %-16s %9.4f %9.4f %9.4f %9.4f %9.4f %9.4f %9.4f "
+                  "%-8s %-16s %9.4f %9.4f %9.4f %9.4f %9.4f %9.4f "
                   "%6zu %6zu\n",
                   window, trace_id_hex(path.trace_id).c_str(),
-                  path.uplink_sec, path.queue_sec, path.scan_sec,
-                  path.downlink_sec, path.initial_response_sec(),
-                  path.edge_sec, path.retry_sec, path.spans,
-                  path.flight_events);
+                  path.uplink_sec, path.scan_sec, path.downlink_sec,
+                  path.initial_response_sec(), path.edge_sec,
+                  path.retry_sec, path.spans, path.flight_events);
     out << line;
     total.uplink_sec += path.uplink_sec;
-    total.queue_sec += path.queue_sec;
     total.scan_sec += path.scan_sec;
     total.downlink_sec += path.downlink_sec;
     total.edge_sec += path.edge_sec;
@@ -359,12 +353,12 @@ std::string critical_path_table(
     }
   }
   std::snprintf(line, sizeof(line),
-                "%-8s %-16s %9.4f %9.4f %9.4f %9.4f %9.4f %9.4f %9.4f "
+                "%-8s %-16s %9.4f %9.4f %9.4f %9.4f %9.4f %9.4f "
                 "%6zu %6zu\n",
-                "total", "-", total.uplink_sec, total.queue_sec,
-                total.scan_sec, total.downlink_sec,
-                total.initial_response_sec(), total.edge_sec,
-                total.retry_sec, total.spans, total.flight_events);
+                "total", "-", total.uplink_sec, total.scan_sec,
+                total.downlink_sec, total.initial_response_sec(),
+                total.edge_sec, total.retry_sec, total.spans,
+                total.flight_events);
   out << line;
   std::snprintf(line, sizeof(line),
                 "%zu traces (%zu complete edge+cloud)\n", paths.size(),
@@ -382,7 +376,6 @@ std::string critical_path_jsonl(
         .field("window",
                static_cast<double>(path.window_index))
         .field("uplink_sec", path.uplink_sec)
-        .field("queue_sec", path.queue_sec)
         .field("scan_sec", path.scan_sec)
         .field("downlink_sec", path.downlink_sec)
         .field("initial_response_sec", path.initial_response_sec())

@@ -5,7 +5,7 @@
 // module is the read side: it loads the span JSONL (obs::write_spans_jsonl)
 // and flight-recorder dumps (obs::FlightRecorder::trigger_dump), groups
 // records by trace id, and decomposes each window's initial-response
-// latency into its Eq. 4 legs — uplink, cloud queue wait, scan, downlink —
+// latency into its Eq. 4 legs — uplink, scan, downlink —
 // plus the edge-side compute and any retry/backoff tax.  `emapctl trace`
 // is a thin wrapper over these functions.
 //
@@ -77,9 +77,7 @@ struct TraceCriticalPath {
   double window_start_sec = -1.0;
   // Eq. 4 legs (SimTime seconds summed over this trace's spans).
   double uplink_sec = 0.0;    ///< delta_EC (category "upload")
-  double queue_sec = 0.0;     ///< cloud queue wait (name "queue_wait")
-  double scan_sec = 0.0;      ///< cloud search (category "cloud-search" /
-                              ///< category "cloud", name "cloud_scan")
+  double scan_sec = 0.0;      ///< cloud search (category "cloud-search")
   double downlink_sec = 0.0;  ///< delta_CE (category "download")
   // Off-path decomposition.
   double edge_sec = 0.0;      ///< edge compute (categories "edge-track",
@@ -92,7 +90,7 @@ struct TraceCriticalPath {
 
   /// Reconstructed initial-response latency (the Eq. 4 sum).
   double initial_response_sec() const {
-    return uplink_sec + queue_sec + scan_sec + downlink_sec;
+    return uplink_sec + scan_sec + downlink_sec;
   }
   /// Edge and cloud both contributed spans under this one trace id — the
   /// cross-boundary propagation actually happened.

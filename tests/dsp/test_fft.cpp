@@ -48,21 +48,6 @@ TEST(Fft, MatchesNaiveDft) {
   }
 }
 
-TEST(Fft, InverseRoundTrip) {
-  Rng rng(5);
-  std::vector<std::complex<double>> data(256);
-  for (auto& v : data) {
-    v = {rng.normal(), rng.normal()};
-  }
-  const auto original = data;
-  fft_inplace(data);
-  ifft_inplace(data);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    EXPECT_NEAR(data[i].real(), original[i].real(), 1e-9);
-    EXPECT_NEAR(data[i].imag(), original[i].imag(), 1e-9);
-  }
-}
-
 TEST(Fft, ParsevalHolds) {
   Rng rng(7);
   std::vector<std::complex<double>> data(128);

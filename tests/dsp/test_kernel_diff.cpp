@@ -336,9 +336,19 @@ std::vector<std::vector<float>> lockstep_lanes(const kdiff::Case& c) {
           {c.a.begin(), c.a.end()}};
 }
 
+// Two results agree when both are NaN, or when they have the same bits
+// (memcmp, so signed zeros count).  NaNs compare as a class: when two NaNs
+// meet in an add, x86 keeps the first operand's, and the compiler may order
+// a commutative add either way, so a NaN's sign and payload are not part of
+// any kernel's contract.
+bool same_result(double x, double y) {
+  return (std::isnan(x) && std::isnan(y)) ||
+         std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
 // Runs `table.ncc_x1` on each f32 lane against `table.sum` +
-// `table.centered_dot_norm` on the lane widened to f64, demanding the
-// same bits (memcmp, so NaN payloads and signed zeros count too).
+// `table.centered_dot_norm` on the lane widened to f64, demanding
+// same_result for both outputs.
 void expect_lockstep_matches_single(const kernels::KernelTable& table) {
   static_assert(kernels::kNccLanes == 4);
   const auto cases = full_suite(0x4C4E5);
@@ -354,9 +364,8 @@ void expect_lockstep_matches_single(const kernels::KernelTable& table) {
                           static_cast<double>(c.size());
       const kernels::DotNormSq single = table.centered_dot_norm(
           c.a.data(), widened.data(), c.size(), mean);
-      if (std::memcmp(&single.dot, &lockstep.dot, sizeof(double)) != 0 ||
-          std::memcmp(&single.norm_sq, &lockstep.norm_sq, sizeof(double)) !=
-              0) {
+      if (!same_result(single.dot, lockstep.dot) ||
+          !same_result(single.norm_sq, lockstep.norm_sq)) {
         if (mismatches++ < 5) {
           ADD_FAILURE() << c.tag << " lane " << lane << ": single ("
                         << single.dot << ", " << single.norm_sq

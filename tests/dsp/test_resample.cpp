@@ -83,38 +83,5 @@ TEST(Resample, DownsampleRemovesAboveNyquistContent) {
   EXPECT_LT(rms(output), 0.15);
 }
 
-TEST(UpsampleLinear, FactorOneIsIdentity) {
-  const auto input = testing::noise(4, 32);
-  const auto output = upsample_linear(input, 1);
-  EXPECT_EQ(output, input);
-}
-
-TEST(UpsampleLinear, InterpolatesMidpoints) {
-  const std::vector<double> input = {0.0, 2.0, 4.0};
-  const auto output = upsample_linear(input, 2);
-  ASSERT_EQ(output.size(), 5u);
-  EXPECT_DOUBLE_EQ(output[0], 0.0);
-  EXPECT_DOUBLE_EQ(output[1], 1.0);
-  EXPECT_DOUBLE_EQ(output[2], 2.0);
-  EXPECT_DOUBLE_EQ(output[3], 3.0);
-  EXPECT_DOUBLE_EQ(output[4], 4.0);
-}
-
-TEST(Decimate, FactorOneIsIdentity) {
-  const auto input = testing::noise(5, 64);
-  EXPECT_EQ(decimate(input, 1), input);
-}
-
-TEST(Decimate, ReducesLengthByFactor) {
-  const auto input = testing::noise(6, 1000);
-  const auto output = decimate(input, 4);
-  EXPECT_EQ(output.size(), 250u);
-}
-
-TEST(Decimate, RejectsZeroFactor) {
-  const auto input = testing::noise(7, 16);
-  EXPECT_THROW(decimate(input, 0), InvalidArgument);
-}
-
 }  // namespace
 }  // namespace emap::dsp

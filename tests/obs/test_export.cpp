@@ -26,24 +26,6 @@ std::string slurp(const std::filesystem::path& path) {
   return out.str();
 }
 
-TEST(Tracer, ScopesNestParentIds) {
-  Tracer tracer;
-  {
-    auto outer = tracer.scope("outer", "test");
-    auto inner = tracer.scope("inner", "test");
-  }
-  const auto spans = tracer.spans();
-  ASSERT_EQ(spans.size(), 2u);
-  // Inner scope closes (and records) first, chained to the outer span.
-  EXPECT_EQ(spans[0].name, "inner");
-  EXPECT_EQ(spans[1].name, "outer");
-  EXPECT_EQ(spans[0].parent, spans[1].id);
-  EXPECT_EQ(spans[1].parent, 0u);
-  EXPECT_GE(spans[0].wall_dur_us, 0.0);
-  // Wall-only spans carry no virtual-clock stamp.
-  EXPECT_LT(spans[0].sim_start_sec, 0.0);
-}
-
 TEST(Tracer, RecordSimStampsVirtualTime) {
   Tracer tracer;
   const auto parent = tracer.record_sim("call", "cloud-call", 1.0, 4.0);
@@ -104,14 +86,23 @@ TEST(TimelineAscii, ClampsSpanStraddlingHorizon) {
 
 TEST(Trace, AsciiRenderClampsActivityStraddlingTimeZero) {
   Tracer tracer;
-  { auto wall_only = tracer.scope("wall-only", "filter"); }  // no sim stamp
   tracer.record_sim("early", "filter", -5.0, -1.0);  // entirely before zero
   tracer.record_sim("fir", "filter", 0.0, 2.0);
   const std::string row =
       timeline_row(render_timeline_ascii(tracer, 10.0, 40), "filter");
   const auto open = row.find('|');
-  // A negative start is the tracer's "no virtual stamp" mark, so only the
-  // [0, 2] span is drawn, starting at the first column.
+  // Only the [0, 2] span is drawn, starting at the first column.
+  EXPECT_EQ(row.find('#'), open + 1);
+  EXPECT_EQ(row.rfind('#'), open + 1 + 8);
+}
+
+TEST(TimelineAscii, ClampsSpanStraddlingTimeZero) {
+  Tracer tracer;
+  tracer.record_sim("fir", "filter", -1.0, 2.0);
+  const std::string row =
+      timeline_row(render_timeline_ascii(tracer, 10.0, 40), "filter");
+  const auto open = row.find('|');
+  // The visible [0, 2] part fills the first nine columns.
   EXPECT_EQ(row.find('#'), open + 1);
   EXPECT_EQ(row.rfind('#'), open + 1 + 8);
 }
@@ -120,7 +111,7 @@ TEST(TimelineView, ProjectsSimSpansOntoActivityRows) {
   Tracer tracer;
   tracer.record_sim("upload", "upload", 0.0, 0.25);
   tracer.record_sim("delta_CS", "cloud-search", 0.25, 2.25);
-  tracer.record_sim("wall-only", "cloud-search", -1.0, 0.0);  // no sim stamp
+  tracer.record_sim("early", "cloud-search", -1.0, 0.0);  // ends at zero
   tracer.record_sim("aux", "not-a-row", 0.0, 1.0);
   const std::string art = render_timeline_ascii(tracer, 10.0, 40);
   // 0.25 s per column; a span fills every column it touches.

@@ -91,13 +91,11 @@ std::vector<ParsedSpan> one_window_trace(std::uint64_t trace) {
   return {
       make_span(1, 0, trace, "window_4", "window", 4.0, 1.0),
       make_span(2, 1, trace, "delta_EC", "upload", 4.0, 0.30),
-      make_span(3, 2, trace, "queue_wait", "cloud", 4.30, 0.05),
-      make_span(4, 3, trace, "cloud_scan", "cloud", 4.35, 1.20),
-      make_span(5, 1, trace, "delta_CS", "cloud-search", 4.30, 1.25),
-      make_span(6, 1, trace, "delta_CE", "download", 5.55, 0.20),
-      make_span(7, 1, trace, "track", "edge-track", 5.75, 0.40),
-      make_span(8, 1, trace, "predict", "prediction", 6.15, 0.01),
-      make_span(9, 1, trace, "timeout", "retry", 4.0, 0.50),
+      make_span(3, 1, trace, "delta_CS", "cloud-search", 4.30, 1.25),
+      make_span(4, 1, trace, "delta_CE", "download", 5.55, 0.20),
+      make_span(5, 1, trace, "track", "edge-track", 5.75, 0.40),
+      make_span(6, 1, trace, "predict", "prediction", 6.15, 0.01),
+      make_span(7, 1, trace, "timeout", "retry", 4.0, 0.50),
   };
 }
 
@@ -109,20 +107,16 @@ TEST(BuildCriticalPaths, DecomposesTheEqFourLegs) {
   EXPECT_EQ(path.window_index, 4);
   EXPECT_DOUBLE_EQ(path.window_start_sec, 4.0);
   EXPECT_DOUBLE_EQ(path.uplink_sec, 0.30);
-  EXPECT_DOUBLE_EQ(path.queue_sec, 0.05);
-  // Both a cloud-side cloud_scan span and the edge-side delta_CS
-  // estimate count as scan time.
-  EXPECT_NEAR(path.scan_sec, 2.45, 1e-12);
+  EXPECT_DOUBLE_EQ(path.scan_sec, 1.25);
   EXPECT_DOUBLE_EQ(path.downlink_sec, 0.20);
   EXPECT_NEAR(path.edge_sec, 0.41, 1e-12);
   EXPECT_DOUBLE_EQ(path.retry_sec, 0.50);
   EXPECT_DOUBLE_EQ(path.initial_response_sec(),
-                   path.uplink_sec + path.queue_sec + path.scan_sec +
-                       path.downlink_sec);
+                   path.uplink_sec + path.scan_sec + path.downlink_sec);
   EXPECT_TRUE(path.has_edge);
   EXPECT_TRUE(path.has_cloud);
   EXPECT_TRUE(path.complete());
-  EXPECT_EQ(path.spans, 9u);
+  EXPECT_EQ(path.spans, 7u);
 }
 
 TEST(BuildCriticalPaths, IgnoresUntracedSpansAndOrdersByWindow) {

@@ -76,8 +76,8 @@ inline mdb::MdbStore small_mdb(std::size_t recordings_per_corpus = 4) {
 }
 
 /// Virtual-clock busy seconds of one span category: the sim_dur_sec sum
-/// of its spans that carry a virtual stamp (0 with no tracer, i.e. a run
-/// with trace collection off).
+/// of its spans that start at or after time zero (0 with no tracer, i.e. a
+/// run with trace collection off).
 inline double busy_seconds(const obs::Tracer* tracer,
                            const std::string& category) {
   double total = 0.0;
