@@ -97,6 +97,8 @@
 //                          calls (default 2)
 //   --queue-capacity <n>   bound of every stage queue (default 8; rounded
 //                          up to a power of two)
+// --stream does not checkpoint: combined with --checkpoint-dir or --resume
+// it is a usage error.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -163,7 +165,7 @@ int usage() {
       "tracing flags:   --spans-out <file> --flight-out <file> "
       "--edge-slowdown <factor>\n"
       "streaming flags: --stream --stage-threads <n> "
-      "--queue-capacity <n> --drain-timeout <sec>\n");
+      "--queue-capacity <n>\n");
   return 2;
 }
 
@@ -194,9 +196,6 @@ struct TelemetryOptions {
   bool stream = false;         ///< threaded stage graph instead of batch
   std::size_t stage_threads = 2;
   std::size_t queue_capacity = 8;
-  /// Wall-clock budget for settling in-flight cloud calls at a streamed
-  /// checkpoint before they fall back to to-replay entries.
-  double drain_timeout_sec = 1.0;
 };
 
 /// Extracts telemetry and fault/retry flags from (argc, argv), leaving only
@@ -309,10 +308,6 @@ bool extract_telemetry_flags(int& argc, char** argv,
             telemetry.queue_capacity = static_cast<std::size_t>(n);
           }))
         return false;
-    } else if (arg == "--drain-timeout") {
-      if (!take_double(
-              [&](double sec) { telemetry.drain_timeout_sec = sec; }))
-        return false;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "emapctl: unknown flag %s\n", arg.c_str());
       return false;
@@ -321,6 +316,13 @@ bool extract_telemetry_flags(int& argc, char** argv,
     }
   }
   argc = kept;
+  if (telemetry.stream &&
+      (!telemetry.checkpoint_dir.empty() || telemetry.resume)) {
+    std::fprintf(stderr,
+                 "emapctl: --stream does not checkpoint; drop "
+                 "--checkpoint-dir/--resume or run the batch loop\n");
+    return false;
+  }
   return true;
 }
 
@@ -412,21 +414,11 @@ core::RunResult run_scheduled(const TelemetryOptions& telemetry,
     return pipeline.run(input);
   }
   core::StreamOptions stream_options;
-  stream_options.mode = core::SchedulerMode::kThreaded;
   stream_options.stage_threads = telemetry.stage_threads;
   stream_options.queue_capacity = telemetry.queue_capacity;
-  stream_options.drain_timeout_sec = telemetry.drain_timeout_sec;
   std::printf("streaming: threaded scheduler, %zu uplink worker(s), "
               "queue capacity %zu\n",
               stream_options.stage_threads, stream_options.queue_capacity);
-  if (!telemetry.checkpoint_dir.empty()) {
-    std::printf("streaming checkpoints: every %zu window(s) into %s "
-                "(drain timeout %.2f s)%s\n",
-                telemetry.checkpoint_interval,
-                telemetry.checkpoint_dir.c_str(),
-                stream_options.drain_timeout_sec,
-                telemetry.resume ? ", resuming" : "");
-  }
   core::StreamPipeline stream(pipeline, stream_options);
   return stream.run(input);
 }
@@ -446,25 +438,11 @@ void print_stream_summary(const core::RunResult& result) {
     if (row.queue.empty()) {
       continue;
     }
-    std::printf("  queue %-9s depth max %llu/%llu  pushed %llu  "
-                "shed %llu\n",
+    std::printf("  queue %-9s depth max %llu/%llu  pushed %llu\n",
                 row.queue.c_str(),
                 static_cast<unsigned long long>(row.queue_max_depth),
                 static_cast<unsigned long long>(row.queue_capacity),
-                static_cast<unsigned long long>(row.queue_pushed),
-                static_cast<unsigned long long>(row.queue_shed));
-  }
-  const auto& recovery = result.robust.recovery;
-  if (recovery.enabled) {
-    std::printf("stream checkpoints: written=%llu last_window=%llu "
-                "drain_timeouts=%llu replay_recorded=%llu aborts=%llu%s%s\n",
-                static_cast<unsigned long long>(recovery.checkpoints_written),
-                static_cast<unsigned long long>(recovery.last_snapshot_window),
-                static_cast<unsigned long long>(recovery.drain_timeouts),
-                static_cast<unsigned long long>(recovery.replay_recorded),
-                static_cast<unsigned long long>(recovery.snapshot_aborts),
-                recovery.emergency_snapshot ? " (emergency)" : "",
-                recovery.resumed ? " (resumed)" : "");
+                static_cast<unsigned long long>(row.queue_pushed));
   }
 }
 

@@ -4,10 +4,8 @@
 // consumers each claim a position with one CAS and publish it through the
 // slot's sequence word, so push and pop are lock-free and a single
 // producer/consumer pair (the SPSC stage-graph case) never contends at all.
-// The same algorithm is safely MPMC, which two streaming features rely on:
-// multiple uplink workers popping one job queue, and the shed-oldest policy,
-// where the *producer* pops (and discards) the oldest item to make room —
-// backpressure that sacrifices the stalest window instead of the newest.
+// The same algorithm is safely MPMC, which the uplink workers rely on:
+// several of them pop one job queue.
 //
 // Close semantics: close() is sticky.  Pushes after close fail; pops drain
 // the remaining items and then return nullopt, so a stage shutdown cascades
@@ -100,23 +98,6 @@ class BoundedQueue {
     return true;
   }
 
-  /// Push that never blocks on a full queue: it pops and discards the
-  /// oldest item(s) until the new one fits (each discard counts in shed()).
-  /// Returns false only when the queue is closed.
-  bool push_shed_oldest(T value) {
-    for (;;) {
-      if (try_push(value)) {
-        return true;
-      }
-      if (closed_.load(std::memory_order_acquire)) {
-        return false;
-      }
-      if (try_pop().has_value()) {
-        shed_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-
   /// Non-blocking pop; nullopt when the queue is momentarily empty.
   std::optional<T> try_pop() {
     Cell* cell = nullptr;
@@ -180,7 +161,6 @@ class BoundedQueue {
   std::uint64_t popped() const {
     return dequeue_pos_.load(std::memory_order_relaxed);
   }
-  std::uint64_t shed() const { return shed_.load(std::memory_order_relaxed); }
   std::size_t max_depth() const {
     return max_depth_.load(std::memory_order_relaxed);
   }
@@ -212,7 +192,6 @@ class BoundedQueue {
   alignas(64) std::atomic<std::size_t> enqueue_pos_{0};
   alignas(64) std::atomic<std::size_t> dequeue_pos_{0};
   std::atomic<bool> closed_{false};
-  std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::size_t> max_depth_{0};
 };
 

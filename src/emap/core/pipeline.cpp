@@ -174,7 +174,7 @@ RunResult EmapPipeline::run(const synth::Recording& input,
   obs::Tracer* tracer = session.tracer();
   robust::CrashPointRegistry* crashpoints = session.crashpoints();
 
-  if (std::optional<robust::SessionState> s = session.resume("", 0)) {
+  if (std::optional<robust::SessionState> s = session.resume()) {
     injector.restore(s->injector);
     channel.restore_rng(s->channel_rng);
     if (s->pending.has_value()) {
@@ -224,7 +224,7 @@ RunResult EmapPipeline::run(const synth::Recording& input,
       }
       s.injector = injector.save();
       s.channel_rng = channel.save_rng();
-      session.publish(std::move(s), "checkpoint", session.window_trace(w));
+      session.publish(std::move(s), session.window_trace(w));
     }
     if (options_.stop_on_alarm && edge.predictor().anomaly_predicted()) {
       break;

@@ -222,8 +222,8 @@ struct RunResult {
   std::vector<double> pa_history() const;
 };
 
-/// Checkpoint conversions shared by the batch loop and the streaming
-/// engine (robust/checkpoint.hpp holds the serializable mirror types).
+/// Checkpoint conversions (robust/checkpoint.hpp holds the serializable
+/// mirror types).
 robust::TrackedSignalState to_signal_state(const TrackedSignal& signal);
 TrackedSignal from_signal_state(robust::TrackedSignalState&& state);
 robust::PendingCallCheckpoint to_call_checkpoint(const PendingSearch& call);

@@ -75,8 +75,7 @@ Session::Session(const EmapPipeline& pipeline, const synth::Recording& input,
   }
 }
 
-std::optional<robust::SessionState> Session::resume(
-    const std::string& stream_fp, std::size_t workers) {
+std::optional<robust::SessionState> Session::resume() {
   const robust::RecoveryOptions& recovery = options_.recovery;
   if (!recovery.enabled() || !recovery.resume) {
     return std::nullopt;
@@ -99,22 +98,6 @@ std::optional<robust::SessionState> Session::resume(
       throw robust::CheckpointError(
           "checkpoint: input fingerprint mismatch — snapshot belongs to "
           "a different recording");
-    }
-    if (snapshot->stream_fingerprint != stream_fp) {
-      throw robust::CheckpointError(
-          "checkpoint: stream topology mismatch (snapshot \"" +
-          snapshot->stream_fingerprint +
-          (stream_fp.empty()
-               ? "\", batch loop takes only virtual-time snapshots)"
-               : "\", run \"" + stream_fp + "\")"));
-    }
-    if (snapshot->workers.size() != workers) {
-      // Unreachable while worker count rides the fingerprint, but a
-      // truncated-yet-valid payload must never index out of range.
-      throw robust::CheckpointError(
-          "checkpoint: stream topology mismatch (snapshot carries " +
-          std::to_string(snapshot->workers.size()) +
-          " worker cursors, run has " + std::to_string(workers) + ")");
     }
     robust::SessionState& s = *snapshot;
     std::vector<TrackedSignal> tracked;
@@ -257,10 +240,9 @@ robust::SessionState Session::capture(std::size_t next_window) const {
   return s;
 }
 
-void Session::publish(robust::SessionState state, const char* flight_label,
+void Session::publish(robust::SessionState state,
                       std::uint64_t flight_trace) {
   robust::RecoverySummary& summary = result.robust.recovery;
-  summary.replay_recorded += state.replay.size();
   const std::uint64_t next_window = state.next_window;
   log_->publish(std::move(state), crashpoints_);
   ++summary.checkpoints_written;
@@ -278,7 +260,7 @@ void Session::publish(robust::SessionState state, const char* flight_label,
     metrics.recovery_checkpoint_bytes->increment(bytes);
   }
   if (flight_ != nullptr) {
-    flight_->log(obs::FlightEventType::kCheckpoint, flight_label,
+    flight_->log(obs::FlightEventType::kCheckpoint, "checkpoint",
                  static_cast<double>(next_window), flight_trace,
                  static_cast<double>(next_window));
   }

@@ -17,9 +17,8 @@
 // call reaches deliver() (batch: at its virtual ready time; threaded: once
 // the uplink worker has also finished on the wall clock), where the
 // predictor observes P_A, and the queue pressure passed to feedback() (0 in
-// batch).  Snapshots follow the same split: capture() fills the fields both
-// share and the scheduler adds its own (batch: the pending call and link
-// RNG cursors; threaded: the completed/replay ledger and worker cursors).
+// batch).  Only the batch loop checkpoints: capture() fills the session's
+// fields and the loop adds the pending call and link RNG cursors.
 #pragma once
 
 #include <cstddef>
@@ -48,13 +47,11 @@ class Session {
   // ---- Recovery. ----
 
   /// With recovery.resume set, reads the snapshot and rejects it unless its
-  /// config, input and stream topology (`stream_fp`, empty for the batch
-  /// loop) and its worker-cursor count match this run; then restores every
-  /// field both schedulers share and returns the snapshot so the scheduler
-  /// can restore its own.  A missing or rejected snapshot falls back to a
-  /// cold start (nullopt), or rethrows under recovery.strict.
-  std::optional<robust::SessionState> resume(const std::string& stream_fp,
-                                             std::size_t workers);
+  /// config and input match this run; then restores every session field
+  /// and returns the snapshot so the batch loop can restore its pending
+  /// call and link cursors.  A missing or rejected snapshot falls back to
+  /// a cold start (nullopt), or rethrows under recovery.strict.
+  std::optional<robust::SessionState> resume();
 
   /// The shared snapshot fields as of `next_window`.  The caller guarantees
   /// no window is in progress.
@@ -62,9 +59,8 @@ class Session {
 
   /// Durably publishes `state` through the run's checkpoint log and
   /// records it in the recovery summary, the metrics and the flight
-  /// recorder (as `flight_label`, `flight_trace`).
-  void publish(robust::SessionState state, const char* flight_label,
-               std::uint64_t flight_trace);
+  /// recorder (a "checkpoint" event on `flight_trace`).
+  void publish(robust::SessionState state, std::uint64_t flight_trace);
 
   // ---- Per-window steps, in loop order. ----
 
@@ -148,7 +144,7 @@ class Session {
   std::uint64_t trace_seed_ = 0;
   obs::FlightRecorder* flight_ = nullptr;
   robust::CrashPointRegistry* crashpoints_ = nullptr;
-  /// The snapshot writer both schedulers publish through (recovery on).
+  /// The snapshot writer the batch loop publishes through (recovery on).
   std::optional<robust::CheckpointLog> log_;
   std::shared_ptr<obs::AlertEngine> alert_engine_;
   // Fresh per run (runs are independent); the registry-side emap_slo_*

@@ -82,6 +82,7 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace emap::obs {
 
 std::atomic<bool> Profiler::enabled_flag_{false};
+std::atomic<std::uint64_t> Profiler::next_id_{0};
 
 Profiler& Profiler::instance() {
   static Profiler profiler;
@@ -91,8 +92,8 @@ Profiler& Profiler::instance() {
 Profiler::ThreadState& Profiler::local_state() {
   // One state per (thread, profiler): the global instance dominates, so the
   // map is almost always a single entry and the lookup stays cheap.
-  thread_local std::map<const Profiler*, std::shared_ptr<ThreadState>> states;
-  std::shared_ptr<ThreadState>& slot = states[this];
+  thread_local std::map<std::uint64_t, std::shared_ptr<ThreadState>> states;
+  std::shared_ptr<ThreadState>& slot = states[id_];
   if (slot == nullptr) {
     slot = std::make_shared<ThreadState>();
     std::lock_guard<std::mutex> lock(states_mutex_);

@@ -118,7 +118,12 @@ class Profiler {
 
  private:
   static std::atomic<bool> enabled_flag_;
+  static std::atomic<std::uint64_t> next_id_;
 
+  /// Key of this instance in each thread's state map.  Unlike the address,
+  /// it is never reused, so a Profiler built where an earlier one died
+  /// cannot pick up that one's (unregistered) thread states.
+  const std::uint64_t id_ = next_id_.fetch_add(1, std::memory_order_relaxed);
   mutable std::mutex states_mutex_;
   std::vector<std::shared_ptr<ThreadState>> states_;
 };

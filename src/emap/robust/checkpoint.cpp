@@ -610,24 +610,6 @@ void encode_payload(mdb::Encoder& enc, const SessionState& state,
   encode_rng(enc, state.channel_rng);
   enc.write_u64(state.trace_seed);
 
-  // ---- Streaming extension (v3). ----
-  enc.write_string(state.stream_fingerprint);
-  enc.write_u64(state.completed_calls.size());
-  for (const PendingCallCheckpoint& call : state.completed_calls) {
-    encode_pending_call(enc, call, sink);
-  }
-  enc.write_u64(state.replay.size());
-  for (const ReplayEntryCheckpoint& entry : state.replay) {
-    enc.write_u32(entry.sequence);
-    enc.write_f64(entry.t_issue_sec);
-    enc.write_u64(entry.trace_id);
-    enc.write_u64(entry.parent_span);
-  }
-  enc.write_u64(state.workers.size());
-  for (const WorkerCheckpoint& worker : state.workers) {
-    encode_injector(enc, worker.injector);
-    encode_rng(enc, worker.channel_rng);
-  }
 }
 
 SessionState decode_payload(mdb::Decoder& dec, std::size_t total_bytes,
@@ -699,37 +681,6 @@ SessionState decode_payload(mdb::Decoder& dec, std::size_t total_bytes,
   state.channel_rng = decode_rng(dec);
   state.trace_seed = dec.read_u64();
 
-  // ---- Streaming extension (v3). ----
-  state.stream_fingerprint = dec.read_string();
-  const std::uint64_t completed = dec.read_u64();
-  // Each settled call carries at least its fixed fields.
-  check_count(completed, 4 * 8 + 4 + 2 * 8 + 1 + 2 * 8 + 8, total_bytes);
-  state.completed_calls.reserve(static_cast<std::size_t>(completed));
-  for (std::uint64_t i = 0; i < completed; ++i) {
-    state.completed_calls.push_back(
-        decode_pending_call(dec, total_bytes, runs));
-  }
-  const std::uint64_t replay = dec.read_u64();
-  check_count(replay, 4 + 8 + 8 + 8, total_bytes);
-  state.replay.reserve(static_cast<std::size_t>(replay));
-  for (std::uint64_t i = 0; i < replay; ++i) {
-    ReplayEntryCheckpoint entry;
-    entry.sequence = dec.read_u32();
-    entry.t_issue_sec = dec.read_f64();
-    entry.trace_id = dec.read_u64();
-    entry.parent_span = dec.read_u64();
-    state.replay.push_back(entry);
-  }
-  const std::uint64_t workers = dec.read_u64();
-  // Two injector RNG states alone dominate a worker entry.
-  check_count(workers, 2 * (4 * 8 + 8 + 8 + 1), total_bytes);
-  state.workers.reserve(static_cast<std::size_t>(workers));
-  for (std::uint64_t i = 0; i < workers; ++i) {
-    WorkerCheckpoint worker;
-    worker.injector = decode_injector(dec);
-    worker.channel_rng = decode_rng(dec);
-    state.workers.push_back(worker);
-  }
   return state;
 }
 
@@ -746,9 +697,6 @@ std::size_t payload_size_hint(const SessionState& state) {
   add(state.tracker.tracked);
   if (state.pending.has_value()) {
     add(state.pending->correlation_set);
-  }
-  for (const PendingCallCheckpoint& call : state.completed_calls) {
-    add(call.correlation_set);
   }
   return bytes;
 }

@@ -91,7 +91,10 @@ class CheckpointError : public CorruptData {
 ///     it is exact (f64 otherwise).
 /// v5: the file is an image followed by appended records, whose samples
 ///     may refer back to a run stored earlier in the file.
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+/// v6: v3's stream fingerprint, call ledgers and per-worker cursors
+///     removed (the threaded scheduler no longer checkpoints); the
+///     injector draw cursors stay.
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 /// One tracked signal-set as the edge holds it (robust-layer mirror of
 /// core::TrackedSignal; samples included — see the layering note above).
@@ -137,27 +140,6 @@ struct PendingCallCheckpoint {
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span = 0;
   std::vector<TrackedSignalState> correlation_set;
-};
-
-/// An uplink job that was issued but had not settled (delivered and
-/// applied, or completed-and-held) when the quiesce drain timed out.  The
-/// streaming resume re-delivers it as a *failed* call — the same degraded-
-/// window semantics as a worker dying with the job in flight — so the
-/// issued/applied ledger settles without the lost result.
-struct ReplayEntryCheckpoint {
-  std::uint32_t sequence = 0;
-  double t_issue_sec = 0.0;
-  std::uint64_t trace_id = 0;
-  std::uint64_t parent_span = 0;
-};
-
-/// One uplink worker's deterministic stream position: its forked
-/// FaultInjector (with draw cursors) and its Channel RNG.  Indexed by
-/// worker slot; the stream topology fingerprint guarantees the resumed run
-/// spawns the same number of workers.
-struct WorkerCheckpoint {
-  net::FaultInjectorState injector{};
-  RngState channel_rng{};
 };
 
 /// Cumulative RunResult counters and first-round-trip timings, carried so
@@ -216,22 +198,6 @@ struct SessionState {
   /// the ids the original run would have given them — the trace lineage
   /// survives the crash.
   std::uint64_t trace_seed = 0;
-  // ---- Streaming extension (v3).  All empty for batch/virtual-time
-  // snapshots; the resume side rejects a topology mismatch explicitly. ----
-  /// StreamOptions::fingerprint() of the writing scheduler — empty for the
-  /// batch loop (and kVirtualTime, which IS the batch loop).  A resume
-  /// under a different stream topology (mode, worker count, queue bounds,
-  /// queue-full policy) is rejected, never silently re-shaped.
-  std::string stream_fingerprint;
-  /// Issued calls that completed before the quiesce barrier but whose
-  /// virtual ready time had not arrived — the threaded analogue of the
-  /// batch loop's single `pending` slot (up to one per uplink worker).
-  std::vector<PendingCallCheckpoint> completed_calls;
-  /// Issued calls that had NOT settled when the drain timed out; resumed
-  /// as failed/degraded deliveries (see ReplayEntryCheckpoint).
-  std::vector<ReplayEntryCheckpoint> replay;
-  /// Per-uplink-worker fault/channel stream positions.
-  std::vector<WorkerCheckpoint> workers;
 };
 
 /// Serializes one session snapshot image (framing included; no
@@ -362,23 +328,8 @@ struct RecoverySummary {
   bool cold_start_fallback = false;
   /// Why the snapshot was rejected (empty when none was).
   std::string reject_reason;
-  // ---- Streaming (quiesce-barrier) checkpoint accounting.  All zero in
-  // batch mode except last_snapshot_window, which both engines maintain. ----
   /// next_window of the most recently published snapshot.
   std::uint64_t last_snapshot_window = 0;
-  /// Quiesce drains that hit the wall-clock timeout and fell back to
-  /// recording unsettled in-flight windows as to-replay entries.
-  std::uint64_t drain_timeouts = 0;
-  /// To-replay entries written into snapshots by this run.
-  std::uint64_t replay_recorded = 0;
-  /// To-replay entries this run re-delivered as failed calls on resume.
-  std::uint64_t replay_redelivered = 0;
-  /// Cadence snapshots abandoned cleanly (stage crash/stall/restart raced
-  /// the quiesce, or the coordinator itself was restarted mid-drain).
-  std::uint64_t snapshot_aborts = 0;
-  /// A supervisor give-up (forced CRITICAL) published a post-mortem
-  /// snapshot next to the flight dump.
-  bool emergency_snapshot = false;
 };
 
 }  // namespace emap::robust

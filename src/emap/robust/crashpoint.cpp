@@ -12,11 +12,6 @@ const std::vector<std::string>& crash_point_catalog() {
       "pipeline_pre_cloud_call", "pipeline_post_cloud_call",
       "pipeline_window_end",     "checkpoint_pre_write",
       "checkpoint_pre_rename",   "checkpoint_post_write",
-      // Threaded-only points, armed under a live stage graph: fired by the
-      // checkpoint coordinator as it raises the quiesce gate and again once
-      // the in-flight ledger has drained (or the drain timed out), just
-      // before the snapshot is captured.
-      "stream_quiesce",          "stream_drain",
   };
   return kCatalog;
 }

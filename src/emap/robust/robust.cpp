@@ -70,16 +70,6 @@ std::string robust_summary_json(const RobustSummary& summary) {
       .field("recovery_reject_reason", summary.recovery.reject_reason)
       .field("checkpoint_last_snapshot_window",
              static_cast<std::uint64_t>(summary.recovery.last_snapshot_window))
-      .field("checkpoint_drain_timeouts",
-             static_cast<std::uint64_t>(summary.recovery.drain_timeouts))
-      .field("checkpoint_replay_recorded",
-             static_cast<std::uint64_t>(summary.recovery.replay_recorded))
-      .field("checkpoint_replay_redelivered",
-             static_cast<std::uint64_t>(summary.recovery.replay_redelivered))
-      .field("checkpoint_snapshot_aborts",
-             static_cast<std::uint64_t>(summary.recovery.snapshot_aborts))
-      .field("checkpoint_emergency_snapshot",
-             summary.recovery.emergency_snapshot)
       .field("streamed", summary.streamed)
       .field("supervisor_stalls",
              static_cast<std::uint64_t>(summary.supervisor_stalls))
@@ -100,8 +90,7 @@ std::string robust_summary_json(const RobustSummary& summary) {
       writer.field(prefix + "queue", stage.queue)
           .field(prefix + "queue_capacity", stage.queue_capacity)
           .field(prefix + "queue_max_depth", stage.queue_max_depth)
-          .field(prefix + "queue_pushed", stage.queue_pushed)
-          .field(prefix + "queue_shed", stage.queue_shed);
+          .field(prefix + "queue_pushed", stage.queue_pushed);
     }
   }
   return writer.str();

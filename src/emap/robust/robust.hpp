@@ -55,7 +55,6 @@ struct StageQueueSummary {
   std::uint64_t queue_capacity = 0;
   std::uint64_t queue_max_depth = 0;
   std::uint64_t queue_pushed = 0;
-  std::uint64_t queue_shed = 0;
 };
 
 /// Controller-loop outcome of one run, embedded in RunResult.

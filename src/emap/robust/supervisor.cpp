@@ -76,7 +76,6 @@ void StageSupervisor::run_stage(Stage& stage) {
     if (crashed) {
       stage.crashes.fetch_add(1, std::memory_order_relaxed);
       crashes_.fetch_add(1, std::memory_order_relaxed);
-      interventions_.fetch_add(1, std::memory_order_release);
       if (flight_ != nullptr) {
         flight_->log(obs::FlightEventType::kStageStall,
                      ("crash_" + stage.name).c_str(), -1.0, 0,
@@ -106,7 +105,6 @@ void StageSupervisor::run_stage(Stage& stage) {
     }
     stage.restarts.fetch_add(1, std::memory_order_relaxed);
     restarts_.fetch_add(1, std::memory_order_relaxed);
-    interventions_.fetch_add(1, std::memory_order_release);
     if (stage.restart_metric != nullptr) {
       stage.restart_metric->increment();
     }
@@ -161,7 +159,6 @@ void StageSupervisor::monitor_loop() {
       // once and left to the failure escalation).
       stage.stalls.fetch_add(1, std::memory_order_relaxed);
       stalls_.fetch_add(1, std::memory_order_relaxed);
-      interventions_.fetch_add(1, std::memory_order_release);
       if (stage.stall_metric != nullptr) {
         stage.stall_metric->increment();
       }

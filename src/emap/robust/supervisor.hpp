@@ -140,15 +140,6 @@ class StageSupervisor {
   /// Any stage exhausted its restart budget.
   bool any_failed() const { return failed_.load(std::memory_order_acquire); }
 
-  /// Monotone count of supervisor interventions: every stall verdict,
-  /// caught stage crash, and body restart bumps it exactly once.  A
-  /// coordinator that must not race a restart (the streaming checkpoint
-  /// quiesce) samples it before and after a critical section — an unchanged
-  /// count proves the supervisor stayed out of the graph meanwhile.
-  std::uint64_t interventions() const {
-    return interventions_.load(std::memory_order_acquire);
-  }
-
   const SupervisorOptions& options() const { return options_; }
 
  private:
@@ -186,7 +177,6 @@ class StageSupervisor {
   std::atomic<std::uint64_t> stalls_{0};
   std::atomic<std::uint64_t> restarts_{0};
   std::atomic<std::uint64_t> crashes_{0};
-  std::atomic<std::uint64_t> interventions_{0};
   std::atomic<bool> failed_{false};
 };
 

@@ -48,20 +48,6 @@ TEST(BoundedQueue, TryPushFailsWhenFullWithoutConsumingTheValue) {
   EXPECT_EQ(queue.depth(), 2u);
 }
 
-TEST(BoundedQueue, ShedOldestDiscardsTheStalestItem) {
-  BoundedQueue<int> queue(2);
-  ASSERT_TRUE(queue.push(1));
-  ASSERT_TRUE(queue.push(2));
-  EXPECT_TRUE(queue.push_shed_oldest(3));
-  EXPECT_EQ(queue.shed(), 1u);
-  auto first = queue.try_pop();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(*first, 2);  // 1 was shed
-  auto second = queue.try_pop();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(*second, 3);
-}
-
 TEST(BoundedQueue, CloseDrainsRemainingItemsThenSignalsShutdown) {
   BoundedQueue<int> queue(8);
   ASSERT_TRUE(queue.push(1));
@@ -185,34 +171,6 @@ TEST(BoundedQueueConcurrency, MpmcLosesNothingDuplicatesNothing) {
     }
   }
   EXPECT_LE(queue.max_depth(), queue.capacity());
-  EXPECT_EQ(queue.shed(), 0u);
-}
-
-// Shed-oldest under concurrency: the producer never blocks, nothing is
-// duplicated, and pushed == popped + shed at the end.
-TEST(BoundedQueueConcurrency, ShedOldestConservesItems) {
-  constexpr std::uint64_t kItems = 50000;
-  BoundedQueue<std::uint64_t> queue(4);
-  std::vector<std::uint64_t> received;
-  received.reserve(kItems);
-
-  std::thread consumer([&] {
-    while (auto value = queue.pop()) {
-      received.push_back(*value);
-    }
-  });
-  for (std::uint64_t i = 0; i < kItems; ++i) {
-    ASSERT_TRUE(queue.push_shed_oldest(i));
-  }
-  queue.close();
-  consumer.join();
-
-  EXPECT_EQ(received.size() + queue.shed(), kItems);
-  // Delivered values are strictly increasing: shedding drops the oldest,
-  // never reorders or duplicates.
-  for (std::size_t i = 1; i < received.size(); ++i) {
-    ASSERT_GT(received[i], received[i - 1]);
-  }
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// StreamPipeline: virtual-time delegation (bit-identity with the batch
-// loop), threaded stage-graph structural invariants, supervised recovery
-// from injected stage crashes and stalls, and the watchdog-CRITICAL
-// flight-dump regression.  The threaded suites run real threads and are
-// part of the TSan CI job.
+// StreamPipeline: threaded stage-graph structural invariants, the reject of
+// checkpointing pipelines, supervised recovery from injected stage crashes
+// and stalls, and the watchdog-CRITICAL flight-dump regression.  The
+// threaded suites run real threads and are part of the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,7 +37,6 @@ synth::Recording seizure_input(std::uint64_t seed, double duration,
 /// staying small enough that the injected-stall test resolves quickly.
 StreamOptions threaded_options() {
   StreamOptions options;
-  options.mode = SchedulerMode::kThreaded;
   options.supervisor.poll_interval_sec = 0.01;
   options.supervisor.stall_timeout_sec = 2.0;
   return options;
@@ -67,73 +65,23 @@ TEST(StreamOptionsTest, ValidateRejectsBadKnobs) {
   options = StreamOptions{};
   options.faults.push_back({"track", 0, StageFaultSpec::Kind::kCrash, 1.0});
   EXPECT_THROW(options.validate(), InvalidArgument);
-  options = StreamOptions{};
-  options.drain_timeout_sec = 0.0;
-  EXPECT_THROW(options.validate(), InvalidArgument);
-  options = StreamOptions{};
-  options.drain_timeout_sec = -1.0;
-  EXPECT_THROW(options.validate(), InvalidArgument);
   EXPECT_NO_THROW(StreamOptions{}.validate());
 }
 
-TEST(StreamOptionsTest, ModeAndPolicyNames) {
-  EXPECT_STREQ(scheduler_mode_name(SchedulerMode::kVirtualTime), "virtual");
-  EXPECT_STREQ(scheduler_mode_name(SchedulerMode::kThreaded), "threaded");
-  EXPECT_STREQ(queue_full_policy_name(QueueFullPolicy::kBlock), "block");
-  EXPECT_STREQ(queue_full_policy_name(QueueFullPolicy::kShedOldest),
-               "shed_oldest");
-  EXPECT_STREQ(queue_full_policy_name(QueueFullPolicy::kDegrade), "degrade");
-}
-
-// The checkpoint topology fingerprint: empty in virtual-time mode (batch
-// snapshots keep their historical shape) and a stable label in threaded
-// mode.  Changing this string invalidates every threaded snapshot in the
-// field, so pin it.
-TEST(StreamOptionsTest, FingerprintLabelsThreadedTopologyOnly) {
-  StreamOptions options;
-  EXPECT_EQ(options.fingerprint(), "");
-  options.mode = SchedulerMode::kThreaded;
-  options.stage_threads = 3;
-  options.queue_capacity = 16;
-  options.policy = QueueFullPolicy::kShedOldest;
-  EXPECT_EQ(options.fingerprint(),
-            "threaded/workers=3/cap=16/policy=shed_oldest");
-}
-
-// The determinism contract: the virtual-time scheduler IS the batch loop.
-// Same store, config, and input must reproduce the batch run bit for bit —
-// P_A trajectory, timings, call counts, and the alarm.
-TEST(Stream, VirtualTimeModeIsBitIdenticalToBatchLoop) {
-  const synth::Recording input = seizure_input(11, 25.0, 20.0);
-
+// Checkpoint/resume runs only on the batch loop: a threaded scheduler over
+// a checkpointing pipeline is rejected up front, never run without its
+// snapshots.
+TEST(Stream, RejectsRecoveryOptions) {
+  testing::TempDir dir("stream_recovery_reject");
   PipelineOptions options;
-  options.robust.enabled = true;
-  EmapPipeline batch(testing::small_mdb(6), EmapConfig{}, options);
-  const RunResult expected = batch.run(input);
-
+  options.recovery.checkpoint_dir = dir.path();
   EmapPipeline engine(testing::small_mdb(6), EmapConfig{}, options);
-  StreamPipeline stream(engine);  // default StreamOptions: kVirtualTime
-  const RunResult actual = stream.run(input);
-
-  ASSERT_EQ(actual.iterations.size(), expected.iterations.size());
-  for (std::size_t i = 0; i < expected.iterations.size(); ++i) {
-    const IterationRecord& a = actual.iterations[i];
-    const IterationRecord& b = expected.iterations[i];
-    EXPECT_EQ(a.window_index, b.window_index) << "window " << i;
-    EXPECT_EQ(a.anomaly_probability, b.anomaly_probability) << "window " << i;
-    EXPECT_EQ(a.tracked, b.tracked) << "window " << i;
-    EXPECT_EQ(a.set_loaded, b.set_loaded) << "window " << i;
-    EXPECT_EQ(a.cloud_call_issued, b.cloud_call_issued) << "window " << i;
-    EXPECT_EQ(a.track_device_sec, b.track_device_sec) << "window " << i;
-  }
-  EXPECT_EQ(actual.cloud_calls, expected.cloud_calls);
-  EXPECT_EQ(actual.retry_attempts, expected.retry_attempts);
-  EXPECT_EQ(actual.anomaly_predicted, expected.anomaly_predicted);
-  EXPECT_EQ(actual.first_alarm_sec, expected.first_alarm_sec);
-  EXPECT_EQ(actual.timings.delta_initial_sec,
-            expected.timings.delta_initial_sec);
-  EXPECT_EQ(actual.timings.mean_track_sec, expected.timings.mean_track_sec);
-  EXPECT_FALSE(actual.robust.streamed);
+  EXPECT_THROW(
+      {
+        StreamPipeline stream(engine, threaded_options());
+        (void)stream.run(seizure_input(11, 5.0, 4.0));
+      },
+      InvalidArgument);
 }
 
 // Threaded clean run: every window flows through the whole stage graph
@@ -185,33 +133,6 @@ TEST(Stream, ThreadedCleanRunProcessesEveryWindowInOrder) {
   // Queue occupancy is exported as telemetry.
   const std::string text = obs::to_prometheus(registry);
   EXPECT_NE(text.find("emap_stage_queue_depth"), std::string::npos);
-}
-
-// A lossy policy sheds only at the egress queue.  The filter stage is a
-// CPU transform of a virtual-speed source and outruns track, so a lossy
-// q_filtered would drop windows before track saw them: every window must
-// still reach track.
-TEST(Stream, ShedOldestShedsOnlyAtTheEgressQueue) {
-  constexpr std::size_t kWindows = 120;
-  const synth::Recording input =
-      seizure_input(29, static_cast<double>(kWindows), 110.0);
-
-  PipelineOptions options;
-  options.robust.enabled = true;
-  EmapPipeline engine(testing::small_mdb(4), EmapConfig{}, options);
-  StreamOptions stream_options = threaded_options();
-  stream_options.policy = QueueFullPolicy::kShedOldest;
-  StreamPipeline stream(engine, stream_options);
-  const RunResult result = stream.run(input);
-
-  for (const char* queue : {"q_raw", "q_filtered", "q_uplink", "q_deliver"}) {
-    const robust::StageQueueSummary* row = find_stage(result, queue);
-    ASSERT_NE(row, nullptr) << queue;
-    EXPECT_EQ(row->queue_shed, 0u) << queue;
-  }
-  const robust::StageQueueSummary* track = find_stage(result, "track");
-  ASSERT_NE(track, nullptr);
-  EXPECT_EQ(track->processed, kWindows);
 }
 
 // An injected crash in the track stage loses at most its in-flight window:

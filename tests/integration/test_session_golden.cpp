@@ -205,13 +205,13 @@ TEST_F(SessionGolden, CleanRun) {
   const RunResult result = clean_run();
   ASSERT_GE(result.cloud_calls, 2u);
   EXPECT_TRUE(result.anomaly_predicted);
-  EXPECT_EQ(digest(result), 0x45e3d7aau);
+  EXPECT_EQ(digest(result), 0xf34e5cf9u);
 }
 
 TEST_F(SessionGolden, FaultedRunCheckpointingEveryWindow) {
   const auto [run, snapshot] = faulted_run_digests();
-  EXPECT_EQ(run, 0x7b5124e1u);
-  EXPECT_EQ(snapshot, 0x8775b8a3u);
+  EXPECT_EQ(run, 0xd2f45867u);
+  EXPECT_EQ(snapshot, 0x7b486461u);
 }
 
 // The same two runs on the AVX2 arm, the one production hosts dispatch
@@ -225,7 +225,7 @@ TEST_F(SessionGolden, CleanRunAvx2) {
   const RunResult result = clean_run();
   ASSERT_GE(result.cloud_calls, 2u);
   EXPECT_TRUE(result.anomaly_predicted);
-  EXPECT_EQ(digest(result), 0xa81cbcfau);
+  EXPECT_EQ(digest(result), 0x733070c6u);
 }
 
 TEST_F(SessionGolden, FaultedRunCheckpointingEveryWindowAvx2) {
@@ -234,8 +234,8 @@ TEST_F(SessionGolden, FaultedRunCheckpointingEveryWindowAvx2) {
   }
   dsp::simd::force_level(dsp::simd::Level::kAvx2);
   const auto [run, snapshot] = faulted_run_digests();
-  EXPECT_EQ(run, 0xe8386636u);
-  EXPECT_EQ(snapshot, 0x8775b8a3u);
+  EXPECT_EQ(run, 0x15b01568u);
+  EXPECT_EQ(snapshot, 0x7b486461u);
 }
 
 TEST_F(SessionGolden, RobustRunOnSlowedEdge) {
@@ -243,7 +243,7 @@ TEST_F(SessionGolden, RobustRunOnSlowedEdge) {
   EXPECT_GE(result.robust.shed_loads, 1u);
   EXPECT_GE(result.robust.critical_windows, 1u);
   EXPECT_GE(result.robust.deferred_flushes, 1u);
-  EXPECT_EQ(digest(result), 0x9501f463u);
+  EXPECT_EQ(digest(result), 0xbff52a01u);
 }
 
 TEST_F(SessionGolden, RecordExplainsEveryCallDecision) {

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -37,6 +38,24 @@ const StageProfile* find_stage(const std::vector<StageProfile>& stages,
 // dangling, so binding one is a compile error.
 const StageProfile* find_stage(std::vector<StageProfile>&& stages,
                                const std::string& path) = delete;
+
+// A Profiler built in the storage of a destroyed one must record into its
+// own thread states: keyed by address, the second one reused the first
+// one's stale state and reported nothing.
+TEST(Profiler, RebuiltInTheSameStorageReportsItsOwnStages) {
+  alignas(Profiler) unsigned char storage[sizeof(Profiler)];
+  for (int round = 0; round < 2; ++round) {
+    auto* profiler = new (storage) Profiler;
+    {
+      ProfileScope scope("stage", *profiler);
+    }
+    const auto stages = profiler->report();
+    const auto* stage = find_stage(stages, "stage");
+    ASSERT_NE(stage, nullptr) << "round " << round;
+    EXPECT_EQ(stage->calls, 1u) << "round " << round;
+    profiler->~Profiler();
+  }
+}
 
 TEST(Profiler, AggregatesNestedScopesByPath) {
   Profiler profiler;

@@ -177,42 +177,6 @@ SessionState fuzz_state(std::uint64_t seed) {
   s.injector.up_draws = rng.next_u64() % 100000;
   s.injector.down_draws = rng.next_u64() % 100000;
   s.channel_rng = fuzz_rng_state(rng);
-  // ---- Streaming extension (v3). ----
-  s.stream_fingerprint =
-      rng.bernoulli(0.5)
-          ? "threaded/workers=" + std::to_string(1 + rng.next_u64() % 8)
-          : "";
-  s.completed_calls.resize(static_cast<std::size_t>(rng.uniform_index(4)));
-  for (auto& call : s.completed_calls) {
-    call.ready_at_sec = rng.uniform(0.0, 60.0);
-    call.delta_ec = rng.uniform(0.0, 2.0);
-    call.delta_cs = rng.uniform(0.0, 2.0);
-    call.delta_ce = rng.uniform(0.0, 2.0);
-    call.sequence = static_cast<std::uint32_t>(rng.next_u64());
-    call.attempts = 1 + rng.next_u64() % 3;
-    call.duplicates = rng.next_u64() % 3;
-    call.succeeded = rng.bernoulli(0.8);
-    call.correlation_set = fuzz_signals(rng, 3);
-  }
-  s.replay.resize(static_cast<std::size_t>(rng.uniform_index(4)));
-  for (auto& entry : s.replay) {
-    entry.sequence = static_cast<std::uint32_t>(rng.next_u64());
-    entry.t_issue_sec = rng.uniform(0.0, 60.0);
-    entry.trace_id = rng.next_u64();
-    entry.parent_span = rng.next_u64();
-  }
-  s.workers.resize(static_cast<std::size_t>(rng.uniform_index(4)));
-  for (auto& worker : s.workers) {
-    worker.injector.up_rng = fuzz_rng_state(rng);
-    worker.injector.down_rng = fuzz_rng_state(rng);
-    worker.injector.up_counts.messages = rng.next_u64() % 1000;
-    worker.injector.up_counts.dropped = rng.next_u64() % 100;
-    worker.injector.down_counts.messages = rng.next_u64() % 1000;
-    worker.injector.down_counts.delayed = rng.next_u64() % 100;
-    worker.injector.up_draws = rng.next_u64() % 100000;
-    worker.injector.down_draws = rng.next_u64() % 100000;
-    worker.channel_rng = fuzz_rng_state(rng);
-  }
   return s;
 }
 
@@ -264,39 +228,6 @@ void expect_state_eq(const SessionState& a, const SessionState& b) {
   EXPECT_EQ(a.channel_rng.state, b.channel_rng.state);
   EXPECT_EQ(a.channel_rng.spare_normal, b.channel_rng.spare_normal);
   EXPECT_EQ(a.channel_rng.has_spare_normal, b.channel_rng.has_spare_normal);
-  EXPECT_EQ(a.stream_fingerprint, b.stream_fingerprint);
-  ASSERT_EQ(a.completed_calls.size(), b.completed_calls.size());
-  for (std::size_t i = 0; i < a.completed_calls.size(); ++i) {
-    EXPECT_EQ(a.completed_calls[i].ready_at_sec,
-              b.completed_calls[i].ready_at_sec);
-    EXPECT_EQ(a.completed_calls[i].sequence, b.completed_calls[i].sequence);
-    EXPECT_EQ(a.completed_calls[i].attempts, b.completed_calls[i].attempts);
-    EXPECT_EQ(a.completed_calls[i].succeeded,
-              b.completed_calls[i].succeeded);
-    EXPECT_EQ(a.completed_calls[i].correlation_set.size(),
-              b.completed_calls[i].correlation_set.size());
-  }
-  ASSERT_EQ(a.replay.size(), b.replay.size());
-  for (std::size_t i = 0; i < a.replay.size(); ++i) {
-    EXPECT_EQ(a.replay[i].sequence, b.replay[i].sequence);
-    EXPECT_EQ(a.replay[i].t_issue_sec, b.replay[i].t_issue_sec);
-    EXPECT_EQ(a.replay[i].trace_id, b.replay[i].trace_id);
-    EXPECT_EQ(a.replay[i].parent_span, b.replay[i].parent_span);
-  }
-  ASSERT_EQ(a.workers.size(), b.workers.size());
-  for (std::size_t i = 0; i < a.workers.size(); ++i) {
-    EXPECT_EQ(a.workers[i].injector.up_rng.state,
-              b.workers[i].injector.up_rng.state);
-    EXPECT_EQ(a.workers[i].injector.down_rng.seed,
-              b.workers[i].injector.down_rng.seed);
-    EXPECT_EQ(a.workers[i].injector.up_counts.messages,
-              b.workers[i].injector.up_counts.messages);
-    EXPECT_EQ(a.workers[i].injector.up_draws,
-              b.workers[i].injector.up_draws);
-    EXPECT_EQ(a.workers[i].injector.down_draws,
-              b.workers[i].injector.down_draws);
-    EXPECT_EQ(a.workers[i].channel_rng.state, b.workers[i].channel_rng.state);
-  }
 }
 
 TEST(Checkpoint, RoundTripPreservesEveryField) {
@@ -494,7 +425,6 @@ TEST(CheckpointSamples, WireDecodedSetsRoundTripAtTwoBytesPerSample) {
   PendingCallCheckpoint pending;
   pending.correlation_set = wire_decoded_signals();
   state.pending = pending;
-  state.completed_calls.push_back(pending);
   const SessionState decoded = decode_session(encode_session(state));
   const auto expect_same = [](const std::vector<TrackedSignalState>& a,
                               const std::vector<TrackedSignalState>& b) {
@@ -508,9 +438,6 @@ TEST(CheckpointSamples, WireDecodedSetsRoundTripAtTwoBytesPerSample) {
   expect_same(state.tracker.tracked, decoded.tracker.tracked);
   ASSERT_TRUE(decoded.pending.has_value());
   expect_same(state.pending->correlation_set, decoded.pending->correlation_set);
-  ASSERT_EQ(decoded.completed_calls.size(), 1u);
-  expect_same(pending.correlation_set,
-              decoded.completed_calls[0].correlation_set);
   for (const TrackedSignalState& signal : state.tracker.tracked) {
     // The f32 scale is the only addition to the fixed fields.
     EXPECT_LE(signal_cost(signal),
@@ -640,8 +567,9 @@ TEST(CheckpointLog, AppendsReferBackToTheRunsTheImageHolds) {
   const std::uintmax_t record = log_size(dir) - image;
   EXPECT_EQ(log.bytes_written(), image + record);
   // The six 1000-sample signals ride as 5-byte references, not 12 kB of
-  // int16 images.
-  EXPECT_LT(record, image - 6 * 2000);
+  // int16 images: the record is smaller than the same state's image by
+  // more than those images.
+  EXPECT_LT(record, encode_session(second).size() - 6 * 2000);
   const auto loaded = read_checkpoint(dir.path());
   ASSERT_TRUE(loaded.has_value());
   expect_state_eq(second, *loaded);

@@ -17,7 +17,6 @@ TEST(CrashPoint, CatalogListsEveryInstrumentedPointInPipelineOrder) {
       "pipeline_pre_cloud_call", "pipeline_post_cloud_call",
       "pipeline_window_end",     "checkpoint_pre_write",
       "checkpoint_pre_rename",   "checkpoint_post_write",
-      "stream_quiesce",          "stream_drain",
   };
   EXPECT_EQ(crash_point_catalog(), expected);
 }

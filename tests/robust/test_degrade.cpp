@@ -1,6 +1,6 @@
-// DegradationController unit + property tests: entry on burn/miss,
-// hysteretic recovery, CRITICAL hold, and the monotone-per-window shed
-// property the header promises.
+// DegradationController unit + property tests: entry on burn, miss or
+// queue pressure, hysteretic recovery, CRITICAL hold, and the
+// monotone-per-window shed property the header promises.
 #include "emap/robust/degrade.hpp"
 
 #include <gtest/gtest.h>
@@ -55,6 +55,56 @@ TEST(Degrade, ElevatedBurnRateAloneEntersDegraded) {
   signal.burn_rate = 2.0;  // above enter_burn_rate = 1, no hard miss yet
   controller.observe_window(signal);
   EXPECT_EQ(controller.state(), DegradeState::kDegraded);
+}
+
+WindowSignal pressured_window(std::size_t index, double queue_pressure) {
+  WindowSignal signal = clean_window(index);
+  signal.queue_pressure = queue_pressure;
+  return signal;
+}
+
+// Stage-queue backlog is a shed signal of its own: at the enter threshold
+// it leaves NOMINAL even though the window's latency was clean.
+TEST(Degrade, QueuePressureAtTheEnterThresholdEntersDegraded) {
+  ASSERT_EQ(DegradeOptions{}.queue_pressure_enter, 0.75);
+  DegradationController controller;
+  controller.observe_window(pressured_window(0, 0.75));
+  EXPECT_EQ(controller.state(), DegradeState::kDegraded);
+  EXPECT_EQ(controller.shed_level(), 1u);
+}
+
+TEST(Degrade, QueuePressureBelowTheEnterThresholdStaysNominal) {
+  DegradationController controller;
+  for (std::size_t i = 0; i < 20; ++i) {
+    controller.observe_window(pressured_window(i, 0.74));
+  }
+  EXPECT_EQ(controller.state(), DegradeState::kNominal);
+  EXPECT_FALSE(controller.summary().entered_degraded);
+}
+
+// Recovery waits for the backlog to drain: a pressured window with clean
+// latency is not clean, so it never advances the recovery streak and
+// restarts one in progress.
+TEST(Degrade, QueuePressuredWindowDoesNotCountAsCleanTowardRecovery) {
+  DegradeOptions options;
+  options.recover_after = 3;
+  DegradationController controller(options);
+  controller.observe_window(miss_window(0));
+  ASSERT_EQ(controller.state(), DegradeState::kDegraded);
+  std::size_t w = 1;
+  for (std::size_t i = 0; i < 20; ++i) {
+    controller.observe_window(pressured_window(w++, 0.9));
+    ASSERT_EQ(controller.state(), DegradeState::kDegraded) << "window " << w;
+  }
+  controller.observe_window(clean_window(w++));
+  controller.observe_window(clean_window(w++));
+  controller.observe_window(pressured_window(w++, 0.9));
+  controller.observe_window(clean_window(w++));
+  controller.observe_window(clean_window(w++));
+  EXPECT_EQ(controller.state(), DegradeState::kDegraded);
+  controller.observe_window(clean_window(w++));
+  EXPECT_EQ(controller.state(), DegradeState::kRecovering);
+  EXPECT_EQ(controller.shed_level(), 1u);
 }
 
 TEST(Degrade, StaleBurnDoesNotReenterAfterRecovery) {
