@@ -59,9 +59,7 @@
 //   --retry-deadline <s>   per-call cumulative wait cap (default 20 s)
 //
 // Robustness flags (monitor and synth-run) — the adaptive overload control
-// loop (docs/robustness.md):
-//   --robust-off           disable the degradation controller, breaker,
-//                          watchdog, and quality gate for this run
+// loop (docs/robustness.md), always on:
 //   --robust-report <file> write the robust summary JSON (controller
 //                          states, shed levels, breaker/quality counters)
 //
@@ -106,6 +104,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -159,7 +158,7 @@ int usage() {
       "fault flags:     --fault-drop <p> --fault-corrupt <p> "
       "--fault-duplicate <p> --fault-delay <p> --fault-seed <n>\n"
       "retry flags:     --retry-attempts <n> --retry-deadline <sec>\n"
-      "robust flags:    --robust-off --robust-report <file>\n"
+      "robust flags:    --robust-report <file>\n"
       "recovery flags:  --checkpoint-dir <dir> --checkpoint-interval <n> "
       "--resume --crash-at <point[:n]>\n"
       "tracing flags:   --spans-out <file> --flight-out <file> "
@@ -180,7 +179,6 @@ struct TelemetryOptions {
   std::string slo_report;
   std::string robust_report;
   bool metrics_dump = false;
-  bool robust_off = false;
   net::FaultOptions fault;
   net::RetryOptions retry;
   std::string checkpoint_dir;
@@ -233,8 +231,6 @@ bool extract_telemetry_flags(int& argc, char** argv,
       if (!take_value(telemetry.slo_report)) return false;
     } else if (arg == "--metrics-dump") {
       telemetry.metrics_dump = true;
-    } else if (arg == "--robust-off") {
-      telemetry.robust_off = true;
     } else if (arg == "--robust-report") {
       if (!take_value(telemetry.robust_report)) return false;
     } else if (arg == "--fault-drop") {
@@ -535,6 +531,62 @@ std::string run_summary_line(const std::string& run_name,
   return core::run_summary_json(result, std::move(header));
 }
 
+/// The monitored run `monitor` and `synth-run` share: wires the flags into
+/// the pipeline options, builds the pipeline over `store`, runs `input` on
+/// the scheduler the flags selected (`stop_at_sec` < 0 = the whole input)
+/// and prints the run's lines in order: "resumed", `headline`, "link
+/// degraded", "overload handled", the stream summary and `verdict`.  Then
+/// writes the `run_name` summary record and the telemetry outputs.
+/// Returns the exit code.
+int run_monitored(const TelemetryOptions& telemetry, mdb::MdbStore store,
+                  const synth::Recording& input, double stop_at_sec,
+                  const char* run_name, double duration_sec,
+                  const std::function<void(const core::RunResult&)>& headline,
+                  const std::function<void(const core::RunResult&)>& verdict) {
+  maybe_enable_profiler(telemetry);
+  obs::MetricsRegistry registry;
+  core::PipelineOptions options;
+  options.metrics = &registry;
+  options.fault = telemetry.fault;
+  options.retry = telemetry.retry;
+  options.stop_at_sec = stop_at_sec;
+  robust::CrashPointRegistry crashpoints;
+  if (!apply_recovery_flags(telemetry, options, crashpoints) ||
+      !apply_alert_flags(telemetry, options)) {
+    return usage();
+  }
+  obs::FlightRecorder flight_recorder;
+  obs::FlightRecorder* flight =
+      apply_tracing_flags(telemetry, options, flight_recorder);
+  core::EmapPipeline pipeline(std::move(store),
+                              core::EmapConfig::paper_defaults(), options);
+  const auto result = run_scheduled(telemetry, pipeline, input);
+  if (result.robust.recovery.resumed) {
+    std::printf("resumed from checkpoint at window %zu\n",
+                static_cast<std::size_t>(
+                    result.robust.recovery.resume_window));
+  }
+  headline(result);
+  if (result.degraded) {
+    std::printf("link degraded: %zu cloud calls failed after %zu retries\n",
+                result.failed_cloud_calls, result.retry_attempts);
+  }
+  if (result.robust.degrade.entered_degraded) {
+    std::printf("overload handled: max shed level %zu, final state %s\n",
+                result.robust.degrade.max_shed_level,
+                robust::degrade_state_name(result.robust.degrade.final_state));
+  }
+  print_stream_summary(result);
+  verdict(result);
+  if (!telemetry.summary_out.empty()) {
+    obs::append_jsonl_line(telemetry.summary_out,
+                           run_summary_line(run_name, result, duration_sec));
+    std::printf("summary -> %s\n", telemetry.summary_out.c_str());
+  }
+  emit_telemetry(telemetry, registry, result, flight);
+  return 0;
+}
+
 edf::EdfFile to_edf(const synth::Recording& recording) {
   edf::EdfFile file;
   file.sample_rate_hz = recording.fs();
@@ -731,72 +783,31 @@ int cmd_monitor(int argc, char** argv) {
   input.samples = dsp::resample(file.channels[picked].samples,
                                 file.sample_rate_hz, 256.0);
 
-  maybe_enable_profiler(telemetry);
-  obs::MetricsRegistry registry;
-  core::PipelineOptions pipeline_options;
-  pipeline_options.metrics = &registry;
-  pipeline_options.fault = telemetry.fault;
-  pipeline_options.retry = telemetry.retry;
-  pipeline_options.robust.enabled = !telemetry.robust_off;
-  robust::CrashPointRegistry crashpoints;
-  if (!apply_recovery_flags(telemetry, pipeline_options, crashpoints) ||
-      !apply_alert_flags(telemetry, pipeline_options)) {
-    return usage();
-  }
-  obs::FlightRecorder flight_recorder;
-  obs::FlightRecorder* flight =
-      apply_tracing_flags(telemetry, pipeline_options, flight_recorder);
-  // The streaming scheduler reads stop_at_sec from the pipeline options
-  // (it has no per-run override), so fold the onset in before running.
-  if (telemetry.stream) {
-    pipeline_options.stop_at_sec = onset > 0.0 ? onset : -1.0;
-  }
-  core::EmapPipeline pipeline(std::move(store),
-                              core::EmapConfig::paper_defaults(),
-                              pipeline_options);
-  const auto result = telemetry.stream
-                          ? run_scheduled(telemetry, pipeline, input)
-                          : pipeline.run(input, onset > 0.0 ? onset : -1.0);
-  if (result.robust.recovery.resumed) {
-    std::printf("resumed from checkpoint at window %zu\n",
-                static_cast<std::size_t>(
-                    result.robust.recovery.resume_window));
-  }
-
-  std::printf("monitored %.0f s; cloud calls: %zu; Delta_initial %.2f s\n",
-              input.spec.duration_sec, result.cloud_calls,
-              result.timings.delta_initial_sec);
-  if (result.degraded) {
-    std::printf("link degraded: %zu cloud calls failed after %zu retries\n",
-                result.failed_cloud_calls, result.retry_attempts);
-  }
-  if (result.robust.enabled && result.robust.degrade.entered_degraded) {
-    std::printf("overload handled: max shed level %zu, final state %s\n",
-                result.robust.degrade.max_shed_level,
-                robust::degrade_state_name(result.robust.degrade.final_state));
-  }
-  print_stream_summary(result);
-  for (std::size_t i = 0; i < result.iterations.size(); i += 15) {
-    const auto& record = result.iterations[i];
-    if (record.tracked) {
-      std::printf("  t=%5.0f  P_A=%.2f  tracked=%zu\n", record.t_sec,
-                  record.anomaly_probability, record.tracked_after);
-    }
-  }
-  if (result.anomaly_predicted) {
-    std::printf("ANOMALY PREDICTED at t=%.0f s%s\n", result.first_alarm_sec,
-                onset > 0.0 ? " (before the provided onset)" : "");
-  } else {
-    std::printf("no anomaly predicted\n");
-  }
-  if (!telemetry.summary_out.empty()) {
-    obs::append_jsonl_line(
-        telemetry.summary_out,
-        run_summary_line("monitor", result, input.spec.duration_sec));
-    std::printf("summary -> %s\n", telemetry.summary_out.c_str());
-  }
-  emit_telemetry(telemetry, registry, result, flight);
-  return 0;
+  return run_monitored(
+      telemetry, std::move(store), input, onset > 0.0 ? onset : -1.0,
+      "monitor", input.spec.duration_sec,
+      [&](const core::RunResult& result) {
+        std::printf("monitored %.0f s; cloud calls: %zu; Delta_initial "
+                    "%.2f s\n",
+                    input.spec.duration_sec, result.cloud_calls,
+                    result.timings.delta_initial_sec);
+      },
+      [&](const core::RunResult& result) {
+        for (std::size_t i = 0; i < result.iterations.size(); i += 15) {
+          const auto& record = result.iterations[i];
+          if (record.tracked) {
+            std::printf("  t=%5.0f  P_A=%.2f  tracked=%zu\n", record.t_sec,
+                        record.anomaly_probability, record.tracked_after);
+          }
+        }
+        if (result.anomaly_predicted) {
+          std::printf("ANOMALY PREDICTED at t=%.0f s%s\n",
+                      result.first_alarm_sec,
+                      onset > 0.0 ? " (before the provided onset)" : "");
+        } else {
+          std::printf("no anomaly predicted\n");
+        }
+      });
 }
 
 int cmd_synth_run(int argc, char** argv) {
@@ -832,57 +843,21 @@ int cmd_synth_run(int argc, char** argv) {
   spec.onset_sec = duration_sec * 0.75;
   const auto input = synth::make_eval_input(spec);
 
-  maybe_enable_profiler(telemetry);
-  obs::MetricsRegistry registry;
-  core::PipelineOptions options;
-  options.metrics = &registry;
-  options.fault = telemetry.fault;
-  options.retry = telemetry.retry;
-  options.robust.enabled = !telemetry.robust_off;
-  robust::CrashPointRegistry crashpoints;
-  if (!apply_recovery_flags(telemetry, options, crashpoints) ||
-      !apply_alert_flags(telemetry, options)) {
-    return usage();
-  }
-  obs::FlightRecorder flight_recorder;
-  obs::FlightRecorder* flight =
-      apply_tracing_flags(telemetry, options, flight_recorder);
-  core::EmapPipeline pipeline(std::move(store),
-                              core::EmapConfig::paper_defaults(), options);
-  const auto result = run_scheduled(telemetry, pipeline, input);
-  if (result.robust.recovery.resumed) {
-    std::printf("resumed from checkpoint at window %zu\n",
-                static_cast<std::size_t>(
-                    result.robust.recovery.resume_window));
-  }
-
-  std::printf("monitored %.0f s; cloud calls: %zu; Delta_initial %.3f s; "
-              "mean edge iteration %.3f s\n",
-              duration_sec, result.cloud_calls,
-              result.timings.delta_initial_sec,
-              result.timings.mean_track_sec);
-  if (result.degraded) {
-    std::printf("link degraded: %zu cloud calls failed after %zu retries\n",
-                result.failed_cloud_calls, result.retry_attempts);
-  }
-  if (result.robust.enabled && result.robust.degrade.entered_degraded) {
-    std::printf("overload handled: max shed level %zu, final state %s\n",
-                result.robust.degrade.max_shed_level,
-                robust::degrade_state_name(result.robust.degrade.final_state));
-  }
-  print_stream_summary(result);
-  std::printf(result.anomaly_predicted ? "ANOMALY PREDICTED at t=%.0f s\n"
-                                       : "no alarm (t=%.0f)\n",
-              result.first_alarm_sec);
-
-  if (!telemetry.summary_out.empty()) {
-    obs::append_jsonl_line(telemetry.summary_out,
-                           run_summary_line("synth-run", result,
-                                            duration_sec));
-    std::printf("summary -> %s\n", telemetry.summary_out.c_str());
-  }
-  emit_telemetry(telemetry, registry, result, flight);
-  return 0;
+  return run_monitored(
+      telemetry, std::move(store), input, -1.0, "synth-run", duration_sec,
+      [&](const core::RunResult& result) {
+        std::printf("monitored %.0f s; cloud calls: %zu; Delta_initial "
+                    "%.3f s; mean edge iteration %.3f s\n",
+                    duration_sec, result.cloud_calls,
+                    result.timings.delta_initial_sec,
+                    result.timings.mean_track_sec);
+      },
+      [](const core::RunResult& result) {
+        std::printf(result.anomaly_predicted
+                        ? "ANOMALY PREDICTED at t=%.0f s\n"
+                        : "no alarm (t=%.0f)\n",
+                    result.first_alarm_sec);
+      });
 }
 
 int cmd_trace(int argc, char** argv) {

@@ -62,7 +62,6 @@ int main() {
   // cloud-congestion case for the initial-response budget.
   auto delayed_options = [] {
     core::PipelineOptions options;
-    options.robust.enabled = true;
     options.fault.up.delay = 1.0;
     options.fault.up.delay_min_sec = 0.2;
     options.fault.up.delay_max_sec = 0.2;

@@ -66,14 +66,14 @@ CloudCallMetrics CloudCallMetrics::resolve(obs::MetricsRegistry* registry) {
 PendingSearch CloudCallExecutor::issue(
     std::uint32_t sequence, const std::vector<double>& filtered_window,
     double now_sec, net::Channel& channel, const net::RetryPolicy& retry,
-    obs::Tracer* tracer, robust::CircuitBreaker* breaker,
+    obs::Tracer* tracer, robust::CircuitBreaker& breaker,
     obs::TraceContext trace) const {
   EMAP_PROFILE_SCOPE("cloud_call");
   net::SignalUploadMessage upload;
   upload.sequence = sequence;
   upload.samples = filtered_window;
   // The upload carries the issuing window's causal chain across the wire
-  // (V2 header); an invalid context keeps the message byte-identical V1.
+  // in its trace header (zeros for an invalid context).
   upload.trace = trace;
   const std::size_t upload_bytes_size = net::wire_size(upload);
 
@@ -144,9 +144,7 @@ PendingSearch CloudCallExecutor::issue(
                metrics_.rejects_corrupt != nullptr) {
       metrics_.rejects_corrupt->increment();
     }
-    if (breaker != nullptr) {
-      breaker->record_failure(now_sec + elapsed);
-    }
+    breaker.record_failure(now_sec + elapsed);
   };
 
   for (std::size_t attempt = 0;; ++attempt) {
@@ -154,8 +152,7 @@ PendingSearch CloudCallExecutor::issue(
     // a retry against a link the edge itself has declared down waits out
     // the cooldown instead of hammering it.
     const double retry_after_hint =
-        breaker != nullptr ? breaker->retry_after_hint(now_sec + elapsed)
-                           : 0.0;
+        breaker.retry_after_hint(now_sec + elapsed);
     const double backoff =
         retry.backoff_for(attempt, last_reason, retry_after_hint);
     if (!retry.allow_attempt_after(attempt, elapsed, backoff, timeout)) {
@@ -323,9 +320,7 @@ PendingSearch CloudCallExecutor::issue(
       signal.samples = entry.samples;
       pending.correlation_set.push_back(std::move(signal));
     }
-    if (breaker != nullptr) {
-      breaker->record_success(now_sec + elapsed);
-    }
+    breaker.record_success(now_sec + elapsed);
     break;
   }
   pending.ready_at_sec = now_sec + elapsed;

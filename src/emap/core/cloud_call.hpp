@@ -93,7 +93,7 @@ class CloudCallExecutor {
                       const std::vector<double>& filtered_window,
                       double now_sec, net::Channel& channel,
                       const net::RetryPolicy& retry, obs::Tracer* tracer,
-                      robust::CircuitBreaker* breaker,
+                      robust::CircuitBreaker& breaker,
                       obs::TraceContext trace) const;
 
  private:

@@ -176,7 +176,6 @@ RunResult EmapPipeline::run(const synth::Recording& input,
 
   if (std::optional<robust::SessionState> s = session.resume()) {
     injector.restore(s->injector);
-    channel.restore_rng(s->channel_rng);
     if (s->pending.has_value()) {
       pending = from_call_checkpoint(std::move(*s->pending));
     }
@@ -223,7 +222,6 @@ RunResult EmapPipeline::run(const synth::Recording& input,
         s.pending = to_call_checkpoint(*pending);
       }
       s.injector = injector.save();
-      s.channel_rng = channel.save_rng();
       session.publish(std::move(s), session.window_trace(w));
     }
     if (options_.stop_on_alarm && edge.predictor().anomaly_predicted()) {

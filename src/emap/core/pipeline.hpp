@@ -69,14 +69,13 @@ struct PipelineOptions {
   /// Number of cloud worker threads (0 = hardware concurrency).
   std::size_t cloud_threads = 0;
   /// Collect the Fig. 9 activity trace (the span log in RunResult::tracer).
+  /// With it on, every window mints a deterministic 64-bit trace id
+  /// (obs::mint_trace_id under obs::kDefaultTraceSeed) that rides the wire
+  /// messages into the cloud and back, so edge and cloud spans of one
+  /// window share a trace; with it off the messages carry a zero id.  The
+  /// switch records spans only: both runs move the same bytes and make the
+  /// same decisions.
   bool collect_trace = true;
-  /// Seed for the per-window causal trace ids (obs::mint_trace_id).  With
-  /// collect_trace on, every window mints a deterministic 64-bit trace id
-  /// that rides the wire messages (V2 transport header) into the cloud and
-  /// back, so edge and cloud spans of one window share a trace.  0 disables
-  /// causal tracing — messages stay byte-identical V1 — as does
-  /// collect_trace = false.
-  std::uint64_t trace_seed = obs::kDefaultTraceSeed;
   /// Flight recorder (borrowed; nullptr disables): the pipeline logs window
   /// boundaries, SLO misses, robust transitions, retries, breaker events,
   /// and checkpoint/resume marks into the ring, and triggers a dump when
@@ -99,8 +98,7 @@ struct PipelineOptions {
   /// Closed-loop robustness subsystem: burn-rate-driven degradation
   /// controller, cloud-link circuit breaker, stuck-stage watchdog, and the
   /// signal-quality gate.  Defaults are behaviour-preserving on a clean
-  /// run (the controller stays NOMINAL and nothing is shed or gated);
-  /// robust.enabled = false removes every hook.
+  /// run (the controller stays NOMINAL and nothing is shed or gated).
   robust::RobustOptions robust{};
   /// Crash-consistent checkpoint/restore (robust/checkpoint.hpp).  With a
   /// checkpoint_dir set, the pipeline snapshots the full resumable session
@@ -159,8 +157,7 @@ struct IterationRecord {
   double track_device_sec = 0.0;     ///< edge-device-model time of the step
   std::uint64_t abs_ops = 0;
   /// Degradation-controller state the window ran under (decisions apply
-  /// from the state the *previous* window left behind; kNominal when the
-  /// robust subsystem is off).
+  /// from the state the *previous* window left behind).
   robust::DegradeState robust_state = robust::DegradeState::kNominal;
   /// Tracked-set cap active this window (0 = uncapped).
   std::size_t shed_cap = 0;
@@ -210,8 +207,8 @@ struct RunResult {
   /// (edge_iteration, initial_response); export with
   /// obs::write_slo_report.
   std::vector<obs::SloSummary> slo;
-  /// Robustness controller-loop outcome (all zeros with enabled = false);
-  /// export with robust::write_robust_summary.
+  /// Robustness controller-loop outcome; export with
+  /// robust::write_robust_summary.
   robust::RobustSummary robust;
   /// Alert engine after the run — rule states and the transition log
   /// (null when options.alert_rules is empty); export with

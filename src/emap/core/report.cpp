@@ -84,8 +84,7 @@ std::string run_summary_json(const RunResult& result,
         .field("slo_" + slo.name + "_burn_rate", slo.burn_rate);
   }
   const robust::RobustSummary& rb = result.robust;
-  json.field("robust_enabled", rb.enabled)
-      .field("robust_final_state",
+  json.field("robust_final_state",
              robust::degrade_state_name(rb.degrade.final_state))
       .field("robust_transitions",
              static_cast<std::uint64_t>(rb.degrade.transitions))

@@ -9,10 +9,23 @@
 #include "emap/robust/crashpoint.hpp"
 
 namespace emap::core {
+namespace {
+
+// The tracker registers its metric families before the robust ones, so a
+// fresh registry lists them in the order the loop runs.
+EdgeNode make_edge(const EmapConfig& config, obs::MetricsRegistry* metrics) {
+  EdgeNode edge(config);
+  if (metrics != nullptr) {
+    edge.tracker().set_metrics(metrics);
+  }
+  return edge;
+}
+
+}  // namespace
 
 Session::Session(const EmapPipeline& pipeline, const synth::Recording& input,
                  double stop_at_sec)
-    : edge(pipeline.config_),
+    : edge(make_edge(pipeline.config_, pipeline.options_.metrics)),
       pipeline_(pipeline),
       config_(pipeline.config_),
       options_(pipeline.options_),
@@ -20,38 +33,22 @@ Session::Session(const EmapPipeline& pipeline, const synth::Recording& input,
       stop_at_sec_(stop_at_sec),
       config_fp_(pipeline.config_.fingerprint()),
       input_fp_(crc32(input.samples.data(),
-                      input.samples.size() * sizeof(double))) {
+                      input.samples.size() * sizeof(double))),
+      controller_(options_.robust.degrade, options_.metrics),
+      breaker_(options_.robust.breaker, options_.metrics),
+      watchdog_(options_.robust.watchdog, options_.metrics),
+      quality_(options_.robust.quality, options_.metrics) {
   require(std::abs(input.fs() - config_.base_fs_hz) < 1e-9,
           "run: input must be sampled at the base rate");
   const std::size_t window = config_.window_length;
   require(input.samples.size() >= window,
           "run: input shorter than one window");
   end_window_ = std::min(options_.max_windows, input.samples.size() / window);
-  if (options_.metrics != nullptr) {
-    edge.tracker().set_metrics(options_.metrics);
-  }
-
-  // Robustness closed loop: fresh per run, so every counter and state
-  // machine starts NOMINAL/closed (the per-run reset regression test
-  // reuses one pipeline across runs and asserts exactly this).
-  result.robust.enabled = options_.robust.enabled;
-  if (options_.robust.enabled) {
-    controller_.emplace(options_.robust.degrade, options_.metrics);
-    breaker_.emplace(options_.robust.breaker, options_.metrics);
-    watchdog_.emplace(options_.robust.watchdog, options_.metrics);
-    if (options_.robust.quality_gate) {
-      quality_.emplace(options_.robust.quality, options_.metrics);
-      edge.set_quality_gate(&*quality_);
-    }
-  }
+  edge.set_quality_gate(&quality_);
   if (options_.collect_trace) {
     result.tracer = std::make_shared<obs::Tracer>();
     tracer_ = result.tracer.get();
   }
-  // Causal tracing: every window mints a deterministic trace id from this
-  // seed.  It rides the span log, so no tracer means no tracing — and the
-  // wire stays byte-identical V1 (the bit-identity tests rely on that).
-  trace_seed_ = tracer_ != nullptr ? options_.trace_seed : 0;
   flight_ = options_.flight;
   crashpoints_ = options_.crashpoints;
   if (crashpoints_ != nullptr) {
@@ -113,20 +110,11 @@ std::optional<robust::SessionState> Session::resume() {
         s.predictor.alarm_time_sec,
         static_cast<std::size_t>(s.predictor.consecutive));
     edge.filter().restore_stream(s.fir);
-    if (controller_) {
-      controller_->restore(s.degrade);
-    }
-    if (breaker_) {
-      breaker_->restore(s.breaker);
-      last_breaker_state_ = breaker_->state();
-    }
+    controller_.restore(s.degrade);
+    breaker_.restore(s.breaker);
+    last_breaker_state_ = breaker_.state();
     edge_slo_->restore_state(s.edge_slo);
     initial_slo_->restore_state(s.initial_slo);
-    if (trace_seed_ != 0 && s.trace_seed != 0) {
-      // Re-adopt the writing run's seed: windows keep the trace ids the
-      // uninterrupted run would have minted — lineage survives the crash.
-      trace_seed_ = s.trace_seed;
-    }
     last_pa_ = s.last_pa;
     last_loaded_sequence_ = s.last_loaded_sequence;
     first_round_trip_recorded_ = s.counters.first_round_trip_recorded;
@@ -228,15 +216,10 @@ robust::SessionState Session::capture(std::size_t next_window) const {
   s.predictor.alarm_time_sec = edge.predictor().first_alarm_sec();
   s.predictor.consecutive = edge.predictor().consecutive_hits();
   s.fir = edge.filter().save_stream();
-  if (controller_) {
-    s.degrade = controller_->checkpoint();
-  }
-  if (breaker_) {
-    s.breaker = breaker_->checkpoint();
-  }
+  s.degrade = controller_.checkpoint();
+  s.breaker = breaker_.checkpoint();
   s.edge_slo = edge_slo_->save_state();
   s.initial_slo = initial_slo_->save_state();
-  s.trace_seed = trace_seed_;
   return s;
 }
 
@@ -279,7 +262,9 @@ std::span<const double> Session::raw_window(std::size_t w) const {
 }
 
 std::uint64_t Session::window_trace(std::size_t w) const {
-  return trace_seed_ != 0 ? obs::mint_trace_id(trace_seed_, w) : 0;
+  // Trace ids ride the span log, so no tracer means no causal tracing.
+  return tracer_ != nullptr ? obs::mint_trace_id(obs::kDefaultTraceSeed, w)
+                            : 0;
 }
 
 obs::TraceContext Session::open_window(std::size_t w) {
@@ -323,17 +308,15 @@ IterationRecord Session::begin_window(std::size_t w,
   record.quality = quality;
   // Act on the state the previous window left behind, run the window, feed
   // the outcome back.
-  if (controller_) {
-    record.robust_state = controller_->state();
-    edge.tracker().set_stride_multiplier(controller_->stride_multiplier());
-    if (controller_->shed_level() > 0) {
-      record.shed_cap = controller_->tracked_cap(config_.top_k);
-      edge.tracker().set_recall_threshold(controller_->recall_threshold(
-          config_.tracking_threshold_h, config_.top_k));
-      edge.tracker().shed_to(record.shed_cap);
-    } else {
-      edge.tracker().set_recall_threshold(0);
-    }
+  record.robust_state = controller_.state();
+  edge.tracker().set_stride_multiplier(controller_.stride_multiplier());
+  if (controller_.shed_level() > 0) {
+    record.shed_cap = controller_.tracked_cap(config_.top_k);
+    edge.tracker().set_recall_threshold(controller_.recall_threshold(
+        config_.tracking_threshold_h, config_.top_k));
+    edge.tracker().shed_to(record.shed_cap);
+  } else {
+    edge.tracker().set_recall_threshold(0);
   }
   return record;
 }
@@ -400,7 +383,7 @@ bool Session::track(std::span<const double> filtered, std::size_t outstanding,
   // while doing real-time signal tracking at the edge in parallel."  An
   // open breaker turns the call away at zero cost.
   auto admit_call = [&] {
-    if (breaker_ && !breaker_->allow(t_end)) {
+    if (!breaker_.allow(t_end)) {
       record.breaker_rejected = true;
       record.no_call_reason = NoCallReason::kBreakerOpen;
       if (tracer_ != nullptr) {
@@ -416,7 +399,7 @@ bool Session::track(std::span<const double> filtered, std::size_t outstanding,
     return true;
   };
 
-  if (controller_ && controller_->critical()) {
+  if (controller_.critical()) {
     // CRITICAL: tracking is suspended; serve the last-known P_A with the
     // explicit stale flag and wait out the hold.
     record.robust_critical = true;
@@ -425,7 +408,7 @@ bool Session::track(std::span<const double> filtered, std::size_t outstanding,
     ++result.robust.critical_windows;
     return false;
   }
-  if (quality_ && record.quality != robust::QualityVerdict::kGood) {
+  if (record.quality != robust::QualityVerdict::kGood) {
     // Quality-gated window: the FIR consumed it (stream continuity) but it
     // must not reach tracking or P_A — an electrode pop would evict half
     // the tracked set as "dissimilar".
@@ -468,10 +451,8 @@ bool Session::track(std::span<const double> filtered, std::size_t outstanding,
       std::max(result.timings.max_track_sec, record.track_device_sec);
   ++track_steps_;
   last_pa_ = step.anomaly_probability;
-  if (watchdog_) {
-    stage_stuck_ = watchdog_->check_stage(record.track_device_sec);
-  }
-  if (controller_ && controller_->defer_flushes()) {
+  stage_stuck_ = watchdog_.check_stage(record.track_device_sec);
+  if (controller_.defer_flushes()) {
     // Non-essential telemetry deferred while degraded; the latency
     // histogram catches up once the controller returns to NOMINAL.
     deferred_track_obs_.push_back(record.track_device_sec);
@@ -502,54 +483,52 @@ bool Session::track(std::span<const double> filtered, std::size_t outstanding,
 void Session::feedback(const IterationRecord& record, double queue_pressure,
                        const obs::TraceContext& window) {
   const double t_end = record.t_sec;
-  if (controller_) {
-    robust::WindowSignal signal;
-    signal.window_index = record.window_index;
-    signal.t_sec = t_end;
-    signal.burn_rate = edge_slo_->burn_rate();
-    signal.stage_stuck = stage_stuck_;
-    signal.queue_pressure = queue_pressure;
-    if (record.tracked) {
-      const obs::SloSpec& spec = edge_slo_->spec();
-      signal.deadline_miss = record.track_device_sec > spec.budget_sec;
-      signal.near_miss = !signal.deadline_miss &&
-                         record.track_device_sec >
-                             spec.near_miss_fraction * spec.budget_sec;
-    } else {
-      signal.no_observation = true;
+  robust::WindowSignal signal;
+  signal.window_index = record.window_index;
+  signal.t_sec = t_end;
+  signal.burn_rate = edge_slo_->burn_rate();
+  signal.stage_stuck = stage_stuck_;
+  signal.queue_pressure = queue_pressure;
+  if (record.tracked) {
+    const obs::SloSpec& spec = edge_slo_->spec();
+    signal.deadline_miss = record.track_device_sec > spec.budget_sec;
+    signal.near_miss = !signal.deadline_miss &&
+                       record.track_device_sec >
+                           spec.near_miss_fraction * spec.budget_sec;
+  } else {
+    signal.no_observation = true;
+  }
+  const robust::DegradeState state_before = controller_.state();
+  controller_.observe_window(signal);
+  const robust::DegradeState state_after = controller_.state();
+  if (flight_ != nullptr && state_after != state_before) {
+    flight_->log(obs::FlightEventType::kRobustTransition,
+                 (std::string(robust::degrade_state_name(state_before)) +
+                  "_to_" + robust::degrade_state_name(state_after))
+                     .c_str(),
+                 t_end, window.trace_id);
+    // A watchdog trip that forces CRITICAL is exactly the moment the
+    // flight recorder exists for — the stuck step and everything that
+    // led to it are still in the ring.  Latched like the breaker-open
+    // and burn-page dumps, but written *after* this window's burn-page
+    // check below: the stuck step usually pages the edge SLO in the same
+    // window, and CRITICAL is the more severe verdict, so it should own
+    // the (single) dump file.
+    if (signal.stage_stuck &&
+        state_after == robust::DegradeState::kCritical &&
+        !watchdog_dumped_) {
+      watchdog_dumped_ = true;
+      watchdog_dump_pending_ = true;
     }
-    const robust::DegradeState state_before = controller_->state();
-    controller_->observe_window(signal);
-    const robust::DegradeState state_after = controller_->state();
-    if (flight_ != nullptr && state_after != state_before) {
-      flight_->log(obs::FlightEventType::kRobustTransition,
-                   (std::string(robust::degrade_state_name(state_before)) +
-                    "_to_" + robust::degrade_state_name(state_after))
-                       .c_str(),
-                   t_end, window.trace_id);
-      // A watchdog trip that forces CRITICAL is exactly the moment the
-      // flight recorder exists for — the stuck step and everything that
-      // led to it are still in the ring.  Latched like the breaker-open
-      // and burn-page dumps, but written *after* this window's burn-page
-      // check below: the stuck step usually pages the edge SLO in the same
-      // window, and CRITICAL is the more severe verdict, so it should own
-      // the (single) dump file.
-      if (signal.stage_stuck &&
-          state_after == robust::DegradeState::kCritical &&
-          !watchdog_dumped_) {
-        watchdog_dumped_ = true;
-        watchdog_dump_pending_ = true;
-      }
-    }
-    if (!controller_->defer_flushes()) {
-      flush_deferred();
-    }
+  }
+  if (!controller_.defer_flushes()) {
+    flush_deferred();
   }
 
   // Breaker state can flip anywhere inside the window (allow() or a
   // failure recorded mid-call); detect the edge here, once per window.
-  if (breaker_ && flight_ != nullptr) {
-    const robust::BreakerState breaker_state = breaker_->state();
+  if (flight_ != nullptr) {
+    const robust::BreakerState breaker_state = breaker_.state();
     if (breaker_state != last_breaker_state_) {
       if (breaker_state == robust::BreakerState::kOpen) {
         flight_->log(obs::FlightEventType::kBreakerOpen, "breaker_open",
@@ -603,29 +582,25 @@ RunResult Session::finish() {
   result.first_alarm_sec = edge.predictor().first_alarm_sec();
   result.slo = {edge_slo_->summary(), initial_slo_->summary()};
   flush_deferred();
-  if (controller_) {
-    result.robust.degrade = controller_->summary();
-    if (tracer_ != nullptr) {
-      for (const auto& transition : controller_->transitions()) {
-        // Attribute the transition to the window whose feedback caused it
-        // (transitions land at window completion instants, t_sec = w + 1).
-        const std::uint64_t transition_trace =
-            transition.t_sec >= 1.0
-                ? window_trace(
-                      static_cast<std::uint64_t>(transition.t_sec - 1.0))
-                : 0;
-        tracer_->record_sim(
-            std::string("robust_") +
-                robust::degrade_state_name(transition.from) + "_to_" +
-                robust::degrade_state_name(transition.to),
-            "robust", transition.t_sec, transition.t_sec, 0,
-            transition_trace);
-      }
+  result.robust.degrade = controller_.summary();
+  if (tracer_ != nullptr) {
+    for (const auto& transition : controller_.transitions()) {
+      // Attribute the transition to the window whose feedback caused it
+      // (transitions land at window completion instants, t_sec = w + 1).
+      const std::uint64_t transition_trace =
+          transition.t_sec >= 1.0
+              ? window_trace(
+                    static_cast<std::uint64_t>(transition.t_sec - 1.0))
+              : 0;
+      tracer_->record_sim(
+          std::string("robust_") +
+              robust::degrade_state_name(transition.from) + "_to_" +
+              robust::degrade_state_name(transition.to),
+          "robust", transition.t_sec, transition.t_sec, 0,
+          transition_trace);
     }
   }
-  if (breaker_) {
-    result.robust.breaker = breaker_->summary();
-  }
+  result.robust.breaker = breaker_.summary();
   // Fold in pre-crash counts a restored snapshot carried (zeros otherwise).
   result.robust.quality = quality_total();
   result.robust.watchdog_trips = watchdog_total();
@@ -650,8 +625,7 @@ void Session::flush_deferred() {
 }
 
 robust::QualitySummary Session::quality_total() const {
-  robust::QualitySummary total =
-      quality_ ? quality_->summary() : robust::QualitySummary{};
+  robust::QualitySummary total = quality_.summary();
   total.assessed += quality_base_.assessed;
   total.good += quality_base_.good;
   total.nan += quality_base_.nan;
@@ -662,7 +636,7 @@ robust::QualitySummary Session::quality_total() const {
 }
 
 std::size_t Session::watchdog_total() const {
-  return watchdog_trips_base_ + (watchdog_ ? watchdog_->trips() : 0);
+  return watchdog_trips_base_ + watchdog_.trips();
 }
 
 }  // namespace emap::core

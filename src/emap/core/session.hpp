@@ -18,7 +18,7 @@
 // the uplink worker has also finished on the wall clock), where the
 // predictor observes P_A, and the queue pressure passed to feedback() (0 in
 // batch).  Only the batch loop checkpoints: capture() fills the session's
-// fields and the loop adds the pending call and link RNG cursors.
+// fields and the loop adds the pending call and the fault-injector cursor.
 #pragma once
 
 #include <cstddef>
@@ -49,8 +49,8 @@ class Session {
   /// With recovery.resume set, reads the snapshot and rejects it unless its
   /// config and input match this run; then restores every session field
   /// and returns the snapshot so the batch loop can restore its pending
-  /// call and link cursors.  A missing or rejected snapshot falls back to
-  /// a cold start (nullopt), or rethrows under recovery.strict.
+  /// call and fault-injector cursor.  A missing or rejected snapshot falls
+  /// back to a cold start (nullopt), or rethrows under recovery.strict.
   std::optional<robust::SessionState> resume();
 
   /// The shared snapshot fields as of `next_window`.  The caller guarantees
@@ -71,7 +71,7 @@ class Session {
   bool monitors(std::size_t w) const;
   /// Raw input samples of window `w`.
   std::span<const double> raw_window(std::size_t w) const;
-  /// Deterministic trace id of window `w` (0 with causal tracing off).
+  /// Deterministic trace id of window `w` (0 without a tracer).
   std::uint64_t window_trace(std::size_t w) const;
 
   /// Mints window `w`'s trace and records its root, sample and filter
@@ -116,10 +116,8 @@ class Session {
   obs::Tracer* tracer() const { return tracer_; }
   obs::FlightRecorder* flight() const { return flight_; }
   robust::CrashPointRegistry* crashpoints() const { return crashpoints_; }
-  robust::CircuitBreaker* breaker() { return breaker_ ? &*breaker_ : nullptr; }
-  robust::DegradationController* controller() {
-    return controller_ ? &*controller_ : nullptr;
-  }
+  robust::CircuitBreaker& breaker() { return breaker_; }
+  robust::DegradationController& controller() { return controller_; }
 
  private:
   void flush_deferred();
@@ -136,12 +134,14 @@ class Session {
   std::size_t first_window_ = 0;
   std::size_t end_window_ = 0;
 
-  std::optional<robust::DegradationController> controller_;
-  std::optional<robust::CircuitBreaker> breaker_;
-  std::optional<robust::StageWatchdog> watchdog_;
-  std::optional<robust::SignalQualityGate> quality_;
+  // Robustness closed loop: fresh per run, so every counter and state
+  // machine starts NOMINAL/closed (the per-run reset regression test
+  // reuses one pipeline across runs and asserts exactly this).
+  robust::DegradationController controller_;
+  robust::CircuitBreaker breaker_;
+  robust::StageWatchdog watchdog_;
+  robust::SignalQualityGate quality_;
   obs::Tracer* tracer_ = nullptr;
-  std::uint64_t trace_seed_ = 0;
   obs::FlightRecorder* flight_ = nullptr;
   robust::CrashPointRegistry* crashpoints_ = nullptr;
   /// The snapshot writer the batch loop publishes through (recovery on).

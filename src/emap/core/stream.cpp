@@ -91,7 +91,7 @@ RunResult StreamPipeline::run(const synth::Recording& input) {
   obs::Tracer* tracer = session.tracer();
   obs::FlightRecorder* flight = session.flight();
   robust::CrashPointRegistry* crashpoints = session.crashpoints();
-  robust::CircuitBreaker* breaker = session.breaker();
+  robust::CircuitBreaker& breaker = session.breaker();
 
   const std::size_t workers = options_.stage_threads;
 
@@ -197,8 +197,7 @@ RunResult StreamPipeline::run(const synth::Recording& input) {
             forked.seed ^= 0x9e3779b97f4a7c15ULL * (index + 1);
             return forked;
           }()),
-          channel(opts.platform, opts.channel,
-                  42 + static_cast<std::uint64_t>(index)),
+          channel(opts.platform, opts.channel),
           retry(opts.retry) {
       channel.set_fault_injector(&injector);
     }
@@ -234,9 +233,7 @@ RunResult StreamPipeline::run(const synth::Recording& input) {
     // A stage out of restart budget ends the run: force CRITICAL (the
     // operator-visible verdict), stop the source, and close every queue so
     // the rest of the graph drains and unwinds.
-    if (robust::DegradationController* controller = session.controller()) {
-      controller->force_critical(ts.processed.load(), 0.0);
-    }
+    session.controller().force_critical(ts.processed.load(), 0.0);
     stop.store(true, std::memory_order_release);
     close_all_queues();
     (void)stage;
@@ -437,9 +434,7 @@ RunResult StreamPipeline::run(const synth::Recording& input) {
         }
       }
 
-      const double pressure =
-          session.controller() != nullptr ? sustained_pressure() : 0.0;
-      session.feedback(record, pressure, window);
+      session.feedback(record, sustained_pressure(), window);
       if (depth_raw != nullptr) {
         depth_raw->set(static_cast<double>(q_raw.depth()));
         depth_filtered->set(static_cast<double>(q_filtered.depth()));

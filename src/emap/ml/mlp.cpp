@@ -66,9 +66,9 @@ void Mlp::fit(const std::vector<FeatureVector>& rows,
          start += config_.batch_size) {
       const std::size_t end =
           std::min(order.size(), start + config_.batch_size);
-      std::fill(grad_w1.begin(), grad_w1.end(), 0.0);
-      std::fill(grad_b1.begin(), grad_b1.end(), 0.0);
-      std::fill(grad_w2.begin(), grad_w2.end(), 0.0);
+      grad_w1.assign(grad_w1.size(), 0.0);
+      grad_b1.assign(grad_b1.size(), 0.0);
+      grad_w2.assign(grad_w2.size(), 0.0);
       double grad_b2 = 0.0;
 
       for (std::size_t k = start; k < end; ++k) {

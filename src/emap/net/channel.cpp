@@ -10,12 +10,8 @@
 
 namespace emap::net {
 
-Channel::Channel(CommPlatform platform, ChannelOptions options,
-                 std::uint64_t jitter_seed)
-    : platform_(platform), options_(options), rng_(jitter_seed) {
-  require(options_.jitter_fraction >= 0.0 && options_.jitter_fraction < 1.0,
-          "Channel: jitter fraction must be in [0, 1)");
-}
+Channel::Channel(CommPlatform platform, ChannelOptions options)
+    : platform_(platform), options_(options) {}
 
 double Channel::line_seconds(std::size_t payload_bytes, double rate_mbps) {
   require(rate_mbps > 0.0, "Channel::line_seconds: rate must be > 0");
@@ -24,14 +20,9 @@ double Channel::line_seconds(std::size_t payload_bytes, double rate_mbps) {
 }
 
 double Channel::transfer_seconds(std::size_t payload_bytes,
-                                 double rate_mbps) {
-  const std::size_t total_bytes =
-      payload_bytes + options_.framing_overhead_bytes;
-  double seconds = line_seconds(total_bytes, rate_mbps);
-  if (options_.jitter_fraction > 0.0) {
-    seconds *= 1.0 + rng_.uniform(-options_.jitter_fraction,
-                                  options_.jitter_fraction);
-  }
+                                 double rate_mbps) const {
+  double seconds =
+      line_seconds(payload_bytes + options_.framing_overhead_bytes, rate_mbps);
   if (options_.include_latency) {
     seconds += platform_params(platform_).latency_ms * 1e-3;
   }
@@ -46,13 +37,7 @@ double Channel::direction_rate_mbps(Direction direction) const {
 
 double Channel::expected_seconds(Direction direction,
                                  std::size_t payload_bytes) const {
-  double seconds =
-      line_seconds(payload_bytes + options_.framing_overhead_bytes,
-                   direction_rate_mbps(direction));
-  if (options_.include_latency) {
-    seconds += platform_params(platform_).latency_ms * 1e-3;
-  }
-  return seconds;
+  return transfer_seconds(payload_bytes, direction_rate_mbps(direction));
 }
 
 void Channel::set_metrics(obs::MetricsRegistry* registry) {

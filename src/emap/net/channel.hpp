@@ -3,7 +3,7 @@
 // Converts message sizes into transfer times for a given platform.  The
 // Fig. 4 serialization analysis uses pure line-rate time; the end-to-end
 // pipeline (Eq. 4's Δ_EC and Δ_CE) additionally includes the access
-// latency and an optional jitter term.
+// latency.
 //
 // An optional FaultInjector (fault.hpp) can be attached; the transfer()
 // path then consults it once per message, so drops, in-place corruption,
@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <span>
 
-#include "emap/common/rng.hpp"
 #include "emap/net/fault.hpp"
 #include "emap/net/platform.hpp"
 #include "emap/net/retry.hpp"
@@ -31,7 +30,6 @@ namespace emap::net {
 /// Channel behaviour switches.
 struct ChannelOptions {
   bool include_latency = true;   ///< add one-way access latency per message
-  double jitter_fraction = 0.0;  ///< uniform +/- fraction on the line time
   std::size_t framing_overhead_bytes = 60;  ///< L2/L3/L4 headers per message
 };
 
@@ -64,8 +62,7 @@ struct TransferOutcome {
 /// A point-to-point edge<->cloud link over one platform.
 class Channel {
  public:
-  explicit Channel(CommPlatform platform, ChannelOptions options = {},
-                   std::uint64_t jitter_seed = 42);
+  explicit Channel(CommPlatform platform, ChannelOptions options = {});
 
   CommPlatform platform() const { return platform_; }
   const ChannelOptions& options() const { return options_; }
@@ -83,13 +80,12 @@ class Channel {
   TransferOutcome transfer(Direction direction,
                            std::span<std::uint8_t> bytes);
 
-  /// Expected (jitter-free, fault-free) transfer time for a payload —
-  /// what the RetryPolicy derives its timeout from.  Consumes no
-  /// randomness and records no metrics.
+  /// Expected (fault-free) transfer time for a payload — what the
+  /// RetryPolicy derives its timeout from.  Records no metrics.
   double expected_seconds(Direction direction,
                           std::size_t payload_bytes) const;
 
-  /// Pure serialization time (no latency, no jitter, no framing) — the
+  /// Pure serialization time (no latency, no framing) — the
   /// quantity Fig. 4 plots.
   static double line_seconds(std::size_t payload_bytes, double rate_mbps);
 
@@ -111,13 +107,8 @@ class Channel {
     flight_ = recorder;
   }
 
-  /// Jitter-stream position (checkpoint support): a resumed run restores
-  /// this so transfer times replay bit-for-bit even with jitter enabled.
-  RngState save_rng() const { return rng_.save(); }
-  void restore_rng(const RngState& state) { rng_.restore(state); }
-
  private:
-  double transfer_seconds(std::size_t payload_bytes, double rate_mbps);
+  double transfer_seconds(std::size_t payload_bytes, double rate_mbps) const;
   double direction_rate_mbps(Direction direction) const;
 
   struct DirectionMetrics {
@@ -130,7 +121,6 @@ class Channel {
 
   CommPlatform platform_;
   ChannelOptions options_;
-  Rng rng_;
   FaultInjector* injector_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   DirectionMetrics up_metrics_{};

@@ -11,12 +11,10 @@
 namespace emap::net {
 namespace {
 
-constexpr std::uint32_t kUploadMagic = 0x55504d45u;     // "EMPU" (V1)
-constexpr std::uint32_t kDownloadMagic = 0x44504d45u;   // "EMPD" (V1)
-constexpr std::uint32_t kUploadMagicV2 = 0x32554d45u;   // "EMU2"
-constexpr std::uint32_t kDownloadMagicV2 = 0x32444d45u; // "EMD2"
+constexpr std::uint32_t kUploadMagic = 0x32554d45u;    // "EMU2"
+constexpr std::uint32_t kDownloadMagic = 0x32444d45u;  // "EMD2"
 constexpr std::size_t kCrcBytes = 4;
-/// V2 inserts trace_id(8) + parent_span(8) right after the magic.
+/// trace_id(8) + parent_span(8) right after the magic.
 constexpr std::size_t kTraceHeaderBytes = 16;
 /// Fixed bytes per correlation entry before its samples:
 /// id(8) + omega(4) + beta(4) + anomalous(1) + class(1) + scale(4) +
@@ -44,6 +42,12 @@ void write_f32(std::vector<std::uint8_t>& out, float v) {
   std::uint32_t raw = 0;
   std::memcpy(&raw, &v, sizeof(raw));
   write_u32(out, raw);
+}
+
+void write_trace(std::vector<std::uint8_t>& out,
+                 const obs::TraceContext& trace) {
+  write_u64(out, trace.trace_id);
+  write_u64(out, trace.parent_span);
 }
 
 /// Appends the CRC-32 of everything encoded so far.
@@ -107,6 +111,13 @@ class Reader {
     std::memcpy(&v, &raw, sizeof(v));
     return v;
   }
+  /// A zero trace id reads as the invalid (all-zero) context.
+  obs::TraceContext trace() {
+    obs::TraceContext context;
+    context.trace_id = u64();
+    context.parent_span = u64();
+    return context.valid() ? context : obs::TraceContext{};
+  }
   bool at_end() const { return cursor_ == bytes_.size(); }
   std::size_t remaining() const { return bytes_.size() - cursor_; }
 
@@ -160,15 +171,14 @@ std::vector<double> dequantize(Reader& reader) {
 }  // namespace
 
 std::size_t wire_size(const SignalUploadMessage& message) {
-  // magic + [trace header] + sequence + scale + count + int16 samples + crc
-  return 4 + (message.trace.valid() ? kTraceHeaderBytes : 0) + 4 + 4 + 4 +
-         2 * message.samples.size() + kCrcBytes;
+  // magic + trace header + sequence + scale + count + int16 samples + crc
+  return 4 + kTraceHeaderBytes + 4 + 4 + 4 + 2 * message.samples.size() +
+         kCrcBytes;
 }
 
 std::size_t wire_size(const CorrelationSetMessage& message) {
-  // magic + [trace header] + sequence + count + crc
-  std::size_t size = 4 + (message.trace.valid() ? kTraceHeaderBytes : 0) +
-                     4 + 4 + kCrcBytes;
+  // magic + trace header + sequence + count + crc
+  std::size_t size = 4 + kTraceHeaderBytes + 4 + 4 + kCrcBytes;
   for (const auto& entry : message.entries) {
     size += kEntryHeaderBytes + 2 * entry.samples.size();
   }
@@ -179,13 +189,8 @@ std::vector<std::uint8_t> encode_upload(const SignalUploadMessage& message) {
   EMAP_PROFILE_SCOPE("codec_encode");
   std::vector<std::uint8_t> out;
   out.reserve(wire_size(message));
-  if (message.trace.valid()) {
-    write_u32(out, kUploadMagicV2);
-    write_u64(out, message.trace.trace_id);
-    write_u64(out, message.trace.parent_span);
-  } else {
-    write_u32(out, kUploadMagic);
-  }
+  write_u32(out, kUploadMagic);
+  write_trace(out, message.trace);
   write_u32(out, message.sequence);
   quantize(message.samples, out);
   seal(out);
@@ -195,18 +200,11 @@ std::vector<std::uint8_t> encode_upload(const SignalUploadMessage& message) {
 SignalUploadMessage decode_upload(std::span<const std::uint8_t> bytes) {
   EMAP_PROFILE_SCOPE("codec_decode");
   Reader reader(check_seal(bytes, "decode_upload"));
-  const std::uint32_t magic = reader.u32();
-  SignalUploadMessage message;
-  if (magic == kUploadMagicV2) {
-    message.trace.trace_id = reader.u64();
-    message.trace.parent_span = reader.u64();
-    if (!message.trace.valid()) {
-      // A V2 header must name a trace; id 0 is the V1 encoder's domain.
-      throw CorruptData("decode_upload: V2 header with null trace id");
-    }
-  } else if (magic != kUploadMagic) {
+  if (reader.u32() != kUploadMagic) {
     throw CorruptData("decode_upload: bad magic");
   }
+  SignalUploadMessage message;
+  message.trace = reader.trace();
   message.sequence = reader.u32();
   message.samples = dequantize(reader);
   if (!reader.at_end()) {
@@ -220,13 +218,8 @@ std::vector<std::uint8_t> encode_correlation_set(
   EMAP_PROFILE_SCOPE("codec_encode");
   std::vector<std::uint8_t> out;
   out.reserve(wire_size(message));
-  if (message.trace.valid()) {
-    write_u32(out, kDownloadMagicV2);
-    write_u64(out, message.trace.trace_id);
-    write_u64(out, message.trace.parent_span);
-  } else {
-    write_u32(out, kDownloadMagic);
-  }
+  write_u32(out, kDownloadMagic);
+  write_trace(out, message.trace);
   write_u32(out, message.request_sequence);
   write_u32(out, static_cast<std::uint32_t>(message.entries.size()));
   for (const auto& entry : message.entries) {
@@ -245,17 +238,11 @@ CorrelationSetMessage decode_correlation_set(
     std::span<const std::uint8_t> bytes) {
   EMAP_PROFILE_SCOPE("codec_decode");
   Reader reader(check_seal(bytes, "decode_correlation_set"));
-  const std::uint32_t magic = reader.u32();
-  CorrelationSetMessage message;
-  if (magic == kDownloadMagicV2) {
-    message.trace.trace_id = reader.u64();
-    message.trace.parent_span = reader.u64();
-    if (!message.trace.valid()) {
-      throw CorruptData("decode_correlation_set: V2 header with null trace id");
-    }
-  } else if (magic != kDownloadMagic) {
+  if (reader.u32() != kDownloadMagic) {
     throw CorruptData("decode_correlation_set: bad magic");
   }
+  CorrelationSetMessage message;
+  message.trace = reader.trace();
   message.request_sequence = reader.u32();
   const std::uint32_t count = reader.u32();
   if (count > reader.remaining() / kEntryHeaderBytes) {
@@ -283,9 +270,8 @@ obs::TraceContext peek_trace(std::span<const std::uint8_t> bytes) {
   try {
     Reader reader(check_seal(bytes, "peek_trace"));
     const std::uint32_t magic = reader.u32();
-    if (magic == kUploadMagicV2 || magic == kDownloadMagicV2) {
-      context.trace_id = reader.u64();
-      context.parent_span = reader.u64();
+    if (magic == kUploadMagic || magic == kDownloadMagic) {
+      context = reader.trace();
     }
   } catch (const CorruptData&) {
     // Fail closed: a mutated message belongs to no trace.

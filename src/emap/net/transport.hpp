@@ -16,12 +16,11 @@
 // decode_* takes std::span so the injector can corrupt an encoded buffer
 // in place and the decoder can reject it without an intermediate copy.
 //
-// Versioning: a message carrying a valid obs::TraceContext is encoded
-// under the V2 magic with trace_id + parent_span inserted right after the
-// magic (inside the CRC seal); an untraced message keeps the original V1
-// layout byte for byte, so runs with tracing disabled stay bit-identical
-// to pre-trace builds.  decode_* accepts both versions — V1 input simply
-// yields an invalid (all-zero) context.
+// Layout: every message carries its obs::TraceContext (trace_id +
+// parent_span) right after the magic, inside the CRC seal.  An untraced
+// message writes zeros there, so traced and untraced runs move the same
+// bytes and take the same transfer time; decode_* reads a zero trace id
+// as an invalid (all-zero) context.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +34,7 @@ namespace emap::net {
 /// Edge -> cloud: one second of filtered input (256 samples at 16 bits).
 struct SignalUploadMessage {
   std::uint32_t sequence = 0;       ///< time-step index N
-  obs::TraceContext trace;          ///< causal chain; invalid = V1 wire form
+  obs::TraceContext trace;          ///< causal chain; invalid = untraced
   std::vector<double> samples;      ///< filtered input window
 };
 
@@ -73,8 +72,8 @@ CorrelationSetMessage decode_correlation_set(
     std::span<const std::uint8_t> bytes);
 
 /// Extracts the TraceContext from an encoded message without decoding the
-/// payload.  Verifies the CRC seal first (fail closed: corrupt or V1
-/// input yields an invalid context, never a garbage id).  Used by
+/// payload.  Verifies the CRC seal first (fail closed: corrupt or
+/// untraced input yields an invalid context, never a garbage id).  Used by
 /// observers on the byte path — e.g. the channel's flight-recorder hook —
 /// that must attribute a transfer to its causal chain.
 obs::TraceContext peek_trace(std::span<const std::uint8_t> bytes);

@@ -49,50 +49,41 @@ std::string FlightEvent::label_view() const {
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
-    : slots_(std::max<std::size_t>(capacity, 8)) {}
+    : ring_(std::max<std::size_t>(capacity, 8)) {}
 
 void FlightRecorder::log(FlightEventType type, const char* label,
                          double t_sec, std::uint64_t trace_id, double a,
                          double b) {
-  const std::uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[seq % slots_.size()];
-  // Odd marker = write in progress; readers skip the slot.
-  slot.marker.store(2 * seq + 1, std::memory_order_release);
-  slot.event.seq = seq;
-  slot.event.trace_id = trace_id;
-  slot.event.t_sec = t_sec;
-  slot.event.a = a;
-  slot.event.b = b;
-  slot.event.type = type;
-  std::memset(slot.event.label, 0, FlightEvent::kLabelCapacity);
+  std::lock_guard<std::mutex> lock(mutex_);
+  const std::uint64_t seq = head_++;
+  FlightEvent& event = ring_[seq % ring_.size()];
+  event.seq = seq;
+  event.trace_id = trace_id;
+  event.t_sec = t_sec;
+  event.a = a;
+  event.b = b;
+  event.type = type;
+  std::memset(event.label, 0, FlightEvent::kLabelCapacity);
   if (label != nullptr) {
-    std::strncpy(slot.event.label, label, FlightEvent::kLabelCapacity - 1);
+    std::strncpy(event.label, label, FlightEvent::kLabelCapacity - 1);
   }
-  // Even marker = published for exactly this seq.
-  slot.marker.store(2 * seq + 2, std::memory_order_release);
 }
 
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const std::uint64_t first =
+      head_ > ring_.size() ? head_ - ring_.size() : 0;
   std::vector<FlightEvent> events;
-  events.reserve(slots_.size());
-  for (const Slot& slot : slots_) {
-    const std::uint64_t before = slot.marker.load(std::memory_order_acquire);
-    if (before == 0 || before % 2 == 1) {
-      continue;  // never written, or mid-write
-    }
-    FlightEvent copy = slot.event;
-    std::atomic_thread_fence(std::memory_order_acquire);
-    const std::uint64_t after = slot.marker.load(std::memory_order_relaxed);
-    if (after != before) {
-      continue;  // overwritten while copying — torn, discard
-    }
-    events.push_back(copy);
+  events.reserve(static_cast<std::size_t>(head_ - first));
+  for (std::uint64_t seq = first; seq < head_; ++seq) {
+    events.push_back(ring_[seq % ring_.size()]);
   }
-  std::sort(events.begin(), events.end(),
-            [](const FlightEvent& x, const FlightEvent& y) {
-              return x.seq < y.seq;
-            });
   return events;
+}
+
+std::uint64_t FlightRecorder::total_logged() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return head_;
 }
 
 void FlightRecorder::set_dump_path(std::filesystem::path path) {

@@ -1,21 +1,21 @@
-// Flight recorder: a lock-free bounded ring of recent structured events
-// (span boundaries, SLO misses, robust state transitions, fault-injector
+// Flight recorder: a bounded ring of recent structured events (span
+// boundaries, SLO misses, robust state transitions, fault-injector
 // verdicts, crash points) that can be dumped to JSONL at the moment
 // something goes wrong — a crash-point trip, an SLO burn-rate page, or a
 // breaker open.  The ring always holds the *most recent* events: writers
-// never block and never allocate, so the recorder is safe to call from
-// the hot path and from the crash-point trip itself.
+// never allocate, so the recorder is safe to call from the hot path and
+// from the crash-point trip itself.
 //
-// Writers claim a slot with one fetch_add and publish it through a
-// per-slot sequence word (seqlock discipline): snapshot() re-checks the
-// sequence after copying and drops slots that were overwritten mid-copy,
-// so a torn read is discarded, never surfaced.
+// One mutex guards the ring.  A writer holds it for one fixed-size copy,
+// and snapshot() copies the ring under it, so no reader ever sees a
+// half-written event.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -59,7 +59,7 @@ struct FlightEvent {
   std::string label_view() const;
 };
 
-/// Lock-free bounded event ring with JSONL dump-on-trigger.
+/// Bounded event ring with JSONL dump-on-trigger.
 class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity = 1024);
@@ -67,14 +67,13 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Records one event; wait-free, never allocates, truncates the label
-  /// to kLabelCapacity - 1 characters.  Safe from any thread.
+  /// Records one event; never allocates, truncates the label to
+  /// kLabelCapacity - 1 characters.  Safe from any thread.
   void log(FlightEventType type, const char* label, double t_sec,
            std::uint64_t trace_id = 0, double a = 0.0, double b = 0.0);
 
-  /// Consistent copy of the surviving events in seq order.  Slots being
-  /// overwritten during the copy are skipped (their data lives on in a
-  /// newer slot anyway).
+  /// Copy of the surviving events (the newest capacity() ones) in seq
+  /// order.
   std::vector<FlightEvent> snapshot() const;
 
   /// Where trigger_dump writes; empty disables dumping (events still
@@ -88,23 +87,16 @@ class FlightRecorder {
   /// on the crash path.
   bool trigger_dump(const char* reason) noexcept;
 
-  std::size_t capacity() const { return slots_.size(); }
-  std::uint64_t total_logged() const {
-    return head_.load(std::memory_order_relaxed);
-  }
+  std::size_t capacity() const { return ring_.size(); }
+  std::uint64_t total_logged() const;
   std::uint64_t dumps_written() const {
     return dumps_.load(std::memory_order_relaxed);
   }
 
  private:
-  struct Slot {
-    // Even = published (value is 2 * (seq + 1)); odd = write in progress.
-    std::atomic<std::uint64_t> marker{0};
-    FlightEvent event;
-  };
-
-  std::vector<Slot> slots_;
-  std::atomic<std::uint64_t> head_{0};
+  mutable std::mutex mutex_;
+  std::vector<FlightEvent> ring_;  ///< event seq lives at seq % capacity
+  std::uint64_t head_ = 0;         ///< events logged so far
   std::atomic<std::uint64_t> dumps_{0};
   std::filesystem::path dump_path_;
 };

@@ -91,15 +91,26 @@ Profiler& Profiler::instance() {
 
 Profiler::ThreadState& Profiler::local_state() {
   // One state per (thread, profiler): the global instance dominates, so the
-  // map is almost always a single entry and the lookup stays cheap.
-  thread_local std::map<std::uint64_t, std::shared_ptr<ThreadState>> states;
-  std::shared_ptr<ThreadState>& slot = states[id_];
-  if (slot == nullptr) {
-    slot = std::make_shared<ThreadState>();
-    std::lock_guard<std::mutex> lock(states_mutex_);
-    states_.push_back(slot);
+  // map is almost always a single entry and the lookup stays cheap.  The
+  // profiler owns its states; the map only refers to them.  A hit needs no
+  // ownership check, because ids are never reused and only a live profiler
+  // looks up its own.  Entries whose profiler has died are dropped on the
+  // next insert.
+  struct Entry {
+    std::weak_ptr<ThreadState> owner;
+    ThreadState* state = nullptr;
+  };
+  thread_local std::map<std::uint64_t, Entry> states;
+  if (const auto found = states.find(id_); found != states.end()) {
+    return *found->second.state;
   }
-  return *slot;
+  std::erase_if(states,
+                [](const auto& entry) { return entry.second.owner.expired(); });
+  auto state = std::make_shared<ThreadState>();
+  states[id_] = Entry{state, state.get()};
+  std::lock_guard<std::mutex> lock(states_mutex_);
+  states_.push_back(std::move(state));
+  return *states_.back();
 }
 
 namespace {

@@ -125,6 +125,8 @@ class Profiler {
   /// cannot pick up that one's (unregistered) thread states.
   const std::uint64_t id_ = next_id_.fetch_add(1, std::memory_order_relaxed);
   mutable std::mutex states_mutex_;
+  /// Every thread's state (each thread's local_state() map refers to its
+  /// own without owning it, so the call trees die with the profiler).
   std::vector<std::shared_ptr<ThreadState>> states_;
 };
 

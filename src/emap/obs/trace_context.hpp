@@ -3,10 +3,10 @@
 // A TraceContext names the causal chain a message or span belongs to: a
 // 64-bit trace id (one per pipeline window) plus the span id of the
 // parent on the originating side.  Trace ids are minted deterministically
-// from a per-run seed and the window index, so two runs with the same
-// seed produce the same ids and the bit-identity tests survive with
-// tracing enabled.  trace_id == 0 means "no trace" — the wire codec
-// falls back to the context-free V1 encoding for such messages.
+// from a seed and the window index, so two runs with the same seed
+// produce the same ids and the bit-identity tests survive with tracing
+// enabled.  trace_id == 0 means "no trace": the wire codec writes zeros
+// into the message's trace header.
 #pragma once
 
 #include <cstdint>

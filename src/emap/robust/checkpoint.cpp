@@ -414,7 +414,6 @@ void encode_degrade(mdb::Encoder& enc, const DegradeCheckpoint& degrade) {
   enc.write_u64(degrade.miss_streak);
   enc.write_u64(degrade.critical_left);
   enc.write_u8(degrade.recovered_since_miss ? 1 : 0);
-  enc.write_f64(degrade.pressure_ewma);
   enc.write_u8(static_cast<std::uint8_t>(degrade.summary.final_state));
   enc.write_u64(degrade.summary.transitions);
   enc.write_u64(degrade.summary.windows_nominal);
@@ -441,7 +440,6 @@ DegradeCheckpoint decode_degrade(mdb::Decoder& dec) {
   degrade.miss_streak = dec.read_u64();
   degrade.critical_left = dec.read_u64();
   degrade.recovered_since_miss = dec.read_u8() != 0;
-  degrade.pressure_ewma = dec.read_f64();
   degrade.summary.final_state = decode_degrade_state(dec.read_u8());
   degrade.summary.transitions = dec.read_u64();
   degrade.summary.windows_nominal = dec.read_u64();
@@ -607,8 +605,6 @@ void encode_payload(mdb::Encoder& enc, const SessionState& state,
   encode_slo(enc, state.initial_slo);
 
   encode_injector(enc, state.injector);
-  encode_rng(enc, state.channel_rng);
-  enc.write_u64(state.trace_seed);
 
 }
 
@@ -678,8 +674,6 @@ SessionState decode_payload(mdb::Decoder& dec, std::size_t total_bytes,
   state.initial_slo = decode_slo(dec, total_bytes);
 
   state.injector = decode_injector(dec);
-  state.channel_rng = decode_rng(dec);
-  state.trace_seed = dec.read_u64();
 
   return state;
 }

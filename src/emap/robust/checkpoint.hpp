@@ -94,7 +94,10 @@ class CheckpointError : public CorruptData {
 /// v6: v3's stream fingerprint, call ledgers and per-worker cursors
 ///     removed (the threaded scheduler no longer checkpoints); the
 ///     injector draw cursors stay.
-inline constexpr std::uint32_t kCheckpointVersion = 6;
+/// v7: v2's trace_seed (ids always use obs::kDefaultTraceSeed), the link
+///     jitter RNG cursor and the degrade controller's pressure EWMA
+///     removed (the link has no jitter; the controller one policy).
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 /// One tracked signal-set as the edge holds it (robust-layer mirror of
 /// core::TrackedSignal; samples included — see the layering note above).
@@ -192,12 +195,6 @@ struct SessionState {
   obs::SloMonitorState edge_slo{};
   obs::SloMonitorState initial_slo{};
   net::FaultInjectorState injector{};
-  RngState channel_rng{};
-  /// Seed the writing run minted per-window trace ids from
-  /// (obs::mint_trace_id).  A resumed run re-adopts it, so windows keep
-  /// the ids the original run would have given them — the trace lineage
-  /// survives the crash.
-  std::uint64_t trace_seed = 0;
 };
 
 /// Serializes one session snapshot image (framing included; no

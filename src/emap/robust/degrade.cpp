@@ -32,12 +32,6 @@ void DegradeOptions::validate() const {
   require(step_up_after >= 1, "DegradeOptions: step_up_after must be >= 1");
   require(queue_pressure_enter > 0.0 && queue_pressure_enter <= 1.0,
           "DegradeOptions: queue_pressure_enter must be in (0, 1]");
-  require(pressure_alpha > 0.0 && pressure_alpha <= 1.0,
-          "DegradeOptions: pressure_alpha must be in (0, 1]");
-  require(escalate_pressure > 0.0 && escalate_pressure <= 1.0,
-          "DegradeOptions: escalate_pressure must be in (0, 1]");
-  require(recover_pressure >= 0.0 && recover_pressure < escalate_pressure,
-          "DegradeOptions: need 0 <= recover_pressure < escalate_pressure");
 }
 
 DegradationController::DegradationController(DegradeOptions options,
@@ -149,16 +143,6 @@ void DegradationController::observe_window(const WindowSignal& signal) {
     return;
   }
 
-  if (options_.adaptive) {
-    // Pressure indicator: miss = 1, near miss = 0.5, clean = 0.  Unlike
-    // the streak counters this survives interleaved near misses, so a
-    // saturated edge that never strings `escalate_after` *consecutive*
-    // misses together still sheds.
-    const double indicator =
-        signal.deadline_miss ? 1.0 : (signal.near_miss ? 0.5 : 0.0);
-    pressure_ewma_ += options_.pressure_alpha * (indicator - pressure_ewma_);
-  }
-
   // Entry pressure reads the rolling burn rate (a single miss keeps burn
   // elevated for the whole SLO window, which is exactly the early-warning
   // property we want at the NOMINAL->DEGRADED edge).  Once degraded, the
@@ -208,21 +192,6 @@ void DegradationController::observe_window(const WindowSignal& signal) {
       } else {
         miss_streak_ = 0;
       }
-      if (options_.adaptive) {
-        // EWMA steering: shed while the rolling pressure sits above the
-        // escalation threshold, recover once it has decayed below the
-        // (lower) recovery threshold.  The gap is the hysteresis; still at
-        // most one step per window.
-        if (!clean && pressure_ewma_ >= options_.escalate_pressure) {
-          if (shed_level_ < options_.max_shed_level) {
-            set_level_locked(shed_level_ + 1);
-          }
-        } else if (clean && pressure_ewma_ <= options_.recover_pressure) {
-          transition_locked(DegradeState::kRecovering, signal.window_index,
-                            signal.t_sec);
-        }
-        break;
-      }
       if (signal.deadline_miss) {
         clean_streak_ = 0;
         ++bad_streak_;
@@ -249,17 +218,6 @@ void DegradationController::observe_window(const WindowSignal& signal) {
       if (signal.deadline_miss) {
         transition_locked(DegradeState::kDegraded, signal.window_index,
                           signal.t_sec);
-        break;
-      }
-      if (options_.adaptive) {
-        if (clean && pressure_ewma_ <= options_.recover_pressure) {
-          if (shed_level_ > 0) {
-            set_level_locked(shed_level_ - 1);
-          } else {
-            transition_locked(DegradeState::kNominal, signal.window_index,
-                              signal.t_sec);
-          }
-        }
         break;
       }
       if (clean) {
@@ -337,11 +295,6 @@ DegradeSummary DegradationController::summary() const {
   return out;
 }
 
-double DegradationController::pressure_ewma() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pressure_ewma_;
-}
-
 DegradeCheckpoint DegradationController::checkpoint() const {
   std::lock_guard<std::mutex> lock(mutex_);
   DegradeCheckpoint out;
@@ -352,7 +305,6 @@ DegradeCheckpoint DegradationController::checkpoint() const {
   out.miss_streak = miss_streak_;
   out.critical_left = critical_left_;
   out.recovered_since_miss = recovered_since_miss_;
-  out.pressure_ewma = pressure_ewma_;
   out.summary = summary_;
   out.summary.final_state = state_;
   return out;
@@ -370,7 +322,6 @@ void DegradationController::restore(const DegradeCheckpoint& saved) {
   miss_streak_ = static_cast<std::size_t>(saved.miss_streak);
   critical_left_ = static_cast<std::size_t>(saved.critical_left);
   recovered_since_miss_ = saved.recovered_since_miss;
-  pressure_ewma_ = saved.pressure_ewma;
   summary_ = saved.summary;
   summary_.final_state = state_;
   if (state_metric_ != nullptr) {

@@ -64,19 +64,6 @@ struct DegradeOptions {
   /// restoration (the anti-flap hysteresis).
   std::size_t step_up_after = 3;
 
-  // --- Adaptive EWMA thresholds (opt-in) ---
-  //
-  // The streak counters above reset on any interruption: a workload that
-  // alternates miss / near-miss never accumulates `escalate_after`
-  // consecutive misses and the controller sheds nothing while the edge
-  // stays saturated.  Adaptive mode replaces the escalation and recovery
-  // streaks with an EWMA of the per-window pressure indicator (miss = 1,
-  // near miss = 0.5, clean = 0): shed one level deeper while the EWMA sits
-  // at or above `escalate_pressure`, recover while it sits at or below
-  // `recover_pressure`.  The gap between the two thresholds is the
-  // anti-flap hysteresis; CRITICAL entry keeps the consecutive-miss rule
-  // either way.  Off by default — the fixed-streak behaviour stays
-  // bit-identical for existing calibrated runs.
   /// Stage-queue occupancy (max depth/capacity over the streaming graph's
   /// queues) at or above which a window counts as pressure even with clean
   /// latency — a backlog building between stages is early warning the
@@ -84,14 +71,6 @@ struct DegradeOptions {
   /// pressure (WindowSignal.queue_pressure stays 0), so this knob is
   /// behaviour-preserving outside streaming mode.
   double queue_pressure_enter = 0.75;
-
-  bool adaptive = false;
-  /// EWMA smoothing factor for the pressure indicator.
-  double pressure_alpha = 0.4;
-  /// Escalate one shed level while the pressure EWMA is at or above this.
-  double escalate_pressure = 0.5;
-  /// Recover (toward NOMINAL) while the EWMA is at or below this.
-  double recover_pressure = 0.15;
 
   /// Throws InvalidArgument when a knob is out of range.
   void validate() const;
@@ -146,7 +125,6 @@ struct DegradeCheckpoint {
   std::uint64_t miss_streak = 0;
   std::uint64_t critical_left = 0;
   bool recovered_since_miss = false;
-  double pressure_ewma = 0.0;
   /// Summary counters continue across the restore (transition spans are
   /// per-process and deliberately not carried).
   DegradeSummary summary{};
@@ -192,10 +170,6 @@ class DegradationController {
   DegradeSummary summary() const;
   const DegradeOptions& options() const { return options_; }
 
-  /// Rolling pressure EWMA (0 when adaptive mode is off or nothing was
-  /// observed yet).
-  double pressure_ewma() const;
-
   /// Captures the restorable state (checkpoint support).
   DegradeCheckpoint checkpoint() const;
 
@@ -223,8 +197,6 @@ class DegradationController {
   /// a fresh miss is observed, or the controller oscillates for the rest of
   /// the burn window.
   bool recovered_since_miss_ = false;
-  /// Adaptive mode's rolling pressure indicator (stays 0 when off).
-  double pressure_ewma_ = 0.0;
   std::vector<DegradeTransition> transitions_;
   DegradeSummary summary_;
 

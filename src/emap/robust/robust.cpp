@@ -16,8 +16,7 @@ void RobustOptions::validate() const {
 
 std::string robust_summary_json(const RobustSummary& summary) {
   obs::JsonWriter writer;
-  writer.field("enabled", summary.enabled)
-      .field("final_state",
+  writer.field("final_state",
              std::string(degrade_state_name(summary.degrade.final_state)))
       .field("transitions",
              static_cast<std::uint64_t>(summary.degrade.transitions))

@@ -26,10 +26,6 @@ namespace emap::robust {
 /// run bit-identical: the controller stays NOMINAL (no shedding), the
 /// breaker stays closed, the gate passes every clean window.
 struct RobustOptions {
-  /// Master switch: false removes every robust hook from the run.
-  bool enabled = true;
-  /// Signal-quality gating of raw windows (sub-switch of `enabled`).
-  bool quality_gate = true;
   DegradeOptions degrade{};
   BreakerOptions breaker{};
   WatchdogOptions watchdog{};
@@ -59,7 +55,6 @@ struct StageQueueSummary {
 
 /// Controller-loop outcome of one run, embedded in RunResult.
 struct RobustSummary {
-  bool enabled = false;
   DegradeSummary degrade{};
   BreakerSummary breaker{};
   QualitySummary quality{};

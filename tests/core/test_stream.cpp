@@ -92,7 +92,6 @@ TEST(Stream, ThreadedCleanRunProcessesEveryWindowInOrder) {
 
   obs::MetricsRegistry registry;
   PipelineOptions options;
-  options.robust.enabled = true;
   options.metrics = &registry;
   EmapPipeline engine(testing::small_mdb(6), EmapConfig{}, options);
   StreamPipeline stream(engine, threaded_options());
@@ -142,7 +141,6 @@ TEST(Stream, ThreadedTrackStageCrashIsRecovered) {
   const synth::Recording input = seizure_input(11, 25.0, 20.0);
 
   PipelineOptions options;
-  options.robust.enabled = true;
   EmapPipeline engine(testing::small_mdb(6), EmapConfig{}, options);
   StreamOptions stream_options = threaded_options();
   stream_options.faults.push_back(
@@ -174,7 +172,6 @@ TEST(Stream, ThreadedFilterStallIsDetectedAndRecovered) {
   const synth::Recording input = seizure_input(11, 25.0, 20.0);
 
   PipelineOptions options;
-  options.robust.enabled = true;
   EmapPipeline engine(testing::small_mdb(6), EmapConfig{}, options);
   StreamOptions stream_options = threaded_options();
   stream_options.faults.push_back(
@@ -209,7 +206,6 @@ TEST(Stream, WatchdogForcedCriticalTriggersFlightDump) {
   flight.set_dump_path(dump_path);
 
   PipelineOptions options;
-  options.robust.enabled = true;
   options.flight = &flight;
   sim::DeviceProfile glacial = sim::edge_raspberry_pi();
   glacial.name = "glacial";

@@ -75,7 +75,6 @@ TEST(DecisionRecord, ColdStartWaitsOnTheFirstSearch) {
 
 TEST(DecisionRecord, OpenBreakerIsTheReasonUnderPermanentOutage) {
   PipelineOptions options;
-  options.robust.enabled = true;
   options.fault.down.drop = 1.0;  // no response ever arrives
   options.retry.max_attempts = 2;
   options.retry.max_timeout_sec = 1.5;
@@ -97,7 +96,6 @@ TEST(DecisionRecord, QualityGatedWindowIssuesNoCall) {
   input.samples[kGated * kWindow + 7] =
       std::numeric_limits<double>::quiet_NaN();
   PipelineOptions options;
-  options.robust.enabled = true;
   EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{}, options);
   const RunResult result = pipeline.run(input);
   ASSERT_GT(result.iterations.size(), kGated);
@@ -118,7 +116,6 @@ TEST(DecisionRecord, CriticalWindowsSayCritical) {
   edge.name = "slowed-edge";
   edge.per_signal_overhead_sec = 0.05;
   PipelineOptions options;
-  options.robust.enabled = true;
   options.edge_device = edge;
   EmapPipeline pipeline(testing::small_mdb(4), config, options);
   const RunResult result = pipeline.run(seizure_input(11, 60.0, 45.0));

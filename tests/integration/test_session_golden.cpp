@@ -154,7 +154,6 @@ RunResult robust_run() {
   edge.name = "slowed-edge";
   edge.per_signal_overhead_sec = 0.05;
   PipelineOptions options;
-  options.robust.enabled = true;
   options.edge_device = edge;
   EmapPipeline pipeline(testing::small_mdb(4), config, options);
   return pipeline.run(seizure_input(11, 60.0, 45.0));
@@ -205,13 +204,13 @@ TEST_F(SessionGolden, CleanRun) {
   const RunResult result = clean_run();
   ASSERT_GE(result.cloud_calls, 2u);
   EXPECT_TRUE(result.anomaly_predicted);
-  EXPECT_EQ(digest(result), 0xf34e5cf9u);
+  EXPECT_EQ(digest(result), 0x2e791499u);
 }
 
 TEST_F(SessionGolden, FaultedRunCheckpointingEveryWindow) {
   const auto [run, snapshot] = faulted_run_digests();
-  EXPECT_EQ(run, 0xd2f45867u);
-  EXPECT_EQ(snapshot, 0x7b486461u);
+  EXPECT_EQ(run, 0x67b18234u);
+  EXPECT_EQ(snapshot, 0x6dc88658u);
 }
 
 // The same two runs on the AVX2 arm, the one production hosts dispatch
@@ -225,7 +224,7 @@ TEST_F(SessionGolden, CleanRunAvx2) {
   const RunResult result = clean_run();
   ASSERT_GE(result.cloud_calls, 2u);
   EXPECT_TRUE(result.anomaly_predicted);
-  EXPECT_EQ(digest(result), 0x733070c6u);
+  EXPECT_EQ(digest(result), 0xd8531d79u);
 }
 
 TEST_F(SessionGolden, FaultedRunCheckpointingEveryWindowAvx2) {
@@ -234,8 +233,8 @@ TEST_F(SessionGolden, FaultedRunCheckpointingEveryWindowAvx2) {
   }
   dsp::simd::force_level(dsp::simd::Level::kAvx2);
   const auto [run, snapshot] = faulted_run_digests();
-  EXPECT_EQ(run, 0x15b01568u);
-  EXPECT_EQ(snapshot, 0x7b486461u);
+  EXPECT_EQ(run, 0x1da45b12u);
+  EXPECT_EQ(snapshot, 0x6dc88658u);
 }
 
 TEST_F(SessionGolden, RobustRunOnSlowedEdge) {
@@ -243,7 +242,7 @@ TEST_F(SessionGolden, RobustRunOnSlowedEdge) {
   EXPECT_GE(result.robust.shed_loads, 1u);
   EXPECT_GE(result.robust.critical_windows, 1u);
   EXPECT_GE(result.robust.deferred_flushes, 1u);
-  EXPECT_EQ(digest(result), 0xbff52a01u);
+  EXPECT_EQ(digest(result), 0x5090c36au);
 }
 
 TEST_F(SessionGolden, RecordExplainsEveryCallDecision) {

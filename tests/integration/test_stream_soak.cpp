@@ -64,7 +64,6 @@ TEST(StreamSoak, TwoVirtualHoursThreadedUnderFaultsAndStageFailures) {
       robust::CrashAction::kThrow);
 
   PipelineOptions options;
-  options.robust.enabled = true;
   options.metrics = &registry;
   options.flight = &flight;
   options.crashpoints = &crashpoints;

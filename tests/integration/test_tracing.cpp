@@ -1,6 +1,6 @@
 // End-to-end causal tracing acceptance tests: one deterministic trace id
-// per pipeline window, propagated over the V2 wire header into the cloud
-// and back, so edge- and cloud-side spans of one window share a trace.
+// per pipeline window, propagated over the wire's trace header into the
+// cloud and back, so edge- and cloud-side spans of one window share a trace.
 // Covers the ISSUE acceptance criteria: complete cross-boundary traces on
 // a fault-free run, the tracecat Eq. 4 decomposition agreeing with the
 // pipeline's measured delta_initial, retries/sheds attaching to the
@@ -9,6 +9,8 @@
 // results with tracing disabled.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -75,7 +77,7 @@ TEST_F(TracingTest, FaultFreeRunLinksEdgeAndCloudSpansUnderOneTrace) {
   ASSERT_GT(window_spans, 0u);
 
   // At least one complete cross-boundary trace: the "cloud-search" span's
-  // trace id comes from decoding the V2 upload on the cloud side, so its
+  // trace id comes from decoding the upload on the cloud side, so its
   // presence next to edge categories proves the id survived the wire.
   std::size_t complete = 0;
   for (const auto& [trace_id, categories] : categories_by_trace) {
@@ -192,16 +194,13 @@ TEST_F(TracingTest, CrashPointTripDumpsFlightWithTheCrashPointLast) {
 }
 
 TEST_F(TracingTest, CheckpointResumeContinuesTheTraceLineage) {
-  // The crashed run mints ids from a non-default seed; the resumed run is
-  // configured with the default.  Lineage requires the snapshot's seed to
-  // win — the resumed windows keep the ids the crashed run would have
-  // minted, so one logical session stays one set of traces.
-  constexpr std::uint64_t kRunSeed = 0x5eed5eed5eed5eedull;
+  // Window ids are a pure function of the window index, so the resumed
+  // windows keep the ids the crashed run would have minted: one logical
+  // session stays one set of traces.
   testing::TempDir dir("tracing_resume");
 
   robust::CrashPointRegistry registry;
   PipelineOptions crash_options;
-  crash_options.trace_seed = kRunSeed;
   crash_options.recovery.checkpoint_dir = dir.path();
   crash_options.crashpoints = &registry;
   {
@@ -224,52 +223,89 @@ TEST_F(TracingTest, CheckpointResumeContinuesTheTraceLineage) {
       ++window_spans;
       const std::uint64_t window =
           static_cast<std::uint64_t>(span.sim_start_sec);
-      EXPECT_EQ(span.trace_id, obs::mint_trace_id(kRunSeed, window))
-          << "window " << window << " re-minted under the wrong seed";
+      EXPECT_EQ(span.trace_id, obs::mint_trace_id(obs::kDefaultTraceSeed,
+                                                   window))
+          << "window " << window << " re-minted under another id";
     } else if (span.category == "recovery") {
       EXPECT_EQ(span.trace_id,
-                obs::mint_trace_id(kRunSeed,
+                obs::mint_trace_id(obs::kDefaultTraceSeed,
                                    resumed.robust.recovery.resume_window));
     }
   }
   EXPECT_GT(window_spans, 0u);
 }
 
-TEST_F(TracingTest, DisablingTracingKeepsResultsBitIdentical) {
-  PipelineOptions traced;  // default: collect_trace on, default seed
-  PipelineOptions untraced;
-  untraced.collect_trace = false;
-  PipelineOptions null_seed;
-  null_seed.trace_seed = 0;  // spans still collected, wire stays V1
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
-  const RunResult a = run_with(traced);
-  const RunResult b = run_with(untraced);
-  const RunResult c = run_with(null_seed);
+/// Every field of two runs' decision records and Eq. 4 timings, compared
+/// bit for bit.
+void expect_bit_identical(const RunResult& a, const RunResult& b) {
   ASSERT_EQ(a.iterations.size(), b.iterations.size());
-  ASSERT_EQ(a.iterations.size(), c.iterations.size());
   for (std::size_t i = 0; i < a.iterations.size(); ++i) {
-    EXPECT_EQ(a.iterations[i].anomaly_probability,
-              b.iterations[i].anomaly_probability)
+    const IterationRecord& x = a.iterations[i];
+    const IterationRecord& y = b.iterations[i];
+    EXPECT_EQ(x.window_index, y.window_index) << "window " << i;
+    EXPECT_TRUE(same_bits(x.t_sec, y.t_sec)) << "window " << i;
+    EXPECT_EQ(x.set_loaded, y.set_loaded) << "window " << i;
+    EXPECT_EQ(x.loaded_sequence, y.loaded_sequence) << "window " << i;
+    EXPECT_TRUE(same_bits(x.pa_on_load, y.pa_on_load)) << "window " << i;
+    EXPECT_EQ(x.tracked, y.tracked) << "window " << i;
+    EXPECT_TRUE(same_bits(x.anomaly_probability, y.anomaly_probability))
         << "window " << i;
-    EXPECT_EQ(a.iterations[i].anomaly_probability,
-              c.iterations[i].anomaly_probability)
+    EXPECT_EQ(x.anomaly_predicted, y.anomaly_predicted) << "window " << i;
+    EXPECT_EQ(x.tracked_before, y.tracked_before) << "window " << i;
+    EXPECT_EQ(x.tracked_after, y.tracked_after) << "window " << i;
+    EXPECT_EQ(x.removed_dissimilar, y.removed_dissimilar) << "window " << i;
+    EXPECT_EQ(x.removed_exhausted, y.removed_exhausted) << "window " << i;
+    EXPECT_EQ(x.cloud_call_issued, y.cloud_call_issued) << "window " << i;
+    EXPECT_EQ(x.no_call_reason, y.no_call_reason) << "window " << i;
+    EXPECT_EQ(x.degraded, y.degraded) << "window " << i;
+    EXPECT_TRUE(same_bits(x.track_device_sec, y.track_device_sec))
         << "window " << i;
+    EXPECT_EQ(x.abs_ops, y.abs_ops) << "window " << i;
+    EXPECT_EQ(x.robust_state, y.robust_state) << "window " << i;
+    EXPECT_EQ(x.shed_cap, y.shed_cap) << "window " << i;
+    EXPECT_EQ(x.quality, y.quality) << "window " << i;
+    EXPECT_EQ(x.breaker_rejected, y.breaker_rejected) << "window " << i;
+    EXPECT_EQ(x.robust_critical, y.robust_critical) << "window " << i;
+    EXPECT_EQ(x.recovered, y.recovered) << "window " << i;
   }
-  EXPECT_EQ(a.first_alarm_sec, b.first_alarm_sec);
-  EXPECT_EQ(a.first_alarm_sec, c.first_alarm_sec);
+  EXPECT_TRUE(same_bits(a.timings.delta_ec_sec, b.timings.delta_ec_sec));
+  EXPECT_TRUE(same_bits(a.timings.delta_cs_sec, b.timings.delta_cs_sec));
+  EXPECT_TRUE(same_bits(a.timings.delta_ce_sec, b.timings.delta_ce_sec));
+  EXPECT_TRUE(
+      same_bits(a.timings.delta_initial_sec, b.timings.delta_initial_sec));
+  EXPECT_TRUE(same_bits(a.timings.mean_track_sec, b.timings.mean_track_sec));
+  EXPECT_TRUE(same_bits(a.timings.max_track_sec, b.timings.max_track_sec));
+  EXPECT_EQ(a.anomaly_predicted, b.anomaly_predicted);
+  EXPECT_TRUE(same_bits(a.first_alarm_sec, b.first_alarm_sec));
   EXPECT_EQ(a.cloud_calls, b.cloud_calls);
-  EXPECT_EQ(a.cloud_calls, c.cloud_calls);
-  // The two untraced variants ride the identical V1 wire: their transfer
-  // timings are bit-identical.  (The traced run's V2 header adds 16 bytes
-  // per message, so its delta_initial is allowed to differ by the extra
-  // transfer time — the P_A trajectory above proves behavior is unchanged.)
-  EXPECT_EQ(b.timings.delta_initial_sec, c.timings.delta_initial_sec);
-  EXPECT_NEAR(a.timings.delta_initial_sec, b.timings.delta_initial_sec,
-              1e-3);
-  // And the null-seed run indeed produced no traced spans.
-  ASSERT_NE(c.tracer, nullptr);
-  for (const auto& span : c.tracer->spans()) {
-    EXPECT_EQ(span.trace_id, 0u) << span.name;
+  EXPECT_EQ(a.failed_cloud_calls, b.failed_cloud_calls);
+  EXPECT_EQ(a.retry_attempts, b.retry_attempts);
+  EXPECT_EQ(a.duplicates_discarded, b.duplicates_discarded);
+}
+
+TEST_F(TracingTest, DisablingTracingKeepsResultsBitIdentical) {
+  // collect_trace only decides whether spans are recorded: an untraced
+  // message carries a zero trace header of the same size, so both runs
+  // move the same bytes and make the same decisions at the same times,
+  // on a clean link and on a lossy one.
+  PipelineOptions faulted;
+  faulted.fault.up.drop = 0.2;
+  faulted.fault.down.corrupt = 0.2;
+  faulted.fault.down.duplicate = 0.2;
+  faulted.fault.up.delay = 0.2;
+  faulted.fault.seed = 0x7eacu;
+  for (const PipelineOptions& traced : {PipelineOptions{}, faulted}) {
+    PipelineOptions untraced = traced;
+    untraced.collect_trace = false;
+    const RunResult a = run_with(traced);
+    const RunResult b = run_with(untraced);
+    ASSERT_NE(a.tracer, nullptr);
+    EXPECT_EQ(b.tracer, nullptr);
+    expect_bit_identical(a, b);
   }
 }
 

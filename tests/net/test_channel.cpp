@@ -81,39 +81,19 @@ TEST(Channel, TransferTimeMonotoneInPayload) {
   EXPECT_LT(channel.upload_seconds(100), channel.upload_seconds(10000));
 }
 
-TEST(Channel, JitterStaysWithinFraction) {
-  ChannelOptions options;
-  options.include_latency = false;
-  options.framing_overhead_bytes = 0;
-  options.jitter_fraction = 0.2;
-  Channel channel(CommPlatform::kLte, options, /*jitter_seed=*/9);
-  const double nominal = Channel::line_seconds(
-      10000, platform_params(CommPlatform::kLte).uplink_mbps);
-  for (int i = 0; i < 100; ++i) {
-    const double t = channel.upload_seconds(10000);
-    EXPECT_GE(t, nominal * 0.8 - 1e-15);
-    EXPECT_LE(t, nominal * 1.2 + 1e-15);
-  }
-}
-
-TEST(Channel, RejectsBadJitter) {
-  ChannelOptions options;
-  options.jitter_fraction = 1.5;
-  EXPECT_THROW(Channel(CommPlatform::kLte, options), InvalidArgument);
-}
-
 TEST(Channel, ExpectedSecondsMatchesJitterFreeTransfer) {
-  ChannelOptions options;
-  options.jitter_fraction = 0.0;
-  Channel channel(CommPlatform::kLte, options);
+  // The link has no jitter: a fault-free transfer takes exactly the
+  // expected time, whichever way it is asked for.
+  Channel channel(CommPlatform::kLte);
   std::vector<std::uint8_t> bytes(1000);
   const auto outcome = channel.transfer(Direction::kUpload, bytes);
   EXPECT_TRUE(outcome.delivered());
-  EXPECT_NEAR(outcome.seconds,
-              channel.expected_seconds(Direction::kUpload, bytes.size()),
-              1e-12);
-  // expected_seconds is const and consumes no randomness: asking twice
-  // gives the same answer.
+  EXPECT_EQ(outcome.seconds,
+            channel.expected_seconds(Direction::kUpload, bytes.size()));
+  EXPECT_EQ(channel.upload_seconds(bytes.size()), outcome.seconds);
+  EXPECT_EQ(channel.download_seconds(5000),
+            channel.expected_seconds(Direction::kDownload, 5000));
+  // expected_seconds is const: asking twice gives the same answer.
   EXPECT_DOUBLE_EQ(channel.expected_seconds(Direction::kDownload, 5000),
                    channel.expected_seconds(Direction::kDownload, 5000));
 }
@@ -153,9 +133,7 @@ TEST(Channel, InjectedDelayExtendsTransferTime) {
   fault.down.delay_min_sec = 1.0;
   fault.down.delay_max_sec = 2.0;
   FaultInjector injector(fault);
-  ChannelOptions options;
-  options.jitter_fraction = 0.0;
-  Channel channel(CommPlatform::kLte, options);
+  Channel channel(CommPlatform::kLte);
   channel.set_fault_injector(&injector);
   std::vector<std::uint8_t> bytes(100);
   const double baseline =

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -120,12 +121,12 @@ TEST(Transport, DecodeCorrelationSetRejectsCorruptScale) {
   entry.samples = testing::noise(7, 100);
   message.entries.push_back(entry);
   auto bytes = encode_correlation_set(message);
-  // Scale field of the first entry sits after magic(4)+seq(4)+count(4)+
-  // id(8)+omega(4)+beta(4)+anomalous(1)+class(1) = 30.
-  bytes[30] = 0xff;
-  bytes[31] = 0xff;
-  bytes[32] = 0xff;
-  bytes[33] = 0xff;  // NaN scale
+  // Scale field of the first entry sits after magic(4)+trace(16)+seq(4)+
+  // count(4)+id(8)+omega(4)+beta(4)+anomalous(1)+class(1) = 46.
+  bytes[46] = 0xff;
+  bytes[47] = 0xff;
+  bytes[48] = 0xff;
+  bytes[49] = 0xff;  // NaN scale
   EXPECT_THROW(decode_correlation_set(bytes), CorruptData);
 }
 
@@ -192,7 +193,7 @@ TEST(Transport, TracedUploadRoundTripsContextUnderV2) {
   message.samples = testing::noise(10, 256, 7.0);
   const auto bytes = encode_upload(message);
   EXPECT_EQ(bytes.size(), wire_size(message));
-  // V2 magic "EMU2" leads the frame; the V1 magic must not.
+  // The magic "EMU2" leads the frame.
   EXPECT_EQ(bytes[0], 'E');
   EXPECT_EQ(bytes[1], 'M');
   EXPECT_EQ(bytes[2], 'U');
@@ -221,23 +222,31 @@ TEST(Transport, TracedCorrelationSetRoundTripsContext) {
   EXPECT_EQ(decoded.entries[0].set_id, 9u);
 }
 
-TEST(Transport, UntracedMessagesKeepTheV1WireForm) {
-  // Tracing off must leave the wire bit-identical to pre-trace builds:
-  // the V1 magic, no 16-byte trace header, and decode yields the invalid
-  // (all-zero) context.
+TEST(Transport, UntracedMessagesCarryAZeroTraceHeader) {
+  // One layout: an untraced message is the traced one with zeros in the
+  // 16-byte trace header, so tracing never changes the bytes on the link
+  // or their transfer time.  Decode yields the invalid (all-zero) context.
   SignalUploadMessage untraced;
   untraced.sequence = 1;
   untraced.samples = testing::noise(12, 64);
   SignalUploadMessage traced = untraced;
   traced.trace = {0xabcull, 0x1ull};
-  const auto v1 = encode_upload(untraced);
-  const auto v2 = encode_upload(traced);
-  EXPECT_EQ(v1[3], 'U');  // "EMPU"
-  EXPECT_EQ(v2.size(), v1.size() + 16u);
-  EXPECT_FALSE(decode_upload(v1).trace.valid());
-  EXPECT_FALSE(decode_correlation_set(
-                   encode_correlation_set(CorrelationSetMessage{}))
-                   .trace.valid());
+  const auto zero = encode_upload(untraced);
+  const auto with_trace = encode_upload(traced);
+  EXPECT_EQ(zero.size(), wire_size(untraced));
+  EXPECT_EQ(zero.size(), with_trace.size());
+  EXPECT_EQ(wire_size(untraced), wire_size(traced));
+  EXPECT_EQ(zero[3], '2');  // "EMU2"
+  for (std::size_t i = 4; i < 20; ++i) {
+    EXPECT_EQ(zero[i], 0u) << "trace header byte " << i;
+  }
+  // Outside the trace header and the CRC the two encodings agree.
+  EXPECT_TRUE(std::equal(zero.begin() + 20, zero.end() - 4,
+                         with_trace.begin() + 20));
+  EXPECT_FALSE(decode_upload(zero).trace.valid());
+  const auto empty_set = encode_correlation_set(CorrelationSetMessage{});
+  EXPECT_EQ(empty_set.size(), wire_size(CorrelationSetMessage{}));
+  EXPECT_FALSE(decode_correlation_set(empty_set).trace.valid());
 }
 
 TEST(Transport, PeekTraceReadsV2AndFailsClosedOtherwise) {
@@ -246,7 +255,7 @@ TEST(Transport, PeekTraceReadsV2AndFailsClosedOtherwise) {
   message.samples = testing::noise(13, 32);
   const auto v2 = encode_upload(message);
   EXPECT_EQ(peek_trace(v2), message.trace);
-  // V1 input: valid message, no context.
+  // Untraced input: valid message, no context.
   message.trace = {};
   EXPECT_FALSE(peek_trace(encode_upload(message)).valid());
   // Corrupt input: never a garbage id, and never a throw.
@@ -256,12 +265,12 @@ TEST(Transport, PeekTraceReadsV2AndFailsClosedOtherwise) {
   EXPECT_FALSE(peek_trace(std::span<const std::uint8_t>{}).valid());
 }
 
-TEST(Transport, V2HeaderWithNullTraceIdIsRejected) {
-  // A null trace id under the V2 magic cannot come from our encoder (null
-  // contexts take the V1 path); accepting one would let a forged message
-  // smuggle an "untraced" frame through the V2 parser.  Zero the id and
-  // re-seal the CRC so only the explicit null-id guard can catch it.
+TEST(Transport, ZeroTraceIdDecodesAsUntraced) {
+  // A zero trace id means "untraced" whatever the parent span says: decode
+  // and peek both return the all-zero context, never a half-valid one.
+  // Zero the id and re-seal the CRC so the message is otherwise intact.
   SignalUploadMessage message;
+  message.sequence = 5;
   message.trace = {0xdeadbeefull, 0x7};
   message.samples = testing::noise(14, 32);
   auto bytes = encode_upload(message);
@@ -273,8 +282,10 @@ TEST(Transport, V2HeaderWithNullTraceIdIsRejected) {
   for (int i = 0; i < 4; ++i) {
     bytes.push_back(static_cast<std::uint8_t>((crc >> (8 * i)) & 0xff));
   }
-  EXPECT_THROW(decode_upload(bytes), CorruptData);
-  EXPECT_FALSE(peek_trace(bytes).valid());
+  const auto decoded = decode_upload(bytes);
+  EXPECT_EQ(decoded.trace, obs::TraceContext{});
+  EXPECT_EQ(decoded.sequence, 5u);
+  EXPECT_EQ(peek_trace(bytes), obs::TraceContext{});
 }
 
 TEST(Transport, EntryCountBeyondPayloadIsRejectedBeforeAllocation) {
@@ -286,12 +297,12 @@ TEST(Transport, EntryCountBeyondPayloadIsRejectedBeforeAllocation) {
   entry.samples = testing::noise(9, 10);
   message.entries.push_back(entry);
   auto bytes = encode_correlation_set(message);
-  // Rewrite the entry count (offset 8) to 2^31 and re-seal a valid CRC so
-  // only the count guard can catch it.
-  bytes[8] = 0x00;
-  bytes[9] = 0x00;
-  bytes[10] = 0x00;
-  bytes[11] = 0x80;
+  // Rewrite the entry count (offset magic(4)+trace(16)+seq(4) = 24) to
+  // 2^31 and re-seal a valid CRC so only the count guard can catch it.
+  bytes[24] = 0x00;
+  bytes[25] = 0x00;
+  bytes[26] = 0x00;
+  bytes[27] = 0x80;
   bytes.resize(bytes.size() - 4);
   const std::uint32_t crc = emap::crc32(bytes.data(), bytes.size());
   for (int i = 0; i < 4; ++i) {

@@ -145,27 +145,29 @@ TEST(TransportFuzz, HugeDeclaredCountsRejectedWithoutAllocation) {
   // The decoder must reject via the count-vs-remaining-bytes guard (or the
   // CRC) instead of attempting the allocation.
   auto upload = encode_upload(sample_upload(5));
-  // sample count lives after magic(4)+sequence(4)+scale(4) = offset 12.
-  upload[12] = 0xff;
-  upload[13] = 0xff;
-  upload[14] = 0xff;
-  upload[15] = 0xff;
+  // sample count lives after magic(4)+trace(16)+sequence(4)+scale(4) =
+  // offset 28.
+  upload[28] = 0xff;
+  upload[29] = 0xff;
+  upload[30] = 0xff;
+  upload[31] = 0xff;
   expect_corrupt(upload, [](const auto& b) { return decode_upload(b); },
                  "upload huge count");
 
   auto corrset = encode_correlation_set(sample_correlation_set(6, 2));
-  // entry count lives after magic(4)+request_sequence(4) = offset 8.
-  corrset[8] = 0xff;
-  corrset[9] = 0xff;
-  corrset[10] = 0xff;
-  corrset[11] = 0xff;
+  // entry count lives after magic(4)+trace(16)+request_sequence(4) =
+  // offset 24.
+  corrset[24] = 0xff;
+  corrset[25] = 0xff;
+  corrset[26] = 0xff;
+  corrset[27] = 0xff;
   expect_corrupt(corrset,
                  [](const auto& b) { return decode_correlation_set(b); },
                  "correlation-set huge count");
 }
 
 TEST(TransportFuzz, TracedUploadSurvivesBitFlips) {
-  // V2 frames add 16 trace-header bytes inside the CRC seal; any flip —
+  // The 16 trace-header bytes sit inside the CRC seal; any flip —
   // including in the trace id itself — must fail both decode and the
   // cheap peek path, which may never surface a garbage context.
   Rng rng(505);
@@ -231,8 +233,8 @@ TEST(TransportFuzz, PeekTraceNeverYieldsContextFromGarbage) {
 }
 
 TEST(TransportFuzz, TracedHugeDeclaredCountRejectedWithoutAllocation) {
-  // Same guard as the V1 case, but the count moved: the 16-byte trace
-  // header shifts it to magic(4)+trace(16)+sequence(4)+scale(4) = 28.
+  // Same guard as the untraced case, with a nonzero trace header in front
+  // of the count at magic(4)+trace(16)+sequence(4)+scale(4) = 28.
   auto upload = encode_upload(sample_traced_upload(10));
   upload[28] = 0xff;
   upload[29] = 0xff;

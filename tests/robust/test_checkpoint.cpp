@@ -143,7 +143,6 @@ SessionState fuzz_state(std::uint64_t seed) {
   s.degrade.miss_streak = rng.next_u64() % 5;
   s.degrade.critical_left = rng.next_u64() % 5;
   s.degrade.recovered_since_miss = rng.bernoulli(0.5);
-  s.degrade.pressure_ewma = rng.uniform();
   s.degrade.summary.final_state = s.degrade.state;
   s.degrade.summary.transitions = rng.next_u64() % 20;
   s.degrade.summary.windows_nominal = rng.next_u64() % 1000;
@@ -176,7 +175,6 @@ SessionState fuzz_state(std::uint64_t seed) {
   s.injector.down_counts.delayed = rng.next_u64() % 100;
   s.injector.up_draws = rng.next_u64() % 100000;
   s.injector.down_draws = rng.next_u64() % 100000;
-  s.channel_rng = fuzz_rng_state(rng);
   return s;
 }
 
@@ -212,7 +210,6 @@ void expect_state_eq(const SessionState& a, const SessionState& b) {
               b.pending->correlation_set.size());
   }
   EXPECT_EQ(a.degrade.state, b.degrade.state);
-  EXPECT_EQ(a.degrade.pressure_ewma, b.degrade.pressure_ewma);
   EXPECT_EQ(a.degrade.summary.transitions, b.degrade.summary.transitions);
   EXPECT_EQ(a.breaker.state, b.breaker.state);
   EXPECT_EQ(a.breaker.open_until_sec, b.breaker.open_until_sec);
@@ -225,9 +222,6 @@ void expect_state_eq(const SessionState& a, const SessionState& b) {
   EXPECT_EQ(a.injector.up_counts.messages, b.injector.up_counts.messages);
   EXPECT_EQ(a.injector.up_draws, b.injector.up_draws);
   EXPECT_EQ(a.injector.down_draws, b.injector.down_draws);
-  EXPECT_EQ(a.channel_rng.state, b.channel_rng.state);
-  EXPECT_EQ(a.channel_rng.spare_normal, b.channel_rng.spare_normal);
-  EXPECT_EQ(a.channel_rng.has_spare_normal, b.channel_rng.has_spare_normal);
 }
 
 TEST(Checkpoint, RoundTripPreservesEveryField) {

@@ -317,138 +317,6 @@ TEST(DegradeProperty, ShedLevelIsMonotonePerWindow) {
   }
 }
 
-// --- Adaptive (EWMA-driven) shedding ---------------------------------
-
-WindowSignal near_miss_window(std::size_t index) {
-  WindowSignal signal = clean_window(index);
-  signal.near_miss = true;
-  return signal;
-}
-
-DegradeOptions adaptive_options() {
-  DegradeOptions options;
-  options.adaptive = true;
-  options.escalate_after = 3;  // the streak rule the EWMA replaces
-  return options;
-}
-
-DegradeOptions streak_options() {
-  DegradeOptions options;
-  options.escalate_after = 3;
-  return options;
-}
-
-// The motivating workload: misses interleaved with near misses.  The
-// streak counters reset on every near miss, so the fixed controller never
-// escalates past level 1; the pressure EWMA accumulates and sheds deeper.
-TEST(DegradeAdaptive, ShedsUnderInterleavedOverloadWhereStreaksCannot) {
-  DegradationController fixed(streak_options());
-  DegradationController adaptive(adaptive_options());
-  for (std::size_t w = 0; w < 30; ++w) {
-    const WindowSignal signal =
-        (w % 2 == 0) ? miss_window(w) : near_miss_window(w);
-    fixed.observe_window(signal);
-    adaptive.observe_window(signal);
-  }
-  EXPECT_EQ(fixed.shed_level(), 1u)
-      << "streaks reset on near misses; fixed controller is stuck";
-  EXPECT_GT(adaptive.shed_level(), 1u)
-      << "EWMA pressure must accumulate across the interleaving";
-  EXPECT_GT(adaptive.pressure_ewma(),
-            adaptive.options().escalate_pressure);
-}
-
-// Under a solid step overload the adaptive controller must not be slower
-// than the streak rule: shed onset at least as early, same deepest level.
-TEST(DegradeAdaptive, StepOverloadShedsAtLeastAsFastAsStreaks) {
-  DegradationController fixed(streak_options());
-  DegradationController adaptive(adaptive_options());
-  std::size_t first_deep_fixed = 0;
-  std::size_t first_deep_adaptive = 0;
-  for (std::size_t w = 0; w < 40; ++w) {
-    fixed.observe_window(miss_window(w));
-    adaptive.observe_window(miss_window(w));
-    if (first_deep_fixed == 0 && fixed.shed_level() >= 2) {
-      first_deep_fixed = w + 1;
-    }
-    if (first_deep_adaptive == 0 && adaptive.shed_level() >= 2) {
-      first_deep_adaptive = w + 1;
-    }
-  }
-  ASSERT_GT(first_deep_fixed, 0u);
-  ASSERT_GT(first_deep_adaptive, 0u);
-  EXPECT_LE(first_deep_adaptive, first_deep_fixed);
-  EXPECT_EQ(adaptive.shed_level(), adaptive.options().max_shed_level);
-}
-
-// No oscillation on a clean run: adaptive mode is behaviour-preserving
-// when nothing is wrong.
-TEST(DegradeAdaptive, CleanRunStaysNominalWithoutOscillation) {
-  DegradationController controller(adaptive_options());
-  for (std::size_t w = 0; w < 200; ++w) {
-    controller.observe_window(clean_window(w));
-  }
-  EXPECT_EQ(controller.state(), DegradeState::kNominal);
-  EXPECT_EQ(controller.shed_level(), 0u);
-  EXPECT_EQ(controller.summary().transitions, 0u);
-  EXPECT_DOUBLE_EQ(controller.pressure_ewma(), 0.0);
-}
-
-// After the overload clears, the EWMA decays below the (lower) recovery
-// threshold and the controller walks back to NOMINAL — the hysteresis gap
-// means no shed/recover flapping on the way down.
-TEST(DegradeAdaptive, RecoversHystereticallyOnceTheEwmaDecays) {
-  DegradationController controller(adaptive_options());
-  std::size_t w = 0;
-  for (; w < 20; ++w) {
-    controller.observe_window(miss_window(w));
-  }
-  ASSERT_EQ(controller.shed_level(), controller.options().max_shed_level);
-  std::size_t previous = controller.shed_level();
-  for (std::size_t i = 0; i < 200 && controller.state() != DegradeState::kNominal;
-       ++i, ++w) {
-    controller.observe_window(clean_window(w));
-    // Recovery is monotone: the level never climbs on a clean window.
-    EXPECT_LE(controller.shed_level(), previous) << "window " << w;
-    previous = controller.shed_level();
-  }
-  EXPECT_EQ(controller.state(), DegradeState::kNominal);
-  EXPECT_EQ(controller.shed_level(), 0u);
-}
-
-TEST(DegradeAdaptive, InvalidPressureKnobsThrow) {
-  DegradeOptions options = adaptive_options();
-  options.pressure_alpha = 0.0;
-  EXPECT_THROW(DegradationController{options}, InvalidArgument);
-  options = adaptive_options();
-  options.escalate_pressure = 1.5;
-  EXPECT_THROW(DegradationController{options}, InvalidArgument);
-  options = adaptive_options();
-  options.recover_pressure = options.escalate_pressure;  // need strict gap
-  EXPECT_THROW(DegradationController{options}, InvalidArgument);
-}
-
-// The monotone-per-window property must hold in adaptive mode too.
-TEST(DegradeAdaptive, ShedLevelStaysMonotonePerWindow) {
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    Rng rng(seed);
-    DegradationController controller(adaptive_options());
-    std::size_t previous = controller.shed_level();
-    for (std::size_t w = 0; w < 400; ++w) {
-      WindowSignal signal = clean_window(w);
-      signal.deadline_miss = rng.uniform() < 0.3;
-      signal.near_miss = !signal.deadline_miss && rng.uniform() < 0.3;
-      signal.burn_rate = rng.uniform() * 3.0;
-      controller.observe_window(signal);
-      const std::size_t level = controller.shed_level();
-      const auto delta = static_cast<long long>(level) -
-                         static_cast<long long>(previous);
-      EXPECT_LE(std::llabs(delta), 1ll) << "seed " << seed << " window " << w;
-      previous = level;
-    }
-  }
-}
-
 // Property: summary window counts partition the observed windows.
 TEST(DegradeProperty, SummaryWindowCountsPartitionTheRun) {
   Rng rng(42);
