@@ -43,10 +43,8 @@
 //                          CSV, anything else JSON)
 //   --record-out <file>    write the per-window decision record as JSONL
 //                          (input for `emapctl report`)
-//   --alerts-out <file>    evaluate alert rules every window and write
-//                          the transitions as JSONL
-//   --alert-rules <file>   the rules to evaluate (default with
-//                          --alerts-out: obs::default_alert_rules())
+//   --alerts-out <file>    evaluate the built-in alert rules every window
+//                          and write the transitions as JSONL
 //
 // Fault/retry flags (monitor and synth-run) — exercise the lossy-link
 // recovery path (docs/fault_injection.md):
@@ -153,8 +151,7 @@ int usage() {
       "--summary-out <file> --metrics-dump\n"
       "profiling flags: --profile-out <file> --flame-out <file> "
       "--slo-report <file>\n"
-      "record flags:    --record-out <file> --alerts-out <file> "
-      "--alert-rules <file>\n"
+      "record flags:    --record-out <file> --alerts-out <file>\n"
       "fault flags:     --fault-drop <p> --fault-corrupt <p> "
       "--fault-duplicate <p> --fault-delay <p> --fault-seed <n>\n"
       "retry flags:     --retry-attempts <n> --retry-deadline <sec>\n"
@@ -190,7 +187,6 @@ struct TelemetryOptions {
   double edge_slowdown = 1.0;  ///< > 1 divides edge device throughput
   std::string record_out;      ///< per-window decision record JSONL
   std::string alerts_out;      ///< alert-transition JSONL
-  std::string alert_rules;     ///< rule file; empty = default rules
   bool stream = false;         ///< threaded stage graph instead of batch
   std::size_t stage_threads = 2;
   std::size_t queue_capacity = 8;
@@ -290,8 +286,6 @@ bool extract_telemetry_flags(int& argc, char** argv,
       if (!take_value(telemetry.record_out)) return false;
     } else if (arg == "--alerts-out") {
       if (!take_value(telemetry.alerts_out)) return false;
-    } else if (arg == "--alert-rules") {
-      if (!take_value(telemetry.alert_rules)) return false;
     } else if (arg == "--stream") {
       telemetry.stream = true;
     } else if (arg == "--stage-threads") {
@@ -379,24 +373,6 @@ obs::FlightRecorder* apply_tracing_flags(const TelemetryOptions& telemetry,
   flight.set_dump_path(telemetry.flight_out);
   options.flight = &flight;
   return &flight;
-}
-
-/// Applies the alerting flags: --alert-rules installs its rule file,
-/// --alerts-out alone the default rules.  Returns false on an unparseable
-/// rule file.
-bool apply_alert_flags(const TelemetryOptions& telemetry,
-                       core::PipelineOptions& options) {
-  if (!telemetry.alert_rules.empty()) {
-    std::string error;
-    options.alert_rules = obs::load_alert_rules(telemetry.alert_rules, &error);
-    if (!error.empty()) {
-      std::fprintf(stderr, "emapctl: %s\n", error.c_str());
-      return false;
-    }
-  } else if (!telemetry.alerts_out.empty()) {
-    options.alert_rules = obs::default_alert_rules();
-  }
-  return true;
 }
 
 /// Runs `input` through the pipeline on the scheduler the flags selected:
@@ -550,9 +526,9 @@ int run_monitored(const TelemetryOptions& telemetry, mdb::MdbStore store,
   options.fault = telemetry.fault;
   options.retry = telemetry.retry;
   options.stop_at_sec = stop_at_sec;
+  options.alerts = !telemetry.alerts_out.empty();
   robust::CrashPointRegistry crashpoints;
-  if (!apply_recovery_flags(telemetry, options, crashpoints) ||
-      !apply_alert_flags(telemetry, options)) {
+  if (!apply_recovery_flags(telemetry, options, crashpoints)) {
     return usage();
   }
   obs::FlightRecorder flight_recorder;
@@ -915,7 +891,7 @@ int cmd_report(int argc, char** argv) {
   std::string record_path;
   std::string alerts_path;
   std::string html_path;
-  obs::ReportOptions report;
+  std::string series_filter;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {
@@ -932,7 +908,7 @@ int cmd_report(int argc, char** argv) {
     } else if (arg == "--series-filter") {
       const char* v = value();
       if (v == nullptr) return usage();
-      report.series_filter = v;
+      series_filter = v;
     } else if (arg.rfind("--", 0) == 0) {
       return usage();
     } else if (record_path.empty()) {
@@ -949,12 +925,12 @@ int cmd_report(int argc, char** argv) {
   if (!alerts_path.empty()) {
     alerts = obs::load_alerts_jsonl(alerts_path);
   }
-  std::fputs(obs::render_ascii_report(record, alerts, report).c_str(),
+  std::fputs(obs::render_ascii_report(record, alerts, series_filter).c_str(),
              stdout);
   if (!html_path.empty()) {
     std::ofstream html(html_path);
     require(static_cast<bool>(html), "report: cannot write the HTML output");
-    html << obs::render_html_report(record, alerts, report);
+    html << obs::render_html_report(record, alerts, series_filter);
     std::printf("\nhtml report -> %s\n", html_path.c_str());
   }
   return 0;

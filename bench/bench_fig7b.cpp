@@ -143,7 +143,7 @@ double measure_profiler_overhead_pct() {
 }
 
 // Alert-evaluation tax on the same scan: each rep records the pipeline's
-// typical per-window telemetry and, in the "on" run, evaluates the default
+// typical per-window telemetry and, in the "on" run, evaluates the built-in
 // alert rules against the registry once — the pipeline's cadence (one
 // evaluation per window).  Budget: < 2 %.
 double measure_alert_eval_overhead_pct() {
@@ -186,14 +186,14 @@ double measure_alert_eval_overhead_pct() {
         .count();
   };
   const double disabled_sec = time_runs(nullptr);
-  obs::AlertEngine engine(obs::default_alert_rules());
+  obs::AlertEngine engine;
   const double enabled_sec = time_runs(&engine);
   const double overhead_pct = (enabled_sec / disabled_sec - 1.0) * 100.0;
   std::printf("alert evaluation overhead on the Algorithm 1 scan: %.2f%% "
               "(disabled %.3fs, enabled %.3fs over %d reps, %zu rules, "
               "%zu registry series) -> %s\n",
               overhead_pct, disabled_sec, enabled_sec, reps,
-              engine.rules().size(), registry.entries().size(),
+              obs::AlertEngine::kRuleCount, registry.entries().size(),
               overhead_pct < 2.0 ? "within 2% budget" : "OVER 2% budget");
   return overhead_pct;
 }

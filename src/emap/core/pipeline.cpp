@@ -111,10 +111,9 @@ EmapPipeline::EmapPipeline(mdb::MdbStore store, EmapConfig config,
   config_.validate();
   options_.fault.validate();
   options_.retry.validate();
-  options_.robust.validate();
   options_.recovery.validate();
-  require(options_.alert_rules.empty() || options_.metrics != nullptr,
-          "PipelineOptions: alert_rules need a metrics registry");
+  require(!options_.alerts || options_.metrics != nullptr,
+          "PipelineOptions: alerts need a metrics registry");
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& registry = *options_.metrics;
     cloud_.set_metrics(&registry);

@@ -95,11 +95,6 @@ struct PipelineOptions {
   /// how the SLO integration test provokes deadline misses on demand.
   std::optional<sim::DeviceProfile> edge_device;
   std::optional<sim::DeviceProfile> cloud_device;
-  /// Closed-loop robustness subsystem: burn-rate-driven degradation
-  /// controller, cloud-link circuit breaker, stuck-stage watchdog, and the
-  /// signal-quality gate.  Defaults are behaviour-preserving on a clean
-  /// run (the controller stays NOMINAL and nothing is shed or gated).
-  robust::RobustOptions robust{};
   /// Crash-consistent checkpoint/restore (robust/checkpoint.hpp).  With a
   /// checkpoint_dir set, the pipeline snapshots the full resumable session
   /// state every `interval_windows` completed windows; with resume = true
@@ -111,10 +106,10 @@ struct PipelineOptions {
   /// points fire inside the window loop and the checkpoint writer; see
   /// robust::crash_point_catalog() for the registered names.
   robust::CrashPointRegistry* crashpoints = nullptr;
-  /// Alert rules evaluated against `metrics` at the end of every window,
-  /// on the virtual clock.  Non-empty requires metrics != nullptr; empty
-  /// (the default) evaluates nothing.
-  std::vector<obs::AlertRule> alert_rules{};
+  /// Evaluate the built-in alert rules (obs/alert.hpp) against `metrics`
+  /// at the end of every window, on the virtual clock.  Requires
+  /// metrics != nullptr.
+  bool alerts = false;
 };
 
 /// Why a window issued no cloud call, in the order Session::track checks.
@@ -211,7 +206,7 @@ struct RunResult {
   /// robust::write_robust_summary.
   robust::RobustSummary robust;
   /// Alert engine after the run — rule states and the transition log
-  /// (null when options.alert_rules is empty); export with
+  /// (null when options.alerts is off); export with
   /// AlertEngine::write_jsonl.
   std::shared_ptr<obs::AlertEngine> alerts;
 

@@ -34,10 +34,10 @@ Session::Session(const EmapPipeline& pipeline, const synth::Recording& input,
       config_fp_(pipeline.config_.fingerprint()),
       input_fp_(crc32(input.samples.data(),
                       input.samples.size() * sizeof(double))),
-      controller_(options_.robust.degrade, options_.metrics),
-      breaker_(options_.robust.breaker, options_.metrics),
-      watchdog_(options_.robust.watchdog, options_.metrics),
-      quality_(options_.robust.quality, options_.metrics) {
+      controller_(options_.metrics),
+      breaker_(options_.metrics),
+      watchdog_(options_.metrics),
+      quality_(options_.metrics) {
   require(std::abs(input.fs() - config_.base_fs_hz) < 1e-9,
           "run: input must be sampled at the base rate");
   const std::size_t window = config_.window_length;
@@ -55,13 +55,12 @@ Session::Session(const EmapPipeline& pipeline, const synth::Recording& input,
     crashpoints_->set_flight_recorder(flight_);
   }
 
-  if (!options_.alert_rules.empty()) {
+  if (options_.alerts) {
     obs::AlertEngine::Hooks hooks;
     hooks.registry = options_.metrics;
     hooks.tracer = tracer_;
     hooks.flight = flight_;
-    alert_engine_ =
-        std::make_shared<obs::AlertEngine>(options_.alert_rules, hooks);
+    alert_engine_ = std::make_shared<obs::AlertEngine>(hooks);
     result.alerts = alert_engine_;
   }
   edge_slo_.emplace(obs::edge_iteration_slo(), options_.metrics);

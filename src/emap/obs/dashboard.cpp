@@ -16,6 +16,11 @@ namespace emap::obs {
 
 namespace {
 
+// Changepoint gates (see cusum_changepoint) and the ASCII sparkline width.
+constexpr double kCusumK = 0.5;
+constexpr double kCusumH = 5.0;
+constexpr std::size_t kSparkWidth = 48;
+
 double field_number(const std::map<std::string, std::string>& fields,
                     const char* key, double fallback = 0.0) {
   const auto found = fields.find(key);
@@ -132,8 +137,7 @@ AlertLoadResult load_alerts_jsonl(const std::filesystem::path& path) {
   return result;
 }
 
-Changepoint cusum_changepoint(const std::vector<SeriesBucket>& buckets,
-                              double k, double h) {
+Changepoint cusum_changepoint(const std::vector<SeriesBucket>& buckets) {
   Changepoint result;
   const std::size_t n = buckets.size();
   if (n < 4) {
@@ -185,7 +189,8 @@ Changepoint cusum_changepoint(const std::vector<SeriesBucket>& buckets,
   // Two gates reject stationary wobble: the excursion must clear h
   // (stddev-bucket units — a bounded oscillation's prefix sums stay
   // small) and the implied level shift must clear k stddevs.
-  if (peak <= h || std::abs(after_mean - before_mean) <= k * stddev) {
+  if (peak <= kCusumH ||
+      std::abs(after_mean - before_mean) <= kCusumK * stddev) {
     return result;
   }
   result.found = true;
@@ -240,16 +245,17 @@ std::vector<double> bucket_means(const LoadedSeries& series) {
   return means;
 }
 
-bool series_selected(const LoadedSeries& series, const ReportOptions& options) {
-  return options.series_filter.empty() ||
-         series.key.find(options.series_filter) != std::string::npos;
+bool series_selected(const LoadedSeries& series,
+                     const std::string& series_filter) {
+  return series_filter.empty() ||
+         series.key.find(series_filter) != std::string::npos;
 }
 
 }  // namespace
 
 std::string render_ascii_report(const SeriesLoadResult& series,
                                 const AlertLoadResult& alerts,
-                                const ReportOptions& options) {
+                                const std::string& series_filter) {
   std::ostringstream out;
   out << "series report (" << series.series.size() << " series";
   if (series.skipped_lines > 0) {
@@ -258,13 +264,13 @@ std::string render_ascii_report(const SeriesLoadResult& series,
   out << ")\n\n";
   std::size_t key_width = 6;
   for (const LoadedSeries& one : series.series) {
-    if (series_selected(one, options)) {
+    if (series_selected(one, series_filter)) {
       key_width = std::max(key_width, one.key.size());
     }
   }
   key_width = std::min<std::size_t>(key_width, 56);
   for (const LoadedSeries& one : series.series) {
-    if (!series_selected(one, options)) {
+    if (!series_selected(one, series_filter)) {
       continue;
     }
     const std::vector<double> means = bucket_means(one);
@@ -279,7 +285,7 @@ std::string render_ascii_report(const SeriesLoadResult& series,
       key = key.substr(0, key_width - 3) + "...";
     }
     out << "  " << key << std::string(key_width - key.size() + 2, ' ')
-        << sparkline(means, options.spark_width) << "\n";
+        << sparkline(means, kSparkWidth) << "\n";
     out << "  " << std::string(key_width + 2, ' ') << "n=" << means.size()
         << " min=" << format_number(lo) << " max=" << format_number(hi);
     if (!one.buckets.empty()) {
@@ -287,8 +293,7 @@ std::string render_ascii_report(const SeriesLoadResult& series,
           << format_number(one.buckets.front().t_start_sec) << "s, "
           << format_number(one.buckets.back().t_end_sec) << "s]";
     }
-    const Changepoint change =
-        cusum_changepoint(one.buckets, options.cusum_k, options.cusum_h);
+    const Changepoint change = cusum_changepoint(one.buckets);
     if (change.found) {
       out << "\n  " << std::string(key_width + 2, ' ')
           << "changepoint t=" << format_number(change.t_sec)
@@ -398,7 +403,7 @@ std::string svg_chart(const LoadedSeries& series,
 
 std::string render_html_report(const SeriesLoadResult& series,
                                const AlertLoadResult& alerts,
-                               const ReportOptions& options) {
+                               const std::string& series_filter) {
   std::ostringstream out;
   out << "<!doctype html><html><head><meta charset=\"utf-8\">"
          "<title>emap soak report</title><style>"
@@ -436,11 +441,10 @@ std::string render_html_report(const SeriesLoadResult& series,
   }
   out << "<h2>Series</h2>";
   for (const LoadedSeries& one : series.series) {
-    if (!series_selected(one, options)) {
+    if (!series_selected(one, series_filter)) {
       continue;
     }
-    const Changepoint change =
-        cusum_changepoint(one.buckets, options.cusum_k, options.cusum_h);
+    const Changepoint change = cusum_changepoint(one.buckets);
     out << "<h3 style=\"font-size:13px;margin-bottom:2px\">"
         << html_escape(one.key) << " <span class=\"meta\">("
         << one.buckets.size() << " windows)</span></h3>";

@@ -12,9 +12,10 @@
 // fact: per-window values are standardized against the column's own
 // mean/stddev, and the changepoint is the peak of the cumulative-sum
 // curve of those deviations (the offline CUSUM estimator — a level shift
-// makes |ΣZ| a tent whose apex is the shift window).  `h` gates the peak
-// height and `k` the implied shift, which in the soak test lands the
-// estimate within a couple of windows of the injected step.
+// makes |ΣZ| a tent whose apex is the shift window).  The peak height
+// must clear h = 5 and the implied shift k = 0.5 stddevs, which in the
+// soak test lands the estimate within a couple of windows of the injected
+// step.
 #pragma once
 
 #include <cstddef>
@@ -87,35 +88,28 @@ struct Changepoint {
   double shift = 0.0;            ///< mean after - mean before, in raw units
 };
 
-/// Offline CUSUM over the per-bucket means.  `h` is the minimum peak of
-/// the standardized cumulative-sum curve (stddev-bucket units) and `k`
-/// the minimum level shift in stddevs; both must clear for found=true.
-/// Returns found=false for constant or short (< 4 bucket) series.
-Changepoint cusum_changepoint(const std::vector<SeriesBucket>& buckets,
-                              double k = 0.5, double h = 5.0);
+/// Offline CUSUM over the per-bucket means.  The peak of the standardized
+/// cumulative-sum curve must exceed 5 (stddev-bucket units) and the level
+/// shift 0.5 stddevs for found=true.  Returns found=false for constant or
+/// short (< 4 bucket) series.
+Changepoint cusum_changepoint(const std::vector<SeriesBucket>& buckets);
 
 /// `width`-character sparkline of `values` (min..max mapped onto eight
 /// block glyphs); values are resampled onto the width by bucketing.
 std::string sparkline(const std::vector<double>& values, std::size_t width);
 
-struct ReportOptions {
-  std::size_t spark_width = 48;
-  double cusum_k = 0.5;
-  double cusum_h = 5.0;
-  /// Render only series whose key contains this substring (empty = all).
-  std::string series_filter;
-};
-
 /// Plain-text dashboard: one row per series (count span min/mean/max,
-/// sparkline, changepoint), then an alert-transition table.
+/// 48-character sparkline, changepoint), then an alert-transition table.
+/// Only series whose key contains `series_filter` are rendered (empty =
+/// all).
 std::string render_ascii_report(const SeriesLoadResult& series,
                                 const AlertLoadResult& alerts,
-                                const ReportOptions& options = {});
+                                const std::string& series_filter = {});
 
 /// Self-contained HTML page (inline SVG charts, alert markers, no
-/// external assets).
+/// external assets), filtered like render_ascii_report.
 std::string render_html_report(const SeriesLoadResult& series,
                                const AlertLoadResult& alerts,
-                               const ReportOptions& options = {});
+                               const std::string& series_filter = {});
 
 }  // namespace emap::obs

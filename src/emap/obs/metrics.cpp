@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "emap/common/error.hpp"
 
@@ -123,19 +122,6 @@ Labels sorted_labels(Labels labels) {
 
 }  // namespace
 
-std::size_t MetricsRegistry::max_series_per_family() const {
-  if (max_series_cache_ == 0) {
-    max_series_cache_ = kDefaultMaxSeriesPerFamily;
-    if (const char* env = std::getenv("EMAP_METRICS_MAX_SERIES")) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed > 0) {
-        max_series_cache_ = static_cast<std::size_t>(parsed);
-      }
-    }
-  }
-  return max_series_cache_;
-}
-
 MetricEntry& MetricsRegistry::sink_for(MetricKind kind,
                                        std::vector<double>* bounds) {
   auto& sink = sinks_[static_cast<std::size_t>(kind)];
@@ -187,7 +173,7 @@ MetricEntry& MetricsRegistry::lookup_locked(const std::string& name,
   // Cardinality guard: refuse the cap-breaking label-set, account for it,
   // and hand back a sink so the (cached) call site still has a live
   // instrument to record into.
-  if (family_series_[name] >= max_series_per_family()) {
+  if (family_series_[name] >= kMaxSeriesPerFamily) {
     dropped_series_.fetch_add(1, std::memory_order_relaxed);
     if (name != "emap_metrics_dropped_series_total") {
       // The recursion is bounded: the inner name differs from the outer,
@@ -201,9 +187,8 @@ MetricEntry& MetricsRegistry::lookup_locked(const std::string& name,
       family_warned_[name] = true;
       std::fprintf(stderr,
                    "emap: metric family '%s' hit the %zu-series cardinality "
-                   "cap (EMAP_METRICS_MAX_SERIES); further label-sets are "
-                   "dropped\n",
-                   name.c_str(), max_series_per_family());
+                   "cap; further label-sets are dropped\n",
+                   name.c_str(), kMaxSeriesPerFamily);
     }
     return sink_for(kind, bounds);
   }

@@ -140,15 +140,12 @@ class MetricsRegistry {
   std::size_t family_count() const;
 
   /// Cardinality guard: at most this many distinct label-sets per metric
-  /// family.  Defaults to 1000, overridable via EMAP_METRICS_MAX_SERIES
-  /// (read once, at the first registration).  Registrations past the cap
-  /// return an unregistered sink instrument (reference-stable, recorded
-  /// into but never exported or scraped), bump
-  /// `emap_metrics_dropped_series_total{metric="<family>"}`, and warn on
-  /// stderr once per family — a labels-from-user-input bug degrades into
-  /// one counter instead of unbounded registry growth.
-  static constexpr std::size_t kDefaultMaxSeriesPerFamily = 1000;
-  std::size_t max_series_per_family() const;
+  /// family.  Registrations past the cap return an unregistered sink
+  /// instrument (reference-stable, recorded into but never exported or
+  /// scraped), bump `emap_metrics_dropped_series_total{metric="<family>"}`,
+  /// and warn on stderr once per family — a labels-from-user-input bug
+  /// degrades into one counter instead of unbounded registry growth.
+  static constexpr std::size_t kMaxSeriesPerFamily = 1000;
   /// Series registrations refused by the guard so far.
   std::uint64_t dropped_series() const {
     return dropped_series_.load(std::memory_order_relaxed);
@@ -172,7 +169,6 @@ class MetricsRegistry {
   std::unordered_map<std::string, bool> family_warned_;
   std::unique_ptr<MetricEntry> sinks_[3];  // one per MetricKind
   std::atomic<std::uint64_t> dropped_series_{0};
-  mutable std::size_t max_series_cache_ = 0;  // 0 = env not read yet
 };
 
 }  // namespace emap::obs

@@ -40,6 +40,12 @@ struct SloSpec {
   std::size_t burn_window = 60;
 };
 
+/// Burn rate above which an SLO is burning: 1.0 consumes the error budget
+/// exactly as fast as the target allows.  SloMonitor::healthy(), the
+/// degradation controller's entry pressure and the built-in burn alerts
+/// all read this one limit.
+inline constexpr double kBurnRateLimit = 1.0;
+
 /// The paper's two budgets (Section V / Eq. 4).
 SloSpec edge_iteration_slo();   ///< track step < 1 s SimTime
 SloSpec initial_response_slo(); ///< Δ_initial ≤ 3 s SimTime
@@ -98,8 +104,8 @@ class SloMonitor {
   /// budget exactly as fast as the target allows.
   double burn_rate() const;
 
-  /// Burn rate <= 1 (no observations counts as healthy).
-  bool healthy() const { return burn_rate() <= 1.0; }
+  /// Burn rate <= kBurnRateLimit (no observations counts as healthy).
+  bool healthy() const { return burn_rate() <= kBurnRateLimit; }
 
   SloSummary summary() const;
 

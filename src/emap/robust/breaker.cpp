@@ -18,20 +18,9 @@ const char* breaker_state_name(BreakerState state) {
   return "?";
 }
 
-void BreakerOptions::validate() const {
-  require(window >= 1, "BreakerOptions: window must be >= 1");
-  require(open_after_failures >= 1 && open_after_failures <= window,
-          "BreakerOptions: need 1 <= open_after_failures <= window");
-  require(cooldown_sec > 0.0, "BreakerOptions: cooldown_sec must be > 0");
-  require(half_open_successes >= 1,
-          "BreakerOptions: half_open_successes must be >= 1");
-}
-
-CircuitBreaker::CircuitBreaker(BreakerOptions options,
-                               obs::MetricsRegistry* registry)
-    : options_(options), registry_(registry) {
-  options_.validate();
-  recent_failure_.assign(options_.window, false);
+CircuitBreaker::CircuitBreaker(obs::MetricsRegistry* registry)
+    : registry_(registry) {
+  recent_failure_.assign(kBreakerWindow, false);
   if (registry_ != nullptr) {
     state_metric_ = &registry_->gauge(
         "emap_robust_breaker_state", {},
@@ -53,7 +42,7 @@ std::size_t CircuitBreaker::window_failures_locked() const {
 
 void CircuitBreaker::trip_locked(double now_sec) {
   state_ = BreakerState::kOpen;
-  open_until_ = now_sec + options_.cooldown_sec;
+  open_until_ = now_sec + kBreakerCooldownSec;
   probe_successes_ = 0;
   ++summary_.opens;
   if (opens_metric_ != nullptr) {
@@ -92,10 +81,10 @@ void CircuitBreaker::record_success(double now_sec) {
   ++summary_.successes;
   if (state_ == BreakerState::kHalfOpen) {
     ++probe_successes_;
-    if (probe_successes_ >= options_.half_open_successes) {
+    if (probe_successes_ >= kBreakerHalfOpenSuccesses) {
       state_ = BreakerState::kClosed;
       open_until_ = 0.0;
-      recent_failure_.assign(options_.window, false);
+      recent_failure_.assign(kBreakerWindow, false);
       recent_next_ = 0;
       recent_count_ = 0;
       if (state_metric_ != nullptr) {
@@ -106,8 +95,8 @@ void CircuitBreaker::record_success(double now_sec) {
   }
   if (state_ == BreakerState::kClosed) {
     recent_failure_[recent_next_] = false;
-    recent_next_ = (recent_next_ + 1) % options_.window;
-    recent_count_ = std::min(recent_count_ + 1, options_.window);
+    recent_next_ = (recent_next_ + 1) % kBreakerWindow;
+    recent_count_ = std::min(recent_count_ + 1, kBreakerWindow);
   }
 }
 
@@ -121,9 +110,9 @@ void CircuitBreaker::record_failure(double now_sec) {
   }
   if (state_ == BreakerState::kClosed) {
     recent_failure_[recent_next_] = true;
-    recent_next_ = (recent_next_ + 1) % options_.window;
-    recent_count_ = std::min(recent_count_ + 1, options_.window);
-    if (window_failures_locked() >= options_.open_after_failures) {
+    recent_next_ = (recent_next_ + 1) % kBreakerWindow;
+    recent_count_ = std::min(recent_count_ + 1, kBreakerWindow);
+    if (window_failures_locked() >= kBreakerOpenAfterFailures) {
       trip_locked(now_sec);
     }
   }
@@ -167,8 +156,8 @@ BreakerCheckpoint CircuitBreaker::checkpoint() const {
 void CircuitBreaker::restore(const BreakerCheckpoint& saved) {
   std::lock_guard<std::mutex> lock(mutex_);
   require(saved.recent_failure.size() == recent_failure_.size() &&
-              saved.recent_next < options_.window &&
-              saved.recent_count <= options_.window,
+              saved.recent_next < kBreakerWindow &&
+              saved.recent_count <= kBreakerWindow,
           "CircuitBreaker::restore: saved state does not match this "
           "breaker's window");
   state_ = saved.state;

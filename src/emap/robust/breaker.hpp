@@ -8,7 +8,7 @@
 // short-circuits cloud calls instantly (the pipeline keeps tracking its
 // stale set at zero extra latency) until a SimTime cooldown expires;
 // HALF_OPEN lets probe calls through and closes again only after a
-// configurable run of successes.  allow() at any instant at or past the
+// run of successes.  allow() at any instant at or past the
 // cooldown expiry always admits a probe, so the breaker can never stay
 // OPEN forever — a property test holds it to that.
 //
@@ -30,20 +30,14 @@ enum class BreakerState { kClosed, kOpen, kHalfOpen };
 /// Lowercase state label ("closed", "open", "half_open").
 const char* breaker_state_name(BreakerState state);
 
-/// Breaker tuning knobs.
-struct BreakerOptions {
-  /// Rolling window of recent call outcomes consulted in CLOSED.
-  std::size_t window = 8;
-  /// Failures within the window that trip the breaker OPEN.
-  std::size_t open_after_failures = 4;
-  /// SimTime seconds OPEN before the first HALF_OPEN probe is admitted.
-  double cooldown_sec = 5.0;
-  /// Consecutive probe successes in HALF_OPEN required to close.
-  std::size_t half_open_successes = 2;
-
-  /// Throws InvalidArgument when a knob is out of range.
-  void validate() const;
-};
+/// Rolling window of recent call outcomes consulted in CLOSED.
+inline constexpr std::size_t kBreakerWindow = 8;
+/// Failures within the window that trip the breaker OPEN.
+inline constexpr std::size_t kBreakerOpenAfterFailures = 4;
+/// SimTime seconds OPEN before the first HALF_OPEN probe is admitted.
+inline constexpr double kBreakerCooldownSec = 5.0;
+/// Consecutive probe successes in HALF_OPEN required to close.
+inline constexpr std::size_t kBreakerHalfOpenSuccesses = 2;
 
 /// Counters embeddable in the RunResult robustness summary.
 struct BreakerSummary {
@@ -71,8 +65,7 @@ struct BreakerCheckpoint {
 class CircuitBreaker {
  public:
   /// `registry` is borrowed and may be null (summary-only operation).
-  explicit CircuitBreaker(BreakerOptions options = {},
-                          obs::MetricsRegistry* registry = nullptr);
+  explicit CircuitBreaker(obs::MetricsRegistry* registry = nullptr);
 
   /// Whether a call may be issued at SimTime `now_sec`.  In OPEN this is
   /// where the cooldown expiry is checked: at or past it the breaker moves
@@ -94,20 +87,18 @@ class CircuitBreaker {
   double retry_after_hint(double now_sec) const;
 
   BreakerSummary summary() const;
-  const BreakerOptions& options() const { return options_; }
 
   /// Captures the restorable state (checkpoint support).
   BreakerCheckpoint checkpoint() const;
 
   /// Restores a saved state.  Throws InvalidArgument when the saved ring
-  /// does not match this breaker's window.
+  /// does not match kBreakerWindow.
   void restore(const BreakerCheckpoint& saved);
 
  private:
   void trip_locked(double now_sec);
   std::size_t window_failures_locked() const;
 
-  BreakerOptions options_;
   mutable std::mutex mutex_;
   BreakerState state_ = BreakerState::kClosed;
   double open_until_ = 0.0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "emap/common/error.hpp"
+#include "emap/obs/slo.hpp"
 
 namespace emap::robust {
 
@@ -20,24 +21,8 @@ const char* degrade_state_name(DegradeState state) {
   return "?";
 }
 
-void DegradeOptions::validate() const {
-  require(enter_burn_rate > 0.0,
-          "DegradeOptions: enter_burn_rate must be > 0");
-  require(max_shed_level >= 1 && max_shed_level <= 8,
-          "DegradeOptions: max_shed_level must be in [1, 8]");
-  require(escalate_after >= 1, "DegradeOptions: escalate_after must be >= 1");
-  require(critical_after >= 1, "DegradeOptions: critical_after must be >= 1");
-  require(critical_hold >= 1, "DegradeOptions: critical_hold must be >= 1");
-  require(recover_after >= 1, "DegradeOptions: recover_after must be >= 1");
-  require(step_up_after >= 1, "DegradeOptions: step_up_after must be >= 1");
-  require(queue_pressure_enter > 0.0 && queue_pressure_enter <= 1.0,
-          "DegradeOptions: queue_pressure_enter must be in (0, 1]");
-}
-
-DegradationController::DegradationController(DegradeOptions options,
-                                             obs::MetricsRegistry* registry)
-    : options_(options), registry_(registry) {
-  options_.validate();
+DegradationController::DegradationController(obs::MetricsRegistry* registry)
+    : registry_(registry) {
   if (registry_ != nullptr) {
     state_metric_ = &registry_->gauge(
         "emap_robust_state", {},
@@ -74,7 +59,7 @@ void DegradationController::transition_locked(DegradeState to,
     recovered_since_miss_ = true;
   }
   if (to == DegradeState::kCritical) {
-    critical_left_ = options_.critical_hold;
+    critical_left_ = kCriticalHold;
   }
   if (state_metric_ != nullptr) {
     state_metric_->set(static_cast<double>(state_));
@@ -90,7 +75,7 @@ void DegradationController::transition_locked(DegradeState to,
 }
 
 void DegradationController::set_level_locked(std::size_t level) {
-  shed_level_ = std::min(level, options_.max_shed_level);
+  shed_level_ = std::min(level, kMaxShedLevel);
   summary_.max_shed_level = std::max(summary_.max_shed_level, shed_level_);
   if (level_metric_ != nullptr) {
     level_metric_->set(static_cast<double>(shed_level_));
@@ -117,7 +102,7 @@ void DegradationController::observe_window(const WindowSignal& signal) {
   if (signal.stage_stuck) {
     transition_locked(DegradeState::kCritical, signal.window_index,
                       signal.t_sec);
-    set_level_locked(options_.max_shed_level);
+    set_level_locked(kMaxShedLevel);
     summary_.final_state = state_;
     return;
   }
@@ -157,12 +142,10 @@ void DegradationController::observe_window(const WindowSignal& signal) {
   // Queue-depth pressure joins burn rate as a shed signal (streaming mode):
   // a backlog between stages means the edge is falling behind the window
   // cadence even when each individual step stays inside its budget.
-  const bool queue_pressure =
-      signal.queue_pressure >= options_.queue_pressure_enter;
+  const bool queue_pressure = signal.queue_pressure >= kQueuePressureEnter;
   const bool pressure =
       signal.deadline_miss || queue_pressure ||
-      (signal.burn_rate > options_.enter_burn_rate &&
-       !recovered_since_miss_);
+      (signal.burn_rate > obs::kBurnRateLimit && !recovered_since_miss_);
   // A pressured queue disqualifies the window from counting as clean even
   // when its own latency was fine: recovery must wait for the backlog to
   // drain, not just for one good step.
@@ -182,9 +165,9 @@ void DegradationController::observe_window(const WindowSignal& signal) {
       break;
 
     case DegradeState::kDegraded:
-      if (signal.deadline_miss && shed_level_ >= options_.max_shed_level) {
+      if (signal.deadline_miss && shed_level_ >= kMaxShedLevel) {
         ++miss_streak_;
-        if (miss_streak_ >= options_.critical_after) {
+        if (miss_streak_ >= kCriticalAfter) {
           transition_locked(DegradeState::kCritical, signal.window_index,
                             signal.t_sec);
           break;
@@ -195,15 +178,14 @@ void DegradationController::observe_window(const WindowSignal& signal) {
       if (signal.deadline_miss) {
         clean_streak_ = 0;
         ++bad_streak_;
-        if (bad_streak_ >= options_.escalate_after &&
-            shed_level_ < options_.max_shed_level) {
+        if (bad_streak_ >= kEscalateAfter && shed_level_ < kMaxShedLevel) {
           set_level_locked(shed_level_ + 1);
           bad_streak_ = 0;
         }
       } else if (clean) {
         bad_streak_ = 0;
         ++clean_streak_;
-        if (clean_streak_ >= options_.recover_after) {
+        if (clean_streak_ >= kRecoverAfter) {
           transition_locked(DegradeState::kRecovering, signal.window_index,
                             signal.t_sec);
         }
@@ -222,7 +204,7 @@ void DegradationController::observe_window(const WindowSignal& signal) {
       }
       if (clean) {
         ++clean_streak_;
-        if (clean_streak_ >= options_.step_up_after) {
+        if (clean_streak_ >= kStepUpAfter) {
           clean_streak_ = 0;
           if (shed_level_ > 0) {
             set_level_locked(shed_level_ - 1);
@@ -247,7 +229,7 @@ void DegradationController::force_critical(std::size_t window_index,
                                            double t_sec) {
   std::lock_guard<std::mutex> lock(mutex_);
   transition_locked(DegradeState::kCritical, window_index, t_sec);
-  set_level_locked(options_.max_shed_level);
+  set_level_locked(kMaxShedLevel);
   summary_.final_state = state_;
 }
 
@@ -312,9 +294,9 @@ DegradeCheckpoint DegradationController::checkpoint() const {
 
 void DegradationController::restore(const DegradeCheckpoint& saved) {
   std::lock_guard<std::mutex> lock(mutex_);
-  require(saved.shed_level <= options_.max_shed_level,
+  require(saved.shed_level <= kMaxShedLevel,
           "DegradationController::restore: saved shed level exceeds "
-          "max_shed_level");
+          "kMaxShedLevel");
   state_ = saved.state;
   shed_level_ = static_cast<std::size_t>(saved.shed_level);
   bad_streak_ = static_cast<std::size_t>(saved.bad_streak);

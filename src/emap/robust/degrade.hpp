@@ -15,7 +15,7 @@
 // curves re-check stride, and defers non-essential telemetry flushes.  In
 // CRITICAL the pipeline stops tracking entirely and serves the last-known
 // P_A with an explicit flag.  RECOVERING restores capacity hysteretically:
-// each step back up requires `step_up_after` consecutive clean windows, so
+// each step back up requires kStepUpAfter consecutive clean windows, so
 // a marginal edge device settles at its sustainable shed level instead of
 // flapping.  Within any single window the shed level moves by at most one
 // step (monotone per-window adjustment — a property test asserts this).
@@ -41,40 +41,31 @@ enum class DegradeState { kNominal, kDegraded, kCritical, kRecovering };
 /// Lowercase state label ("nominal", "degraded", ...).
 const char* degrade_state_name(DegradeState state);
 
-/// Tuning knobs of the degradation state machine.
-struct DegradeOptions {
-  /// Rolling burn rate above which a window counts as pressure even
-  /// without a hard deadline miss (burn > 1 means the error budget is
-  /// being consumed faster than the SLO target allows).
-  double enter_burn_rate = 1.0;
-  /// Shed levels available: level L caps the tracked set at
-  /// top_k >> L (100 → 50 → 25 with the paper's top-100) and widens the
-  /// re-check stride by 2^L.
-  std::size_t max_shed_level = 2;
-  /// Consecutive pressured windows before stepping one shed level deeper.
-  std::size_t escalate_after = 2;
-  /// Consecutive deadline misses at the deepest shed level before the
-  /// controller gives up tracking and enters CRITICAL.
-  std::size_t critical_after = 4;
-  /// Windows spent in CRITICAL before attempting RECOVERING.
-  std::size_t critical_hold = 5;
-  /// Consecutive clean windows in DEGRADED before entering RECOVERING.
-  std::size_t recover_after = 3;
-  /// Consecutive clean windows in RECOVERING per one-step capacity
-  /// restoration (the anti-flap hysteresis).
-  std::size_t step_up_after = 3;
+// Thresholds of the state machine.  The rolling burn rate counts as entry
+// pressure above obs::kBurnRateLimit.
 
-  /// Stage-queue occupancy (max depth/capacity over the streaming graph's
-  /// queues) at or above which a window counts as pressure even with clean
-  /// latency — a backlog building between stages is early warning the
-  /// burn rate cannot see.  The batch pipeline never reports queue
-  /// pressure (WindowSignal.queue_pressure stays 0), so this knob is
-  /// behaviour-preserving outside streaming mode.
-  double queue_pressure_enter = 0.75;
-
-  /// Throws InvalidArgument when a knob is out of range.
-  void validate() const;
-};
+/// Shed levels available: level L caps the tracked set at top_k >> L
+/// (100 -> 50 -> 25 with the paper's top-100) and widens the re-check
+/// stride by 2^L.
+inline constexpr std::size_t kMaxShedLevel = 2;
+/// Consecutive pressured windows before stepping one shed level deeper.
+inline constexpr std::size_t kEscalateAfter = 2;
+/// Consecutive deadline misses at the deepest shed level before the
+/// controller gives up tracking and enters CRITICAL.
+inline constexpr std::size_t kCriticalAfter = 4;
+/// Windows spent in CRITICAL before attempting RECOVERING.
+inline constexpr std::size_t kCriticalHold = 5;
+/// Consecutive clean windows in DEGRADED before entering RECOVERING.
+inline constexpr std::size_t kRecoverAfter = 3;
+/// Consecutive clean windows in RECOVERING per one-step capacity
+/// restoration (the anti-flap hysteresis).
+inline constexpr std::size_t kStepUpAfter = 3;
+/// Stage-queue occupancy (max depth/capacity over the streaming graph's
+/// queues) at or above which a window counts as pressure even with clean
+/// latency: a backlog building between stages is early warning the burn
+/// rate cannot see.  The batch pipeline never reports queue pressure
+/// (WindowSignal.queue_pressure stays 0).
+inline constexpr double kQueuePressureEnter = 0.75;
 
 /// What the pipeline observed over one completed window.
 struct WindowSignal {
@@ -114,9 +105,9 @@ struct DegradeSummary {
 
 /// Serializable controller state (checkpoint support): everything
 /// observe_window reads or writes, so a restored controller continues the
-/// run bit-identically.  Options are NOT included — the resuming pipeline
-/// must be configured identically, which the session checkpoint enforces
-/// via its config fingerprint.
+/// run bit-identically.  The thresholds are compile-time constants, so a
+/// resuming controller runs under the same ones; restore() still range-
+/// checks the decoded shed level against kMaxShedLevel.
 struct DegradeCheckpoint {
   DegradeState state = DegradeState::kNominal;
   std::uint64_t shed_level = 0;
@@ -134,8 +125,7 @@ struct DegradeCheckpoint {
 class DegradationController {
  public:
   /// `registry` is borrowed and may be null (summary-only operation).
-  explicit DegradationController(DegradeOptions options = {},
-                                 obs::MetricsRegistry* registry = nullptr);
+  explicit DegradationController(obs::MetricsRegistry* registry = nullptr);
 
   /// Feeds one completed window; at most one state/level step is taken.
   void observe_window(const WindowSignal& signal);
@@ -168,14 +158,13 @@ class DegradationController {
 
   const std::vector<DegradeTransition>& transitions() const;
   DegradeSummary summary() const;
-  const DegradeOptions& options() const { return options_; }
 
   /// Captures the restorable state (checkpoint support).
   DegradeCheckpoint checkpoint() const;
 
   /// Restores a saved state; the next observe_window continues exactly
   /// where the saved controller stopped.  Throws InvalidArgument when the
-  /// saved shed level exceeds this controller's max_shed_level.
+  /// saved shed level exceeds kMaxShedLevel.
   void restore(const DegradeCheckpoint& saved);
 
  private:
@@ -183,7 +172,6 @@ class DegradationController {
                          double t_sec);
   void set_level_locked(std::size_t level);
 
-  DegradeOptions options_;
   mutable std::mutex mutex_;
   DegradeState state_ = DegradeState::kNominal;
   std::size_t shed_level_ = 0;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "emap/common/error.hpp"
 #include "emap/dsp/stats.hpp"
 
 namespace emap::robust {
@@ -23,21 +22,8 @@ const char* quality_verdict_name(QualityVerdict verdict) {
   return "?";
 }
 
-void QualityOptions::validate() const {
-  require(flatline_stddev >= 0.0,
-          "QualityOptions: flatline_stddev must be >= 0");
-  require(saturation_limit > 0.0,
-          "QualityOptions: saturation_limit must be > 0");
-  require(saturation_fraction > 0.0 && saturation_fraction <= 1.0,
-          "QualityOptions: saturation_fraction must be in (0, 1]");
-  require(amplitude_limit > 0.0,
-          "QualityOptions: amplitude_limit must be > 0");
-}
-
-SignalQualityGate::SignalQualityGate(QualityOptions options,
-                                     obs::MetricsRegistry* registry)
-    : options_(options), registry_(registry) {
-  options_.validate();
+SignalQualityGate::SignalQualityGate(obs::MetricsRegistry* registry)
+    : registry_(registry) {
   if (registry_ != nullptr) {
     assessed_metric_ = &registry_->counter(
         "emap_robust_quality_windows_total", {},
@@ -54,7 +40,7 @@ QualityReport SignalQualityGate::assess(std::span<const double> raw_window) {
       finite = false;
       break;
     }
-    if (std::abs(sample) >= options_.saturation_limit) {
+    if (std::abs(sample) >= kSaturationLimit) {
       ++clipped;
     }
   }
@@ -68,11 +54,11 @@ QualityReport SignalQualityGate::assess(std::span<const double> raw_window) {
             ? 0.0
             : static_cast<double>(clipped) /
                   static_cast<double>(raw_window.size());
-    if (report.stddev < options_.flatline_stddev) {
+    if (report.stddev < kFlatlineStddev) {
       report.verdict = QualityVerdict::kFlatline;
-    } else if (report.saturated_fraction > options_.saturation_fraction) {
+    } else if (report.saturated_fraction > kSaturationFraction) {
       report.verdict = QualityVerdict::kSaturated;
-    } else if (report.peak_abs > options_.amplitude_limit) {
+    } else if (report.peak_abs > kAmplitudeLimit) {
       report.verdict = QualityVerdict::kArtifact;
     }
   }

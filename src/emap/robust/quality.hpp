@@ -43,22 +43,18 @@ enum class QualityVerdict : std::uint8_t {
 /// Lowercase verdict label ("good", "nan", "flatline", ...).
 const char* quality_verdict_name(QualityVerdict verdict);
 
-/// Gate thresholds.  Defaults are calibrated against the synthesizer's
-/// clean recordings (peak amplitude ~10-15 units) and its artifact models
-/// (electrode pop 60, blink 40): clean windows always pass.
-struct QualityOptions {
-  /// Windows with stddev below this are flatline.
-  double flatline_stddev = 1e-3;
-  /// |sample| at or beyond this counts as clipped.
-  double saturation_limit = 100.0;
-  /// Fraction of clipped samples above which the window is saturated.
-  double saturation_fraction = 0.05;
-  /// Peak |sample| beyond this is a high-amplitude artifact.
-  double amplitude_limit = 50.0;
+// Gate thresholds, calibrated against the synthesizer's clean recordings
+// (peak amplitude ~10-15 units) and its artifact models (electrode pop 60,
+// blink 40): clean windows always pass.
 
-  /// Throws InvalidArgument when a knob is out of range.
-  void validate() const;
-};
+/// Windows with stddev below this are flatline.
+inline constexpr double kFlatlineStddev = 1e-3;
+/// |sample| at or beyond this counts as clipped.
+inline constexpr double kSaturationLimit = 100.0;
+/// Fraction of clipped samples above which the window is saturated.
+inline constexpr double kSaturationFraction = 0.05;
+/// Peak |sample| beyond this is a high-amplitude artifact.
+inline constexpr double kAmplitudeLimit = 50.0;
 
 /// What the gate saw in one window.
 struct QualityReport {
@@ -86,17 +82,14 @@ struct QualitySummary {
 class SignalQualityGate {
  public:
   /// `registry` is borrowed and may be null (summary-only operation).
-  explicit SignalQualityGate(QualityOptions options = {},
-                             obs::MetricsRegistry* registry = nullptr);
+  explicit SignalQualityGate(obs::MetricsRegistry* registry = nullptr);
 
   /// Classifies one raw window and updates the counters.
   QualityReport assess(std::span<const double> raw_window);
 
   QualitySummary summary() const;
-  const QualityOptions& options() const { return options_; }
 
  private:
-  QualityOptions options_;
   mutable std::mutex mutex_;
   QualitySummary summary_;
   obs::MetricsRegistry* registry_ = nullptr;

@@ -7,13 +7,6 @@
 
 namespace emap::robust {
 
-void RobustOptions::validate() const {
-  degrade.validate();
-  breaker.validate();
-  watchdog.validate();
-  quality.validate();
-}
-
 std::string robust_summary_json(const RobustSummary& summary) {
   obs::JsonWriter writer;
   writer.field("final_state",

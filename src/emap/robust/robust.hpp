@@ -1,10 +1,9 @@
-// Aggregate options/summary of the robustness subsystem.
+// Aggregate summary of the robustness subsystem.
 //
-// One options struct the pipeline embeds (PipelineOptions::robust) and one
-// summary struct the RunResult carries, so callers configure and read the
-// whole closed loop — degradation controller, circuit breaker, watchdog,
-// quality gate — in one place.  See docs/robustness.md for the control
-// loop and threshold map.
+// One summary struct the RunResult carries, so callers read the whole
+// closed loop — degradation controller, circuit breaker, watchdog, quality
+// gate — in one place.  Each module's thresholds are constants in its own
+// header; see docs/robustness.md for the control loop and threshold map.
 #pragma once
 
 #include <cstddef>
@@ -21,19 +20,6 @@
 #include "emap/robust/watchdog.hpp"
 
 namespace emap::robust {
-
-/// Pipeline-level switches for the closed loop.  Defaults keep a clean
-/// run bit-identical: the controller stays NOMINAL (no shedding), the
-/// breaker stays closed, the gate passes every clean window.
-struct RobustOptions {
-  DegradeOptions degrade{};
-  BreakerOptions breaker{};
-  WatchdogOptions watchdog{};
-  QualityOptions quality{};
-
-  /// Validates every sub-options struct.
-  void validate() const;
-};
 
 /// One streaming stage with its outbound queue (streaming mode only):
 /// supervision counters from the StageSupervisor plus the bounded queue's

@@ -1,19 +1,11 @@
 #include "emap/robust/watchdog.hpp"
 
-#include "emap/common/error.hpp"
+#include "emap/obs/slo.hpp"
 
 namespace emap::robust {
 
-void WatchdogOptions::validate() const {
-  require(budget_sec > 0.0, "WatchdogOptions: budget_sec must be > 0");
-  require(stuck_multiplier >= 1.0,
-          "WatchdogOptions: stuck_multiplier must be >= 1");
-}
-
-StageWatchdog::StageWatchdog(WatchdogOptions options,
-                             obs::MetricsRegistry* registry)
-    : options_(options) {
-  options_.validate();
+StageWatchdog::StageWatchdog(obs::MetricsRegistry* registry)
+    : threshold_sec_(obs::edge_iteration_slo().budget_sec * kStuckMultiplier) {
   if (registry != nullptr) {
     trips_metric_ = &registry->counter(
         "emap_robust_watchdog_trips_total", {},

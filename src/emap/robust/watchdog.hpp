@@ -19,38 +19,27 @@
 
 namespace emap::robust {
 
-/// Watchdog knobs.
-struct WatchdogOptions {
-  /// The stage budget (the paper's 1 s edge iteration).
-  double budget_sec = 1.0;
-  /// A stage taking longer than stuck_multiplier x budget is stuck.
-  double stuck_multiplier = 5.0;
-
-  /// Throws InvalidArgument when a knob is out of range.
-  void validate() const;
-};
+/// A stage taking longer than kStuckMultiplier x the edge iteration
+/// budget (obs::edge_iteration_slo(), the paper's 1 s) is stuck.
+inline constexpr double kStuckMultiplier = 5.0;
 
 /// Detects a stuck stage from its SimTime duration.
 class StageWatchdog {
  public:
   /// `registry` is borrowed and may be null (summary-only operation).
-  explicit StageWatchdog(WatchdogOptions options = {},
-                         obs::MetricsRegistry* registry = nullptr);
+  explicit StageWatchdog(obs::MetricsRegistry* registry = nullptr);
 
   /// Records one stage completion; returns true (and counts a trip) when
   /// the duration crossed the stuck threshold.
   bool check_stage(double duration_sec);
 
   /// Duration above which a stage counts as stuck.
-  double threshold_sec() const {
-    return options_.budget_sec * options_.stuck_multiplier;
-  }
+  double threshold_sec() const { return threshold_sec_; }
 
   std::size_t trips() const;
-  const WatchdogOptions& options() const { return options_; }
 
  private:
-  WatchdogOptions options_;
+  const double threshold_sec_;
   mutable std::mutex mutex_;
   std::size_t trips_ = 0;
   obs::Counter* trips_metric_ = nullptr;

@@ -159,6 +159,22 @@ RunResult robust_run() {
   return pipeline.run(seizure_input(11, 60.0, 45.0));
 }
 
+/// The built-in alert rules over a 150 s run on an edge device 20x slower
+/// than the Raspberry Pi model, so its track steps overrun the 1 s budget.
+RunResult alerting_run(obs::MetricsRegistry& registry) {
+  sim::DeviceProfile edge = sim::edge_raspberry_pi();
+  edge.name = "slowed-edge";
+  edge.mac_ops_per_sec /= 20.0;
+  edge.abs_ops_per_sec /= 20.0;
+  edge.per_signal_overhead_sec *= 20.0;
+  PipelineOptions options;
+  options.edge_device = edge;
+  options.metrics = &registry;
+  options.alerts = true;
+  EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{}, options);
+  return pipeline.run(seizure_input(11, 150.0, 135.0));
+}
+
 /// The decision record explains every window: a call was issued exactly
 /// when no reason says otherwise, every loaded set names the earlier
 /// window whose call delivered it, and the last window carries the run's
@@ -243,6 +259,21 @@ TEST_F(SessionGolden, RobustRunOnSlowedEdge) {
   EXPECT_GE(result.robust.critical_windows, 1u);
   EXPECT_GE(result.robust.deferred_flushes, 1u);
   EXPECT_EQ(digest(result), 0x5090c36au);
+}
+
+// The built-in alert rules over a slowed edge: the latency-step rule
+// fires and resolves as its mean adapts, the edge burn rule fires.  The
+// CRC pins every exported transition byte.
+TEST_F(SessionGolden, BuiltInAlertsOnSlowedEdge) {
+  obs::MetricsRegistry registry;
+  const RunResult result = alerting_run(registry);
+  ASSERT_NE(result.alerts, nullptr);
+  const std::string jsonl = result.alerts->to_jsonl();
+  EXPECT_NE(jsonl.find("\"state\":\"firing\""), std::string::npos);
+  EXPECT_NE(jsonl.find("\"state\":\"resolved\""), std::string::npos);
+  EXPECT_EQ(result.alerts->transitions().size(), 3u);
+  EXPECT_EQ(crc32(jsonl.data(), jsonl.size()), 0x6559e1dfu);
+  EXPECT_EQ(digest(result), 0xf904abf6u);
 }
 
 TEST_F(SessionGolden, RecordExplainsEveryCallDecision) {

@@ -1,22 +1,21 @@
 // Soak: hours of virtual time under the alerting stack and the decision
 // record.
 //
-// The engine-level soak drives the exact series and rules the default
-// alerting installs (default_alert_rules over emap_track_step_seconds:mean
-// and the two SLO burn gauges) straight from a registry through 2+
-// simulated hours with a latency step injected late in the run, then
-// asserts the whole closed loop: the EWMA and burn rules firing with a
-// correlated flight dump, and the offline CUSUM report reconstructing the
-// changepoint from a 7,200-window record within ±2 windows.  The
-// pipeline-level soak runs the real EmapPipeline under the fault injector
-// and pins down determinism (bit-identical record and alert JSONL across
-// identical seeded runs) and that alerting is a pure observer of the run.
+// The engine-level soak drives the exact series the built-in alert rules
+// watch (emap_track_step_seconds:mean and the two SLO burn gauges)
+// straight from a registry through 2+ simulated hours with a latency step
+// injected late in the run, then asserts the whole closed loop: the EWMA
+// and burn rules firing with a correlated flight dump, and the offline
+// CUSUM report reconstructing the changepoint from a 7,200-window record
+// within ±2 windows.  The pipeline-level soak runs the real EmapPipeline
+// under the fault injector and pins down determinism (bit-identical record
+// and alert JSONL across identical seeded runs) and that alerting is a
+// pure observer of the run.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "emap/core/pipeline.hpp"
 #include "emap/core/report.hpp"
@@ -25,6 +24,7 @@
 #include "emap/obs/flight.hpp"
 #include "emap/obs/metrics.hpp"
 #include "emap/obs/span.hpp"
+#include "emap/sim/device.hpp"
 #include "support/test_util.hpp"
 
 namespace emap::core {
@@ -45,18 +45,16 @@ synth::Recording seizure_input(std::uint64_t seed, double duration = 40.0,
   return synth::make_eval_input(spec);
 }
 
-/// The default rules plus one that fires on every window, so the hooks
+/// An edge device 50x slower than the Raspberry Pi model: its track steps
+/// overrun the 1 s budget, so the built-in burn rule fires and the hooks
 /// run inside the pipeline.
-std::vector<obs::AlertRule> firing_rules() {
-  std::vector<obs::AlertRule> rules = obs::default_alert_rules();
-  std::string error;
-  const std::vector<obs::AlertRule> always = obs::parse_alert_rules(
-      "rule windows threshold series=emap_pipeline_windows_total op=gt "
-      "value=0\n",
-      &error);
-  EXPECT_TRUE(error.empty()) << error;
-  rules.insert(rules.end(), always.begin(), always.end());
-  return rules;
+sim::DeviceProfile slowed_edge() {
+  sim::DeviceProfile edge = sim::edge_raspberry_pi();
+  edge.name = "slowed-edge";
+  edge.mac_ops_per_sec /= 50.0;
+  edge.abs_ops_per_sec /= 50.0;
+  edge.per_signal_overhead_sec *= 50.0;
+  return edge;
 }
 
 TEST(Soak, TwoVirtualHoursWithLateLatencyStep) {
@@ -78,7 +76,7 @@ TEST(Soak, TwoVirtualHoursWithLateLatencyStep) {
   hooks.registry = &registry;
   hooks.tracer = &tracer;
   hooks.flight = &flight;
-  obs::AlertEngine engine(obs::default_alert_rules(), hooks);
+  obs::AlertEngine engine(hooks);
 
   // One virtual second per iteration, exactly like the pipeline's window
   // cadence; each window's step time also goes into its record.
@@ -171,10 +169,8 @@ TEST(Soak, TwoVirtualHoursWithLateLatencyStep) {
   const obs::AlertLoadResult alerts =
       obs::load_alerts_jsonl(dir.path() / "alerts.jsonl");
   EXPECT_GE(alerts.transitions.size(), 3u);
-  obs::ReportOptions report_options;
-  report_options.series_filter = "track_device";
   const std::string report =
-      obs::render_ascii_report(loaded, alerts, report_options);
+      obs::render_ascii_report(loaded, alerts, "track_device");
   EXPECT_NE(report.find("changepoint"), std::string::npos);
   EXPECT_NE(report.find("track_latency_step"), std::string::npos);
 }
@@ -183,7 +179,7 @@ TEST(Soak, PipelineEvaluatesAlertsUnderFaults) {
   obs::MetricsRegistry registry;
   PipelineOptions options;
   options.metrics = &registry;
-  options.alert_rules = obs::default_alert_rules();
+  options.alerts = true;
   options.fault.up.drop = 0.2;
   options.fault.seed = 99;
   const auto result =
@@ -191,11 +187,10 @@ TEST(Soak, PipelineEvaluatesAlertsUnderFaults) {
           .run(seizure_input(21));
 
   ASSERT_NE(result.alerts, nullptr);
-  // One evaluation per window, and every default rule found its series.
+  // One evaluation per window, and every built-in rule found its series.
   EXPECT_EQ(result.alerts->evaluations(), result.iterations.size());
-  for (std::size_t i = 0; i < result.alerts->rules().size(); ++i) {
-    EXPECT_TRUE(result.alerts->status(i).ever_evaluated)
-        << result.alerts->rules()[i].name;
+  for (std::size_t i = 0; i < obs::AlertEngine::kRuleCount; ++i) {
+    EXPECT_TRUE(result.alerts->status(i).ever_evaluated) << "rule " << i;
   }
   // A healthy short run fires nothing.
   EXPECT_EQ(result.alerts->firing_count(), 0u);
@@ -206,7 +201,8 @@ TEST(Soak, IdenticalSeededRunsExportBitIdenticalTelemetry) {
     obs::MetricsRegistry registry;
     PipelineOptions options;
     options.metrics = &registry;
-    options.alert_rules = firing_rules();
+    options.alerts = true;
+    options.edge_device = slowed_edge();
     options.fault.up.drop = 0.1;
     options.fault.seed = 7;
     const auto result =
@@ -228,16 +224,15 @@ TEST(Soak, AlertingIsAPureObserverOfTheRun) {
     obs::MetricsRegistry registry;
     PipelineOptions options;
     options.metrics = &registry;
-    if (alerting) {
-      options.alert_rules = firing_rules();
-    }
+    options.edge_device = slowed_edge();
+    options.alerts = alerting;
     return EmapPipeline(emap::testing::small_mdb(4), EmapConfig{}, options)
         .run(seizure_input(41));
   };
   const auto with_alerts = run_with(true);
   const auto without_alerts = run_with(false);
 
-  // No rules = no engine; with rules, transitions happened — and the run
+  // No alerting = no engine; with it, transitions happened — and the run
   // itself is untouched by the observer.
   EXPECT_EQ(without_alerts.alerts, nullptr);
   ASSERT_NE(with_alerts.alerts, nullptr);

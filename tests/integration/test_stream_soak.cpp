@@ -67,7 +67,7 @@ TEST(StreamSoak, TwoVirtualHoursThreadedUnderFaultsAndStageFailures) {
   options.metrics = &registry;
   options.flight = &flight;
   options.crashpoints = &crashpoints;
-  options.alert_rules = obs::default_alert_rules();
+  options.alerts = true;
   options.fault.up.drop = 0.05;
   options.fault.down.drop = 0.05;
   options.fault.seed = 23;

@@ -5,285 +5,202 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <string>
 
 #include "emap/common/error.hpp"
 #include "emap/obs/flight.hpp"
 #include "emap/obs/metrics.hpp"
+#include "emap/obs/slo.hpp"
 #include "emap/obs/span.hpp"
 
 namespace emap::obs {
 namespace {
 
-AlertRule threshold_rule(std::string series, double value,
-                         double for_sec = 0.0, AlertOp op = AlertOp::kGt) {
-  AlertRule rule;
-  rule.name = std::string("r");
-  rule.kind = AlertRuleKind::kThreshold;
-  rule.series = std::move(series);
-  rule.op = op;
-  rule.value = value;
-  rule.for_sec = for_sec;
-  return rule;
-}
+// status() indices of the built-in rules.
+constexpr std::size_t kLatencyStep = 0;
+constexpr std::size_t kEdgeBurn = 1;
+constexpr std::size_t kInitialBurn = 2;
 
-// Drives a single-gauge registry: set value, evaluate.
-struct GaugeHarness {
+constexpr const char* kEdgeBurnSeries =
+    "emap_slo_burn_rate{slo=\"edge_iteration\"}";
+
+// Drives the edge_iteration burn gauge: set value, evaluate.
+struct BurnHarness {
   MetricsRegistry registry;
-  Gauge& gauge = registry.gauge("emap_g");
+  Gauge& burn =
+      registry.gauge("emap_slo_burn_rate", {{"slo", "edge_iteration"}});
   AlertEngine engine;
 
-  explicit GaugeHarness(std::vector<AlertRule> rules,
-                        AlertEngine::Hooks hooks = {})
-      : engine(std::move(rules), hooks) {}
+  explicit BurnHarness(AlertEngine::Hooks hooks = {}) : engine(hooks) {}
 
   std::size_t step(double t_sec, double value, std::uint64_t trace_id = 0) {
-    gauge.set(value);
+    burn.set(value);
     return engine.evaluate(registry, t_sec, trace_id);
   }
 };
 
-AlertRule rate_rule(double value, double window_sec) {
-  AlertRule rule;
-  rule.name = std::string("rate");
-  rule.kind = AlertRuleKind::kRate;
-  rule.series = std::string("emap_c");
-  rule.op = AlertOp::kGt;
-  rule.value = value;
-  rule.window_sec = window_sec;
-  return rule;
-}
+// Drives the track-step histogram with one observation per evaluation, so
+// each interval's mean is that observation.
+struct StepHarness {
+  MetricsRegistry registry;
+  Histogram& track = registry.histogram(
+      "emap_track_step_seconds", {}, Histogram::default_latency_bounds());
+  AlertEngine engine;
 
-TEST(AlertRule, Validation) {
-  AlertRule rule = threshold_rule("emap_g", 1.0);
-  EXPECT_NO_THROW(rule.validate());
-  rule.name.clear();
-  EXPECT_THROW(rule.validate(), std::exception);
-  rule = threshold_rule("", 1.0);
-  EXPECT_THROW(rule.validate(), std::exception);
-  rule = threshold_rule("emap_g", 1.0);
-  rule.kind = AlertRuleKind::kEwma;
-  rule.alpha = 0.0;  // out of (0, 1]
-  EXPECT_THROW(rule.validate(), std::exception);
-}
+  void step(double t_sec, double value) {
+    track.observe(value);
+    engine.evaluate(registry, t_sec);
+  }
+};
 
-TEST(AlertEngine, ThresholdFiresAndResolvesImmediatelyWithoutFor) {
-  GaugeHarness h({threshold_rule("emap_g", 5.0)});
-  EXPECT_EQ(h.step(1.0, 1.0), 0u);
-  EXPECT_EQ(h.engine.status(0).state, AlertState::kInactive);
-  EXPECT_EQ(h.step(2.0, 9.0), 1u);  // breach -> firing (for=0)
-  EXPECT_EQ(h.engine.status(0).state, AlertState::kFiring);
+TEST(AlertEngine, FiresOnceAndResolvesOnTheFirstCleanPass) {
+  BurnHarness h;
+  EXPECT_EQ(h.step(1.0, 0.5), 0u);
+  EXPECT_EQ(h.engine.status(kEdgeBurn).state, AlertState::kInactive);
+  for (double t = 2.0; t < 7.0; t += 1.0) {
+    EXPECT_EQ(h.step(t, 9.0), 0u);  // breach pends through the 5 s hold
+  }
+  EXPECT_EQ(h.step(7.0, 9.0), 1u);  // held 5 s: fires
+  EXPECT_EQ(h.engine.status(kEdgeBurn).state, AlertState::kFiring);
   EXPECT_EQ(h.engine.firing_count(), 1u);
-  EXPECT_EQ(h.step(3.0, 9.5), 0u);  // steady firing: no new transition
-  EXPECT_EQ(h.step(4.0, 1.0), 1u);  // clean -> resolved
-  EXPECT_EQ(h.engine.status(0).state, AlertState::kInactive);
+  EXPECT_EQ(h.step(8.0, 9.5), 0u);  // steady firing: no new transition
+  EXPECT_EQ(h.step(9.0, 0.5), 1u);  // one clean pass resolves
+  EXPECT_EQ(h.engine.status(kEdgeBurn).state, AlertState::kInactive);
   EXPECT_EQ(h.engine.firing_count(), 0u);
 
   ASSERT_EQ(h.engine.transitions().size(), 2u);
   EXPECT_TRUE(h.engine.transitions()[0].firing);
-  EXPECT_EQ(h.engine.transitions()[0].t_sec, 2.0);
+  EXPECT_EQ(h.engine.transitions()[0].rule, "edge_iteration_burn");
+  EXPECT_EQ(h.engine.transitions()[0].series, kEdgeBurnSeries);
+  EXPECT_EQ(h.engine.transitions()[0].t_sec, 7.0);
   EXPECT_EQ(h.engine.transitions()[0].value, 9.0);
-  EXPECT_EQ(h.engine.transitions()[0].threshold, 5.0);
+  EXPECT_EQ(h.engine.transitions()[0].threshold, kBurnRateLimit);
   EXPECT_FALSE(h.engine.transitions()[1].firing);
-  EXPECT_TRUE(h.engine.ever_fired("r"));
-  EXPECT_FALSE(h.engine.ever_fired("other"));
+  EXPECT_EQ(h.engine.transitions()[1].value, 0.5);
+  EXPECT_TRUE(h.engine.ever_fired("edge_iteration_burn"));
+  EXPECT_FALSE(h.engine.ever_fired("initial_response_burn"));
 }
 
 TEST(AlertEngine, ForDurationDebouncesShortBlips) {
-  GaugeHarness h({threshold_rule("emap_g", 5.0, /*for_sec=*/3.0)});
+  BurnHarness h;
   h.step(1.0, 9.0);  // breach starts: pending
-  EXPECT_EQ(h.engine.status(0).state, AlertState::kPending);
+  EXPECT_EQ(h.engine.status(kEdgeBurn).state, AlertState::kPending);
   h.step(2.0, 9.0);
-  h.step(3.0, 1.0);  // blip over before for=3 elapsed: back to inactive
-  EXPECT_EQ(h.engine.status(0).state, AlertState::kInactive);
+  h.step(3.0, 9.0);
+  h.step(4.0, 9.0);
+  h.step(5.0, 0.5);  // blip over before the 5 s hold: back to inactive
+  EXPECT_EQ(h.engine.status(kEdgeBurn).state, AlertState::kInactive);
   EXPECT_TRUE(h.engine.transitions().empty());
 
-  h.step(4.0, 9.0);  // sustained breach
-  h.step(5.0, 9.0);
-  h.step(6.0, 9.0);
-  EXPECT_EQ(h.engine.status(0).state, AlertState::kPending);
-  h.step(7.0, 9.0);  // held 3 s (since t=4): fires
-  EXPECT_EQ(h.engine.status(0).state, AlertState::kFiring);
+  for (double t = 6.0; t < 11.0; t += 1.0) {  // sustained breach
+    h.step(t, 9.0);
+    EXPECT_EQ(h.engine.status(kEdgeBurn).state, AlertState::kPending);
+  }
+  h.step(11.0, 9.0);  // held 5 s (since t=6): fires
+  EXPECT_EQ(h.engine.status(kEdgeBurn).state, AlertState::kFiring);
   ASSERT_EQ(h.engine.transitions().size(), 1u);
-  EXPECT_EQ(h.engine.transitions()[0].t_sec, 7.0);
-}
-
-TEST(AlertEngine, ComparisonOperators) {
-  GaugeHarness h({threshold_rule("emap_g", 5.0, 0.0, AlertOp::kLt)});
-  h.step(1.0, 9.0);
-  EXPECT_EQ(h.engine.status(0).state, AlertState::kInactive);
-  h.step(2.0, 4.0);
-  EXPECT_EQ(h.engine.status(0).state, AlertState::kFiring);
+  EXPECT_EQ(h.engine.transitions()[0].t_sec, 11.0);
 }
 
 TEST(AlertEngine, MissingSeriesNeverBreaches) {
-  GaugeHarness h({threshold_rule("emap_nope", 5.0)});
-  h.step(1.0, 100.0);
-  EXPECT_EQ(h.engine.status(0).state, AlertState::kInactive);
-  EXPECT_FALSE(h.engine.status(0).ever_evaluated);
-  EXPECT_EQ(h.engine.evaluations(), 1u);
-}
-
-TEST(AlertEngine, RateRuleWatchesCounterSlope) {
   MetricsRegistry registry;
-  Counter& counter = registry.counter("emap_c");
-  // Fire above 5 increments/sec.
-  AlertEngine engine({rate_rule(5.0, 10.0)});
-  for (int t = 1; t <= 20; ++t) {
-    counter.increment(2);  // 2/s: under the limit
-    engine.evaluate(registry, static_cast<double>(t));
+  registry.gauge("emap_g").set(100.0);
+  registry.gauge("emap_slo_burn_rate", {{"slo", "other"}}).set(100.0);
+  AlertEngine engine;
+  for (double t = 1.0; t <= 10.0; t += 1.0) {
+    engine.evaluate(registry, t);
   }
-  EXPECT_EQ(engine.status(0).state, AlertState::kInactive);
-  EXPECT_EQ(engine.status(0).last_value, 2.0);
-  for (int t = 21; t <= 40; ++t) {
-    counter.increment(10);  // 10/s: over
-    engine.evaluate(registry, static_cast<double>(t));
+  for (std::size_t i = 0; i < AlertEngine::kRuleCount; ++i) {
+    EXPECT_EQ(engine.status(i).state, AlertState::kInactive) << i;
+    EXPECT_FALSE(engine.status(i).ever_evaluated) << i;
   }
-  EXPECT_EQ(engine.status(0).state, AlertState::kFiring);
-}
-
-TEST(AlertEngine, RateWindowForgetsPointsOlderThanTheWindow) {
-  MetricsRegistry registry;
-  Counter& counter = registry.counter("emap_c");
-  AlertEngine engine({rate_rule(5.0, 3.0)});
-  engine.evaluate(registry, 1.0);  // one point: no slope yet
-  EXPECT_EQ(engine.status(0).last_value, 0.0);
-  counter.increment(100);
-  engine.evaluate(registry, 2.0);  // 100 over 1 s
-  EXPECT_EQ(engine.status(0).last_value, 100.0);
-  EXPECT_EQ(engine.status(0).state, AlertState::kFiring);
-  engine.evaluate(registry, 3.0);
-  engine.evaluate(registry, 4.0);
-  // The window [1, 4] still holds the pre-burst point at t=1.
-  EXPECT_EQ(engine.status(0).last_value, 100.0 / 3.0);
-  engine.evaluate(registry, 5.0);  // [2, 5]: that point has left
-  EXPECT_EQ(engine.status(0).last_value, 0.0);
-  EXPECT_EQ(engine.status(0).state, AlertState::kInactive);
+  EXPECT_EQ(engine.evaluations(), 10u);
 }
 
 TEST(AlertEngine, ResolvesEveryInstrumentKind) {
   MetricsRegistry registry;
-  registry.counter("emap_c", {}, "c").increment(5);
-  registry.gauge("emap_g", {{"shard", "0"}}, "g").set(2.5);
-  Histogram& histogram =
-      registry.histogram("emap_h", {}, Histogram::linear_bounds(0, 10, 10));
-  histogram.observe(1.0);
-  histogram.observe(3.0);
-
-  std::vector<AlertRule> rules;
-  for (const char* key : {"emap_c", "emap_g{shard=\"0\"}", "emap_h:count",
-                          "emap_h:sum", "emap_h:mean", "emap_h:p95",
-                          "emap_h", "emap_c:count", "emap_g"}) {
-    rules.push_back(threshold_rule(key, 1e9));
-  }
-  AlertEngine engine(rules);
+  Histogram& track = registry.histogram(
+      "emap_track_step_seconds", {}, Histogram::linear_bounds(0, 10, 10));
+  track.observe(1.0);
+  track.observe(3.0);
+  registry.gauge("emap_slo_burn_rate", {{"slo", "edge_iteration"}}).set(2.5);
+  registry.gauge("emap_slo_burn_rate", {{"slo", "initial_response"}})
+      .set(0.5);
+  AlertEngine engine;
   engine.evaluate(registry, 1.0);
-
-  EXPECT_EQ(engine.status(0).last_value, 5.0);
-  EXPECT_EQ(engine.status(1).last_value, 2.5);
-  EXPECT_EQ(engine.status(2).last_value, 2.0);
-  EXPECT_EQ(engine.status(3).last_value, 4.0);
-  EXPECT_EQ(engine.status(4).last_value, 2.0);
-  EXPECT_EQ(engine.status(5).last_value, histogram.quantile(0.95));
-  for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_TRUE(engine.status(i).ever_evaluated) << rules[i].series;
+  EXPECT_EQ(engine.status(kLatencyStep).last_value, 2.0);  // histogram mean
+  EXPECT_EQ(engine.status(kEdgeBurn).last_value, 2.5);     // gauge
+  EXPECT_EQ(engine.status(kInitialBurn).last_value, 0.5);
+  for (std::size_t i = 0; i < AlertEngine::kRuleCount; ++i) {
+    EXPECT_TRUE(engine.status(i).ever_evaluated) << i;
   }
-  // A bare histogram name, a suffix on a counter and a label-less key for
-  // a labelled gauge name no registry series.
-  for (std::size_t i = 6; i < rules.size(); ++i) {
-    EXPECT_FALSE(engine.status(i).ever_evaluated) << rules[i].series;
+
+  // The right names with the wrong kinds or labels name no watched
+  // series: a gauge where the histogram belongs, a histogram where the
+  // burn gauge belongs, and a label-less burn gauge.
+  MetricsRegistry wrong;
+  wrong.gauge("emap_track_step_seconds").set(1.0);
+  wrong.histogram("emap_slo_burn_rate", {{"slo", "edge_iteration"}})
+      .observe(5.0);
+  wrong.gauge("emap_slo_burn_rate").set(5.0);
+  AlertEngine blind;
+  blind.evaluate(wrong, 1.0);
+  for (std::size_t i = 0; i < AlertEngine::kRuleCount; ++i) {
+    EXPECT_FALSE(blind.status(i).ever_evaluated) << i;
   }
 }
 
 TEST(AlertEngine, HistogramMeanIsPerIntervalWithCarryForward) {
   MetricsRegistry registry;
-  Histogram& histogram =
-      registry.histogram("emap_h", {}, Histogram::linear_bounds(0, 100, 10));
-  AlertEngine engine({threshold_rule("emap_h:mean", 1e9)});
+  Histogram& track = registry.histogram(
+      "emap_track_step_seconds", {}, Histogram::linear_bounds(0, 100, 10));
+  AlertEngine engine;
 
-  histogram.observe(10.0);
+  track.observe(10.0);
   engine.evaluate(registry, 1.0);  // interval mean 10
-  EXPECT_EQ(engine.status(0).last_value, 10.0);
-  histogram.observe(20.0);
-  histogram.observe(40.0);
+  EXPECT_EQ(engine.status(kLatencyStep).last_value, 10.0);
+  track.observe(20.0);
+  track.observe(40.0);
   engine.evaluate(registry, 2.0);  // interval mean (20+40)/2 = 30
-  EXPECT_EQ(engine.status(0).last_value, 30.0);
+  EXPECT_EQ(engine.status(kLatencyStep).last_value, 30.0);
   engine.evaluate(registry, 3.0);  // empty interval: carries 30 forward
-  EXPECT_EQ(engine.status(0).last_value, 30.0);
-}
-
-TEST(AlertEngine, RulesSeeTheRegistryAsOfThePassStart) {
-  // Rule "b" watches the fired counter rule "a" bumps.  In the pass where
-  // "a" fires, "b" must not see that bump; it sees it one pass later.
-  MetricsRegistry registry;
-  Gauge& gauge = registry.gauge("emap_g");
-  AlertRule a = threshold_rule("emap_g", 5.0);
-  a.name = std::string("a");
-  AlertRule b = threshold_rule("emap_alerts_fired_total{rule=\"a\"}", 0.0);
-  b.name = std::string("b");
-  AlertEngine::Hooks hooks;
-  hooks.registry = &registry;
-  AlertEngine engine({a, b}, hooks);
-
-  gauge.set(9.0);
-  EXPECT_EQ(engine.evaluate(registry, 1.0), 1u);
-  EXPECT_FALSE(engine.status(1).ever_evaluated);
-  EXPECT_EQ(engine.evaluate(registry, 2.0), 1u);
-  EXPECT_EQ(engine.status(1).state, AlertState::kFiring);
-  EXPECT_EQ(engine.status(1).last_value, 1.0);
+  EXPECT_EQ(engine.status(kLatencyStep).last_value, 30.0);
 }
 
 TEST(AlertEngine, EwmaFiresOnStepAndResolvesAsMeanAdapts) {
-  AlertRule rule;
-  rule.name = "ewma";
-  rule.kind = AlertRuleKind::kEwma;
-  rule.series = "emap_g";
-  rule.op = AlertOp::kGt;  // directional: only upward deviations
-  rule.alpha = 0.1;
-  rule.sigma = 4.0;
-  rule.warmup = 20;
-  rule.min_delta = 1e-6;
-  rule.for_sec = 3.0;
-
-  GaugeHarness h({rule});
+  StepHarness h;
   double t = 0.0;
-  // Stationary noise-free-ish baseline around 1.0.
+  // Stationary noise-free-ish baseline around 1.0 s.
   for (int i = 0; i < 60; ++i) {
     t += 1.0;
     h.step(t, 1.0 + 0.01 * std::sin(0.5 * i));
   }
-  EXPECT_EQ(h.engine.status(0).state, AlertState::kInactive);
-  EXPECT_GE(h.engine.status(0).ewma_samples, 60u);
+  EXPECT_EQ(h.engine.status(kLatencyStep).state, AlertState::kInactive);
+  EXPECT_GE(h.engine.status(kLatencyStep).ewma_samples, 60u);
 
-  // Step to 2.0 — a huge deviation versus the tiny running stddev.
+  // Step to 2.0 s — a huge deviation versus the tiny running stddev.
   bool fired = false;
   for (int i = 0; i < 60; ++i) {
     t += 1.0;
     h.step(t, 2.0);
-    if (h.engine.status(0).state == AlertState::kFiring) {
+    if (h.engine.status(kLatencyStep).state == AlertState::kFiring) {
       fired = true;
     }
   }
   EXPECT_TRUE(fired);
   // Mean keeps adapting toward 2.0 while firing, so the alert eventually
   // resolves on its own: the step became the new normal.
-  EXPECT_EQ(h.engine.status(0).state, AlertState::kInactive);
+  EXPECT_EQ(h.engine.status(kLatencyStep).state, AlertState::kInactive);
   ASSERT_GE(h.engine.transitions().size(), 2u);
+  EXPECT_EQ(h.engine.transitions()[0].rule, "track_latency_step");
+  EXPECT_EQ(h.engine.transitions()[0].series, "emap_track_step_seconds:mean");
   EXPECT_TRUE(h.engine.transitions()[0].firing);
   EXPECT_FALSE(h.engine.transitions().back().firing);
 }
 
 TEST(AlertEngine, EwmaIgnoresDownwardMovesForGtRules) {
-  AlertRule rule;
-  rule.name = "ewma";
-  rule.kind = AlertRuleKind::kEwma;
-  rule.series = "emap_g";
-  rule.op = AlertOp::kGt;
-  rule.alpha = 0.1;
-  rule.sigma = 4.0;
-  rule.warmup = 10;
-  rule.min_delta = 1e-6;
-
-  GaugeHarness h({rule});
+  StepHarness h;
   double t = 0.0;
   for (int i = 0; i < 40; ++i) {
     t += 1.0;
@@ -297,25 +214,28 @@ TEST(AlertEngine, EwmaIgnoresDownwardMovesForGtRules) {
 }
 
 TEST(AlertEngine, BurnRuleWatchesSloGaugeSeries) {
-  EXPECT_EQ(burn_rate_series_key("edge_iteration"),
-            "emap_slo_burn_rate{slo=\"edge_iteration\"}");
-
-  AlertRule rule;
-  rule.name = "burn";
-  rule.kind = AlertRuleKind::kBurnRate;
-  rule.series = burn_rate_series_key("edge_iteration");
-  rule.value = 1.0;
-
+  // The burn rule reads the gauge SloMonitor registers; a burn exactly at
+  // the limit is not a breach.
   MetricsRegistry registry;
-  Gauge& burn = registry.gauge("emap_slo_burn_rate",
-                               {{"slo", "edge_iteration"}});
-  AlertEngine engine({rule});
-  burn.set(0.4);
+  SloMonitor monitor(edge_iteration_slo(), &registry);
+  AlertEngine engine;
+  monitor.observe(0.1);
   engine.evaluate(registry, 1.0);
-  EXPECT_EQ(engine.status(0).state, AlertState::kInactive);
-  burn.set(2.5);
+  EXPECT_TRUE(engine.status(kEdgeBurn).ever_evaluated);
+  EXPECT_EQ(engine.status(kEdgeBurn).last_value, 0.0);
+  EXPECT_FALSE(engine.status(kEdgeBurn).last_breached);
+
+  registry.gauge("emap_slo_burn_rate", {{"slo", "edge_iteration"}})
+      .set(kBurnRateLimit);
   engine.evaluate(registry, 2.0);
-  EXPECT_EQ(engine.status(0).state, AlertState::kFiring);
+  EXPECT_FALSE(engine.status(kEdgeBurn).last_breached);
+
+  monitor.observe(5.0);  // a deadline miss burns the budget
+  ASSERT_GT(monitor.burn_rate(), kBurnRateLimit);
+  engine.evaluate(registry, 3.0);
+  EXPECT_EQ(engine.status(kEdgeBurn).last_value, monitor.burn_rate());
+  EXPECT_TRUE(engine.status(kEdgeBurn).last_breached);
+  EXPECT_EQ(engine.status(kEdgeBurn).state, AlertState::kPending);
 }
 
 TEST(AlertEngine, HooksStampMetricsSpansAndFlightDump) {
@@ -331,36 +251,38 @@ TEST(AlertEngine, HooksStampMetricsSpansAndFlightDump) {
   hooks.registry = &alert_metrics;
   hooks.tracer = &tracer;
   hooks.flight = &flight;
-  GaugeHarness h({threshold_rule("emap_g", 5.0)}, hooks);
+  BurnHarness h(hooks);
 
-  h.step(1.0, 9.0, /*trace_id=*/77);  // fires
-  h.step(2.0, 1.0, /*trace_id=*/78);  // resolves
+  for (double t = 1.0; t < 6.0; t += 1.0) {
+    h.step(t, 9.0, /*trace_id=*/70);
+  }
+  h.step(6.0, 9.0, /*trace_id=*/77);  // fires
+  h.step(7.0, 0.5, /*trace_id=*/78);  // resolves
 
   // Metrics: one fired, one resolved, zero currently firing.
+  const Labels rule = {{"rule", "edge_iteration_burn"}};
+  EXPECT_EQ(alert_metrics.counter("emap_alerts_fired_total", rule).value(),
+            1u);
   EXPECT_EQ(
-      alert_metrics.counter("emap_alerts_fired_total", {{"rule", "r"}})
-          .value(),
-      1u);
-  EXPECT_EQ(
-      alert_metrics.counter("emap_alerts_resolved_total", {{"rule", "r"}})
-          .value(),
-      1u);
+      alert_metrics.counter("emap_alerts_resolved_total", rule).value(), 1u);
   EXPECT_EQ(alert_metrics.gauge("emap_alerts_firing").value(), 0.0);
+  EXPECT_EQ(alert_metrics.counter("emap_alerts_evaluations_total").value(),
+            7u);
 
   // Spans: firing + resolved, trace ids attached.
   const auto spans = tracer.spans();
   ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "alert:r:fired");
+  EXPECT_EQ(spans[0].name, "alert:edge_iteration_burn:fired");
   EXPECT_EQ(spans[0].category, "alert");
   EXPECT_EQ(spans[0].trace_id, 77u);
-  EXPECT_EQ(spans[1].name, "alert:r:resolved");
+  EXPECT_EQ(spans[1].name, "alert:edge_iteration_burn:resolved");
 
   // Flight: kAlert events recorded, firing triggered a dump.
   std::size_t alert_events = 0;
   for (const FlightEvent& event : flight.snapshot()) {
     if (event.type == FlightEventType::kAlert) {
       ++alert_events;
-      EXPECT_EQ(event.b, 5.0);  // threshold rides in b
+      EXPECT_EQ(event.b, kBurnRateLimit);  // threshold rides in b
     }
   }
   EXPECT_EQ(alert_events, 2u);
@@ -375,13 +297,19 @@ TEST(AlertEngine, HooksStampMetricsSpansAndFlightDump) {
 }
 
 TEST(AlertEngine, TransitionsExportAsJsonl) {
-  GaugeHarness h({threshold_rule("emap_g", 5.0)});
-  h.step(1.0, 9.0);
-  h.step(2.0, 1.0);
+  BurnHarness h;
+  for (double t = 1.0; t <= 6.0; t += 1.0) {
+    h.step(t, 9.0);
+  }
+  h.step(7.0, 0.5);
   const std::string jsonl = h.engine.to_jsonl();
-  EXPECT_NE(jsonl.find("\"rule\":\"r\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"state\":\"firing\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"state\":\"resolved\""), std::string::npos);
+  EXPECT_EQ(jsonl,
+            "{\"rule\":\"edge_iteration_burn\",\"series\":\"emap_slo_burn_"
+            "rate{slo=\\\"edge_iteration\\\"}\",\"t_sec\":6,\"state\":"
+            "\"firing\",\"value\":9,\"threshold\":1,\"trace_id\":0}\n"
+            "{\"rule\":\"edge_iteration_burn\",\"series\":\"emap_slo_burn_"
+            "rate{slo=\\\"edge_iteration\\\"}\",\"t_sec\":7,\"state\":"
+            "\"resolved\",\"value\":0.5,\"threshold\":1,\"trace_id\":0}\n");
 
   const auto path = std::filesystem::temp_directory_path() /
                     "emap_alert_test" / "alerts.jsonl";
@@ -396,105 +324,35 @@ TEST(AlertEngine, TransitionsExportAsJsonl) {
   std::filesystem::remove_all(path.parent_path());
 }
 
-TEST(ParseAlertRules, ParsesEveryKindAndSkipsComments) {
-  const std::string text =
-      "# comment line\n"
-      "\n"
-      "rule lat_thr threshold series=emap_g op=ge value=2.5 for=5\n"
-      "rule c_rate rate series=emap_c window=30 op=gt value=0.5\n"
-      "rule lat_step ewma series=emap_h:mean alpha=0.2 sigma=3 warmup=10 "
-      "min_delta=0.001 for=3\n"
-      "rule edge_burn burn slo=edge_iteration value=1.5 for=4\n";
-  std::string error;
-  const auto rules = parse_alert_rules(text, &error);
-  EXPECT_TRUE(error.empty()) << error;
-  ASSERT_EQ(rules.size(), 4u);
-
-  EXPECT_EQ(rules[0].name, "lat_thr");
-  EXPECT_EQ(rules[0].kind, AlertRuleKind::kThreshold);
-  EXPECT_EQ(rules[0].op, AlertOp::kGe);
-  EXPECT_EQ(rules[0].value, 2.5);
-  EXPECT_EQ(rules[0].for_sec, 5.0);
-
-  EXPECT_EQ(rules[1].kind, AlertRuleKind::kRate);
-  EXPECT_EQ(rules[1].window_sec, 30.0);
-
-  EXPECT_EQ(rules[2].kind, AlertRuleKind::kEwma);
-  EXPECT_EQ(rules[2].series, "emap_h:mean");
-  EXPECT_EQ(rules[2].alpha, 0.2);
-  EXPECT_EQ(rules[2].sigma, 3.0);
-  EXPECT_EQ(rules[2].warmup, 10u);
-  EXPECT_EQ(rules[2].min_delta, 0.001);
-
-  EXPECT_EQ(rules[3].kind, AlertRuleKind::kBurnRate);
-  EXPECT_EQ(rules[3].series, burn_rate_series_key("edge_iteration"));
-  EXPECT_EQ(rules[3].value, 1.5);
-}
-
-TEST(ParseAlertRules, ReportsLineNumberOnMalformedInput) {
-  std::string error;
-  parse_alert_rules("rule ok threshold series=emap_g value=1\n"
-                    "rule broken bogus_kind series=emap_g\n",
-                    &error);
-  EXPECT_FALSE(error.empty());
-  EXPECT_NE(error.find("2"), std::string::npos);  // names the line
-
-  error.clear();
-  parse_alert_rules("not_a_rule_statement\n", &error);
-  EXPECT_FALSE(error.empty());
-
-  error.clear();
-  parse_alert_rules("rule x threshold series=emap_g value=abc\n", &error);
-  EXPECT_FALSE(error.empty());
-
-  // Trailing text, a non-finite value and a negative count are malformed
-  // too; each names its line.
-  for (const char* bad :
-       {"rule x threshold series=emap_g value=80abc\n",
-        "rule x ewma series=emap_g warmup=-1\n",
-        "rule x threshold series=emap_g value=nan\n"}) {
-    error.clear();
-    const auto rules = parse_alert_rules(
-        std::string("rule ok threshold series=emap_g value=1\n") + bad,
-        &error);
-    EXPECT_EQ(rules.size(), 1u) << bad;
-    EXPECT_NE(error.find("line 2"), std::string::npos) << bad;
-  }
-}
-
-TEST(LoadAlertRules, MissingFileIsAnError) {
-  std::string error;
-  const auto rules = load_alert_rules("/nonexistent/alerts.rules", &error);
-  EXPECT_TRUE(rules.empty());
-  EXPECT_FALSE(error.empty());
-}
-
-TEST(LoadAlertRules, RoundTripsThroughAFile) {
-  const auto path = std::filesystem::temp_directory_path() /
-                    "emap_alert_rules_test.rules";
-  {
-    std::ofstream stream(path);
-    stream << "rule t threshold series=emap_g value=1.0\n";
-  }
-  std::string error;
-  const auto rules = load_alert_rules(path, &error);
-  EXPECT_TRUE(error.empty()) << error;
-  ASSERT_EQ(rules.size(), 1u);
-  EXPECT_EQ(rules[0].name, "t");
-  std::filesystem::remove(path);
-}
-
 TEST(DefaultAlertRules, CoverLatencyStepAndBothSlos) {
-  const auto rules = default_alert_rules();
-  ASSERT_EQ(rules.size(), 3u);
-  for (const AlertRule& rule : rules) {
-    EXPECT_NO_THROW(rule.validate());
+  // Both paper SLOs registered as the pipeline registers them, and a
+  // latency step late in the run: each built-in rule fires on its series.
+  MetricsRegistry registry;
+  SloMonitor edge(edge_iteration_slo(), &registry);
+  SloMonitor initial(initial_response_slo(), &registry);
+  Histogram& track = registry.histogram("emap_track_step_seconds", {},
+                                        Histogram::default_latency_bounds());
+  AlertEngine engine;
+  for (int i = 1; i <= 60; ++i) {
+    const bool stepped = i > 40;
+    const double step_sec = stepped ? 1.5 : 0.2 + 0.001 * std::sin(0.3 * i);
+    track.observe(step_sec);
+    edge.observe(step_sec);
+    initial.observe(stepped ? 4.0 : 2.0);
+    engine.evaluate(registry, static_cast<double>(i));
   }
-  EXPECT_EQ(rules[0].kind, AlertRuleKind::kEwma);
-  EXPECT_EQ(rules[0].series, "emap_track_step_seconds:mean");
-  EXPECT_EQ(rules[1].kind, AlertRuleKind::kBurnRate);
-  EXPECT_EQ(rules[1].series, burn_rate_series_key("edge_iteration"));
-  EXPECT_EQ(rules[2].series, burn_rate_series_key("initial_response"));
+  ASSERT_EQ(AlertEngine::kRuleCount, 3u);
+  EXPECT_TRUE(engine.ever_fired("track_latency_step"));
+  EXPECT_TRUE(engine.ever_fired("edge_iteration_burn"));
+  EXPECT_TRUE(engine.ever_fired("initial_response_burn"));
+  std::map<std::string, std::string> series;
+  for (const AlertTransition& transition : engine.transitions()) {
+    series[transition.rule] = transition.series;
+  }
+  EXPECT_EQ(series["track_latency_step"], "emap_track_step_seconds:mean");
+  EXPECT_EQ(series["edge_iteration_burn"], kEdgeBurnSeries);
+  EXPECT_EQ(series["initial_response_burn"],
+            "emap_slo_burn_rate{slo=\"initial_response\"}");
 }
 
 TEST(SeriesKeyFor, FormatsLabels) {
@@ -504,9 +362,9 @@ TEST(SeriesKeyFor, FormatsLabels) {
 }
 
 TEST(AlertNames, StableStrings) {
-  EXPECT_STREQ(alert_rule_kind_name(AlertRuleKind::kEwma), "ewma");
+  EXPECT_STREQ(alert_state_name(AlertState::kInactive), "inactive");
+  EXPECT_STREQ(alert_state_name(AlertState::kPending), "pending");
   EXPECT_STREQ(alert_state_name(AlertState::kFiring), "firing");
-  EXPECT_STREQ(alert_op_name(AlertOp::kGe), "ge");
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "emap/common/error.hpp"
 #include "emap/obs/alert.hpp"
 #include "emap/obs/metrics.hpp"
+#include "emap/obs/slo.hpp"
 
 namespace emap::obs {
 namespace {
@@ -95,16 +96,15 @@ TEST(LoadRecordJsonl, ThrowsOnMissingFile) {
 
 TEST(LoadAlertsJsonl, RoundTripsEngineExport) {
   MetricsRegistry registry;
-  Gauge& gauge = registry.gauge("emap_g");
-  AlertRule rule;
-  rule.name = "r";
-  rule.series = "emap_g";
-  rule.value = 5.0;
-  AlertEngine engine({rule});
-  gauge.set(9.0);
-  engine.evaluate(registry, 1.0);
-  gauge.set(1.0);
-  engine.evaluate(registry, 2.0);
+  Gauge& burn =
+      registry.gauge("emap_slo_burn_rate", {{"slo", "edge_iteration"}});
+  AlertEngine engine;
+  burn.set(9.0);
+  for (double t = 1.0; t <= 6.0; t += 1.0) {
+    engine.evaluate(registry, t);  // fires once the 5 s hold has passed
+  }
+  burn.set(0.5);
+  engine.evaluate(registry, 7.0);
 
   const auto path = temp_file("emap_dashboard_alerts.jsonl");
   engine.write_jsonl(path);
@@ -112,11 +112,15 @@ TEST(LoadAlertsJsonl, RoundTripsEngineExport) {
   std::filesystem::remove(path);
   EXPECT_EQ(loaded.skipped_lines, 0u);
   ASSERT_EQ(loaded.transitions.size(), 2u);
-  EXPECT_EQ(loaded.transitions[0].rule, "r");
+  EXPECT_EQ(loaded.transitions[0].rule, "edge_iteration_burn");
+  EXPECT_EQ(loaded.transitions[0].series,
+            "emap_slo_burn_rate{slo=\"edge_iteration\"}");
   EXPECT_TRUE(loaded.transitions[0].firing);
-  EXPECT_EQ(loaded.transitions[0].t_sec, 1.0);
+  EXPECT_EQ(loaded.transitions[0].t_sec, 6.0);
   EXPECT_EQ(loaded.transitions[0].value, 9.0);
+  EXPECT_EQ(loaded.transitions[0].threshold, kBurnRateLimit);
   EXPECT_FALSE(loaded.transitions[1].firing);
+  EXPECT_EQ(loaded.transitions[1].t_sec, 7.0);
 }
 
 TEST(CusumChangepoint, LocatesACleanStep) {
@@ -185,9 +189,7 @@ TEST(RenderAsciiReport, ShowsSeriesAlertsAndChangepoints) {
   EXPECT_NE(report.find("FIRING"), std::string::npos);
 
   // Filter narrows the table to matching keys.
-  ReportOptions options;
-  options.series_filter = "device";
-  const std::string filtered = render_ascii_report(series, alerts, options);
+  const std::string filtered = render_ascii_report(series, alerts, "device");
   EXPECT_NE(filtered.find("track_device_sec"), std::string::npos);
   EXPECT_EQ(filtered.find("tracked_after"), std::string::npos);
 }

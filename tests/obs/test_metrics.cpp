@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -248,55 +247,50 @@ TEST(MetricsRegistry, KindMismatchThrows) {
 }
 
 TEST(MetricsRegistry, CardinalityGuardCapsSeriesPerFamily) {
-  // EMAP_METRICS_MAX_SERIES is read once per registry at first
-  // registration, so setting it here only affects this fresh registry.
-  ASSERT_EQ(setenv("EMAP_METRICS_MAX_SERIES", "4", /*overwrite=*/1), 0);
+  constexpr std::size_t kCap = MetricsRegistry::kMaxSeriesPerFamily;
   MetricsRegistry registry;
   std::vector<Counter*> counters;
-  for (int i = 0; i < 10; ++i) {
+  for (std::size_t i = 0; i < kCap + 6; ++i) {
     counters.push_back(&registry.counter(
         "emap_runaway_total", {{"id", std::to_string(i)}}));
   }
-  unsetenv("EMAP_METRICS_MAX_SERIES");
 
-  EXPECT_EQ(registry.max_series_per_family(), 4u);
   EXPECT_EQ(registry.dropped_series(), 6u);
-  // The first 4 label sets registered; the rest share one unregistered
+  // The first kCap label sets registered; the rest share one unregistered
   // sink that is reference-stable and still counts increments.
-  EXPECT_NE(counters[0], counters[4]);
-  EXPECT_EQ(counters[4], counters[5]);
-  EXPECT_EQ(counters[4], counters[9]);
-  counters[4]->increment();
-  EXPECT_EQ(counters[9]->value(), 1u);
+  EXPECT_NE(counters[kCap - 1], counters[kCap]);
+  EXPECT_EQ(counters[kCap], counters[kCap + 1]);
+  EXPECT_EQ(counters[kCap], counters[kCap + 5]);
+  counters[kCap]->increment();
+  EXPECT_EQ(counters[kCap + 5]->value(), 1u);
   // Dropped registrations are visible as a metric, labelled by family.
   EXPECT_EQ(registry
                 .counter("emap_metrics_dropped_series_total",
                          {{"metric", "emap_runaway_total"}})
                 .value(),
             6u);
-  // The sink never appears in the exported entries: 4 runaway series plus
-  // the dropped-series counter itself.
+  // The sink never appears in the exported entries: kCap runaway series
+  // plus the dropped-series counter itself.
   std::size_t runaway_entries = 0;
   for (const MetricEntry* entry : registry.entries()) {
     runaway_entries += entry->name == "emap_runaway_total" ? 1 : 0;
   }
-  EXPECT_EQ(runaway_entries, 4u);
+  EXPECT_EQ(runaway_entries, kCap);
 }
 
 TEST(MetricsRegistry, CardinalityGuardCoversEveryInstrumentKind) {
-  // Cap 2 leaves room in the dropped-series meta family for the two
-  // overflowing families below (the guard applies to that family too).
-  ASSERT_EQ(setenv("EMAP_METRICS_MAX_SERIES", "2", 1), 0);
+  constexpr std::size_t kCap = MetricsRegistry::kMaxSeriesPerFamily;
   MetricsRegistry registry;
-  registry.counter("c", {{"i", "0"}});
-  registry.counter("c", {{"i", "1"}});
-  registry.gauge("g", {{"i", "0"}});
-  registry.gauge("g", {{"i", "1"}});
-  registry.histogram("h", {{"i", "0"}});
-  registry.histogram("h", {{"i", "1"}});
-  Gauge& sunk_gauge = registry.gauge("g", {{"i", "2"}});
-  Histogram& sunk_histogram = registry.histogram("h", {{"i", "2"}});
-  unsetenv("EMAP_METRICS_MAX_SERIES");
+  for (std::size_t i = 0; i < kCap; ++i) {
+    const Labels labels = {{"i", std::to_string(i)}};
+    registry.counter("c", labels);
+    registry.gauge("g", labels);
+    registry.histogram("h", labels);
+  }
+  EXPECT_EQ(registry.dropped_series(), 0u);
+  const Labels past_cap = {{"i", std::to_string(kCap)}};
+  Gauge& sunk_gauge = registry.gauge("g", past_cap);
+  Histogram& sunk_histogram = registry.histogram("h", past_cap);
 
   EXPECT_EQ(registry.dropped_series(), 2u);
   sunk_gauge.set(3.0);  // recording into a sink is safe
@@ -319,8 +313,7 @@ TEST(MetricsRegistry, CardinalityGuardCoversEveryInstrumentKind) {
 
 TEST(MetricsRegistry, DefaultCapIsGenerous) {
   MetricsRegistry registry;
-  EXPECT_EQ(registry.max_series_per_family(),
-            MetricsRegistry::kDefaultMaxSeriesPerFamily);
+  EXPECT_EQ(MetricsRegistry::kMaxSeriesPerFamily, 1000u);
   EXPECT_EQ(registry.dropped_series(), 0u);
 }
 

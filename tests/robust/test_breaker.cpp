@@ -13,13 +13,12 @@
 namespace emap::robust {
 namespace {
 
-BreakerOptions fast_options() {
-  BreakerOptions options;
-  options.window = 4;
-  options.open_after_failures = 2;
-  options.cooldown_sec = 3.0;
-  options.half_open_successes = 2;
-  return options;
+/// Records kBreakerOpenAfterFailures failures at `t_sec`, which trips a
+/// fresh breaker there.
+void trip(CircuitBreaker& breaker, double t_sec) {
+  for (std::size_t i = 0; i < kBreakerOpenAfterFailures; ++i) {
+    breaker.record_failure(t_sec);
+  }
 }
 
 TEST(Breaker, StartsClosedAndAllowsEverything) {
@@ -34,73 +33,85 @@ TEST(Breaker, StartsClosedAndAllowsEverything) {
 }
 
 TEST(Breaker, TripsOpenAfterWindowFailures) {
-  CircuitBreaker breaker(fast_options());
-  breaker.record_failure(1.0);
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
+  CircuitBreaker breaker;
+  for (std::size_t i = 1; i < kBreakerOpenAfterFailures; ++i) {
+    breaker.record_failure(1.0);
+    EXPECT_EQ(breaker.state(), BreakerState::kClosed);
+  }
   breaker.record_failure(2.0);
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_DOUBLE_EQ(breaker.open_until_sec(), 2.0 + 3.0);
+  EXPECT_DOUBLE_EQ(breaker.open_until_sec(), 2.0 + kBreakerCooldownSec);
   // Calls inside the cooldown are short-circuited and counted.
   EXPECT_FALSE(breaker.allow(3.0));
-  EXPECT_FALSE(breaker.allow(4.9));
+  EXPECT_FALSE(breaker.allow(2.0 + kBreakerCooldownSec - 0.1));
   EXPECT_EQ(breaker.summary().rejected, 2u);
 }
 
 TEST(Breaker, SuccessesInterleavedKeepItClosed) {
-  CircuitBreaker breaker(fast_options());  // 2 failures in a window of 4
-  for (double t = 0.0; t < 40.0; t += 4.0) {
-    breaker.record_failure(t);
-    breaker.record_success(t + 1.0);
-    breaker.record_success(t + 2.0);
-    breaker.record_success(t + 3.0);
+  // Every window of kBreakerWindow outcomes holds one failure fewer than
+  // trips the breaker.
+  CircuitBreaker breaker;
+  double t = 0.0;
+  for (int cycle = 0; cycle < 10; ++cycle) {
+    for (std::size_t i = 0; i + 1 < kBreakerOpenAfterFailures; ++i) {
+      breaker.record_failure(t += 1.0);
+    }
+    for (std::size_t i = kBreakerOpenAfterFailures - 1; i < kBreakerWindow;
+         ++i) {
+      breaker.record_success(t += 1.0);
+    }
   }
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
 }
 
 TEST(Breaker, CooldownExpiryAdmitsProbeAndSuccessesClose) {
-  CircuitBreaker breaker(fast_options());
-  breaker.record_failure(1.0);
-  breaker.record_failure(2.0);
+  CircuitBreaker breaker;
+  trip(breaker, 2.0);
   ASSERT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_TRUE(breaker.allow(5.0));  // at open_until: probe admitted
+  const double reopen = 2.0 + kBreakerCooldownSec;
+  EXPECT_TRUE(breaker.allow(reopen));  // at open_until: probe admitted
   EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  breaker.record_success(5.5);
-  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  breaker.record_success(6.5);  // half_open_successes reached
+  for (std::size_t i = 1; i < kBreakerHalfOpenSuccesses; ++i) {
+    breaker.record_success(reopen + 0.5);
+    EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
+  }
+  breaker.record_success(reopen + 1.5);  // kBreakerHalfOpenSuccesses
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  // The failure window restarted: one failure no longer trips.
-  breaker.record_failure(7.0);
+  // The failure window restarted: the failures before the trip no longer
+  // count, so one failure short of the limit keeps it closed.
+  for (std::size_t i = 1; i < kBreakerOpenAfterFailures; ++i) {
+    breaker.record_failure(reopen + 2.0);
+  }
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
 }
 
 TEST(Breaker, ProbeFailureReopensWithFreshCooldown) {
-  CircuitBreaker breaker(fast_options());
-  breaker.record_failure(1.0);
-  breaker.record_failure(2.0);
-  ASSERT_TRUE(breaker.allow(5.0));
-  breaker.record_failure(6.0);  // the probe failed
+  CircuitBreaker breaker;
+  trip(breaker, 2.0);
+  const double reopen = 2.0 + kBreakerCooldownSec;
+  ASSERT_TRUE(breaker.allow(reopen));
+  breaker.record_failure(reopen + 1.0);  // the probe failed
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_DOUBLE_EQ(breaker.open_until_sec(), 6.0 + 3.0);
+  EXPECT_DOUBLE_EQ(breaker.open_until_sec(),
+                   reopen + 1.0 + kBreakerCooldownSec);
   EXPECT_EQ(breaker.summary().opens, 2u);
 }
 
-TEST(Breaker, InvalidOptionsThrow) {
-  BreakerOptions options;
-  options.open_after_failures = 0;
-  EXPECT_THROW(CircuitBreaker{options}, InvalidArgument);
-  options = BreakerOptions{};
-  options.open_after_failures = options.window + 1;
-  EXPECT_THROW(CircuitBreaker{options}, InvalidArgument);
-  options = BreakerOptions{};
-  options.cooldown_sec = -1.0;
-  EXPECT_THROW(CircuitBreaker{options}, InvalidArgument);
+// A decoded checkpoint is outside input: a ring of another size is
+// refused.
+TEST(Breaker, RestoreRejectsARingOfAnotherSize) {
+  CircuitBreaker breaker;
+  BreakerCheckpoint saved = breaker.checkpoint();
+  ASSERT_EQ(saved.recent_failure.size(), kBreakerWindow);
+  EXPECT_NO_THROW(breaker.restore(saved));
+  saved.recent_failure.push_back(0);
+  EXPECT_THROW(breaker.restore(saved), InvalidArgument);
 }
 
 TEST(Breaker, MetricsExportStateOpensAndRejections) {
   obs::MetricsRegistry registry;
-  CircuitBreaker breaker(fast_options(), &registry);
-  breaker.record_failure(1.0);
-  breaker.record_failure(2.0);
+  CircuitBreaker breaker(&registry);
+  trip(breaker, 2.0);
   EXPECT_FALSE(breaker.allow(2.5));
   const std::string text = obs::to_prometheus(registry);
   EXPECT_NE(text.find("emap_robust_breaker_opens_total 1"),
@@ -112,7 +123,7 @@ TEST(Breaker, MetricsExportStateOpensAndRejections) {
 // --- RetryAfter hint (fed into net::RetryPolicy::backoff_for) ---------
 
 TEST(Breaker, RetryAfterHintIsZeroWhileClosed) {
-  CircuitBreaker breaker(fast_options());
+  CircuitBreaker breaker;
   EXPECT_DOUBLE_EQ(breaker.retry_after_hint(0.0), 0.0);
   breaker.record_success(1.0);
   breaker.record_failure(2.0);  // one failure: still CLOSED
@@ -120,23 +131,21 @@ TEST(Breaker, RetryAfterHintIsZeroWhileClosed) {
 }
 
 TEST(Breaker, RetryAfterHintAdvertisesTheRemainingCooldown) {
-  CircuitBreaker breaker(fast_options());  // cooldown 3 s
-  breaker.record_failure(1.0);
-  breaker.record_failure(2.0);
+  CircuitBreaker breaker;
+  trip(breaker, 2.0);
   ASSERT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_DOUBLE_EQ(breaker.retry_after_hint(2.0), 3.0);
+  EXPECT_DOUBLE_EQ(breaker.retry_after_hint(2.0), kBreakerCooldownSec);
   // The hint shrinks as the clock advances toward the reopen instant...
-  EXPECT_DOUBLE_EQ(breaker.retry_after_hint(4.0), 1.0);
+  EXPECT_DOUBLE_EQ(breaker.retry_after_hint(4.0), kBreakerCooldownSec - 2.0);
   // ...and clamps at zero once the cooldown has expired.
-  EXPECT_DOUBLE_EQ(breaker.retry_after_hint(6.0), 0.0);
+  EXPECT_DOUBLE_EQ(breaker.retry_after_hint(3.0 + kBreakerCooldownSec), 0.0);
 }
 
 TEST(Breaker, RetryAfterHintIsZeroAgainInHalfOpen) {
-  CircuitBreaker breaker(fast_options());
-  breaker.record_failure(1.0);
-  breaker.record_failure(2.0);
-  ASSERT_TRUE(breaker.allow(5.0));  // probe admitted: HALF_OPEN
-  EXPECT_DOUBLE_EQ(breaker.retry_after_hint(5.0), 0.0);
+  CircuitBreaker breaker;
+  trip(breaker, 2.0);
+  ASSERT_TRUE(breaker.allow(2.0 + kBreakerCooldownSec));  // HALF_OPEN
+  EXPECT_DOUBLE_EQ(breaker.retry_after_hint(2.0 + kBreakerCooldownSec), 0.0);
 }
 
 // Property (promised in the header): whatever the outcome history, time
@@ -145,7 +154,7 @@ TEST(Breaker, RetryAfterHintIsZeroAgainInHalfOpen) {
 TEST(BreakerProperty, NeverStaysOpenForever) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
-    CircuitBreaker breaker(fast_options());
+    CircuitBreaker breaker;
     double now = 0.0;
     for (std::size_t i = 0; i < 500; ++i) {
       now += rng.uniform(0.0, 2.0);

@@ -10,6 +10,7 @@
 #include "emap/common/error.hpp"
 #include "emap/common/rng.hpp"
 #include "emap/obs/export.hpp"
+#include "emap/obs/slo.hpp"
 
 namespace emap::robust {
 namespace {
@@ -52,7 +53,11 @@ TEST(Degrade, DeadlineMissEntersDegradedAtLevelOne) {
 TEST(Degrade, ElevatedBurnRateAloneEntersDegraded) {
   DegradationController controller;
   WindowSignal signal = clean_window(0);
-  signal.burn_rate = 2.0;  // above enter_burn_rate = 1, no hard miss yet
+  signal.burn_rate = obs::kBurnRateLimit;  // at the limit: not burning
+  controller.observe_window(signal);
+  EXPECT_EQ(controller.state(), DegradeState::kNominal);
+  signal = clean_window(1);
+  signal.burn_rate = 2.0;  // above the limit, no hard miss yet
   controller.observe_window(signal);
   EXPECT_EQ(controller.state(), DegradeState::kDegraded);
 }
@@ -66,9 +71,8 @@ WindowSignal pressured_window(std::size_t index, double queue_pressure) {
 // Stage-queue backlog is a shed signal of its own: at the enter threshold
 // it leaves NOMINAL even though the window's latency was clean.
 TEST(Degrade, QueuePressureAtTheEnterThresholdEntersDegraded) {
-  ASSERT_EQ(DegradeOptions{}.queue_pressure_enter, 0.75);
   DegradationController controller;
-  controller.observe_window(pressured_window(0, 0.75));
+  controller.observe_window(pressured_window(0, kQueuePressureEnter));
   EXPECT_EQ(controller.state(), DegradeState::kDegraded);
   EXPECT_EQ(controller.shed_level(), 1u);
 }
@@ -76,7 +80,7 @@ TEST(Degrade, QueuePressureAtTheEnterThresholdEntersDegraded) {
 TEST(Degrade, QueuePressureBelowTheEnterThresholdStaysNominal) {
   DegradationController controller;
   for (std::size_t i = 0; i < 20; ++i) {
-    controller.observe_window(pressured_window(i, 0.74));
+    controller.observe_window(pressured_window(i, kQueuePressureEnter - 0.01));
   }
   EXPECT_EQ(controller.state(), DegradeState::kNominal);
   EXPECT_FALSE(controller.summary().entered_degraded);
@@ -86,9 +90,7 @@ TEST(Degrade, QueuePressureBelowTheEnterThresholdStaysNominal) {
 // latency is not clean, so it never advances the recovery streak and
 // restarts one in progress.
 TEST(Degrade, QueuePressuredWindowDoesNotCountAsCleanTowardRecovery) {
-  DegradeOptions options;
-  options.recover_after = 3;
-  DegradationController controller(options);
+  DegradationController controller;
   controller.observe_window(miss_window(0));
   ASSERT_EQ(controller.state(), DegradeState::kDegraded);
   std::size_t w = 1;
@@ -96,11 +98,15 @@ TEST(Degrade, QueuePressuredWindowDoesNotCountAsCleanTowardRecovery) {
     controller.observe_window(pressured_window(w++, 0.9));
     ASSERT_EQ(controller.state(), DegradeState::kDegraded) << "window " << w;
   }
-  controller.observe_window(clean_window(w++));
-  controller.observe_window(clean_window(w++));
+  // One clean window short of recovery, then a pressured one restarts the
+  // streak.
+  for (std::size_t i = 0; i + 1 < kRecoverAfter; ++i) {
+    controller.observe_window(clean_window(w++));
+  }
   controller.observe_window(pressured_window(w++, 0.9));
-  controller.observe_window(clean_window(w++));
-  controller.observe_window(clean_window(w++));
+  for (std::size_t i = 0; i + 1 < kRecoverAfter; ++i) {
+    controller.observe_window(clean_window(w++));
+  }
   EXPECT_EQ(controller.state(), DegradeState::kDegraded);
   controller.observe_window(clean_window(w++));
   EXPECT_EQ(controller.state(), DegradeState::kRecovering);
@@ -108,10 +114,7 @@ TEST(Degrade, QueuePressuredWindowDoesNotCountAsCleanTowardRecovery) {
 }
 
 TEST(Degrade, StaleBurnDoesNotReenterAfterRecovery) {
-  DegradeOptions options;
-  options.recover_after = 1;
-  options.step_up_after = 1;
-  DegradationController controller(options);
+  DegradationController controller;
   controller.observe_window(miss_window(0));  // DEGRADED level 1
   // Recover fully: clean windows still carry the rolling burn of the miss.
   std::size_t w = 1;
@@ -134,22 +137,21 @@ TEST(Degrade, StaleBurnDoesNotReenterAfterRecovery) {
 }
 
 TEST(Degrade, SustainedMissesEscalateOneLevelAtATime) {
-  DegradeOptions options;
-  options.escalate_after = 2;
-  DegradationController controller(options);
-  controller.observe_window(miss_window(0));  // enter, level 1
+  DegradationController controller;
+  std::size_t w = 0;
+  controller.observe_window(miss_window(w++));  // enter, level 1
   ASSERT_EQ(controller.shed_level(), 1u);
-  controller.observe_window(miss_window(1));
-  EXPECT_EQ(controller.shed_level(), 1u);  // one miss into the streak
-  controller.observe_window(miss_window(2));
-  EXPECT_EQ(controller.shed_level(), 2u);  // escalate_after misses
+  for (std::size_t i = 0; i + 1 < kEscalateAfter; ++i) {
+    controller.observe_window(miss_window(w++));
+    EXPECT_EQ(controller.shed_level(), 1u);  // misses into the streak
+  }
+  controller.observe_window(miss_window(w++));
+  EXPECT_EQ(controller.shed_level(), 2u);  // kEscalateAfter misses
   EXPECT_EQ(controller.state(), DegradeState::kDegraded);
 }
 
 TEST(Degrade, CapStrideAndRecallScaleWithLevel) {
-  DegradeOptions options;
-  options.escalate_after = 1;
-  DegradationController controller(options);
+  DegradationController controller;
   EXPECT_EQ(controller.tracked_cap(100), 100u);
   EXPECT_EQ(controller.stride_multiplier(), 1u);
   EXPECT_EQ(controller.recall_threshold(30, 100), 30u);
@@ -159,7 +161,10 @@ TEST(Degrade, CapStrideAndRecallScaleWithLevel) {
   EXPECT_EQ(controller.stride_multiplier(), 2u);
   EXPECT_EQ(controller.recall_threshold(30, 100), 15u);
 
-  controller.observe_window(miss_window(1));  // level 2
+  for (std::size_t w = 1; w <= kEscalateAfter; ++w) {
+    controller.observe_window(miss_window(w));
+  }
+  ASSERT_EQ(controller.shed_level(), 2u);
   EXPECT_EQ(controller.tracked_cap(100), 25u);
   EXPECT_EQ(controller.stride_multiplier(), 4u);
   // Proportional: 30 * 25 / 100, so a shed set does not instantly retrip
@@ -168,72 +173,74 @@ TEST(Degrade, CapStrideAndRecallScaleWithLevel) {
 }
 
 TEST(Degrade, SustainedMissesAtMaxLevelReachCriticalThenRecover) {
-  DegradeOptions options;
-  options.escalate_after = 1;
-  options.critical_after = 3;
-  options.critical_hold = 2;
-  DegradationController controller(options);
+  DegradationController controller;
   std::size_t w = 0;
   // Enter + escalate to the deepest level.
-  controller.observe_window(miss_window(w++));
-  controller.observe_window(miss_window(w++));
-  ASSERT_EQ(controller.shed_level(), options.max_shed_level);
-  // critical_after misses at the deepest level give up tracking.
-  for (std::size_t i = 0; i < options.critical_after; ++i) {
+  while (controller.shed_level() < kMaxShedLevel) {
+    controller.observe_window(miss_window(w++));
+    ASSERT_LT(w, 20u);
+  }
+  // kCriticalAfter misses at the deepest level give up tracking.
+  for (std::size_t i = 0; i < kCriticalAfter; ++i) {
     ASSERT_NE(controller.state(), DegradeState::kCritical);
     controller.observe_window(miss_window(w++));
   }
   EXPECT_EQ(controller.state(), DegradeState::kCritical);
   EXPECT_TRUE(controller.critical());
-  // CRITICAL holds (windows carry no latency observation) then attempts
-  // recovery.
-  WindowSignal held = clean_window(w++);
+  // CRITICAL holds for kCriticalHold windows (they carry no latency
+  // observation) then attempts recovery.
+  WindowSignal held = clean_window(w);
   held.no_observation = true;
-  controller.observe_window(held);
-  EXPECT_EQ(controller.state(), DegradeState::kCritical);
-  held = clean_window(w++);
-  held.no_observation = true;
+  for (std::size_t i = 0; i + 1 < kCriticalHold; ++i) {
+    held.window_index = w++;
+    controller.observe_window(held);
+    EXPECT_EQ(controller.state(), DegradeState::kCritical);
+  }
+  held.window_index = w++;
   controller.observe_window(held);
   EXPECT_EQ(controller.state(), DegradeState::kRecovering);
-  EXPECT_EQ(controller.shed_level(), options.max_shed_level);
+  EXPECT_EQ(controller.shed_level(), kMaxShedLevel);
 }
 
 TEST(Degrade, RecoveringStepsUpHystereticallyToNominal) {
-  DegradeOptions options;
-  options.recover_after = 2;
-  options.step_up_after = 2;
-  DegradationController controller(options);
-  controller.observe_window(miss_window(0));  // DEGRADED level 1
-  controller.observe_window(clean_window(1));
-  controller.observe_window(clean_window(2));
+  DegradationController controller;
+  std::size_t w = 0;
+  controller.observe_window(miss_window(w++));  // DEGRADED level 1
+  for (std::size_t i = 0; i < kRecoverAfter; ++i) {
+    ASSERT_EQ(controller.state(), DegradeState::kDegraded);
+    controller.observe_window(clean_window(w++));
+  }
   ASSERT_EQ(controller.state(), DegradeState::kRecovering);
   ASSERT_EQ(controller.shed_level(), 1u);
-  // step_up_after clean windows per restored level, then NOMINAL.
-  controller.observe_window(clean_window(3));
-  controller.observe_window(clean_window(4));
+  // kStepUpAfter clean windows per restored level, then NOMINAL.
+  for (std::size_t i = 0; i < kStepUpAfter; ++i) {
+    ASSERT_EQ(controller.shed_level(), 1u);
+    controller.observe_window(clean_window(w++));
+  }
   EXPECT_EQ(controller.state(), DegradeState::kRecovering);
   EXPECT_EQ(controller.shed_level(), 0u);
-  controller.observe_window(clean_window(5));
-  controller.observe_window(clean_window(6));
+  for (std::size_t i = 0; i < kStepUpAfter; ++i) {
+    ASSERT_EQ(controller.state(), DegradeState::kRecovering);
+    controller.observe_window(clean_window(w++));
+  }
   EXPECT_EQ(controller.state(), DegradeState::kNominal);
   EXPECT_FALSE(controller.defer_flushes());
 }
 
 TEST(Degrade, MissDuringRecoveryFallsBackToDegraded) {
-  DegradeOptions options;
-  options.recover_after = 1;
-  DegradationController controller(options);
-  controller.observe_window(miss_window(0));
-  controller.observe_window(clean_window(1));
+  DegradationController controller;
+  std::size_t w = 0;
+  controller.observe_window(miss_window(w++));
+  for (std::size_t i = 0; i < kRecoverAfter; ++i) {
+    controller.observe_window(clean_window(w++));
+  }
   ASSERT_EQ(controller.state(), DegradeState::kRecovering);
-  controller.observe_window(miss_window(2));
+  controller.observe_window(miss_window(w));
   EXPECT_EQ(controller.state(), DegradeState::kDegraded);
 }
 
 TEST(Degrade, NearMissHoldsPositionInBothDirections) {
-  DegradeOptions options;
-  options.recover_after = 2;
-  DegradationController controller(options);
+  DegradationController controller;
   controller.observe_window(miss_window(0));
   WindowSignal near = clean_window(1);
   near.near_miss = true;
@@ -252,7 +259,7 @@ TEST(Degrade, StageStuckForcesCriticalImmediately) {
   signal.stage_stuck = true;
   controller.observe_window(signal);
   EXPECT_EQ(controller.state(), DegradeState::kCritical);
-  EXPECT_EQ(controller.shed_level(), controller.options().max_shed_level);
+  EXPECT_EQ(controller.shed_level(), kMaxShedLevel);
 }
 
 TEST(Degrade, ForceCriticalAndTransitionLog) {
@@ -266,18 +273,21 @@ TEST(Degrade, ForceCriticalAndTransitionLog) {
   EXPECT_DOUBLE_EQ(controller.transitions()[0].t_sec, 8.0);
 }
 
-TEST(Degrade, InvalidOptionsThrow) {
-  DegradeOptions options;
-  options.max_shed_level = 0;
-  EXPECT_THROW(DegradationController{options}, InvalidArgument);
-  options = DegradeOptions{};
-  options.enter_burn_rate = 0.0;
-  EXPECT_THROW(DegradationController{options}, InvalidArgument);
+// A decoded checkpoint is outside input: a shed level past the deepest one
+// is refused.
+TEST(Degrade, RestoreRejectsAShedLevelPastTheDeepest) {
+  DegradationController controller;
+  DegradeCheckpoint saved = controller.checkpoint();
+  saved.shed_level = kMaxShedLevel;
+  EXPECT_NO_THROW(controller.restore(saved));
+  EXPECT_EQ(controller.shed_level(), kMaxShedLevel);
+  saved.shed_level = kMaxShedLevel + 1;
+  EXPECT_THROW(controller.restore(saved), InvalidArgument);
 }
 
 TEST(Degrade, MetricsExportStateAndTransitions) {
   obs::MetricsRegistry registry;
-  DegradationController controller({}, &registry);
+  DegradationController controller(&registry);
   controller.observe_window(miss_window(0));
   const std::string text = obs::to_prometheus(registry);
   EXPECT_NE(text.find("emap_robust_state 1"), std::string::npos);
@@ -311,7 +321,7 @@ TEST(DegradeProperty, ShedLevelIsMonotonePerWindow) {
         EXPECT_LE(std::llabs(delta), 1ll)
             << "seed " << seed << " window " << w;
       }
-      EXPECT_LE(level, controller.options().max_shed_level);
+      EXPECT_LE(level, kMaxShedLevel);
       previous = level;
     }
   }

@@ -7,7 +7,6 @@
 #include <limits>
 #include <vector>
 
-#include "emap/common/error.hpp"
 #include "emap/obs/export.hpp"
 #include "emap/synth/corpus.hpp"
 #include "support/test_util.hpp"
@@ -57,7 +56,7 @@ TEST(Quality, FlatlineDetected) {
   const std::vector<double> window(kWindow, 3.0);  // DC offset, zero stddev
   const QualityReport report = gate.assess(window);
   EXPECT_EQ(report.verdict, QualityVerdict::kFlatline);
-  EXPECT_LT(report.stddev, gate.options().flatline_stddev);
+  EXPECT_LT(report.stddev, kFlatlineStddev);
 }
 
 TEST(Quality, SaturationDetected) {
@@ -69,7 +68,7 @@ TEST(Quality, SaturationDetected) {
   }
   const QualityReport report = gate.assess(window);
   EXPECT_EQ(report.verdict, QualityVerdict::kSaturated);
-  EXPECT_GT(report.saturated_fraction, gate.options().saturation_fraction);
+  EXPECT_GT(report.saturated_fraction, kSaturationFraction);
 }
 
 TEST(Quality, HighAmplitudeArtifactDetected) {
@@ -112,18 +111,9 @@ TEST(Quality, VerdictNamesAreStable) {
   EXPECT_STREQ(quality_verdict_name(QualityVerdict::kArtifact), "artifact");
 }
 
-TEST(Quality, InvalidOptionsThrow) {
-  QualityOptions options;
-  options.flatline_stddev = -1.0;
-  EXPECT_THROW(SignalQualityGate{options}, InvalidArgument);
-  options = QualityOptions{};
-  options.saturation_fraction = 1.5;
-  EXPECT_THROW(SignalQualityGate{options}, InvalidArgument);
-}
-
 TEST(Quality, MetricsExportPerReasonCounts) {
   obs::MetricsRegistry registry;
-  SignalQualityGate gate({}, &registry);
+  SignalQualityGate gate(&registry);
   gate.assess(std::vector<double>(kWindow, 0.0));
   const std::string text = obs::to_prometheus(registry);
   EXPECT_NE(text.find("emap_robust_quality_windows_total 1"),
