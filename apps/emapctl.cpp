@@ -63,10 +63,9 @@
 //
 // Crash-recovery flags (monitor and synth-run) — crash-consistent
 // checkpoint/restore (docs/robustness.md, "Crash recovery"):
-//   --checkpoint-dir <dir> snapshot the session state into <dir> at window
-//                          boundaries (atomic write + rename)
-//   --checkpoint-interval <n>  snapshot every n completed windows
-//                          (default 1)
+//   --checkpoint-dir <dir> snapshot the session state into <dir> after
+//                          every window (atomic write + rename, then one
+//                          appended record per window)
 //   --resume               restore from <dir>'s snapshot at run start and
 //                          replay from the first un-checkpointed window
 //   --crash-at <point[:n]> die (exit code 42, no destructors) at the n-th
@@ -156,8 +155,8 @@ int usage() {
       "--fault-duplicate <p> --fault-delay <p> --fault-seed <n>\n"
       "retry flags:     --retry-attempts <n> --retry-deadline <sec>\n"
       "robust flags:    --robust-report <file>\n"
-      "recovery flags:  --checkpoint-dir <dir> --checkpoint-interval <n> "
-      "--resume --crash-at <point[:n]>\n"
+      "recovery flags:  --checkpoint-dir <dir> --resume "
+      "--crash-at <point[:n]>\n"
       "tracing flags:   --spans-out <file> --flight-out <file> "
       "--edge-slowdown <factor>\n"
       "streaming flags: --stream --stage-threads <n> "
@@ -179,7 +178,6 @@ struct TelemetryOptions {
   net::FaultOptions fault;
   net::RetryOptions retry;
   std::string checkpoint_dir;
-  std::size_t checkpoint_interval = 1;
   bool resume = false;
   std::string crash_at;  ///< "point" or "point:n" (1-based hit)
   std::string spans_out;
@@ -265,11 +263,6 @@ bool extract_telemetry_flags(int& argc, char** argv,
         return false;
     } else if (arg == "--checkpoint-dir") {
       if (!take_value(telemetry.checkpoint_dir)) return false;
-    } else if (arg == "--checkpoint-interval") {
-      if (!take_double([&](double n) {
-            telemetry.checkpoint_interval = static_cast<std::size_t>(n);
-          }))
-        return false;
     } else if (arg == "--resume") {
       telemetry.resume = true;
     } else if (arg == "--crash-at") {
@@ -325,7 +318,6 @@ bool apply_recovery_flags(const TelemetryOptions& telemetry,
                           robust::CrashPointRegistry& crashpoints) {
   if (!telemetry.checkpoint_dir.empty()) {
     options.recovery.checkpoint_dir = telemetry.checkpoint_dir;
-    options.recovery.interval_windows = telemetry.checkpoint_interval;
     options.recovery.resume = telemetry.resume;
   }
   if (!telemetry.crash_at.empty()) {
@@ -378,12 +370,14 @@ obs::FlightRecorder* apply_tracing_flags(const TelemetryOptions& telemetry,
 /// Runs `input` through the pipeline on the scheduler the flags selected:
 /// the default single-threaded virtual-time batch loop, or (--stream) the
 /// threaded stage graph with --stage-threads uplink workers and
-/// --queue-capacity bounded queues (docs/streaming.md).
+/// --queue-capacity bounded queues (docs/streaming.md).  `stop_at_sec` < 0
+/// monitors the whole input.
 core::RunResult run_scheduled(const TelemetryOptions& telemetry,
                               core::EmapPipeline& pipeline,
-                              const synth::Recording& input) {
+                              const synth::Recording& input,
+                              double stop_at_sec) {
   if (!telemetry.stream) {
-    return pipeline.run(input);
+    return pipeline.run(input, stop_at_sec);
   }
   core::StreamOptions stream_options;
   stream_options.stage_threads = telemetry.stage_threads;
@@ -392,7 +386,7 @@ core::RunResult run_scheduled(const TelemetryOptions& telemetry,
               "queue capacity %zu\n",
               stream_options.stage_threads, stream_options.queue_capacity);
   core::StreamPipeline stream(pipeline, stream_options);
-  return stream.run(input);
+  return stream.run(input, stop_at_sec);
 }
 
 /// After a streamed run: the supervisor scoreboard and the per-queue
@@ -457,13 +451,13 @@ void emit_telemetry(const TelemetryOptions& telemetry,
     robust::write_robust_summary(telemetry.robust_report, result.robust);
     std::printf("robust  -> %s\n", telemetry.robust_report.c_str());
   }
-  if (!telemetry.trace_out.empty() && result.tracer != nullptr) {
+  if (!telemetry.trace_out.empty()) {
     obs::write_chrome_trace(telemetry.trace_out, *result.tracer);
     std::printf("trace   -> %s (open in chrome://tracing or "
                 "ui.perfetto.dev)\n",
                 telemetry.trace_out.c_str());
   }
-  if (!telemetry.spans_out.empty() && result.tracer != nullptr) {
+  if (!telemetry.spans_out.empty()) {
     obs::write_spans_jsonl(telemetry.spans_out, *result.tracer);
     std::printf("spans   -> %s (feed to 'emapctl trace')\n",
                 telemetry.spans_out.c_str());
@@ -525,7 +519,6 @@ int run_monitored(const TelemetryOptions& telemetry, mdb::MdbStore store,
   options.metrics = &registry;
   options.fault = telemetry.fault;
   options.retry = telemetry.retry;
-  options.stop_at_sec = stop_at_sec;
   options.alerts = !telemetry.alerts_out.empty();
   robust::CrashPointRegistry crashpoints;
   if (!apply_recovery_flags(telemetry, options, crashpoints)) {
@@ -536,7 +529,7 @@ int run_monitored(const TelemetryOptions& telemetry, mdb::MdbStore store,
       apply_tracing_flags(telemetry, options, flight_recorder);
   core::EmapPipeline pipeline(std::move(store),
                               core::EmapConfig::paper_defaults(), options);
-  const auto result = run_scheduled(telemetry, pipeline, input);
+  const auto result = run_scheduled(telemetry, pipeline, input, stop_at_sec);
   if (result.robust.recovery.resumed) {
     std::printf("resumed from checkpoint at window %zu\n",
                 static_cast<std::size_t>(

@@ -66,7 +66,7 @@ CloudCallMetrics CloudCallMetrics::resolve(obs::MetricsRegistry* registry) {
 PendingSearch CloudCallExecutor::issue(
     std::uint32_t sequence, const std::vector<double>& filtered_window,
     double now_sec, net::Channel& channel, const net::RetryPolicy& retry,
-    obs::Tracer* tracer, robust::CircuitBreaker& breaker,
+    obs::Tracer& tracer, robust::CircuitBreaker& breaker,
     obs::TraceContext trace) const {
   EMAP_PROFILE_SCOPE("cloud_call");
   net::SignalUploadMessage upload;
@@ -120,12 +120,10 @@ PendingSearch CloudCallExecutor::issue(
   net::RejectReason last_reason = net::RejectReason::kNone;
   auto fail_attempt = [&](std::size_t attempt, net::RejectReason reason,
                           double charged_sec) {
-    if (tracer != nullptr) {
-      legs.push_back({"attempt_" + std::to_string(attempt) + "_" +
-                          net::reject_reason_name(reason),
-                      "retry", now_sec + elapsed,
-                      now_sec + elapsed + charged_sec, trace.trace_id});
-    }
+    legs.push_back({"attempt_" + std::to_string(attempt) + "_" +
+                        net::reject_reason_name(reason),
+                    "retry", now_sec + elapsed,
+                    now_sec + elapsed + charged_sec, trace.trace_id});
     if (flight_ != nullptr) {
       flight_->log(obs::FlightEventType::kRetry,
                    net::reject_reason_name(reason), now_sec + elapsed,
@@ -159,7 +157,7 @@ PendingSearch CloudCallExecutor::issue(
       break;
     }
     if (attempt > 0) {
-      if (tracer != nullptr && backoff > 0.0) {
+      if (backoff > 0.0) {
         legs.push_back({"backoff_" + std::to_string(attempt), "retry",
                         now_sec + elapsed, now_sec + elapsed + backoff,
                         trace.trace_id});
@@ -294,19 +292,16 @@ PendingSearch CloudCallExecutor::issue(
     pending.delta_cs = cs_sec;
     pending.delta_ce = down_sec;
 
-    if (tracer != nullptr) {
-      const double t0 = now_sec + elapsed;
-      // delta_CS carries the trace id the *cloud* decoded from the upload
-      // and delta_CE the one the *edge* decoded from the response — both
-      // equal trace.trace_id only because the context survived the wire.
-      legs.push_back({"delta_EC", "upload", t0, t0 + up_sec,
-                      trace.trace_id});
-      legs.push_back({"delta_CS", "cloud-search", t0 + up_sec,
-                      t0 + up_sec + cs_sec, at_cloud->trace.trace_id});
-      legs.push_back({"delta_CE", "download", t0 + up_sec + cs_sec,
-                      t0 + up_sec + cs_sec + down_sec,
-                      response.trace.trace_id});
-    }
+    const double t0 = now_sec + elapsed;
+    // delta_CS carries the trace id the *cloud* decoded from the upload and
+    // delta_CE the one the *edge* decoded from the response — both equal
+    // trace.trace_id only because the context survived the wire.
+    legs.push_back({"delta_EC", "upload", t0, t0 + up_sec, trace.trace_id});
+    legs.push_back({"delta_CS", "cloud-search", t0 + up_sec,
+                    t0 + up_sec + cs_sec, at_cloud->trace.trace_id});
+    legs.push_back({"delta_CE", "download", t0 + up_sec + cs_sec,
+                    t0 + up_sec + cs_sec + down_sec,
+                    response.trace.trace_id});
     elapsed += up_sec + cs_sec + down_sec;
 
     pending.correlation_set.reserve(response.entries.size());
@@ -337,17 +332,15 @@ PendingSearch CloudCallExecutor::issue(
     metrics_.call_failures->increment();
   }
 
-  if (tracer != nullptr) {
-    // One parent span per round trip, spanning retries and all; the Eq. 4
-    // legs and any timeout/backoff intervals nest under it, and the whole
-    // subtree attaches to the issuing window via trace.parent_span.
-    const std::uint64_t call = tracer->record_sim(
-        "cloud_call_" + std::to_string(sequence), "cloud-call", now_sec,
-        pending.ready_at_sec, trace.parent_span, trace.trace_id);
-    for (const Leg& leg : legs) {
-      tracer->record_sim(leg.name, leg.category, leg.start_sec, leg.end_sec,
-                         call, leg.trace_id);
-    }
+  // One parent span per round trip, spanning retries and all; the Eq. 4
+  // legs and any timeout/backoff intervals nest under it, and the whole
+  // subtree attaches to the issuing window via trace.parent_span.
+  const std::uint64_t call = tracer.record_sim(
+      "cloud_call_" + std::to_string(sequence), "cloud-call", now_sec,
+      pending.ready_at_sec, trace.parent_span, trace.trace_id);
+  for (const Leg& leg : legs) {
+    tracer.record_sim(leg.name, leg.category, leg.start_sec, leg.end_sec,
+                      call, leg.trace_id);
   }
   return pending;
 }

@@ -92,7 +92,7 @@ class CloudCallExecutor {
   PendingSearch issue(std::uint32_t sequence,
                       const std::vector<double>& filtered_window,
                       double now_sec, net::Channel& channel,
-                      const net::RetryPolicy& retry, obs::Tracer* tracer,
+                      const net::RetryPolicy& retry, obs::Tracer& tracer,
                       robust::CircuitBreaker& breaker,
                       obs::TraceContext trace) const;
 

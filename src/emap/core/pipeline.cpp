@@ -105,13 +105,12 @@ EmapPipeline::EmapPipeline(mdb::MdbStore store, EmapConfig config,
       options_(options),
       cloud_(std::move(store), config_, options.cloud_threads),
       edge_device_(options.edge_device.value_or(sim::edge_raspberry_pi())),
-      cloud_device_(options.cloud_device.value_or(sim::cloud_i7())),
+      cloud_device_(sim::cloud_i7()),
       executor_(&cloud_, &config_, &cloud_device_, options_.use_transport,
                 options_.flight, CloudCallMetrics::resolve(options_.metrics)) {
   config_.validate();
   options_.fault.validate();
   options_.retry.validate();
-  options_.recovery.validate();
   require(!options_.alerts || options_.metrics != nullptr,
           "PipelineOptions: alerts need a metrics registry");
   if (options_.metrics != nullptr) {
@@ -148,10 +147,6 @@ EmapPipeline::EmapPipeline(mdb::MdbStore store, EmapConfig config,
   }
 }
 
-RunResult EmapPipeline::run(const synth::Recording& input) {
-  return run(input, options_.stop_at_sec);
-}
-
 RunResult EmapPipeline::run(const synth::Recording& input,
                             double stop_at_sec) {
   // The batch loop's own link: one channel, one fault schedule, at most
@@ -170,7 +165,7 @@ RunResult EmapPipeline::run(const synth::Recording& input,
 
   Session session(*this, input, stop_at_sec);
   EdgeNode& edge = session.edge;
-  obs::Tracer* tracer = session.tracer();
+  obs::Tracer& tracer = session.tracer();
   robust::CrashPointRegistry* crashpoints = session.crashpoints();
 
   if (std::optional<robust::SessionState> s = session.resume()) {
@@ -180,7 +175,6 @@ RunResult EmapPipeline::run(const synth::Recording& input,
     }
   }
 
-  const robust::RecoveryOptions& recovery = options_.recovery;
   for (std::size_t w = session.first_window(); session.monitors(w); ++w) {
     EMAP_PROFILE_SCOPE("pipeline_window");
     EMAP_CRASH_POINT(crashpoints, "pipeline_window_start");
@@ -213,9 +207,8 @@ RunResult EmapPipeline::run(const synth::Recording& input,
 
     session.result.iterations.push_back(record);
     EMAP_CRASH_POINT(crashpoints, "pipeline_window_end");
-    // Snapshot at the window boundary (absolute index, so a resumed run
-    // checkpoints at exactly the windows the uninterrupted run would).
-    if (recovery.enabled() && (w + 1) % recovery.interval_windows == 0) {
+    // Snapshot at every window boundary.
+    if (options_.recovery.enabled()) {
       robust::SessionState s = session.capture(w + 1);
       if (pending.has_value()) {
         s.pending = to_call_checkpoint(*pending);

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -45,6 +44,10 @@ class FlightRecorder;
 
 namespace emap::core {
 
+/// Fixed latency of the edge's hard-coded filter accelerator (the length
+/// of every window's "filter" span).
+inline constexpr double kFilterAcceleratorSec = 0.002;
+
 /// Pipeline environment switches.
 struct PipelineOptions {
   net::CommPlatform platform = net::CommPlatform::kLte;
@@ -57,25 +60,11 @@ struct PipelineOptions {
   /// Route messages through encode/decode (includes the 16-bit wire
   /// quantization in the signal path, as the real system would).
   bool use_transport = true;
-  /// Stop monitoring at this input time (seconds); negative = whole input.
-  /// Used by the lead-time evaluation (Fig. 10): predictions made before
-  /// `stop_at_sec` with the anomaly at onset_sec count at lead
-  /// onset_sec - stop_at_sec.
-  double stop_at_sec = -1.0;
-  std::size_t max_windows = std::numeric_limits<std::size_t>::max();
   /// End the run at the first alarm (the alarm latches, so lead-time
   /// evaluation only needs first_alarm_sec).
   bool stop_on_alarm = false;
   /// Number of cloud worker threads (0 = hardware concurrency).
   std::size_t cloud_threads = 0;
-  /// Collect the Fig. 9 activity trace (the span log in RunResult::tracer).
-  /// With it on, every window mints a deterministic 64-bit trace id
-  /// (obs::mint_trace_id under obs::kDefaultTraceSeed) that rides the wire
-  /// messages into the cloud and back, so edge and cloud spans of one
-  /// window share a trace; with it off the messages carry a zero id.  The
-  /// switch records spans only: both runs move the same bytes and make the
-  /// same decisions.
-  bool collect_trace = true;
   /// Flight recorder (borrowed; nullptr disables): the pipeline logs window
   /// boundaries, SLO misses, robust transitions, retries, breaker events,
   /// and checkpoint/resume marks into the ring, and triggers a dump when
@@ -83,24 +72,22 @@ struct PipelineOptions {
   /// the run's channel (fault verdicts) and, via options.crashpoints, the
   /// crash-point registry (crash dumps) when those are set.
   obs::FlightRecorder* flight = nullptr;
-  /// Fixed latency of the edge's hard-coded filter accelerator.
-  double filter_accelerator_sec = 0.002;
   /// Telemetry registry (borrowed; nullptr disables).  When set, the
   /// pipeline and every layer it drives (search, tracker, channel, codec,
   /// fault injector) record `emap_*` metrics into it, including the
   /// `emap_slo_*` families of the two paper budgets.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Device-model overrides (default: Raspberry Pi edge, i7 cloud).  A
-  /// slower edge profile pushes track steps past the 1 s budget — which is
-  /// how the SLO integration test provokes deadline misses on demand.
+  /// Edge device-model override (default: Raspberry Pi; the cloud is
+  /// always the i7 profile).  A slower edge profile pushes track steps past
+  /// the 1 s budget — which is how the SLO integration test provokes
+  /// deadline misses on demand.
   std::optional<sim::DeviceProfile> edge_device;
-  std::optional<sim::DeviceProfile> cloud_device;
   /// Crash-consistent checkpoint/restore (robust/checkpoint.hpp).  With a
   /// checkpoint_dir set, the pipeline snapshots the full resumable session
-  /// state every `interval_windows` completed windows; with resume = true
-  /// it restores the snapshot at run start and replays from the first
-  /// un-checkpointed window — on a clean link the resumed P_A trajectory
-  /// is bit-identical to the uninterrupted run's.
+  /// state after every completed window; with resume = true it restores
+  /// the snapshot at run start and replays from the first un-checkpointed
+  /// window — on a clean link the resumed P_A trajectory is bit-identical
+  /// to the uninterrupted run's.
   robust::RecoveryOptions recovery{};
   /// Deterministic crash injection (borrowed; nullptr disables).  Armed
   /// points fire inside the window loop and the checkpoint writer; see
@@ -194,9 +181,12 @@ struct RunResult {
   /// True when any cloud call exhausted its retries during the run.
   bool degraded = false;
   RunTimings timings;
-  /// Full span log of the run (null when options.collect_trace is false);
-  /// export with obs::to_chrome_trace / obs::write_chrome_trace, or draw
-  /// the Fig. 9 chart with obs::render_timeline_ascii.
+  /// Full span log of the run.  Every window mints a deterministic 64-bit
+  /// trace id (obs::mint_trace_id under obs::kDefaultTraceSeed) that rides
+  /// the wire messages into the cloud and back, so edge and cloud spans of
+  /// one window share a trace.  Export with obs::to_chrome_trace /
+  /// obs::write_chrome_trace, or draw the Fig. 9 chart with
+  /// obs::render_timeline_ascii.
   std::shared_ptr<obs::Tracer> tracer;
   /// Verdicts of the paper's two latency budgets over this run
   /// (edge_iteration, initial_response); export with
@@ -229,19 +219,19 @@ class EmapPipeline {
 
   /// Monitors `input` (must be sampled at config.base_fs_hz) and returns
   /// the run record.  The pipeline resets per run; runs are independent.
-  RunResult run(const synth::Recording& input);
-
-  /// Same, overriding options().stop_at_sec for this run only (the Fig. 10
-  /// lead-time sweep re-runs one pipeline at many stop points).
-  RunResult run(const synth::Recording& input, double stop_at_sec);
+  /// A non-negative `stop_at_sec` ends the run at that input time: windows
+  /// are 1 s long, so the run is the first floor(stop_at_sec) windows of
+  /// the whole-input run.  The Fig. 10 lead-time sweep re-runs one
+  /// pipeline at many stop points; predictions made before `stop_at_sec`
+  /// with the anomaly at onset_sec count at lead onset_sec - stop_at_sec.
+  RunResult run(const synth::Recording& input, double stop_at_sec = -1.0);
 
   const CloudNode& cloud() const { return cloud_; }
   const EmapConfig& config() const { return config_; }
   const PipelineOptions& options() const { return options_; }
 
-  /// Device profiles used for the virtual-time accounting.
+  /// Edge device profile used for the virtual-time accounting.
   const sim::DeviceProfile& edge_device() const { return edge_device_; }
-  const sim::DeviceProfile& cloud_device() const { return cloud_device_; }
 
  private:
   friend class Session;

@@ -43,12 +43,10 @@ Session::Session(const EmapPipeline& pipeline, const synth::Recording& input,
   const std::size_t window = config_.window_length;
   require(input.samples.size() >= window,
           "run: input shorter than one window");
-  end_window_ = std::min(options_.max_windows, input.samples.size() / window);
+  end_window_ = input.samples.size() / window;
   edge.set_quality_gate(&quality_);
-  if (options_.collect_trace) {
-    result.tracer = std::make_shared<obs::Tracer>();
-    tracer_ = result.tracer.get();
-  }
+  result.tracer = std::make_shared<obs::Tracer>();
+  tracer_ = result.tracer.get();
   flight_ = options_.flight;
   crashpoints_ = options_.crashpoints;
   if (crashpoints_ != nullptr) {
@@ -94,6 +92,12 @@ std::optional<robust::SessionState> Session::resume() {
       throw robust::CheckpointError(
           "checkpoint: input fingerprint mismatch — snapshot belongs to "
           "a different recording");
+    }
+    // The decoder range-checked everything else a restore below would
+    // refuse; the FIR history length depends on this pipeline's filter.
+    if (snapshot->fir.history.size() != edge.filter().taps()) {
+      throw robust::CheckpointError(
+          "checkpoint: FIR history does not match the filter");
     }
     robust::SessionState& s = *snapshot;
     std::vector<TrackedSignal> tracked;
@@ -148,11 +152,9 @@ std::optional<robust::SessionState> Session::resume() {
       metrics.recovery_resume_window->set(static_cast<double>(first_window_));
     }
     const std::uint64_t resume_trace = window_trace(first_window_);
-    if (tracer_ != nullptr) {
-      const double t_resume = static_cast<double>(first_window_);
-      tracer_->record_sim("recovery_resume", "recovery", t_resume, t_resume,
-                          0, resume_trace);
-    }
+    const double t_resume = static_cast<double>(first_window_);
+    tracer_->record_sim("recovery_resume", "recovery", t_resume, t_resume, 0,
+                        resume_trace);
     if (flight_ != nullptr) {
       flight_->log(obs::FlightEventType::kResume, "resume",
                    static_cast<double>(first_window_), resume_trace,
@@ -165,11 +167,8 @@ std::optional<robust::SessionState> Session::resume() {
     }
     return snapshot;
   } catch (const robust::CheckpointError& error) {
-    // Missing or rejected snapshot: fail closed in strict mode, fall back
-    // to a cold start otherwise (the run is then a fresh session).
-    if (recovery.strict) {
-      throw;
-    }
+    // Missing or rejected snapshot: fall back to a cold start (the run is
+    // then a fresh session).
     summary.cold_start_fallback = true;
     summary.reject_reason = error.what();
     if (metrics.recovery_cold_starts != nullptr) {
@@ -261,9 +260,7 @@ std::span<const double> Session::raw_window(std::size_t w) const {
 }
 
 std::uint64_t Session::window_trace(std::size_t w) const {
-  // Trace ids ride the span log, so no tracer means no causal tracing.
-  return tracer_ != nullptr ? obs::mint_trace_id(obs::kDefaultTraceSeed, w)
-                            : 0;
+  return obs::mint_trace_id(obs::kDefaultTraceSeed, w);
 }
 
 obs::TraceContext Session::open_window(std::size_t w) {
@@ -272,16 +269,13 @@ obs::TraceContext Session::open_window(std::size_t w) {
   // this window hangs off, directly or over the wire.
   const double t_end = static_cast<double>(w + 1);
   obs::TraceContext window{window_trace(w), 0};
-  if (tracer_ != nullptr) {
-    window.parent_span =
-        tracer_->record_sim("window_" + std::to_string(w), "window",
-                            t_end - 1.0, t_end, 0, window.trace_id);
-    tracer_->record_sim("sample", "sample", t_end - 1.0, t_end,
-                        window.parent_span, window.trace_id);
-    tracer_->record_sim("filter", "filter", t_end,
-                        t_end + options_.filter_accelerator_sec,
-                        window.parent_span, window.trace_id);
-  }
+  window.parent_span =
+      tracer_->record_sim("window_" + std::to_string(w), "window",
+                          t_end - 1.0, t_end, 0, window.trace_id);
+  tracer_->record_sim("sample", "sample", t_end - 1.0, t_end,
+                      window.parent_span, window.trace_id);
+  tracer_->record_sim("filter", "filter", t_end, t_end + kFilterAcceleratorSec,
+                      window.parent_span, window.trace_id);
   if (flight_ != nullptr) {
     flight_->log(obs::FlightEventType::kSpan,
                  ("window_" + std::to_string(w)).c_str(), t_end,
@@ -385,10 +379,8 @@ bool Session::track(std::span<const double> filtered, std::size_t outstanding,
     if (!breaker_.allow(t_end)) {
       record.breaker_rejected = true;
       record.no_call_reason = NoCallReason::kBreakerOpen;
-      if (tracer_ != nullptr) {
-        tracer_->record_sim("breaker_reject", "robust", t_end, t_end,
-                            window.parent_span, window.trace_id);
-      }
+      tracer_->record_sim("breaker_reject", "robust", t_end, t_end,
+                          window.parent_span, window.trace_id);
       if (flight_ != nullptr) {
         flight_->log(obs::FlightEventType::kShed, "breaker_reject", t_end,
                      window.trace_id);
@@ -459,15 +451,13 @@ bool Session::track(std::span<const double> filtered, std::size_t outstanding,
   } else if (pipeline_.metrics_.track_step != nullptr) {
     pipeline_.metrics_.track_step->observe(record.track_device_sec);
   }
-  if (tracer_ != nullptr) {
-    tracer_->record_sim("edge-track", "edge-track", t_end,
-                        t_end + record.track_device_sec, window.parent_span,
-                        window.trace_id);
-    tracer_->record_sim("prediction", "prediction",
-                        t_end + record.track_device_sec,
-                        t_end + record.track_device_sec + 1e-3,
-                        window.parent_span, window.trace_id);
-  }
+  tracer_->record_sim("edge-track", "edge-track", t_end,
+                      t_end + record.track_device_sec, window.parent_span,
+                      window.trace_id);
+  tracer_->record_sim("prediction", "prediction",
+                      t_end + record.track_device_sec,
+                      t_end + record.track_device_sec + 1e-3,
+                      window.parent_span, window.trace_id);
   if (!step.cloud_call_needed) {
     record.no_call_reason = NoCallReason::kNotNeeded;
     return false;
@@ -532,10 +522,8 @@ void Session::feedback(const IterationRecord& record, double queue_pressure,
       if (breaker_state == robust::BreakerState::kOpen) {
         flight_->log(obs::FlightEventType::kBreakerOpen, "breaker_open",
                      t_end, window.trace_id);
-        if (tracer_ != nullptr) {
-          tracer_->record_sim("breaker_open", "robust", t_end, t_end,
-                              window.parent_span, window.trace_id);
-        }
+        tracer_->record_sim("breaker_open", "robust", t_end, t_end,
+                            window.parent_span, window.trace_id);
         if (!breaker_dumped_) {
           breaker_dumped_ = true;
           flight_->trigger_dump("breaker_open");
@@ -582,22 +570,18 @@ RunResult Session::finish() {
   result.slo = {edge_slo_->summary(), initial_slo_->summary()};
   flush_deferred();
   result.robust.degrade = controller_.summary();
-  if (tracer_ != nullptr) {
-    for (const auto& transition : controller_.transitions()) {
-      // Attribute the transition to the window whose feedback caused it
-      // (transitions land at window completion instants, t_sec = w + 1).
-      const std::uint64_t transition_trace =
-          transition.t_sec >= 1.0
-              ? window_trace(
-                    static_cast<std::uint64_t>(transition.t_sec - 1.0))
-              : 0;
-      tracer_->record_sim(
-          std::string("robust_") +
-              robust::degrade_state_name(transition.from) + "_to_" +
-              robust::degrade_state_name(transition.to),
-          "robust", transition.t_sec, transition.t_sec, 0,
-          transition_trace);
-    }
+  for (const auto& transition : controller_.transitions()) {
+    // Attribute the transition to the window whose feedback caused it
+    // (transitions land at window completion instants, t_sec = w + 1).
+    const std::uint64_t transition_trace =
+        transition.t_sec >= 1.0
+            ? window_trace(static_cast<std::uint64_t>(transition.t_sec - 1.0))
+            : 0;
+    tracer_->record_sim(std::string("robust_") +
+                            robust::degrade_state_name(transition.from) +
+                            "_to_" + robust::degrade_state_name(transition.to),
+                        "robust", transition.t_sec, transition.t_sec, 0,
+                        transition_trace);
   }
   result.robust.breaker = breaker_.summary();
   // Fold in pre-crash counts a restored snapshot carried (zeros otherwise).

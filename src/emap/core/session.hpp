@@ -50,7 +50,7 @@ class Session {
   /// config and input match this run; then restores every session field
   /// and returns the snapshot so the batch loop can restore its pending
   /// call and fault-injector cursor.  A missing or rejected snapshot falls
-  /// back to a cold start (nullopt), or rethrows under recovery.strict.
+  /// back to a cold start (nullopt) and records its reject_reason.
   std::optional<robust::SessionState> resume();
 
   /// The shared snapshot fields as of `next_window`.  The caller guarantees
@@ -66,12 +66,12 @@ class Session {
 
   /// First window this run executes (the snapshot's next window on resume).
   std::size_t first_window() const { return first_window_; }
-  /// Whether window `w` lies inside the run (input length, max_windows,
-  /// stop_at_sec, and an alarm already latched by a restored predictor).
+  /// Whether window `w` lies inside the run (input length, stop_at_sec,
+  /// and an alarm already latched by a restored predictor).
   bool monitors(std::size_t w) const;
   /// Raw input samples of window `w`.
   std::span<const double> raw_window(std::size_t w) const;
-  /// Deterministic trace id of window `w` (0 without a tracer).
+  /// Deterministic trace id of window `w`.
   std::uint64_t window_trace(std::size_t w) const;
 
   /// Mints window `w`'s trace and records its root, sample and filter
@@ -113,7 +113,7 @@ class Session {
   EdgeNode edge;
   RunResult result;
 
-  obs::Tracer* tracer() const { return tracer_; }
+  obs::Tracer& tracer() const { return *tracer_; }
   obs::FlightRecorder* flight() const { return flight_; }
   robust::CrashPointRegistry* crashpoints() const { return crashpoints_; }
   robust::CircuitBreaker& breaker() { return breaker_; }
@@ -141,6 +141,7 @@ class Session {
   robust::CircuitBreaker breaker_;
   robust::StageWatchdog watchdog_;
   robust::SignalQualityGate quality_;
+  /// The run's span log (owned by result.tracer).
   obs::Tracer* tracer_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   robust::CrashPointRegistry* crashpoints_ = nullptr;

@@ -82,13 +82,14 @@ StreamPipeline::StreamPipeline(EmapPipeline& pipeline, StreamOptions options)
           "(PipelineOptions::recovery must be off)");
 }
 
-RunResult StreamPipeline::run(const synth::Recording& input) {
+RunResult StreamPipeline::run(const synth::Recording& input,
+                              double stop_at_sec) {
   EmapPipeline& p = pipeline_;
   const PipelineOptions& opts = p.options_;
-  Session session(p, input, opts.stop_at_sec);
+  Session session(p, input, stop_at_sec);
   session.result.robust.streamed = true;
   EdgeNode& edge = session.edge;
-  obs::Tracer* tracer = session.tracer();
+  obs::Tracer& tracer = session.tracer();
   obs::FlightRecorder* flight = session.flight();
   robust::CrashPointRegistry* crashpoints = session.crashpoints();
   robust::CircuitBreaker& breaker = session.breaker();

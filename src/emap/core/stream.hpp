@@ -106,8 +106,9 @@ class StreamPipeline {
   explicit StreamPipeline(EmapPipeline& pipeline, StreamOptions options = {});
 
   /// Monitors `input` on the supervised stage graph and returns the run
-  /// record.
-  RunResult run(const synth::Recording& input);
+  /// record; a non-negative `stop_at_sec` ends it at that input time, as
+  /// in EmapPipeline::run.
+  RunResult run(const synth::Recording& input, double stop_at_sec = -1.0);
 
   const StreamOptions& options() const { return options_; }
 

@@ -3,23 +3,15 @@
 #include <algorithm>
 
 #include "emap/common/error.hpp"
+#include "emap/dsp/fir.hpp"
 #include "emap/dsp/resample.hpp"
 #include "emap/edf/edf.hpp"
 
 namespace emap::mdb {
 
-MdbBuilder::MdbBuilder(BuilderConfig config)
-    : config_(std::move(config)),
-      store_(StoreInfo{config_.base_fs_hz,
-                       static_cast<std::uint32_t>(config_.slice_length)}) {
-  require(config_.base_fs_hz > 0.0, "MdbBuilder: base rate must be > 0");
-  require(config_.slice_length > 0, "MdbBuilder: slice length must be > 0");
-  require(config_.slice_stride > 0, "MdbBuilder: slice stride must be > 0");
-  require(config_.anomalous_fraction >= 0.0 &&
-              config_.anomalous_fraction <= 1.0,
-          "MdbBuilder: anomalous fraction must be in [0, 1]");
-  config_.filter.sample_rate_hz = config_.base_fs_hz;
-}
+MdbBuilder::MdbBuilder()
+    : store_(StoreInfo{kBaseFsHz,
+                       static_cast<std::uint32_t>(kSignalSetLength)}) {}
 
 std::size_t MdbBuilder::add_signal(std::span<const double> samples,
                                    double native_fs_hz,
@@ -33,43 +25,40 @@ std::size_t MdbBuilder::add_signal(std::span<const double> samples,
   }
 
   // 1) Up-/down-sample to the base rate.
-  const auto resampled =
-      dsp::resample(samples, native_fs_hz, config_.base_fs_hz);
+  const auto resampled = dsp::resample(samples, native_fs_hz, kBaseFsHz);
 
   // 2) Bandpass filter (identical design to the edge acquisition filter).
-  dsp::FirFilter filter(config_.filter);
+  dsp::FirDesign design;
+  design.sample_rate_hz = kBaseFsHz;
+  dsp::FirFilter filter(design);
   auto filtered = filter.apply(resampled);
 
-  // 3) Optionally drop the filter warm-up (one filter length) so slices
-  //    don't start with the zero-history transient.
-  std::size_t head = 0;
-  if (config_.drop_filter_transient) {
-    head = std::min(filtered.size(), filter.taps());
-  }
+  // 3) Drop the filter warm-up (one filter length) so slices don't start
+  //    with the zero-history transient.
+  const std::size_t head = std::min(filtered.size(), filter.taps());
 
   // 4) Slice and label.
   std::size_t inserted = 0;
   for (std::size_t begin = head;
-       begin + config_.slice_length <= filtered.size();
-       begin += config_.slice_stride) {
+       begin + kSignalSetLength <= filtered.size();
+       begin += kSignalSetLength) {
     SignalSet set;
     // Rounded to f32 here, so the in-memory store holds exactly what its
     // saved file would.
     set.samples.assign(
         filtered.begin() + static_cast<std::ptrdiff_t>(begin),
         filtered.begin() +
-            static_cast<std::ptrdiff_t>(begin + config_.slice_length));
+            static_cast<std::ptrdiff_t>(begin + kSignalSetLength));
     set.source = source;
     set.source_recording = source_recording;
-    set.start_sec = static_cast<double>(begin) / config_.base_fs_hz;
+    set.start_sec = static_cast<double>(begin) / kBaseFsHz;
     set.class_tag = class_tag;
 
     // Label: fraction of slice samples whose time is annotated anomalous.
     std::size_t anomalous_samples = 0;
     if (label_at) {
-      for (std::size_t k = 0; k < config_.slice_length; ++k) {
-        const double t =
-            static_cast<double>(begin + k) / config_.base_fs_hz;
+      for (std::size_t k = 0; k < kSignalSetLength; ++k) {
+        const double t = static_cast<double>(begin + k) / kBaseFsHz;
         if (label_at(t)) {
           ++anomalous_samples;
         }
@@ -77,7 +66,7 @@ std::size_t MdbBuilder::add_signal(std::span<const double> samples,
     }
     set.anomalous =
         static_cast<double>(anomalous_samples) >=
-        config_.anomalous_fraction * static_cast<double>(config_.slice_length);
+        kAnomalousFraction * static_cast<double>(kSignalSetLength);
     store_.insert(std::move(set));
     ++inserted;
   }

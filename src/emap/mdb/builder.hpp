@@ -11,33 +11,26 @@
 #include <functional>
 #include <string>
 
-#include "emap/dsp/fir.hpp"
 #include "emap/mdb/store.hpp"
 #include "emap/synth/generator.hpp"
 
 namespace emap::mdb {
 
-/// Construction parameters.
-struct BuilderConfig {
-  double base_fs_hz = 256.0;
-  std::size_t slice_length = kSignalSetLength;
-  /// Stride between consecutive slices; slice_length = non-overlapping.
-  std::size_t slice_stride = kSignalSetLength;
-  /// A slice is labeled anomalous when at least this fraction of its span
-  /// is annotated anomalous.
-  double anomalous_fraction = 0.5;
-  /// Discard the filter's warm-up transient at the head of each recording.
-  bool drop_filter_transient = true;
-  dsp::FirDesign filter;  // defaults are the paper's bandpass
-};
+/// Base rate every source signal is resampled to before filtering.
+inline constexpr double kBaseFsHz = 256.0;
+/// A slice is labeled anomalous when at least this fraction of its span is
+/// annotated anomalous.
+inline constexpr double kAnomalousFraction = 0.5;
 
 /// Ground-truth callback: label of the source signal at time t (seconds).
 using LabelAt = std::function<bool(double)>;
 
-/// Builds an MdbStore by running source signals through the pipeline.
+/// Builds an MdbStore by running source signals through the pipeline:
+/// resample to kBaseFsHz, the paper's bandpass, drop the filter's warm-up
+/// transient, then back-to-back kSignalSetLength slices.
 class MdbBuilder {
  public:
-  explicit MdbBuilder(BuilderConfig config = {});
+  MdbBuilder();
 
   /// Ingests raw samples at `native_fs_hz`.  `label_at` is queried at the
   /// base-rate time axis of each slice; `class_tag` is evaluation metadata.
@@ -63,7 +56,6 @@ class MdbBuilder {
   MdbStore take_store() { return std::move(store_); }
 
  private:
-  BuilderConfig config_;
   MdbStore store_;
 };
 

@@ -22,7 +22,7 @@ double Channel::line_seconds(std::size_t payload_bytes, double rate_mbps) {
 double Channel::transfer_seconds(std::size_t payload_bytes,
                                  double rate_mbps) const {
   double seconds =
-      line_seconds(payload_bytes + options_.framing_overhead_bytes, rate_mbps);
+      line_seconds(payload_bytes + kFramingOverheadBytes, rate_mbps);
   if (options_.include_latency) {
     seconds += platform_params(platform_).latency_ms * 1e-3;
   }
@@ -70,7 +70,7 @@ void Channel::record(DirectionMetrics& metrics, std::size_t payload_bytes,
     return;
   }
   metrics.messages->increment();
-  metrics.bytes->increment(payload_bytes + options_.framing_overhead_bytes);
+  metrics.bytes->increment(payload_bytes + kFramingOverheadBytes);
   metrics.seconds->observe(seconds);
 }
 

@@ -27,10 +27,12 @@ class Histogram;
 
 namespace emap::net {
 
+/// L2/L3/L4 header bytes the link adds to every message.
+inline constexpr std::size_t kFramingOverheadBytes = 60;
+
 /// Channel behaviour switches.
 struct ChannelOptions {
-  bool include_latency = true;   ///< add one-way access latency per message
-  std::size_t framing_overhead_bytes = 60;  ///< L2/L3/L4 headers per message
+  bool include_latency = true;  ///< add one-way access latency per message
 };
 
 /// One message's trip over the link: the modelled wire time plus whatever

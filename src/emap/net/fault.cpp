@@ -20,10 +20,6 @@ void validate_spec(const FaultSpec& spec, const char* which) {
     throw InvalidArgument(std::string("FaultSpec(") + which +
                           "): need 0 <= delay_min_sec <= delay_max_sec");
   }
-  if (spec.corrupt > 0.0 && spec.corrupt_bits == 0) {
-    throw InvalidArgument(std::string("FaultSpec(") + which +
-                          "): corrupt_bits must be > 0 when corrupt > 0");
-  }
 }
 
 }  // namespace
@@ -93,7 +89,7 @@ FaultPlan FaultInjector::apply(Direction direction,
         plan.corrupted = false;
         plan.dropped = true;
       } else {
-        for (std::size_t i = 0; i < s.spec.corrupt_bits; ++i) {
+        for (std::size_t i = 0; i < kCorruptBits; ++i) {
           const std::uint64_t at = s.rng.uniform_index(bytes.size());
           const std::uint64_t bit = s.rng.uniform_index(8);
           bytes[at] ^= static_cast<std::uint8_t>(1u << bit);

@@ -30,6 +30,9 @@ enum class Direction { kUpload, kDownload };
 /// metric labels.
 const char* direction_name(Direction direction);
 
+/// Bit-flips applied per corruption event.
+inline constexpr std::size_t kCorruptBits = 3;
+
 /// Per-direction fault probabilities and shaping parameters.  All
 /// probabilities default to zero: a default-constructed spec injects
 /// nothing and the pipeline behaves bit-identically to a fault-free run.
@@ -39,9 +42,8 @@ struct FaultSpec {
   double duplicate = 0.0;  ///< delivered twice (receiver must dedup)
   double reorder = 0.0;    ///< overtaken in flight (modelled as extra delay)
   double delay = 0.0;      ///< held back by a uniform extra delay
-  double delay_min_sec = 0.05;   ///< lower bound of the extra delay
-  double delay_max_sec = 0.50;   ///< upper bound of the extra delay
-  std::size_t corrupt_bits = 3;  ///< bit-flips per corruption event
+  double delay_min_sec = 0.05;  ///< lower bound of the extra delay
+  double delay_max_sec = 0.50;  ///< upper bound of the extra delay
 
   /// True when any fault can fire.
   bool any() const {

@@ -22,17 +22,7 @@ const char* reject_reason_name(RejectReason reason) {
 
 void RetryOptions::validate() const {
   require(max_attempts >= 1, "RetryOptions: max_attempts must be >= 1");
-  require(timeout_multiplier > 0.0,
-          "RetryOptions: timeout_multiplier must be > 0");
-  require(min_timeout_sec > 0.0 && min_timeout_sec <= max_timeout_sec,
-          "RetryOptions: need 0 < min_timeout_sec <= max_timeout_sec");
-  require(base_backoff_sec >= 0.0,
-          "RetryOptions: base_backoff_sec must be >= 0");
-  require(backoff_cap_sec >= base_backoff_sec,
-          "RetryOptions: backoff_cap_sec must be >= base_backoff_sec");
-  require(jitter_fraction >= 0.0 && jitter_fraction < 1.0,
-          "RetryOptions: jitter_fraction must be in [0, 1)");
-  require(deadline_sec >= max_timeout_sec,
+  require(deadline_sec >= kMaxTimeoutSec,
           "RetryOptions: deadline_sec must fit at least one attempt");
 }
 
@@ -42,26 +32,25 @@ RetryPolicy::RetryPolicy(RetryOptions options) : options_(options) {
 
 double RetryPolicy::timeout_for(double expected_transfer_sec) const {
   const double scaled =
-      options_.timeout_multiplier * std::max(expected_transfer_sec, 0.0);
-  return std::clamp(scaled, options_.min_timeout_sec,
-                    options_.max_timeout_sec);
+      kTimeoutMultiplier * std::max(expected_transfer_sec, 0.0);
+  return std::clamp(scaled, kMinTimeoutSec, kMaxTimeoutSec);
 }
 
 double RetryPolicy::backoff_before(std::size_t attempt) const {
-  if (attempt == 0 || options_.base_backoff_sec == 0.0) {
+  if (attempt == 0) {
     return 0.0;
   }
   const double raw =
-      options_.base_backoff_sec *
+      kBaseBackoffSec *
       std::ldexp(1.0, static_cast<int>(std::min<std::size_t>(attempt, 60)) -
                           1);
-  // Jitter is a pure function of (seed, attempt): forked streams make the
-  // k-th backoff identical across replays regardless of what happened on
+  // Jitter is a pure function of the attempt: forked streams make the k-th
+  // backoff identical across replays regardless of what happened on
   // earlier attempts.  The factor lives in [1, 1 + f) with f < 1, so the
   // sequence stays non-decreasing (each uncapped step doubles).
-  const double u = Rng(options_.seed).fork(attempt).uniform();
-  const double jittered = raw * (1.0 + options_.jitter_fraction * u);
-  return std::min(options_.backoff_cap_sec, jittered);
+  const double u = Rng(kJitterSeed).fork(attempt).uniform();
+  const double jittered = raw * (1.0 + kJitterFraction * u);
+  return std::min(kBackoffCapSec, jittered);
 }
 
 double RetryPolicy::backoff_for(std::size_t attempt, RejectReason reason,
@@ -74,25 +63,14 @@ double RetryPolicy::backoff_for(std::size_t attempt, RejectReason reason,
     // The link delivered — fast, flat retry instead of exponential
     // penance.  Same deterministic jitter stream as backoff_before, so
     // replays stay exact.
-    if (options_.base_backoff_sec == 0.0) {
-      backoff = 0.0;
-    } else {
-      const double u = Rng(options_.seed).fork(attempt).uniform();
-      backoff = std::min(options_.backoff_cap_sec,
-                         options_.base_backoff_sec *
-                             (1.0 + options_.jitter_fraction * u));
-    }
+    const double u = Rng(kJitterSeed).fork(attempt).uniform();
+    backoff = std::min(kBackoffCapSec,
+                       kBaseBackoffSec * (1.0 + kJitterFraction * u));
   }
   // A positive RetryAfter hint floors the backoff regardless of reason:
   // the edge's own circuit breaker advertises its remaining OPEN cooldown
   // this way — it said when to come back; never come back sooner.
   return std::max(backoff, std::max(retry_after_hint_sec, 0.0));
-}
-
-bool RetryPolicy::allow_attempt(std::size_t attempt, double elapsed_sec,
-                                double timeout_sec) const {
-  return allow_attempt_after(attempt, elapsed_sec, backoff_before(attempt),
-                             timeout_sec);
 }
 
 bool RetryPolicy::allow_attempt_after(std::size_t attempt, double elapsed_sec,
@@ -112,20 +90,20 @@ bool RetryPolicy::allow_attempt_after(std::size_t attempt, double elapsed_sec,
 double RetryPolicy::worst_case_wait(double expected_transfer_sec) const {
   const double timeout = timeout_for(expected_transfer_sec);
   // Upper-bound the jitter at its supremum and assume every attempt runs
-  // to its timeout; the deadline check in allow_attempt() additionally
-  // guarantees the real cumulative wait never exceeds deadline_sec, so the
-  // bound is the smaller of the two.
+  // to its timeout; the deadline check in allow_attempt_after()
+  // additionally guarantees the real cumulative wait never exceeds
+  // deadline_sec, so the bound is the smaller of the two.
   double total = 0.0;
   for (std::size_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
     const double backoff_ub =
         attempt == 0
             ? 0.0
-            : std::min(options_.backoff_cap_sec,
-                       options_.base_backoff_sec *
+            : std::min(kBackoffCapSec,
+                       kBaseBackoffSec *
                            std::ldexp(1.0, static_cast<int>(std::min<
                                                std::size_t>(attempt, 60)) -
                                                1) *
-                           (1.0 + options_.jitter_fraction));
+                           (1.0 + kJitterFraction));
     total += backoff_ub + timeout;
   }
   return std::min(total, options_.deadline_sec);

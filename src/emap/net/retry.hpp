@@ -7,7 +7,7 @@
 // timeout is derived from the channel's expected transfer time rather than
 // hard-coded, so the same policy is sane on HSPA and on LTE-Advanced.
 //
-// Everything here is a pure function of (options, seed, attempt index):
+// Everything here is a pure function of (options, attempt index):
 // replaying a run reproduces the identical retry schedule, which is what
 // lets the fault-matrix harness assert exact outcomes.
 #pragma once
@@ -30,21 +30,24 @@ enum class RejectReason : std::uint8_t {
 /// Lowercase reason label ("none", "timeout", "corrupt").
 const char* reject_reason_name(RejectReason reason);
 
-/// Retry knobs.  Defaults keep the worst-case stall of one logical cloud
-/// call within the paper's ~3 s initial-latency budget order of magnitude.
-struct RetryOptions {
-  std::size_t max_attempts = 3;     ///< total tries per logical call (>= 1)
-  double timeout_multiplier = 4.0;  ///< timeout = mult x expected transfer
-  double min_timeout_sec = 0.25;    ///< floor (covers the cloud search leg)
-  double max_timeout_sec = 5.0;     ///< ceiling per attempt
-  double base_backoff_sec = 0.10;   ///< backoff before attempt 1
-  double backoff_cap_sec = 2.00;    ///< exponential growth stops here
-  double jitter_fraction = 0.10;    ///< deterministic jitter in [0, 1)
-  double deadline_sec = 20.0;       ///< hard cap on cumulative wait per call
-  std::uint64_t seed = 0x5eedULL;   ///< jitter stream seed
+/// The fixed shape of the retry schedule.  Together with RetryOptions'
+/// defaults it keeps the worst-case stall of one logical cloud call within
+/// the paper's ~3 s initial-latency budget order of magnitude.
+inline constexpr double kTimeoutMultiplier = 4.0;  ///< x expected transfer
+inline constexpr double kMinTimeoutSec = 0.25;  ///< covers the search leg
+inline constexpr double kMaxTimeoutSec = 5.0;   ///< ceiling per attempt
+inline constexpr double kBaseBackoffSec = 0.10;  ///< backoff before attempt 1
+inline constexpr double kBackoffCapSec = 2.00;  ///< exponential growth stops
+inline constexpr double kJitterFraction = 0.10;  ///< jitter factor in [1, 1.1)
+inline constexpr std::uint64_t kJitterSeed = 0x5eedULL;  ///< jitter stream
 
-  /// Throws InvalidArgument when the knobs are inconsistent (e.g. zero
-  /// attempts, min > max timeout, or a deadline no attempt can fit in).
+/// The retry budget of one logical call.
+struct RetryOptions {
+  std::size_t max_attempts = 3;  ///< total tries per logical call (>= 1)
+  double deadline_sec = 20.0;    ///< hard cap on cumulative wait per call
+
+  /// Throws InvalidArgument on zero attempts or a deadline shorter than
+  /// one attempt's maximum timeout (kMaxTimeoutSec).
   void validate() const;
 };
 
@@ -53,16 +56,16 @@ class RetryPolicy {
  public:
   explicit RetryPolicy(RetryOptions options = {});
 
-  const RetryOptions& options() const { return options_; }
-
   /// Per-attempt timeout for a call whose fault-free transfer is expected
-  /// to take `expected_transfer_sec`: clamp(mult x expected, min, max).
+  /// to take `expected_transfer_sec`:
+  /// clamp(kTimeoutMultiplier x expected, kMinTimeoutSec, kMaxTimeoutSec).
   double timeout_for(double expected_transfer_sec) const;
 
   /// Backoff observed before `attempt` (0-based).  Attempt 0 starts
-  /// immediately; attempt k >= 1 waits min(cap, base x 2^(k-1)) stretched
-  /// by a deterministic jitter factor in [1, 1 + jitter_fraction).  The
-  /// sequence is non-decreasing in k and a pure function of (seed, k).
+  /// immediately; attempt k >= 1 waits
+  /// min(kBackoffCapSec, kBaseBackoffSec x 2^(k-1)) stretched by a
+  /// deterministic jitter factor in [1, 1 + kJitterFraction).  The sequence
+  /// is non-decreasing in k and a pure function of k.
   double backoff_before(std::size_t attempt) const;
 
   /// Backoff before `attempt` given why the previous attempt failed.
@@ -75,21 +78,15 @@ class RetryPolicy {
   double backoff_for(std::size_t attempt, RejectReason reason,
                      double retry_after_hint_sec = 0.0) const;
 
-  /// Whether `attempt` (0-based) may start, given the wait already spent
-  /// on this logical call.  Attempt 0 is always allowed; later attempts
-  /// must fit backoff + timeout inside the deadline.
-  bool allow_attempt(std::size_t attempt, double elapsed_sec,
-                     double timeout_sec) const;
-
-  /// allow_attempt with an explicit backoff — needed when backoff_for
-  /// exceeds the default schedule (a RetryAfter hint can be arbitrarily
-  /// long and must still respect the per-call deadline).
+  /// Whether `attempt` (0-based) may start after waiting `backoff_sec`,
+  /// given the wait already spent on this logical call.  Attempt 0 is
+  /// always allowed; later attempts must fit backoff + timeout inside the
+  /// deadline (a RetryAfter hint can stretch the backoff arbitrarily).
   bool allow_attempt_after(std::size_t attempt, double elapsed_sec,
                            double backoff_sec, double timeout_sec) const;
 
   /// Upper bound on the cumulative wait of one logical call (all attempts
-  /// failing at their timeout, maximal jitter).  validate() guarantees
-  /// this never exceeds options().deadline_sec.
+  /// failing at their timeout, maximal jitter), never above the deadline.
   double worst_case_wait(double expected_transfer_sec) const;
 
  private:

@@ -10,6 +10,7 @@
 #include "emap/obs/flight.hpp"
 #include "emap/obs/slo.hpp"
 #include "emap/obs/span.hpp"
+#include "emap/obs/trace_context.hpp"
 
 namespace emap::obs {
 namespace {
@@ -244,7 +245,7 @@ std::string AlertEngine::to_jsonl() const {
         .field("state", transition.firing ? "firing" : "resolved")
         .field("value", transition.value)
         .field("threshold", transition.threshold)
-        .field("trace_id", transition.trace_id);
+        .field("trace_id", trace_id_hex(transition.trace_id));
     out += json.str();
     out += '\n';
   }

@@ -110,7 +110,10 @@ class AlertEngine {
 
   /// One JSONL line per transition:
   ///   {"rule":...,"series":...,"t_sec":...,"state":"firing"|"resolved",
-  ///    "value":...,"threshold":...,"trace_id":...}
+  ///    "value":...,"threshold":...,"trace_id":"<16 hex digits>"}
+  /// The trace id is written as trace_id_hex text, as the span log and
+  /// flight dumps write it, so it survives JSON readers that parse
+  /// numbers as doubles.
   std::string to_jsonl() const;
   /// Throws IoError when the file cannot be opened or written.
   void write_jsonl(const std::filesystem::path& path) const;

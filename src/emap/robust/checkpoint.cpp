@@ -393,7 +393,10 @@ void encode_slo(mdb::Encoder& enc, const obs::SloMonitorState& slo) {
   enc.write_u64(slo.recent_misses);
 }
 
-obs::SloMonitorState decode_slo(mdb::Decoder& dec, std::size_t total_bytes) {
+// `window` is the monitor's burn window: SloMonitor::restore_state accepts
+// only a ring of that size with in-range cursors.
+obs::SloMonitorState decode_slo(mdb::Decoder& dec, std::size_t total_bytes,
+                                std::size_t window) {
   obs::SloMonitorState slo;
   slo.observations = dec.read_u64();
   slo.deadline_misses = dec.read_u64();
@@ -403,6 +406,10 @@ obs::SloMonitorState decode_slo(mdb::Decoder& dec, std::size_t total_bytes) {
   slo.recent_next = dec.read_u64();
   slo.recent_count = dec.read_u64();
   slo.recent_misses = dec.read_u64();
+  if (slo.recent_miss.size() != window || slo.recent_next >= window ||
+      slo.recent_count > window || slo.recent_misses > slo.recent_count) {
+    reject("SLO ring does not match its burn window");
+  }
   return slo;
 }
 
@@ -435,6 +442,9 @@ DegradeCheckpoint decode_degrade(mdb::Decoder& dec) {
   DegradeCheckpoint degrade;
   degrade.state = decode_degrade_state(dec.read_u8());
   degrade.shed_level = dec.read_u64();
+  if (degrade.shed_level > kMaxShedLevel) {
+    reject("degrade shed level out of range");
+  }
   degrade.bad_streak = dec.read_u64();
   degrade.clean_streak = dec.read_u64();
   degrade.miss_streak = dec.read_u64();
@@ -481,6 +491,11 @@ BreakerCheckpoint decode_breaker(mdb::Decoder& dec,
   breaker.recent_failure = decode_ring(dec, total_bytes);
   breaker.recent_next = dec.read_u64();
   breaker.recent_count = dec.read_u64();
+  if (breaker.recent_failure.size() != kBreakerWindow ||
+      breaker.recent_next >= kBreakerWindow ||
+      breaker.recent_count > kBreakerWindow) {
+    reject("breaker ring does not match kBreakerWindow");
+  }
   breaker.summary.final_state = decode_breaker_state(dec.read_u8());
   breaker.summary.opens = dec.read_u64();
   breaker.summary.rejected = dec.read_u64();
@@ -650,7 +665,11 @@ SessionState decode_payload(mdb::Decoder& dec, std::size_t total_bytes,
   check_count(history, 8, total_bytes);
   state.predictor.history.reserve(static_cast<std::size_t>(history));
   for (std::uint64_t i = 0; i < history; ++i) {
-    state.predictor.history.push_back(dec.read_f64());
+    const double pa = dec.read_f64();
+    if (!(pa >= 0.0 && pa <= 1.0)) {
+      reject("predictor P_A out of [0, 1]");
+    }
+    state.predictor.history.push_back(pa);
   }
   state.predictor.alarmed = dec.read_u8() != 0;
   state.predictor.alarm_time_sec = dec.read_f64();
@@ -663,6 +682,10 @@ SessionState decode_payload(mdb::Decoder& dec, std::size_t total_bytes,
     state.fir.history.push_back(dec.read_f64());
   }
   state.fir.history_pos = static_cast<std::size_t>(dec.read_u64());
+  if (state.fir.history_pos >=
+      std::max<std::size_t>(1, state.fir.history.size())) {
+    reject("FIR history cursor out of range");
+  }
 
   if (dec.read_u8() != 0) {
     state.pending = decode_pending_call(dec, total_bytes, runs);
@@ -670,8 +693,10 @@ SessionState decode_payload(mdb::Decoder& dec, std::size_t total_bytes,
 
   state.degrade = decode_degrade(dec);
   state.breaker = decode_breaker(dec, total_bytes);
-  state.edge_slo = decode_slo(dec, total_bytes);
-  state.initial_slo = decode_slo(dec, total_bytes);
+  state.edge_slo =
+      decode_slo(dec, total_bytes, obs::edge_iteration_slo().burn_window);
+  state.initial_slo =
+      decode_slo(dec, total_bytes, obs::initial_response_slo().burn_window);
 
   state.injector = decode_injector(dec);
 
@@ -1031,11 +1056,6 @@ void CheckpointLog::append(const SessionState& state,
   appended_bytes_ += record.size();
   bytes_written_ += record.size();
   needs_image_ = false;
-}
-
-void RecoveryOptions::validate() const {
-  require(interval_windows >= 1,
-          "RecoveryOptions: interval_windows must be >= 1");
 }
 
 }  // namespace emap::robust

@@ -202,9 +202,13 @@ struct SessionState {
 std::vector<std::uint8_t> encode_session(const SessionState& state);
 
 /// Parses and validates a snapshot image.  Throws CheckpointError on any
-/// framing, version, CRC, or structural violation — never partially
-/// applies and never reads past the buffer (ASan/UBSan-clean on fuzzed
-/// input; the corruption fuzz test asserts this).
+/// framing, version, CRC, or structural violation, and on any value the
+/// restore functions would refuse (a shed level past kMaxShedLevel, a
+/// breaker or SLO ring of the wrong size or with a cursor outside it, a
+/// P_A outside [0, 1], an FIR cursor past its history), so a resume that
+/// gets a state restores all of it.  Never reads past the buffer
+/// (ASan/UBSan-clean on fuzzed input; the corruption fuzz test asserts
+/// this).
 SessionState decode_session(const std::vector<std::uint8_t>& bytes);
 
 /// The snapshot file inside a checkpoint directory.
@@ -292,22 +296,16 @@ class CheckpointLog {
   std::uint64_t bytes_written_ = 0;
 };
 
-/// Pipeline-facing recovery switches (PipelineOptions::recovery).
+/// Pipeline-facing recovery switches (PipelineOptions::recovery).  With a
+/// directory set, the batch loop publishes a snapshot after every window.
 struct RecoveryOptions {
   /// Directory for snapshots; empty disables checkpointing entirely.
   std::filesystem::path checkpoint_dir;
-  /// Write a snapshot every N completed windows (>= 1).
-  std::size_t interval_windows = 1;
-  /// Attempt to resume from the directory's snapshot at run start.
+  /// Attempt to resume from the directory's snapshot at run start; a
+  /// missing or rejected snapshot falls back to a cold start.
   bool resume = false;
-  /// With resume: a missing or rejected snapshot throws (CheckpointError)
-  /// instead of falling back to a cold start.
-  bool strict = false;
 
   bool enabled() const { return !checkpoint_dir.empty(); }
-
-  /// Throws InvalidArgument when a knob is out of range.
-  void validate() const;
 };
 
 /// Recovery outcome of one run, embedded in the RunResult robust summary.

@@ -106,8 +106,8 @@ struct DegradeSummary {
 /// Serializable controller state (checkpoint support): everything
 /// observe_window reads or writes, so a restored controller continues the
 /// run bit-identically.  The thresholds are compile-time constants, so a
-/// resuming controller runs under the same ones; restore() still range-
-/// checks the decoded shed level against kMaxShedLevel.
+/// resuming controller runs under the same ones; the snapshot decoder
+/// and restore() both range-check the shed level against kMaxShedLevel.
 struct DegradeCheckpoint {
   DegradeState state = DegradeState::kNominal;
   std::uint64_t shed_level = 0;

@@ -35,11 +35,7 @@ class CrashFuzzTest : public ::testing::Test {
     return synth::make_eval_input(spec);
   }
 
-  static PipelineOptions base_options() {
-    PipelineOptions options;
-    options.collect_trace = false;
-    return options;
-  }
+  static PipelineOptions base_options() { return PipelineOptions{}; }
 
   static RunResult run_with(const PipelineOptions& options) {
     EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{}, options);
@@ -143,11 +139,9 @@ TEST_F(CrashFuzzTest, SeededRandomCrashSchedulesResumeBitIdentically) {
     resume_options.recovery.checkpoint_dir = dir.path();
     resume_options.recovery.resume = true;
     if (std::filesystem::exists(robust::checkpoint_path(dir.path()))) {
-      resume_options.recovery.strict = true;
       expect_equivalent(run_with(resume_options), reference, label);
       ++resumed_trials;
     } else {
-      resume_options.recovery.strict = false;
       expect_cold_start_matches(run_with(resume_options), reference, label);
       ++cold_start_trials;
     }

@@ -40,15 +40,12 @@ std::size_t count_reason(const RunResult& result, NoCallReason reason) {
 }
 
 TEST(DecisionRecord, ColdStartWaitsOnTheFirstSearch) {
-  // A cloud 20x slower than the i7 model, so the initial search spans
-  // several windows.
-  sim::DeviceProfile cloud = sim::cloud_i7();
-  cloud.name = "slowed-cloud";
-  cloud.mac_ops_per_sec /= 20.0;
-  cloud.abs_ops_per_sec /= 20.0;
-  cloud.per_signal_overhead_sec *= 20.0;
+  // Every upload held back 2.5-3 s on the link, so the initial search
+  // spans several windows (a delayed message still arrives: no retry).
   PipelineOptions options;
-  options.cloud_device = cloud;
+  options.fault.up.delay = 1.0;
+  options.fault.up.delay_min_sec = 2.5;
+  options.fault.up.delay_max_sec = 3.0;
   // H = 1: once a set is loaded, the tracker asks again only when it has
   // lost every signal.
   EmapConfig config;
@@ -77,8 +74,7 @@ TEST(DecisionRecord, OpenBreakerIsTheReasonUnderPermanentOutage) {
   PipelineOptions options;
   options.fault.down.drop = 1.0;  // no response ever arrives
   options.retry.max_attempts = 2;
-  options.retry.max_timeout_sec = 1.5;
-  options.retry.deadline_sec = 3.0;
+  options.retry.deadline_sec = net::kMaxTimeoutSec;
   EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{}, options);
   const RunResult result = pipeline.run(seizure_input(3, 20.0, 15.0));
   ASSERT_GT(result.robust.breaker.rejected, 0u);

@@ -56,7 +56,6 @@ class FaultMatrixTest : public ::testing::Test {
   static PipelineOptions cell_options(const MatrixCell& cell, double p,
                                       obs::MetricsRegistry* registry) {
     PipelineOptions options;
-    options.collect_trace = false;
     options.metrics = registry;
     net::FaultSpec& spec =
         cell.leg == Leg::kUpload ? options.fault.up : options.fault.down;
@@ -75,7 +74,6 @@ class FaultMatrixTest : public ::testing::Test {
     // A short, deterministic retry schedule keeps each failed call to a few
     // simulated seconds so degraded cells still track plenty of windows.
     options.retry.max_attempts = 2;
-    options.retry.max_timeout_sec = 1.0;
     options.retry.deadline_sec = 6.0;
     return options;
   }
@@ -202,10 +200,8 @@ TEST_F(FaultMatrixTest, ZeroProbabilityMatchesFaultFreeRunBitForBit) {
   // be unobservable — including across different injector seeds, which
   // would diverge immediately if any draw leaked into the run.
   PipelineOptions baseline;
-  baseline.collect_trace = false;
   PipelineOptions zeroed = baseline;
-  zeroed.fault.seed = 0x1234u;   // different seed, still p = 0
-  zeroed.retry.seed = 0x5678u;   // never consulted without a retry
+  zeroed.fault.seed = 0x1234u;  // different seed, still p = 0
   EmapPipeline a(testing::small_mdb(6), EmapConfig{}, baseline);
   EmapPipeline b(testing::small_mdb(6), EmapConfig{}, zeroed);
   const RunResult ra = a.run(input());
@@ -221,7 +217,6 @@ TEST_F(FaultMatrixTest, ChaosCellSurvivesEverythingAtOnce) {
   // All five faults on both legs simultaneously; the run must still
   // complete with its invariants intact and the report must serialize.
   PipelineOptions options;
-  options.collect_trace = true;
   obs::MetricsRegistry registry;
   options.metrics = &registry;
   for (net::FaultSpec* spec : {&options.fault.up, &options.fault.down}) {
@@ -233,7 +228,7 @@ TEST_F(FaultMatrixTest, ChaosCellSurvivesEverythingAtOnce) {
   }
   options.fault.seed = 0xc4a05u;
   options.retry.max_attempts = 3;
-  options.retry.max_timeout_sec = 1.0;
+  options.retry.deadline_sec = 6.0;
   EmapPipeline pipeline(testing::small_mdb(6), EmapConfig{}, options);
   const RunResult result = pipeline.run(input());
   check_invariants(result);
@@ -257,10 +252,9 @@ TEST_F(FaultMatrixTest, PermanentOutageDegradesEveryCallButKeepsTracking) {
   // A fully dead downlink: every call must fail after its retries, the edge
   // must keep tracking the stale set it never got, i.e. never load one.
   PipelineOptions options;
-  options.collect_trace = false;
   options.fault.down.drop = 1.0;
   options.retry.max_attempts = 2;
-  options.retry.max_timeout_sec = 0.5;
+  options.retry.deadline_sec = net::kMaxTimeoutSec;
   EmapPipeline pipeline(testing::small_mdb(6), EmapConfig{}, options);
   const RunResult result = pipeline.run(input());
   check_invariants(result);

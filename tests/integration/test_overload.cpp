@@ -242,8 +242,7 @@ TEST(Overload, BreakerOpensUnderPermanentOutageAndRunSurvives) {
   PipelineOptions options;
   options.fault.down.drop = 1.0;  // no response ever arrives
   options.retry.max_attempts = 2;
-  options.retry.max_timeout_sec = 1.5;
-  options.retry.deadline_sec = 3.0;
+  options.retry.deadline_sec = net::kMaxTimeoutSec;
   EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{}, options);
   const RunResult result = pipeline.run(seizure_input(3, 20.0, 15.0));
 

@@ -1,8 +1,13 @@
-// Coverage of the PipelineOptions switches.
+// Coverage of the PipelineOptions switches and run()'s stop argument.
 #include <gtest/gtest.h>
+
+#include <cstddef>
+#include <string>
+#include <vector>
 
 #include "emap/core/pipeline.hpp"
 #include "emap/robust/crashpoint.hpp"
+#include "support/records.hpp"
 #include "support/test_util.hpp"
 
 namespace emap::core {
@@ -17,22 +22,43 @@ synth::Recording input_recording(std::uint64_t seed) {
   return synth::make_eval_input(spec);
 }
 
-TEST(PipelineOptions, MaxWindowsLimitsRunLength) {
-  PipelineOptions options;
-  options.max_windows = 7;
-  EmapPipeline pipeline(testing::small_mdb(2), EmapConfig{}, options);
-  const auto result = pipeline.run(input_recording(1));
-  EXPECT_EQ(result.iterations.size(), 7u);
-}
-
-TEST(PipelineOptions, TraceCollectionCanBeDisabled) {
-  PipelineOptions options;
-  options.collect_trace = false;
-  EmapPipeline pipeline(testing::small_mdb(2), EmapConfig{}, options);
-  const auto result = pipeline.run(input_recording(2));
-  EXPECT_EQ(result.tracer, nullptr);
-  // Timings still computed (they don't depend on the trace).
-  EXPECT_GT(result.timings.delta_initial_sec, 0.0);
+// The one way to end a run early is run()'s stop argument.  Windows are
+// 1 s long, so stopping at N s runs exactly the first N windows of the
+// whole-input run, with every decision unchanged — on a faulted link too,
+// where the fault schedule and retries must line up window for window.
+TEST(PipelineOptions, StopArgumentRunsAPrefixOfTheFullRun) {
+  synth::EvalInputSpec spec;
+  spec.cls = synth::AnomalyClass::kSeizure;
+  spec.seed = 1;
+  spec.duration_sec = 70.0;
+  spec.onset_sec = 50.0;
+  const synth::Recording input = synth::make_eval_input(spec);
+  PipelineOptions faulted;
+  faulted.fault.up.drop = 0.1;
+  faulted.fault.up.delay = 0.2;
+  faulted.fault.down.drop = 0.1;
+  faulted.fault.down.corrupt = 0.05;
+  faulted.fault.down.duplicate = 0.05;
+  faulted.fault.seed = 11;
+  for (const bool faults : {false, true}) {
+    EmapPipeline pipeline(testing::small_mdb(2), EmapConfig{},
+                          faults ? faulted : PipelineOptions{});
+    const RunResult full = pipeline.run(input);
+    ASSERT_EQ(full.iterations.size(), 70u);
+    if (faults) {
+      ASSERT_GT(full.retry_attempts, 0u) << "the faulted link never failed";
+    }
+    for (const std::size_t n : {5U, 17U, 40U, 63U}) {
+      const RunResult prefix = pipeline.run(input, static_cast<double>(n));
+      const std::vector<IterationRecord> head(
+          full.iterations.begin(),
+          full.iterations.begin() + static_cast<std::ptrdiff_t>(n));
+      testing::expect_same_records(
+          prefix.iterations, head,
+          std::string(faults ? "faulted" : "clean") + " N=" +
+              std::to_string(n));
+    }
+  }
 }
 
 TEST(PipelineOptions, SlowerPlatformIncreasesTransferTimes) {
@@ -81,14 +107,15 @@ TEST(PipelineOptions, StopAtOverrideDoesNotStickAfterAThrow) {
 }
 
 TEST(PipelineOptions, FilterAcceleratorTimeAppearsInTrace) {
-  PipelineOptions options;
-  options.filter_accelerator_sec = 0.01;
-  EmapPipeline pipeline(testing::small_mdb(2), EmapConfig{}, options);
+  EmapPipeline pipeline(testing::small_mdb(2), EmapConfig{});
   const auto result = pipeline.run(input_recording(5), 5.0);
+  ASSERT_EQ(result.iterations.size(), 5u);
   const double filter_time =
       testing::busy_seconds(result.tracer.get(), "filter");
   EXPECT_NEAR(filter_time,
-              0.01 * static_cast<double>(result.iterations.size()), 1e-9);
+              kFilterAcceleratorSec *
+                  static_cast<double>(result.iterations.size()),
+              1e-9);
 }
 
 }  // namespace

@@ -3,12 +3,14 @@
 // the surviving snapshot, and assert the resumed run's P_A trajectory,
 // alarm, and counters are bit-identical to an uninterrupted reference run
 // on the same clean link.  Also covers the fingerprint guards (wrong
-// config / wrong input), strict-vs-fallback semantics, and the checkpoint
-// cadence.
+// config / wrong input), out-of-range snapshot state, the cold-start
+// fallback, and the checkpoint log's write paths.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "emap/common/file_io.hpp"
@@ -16,6 +18,7 @@
 #include "emap/core/report.hpp"
 #include "emap/robust/checkpoint.hpp"
 #include "emap/robust/crashpoint.hpp"
+#include "support/records.hpp"
 #include "support/test_util.hpp"
 
 namespace emap::core {
@@ -32,11 +35,7 @@ class RecoveryTest : public ::testing::Test {
     return synth::make_eval_input(spec);
   }
 
-  static PipelineOptions base_options() {
-    PipelineOptions options;
-    options.collect_trace = false;
-    return options;
-  }
+  static PipelineOptions base_options() { return PipelineOptions{}; }
 
   static RunResult run_with(const PipelineOptions& options,
                             std::uint64_t input_seed = 21) {
@@ -144,7 +143,6 @@ TEST_F(RecoveryTest, CrashAtEveryPointThenResumeMatchesUninterrupted) {
     PipelineOptions resume_options = base_options();
     resume_options.recovery.checkpoint_dir = dir.path();
     resume_options.recovery.resume = true;
-    resume_options.recovery.strict = true;
     const RunResult resumed = run_with(resume_options);
     expect_equivalent(resumed, reference, point);
   }
@@ -167,39 +165,31 @@ TEST_F(RecoveryTest, ResumeAfterCleanCompletionReplaysOnlyTheLastWindowMark) {
   EXPECT_EQ(resumed.cloud_calls, first.cloud_calls);
 }
 
-TEST_F(RecoveryTest, IntervalWindowsControlsTheCheckpointCadence) {
-  testing::TempDir dir("recovery_interval");
-  PipelineOptions options = base_options();
-  options.recovery.checkpoint_dir = dir.path();
-  options.recovery.interval_windows = 5;
-  const RunResult result = run_with(options);
-  EXPECT_EQ(result.robust.recovery.checkpoints_written,
-            result.iterations.size() / 5);
-  // The surviving snapshot sits on a multiple of the interval.
-  const auto snapshot = robust::read_checkpoint(dir.path());
-  ASSERT_TRUE(snapshot.has_value());
-  EXPECT_EQ(snapshot->next_window % 5, 0u);
-  EXPECT_GT(snapshot->next_window, 0u);
-}
-
 // A resumed run that publishes no further snapshot still reports the one
 // it resumed from: last_snapshot_window names the newest snapshot on disk.
 TEST_F(RecoveryTest, ResumeWithoutANewSnapshotReportsTheRestoredOne) {
   testing::TempDir dir("recovery_last_snapshot");
   PipelineOptions options = base_options();
   options.recovery.checkpoint_dir = dir.path();
-  options.recovery.interval_windows = 5;
   EmapPipeline first(testing::small_mdb(4), EmapConfig{}, options);
   EXPECT_EQ(first.run(input(), 10.0).robust.recovery.last_snapshot_window,
             10u);
+  // Resumed with the same stop, the run has no window left to execute and
+  // so publishes nothing.
   options.recovery.resume = true;
   EmapPipeline resumed_pipeline(testing::small_mdb(4), EmapConfig{}, options);
-  const RunResult resumed = resumed_pipeline.run(input(), 12.0);
+  const RunResult resumed = resumed_pipeline.run(input(), 10.0);
   ASSERT_TRUE(resumed.robust.recovery.resumed);
   EXPECT_EQ(resumed.robust.recovery.resume_window, 10u);
-  EXPECT_EQ(resumed.iterations.size(), 2u);
+  EXPECT_TRUE(resumed.iterations.empty());
   EXPECT_EQ(resumed.robust.recovery.checkpoints_written, 0u);
   EXPECT_EQ(resumed.robust.recovery.last_snapshot_window, 10u);
+  // Run on, it publishes every window it executes.
+  const RunResult continued = resumed_pipeline.run(input(), 12.0);
+  ASSERT_TRUE(continued.robust.recovery.resumed);
+  EXPECT_EQ(continued.iterations.size(), 2u);
+  EXPECT_EQ(continued.robust.recovery.checkpoints_written, 2u);
+  EXPECT_EQ(continued.robust.recovery.last_snapshot_window, 12u);
 }
 
 // Most windows append one record to the log; a finished run still leaves
@@ -253,14 +243,44 @@ TEST_F(RecoveryTest, MissingSnapshotFallsBackToColdStart) {
   EXPECT_EQ(result.first_alarm_sec, reference.first_alarm_sec);
 }
 
-TEST_F(RecoveryTest, StrictResumeThrowsWithoutASnapshot) {
-  testing::TempDir dir("recovery_strict");
-  PipelineOptions options = base_options();
-  options.recovery.checkpoint_dir = dir.path();
-  options.recovery.resume = true;
-  options.recovery.strict = true;
-  EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{}, options);
-  EXPECT_THROW(pipeline.run(input()), robust::CheckpointError);
+// A snapshot that passes its CRC but holds a value a restore would refuse
+// (a shed level past the deepest, an FIR history of another length) is
+// rejected before any of the session is restored: the run cold-starts and
+// matches a fresh run window for window.
+TEST_F(RecoveryTest, OutOfRangeSnapshotStateColdStartsLikeAFreshRun) {
+  const RunResult fresh = run_with(base_options());
+  const std::vector<std::pair<std::string, void (*)(robust::SessionState&)>>
+      cases = {
+          {"shed level",
+           [](robust::SessionState& s) {
+             s.degrade.shed_level = robust::kMaxShedLevel + 1;
+           }},
+          {"FIR history",
+           [](robust::SessionState& s) { s.fir.history.push_back(0.0); }},
+      };
+  for (const auto& [what, mutate] : cases) {
+    testing::TempDir dir("recovery_out_of_range");
+    PipelineOptions options = base_options();
+    options.recovery.checkpoint_dir = dir.path();
+    EmapPipeline first(testing::small_mdb(4), EmapConfig{}, options);
+    first.run(input(), 10.0);
+    std::optional<robust::SessionState> snapshot =
+        robust::read_checkpoint(dir.path());
+    ASSERT_TRUE(snapshot.has_value()) << what;
+    mutate(*snapshot);
+    robust::write_checkpoint(dir.path(), *snapshot);
+
+    options.recovery.resume = true;
+    const RunResult result = run_with(options);
+    EXPECT_FALSE(result.robust.recovery.resumed) << what;
+    EXPECT_TRUE(result.robust.recovery.cold_start_fallback) << what;
+    EXPECT_NE(result.robust.recovery.reject_reason.find(what),
+              std::string::npos)
+        << result.robust.recovery.reject_reason;
+    testing::expect_same_records(result.iterations, fresh.iterations, what);
+    EXPECT_EQ(result.first_alarm_sec, fresh.first_alarm_sec) << what;
+    EXPECT_EQ(result.cloud_calls, fresh.cloud_calls) << what;
+  }
 }
 
 TEST_F(RecoveryTest, ResumeUnderADifferentConfigIsRejected) {
@@ -274,15 +294,6 @@ TEST_F(RecoveryTest, ResumeUnderADifferentConfigIsRejected) {
   PipelineOptions resume_options = base_options();
   resume_options.recovery.checkpoint_dir = dir.path();
   resume_options.recovery.resume = true;
-
-  // Strict first: the rejection throws before anything is replayed (and
-  // before the fallback run below overwrites the snapshot).
-  resume_options.recovery.strict = true;
-  EmapPipeline strict(testing::small_mdb(4), EmapConfig{changed},
-                      resume_options);
-  EXPECT_THROW(strict.run(input()), robust::CheckpointError);
-
-  resume_options.recovery.strict = false;
   EmapPipeline fallback(testing::small_mdb(4), EmapConfig{changed},
                         resume_options);
   const RunResult result = fallback.run(input());
@@ -301,14 +312,6 @@ TEST_F(RecoveryTest, ResumeAgainstADifferentInputIsRejected) {
   PipelineOptions resume_options = base_options();
   resume_options.recovery.checkpoint_dir = dir.path();
   resume_options.recovery.resume = true;
-
-  // Strict first: the fallback run below overwrites the snapshot with the
-  // new input's fingerprint.
-  resume_options.recovery.strict = true;
-  EmapPipeline strict(testing::small_mdb(4), EmapConfig{}, resume_options);
-  EXPECT_THROW(strict.run(input(22)), robust::CheckpointError);
-
-  resume_options.recovery.strict = false;
   const RunResult result = run_with(resume_options, /*input_seed=*/22);
   EXPECT_FALSE(result.robust.recovery.resumed);
   EXPECT_TRUE(result.robust.recovery.cold_start_fallback);

@@ -89,26 +89,10 @@ TEST(Telemetry, FirstCloudCallSpansMatchRunTimings) {
   EXPECT_EQ(registry.histogram("emap_delta_initial_seconds").count(), issued);
 }
 
-TEST(Telemetry, DisablingTraceCollectionLeavesNoTracer) {
-  PipelineOptions options;
-  options.collect_trace = false;
-  options.max_windows = 3;
-  EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{}, options);
-  const auto result = pipeline.run(seizure_input(13, 20.0, 15.0));
-  EXPECT_EQ(result.tracer, nullptr);
-  for (const char* category : {"sample", "filter", "upload", "cloud-search",
-                               "download", "edge-track", "prediction"}) {
-    EXPECT_EQ(testing::busy_seconds(result.tracer.get(), category), 0.0)
-        << category;
-  }
-}
-
 TEST(Telemetry, ChromeTraceExportCoversTheRun) {
   testing::TempDir dir("telemetry_trace");
-  PipelineOptions options;
-  options.max_windows = 4;
-  EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{}, options);
-  const auto result = pipeline.run(seizure_input(14, 20.0, 15.0));
+  EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{});
+  const auto result = pipeline.run(seizure_input(14, 20.0, 15.0), 4.0);
   ASSERT_NE(result.tracer, nullptr);
   obs::write_chrome_trace(dir.path() / "trace.json", *result.tracer);
   const std::string json = obs::to_chrome_trace(*result.tracer);

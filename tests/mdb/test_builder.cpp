@@ -4,7 +4,6 @@
 
 #include <algorithm>
 
-#include "emap/common/error.hpp"
 #include "emap/dsp/fft.hpp"
 #include "emap/edf/edf.hpp"
 #include "support/test_util.hpp"
@@ -98,17 +97,6 @@ TEST(Builder, StartSecReflectsSlicePosition) {
   }
 }
 
-TEST(Builder, OverlappingStrideProducesMoreSlices) {
-  BuilderConfig config;
-  config.slice_stride = 500;
-  MdbBuilder overlapping(config);
-  MdbBuilder plain;
-  const auto recording = make_recording(synth::AnomalyClass::kNormal, 256.0);
-  const auto many = overlapping.add_recording(recording, "t", 0);
-  const auto few = plain.add_recording(recording, "t", 0);
-  EXPECT_GT(many, 1.8 * few);
-}
-
 TEST(Builder, EmptySignalInsertsNothing) {
   MdbBuilder builder;
   EXPECT_EQ(builder.add_signal({}, 256.0, "t", 0, nullptr, 0), 0u);
@@ -125,15 +113,6 @@ TEST(Builder, NullLabelCallbackMeansNormal) {
   const auto samples = testing::noise(2, 5000);
   builder.add_signal(samples, 256.0, "t", 0, nullptr, 0);
   EXPECT_EQ(builder.store().count_anomalous(), 0u);
-}
-
-TEST(Builder, RejectsBadConfig) {
-  BuilderConfig config;
-  config.slice_length = 0;
-  EXPECT_THROW(MdbBuilder{config}, InvalidArgument);
-  config = BuilderConfig{};
-  config.anomalous_fraction = 1.5;
-  EXPECT_THROW(MdbBuilder{config}, InvalidArgument);
 }
 
 TEST(Builder, IngestsEdfFiles) {

@@ -30,10 +30,10 @@ TEST(Channel, UploadIncludesLatencyByDefault) {
 TEST(Channel, SerializationOnlyModeExcludesLatency) {
   ChannelOptions options;
   options.include_latency = false;
-  options.framing_overhead_bytes = 0;
   Channel channel(CommPlatform::kLte, options);
   const double expected = Channel::line_seconds(
-      512, platform_params(CommPlatform::kLte).uplink_mbps);
+      512 + kFramingOverheadBytes,
+      platform_params(CommPlatform::kLte).uplink_mbps);
   EXPECT_NEAR(channel.upload_seconds(512), expected, 1e-12);
 }
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <algorithm>
 
 #include "emap/common/error.hpp"
 
@@ -10,77 +10,61 @@ namespace emap::net {
 namespace {
 
 TEST(RetryPolicy, TimeoutScalesWithExpectedTransfer) {
-  RetryOptions options;
-  options.timeout_multiplier = 4.0;
-  options.min_timeout_sec = 0.25;
-  options.max_timeout_sec = 5.0;
-  const RetryPolicy policy(options);
+  const RetryPolicy policy;
+  EXPECT_DOUBLE_EQ(policy.timeout_for(0.5), kTimeoutMultiplier * 0.5);
   EXPECT_DOUBLE_EQ(policy.timeout_for(0.5), 2.0);
 }
 
 TEST(RetryPolicy, TimeoutClampedToConfiguredRange) {
   const RetryPolicy policy;
-  const RetryOptions& o = policy.options();
-  EXPECT_DOUBLE_EQ(policy.timeout_for(0.0), o.min_timeout_sec);
-  EXPECT_DOUBLE_EQ(policy.timeout_for(1e-9), o.min_timeout_sec);
-  EXPECT_DOUBLE_EQ(policy.timeout_for(1e6), o.max_timeout_sec);
+  EXPECT_DOUBLE_EQ(policy.timeout_for(0.0), kMinTimeoutSec);
+  EXPECT_DOUBLE_EQ(policy.timeout_for(1e-9), kMinTimeoutSec);
+  EXPECT_DOUBLE_EQ(policy.timeout_for(1e6), kMaxTimeoutSec);
   // Negative expectations (shouldn't happen, but must not produce a
   // negative timeout) clamp to the floor too.
-  EXPECT_DOUBLE_EQ(policy.timeout_for(-1.0), o.min_timeout_sec);
+  EXPECT_DOUBLE_EQ(policy.timeout_for(-1.0), kMinTimeoutSec);
 }
 
 TEST(RetryPolicyProperty, BackoffIsCappedAndNonDecreasing) {
-  for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 0xdeadULL}) {
-    RetryOptions options;
-    options.max_attempts = 12;
-    options.base_backoff_sec = 0.05;
-    options.backoff_cap_sec = 1.0;
-    options.jitter_fraction = 0.25;
-    options.deadline_sec = 1e9;  // not under test here
-    options.seed = seed;
-    const RetryPolicy policy(options);
-    EXPECT_DOUBLE_EQ(policy.backoff_before(0), 0.0);
-    double previous = 0.0;
-    for (std::size_t attempt = 1; attempt <= 40; ++attempt) {
-      const double backoff = policy.backoff_before(attempt);
-      EXPECT_GE(backoff, previous) << "attempt " << attempt;
-      EXPECT_LE(backoff,
-                options.backoff_cap_sec * (1.0 + options.jitter_fraction))
-          << "attempt " << attempt;
-      previous = backoff;
-    }
+  RetryOptions options;
+  options.max_attempts = 12;
+  options.deadline_sec = 1e9;  // not under test here
+  const RetryPolicy policy(options);
+  EXPECT_DOUBLE_EQ(policy.backoff_before(0), 0.0);
+  double previous = 0.0;
+  for (std::size_t attempt = 1; attempt <= 40; ++attempt) {
+    const double backoff = policy.backoff_before(attempt);
+    EXPECT_GE(backoff, previous) << "attempt " << attempt;
+    EXPECT_GE(backoff, std::min(kBackoffCapSec, kBaseBackoffSec))
+        << "attempt " << attempt;
+    EXPECT_LE(backoff, kBackoffCapSec) << "attempt " << attempt;
+    previous = backoff;
   }
+  EXPECT_DOUBLE_EQ(policy.backoff_before(40), kBackoffCapSec);
 }
 
 TEST(RetryPolicyProperty, BackoffDeterministicPerSeed) {
-  RetryOptions options;
-  options.jitter_fraction = 0.3;
-  options.seed = 2024;
-  const RetryPolicy a(options);
-  const RetryPolicy b(options);
-  options.seed = 2025;
-  const RetryPolicy c(options);
-  bool any_difference = false;
+  // The jitter stream has one seed (kJitterSeed): two policies agree
+  // attempt by attempt, and the jitter stays inside its fraction.
+  const RetryPolicy a;
+  const RetryPolicy b;
   for (std::size_t attempt = 1; attempt <= 10; ++attempt) {
     EXPECT_DOUBLE_EQ(a.backoff_before(attempt), b.backoff_before(attempt));
     // Repeated queries of the same attempt must not advance hidden state.
     EXPECT_DOUBLE_EQ(a.backoff_before(attempt), a.backoff_before(attempt));
-    if (a.backoff_before(attempt) != c.backoff_before(attempt)) {
-      any_difference = true;
-    }
   }
-  EXPECT_TRUE(any_difference) << "different seeds produced identical jitter";
+  const double unjittered = kBaseBackoffSec;  // attempt 1: base x 2^0
+  EXPECT_GE(a.backoff_before(1), unjittered);
+  EXPECT_LT(a.backoff_before(1), unjittered * (1.0 + kJitterFraction));
 }
 
 TEST(RetryPolicyProperty, WorstCaseWaitNeverExceedsDeadline) {
-  for (std::uint64_t seed : {3ULL, 11ULL, 99ULL}) {
-    for (double deadline : {1.0, 5.0, 20.0}) {
+  for (std::size_t attempts : {1U, 3U, 6U}) {
+    for (double deadline : {kMaxTimeoutSec, 6.0, 20.0}) {
       for (double expected : {0.001, 0.1, 2.0, 100.0}) {
         RetryOptions options;
-        options.max_attempts = 6;
-        options.max_timeout_sec = 1.0;
+        options.max_attempts = attempts;
         options.deadline_sec = deadline;
-        options.seed = seed;
         const RetryPolicy policy(options);
         EXPECT_LE(policy.worst_case_wait(expected),
                   options.deadline_sec + 1e-12);
@@ -101,7 +85,9 @@ TEST(RetryPolicyProperty, SimulatedLossyCallStaysWithinWorstCase) {
   double elapsed = 0.0;
   std::size_t attempts = 0;
   for (std::size_t attempt = 0;
-       policy.allow_attempt(attempt, elapsed, timeout); ++attempt) {
+       policy.allow_attempt_after(attempt, elapsed,
+                                  policy.backoff_before(attempt), timeout);
+       ++attempt) {
     elapsed += policy.backoff_before(attempt);
     elapsed += timeout;  // attempt fails at its timeout
     ++attempts;
@@ -115,24 +101,25 @@ TEST(RetryPolicy, AllowAttemptEnforcesMaxAttempts) {
   RetryOptions options;
   options.max_attempts = 3;
   const RetryPolicy policy(options);
-  EXPECT_TRUE(policy.allow_attempt(0, 0.0, 1.0));
-  EXPECT_TRUE(policy.allow_attempt(2, 0.0, 1.0));
-  EXPECT_FALSE(policy.allow_attempt(3, 0.0, 1.0));
-  EXPECT_FALSE(policy.allow_attempt(100, 0.0, 1.0));
+  EXPECT_TRUE(policy.allow_attempt_after(0, 0.0, 0.0, 1.0));
+  EXPECT_TRUE(policy.allow_attempt_after(2, 0.0, 0.1, 1.0));
+  EXPECT_FALSE(policy.allow_attempt_after(3, 0.0, 0.1, 1.0));
+  EXPECT_FALSE(policy.allow_attempt_after(100, 0.0, 0.1, 1.0));
 }
 
 TEST(RetryPolicy, AllowAttemptEnforcesDeadline) {
   RetryOptions options;
   options.max_attempts = 10;
   options.deadline_sec = 5.0;
-  options.max_timeout_sec = 5.0;
   const RetryPolicy policy(options);
   // First attempt is always allowed even when the timeout alone would
   // exceed the remaining budget.
-  EXPECT_TRUE(policy.allow_attempt(0, 0.0, 5.0));
+  EXPECT_TRUE(policy.allow_attempt_after(0, 0.0, 0.0, 5.0));
   // A retry whose backoff + timeout no longer fits is refused.
-  EXPECT_FALSE(policy.allow_attempt(1, 4.0, 2.0));
-  EXPECT_TRUE(policy.allow_attempt(1, 0.0, 1.0));
+  EXPECT_FALSE(policy.allow_attempt_after(1, 4.0, 0.1, 2.0));
+  EXPECT_TRUE(policy.allow_attempt_after(1, 0.0, 0.1, 1.0));
+  // A long backoff (a RetryAfter hint) alone can exhaust the deadline.
+  EXPECT_FALSE(policy.allow_attempt_after(1, 0.0, 4.5, 1.0));
 }
 
 // A RetryAfter hint — advertised by the edge's open circuit breaker —
@@ -157,10 +144,7 @@ TEST(RetryPolicy, RetryAfterHintFloorsBackoffForEveryReason) {
 }
 
 TEST(RetryPolicy, RetryAfterHintDominatesButNeverShortensBackoff) {
-  RetryOptions options;
-  options.base_backoff_sec = 0.1;
-  options.jitter_fraction = 0.0;
-  const RetryPolicy policy(options);
+  const RetryPolicy policy;
   for (const RejectReason reason :
        {RejectReason::kTimeout, RejectReason::kCorrupt}) {
     // A hint dominates the policy's own schedule...
@@ -176,21 +160,15 @@ TEST(RetryPolicy, RetryAfterHintDominatesButNeverShortensBackoff) {
 
 TEST(RetryOptions, ValidateRejectsInconsistentKnobs) {
   RetryOptions options;
+  EXPECT_NO_THROW(options.validate());
   options.max_attempts = 0;
   EXPECT_THROW(options.validate(), InvalidArgument);
   options = RetryOptions{};
-  options.min_timeout_sec = 2.0;
-  options.max_timeout_sec = 1.0;
+  // Below kMaxTimeoutSec: attempt 0 can't fit.
+  options.deadline_sec = kMaxTimeoutSec - 0.5;
   EXPECT_THROW(options.validate(), InvalidArgument);
-  options = RetryOptions{};
-  options.jitter_fraction = 1.0;
-  EXPECT_THROW(options.validate(), InvalidArgument);
-  options = RetryOptions{};
-  options.backoff_cap_sec = 0.01;  // below base_backoff_sec
-  EXPECT_THROW(options.validate(), InvalidArgument);
-  options = RetryOptions{};
-  options.deadline_sec = 0.5;  // below max_timeout_sec: attempt 0 can't fit
-  EXPECT_THROW(options.validate(), InvalidArgument);
+  options.deadline_sec = kMaxTimeoutSec;
+  EXPECT_NO_THROW(options.validate());
 }
 
 }  // namespace

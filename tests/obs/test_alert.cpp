@@ -297,19 +297,24 @@ TEST(AlertEngine, HooksStampMetricsSpansAndFlightDump) {
 }
 
 TEST(AlertEngine, TransitionsExportAsJsonl) {
+  // Trace ids are written as trace_id_hex text, as spans write them: the
+  // firing id is above 2^53, where a JSON reader parsing numbers as
+  // doubles would round it.
   BurnHarness h;
   for (double t = 1.0; t <= 6.0; t += 1.0) {
-    h.step(t, 9.0);
+    h.step(t, 9.0, 0xef512c76d9c5eabeu);
   }
-  h.step(7.0, 0.5);
+  h.step(7.0, 0.5, 0x2a);
   const std::string jsonl = h.engine.to_jsonl();
   EXPECT_EQ(jsonl,
             "{\"rule\":\"edge_iteration_burn\",\"series\":\"emap_slo_burn_"
             "rate{slo=\\\"edge_iteration\\\"}\",\"t_sec\":6,\"state\":"
-            "\"firing\",\"value\":9,\"threshold\":1,\"trace_id\":0}\n"
+            "\"firing\",\"value\":9,\"threshold\":1,\"trace_id\":"
+            "\"ef512c76d9c5eabe\"}\n"
             "{\"rule\":\"edge_iteration_burn\",\"series\":\"emap_slo_burn_"
             "rate{slo=\\\"edge_iteration\\\"}\",\"t_sec\":7,\"state\":"
-            "\"resolved\",\"value\":0.5,\"threshold\":1,\"trace_id\":0}\n");
+            "\"resolved\",\"value\":0.5,\"threshold\":1,\"trace_id\":"
+            "\"000000000000002a\"}\n");
 
   const auto path = std::filesystem::temp_directory_path() /
                     "emap_alert_test" / "alerts.jsonl";

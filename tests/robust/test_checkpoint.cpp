@@ -63,14 +63,26 @@ obs::SloMonitorState fuzz_slo(Rng& rng) {
   slo.deadline_misses = rng.next_u64() % 100;
   slo.near_misses = rng.next_u64() % 100;
   slo.max_latency_sec = rng.uniform(0.0, 5.0);
-  slo.recent_miss.resize(static_cast<std::size_t>(rng.uniform_index(33)));
+  // Both paper SLOs keep the default burn window; the decoder accepts
+  // only a ring of that size with in-range cursors.
+  slo.recent_miss.resize(obs::SloSpec{}.burn_window);
   for (auto& miss : slo.recent_miss) {
     miss = rng.bernoulli(0.2) ? 1 : 0;
   }
-  slo.recent_next = rng.next_u64() % (slo.recent_miss.size() + 1);
-  slo.recent_count = slo.recent_miss.size();
-  slo.recent_misses = rng.next_u64() % (slo.recent_miss.size() + 1);
+  slo.recent_next = rng.next_u64() % slo.recent_miss.size();
+  slo.recent_count = rng.next_u64() % (slo.recent_miss.size() + 1);
+  slo.recent_misses = rng.next_u64() % (slo.recent_count + 1);
   return slo;
+}
+
+/// The emptiest state a run could write: default fields, with the breaker
+/// and SLO rings at the sizes the decoder accepts.
+SessionState empty_state() {
+  SessionState s;
+  s.breaker.recent_failure.resize(kBreakerWindow);
+  s.edge_slo.recent_miss.resize(obs::SloSpec{}.burn_window);
+  s.initial_slo.recent_miss.resize(obs::SloSpec{}.burn_window);
+  return s;
 }
 
 /// A fully populated, randomized session state (small vectors; the codec
@@ -137,7 +149,7 @@ SessionState fuzz_state(std::uint64_t seed) {
     s.pending = std::move(pending);
   }
   s.degrade.state = static_cast<DegradeState>(rng.uniform_index(4));
-  s.degrade.shed_level = rng.next_u64() % 6;
+  s.degrade.shed_level = rng.next_u64() % (kMaxShedLevel + 1);
   s.degrade.bad_streak = rng.next_u64() % 5;
   s.degrade.clean_streak = rng.next_u64() % 5;
   s.degrade.miss_streak = rng.next_u64() % 5;
@@ -151,13 +163,12 @@ SessionState fuzz_state(std::uint64_t seed) {
   s.breaker.state = static_cast<BreakerState>(rng.uniform_index(3));
   s.breaker.open_until_sec = rng.uniform(0.0, 100.0);
   s.breaker.probe_successes = rng.next_u64() % 3;
-  s.breaker.recent_failure.resize(
-      static_cast<std::size_t>(rng.uniform_index(17)));
+  s.breaker.recent_failure.resize(kBreakerWindow);
   for (auto& failure : s.breaker.recent_failure) {
     failure = rng.bernoulli(0.3) ? 1 : 0;
   }
-  s.breaker.recent_next = rng.next_u64() % (s.breaker.recent_failure.size() + 1);
-  s.breaker.recent_count = s.breaker.recent_failure.size();
+  s.breaker.recent_next = rng.next_u64() % kBreakerWindow;
+  s.breaker.recent_count = rng.next_u64() % (kBreakerWindow + 1);
   s.breaker.summary.final_state = s.breaker.state;
   s.breaker.summary.opens = rng.next_u64() % 10;
   s.breaker.summary.rejected = rng.next_u64() % 10;
@@ -414,7 +425,7 @@ std::size_t signal_cost(const TrackedSignalState& signal) {
 constexpr std::size_t kSignalFixedBytes = 8 + 8 + 8 + 1 + 1 + 8 + 1;
 
 TEST(CheckpointSamples, WireDecodedSetsRoundTripAtTwoBytesPerSample) {
-  SessionState state;
+  SessionState state = empty_state();
   state.tracker.tracked = wire_decoded_signals();
   PendingCallCheckpoint pending;
   pending.correlation_set = wire_decoded_signals();
@@ -462,7 +473,7 @@ TEST(CheckpointSamples, SamplesWithoutAnExactWireImageRoundTripAsF64) {
     TrackedSignalState signal;
     signal.set_id = 77;
     signal.samples = samples;
-    SessionState state;
+    SessionState state = empty_state();
     state.tracker.tracked.push_back(signal);
     const SessionState decoded = decode_session(encode_session(state));
     ASSERT_EQ(decoded.tracker.tracked.size(), 1u) << label;
@@ -476,7 +487,7 @@ TEST(CheckpointSamples, SamplesWithoutAnExactWireImageRoundTripAsF64) {
 // A payload that passes the CRC yet names an unknown sample encoding is
 // rejected, not guessed at.
 TEST(CheckpointSamples, UnknownSampleEncodingIsRejected) {
-  SessionState state;
+  SessionState state = empty_state();
   TrackedSignalState signal;
   signal.set_id = 0x1122334455667788u;
   signal.samples = {1.0, 2.0};
@@ -810,16 +821,41 @@ TEST(CheckpointLog, FileNeverExceedsTwoImagesPlusOneRecord) {
   EXPECT_EQ(bytes, encode_session(state));
 }
 
-TEST(Checkpoint, RecoveryOptionsValidateRejectsZeroInterval) {
-  RecoveryOptions options;
-  options.checkpoint_dir = "somewhere";
-  options.interval_windows = 0;
-  EXPECT_THROW(options.validate(), InvalidArgument);
-  options.interval_windows = 1;
-  EXPECT_NO_THROW(options.validate());
-  EXPECT_TRUE(options.enabled());
-  options.checkpoint_dir.clear();
-  EXPECT_FALSE(options.enabled());
+// Every value a restore function would refuse is refused while the image
+// is decoded, so a resume either restores the whole state or none of it.
+TEST(Checkpoint, DecodeRejectsStateTheRestoresWouldRefuse) {
+  const SessionState valid = fuzz_state(53);
+  ASSERT_NO_THROW(decode_session(encode_session(valid)));
+  const std::vector<std::pair<const char*, void (*)(SessionState&)>> cases = {
+      {"shed level past kMaxShedLevel",
+       [](SessionState& s) { s.degrade.shed_level = kMaxShedLevel + 1; }},
+      {"breaker ring of another size",
+       [](SessionState& s) { s.breaker.recent_failure.push_back(0); }},
+      {"breaker cursor outside its ring",
+       [](SessionState& s) { s.breaker.recent_next = kBreakerWindow; }},
+      {"breaker count past its ring",
+       [](SessionState& s) { s.breaker.recent_count = kBreakerWindow + 1; }},
+      {"SLO ring of another size",
+       [](SessionState& s) { s.edge_slo.recent_miss.pop_back(); }},
+      {"SLO cursor outside its ring",
+       [](SessionState& s) {
+         s.initial_slo.recent_next = s.initial_slo.recent_miss.size();
+       }},
+      {"SLO misses past its count",
+       [](SessionState& s) {
+         s.edge_slo.recent_misses = s.edge_slo.recent_count + 1;
+       }},
+      {"P_A outside [0, 1]",
+       [](SessionState& s) { s.predictor.history.push_back(1.5); }},
+      {"FIR cursor past its history",
+       [](SessionState& s) { s.fir.history_pos = s.fir.history.size(); }},
+  };
+  for (const auto& [what, mutate] : cases) {
+    SessionState state = valid;
+    mutate(state);
+    EXPECT_THROW(decode_session(encode_session(state)), CheckpointError)
+        << what;
+  }
 }
 
 }  // namespace
