@@ -19,15 +19,15 @@
 //   emapctl synth-run   [duration_sec] [recordings-per-corpus]
 //       Builds an in-memory MDB, monitors a synthetic seizure input, and
 //       exercises the telemetry surface end to end (CI smoke path).
-//   emapctl trace       <spans.jsonl> [flight.jsonl] [--json]
-//       Reconstructs per-window critical paths from a --spans-out file
-//       (plus an optional flight dump) and prints the Eq. 4 decomposition
-//       table; --json prints one JSONL record per trace instead.
-//   emapctl report      <record.jsonl> [--alerts <alerts.jsonl>]
-//                       [--html <out.html>] [--series-filter <substring>]
+//   emapctl trace       <spans.jsonl> [--json]
+//       Reconstructs per-window critical paths from a --spans-out file and
+//       prints the Eq. 4 decomposition table; --json prints one JSONL
+//       record per trace instead.
+//   emapctl report      <record.jsonl> [--html <out.html>]
+//                       [--series-filter <substring>]
 //       Renders the post-run dashboard (ASCII sparklines with CUSUM
-//       changepoints, optional self-contained HTML) from a --record-out
-//       file and, optionally, the --alerts-out transition log.
+//       changepoints, the alert transitions, optional self-contained HTML)
+//       from a --record-out file.
 //
 // Telemetry flags (monitor and synth-run):
 //   --metrics-out <file>   write Prometheus text exposition at end of run
@@ -41,10 +41,11 @@
 //                          stacks for flamegraph.pl / speedscope
 //   --slo-report <file>    write the SLO summary (".csv" extension selects
 //                          CSV, anything else JSON)
-//   --record-out <file>    write the per-window decision record as JSONL
-//                          (input for `emapctl report`)
-//   --alerts-out <file>    evaluate the built-in alert rules every window
-//                          and write the transitions as JSONL
+//   --record-out <file>    stream the per-window decision record as JSONL,
+//                          one flushed line per completed window, alert
+//                          transitions included (input for `emapctl
+//                          report`; a resumed run's record starts at its
+//                          resume window)
 //
 // Fault/retry flags (monitor and synth-run) — exercise the lossy-link
 // recovery path (docs/fault_injection.md):
@@ -72,16 +73,13 @@
 //                          hit of the named crash point; names come from
 //                          robust::crash_point_catalog()
 //
-// Tracing flags (monitor and synth-run) — causal tracing + flight recorder
+// Tracing flags (monitor and synth-run) — causal tracing
 // (docs/tracing.md):
 //   --spans-out <file>     write the span log as JSONL (one span per line,
 //                          trace ids included; input for `emapctl trace`)
-//   --flight-out <file>    arm the flight recorder; dumps here on a crash
-//                          point, breaker open, or SLO burn page, and at
-//                          end of run when nothing else triggered
 //   --edge-slowdown <f>    divide the edge device throughput by f (> 1
-//                          forces edge SLO misses; CI uses it to provoke
-//                          a flight dump deterministically)
+//                          forces edge SLO misses; CI uses it to fire the
+//                          edge burn alert deterministically)
 //
 // Streaming flags (monitor and synth-run) — the staged concurrent
 // scheduler (docs/streaming.md):
@@ -119,7 +117,6 @@
 #include "emap/obs/alert.hpp"
 #include "emap/obs/dashboard.hpp"
 #include "emap/obs/export.hpp"
-#include "emap/obs/flight.hpp"
 #include "emap/obs/metrics.hpp"
 #include "emap/obs/profiler.hpp"
 #include "emap/obs/slo.hpp"
@@ -143,22 +140,21 @@ int usage() {
       "[telemetry flags]\n"
       "  emapctl synth-run  [duration_sec] [recordings-per-corpus] "
       "[telemetry flags]\n"
-      "  emapctl trace      <spans.jsonl> [flight.jsonl] [--json]\n"
-      "  emapctl report     <record.jsonl> [--alerts <alerts.jsonl>] "
-      "[--html <out.html>] [--series-filter <s>]\n"
+      "  emapctl trace      <spans.jsonl> [--json]\n"
+      "  emapctl report     <record.jsonl> [--html <out.html>] "
+      "[--series-filter <s>]\n"
       "telemetry flags: --metrics-out <file> --trace-out <file> "
       "--summary-out <file> --metrics-dump\n"
       "profiling flags: --profile-out <file> --flame-out <file> "
       "--slo-report <file>\n"
-      "record flags:    --record-out <file> --alerts-out <file>\n"
+      "record flags:    --record-out <file>\n"
       "fault flags:     --fault-drop <p> --fault-corrupt <p> "
       "--fault-duplicate <p> --fault-delay <p> --fault-seed <n>\n"
       "retry flags:     --retry-attempts <n> --retry-deadline <sec>\n"
       "robust flags:    --robust-report <file>\n"
       "recovery flags:  --checkpoint-dir <dir> --resume "
       "--crash-at <point[:n]>\n"
-      "tracing flags:   --spans-out <file> --flight-out <file> "
-      "--edge-slowdown <factor>\n"
+      "tracing flags:   --spans-out <file> --edge-slowdown <factor>\n"
       "streaming flags: --stream --stage-threads <n> "
       "--queue-capacity <n>\n");
   return 2;
@@ -181,10 +177,8 @@ struct TelemetryOptions {
   bool resume = false;
   std::string crash_at;  ///< "point" or "point:n" (1-based hit)
   std::string spans_out;
-  std::string flight_out;
   double edge_slowdown = 1.0;  ///< > 1 divides edge device throughput
   std::string record_out;      ///< per-window decision record JSONL
-  std::string alerts_out;      ///< alert-transition JSONL
   bool stream = false;         ///< threaded stage graph instead of batch
   std::size_t stage_threads = 2;
   std::size_t queue_capacity = 8;
@@ -269,16 +263,12 @@ bool extract_telemetry_flags(int& argc, char** argv,
       if (!take_value(telemetry.crash_at)) return false;
     } else if (arg == "--spans-out") {
       if (!take_value(telemetry.spans_out)) return false;
-    } else if (arg == "--flight-out") {
-      if (!take_value(telemetry.flight_out)) return false;
     } else if (arg == "--edge-slowdown") {
       if (!take_double(
               [&](double factor) { telemetry.edge_slowdown = factor; }))
         return false;
     } else if (arg == "--record-out") {
       if (!take_value(telemetry.record_out)) return false;
-    } else if (arg == "--alerts-out") {
-      if (!take_value(telemetry.alerts_out)) return false;
     } else if (arg == "--stream") {
       telemetry.stream = true;
     } else if (arg == "--stage-threads") {
@@ -342,15 +332,11 @@ bool apply_recovery_flags(const TelemetryOptions& telemetry,
   return true;
 }
 
-/// Applies the tracing flags: arms the flight recorder (the pipeline also
-/// forwards it to the channel and crash-point registry) and slows the edge
-/// device model by --edge-slowdown, which pushes track steps past the 1 s
-/// budget — the deterministic way to provoke an SLO burn page and hence a
-/// flight dump.  Returns the recorder the run uses, or nullptr when no
-/// --flight-out was requested.
-obs::FlightRecorder* apply_tracing_flags(const TelemetryOptions& telemetry,
-                                         core::PipelineOptions& options,
-                                         obs::FlightRecorder& flight) {
+/// Slows the edge device model by --edge-slowdown, which pushes track
+/// steps past the 1 s budget — the deterministic way to burn the edge SLO
+/// and fire its alert.
+void apply_edge_slowdown(const TelemetryOptions& telemetry,
+                         core::PipelineOptions& options) {
   if (telemetry.edge_slowdown > 1.0) {
     sim::DeviceProfile edge = sim::edge_raspberry_pi();
     edge.name += "-slowed";
@@ -359,12 +345,6 @@ obs::FlightRecorder* apply_tracing_flags(const TelemetryOptions& telemetry,
     edge.per_signal_overhead_sec *= telemetry.edge_slowdown;
     options.edge_device = edge;
   }
-  if (telemetry.flight_out.empty()) {
-    return nullptr;
-  }
-  flight.set_dump_path(telemetry.flight_out);
-  options.flight = &flight;
-  return &flight;
 }
 
 /// Runs `input` through the pipeline on the scheduler the flags selected:
@@ -423,8 +403,7 @@ void maybe_enable_profiler(const TelemetryOptions& telemetry) {
 /// Writes the requested telemetry outputs after a monitored run.
 void emit_telemetry(const TelemetryOptions& telemetry,
                     obs::MetricsRegistry& registry,
-                    const core::RunResult& result,
-                    obs::FlightRecorder* flight = nullptr) {
+                    const core::RunResult& result) {
   if (!telemetry.metrics_out.empty()) {
     if (obs::Profiler::enabled()) {
       obs::export_profiler_alloc_metrics(registry, obs::Profiler::instance());
@@ -463,25 +442,10 @@ void emit_telemetry(const TelemetryOptions& telemetry,
                 telemetry.spans_out.c_str());
   }
   if (!telemetry.record_out.empty()) {
-    core::write_iterations_jsonl(result, telemetry.record_out);
-    std::printf("record  -> %s (%zu window(s); feed to 'emapctl report')\n",
-                telemetry.record_out.c_str(), result.iterations.size());
-  }
-  if (!telemetry.alerts_out.empty() && result.alerts != nullptr) {
-    result.alerts->write_jsonl(telemetry.alerts_out);
-    std::printf("alerts  -> %s (%zu transition(s))\n",
-                telemetry.alerts_out.c_str(),
+    std::printf("record  -> %s (%zu window(s), %zu alert transition(s); "
+                "feed to 'emapctl report')\n",
+                telemetry.record_out.c_str(), result.iterations.size(),
                 result.alerts->transitions().size());
-  }
-  if (flight != nullptr) {
-    // A breaker/SLO/crash trigger already wrote the interesting dump; only
-    // dump at end of run when nothing else did, so that file survives.
-    if (flight->dumps_written() == 0) {
-      flight->trigger_dump("run_end");
-    }
-    std::printf("flight  -> %s (%llu dump(s))\n",
-                telemetry.flight_out.c_str(),
-                static_cast<unsigned long long>(flight->dumps_written()));
   }
   if (telemetry.metrics_dump) {
     std::printf("\n%s", obs::metrics_table(registry).c_str());
@@ -519,14 +483,12 @@ int run_monitored(const TelemetryOptions& telemetry, mdb::MdbStore store,
   options.metrics = &registry;
   options.fault = telemetry.fault;
   options.retry = telemetry.retry;
-  options.alerts = !telemetry.alerts_out.empty();
+  options.record_path = telemetry.record_out;
   robust::CrashPointRegistry crashpoints;
   if (!apply_recovery_flags(telemetry, options, crashpoints)) {
     return usage();
   }
-  obs::FlightRecorder flight_recorder;
-  obs::FlightRecorder* flight =
-      apply_tracing_flags(telemetry, options, flight_recorder);
+  apply_edge_slowdown(telemetry, options);
   core::EmapPipeline pipeline(std::move(store),
                               core::EmapConfig::paper_defaults(), options);
   const auto result = run_scheduled(telemetry, pipeline, input, stop_at_sec);
@@ -552,7 +514,7 @@ int run_monitored(const TelemetryOptions& telemetry, mdb::MdbStore store,
                            run_summary_line(run_name, result, duration_sec));
     std::printf("summary -> %s\n", telemetry.summary_out.c_str());
   }
-  emit_telemetry(telemetry, registry, result, flight);
+  emit_telemetry(telemetry, registry, result);
   return 0;
 }
 
@@ -831,7 +793,6 @@ int cmd_synth_run(int argc, char** argv) {
 
 int cmd_trace(int argc, char** argv) {
   std::string spans_path;
-  std::string flight_path;
   bool json = false;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -841,8 +802,6 @@ int cmd_trace(int argc, char** argv) {
       return usage();
     } else if (spans_path.empty()) {
       spans_path = arg;
-    } else if (flight_path.empty()) {
-      flight_path = arg;
     } else {
       return usage();
     }
@@ -851,26 +810,11 @@ int cmd_trace(int argc, char** argv) {
     return usage();
   }
   const auto spans = obs::load_spans_jsonl(spans_path);
-  std::vector<obs::ParsedFlightEvent> events;
-  std::string dump_reason;
-  std::size_t flight_skipped = 0;
-  if (!flight_path.empty()) {
-    auto flight = obs::load_flight_jsonl(flight_path);
-    events = std::move(flight.events);
-    dump_reason = flight.dump_reason;
-    flight_skipped = flight.skipped_lines;
-  }
-  const auto paths = obs::build_critical_paths(spans.spans, events);
+  const auto paths = obs::build_critical_paths(spans.spans);
   if (json) {
     // Machine-readable: one record per trace and nothing else on stdout.
     std::fputs(obs::critical_path_jsonl(paths).c_str(), stdout);
     return 0;
-  }
-  if (!dump_reason.empty()) {
-    std::printf("flight dump reason: %s\n", dump_reason.c_str());
-  }
-  if (flight_skipped > 0) {
-    std::printf("flight: skipped %zu malformed line(s)\n", flight_skipped);
   }
   if (spans.skipped_lines > 0) {
     std::printf("spans: skipped %zu malformed line(s)\n",
@@ -882,7 +826,6 @@ int cmd_trace(int argc, char** argv) {
 
 int cmd_report(int argc, char** argv) {
   std::string record_path;
-  std::string alerts_path;
   std::string html_path;
   std::string series_filter;
   for (int i = 0; i < argc; ++i) {
@@ -890,11 +833,7 @@ int cmd_report(int argc, char** argv) {
     auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "--alerts") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      alerts_path = v;
-    } else if (arg == "--html") {
+    if (arg == "--html") {
       const char* v = value();
       if (v == nullptr) return usage();
       html_path = v;
@@ -914,16 +853,11 @@ int cmd_report(int argc, char** argv) {
     return usage();
   }
   const auto record = obs::load_record_jsonl(record_path);
-  obs::AlertLoadResult alerts;
-  if (!alerts_path.empty()) {
-    alerts = obs::load_alerts_jsonl(alerts_path);
-  }
-  std::fputs(obs::render_ascii_report(record, alerts, series_filter).c_str(),
-             stdout);
+  std::fputs(obs::render_ascii_report(record, series_filter).c_str(), stdout);
   if (!html_path.empty()) {
     std::ofstream html(html_path);
     require(static_cast<bool>(html), "report: cannot write the HTML output");
-    html << obs::render_html_report(record, alerts, series_filter);
+    html << obs::render_html_report(record, series_filter);
     std::printf("\nhtml report -> %s\n", html_path.c_str());
   }
   return 0;

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "emap/common/error.hpp"
-#include "emap/obs/flight.hpp"
 #include "emap/obs/profiler.hpp"
 
 namespace emap::core {
@@ -124,11 +123,6 @@ PendingSearch CloudCallExecutor::issue(
                         net::reject_reason_name(reason),
                     "retry", now_sec + elapsed,
                     now_sec + elapsed + charged_sec, trace.trace_id});
-    if (flight_ != nullptr) {
-      flight_->log(obs::FlightEventType::kRetry,
-                   net::reject_reason_name(reason), now_sec + elapsed,
-                   trace.trace_id, static_cast<double>(attempt), charged_sec);
-    }
     elapsed += charged_sec;
     last_reason = reason;
     if (reason == net::RejectReason::kTimeout) {

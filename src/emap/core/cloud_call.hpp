@@ -4,11 +4,11 @@
 // timing, and causal-trace propagation.
 //
 // Thread safety: issue() touches only thread-safe collaborators (CloudNode
-// search via the stats-out overload, Tracer, FlightRecorder, metrics,
-// CircuitBreaker) plus the Channel passed per call — the caller owns the
-// channel's thread confinement (the streaming engine gives each uplink
-// worker its own Channel + FaultInjector so the fault RNG streams stay
-// deterministic per worker).
+// search via the stats-out overload, Tracer, metrics, CircuitBreaker) plus
+// the Channel passed per call — the caller owns the channel's thread
+// confinement (the streaming engine gives each uplink worker its own
+// Channel + FaultInjector so the fault RNG streams stay deterministic per
+// worker).
 #pragma once
 
 #include <cstdint>
@@ -24,10 +24,6 @@
 #include "emap/obs/trace_context.hpp"
 #include "emap/robust/breaker.hpp"
 #include "emap/sim/device.hpp"
-
-namespace emap::obs {
-class FlightRecorder;
-}
 
 namespace emap::core {
 
@@ -78,13 +74,11 @@ class CloudCallExecutor {
  public:
   CloudCallExecutor(const CloudNode* cloud, const EmapConfig* config,
                     const sim::DeviceProfile* cloud_device,
-                    bool use_transport, obs::FlightRecorder* flight,
-                    CloudCallMetrics metrics)
+                    bool use_transport, CloudCallMetrics metrics)
       : cloud_(cloud),
         config_(config),
         cloud_device_(cloud_device),
         use_transport_(use_transport),
-        flight_(flight),
         metrics_(metrics) {}
 
   /// Runs the full retry loop for one upload at virtual time `now_sec`.
@@ -101,7 +95,6 @@ class CloudCallExecutor {
   const EmapConfig* config_;
   const sim::DeviceProfile* cloud_device_;
   bool use_transport_;
-  obs::FlightRecorder* flight_;
   CloudCallMetrics metrics_;
 };
 

@@ -107,12 +107,10 @@ EmapPipeline::EmapPipeline(mdb::MdbStore store, EmapConfig config,
       edge_device_(options.edge_device.value_or(sim::edge_raspberry_pi())),
       cloud_device_(sim::cloud_i7()),
       executor_(&cloud_, &config_, &cloud_device_, options_.use_transport,
-                options_.flight, CloudCallMetrics::resolve(options_.metrics)) {
+                CloudCallMetrics::resolve(options_.metrics)) {
   config_.validate();
   options_.fault.validate();
   options_.retry.validate();
-  require(!options_.alerts || options_.metrics != nullptr,
-          "PipelineOptions: alerts need a metrics registry");
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& registry = *options_.metrics;
     cloud_.set_metrics(&registry);
@@ -160,7 +158,6 @@ RunResult EmapPipeline::run(const synth::Recording& input,
     channel.set_metrics(options_.metrics);
     injector.set_metrics(options_.metrics);
   }
-  channel.set_flight_recorder(options_.flight);
   std::optional<PendingSearch> pending;
 
   Session session(*this, input, stop_at_sec);
@@ -202,10 +199,8 @@ RunResult EmapPipeline::run(const synth::Recording& input,
       edge.predictor().observe(record.anomaly_probability, t_end);
     }
     record.anomaly_predicted = edge.predictor().anomaly_predicted();
-    session.feedback(record, 0.0, window);
-    session.evaluate_alerts(t_end, window.trace_id);
-
-    session.result.iterations.push_back(record);
+    session.feedback(record, 0.0);
+    session.end_window(std::move(record));
     EMAP_CRASH_POINT(crashpoints, "pipeline_window_end");
     // Snapshot at every window boundary.
     if (options_.recovery.enabled()) {
@@ -214,7 +209,7 @@ RunResult EmapPipeline::run(const synth::Recording& input,
         s.pending = to_call_checkpoint(*pending);
       }
       s.injector = injector.save();
-      session.publish(std::move(s), session.window_trace(w));
+      session.publish(std::move(s));
     }
     if (options_.stop_on_alarm && edge.predictor().anomaly_predicted()) {
       break;

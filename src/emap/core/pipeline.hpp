@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -37,10 +38,6 @@
 #include "emap/robust/robust.hpp"
 #include "emap/sim/device.hpp"
 #include "emap/synth/generator.hpp"
-
-namespace emap::obs {
-class FlightRecorder;
-}
 
 namespace emap::core {
 
@@ -65,17 +62,17 @@ struct PipelineOptions {
   bool stop_on_alarm = false;
   /// Number of cloud worker threads (0 = hardware concurrency).
   std::size_t cloud_threads = 0;
-  /// Flight recorder (borrowed; nullptr disables): the pipeline logs window
-  /// boundaries, SLO misses, robust transitions, retries, breaker events,
-  /// and checkpoint/resume marks into the ring, and triggers a dump when
-  /// the breaker opens or the edge SLO burn rate pages.  Also attached to
-  /// the run's channel (fault verdicts) and, via options.crashpoints, the
-  /// crash-point registry (crash dumps) when those are set.
-  obs::FlightRecorder* flight = nullptr;
+  /// The decision record (empty = none): each run truncates this file,
+  /// then appends and flushes one JSON line per completed window
+  /// (core::iteration_json), so a run that dies leaves the lines of every
+  /// window it finished.
+  std::filesystem::path record_path;
   /// Telemetry registry (borrowed; nullptr disables).  When set, the
   /// pipeline and every layer it drives (search, tracker, channel, codec,
   /// fault injector) record `emap_*` metrics into it, including the
-  /// `emap_slo_*` families of the two paper budgets.
+  /// `emap_slo_*` families of the two paper budgets, and the built-in
+  /// alert rules (obs/alert.hpp) evaluate it at the end of every window,
+  /// on the virtual clock.
   obs::MetricsRegistry* metrics = nullptr;
   /// Edge device-model override (default: Raspberry Pi; the cloud is
   /// always the i7 profile).  A slower edge profile pushes track steps past
@@ -93,10 +90,6 @@ struct PipelineOptions {
   /// points fire inside the window loop and the checkpoint writer; see
   /// robust::crash_point_catalog() for the registered names.
   robust::CrashPointRegistry* crashpoints = nullptr;
-  /// Evaluate the built-in alert rules (obs/alert.hpp) against `metrics`
-  /// at the end of every window, on the virtual clock.  Requires
-  /// metrics != nullptr.
-  bool alerts = false;
 };
 
 /// Why a window issued no cloud call, in the order Session::track checks.
@@ -151,8 +144,13 @@ struct IterationRecord {
   /// Tracking suspended (CRITICAL): anomaly_probability is the last-known
   /// P_A served stale.
   bool robust_critical = false;
+  /// Circuit-breaker state once the window's call (if any) was issued.
+  robust::BreakerState breaker_state = robust::BreakerState::kClosed;
   /// This window was executed by a run resumed from a checkpoint.
   bool recovered = false;
+  /// Alert transitions made at this window's rule evaluation (empty when
+  /// no rule changed state, or without a metrics registry).
+  std::vector<obs::AlertTransition> alerts;
 };
 
 /// Eq. 4 decomposition of the first cloud round trip.
@@ -196,8 +194,8 @@ struct RunResult {
   /// robust::write_robust_summary.
   robust::RobustSummary robust;
   /// Alert engine after the run — rule states and the transition log
-  /// (null when options.alerts is off); export with
-  /// AlertEngine::write_jsonl.
+  /// (null without options.metrics).  Each transition is also on the
+  /// record of the window whose evaluation made it.
   std::shared_ptr<obs::AlertEngine> alerts;
 
   /// P_A sequence across tracked iterations.
@@ -229,9 +227,6 @@ class EmapPipeline {
   const CloudNode& cloud() const { return cloud_; }
   const EmapConfig& config() const { return config_; }
   const PipelineOptions& options() const { return options_; }
-
-  /// Edge device profile used for the virtual-time accounting.
-  const sim::DeviceProfile& edge_device() const { return edge_device_; }
 
  private:
   friend class Session;

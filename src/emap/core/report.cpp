@@ -1,57 +1,58 @@
 #include "emap/core/report.hpp"
 
 #include <cstdint>
-#include <fstream>
 
-#include "emap/common/error.hpp"
+#include "emap/obs/trace_context.hpp"
 
 namespace emap::core {
+
+std::string iteration_json(const IterationRecord& r) {
+  obs::JsonWriter json;
+  json.field("window", static_cast<std::uint64_t>(r.window_index))
+      .field("t_sec", r.t_sec)
+      .field("trace_id",
+             obs::trace_id_hex(obs::mint_trace_id(
+                 obs::kDefaultTraceSeed, r.window_index)))
+      .field("tracked", r.tracked)
+      .field("set_loaded", r.set_loaded)
+      .field("loaded_sequence", static_cast<double>(r.loaded_sequence))
+      .field("pa_on_load", r.pa_on_load)
+      .field("anomaly_probability", r.anomaly_probability)
+      .field("anomaly_predicted", r.anomaly_predicted)
+      .field("tracked_before", static_cast<std::uint64_t>(r.tracked_before))
+      .field("tracked_after", static_cast<std::uint64_t>(r.tracked_after))
+      .field("removed_dissimilar",
+             static_cast<std::uint64_t>(r.removed_dissimilar))
+      .field("removed_exhausted",
+             static_cast<std::uint64_t>(r.removed_exhausted))
+      .field("abs_ops", r.abs_ops)
+      .field("track_device_sec", r.track_device_sec)
+      .field("cloud_call_issued", r.cloud_call_issued)
+      .field("no_call_reason", no_call_reason_name(r.no_call_reason))
+      .field("degraded", r.degraded)
+      .field("robust_state", robust::degrade_state_name(r.robust_state))
+      .field("shed_cap", static_cast<std::uint64_t>(r.shed_cap))
+      .field("quality", robust::quality_verdict_name(r.quality))
+      .field("breaker_rejected", r.breaker_rejected)
+      .field("breaker_state", robust::breaker_state_name(r.breaker_state))
+      .field("robust_critical", r.robust_critical)
+      .field("robust_recovered", r.recovered);
+  for (const obs::AlertTransition& alert : r.alerts) {
+    const std::string key = "alert_" + alert.rule;
+    json.field(key, alert.firing ? "firing" : "resolved")
+        .field(key + "_value", alert.value)
+        .field(key + "_threshold", alert.threshold);
+  }
+  return json.str();
+}
+
 std::string iterations_jsonl(const RunResult& result) {
   std::string out;
   for (const IterationRecord& r : result.iterations) {
-    obs::JsonWriter json;
-    json.field("window", static_cast<std::uint64_t>(r.window_index))
-        .field("t_sec", r.t_sec)
-        .field("tracked", r.tracked)
-        .field("set_loaded", r.set_loaded)
-        .field("loaded_sequence", static_cast<double>(r.loaded_sequence))
-        .field("pa_on_load", r.pa_on_load)
-        .field("anomaly_probability", r.anomaly_probability)
-        .field("anomaly_predicted", r.anomaly_predicted)
-        .field("tracked_before", static_cast<std::uint64_t>(r.tracked_before))
-        .field("tracked_after", static_cast<std::uint64_t>(r.tracked_after))
-        .field("removed_dissimilar",
-               static_cast<std::uint64_t>(r.removed_dissimilar))
-        .field("removed_exhausted",
-               static_cast<std::uint64_t>(r.removed_exhausted))
-        .field("abs_ops", r.abs_ops)
-        .field("track_device_sec", r.track_device_sec)
-        .field("cloud_call_issued", r.cloud_call_issued)
-        .field("no_call_reason", no_call_reason_name(r.no_call_reason))
-        .field("degraded", r.degraded)
-        .field("robust_state", robust::degrade_state_name(r.robust_state))
-        .field("shed_cap", static_cast<std::uint64_t>(r.shed_cap))
-        .field("quality", robust::quality_verdict_name(r.quality))
-        .field("breaker_rejected", r.breaker_rejected)
-        .field("robust_critical", r.robust_critical)
-        .field("robust_recovered", r.recovered);
-    out += json.str();
+    out += iteration_json(r);
     out += '\n';
   }
   return out;
-}
-
-void write_iterations_jsonl(const RunResult& result,
-                            const std::filesystem::path& path) {
-  std::ofstream stream(path, std::ios::trunc);
-  if (!stream) {
-    throw IoError("report: cannot open " + path.string());
-  }
-  stream << iterations_jsonl(result);
-  stream.flush();
-  if (!stream) {
-    throw IoError("report: write failed for " + path.string());
-  }
 }
 
 std::string run_summary_json(const RunResult& result,

@@ -5,7 +5,7 @@
 
 #include "emap/common/crc32.hpp"
 #include "emap/common/error.hpp"
-#include "emap/obs/flight.hpp"
+#include "emap/core/report.hpp"
 #include "emap/robust/crashpoint.hpp"
 
 namespace emap::core {
@@ -47,19 +47,20 @@ Session::Session(const EmapPipeline& pipeline, const synth::Recording& input,
   edge.set_quality_gate(&quality_);
   result.tracer = std::make_shared<obs::Tracer>();
   tracer_ = result.tracer.get();
-  flight_ = options_.flight;
   crashpoints_ = options_.crashpoints;
-  if (crashpoints_ != nullptr) {
-    crashpoints_->set_flight_recorder(flight_);
-  }
 
-  if (options_.alerts) {
+  if (options_.metrics != nullptr) {
     obs::AlertEngine::Hooks hooks;
     hooks.registry = options_.metrics;
     hooks.tracer = tracer_;
-    hooks.flight = flight_;
     alert_engine_ = std::make_shared<obs::AlertEngine>(hooks);
     result.alerts = alert_engine_;
+  }
+  if (!options_.record_path.empty()) {
+    record_.open(options_.record_path, std::ios::trunc);
+    if (!record_) {
+      throw IoError("record: cannot open " + options_.record_path.string());
+    }
   }
   edge_slo_.emplace(obs::edge_iteration_slo(), options_.metrics);
   initial_slo_.emplace(obs::initial_response_slo(), options_.metrics);
@@ -115,7 +116,6 @@ std::optional<robust::SessionState> Session::resume() {
     edge.filter().restore_stream(s.fir);
     controller_.restore(s.degrade);
     breaker_.restore(s.breaker);
-    last_breaker_state_ = breaker_.state();
     edge_slo_->restore_state(s.edge_slo);
     initial_slo_->restore_state(s.initial_slo);
     last_pa_ = s.last_pa;
@@ -155,11 +155,6 @@ std::optional<robust::SessionState> Session::resume() {
     const double t_resume = static_cast<double>(first_window_);
     tracer_->record_sim("recovery_resume", "recovery", t_resume, t_resume, 0,
                         resume_trace);
-    if (flight_ != nullptr) {
-      flight_->log(obs::FlightEventType::kResume, "resume",
-                   static_cast<double>(first_window_), resume_trace,
-                   static_cast<double>(first_window_));
-    }
     if (options_.stop_on_alarm && edge.predictor().anomaly_predicted()) {
       // The restored predictor already latched its alarm; nothing is left
       // to monitor.
@@ -221,8 +216,7 @@ robust::SessionState Session::capture(std::size_t next_window) const {
   return s;
 }
 
-void Session::publish(robust::SessionState state,
-                      std::uint64_t flight_trace) {
+void Session::publish(robust::SessionState state) {
   robust::RecoverySummary& summary = result.robust.recovery;
   const std::uint64_t next_window = state.next_window;
   log_->publish(std::move(state), crashpoints_);
@@ -239,11 +233,6 @@ void Session::publish(robust::SessionState state,
     metrics.recovery_checkpoints->increment();
     metrics.recovery_compactions->increment(compactions);
     metrics.recovery_checkpoint_bytes->increment(bytes);
-  }
-  if (flight_ != nullptr) {
-    flight_->log(obs::FlightEventType::kCheckpoint, "checkpoint",
-                 static_cast<double>(next_window), flight_trace,
-                 static_cast<double>(next_window));
   }
 }
 
@@ -276,11 +265,6 @@ obs::TraceContext Session::open_window(std::size_t w) {
                       window.parent_span, window.trace_id);
   tracer_->record_sim("filter", "filter", t_end, t_end + kFilterAcceleratorSec,
                       window.parent_span, window.trace_id);
-  if (flight_ != nullptr) {
-    flight_->log(obs::FlightEventType::kSpan,
-                 ("window_" + std::to_string(w)).c_str(), t_end,
-                 window.trace_id, static_cast<double>(w));
-  }
   return window;
 }
 
@@ -315,7 +299,6 @@ IterationRecord Session::begin_window(std::size_t w,
 }
 
 void Session::deliver(PendingSearch&& call, IterationRecord& record) {
-  const double t_end = record.t_sec;
   result.retry_attempts += call.attempts > 0 ? call.attempts - 1 : 0;
   result.duplicates_discarded += call.duplicates;
   if (call.succeeded &&
@@ -336,11 +319,6 @@ void Session::deliver(PendingSearch&& call, IterationRecord& record) {
     record.pa_on_load = edge.tracker().anomaly_probability();
     const double initial_sec = call.delta_ec + call.delta_cs + call.delta_ce;
     initial_slo_->observe(initial_sec);
-    if (flight_ != nullptr && initial_sec > initial_slo_->spec().budget_sec) {
-      flight_->log(obs::FlightEventType::kSloMiss, "initial_response", t_end,
-                   call.trace.trace_id, initial_sec,
-                   initial_slo_->spec().budget_sec);
-    }
     if (!first_round_trip_recorded_) {
       result.timings.delta_ec_sec = call.delta_ec;
       result.timings.delta_cs_sec = call.delta_cs;
@@ -381,10 +359,6 @@ bool Session::track(std::span<const double> filtered, std::size_t outstanding,
       record.no_call_reason = NoCallReason::kBreakerOpen;
       tracer_->record_sim("breaker_reject", "robust", t_end, t_end,
                           window.parent_span, window.trace_id);
-      if (flight_ != nullptr) {
-        flight_->log(obs::FlightEventType::kShed, "breaker_reject", t_end,
-                     window.trace_id);
-      }
       return false;
     }
     return true;
@@ -432,12 +406,6 @@ bool Session::track(std::span<const double> filtered, std::size_t outstanding,
           static_cast<double>(step.tracked_before);
   total_track_sec_ += record.track_device_sec;
   edge_slo_->observe(record.track_device_sec);
-  if (flight_ != nullptr &&
-      record.track_device_sec > edge_slo_->spec().budget_sec) {
-    flight_->log(obs::FlightEventType::kSloMiss, "edge_iteration", t_end,
-                 window.trace_id, record.track_device_sec,
-                 edge_slo_->spec().budget_sec);
-  }
   result.timings.max_track_sec =
       std::max(result.timings.max_track_sec, record.track_device_sec);
   ++track_steps_;
@@ -469,12 +437,10 @@ bool Session::track(std::span<const double> filtered, std::size_t outstanding,
   return admit_call();
 }
 
-void Session::feedback(const IterationRecord& record, double queue_pressure,
-                       const obs::TraceContext& window) {
-  const double t_end = record.t_sec;
+void Session::feedback(IterationRecord& record, double queue_pressure) {
   robust::WindowSignal signal;
   signal.window_index = record.window_index;
-  signal.t_sec = t_end;
+  signal.t_sec = record.t_sec;
   signal.burn_rate = edge_slo_->burn_rate();
   signal.stage_stuck = stage_stuck_;
   signal.queue_pressure = queue_pressure;
@@ -487,76 +453,31 @@ void Session::feedback(const IterationRecord& record, double queue_pressure,
   } else {
     signal.no_observation = true;
   }
-  const robust::DegradeState state_before = controller_.state();
   controller_.observe_window(signal);
-  const robust::DegradeState state_after = controller_.state();
-  if (flight_ != nullptr && state_after != state_before) {
-    flight_->log(obs::FlightEventType::kRobustTransition,
-                 (std::string(robust::degrade_state_name(state_before)) +
-                  "_to_" + robust::degrade_state_name(state_after))
-                     .c_str(),
-                 t_end, window.trace_id);
-    // A watchdog trip that forces CRITICAL is exactly the moment the
-    // flight recorder exists for — the stuck step and everything that
-    // led to it are still in the ring.  Latched like the breaker-open
-    // and burn-page dumps, but written *after* this window's burn-page
-    // check below: the stuck step usually pages the edge SLO in the same
-    // window, and CRITICAL is the more severe verdict, so it should own
-    // the (single) dump file.
-    if (signal.stage_stuck &&
-        state_after == robust::DegradeState::kCritical &&
-        !watchdog_dumped_) {
-      watchdog_dumped_ = true;
-      watchdog_dump_pending_ = true;
-    }
-  }
   if (!controller_.defer_flushes()) {
     flush_deferred();
   }
-
-  // Breaker state can flip anywhere inside the window (allow() or a
-  // failure recorded mid-call); detect the edge here, once per window.
-  if (flight_ != nullptr) {
-    const robust::BreakerState breaker_state = breaker_.state();
-    if (breaker_state != last_breaker_state_) {
-      if (breaker_state == robust::BreakerState::kOpen) {
-        flight_->log(obs::FlightEventType::kBreakerOpen, "breaker_open",
-                     t_end, window.trace_id);
-        tracer_->record_sim("breaker_open", "robust", t_end, t_end,
-                            window.parent_span, window.trace_id);
-        if (!breaker_dumped_) {
-          breaker_dumped_ = true;
-          flight_->trigger_dump("breaker_open");
-        }
-      } else if (breaker_state == robust::BreakerState::kClosed) {
-        flight_->log(obs::FlightEventType::kBreakerClose, "breaker_close",
-                     t_end, window.trace_id);
-      }
-      last_breaker_state_ = breaker_state;
-    }
-  }
-  // A burning error budget is the page the flight recorder exists for:
-  // dump the ring once, while the events leading up to it are still in.
-  if (flight_ != nullptr && !slo_burn_paged_) {
-    const bool edge_burning = !edge_slo_->healthy();
-    if (edge_burning || !initial_slo_->healthy()) {
-      slo_burn_paged_ = true;
-      obs::SloMonitor& burning = edge_burning ? *edge_slo_ : *initial_slo_;
-      flight_->log(obs::FlightEventType::kSloBurnPage,
-                   burning.spec().name.c_str(), t_end, window.trace_id,
-                   burning.burn_rate());
-      flight_->trigger_dump("slo_burn_page");
-    }
-  }
-  if (flight_ != nullptr && watchdog_dump_pending_) {
-    watchdog_dump_pending_ = false;
-    flight_->trigger_dump("watchdog_critical");
-  }
+  // The breaker can flip anywhere inside the window (allow() or a failure
+  // recorded mid-call); the record keeps where the window left it.
+  record.breaker_state = breaker_.state();
 }
 
-void Session::evaluate_alerts(double t_end, std::uint64_t trace_id) {
+void Session::end_window(IterationRecord record) {
   if (alert_engine_) {
-    alert_engine_->evaluate(*options_.metrics, t_end, trace_id);
+    const std::size_t made = alert_engine_->evaluate(
+        *options_.metrics, record.t_sec, window_trace(record.window_index));
+    const auto& log = alert_engine_->transitions();
+    record.alerts.assign(log.end() - static_cast<std::ptrdiff_t>(made),
+                         log.end());
+  }
+  result.iterations.push_back(std::move(record));
+  if (record_.is_open()) {
+    record_ << iteration_json(result.iterations.back()) << '\n';
+    record_.flush();
+    if (!record_) {
+      throw IoError("record: write failed for " +
+                    options_.record_path.string());
+    }
   }
 }
 

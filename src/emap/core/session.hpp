@@ -10,8 +10,8 @@
 //   StreamPipeline (kThreaded) calls open_window on its acquire stage,
 //                           filter on its filter stage, begin_window →
 //                           deliver → track → feedback on its track stage,
-//                           and the predictor + alert evaluation on its
-//                           predict stage.
+//                           and the predictor + end_window on its predict
+//                           stage.
 //
 // What the schedulers still do differently stays with them: when a finished
 // call reaches deliver() (batch: at its virtual ready time; threaded: once
@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <span>
@@ -58,9 +59,8 @@ class Session {
   robust::SessionState capture(std::size_t next_window) const;
 
   /// Durably publishes `state` through the run's checkpoint log and
-  /// records it in the recovery summary, the metrics and the flight
-  /// recorder (a "checkpoint" event on `flight_trace`).
-  void publish(robust::SessionState state, std::uint64_t flight_trace);
+  /// records it in the recovery summary and the metrics.
+  void publish(robust::SessionState state);
 
   // ---- Per-window steps, in loop order. ----
 
@@ -71,11 +71,9 @@ class Session {
   bool monitors(std::size_t w) const;
   /// Raw input samples of window `w`.
   std::span<const double> raw_window(std::size_t w) const;
-  /// Deterministic trace id of window `w`.
-  std::uint64_t window_trace(std::size_t w) const;
 
   /// Mints window `w`'s trace and records its root, sample and filter
-  /// spans plus the flight-recorder window mark.
+  /// spans.
   obs::TraceContext open_window(std::size_t w);
   /// FIR-filters one raw window (the quality gate assesses it first).
   std::vector<double> filter(std::span<const double> raw);
@@ -95,13 +93,15 @@ class Session {
   bool track(std::span<const double> filtered, std::size_t outstanding,
              std::size_t max_outstanding, const obs::TraceContext& window,
              IterationRecord& record);
-  /// Feeds the window's outcome back into the controller, then logs
-  /// breaker edges and takes the one-shot SLO-burn and watchdog dumps.
-  void feedback(const IterationRecord& record, double queue_pressure,
-                const obs::TraceContext& window);
-  /// Evaluates the alert rules against the registry at the window
-  /// boundary, attributed to the window's trace.
-  void evaluate_alerts(double t_end, std::uint64_t trace_id);
+  /// Feeds the window's outcome back into the controller and stamps the
+  /// record with the breaker state the window left behind.
+  void feedback(IterationRecord& record, double queue_pressure);
+  /// Completes window `record`: evaluates the alert rules against the
+  /// registry at the window boundary (attributed to the window's trace)
+  /// and keeps the transitions on the record, appends the record to the
+  /// result, then appends and flushes its decision-record line.  Throws
+  /// IoError when the line cannot be written.
+  void end_window(IterationRecord record);
 
   /// Completes and hands over the run record (call once, after the loop),
   /// leaving the checkpoint file as the single image of the last published
@@ -114,12 +114,13 @@ class Session {
   RunResult result;
 
   obs::Tracer& tracer() const { return *tracer_; }
-  obs::FlightRecorder* flight() const { return flight_; }
   robust::CrashPointRegistry* crashpoints() const { return crashpoints_; }
   robust::CircuitBreaker& breaker() { return breaker_; }
   robust::DegradationController& controller() { return controller_; }
 
  private:
+  /// Deterministic trace id of window `w`.
+  std::uint64_t window_trace(std::size_t w) const;
   void flush_deferred();
   robust::QualitySummary quality_total() const;
   std::size_t watchdog_total() const;
@@ -143,10 +144,11 @@ class Session {
   robust::SignalQualityGate quality_;
   /// The run's span log (owned by result.tracer).
   obs::Tracer* tracer_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
   robust::CrashPointRegistry* crashpoints_ = nullptr;
   /// The snapshot writer the batch loop publishes through (recovery on).
   std::optional<robust::CheckpointLog> log_;
+  /// The decision record (open when options.record_path is set).
+  std::ofstream record_;
   std::shared_ptr<obs::AlertEngine> alert_engine_;
   // Fresh per run (runs are independent); the registry-side emap_slo_*
   // counters accumulate across runs like every other pipeline metric.
@@ -175,14 +177,6 @@ class Session {
   /// Non-essential telemetry observations buffered while the controller is
   /// away from NOMINAL; flushed on return to NOMINAL or at run end.
   std::vector<double> deferred_track_obs_;
-
-  // One-shot flight-dump latches (a page or a breaker open is interesting
-  // once; re-dumping every subsequent window would just thrash the file).
-  bool slo_burn_paged_ = false;
-  bool breaker_dumped_ = false;
-  bool watchdog_dumped_ = false;
-  bool watchdog_dump_pending_ = false;
-  robust::BreakerState last_breaker_state_ = robust::BreakerState::kClosed;
 };
 
 }  // namespace emap::core

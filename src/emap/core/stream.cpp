@@ -48,7 +48,6 @@ struct UplinkJob {
 struct OutcomeItem {
   IterationRecord record{};
   bool supports_predict = false;
-  std::uint64_t trace_id = 0;
 };
 
 /// One-shot injected fault, armed per StageFaultSpec.
@@ -90,7 +89,6 @@ RunResult StreamPipeline::run(const synth::Recording& input,
   session.result.robust.streamed = true;
   EdgeNode& edge = session.edge;
   obs::Tracer& tracer = session.tracer();
-  obs::FlightRecorder* flight = session.flight();
   robust::CrashPointRegistry* crashpoints = session.crashpoints();
   robust::CircuitBreaker& breaker = session.breaker();
 
@@ -223,13 +221,11 @@ RunResult StreamPipeline::run(const synth::Recording& input,
       state->channel.set_metrics(opts.metrics);
       state->injector.set_metrics(opts.metrics);
     }
-    state->channel.set_flight_recorder(flight);
     worker_states.push_back(std::move(state));
   }
   std::atomic<std::size_t> active_workers{workers};
 
-  robust::StageSupervisor supervisor(options_.supervisor, opts.metrics,
-                                     flight);
+  robust::StageSupervisor supervisor(options_.supervisor, opts.metrics);
   supervisor.set_failure_handler([&](const std::string& stage) {
     // A stage out of restart budget ends the run: force CRITICAL (the
     // operator-visible verdict), stop the source, and close every queue so
@@ -435,7 +431,7 @@ RunResult StreamPipeline::run(const synth::Recording& input,
         }
       }
 
-      session.feedback(record, sustained_pressure(), window);
+      session.feedback(record, sustained_pressure());
       if (depth_raw != nullptr) {
         depth_raw->set(static_cast<double>(q_raw.depth()));
         depth_filtered->set(static_cast<double>(q_filtered.depth()));
@@ -448,7 +444,6 @@ RunResult StreamPipeline::run(const synth::Recording& input,
       out.supports_predict =
           record.tracked &&
           record.tracked_after >= p.config_.predict_min_support;
-      out.trace_id = window.trace_id;
       out.record = std::move(record);
       health.heartbeat(ts.processed.load());
       health.set_idle(true);
@@ -490,13 +485,12 @@ RunResult StreamPipeline::run(const synth::Recording& input,
       if (health.abort_requested()) {
         return;
       }
-      const double t_end = item->record.t_sec;
       if (item->supports_predict) {
-        edge.predictor().observe(item->record.anomaly_probability, t_end);
+        edge.predictor().observe(item->record.anomaly_probability,
+                                 item->record.t_sec);
       }
       item->record.anomaly_predicted = edge.predictor().anomaly_predicted();
-      session.evaluate_alerts(t_end, item->trace_id);
-      session.result.iterations.push_back(std::move(item->record));
+      session.end_window(std::move(item->record));
       EMAP_CRASH_POINT(crashpoints, "pipeline_window_end");
       if (opts.stop_on_alarm && edge.predictor().anomaly_predicted()) {
         stop.store(true, std::memory_order_release);

@@ -32,9 +32,9 @@
 // max_restarts — forces the DegradationController CRITICAL and shuts the
 // run down.  Stage-queue occupancy feeds the controller each window as
 // WindowSignal.queue_pressure, queue depths are exported as
-// emap_stage_queue_depth{queue=...}, and supervisor interventions land in
-// the flight recorder (kStageStall events + triggered dumps).  See
-// docs/streaming.md.
+// emap_stage_queue_depth{queue=...}, and supervisor interventions are
+// counted in the robust summary (supervisor_stalls / _restarts /
+// _crashes).  See docs/streaming.md.
 #pragma once
 
 #include <cstddef>

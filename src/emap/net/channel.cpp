@@ -1,10 +1,6 @@
 #include "emap/net/channel.hpp"
 
-#include <cstdio>
-
 #include "emap/common/error.hpp"
-#include "emap/net/transport.hpp"
-#include "emap/obs/flight.hpp"
 #include "emap/obs/metrics.hpp"
 #include "emap/obs/profiler.hpp"
 
@@ -97,27 +93,8 @@ TransferOutcome Channel::transfer(Direction direction,
   outcome.seconds =
       transfer_seconds(bytes.size(), direction_rate_mbps(direction));
   if (injector_ != nullptr) {
-    // Peek the trace context before the injector runs: corruption mutates
-    // `bytes` in place and would take the trace id with it.
-    obs::TraceContext trace;
-    if (flight_ != nullptr) {
-      trace = peek_trace(bytes);
-    }
     outcome.fault = injector_->apply(direction, bytes);
     outcome.seconds += outcome.fault.extra_delay_sec;
-    if (flight_ != nullptr && outcome.fault.any()) {
-      const char* kind = outcome.fault.dropped      ? "drop"
-                         : outcome.fault.corrupted  ? "corrupt"
-                         : outcome.fault.duplicated ? "duplicate"
-                         : outcome.fault.reordered  ? "reorder"
-                                                    : "delay";
-      char label[obs::FlightEvent::kLabelCapacity];
-      std::snprintf(label, sizeof(label), "%s_%s",
-                    direction == Direction::kUpload ? "up" : "down", kind);
-      flight_->log(obs::FlightEventType::kFaultVerdict, label, /*t_sec=*/-1.0,
-                   trace.trace_id, outcome.fault.extra_delay_sec,
-                   static_cast<double>(bytes.size()));
-    }
   }
   record(direction == Direction::kUpload ? up_metrics_ : down_metrics_,
          bytes.size(), outcome.seconds);

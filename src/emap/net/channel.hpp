@@ -21,7 +21,6 @@
 namespace emap::obs {
 class MetricsRegistry;
 class Counter;
-class FlightRecorder;
 class Histogram;
 }  // namespace emap::obs
 
@@ -101,14 +100,6 @@ class Channel {
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
   FaultInjector* fault_injector() const { return injector_; }
 
-  /// Attaches a flight recorder (borrowed; nullptr disables).  Each
-  /// transfer the injector actually touched logs one kFaultVerdict event,
-  /// attributed to the in-flight message's trace context (peeked from the
-  /// encoded bytes before any corruption is applied).
-  void set_flight_recorder(obs::FlightRecorder* recorder) {
-    flight_ = recorder;
-  }
-
  private:
   double transfer_seconds(std::size_t payload_bytes, double rate_mbps) const;
   double direction_rate_mbps(Direction direction) const;
@@ -124,7 +115,6 @@ class Channel {
   CommPlatform platform_;
   ChannelOptions options_;
   FaultInjector* injector_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
   DirectionMetrics up_metrics_{};
   DirectionMetrics down_metrics_{};
 };

@@ -87,26 +87,4 @@ bool RetryPolicy::allow_attempt_after(std::size_t attempt, double elapsed_sec,
   return elapsed_sec + backoff_sec + timeout_sec <= options_.deadline_sec;
 }
 
-double RetryPolicy::worst_case_wait(double expected_transfer_sec) const {
-  const double timeout = timeout_for(expected_transfer_sec);
-  // Upper-bound the jitter at its supremum and assume every attempt runs
-  // to its timeout; the deadline check in allow_attempt_after()
-  // additionally guarantees the real cumulative wait never exceeds
-  // deadline_sec, so the bound is the smaller of the two.
-  double total = 0.0;
-  for (std::size_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    const double backoff_ub =
-        attempt == 0
-            ? 0.0
-            : std::min(kBackoffCapSec,
-                       kBaseBackoffSec *
-                           std::ldexp(1.0, static_cast<int>(std::min<
-                                               std::size_t>(attempt, 60)) -
-                                               1) *
-                           (1.0 + kJitterFraction));
-    total += backoff_ub + timeout;
-  }
-  return std::min(total, options_.deadline_sec);
-}
-
 }  // namespace emap::net

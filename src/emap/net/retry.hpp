@@ -85,10 +85,6 @@ class RetryPolicy {
   bool allow_attempt_after(std::size_t attempt, double elapsed_sec,
                            double backoff_sec, double timeout_sec) const;
 
-  /// Upper bound on the cumulative wait of one logical call (all attempts
-  /// failing at their timeout, maximal jitter), never above the deadline.
-  double worst_case_wait(double expected_transfer_sec) const;
-
  private:
   RetryOptions options_;
 };

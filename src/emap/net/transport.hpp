@@ -73,9 +73,9 @@ CorrelationSetMessage decode_correlation_set(
 
 /// Extracts the TraceContext from an encoded message without decoding the
 /// payload.  Verifies the CRC seal first (fail closed: corrupt or
-/// untraced input yields an invalid context, never a garbage id).  Used by
-/// observers on the byte path — e.g. the channel's flight-recorder hook —
-/// that must attribute a transfer to its causal chain.
+/// untraced input yields an invalid context, never a garbage id), for an
+/// observer on the byte path that must attribute a transfer to its causal
+/// chain.
 obs::TraceContext peek_trace(std::span<const std::uint8_t> bytes);
 
 }  // namespace emap::net

@@ -2,15 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <string_view>
 
-#include "emap/common/error.hpp"
-#include "emap/obs/export.hpp"
-#include "emap/obs/flight.hpp"
 #include "emap/obs/slo.hpp"
 #include "emap/obs/span.hpp"
-#include "emap/obs/trace_context.hpp"
 
 namespace emap::obs {
 namespace {
@@ -160,16 +155,6 @@ void AlertEngine::transition(std::size_t rule_index, double t_sec,
         std::string("alert:") + rule.name + (firing ? ":fired" : ":resolved"),
         "alert", t_sec, t_sec, 0, trace_id);
   }
-  if (hooks_.flight != nullptr) {
-    hooks_.flight->log(FlightEventType::kAlert,
-                       (std::string(rule.name) +
-                        (firing ? ":fired" : ":resolved"))
-                           .c_str(),
-                       t_sec, trace_id, eval.value, eval.threshold);
-    if (firing) {
-      hooks_.flight->trigger_dump("alert_firing");
-    }
-  }
 }
 
 std::size_t AlertEngine::evaluate(const MetricsRegistry& registry,
@@ -233,39 +218,6 @@ bool AlertEngine::ever_fired(const std::string& rule_name) const {
     }
   }
   return false;
-}
-
-std::string AlertEngine::to_jsonl() const {
-  std::string out;
-  for (const AlertTransition& transition : transitions_) {
-    JsonWriter json;
-    json.field("rule", transition.rule)
-        .field("series", transition.series)
-        .field("t_sec", transition.t_sec)
-        .field("state", transition.firing ? "firing" : "resolved")
-        .field("value", transition.value)
-        .field("threshold", transition.threshold)
-        .field("trace_id", trace_id_hex(transition.trace_id));
-    out += json.str();
-    out += '\n';
-  }
-  return out;
-}
-
-void AlertEngine::write_jsonl(const std::filesystem::path& path) const {
-  if (path.has_parent_path()) {
-    std::filesystem::create_directories(path.parent_path());
-  }
-  std::ofstream stream(path);
-  if (!stream) {
-    throw IoError("AlertEngine::write_jsonl: cannot open " + path.string());
-  }
-  stream << to_jsonl();
-  stream.flush();
-  if (!stream) {
-    throw IoError("AlertEngine::write_jsonl: write failed for " +
-                  path.string());
-  }
 }
 
 std::string series_key_for(const std::string& name, const Labels& labels) {

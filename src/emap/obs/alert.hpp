@@ -18,9 +18,10 @@
 // The hold is a for-duration debounce: a breach must hold continuously
 // for that long on the virtual clock before the rule transitions to
 // firing, and one clean evaluation resolves it.  Transitions — never
-// steady states — stamp a span, bump `emap_alerts_*` metrics, log a
-// flight event, and (on firing) trigger a flight-recorder dump, so a
-// latency regression mid-soak leaves a correlated trace.
+// steady states — stamp a span and bump `emap_alerts_*` metrics, and the
+// pipeline writes each onto the decision record of the window whose
+// evaluation made it, so a latency regression mid-soak leaves a
+// correlated trace.
 //
 // Everything is driven by the virtual clock through evaluate(); with the
 // same seeded run the same transitions happen at the same instants.
@@ -29,7 +30,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,7 +38,6 @@
 
 namespace emap::obs {
 
-class FlightRecorder;
 class Tracer;
 
 enum class AlertState { kInactive, kPending, kFiring };
@@ -78,7 +77,6 @@ class AlertEngine {
   struct Hooks {
     MetricsRegistry* registry = nullptr;  ///< emap_alerts_* metrics
     Tracer* tracer = nullptr;             ///< alert spans
-    FlightRecorder* flight = nullptr;     ///< kAlert events + firing dumps
   };
 
   /// Rules in the built-in table, indexed as status() is:
@@ -107,16 +105,6 @@ class AlertEngine {
   /// Whether the named rule ever fired.
   bool ever_fired(const std::string& rule_name) const;
   std::uint64_t evaluations() const { return evaluations_; }
-
-  /// One JSONL line per transition:
-  ///   {"rule":...,"series":...,"t_sec":...,"state":"firing"|"resolved",
-  ///    "value":...,"threshold":...,"trace_id":"<16 hex digits>"}
-  /// The trace id is written as trace_id_hex text, as the span log and
-  /// flight dumps write it, so it survives JSON readers that parse
-  /// numbers as doubles.
-  std::string to_jsonl() const;
-  /// Throws IoError when the file cannot be opened or written.
-  void write_jsonl(const std::filesystem::path& path) const;
 
  private:
   struct RuleEval {

@@ -7,9 +7,9 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string_view>
 
 #include "emap/common/error.hpp"
-#include "emap/obs/export.hpp"
 #include "emap/obs/tracecat.hpp"  // parse_flat_json
 
 namespace emap::obs {
@@ -21,8 +21,11 @@ constexpr double kCusumK = 0.5;
 constexpr double kCusumH = 5.0;
 constexpr std::size_t kSparkWidth = 48;
 
+/// Key prefix of a record line's alert-transition fields.
+constexpr std::string_view kAlertPrefix = "alert_";
+
 double field_number(const std::map<std::string, std::string>& fields,
-                    const char* key, double fallback = 0.0) {
+                    const std::string& key, double fallback = 0.0) {
   const auto found = fields.find(key);
   if (found == fields.end()) {
     return fallback;
@@ -32,12 +35,6 @@ double field_number(const std::map<std::string, std::string>& fields,
   } catch (const std::exception&) {
     return fallback;
   }
-}
-
-std::string field_text(const std::map<std::string, std::string>& fields,
-                       const char* key) {
-  const auto found = fields.find(key);
-  return found == fields.end() ? std::string() : found->second;
 }
 
 /// A record value as a number: JSON booleans as 0/1, otherwise the whole
@@ -89,8 +86,21 @@ SeriesLoadResult load_record_jsonl(const std::filesystem::path& path) {
       continue;
     }
     for (const auto& [key, text] : fields) {
+      if (key.starts_with(kAlertPrefix)) {
+        if (text == "firing" || text == "resolved") {
+          LoadedAlertTransition transition;
+          transition.rule = key.substr(kAlertPrefix.size());
+          transition.t_sec = t_sec;
+          transition.firing = text == "firing";
+          transition.value = field_number(fields, key + "_value");
+          transition.threshold = field_number(fields, key + "_threshold");
+          result.alerts.push_back(std::move(transition));
+        }
+        continue;
+      }
       double value = 0.0;
-      if (key == "t_sec" || !record_number(text, &value)) {
+      if (key == "t_sec" || key == "trace_id" ||
+          !record_number(text, &value)) {
         continue;
       }
       const auto found = index.try_emplace(key, result.series.size());
@@ -104,35 +114,6 @@ SeriesLoadResult load_record_jsonl(const std::filesystem::path& path) {
       bucket.count = 1;
       result.series[found.first->second].buckets.push_back(bucket);
     }
-  }
-  return result;
-}
-
-AlertLoadResult load_alerts_jsonl(const std::filesystem::path& path) {
-  std::ifstream stream(path);
-  if (!stream) {
-    throw IoError("load_alerts_jsonl: cannot open " + path.string());
-  }
-  AlertLoadResult result;
-  std::string line;
-  while (std::getline(stream, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    std::map<std::string, std::string> fields;
-    if (!parse_flat_json(line, fields) || !fields.count("rule") ||
-        !fields.count("t_sec") || !fields.count("state")) {
-      ++result.skipped_lines;
-      continue;
-    }
-    LoadedAlertTransition transition;
-    transition.rule = fields["rule"];
-    transition.series = field_text(fields, "series");
-    transition.t_sec = field_number(fields, "t_sec");
-    transition.firing = fields["state"] == "firing";
-    transition.value = field_number(fields, "value");
-    transition.threshold = field_number(fields, "threshold");
-    result.transitions.push_back(std::move(transition));
   }
   return result;
 }
@@ -254,7 +235,6 @@ bool series_selected(const LoadedSeries& series,
 }  // namespace
 
 std::string render_ascii_report(const SeriesLoadResult& series,
-                                const AlertLoadResult& alerts,
                                 const std::string& series_filter) {
   std::ostringstream out;
   out << "series report (" << series.series.size() << " series";
@@ -301,19 +281,14 @@ std::string render_ascii_report(const SeriesLoadResult& series,
     }
     out << "\n";
   }
-  out << "\nalerts (" << alerts.transitions.size() << " transitions";
-  if (alerts.skipped_lines > 0) {
-    out << ", " << alerts.skipped_lines << " lines skipped";
-  }
-  out << ")\n";
-  for (const LoadedAlertTransition& transition : alerts.transitions) {
+  out << "\nalerts (" << series.alerts.size() << " transitions)\n";
+  for (const LoadedAlertTransition& transition : series.alerts) {
     out << "  t=" << format_number(transition.t_sec) << "s  "
         << (transition.firing ? "FIRING  " : "resolved") << "  "
         << transition.rule << "  value=" << format_number(transition.value)
-        << " threshold=" << format_number(transition.threshold) << "  ("
-        << transition.series << ")\n";
+        << " threshold=" << format_number(transition.threshold) << "\n";
   }
-  if (alerts.transitions.empty()) {
+  if (series.alerts.empty()) {
     out << "  (none)\n";
   }
   return out.str();
@@ -402,7 +377,6 @@ std::string svg_chart(const LoadedSeries& series,
 }  // namespace
 
 std::string render_html_report(const SeriesLoadResult& series,
-                               const AlertLoadResult& alerts,
                                const std::string& series_filter) {
   std::ostringstream out;
   out << "<!doctype html><html><head><meta charset=\"utf-8\">"
@@ -417,25 +391,23 @@ std::string render_html_report(const SeriesLoadResult& series,
          ".meta{color:#777;font-size:12px}"
          "</style></head><body><h1>emap soak report</h1>";
   out << "<p class=\"meta\">" << series.series.size() << " series, "
-      << alerts.transitions.size() << " alert transitions";
-  if (series.skipped_lines + alerts.skipped_lines > 0) {
-    out << " (" << series.skipped_lines + alerts.skipped_lines
-        << " malformed lines skipped)";
+      << series.alerts.size() << " alert transitions";
+  if (series.skipped_lines > 0) {
+    out << " (" << series.skipped_lines << " malformed lines skipped)";
   }
   out << "</p><h2>Alerts</h2>";
-  if (alerts.transitions.empty()) {
+  if (series.alerts.empty()) {
     out << "<p class=\"meta\">no transitions</p>";
   } else {
     out << "<table><tr><th>t (s)</th><th>state</th><th>rule</th>"
-           "<th>value</th><th>threshold</th><th>series</th></tr>";
-    for (const LoadedAlertTransition& transition : alerts.transitions) {
+           "<th>value</th><th>threshold</th></tr>";
+    for (const LoadedAlertTransition& transition : series.alerts) {
       out << "<tr><td>" << format_number(transition.t_sec) << "</td><td "
           << (transition.firing ? "class=\"firing\">firing"
                                 : "class=\"resolved\">resolved")
           << "</td><td>" << html_escape(transition.rule) << "</td><td>"
           << format_number(transition.value) << "</td><td>"
-          << format_number(transition.threshold) << "</td><td>"
-          << html_escape(transition.series) << "</td></tr>";
+          << format_number(transition.threshold) << "</td></tr>";
     }
     out << "</table>";
   }
@@ -453,7 +425,7 @@ std::string render_html_report(const SeriesLoadResult& series,
           << format_number(change.t_sec)
           << "s, shift=" << format_number(change.shift) << "</p>";
     }
-    out << svg_chart(one, alerts.transitions, change);
+    out << svg_chart(one, series.alerts, change);
   }
   out << "</body></html>";
   return out.str();

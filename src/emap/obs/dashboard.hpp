@@ -1,12 +1,12 @@
 // Post-run dashboard: renders a per-window decision record (one JSONL
-// object per window, core::write_iterations_jsonl) and optional alert
-// transitions into an ASCII sparkline table and a self-contained HTML
-// page, with a CUSUM changepoint pass per column.
+// object per window, core::iteration_json) and the alert transitions it
+// carries into an ASCII sparkline table and a self-contained HTML page,
+// with a CUSUM changepoint pass per column.
 //
-// This is the read side of the record and of alert.hpp, consumed by
-// `emapctl report`.  Loading follows the tracecat convention: malformed
-// lines are skipped and counted, never fatal, so a report still renders
-// from a truncated file.
+// This is the read side of the record, consumed by `emapctl report`.
+// Loading follows the tracecat convention: malformed lines are skipped
+// and counted, never fatal, so a report still renders from a truncated
+// file (a run that died mid-write leaves one).
 //
 // The CUSUM pass answers "when did this column change level?" after the
 // fact: per-window values are standardized against the column's own
@@ -49,36 +49,29 @@ struct LoadedSeries {
   std::vector<SeriesBucket> buckets;  ///< chronological, as exported
 };
 
-struct SeriesLoadResult {
-  std::vector<LoadedSeries> series;  ///< in first-seen column order
-  std::size_t skipped_lines = 0;
-};
-
-/// Loads a per-window record and pivots every numeric column (booleans as
-/// 0/1) except `t_sec` into a series with one single-value bucket per
-/// window, placed at the window's `t_sec`.  String columns and null
-/// values are left out; lines without a numeric `t_sec` are skipped.
-/// Throws IoError when the file cannot be opened.
-SeriesLoadResult load_record_jsonl(const std::filesystem::path& path);
-
-/// One alert transition parsed back from AlertEngine::to_jsonl output.
+/// One alert transition read back from a record line's `alert_<rule>`
+/// fields.
 struct LoadedAlertTransition {
   std::string rule;
-  std::string series;
-  double t_sec = 0.0;
+  double t_sec = 0.0;  ///< the window's t_sec
   bool firing = false;
   double value = 0.0;
   double threshold = 0.0;
 };
 
-struct AlertLoadResult {
-  std::vector<LoadedAlertTransition> transitions;
+struct SeriesLoadResult {
+  std::vector<LoadedSeries> series;  ///< in first-seen column order
+  std::vector<LoadedAlertTransition> alerts;  ///< in record order
   std::size_t skipped_lines = 0;
 };
 
-/// Loads an alert-transition JSONL file; throws IoError when it cannot be
-/// opened, skips bad lines.
-AlertLoadResult load_alerts_jsonl(const std::filesystem::path& path);
+/// Loads a per-window record and pivots every numeric column (booleans as
+/// 0/1) except `t_sec` into a series with one single-value bucket per
+/// window, placed at the window's `t_sec`.  String columns, `trace_id`
+/// and null values are left out; the `alert_<rule>` fields become
+/// `alerts` instead.  Lines without a numeric `t_sec` are skipped.
+/// Throws IoError when the file cannot be opened.
+SeriesLoadResult load_record_jsonl(const std::filesystem::path& path);
 
 /// Result of the CUSUM pass over one series.
 struct Changepoint {
@@ -103,13 +96,11 @@ std::string sparkline(const std::vector<double>& values, std::size_t width);
 /// Only series whose key contains `series_filter` are rendered (empty =
 /// all).
 std::string render_ascii_report(const SeriesLoadResult& series,
-                                const AlertLoadResult& alerts,
                                 const std::string& series_filter = {});
 
 /// Self-contained HTML page (inline SVG charts, alert markers, no
 /// external assets), filtered like render_ascii_report.
 std::string render_html_report(const SeriesLoadResult& series,
-                               const AlertLoadResult& alerts,
                                const std::string& series_filter = {});
 
 }  // namespace emap::obs

@@ -33,7 +33,7 @@ struct TraceContext {
 std::uint64_t mint_trace_id(std::uint64_t seed, std::uint64_t window_index);
 
 /// Fixed-width lowercase hex rendering (16 chars), the form used in the
-/// span/flight JSONL exports; 64-bit ids do not survive a double-typed
+/// span log and decision record; 64-bit ids do not survive a double-typed
 /// JSON number field.
 std::string trace_id_hex(std::uint64_t trace_id);
 

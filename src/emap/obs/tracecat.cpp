@@ -208,46 +208,8 @@ SpanLoadResult load_spans_jsonl(const std::filesystem::path& path) {
   return result;
 }
 
-FlightLoadResult load_flight_jsonl(const std::filesystem::path& path) {
-  std::ifstream stream(path);
-  if (!stream) {
-    throw IoError("tracecat: cannot open flight dump " + path.string());
-  }
-  FlightLoadResult result;
-  std::string line;
-  while (std::getline(stream, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    std::map<std::string, std::string> fields;
-    if (!parse_flat_json(line, fields)) {
-      ++result.skipped_lines;
-      continue;
-    }
-    if (fields.count("flight_dump")) {
-      result.dump_reason = to_string(fields, "flight_dump");
-      continue;
-    }
-    if (!fields.count("seq") || !fields.count("type")) {
-      ++result.skipped_lines;
-      continue;
-    }
-    ParsedFlightEvent event;
-    event.seq = to_u64(fields, "seq");
-    event.type = to_string(fields, "type");
-    event.label = to_string(fields, "label");
-    event.t_sec = to_double(fields, "t_sec", -1.0);
-    event.trace_id = parse_trace_id_hex(to_string(fields, "trace_id"));
-    event.a = to_double(fields, "a", 0.0);
-    event.b = to_double(fields, "b", 0.0);
-    result.events.push_back(std::move(event));
-  }
-  return result;
-}
-
 std::vector<TraceCriticalPath> build_critical_paths(
-    const std::vector<ParsedSpan>& spans,
-    const std::vector<ParsedFlightEvent>& events) {
+    const std::vector<ParsedSpan>& spans) {
   std::map<std::uint64_t, TraceCriticalPath> by_trace;
   for (const ParsedSpan& span : spans) {
     if (span.trace_id == 0) {
@@ -285,15 +247,6 @@ std::vector<TraceCriticalPath> build_critical_paths(
       path.has_edge = true;  // edge-side bookkeeping; no latency leg
     }
   }
-  for (const ParsedFlightEvent& event : events) {
-    if (event.trace_id == 0) {
-      continue;
-    }
-    const auto it = by_trace.find(event.trace_id);
-    if (it != by_trace.end()) {
-      ++it->second.flight_events;
-    }
-  }
   std::vector<TraceCriticalPath> paths;
   paths.reserve(by_trace.size());
   for (auto& [trace_id, path] : by_trace) {
@@ -319,9 +272,9 @@ std::string critical_path_table(
   std::ostringstream out;
   char line[256];
   std::snprintf(line, sizeof(line),
-                "%-8s %-16s %9s %9s %9s %9s %9s %9s %6s %6s\n", "window",
+                "%-8s %-16s %9s %9s %9s %9s %9s %9s %6s\n", "window",
                 "trace_id", "uplink", "scan", "downlink", "initial", "edge",
-                "retry", "spans", "events");
+                "retry", "spans");
   out << line;
   TraceCriticalPath total;
   std::size_t complete = 0;
@@ -334,12 +287,11 @@ std::string critical_path_table(
       std::snprintf(window, sizeof(window), "?");
     }
     std::snprintf(line, sizeof(line),
-                  "%-8s %-16s %9.4f %9.4f %9.4f %9.4f %9.4f %9.4f "
-                  "%6zu %6zu\n",
+                  "%-8s %-16s %9.4f %9.4f %9.4f %9.4f %9.4f %9.4f %6zu\n",
                   window, trace_id_hex(path.trace_id).c_str(),
                   path.uplink_sec, path.scan_sec, path.downlink_sec,
                   path.initial_response_sec(), path.edge_sec,
-                  path.retry_sec, path.spans, path.flight_events);
+                  path.retry_sec, path.spans);
     out << line;
     total.uplink_sec += path.uplink_sec;
     total.scan_sec += path.scan_sec;
@@ -347,18 +299,15 @@ std::string critical_path_table(
     total.edge_sec += path.edge_sec;
     total.retry_sec += path.retry_sec;
     total.spans += path.spans;
-    total.flight_events += path.flight_events;
     if (path.complete()) {
       ++complete;
     }
   }
   std::snprintf(line, sizeof(line),
-                "%-8s %-16s %9.4f %9.4f %9.4f %9.4f %9.4f %9.4f "
-                "%6zu %6zu\n",
+                "%-8s %-16s %9.4f %9.4f %9.4f %9.4f %9.4f %9.4f %6zu\n",
                 "total", "-", total.uplink_sec, total.scan_sec,
                 total.downlink_sec, total.initial_response_sec(),
-                total.edge_sec, total.retry_sec, total.spans,
-                total.flight_events);
+                total.edge_sec, total.retry_sec, total.spans);
   out << line;
   std::snprintf(line, sizeof(line),
                 "%zu traces (%zu complete edge+cloud)\n", paths.size(),
@@ -382,8 +331,6 @@ std::string critical_path_jsonl(
         .field("edge_sec", path.edge_sec)
         .field("retry_sec", path.retry_sec)
         .field("spans", static_cast<std::uint64_t>(path.spans))
-        .field("flight_events",
-               static_cast<std::uint64_t>(path.flight_events))
         .field("complete", path.complete());
     out << json.str() << '\n';
   }

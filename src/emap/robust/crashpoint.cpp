@@ -2,8 +2,6 @@
 
 #include <cstdlib>
 
-#include "emap/obs/flight.hpp"
-
 namespace emap::robust {
 
 const std::vector<std::string>& crash_point_catalog() {
@@ -88,24 +86,7 @@ std::vector<std::string> CrashPointRegistry::seen() const {
   return names;
 }
 
-void CrashPointRegistry::set_flight_recorder(obs::FlightRecorder* recorder) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  flight_ = recorder;
-}
-
 void CrashPointRegistry::fire(const std::string& point) {
-  obs::FlightRecorder* flight = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    flight = flight_;
-  }
-  if (flight != nullptr) {
-    // The crash point is the last event before the process (or stack)
-    // dies; record it, then flush the whole ring while we still can.
-    flight->log(obs::FlightEventType::kCrashPoint, point.c_str(),
-                /*t_sec=*/-1.0);
-    flight->trigger_dump("crash_point");
-  }
   if (action_ == CrashAction::kExit) {
     // A real crash: no destructors, no flushing, the checkpoint on disk is
     // whatever the atomic rename last published.

@@ -19,7 +19,8 @@
 //   pipeline_tracker_step    immediately before the Algorithm 2 step
 //   pipeline_pre_cloud_call  after the decision to call, before any message
 //   pipeline_post_cloud_call after the call returned (pending recorded)
-//   pipeline_window_end      after the window's checkpoint was written
+//   pipeline_window_end      after the window's decision-record line was
+//                            appended, before its checkpoint is published
 //   checkpoint_pre_write     before any snapshot byte is written
 //   checkpoint_pre_rename    compaction: temp written, before the atomic
 //                            rename; append: record body written, before
@@ -36,10 +37,6 @@
 
 #include "emap/common/error.hpp"
 #include "emap/common/rng.hpp"
-
-namespace emap::obs {
-class FlightRecorder;
-}
 
 namespace emap::robust {
 
@@ -111,16 +108,9 @@ class CrashPointRegistry {
   /// Every point name this registry has seen at least once.
   std::vector<std::string> seen() const;
 
-  /// Borrowed flight recorder (may be null).  When set, a firing crash
-  /// point logs itself and triggers a dump *before* exiting or throwing,
-  /// so the dump's last event is always the crash point that killed the
-  /// run.
-  void set_flight_recorder(obs::FlightRecorder* recorder);
-
  private:
   [[noreturn]] void fire(const std::string& point);
 
-  obs::FlightRecorder* flight_ = nullptr;
   mutable std::mutex mutex_;
   bool armed_ = false;
   std::optional<CrashSchedule> schedule_;

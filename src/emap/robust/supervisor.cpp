@@ -4,7 +4,6 @@
 #include <exception>
 
 #include "emap/common/error.hpp"
-#include "emap/obs/flight.hpp"
 
 namespace emap::robust {
 
@@ -18,9 +17,8 @@ void SupervisorOptions::validate() const {
 }
 
 StageSupervisor::StageSupervisor(SupervisorOptions options,
-                                 obs::MetricsRegistry* registry,
-                                 obs::FlightRecorder* flight)
-    : options_(options), registry_(registry), flight_(flight) {
+                                 obs::MetricsRegistry* registry)
+    : options_(options), registry_(registry) {
   options_.validate();
 }
 
@@ -76,12 +74,6 @@ void StageSupervisor::run_stage(Stage& stage) {
     if (crashed) {
       stage.crashes.fetch_add(1, std::memory_order_relaxed);
       crashes_.fetch_add(1, std::memory_order_relaxed);
-      if (flight_ != nullptr) {
-        flight_->log(obs::FlightEventType::kStageStall,
-                     ("crash_" + stage.name).c_str(), -1.0, 0,
-                     static_cast<double>(stage.health.cursor_.load(
-                         std::memory_order_relaxed)));
-      }
     } else if (!aborted) {
       break;  // clean completion: input drained, body returned
     }
@@ -91,13 +83,6 @@ void StageSupervisor::run_stage(Stage& stage) {
         options_.max_restarts) {
       stage.failed.store(true, std::memory_order_release);
       failed_.store(true, std::memory_order_release);
-      if (flight_ != nullptr) {
-        flight_->log(obs::FlightEventType::kStageStall,
-                     ("giveup_" + stage.name).c_str(), -1.0, 0,
-                     static_cast<double>(
-                         stage.restarts.load(std::memory_order_relaxed)));
-        flight_->trigger_dump("supervisor_giveup");
-      }
       if (failure_handler_) {
         failure_handler_(stage.name);
       }
@@ -113,13 +98,6 @@ void StageSupervisor::run_stage(Stage& stage) {
         std::memory_order_release);
     stage.health.idle_.store(true, std::memory_order_release);
     stage.health.abort_.store(false, std::memory_order_release);
-    if (flight_ != nullptr) {
-      flight_->log(obs::FlightEventType::kStageStall,
-                   ("restart_" + stage.name).c_str(), -1.0, 0,
-                   static_cast<double>(
-                       stage.health.resume_cursor_.load(
-                           std::memory_order_relaxed)));
-    }
   }
   stage.done.store(true, std::memory_order_release);
 }
@@ -161,12 +139,6 @@ void StageSupervisor::monitor_loop() {
       stalls_.fetch_add(1, std::memory_order_relaxed);
       if (stage.stall_metric != nullptr) {
         stage.stall_metric->increment();
-      }
-      if (flight_ != nullptr) {
-        flight_->log(obs::FlightEventType::kStageStall,
-                     ("stall_" + stage.name).c_str(), -1.0, 0,
-                     static_cast<double>(beats));
-        flight_->trigger_dump("supervisor_stall");
       }
       stage.health.abort_.store(true, std::memory_order_release);
       stage.last_change = now;

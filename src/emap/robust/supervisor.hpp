@@ -8,10 +8,9 @@
 // per-stage heartbeat after every work item, and a monitor thread polls
 // them.  A stage that stops beating while not idle past the stall timeout
 // is declared stalled: the supervisor records the stall
-// (emap_stage_stalls_total{stage=...}), logs a kStageStall flight event,
-// triggers a flight dump, and requests a cooperative abort.  The stage
-// body unwinds at its next cancellation point and is restarted from its
-// last heartbeat cursor — the bounded queues upstream and downstream
+// (emap_stage_stalls_total{stage=...}) and requests a cooperative abort.
+// The stage body unwinds at its next cancellation point and is restarted
+// from its last heartbeat cursor — the bounded queues upstream and downstream
 // retain their items, so a restart resumes the graph where it stopped
 // (at most the in-flight item is lost).  A stage body that *throws*
 // (including robust::InjectedCrash from an armed crash point) restarts the
@@ -21,8 +20,8 @@
 //
 // Recovery is cooperative by construction: a stage that never reaches a
 // cancellation point (a true runaway loop) is detected and reported but
-// cannot be reclaimed without killing the process — the dump and the
-// CRITICAL escalation are the supervisor's last word there.
+// cannot be reclaimed without killing the process — the stall count and
+// the CRITICAL escalation are the supervisor's last word there.
 #pragma once
 
 #include <atomic>
@@ -36,10 +35,6 @@
 #include <vector>
 
 #include "emap/obs/metrics.hpp"
-
-namespace emap::obs {
-class FlightRecorder;
-}
 
 namespace emap::robust {
 
@@ -103,10 +98,9 @@ class StageSupervisor {
  public:
   using StageBody = std::function<void(StageHealth&)>;
 
-  /// `registry` and `flight` are borrowed and may be null.
+  /// `registry` is borrowed and may be null.
   explicit StageSupervisor(SupervisorOptions options = {},
-                           obs::MetricsRegistry* registry = nullptr,
-                           obs::FlightRecorder* flight = nullptr);
+                           obs::MetricsRegistry* registry = nullptr);
   ~StageSupervisor();
 
   StageSupervisor(const StageSupervisor&) = delete;
@@ -165,7 +159,6 @@ class StageSupervisor {
 
   SupervisorOptions options_;
   obs::MetricsRegistry* registry_;
-  obs::FlightRecorder* flight_;
   std::function<void(const std::string&)> failure_handler_;
 
   mutable std::mutex mutex_;

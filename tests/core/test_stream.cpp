@@ -1,6 +1,6 @@
 // StreamPipeline: threaded stage-graph structural invariants, the reject of
 // checkpointing pipelines, supervised recovery from injected stage crashes
-// and stalls, and the watchdog-CRITICAL flight-dump regression.  The
+// and stalls, and the watchdog-CRITICAL decision-record regression.  The
 // threaded suites run real threads and are part of the TSan CI job.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "emap/core/pipeline.hpp"
 #include "emap/core/stream.hpp"
 #include "emap/obs/export.hpp"
-#include "emap/obs/flight.hpp"
 #include "emap/sim/device.hpp"
 #include "support/test_util.hpp"
 
@@ -195,18 +194,14 @@ TEST(Stream, ThreadedFilterStallIsDetectedAndRecovered) {
   EXPECT_GE(result.iterations.size(), 24u);
 }
 
-// Satellite regression: a watchdog trip that forces CRITICAL must latch a
-// flight dump (historically only crash points, SLO burn pages, and breaker
-// opens did).  The dump lands last in its window, so the file's header
-// names the watchdog even when the stuck step also paged the edge SLO.
-TEST(Stream, WatchdogForcedCriticalTriggersFlightDump) {
-  testing::TempDir dir("stream_flight");
-  const std::filesystem::path dump_path = dir.path() / "flight.jsonl";
-  obs::FlightRecorder flight(256);
-  flight.set_dump_path(dump_path);
+// A watchdog trip that forces CRITICAL shows in the streamed decision
+// record: the windows after it run, and say they ran, under CRITICAL.
+TEST(Stream, WatchdogForcedCriticalShowsInTheRecord) {
+  testing::TempDir dir("stream_record");
+  const std::filesystem::path record_path = dir.path() / "record.jsonl";
 
   PipelineOptions options;
-  options.flight = &flight;
+  options.record_path = record_path;
   sim::DeviceProfile glacial = sim::edge_raspberry_pi();
   glacial.name = "glacial";
   glacial.mac_ops_per_sec /= 1000.0;
@@ -217,14 +212,19 @@ TEST(Stream, WatchdogForcedCriticalTriggersFlightDump) {
   const RunResult result = pipeline.run(seizure_input(11, 25.0, 20.0));
 
   ASSERT_GE(result.robust.watchdog_trips, 1u);
-  EXPECT_GE(flight.dumps_written(), 1u);
-  ASSERT_TRUE(std::filesystem::exists(dump_path));
-  std::ifstream in(dump_path);
-  std::string header;
-  ASSERT_TRUE(std::getline(in, header));
-  EXPECT_NE(header.find("\"flight_dump\":\"watchdog_critical\""),
-            std::string::npos)
-      << header;
+  ASSERT_GE(result.robust.critical_windows, 1u);
+  std::ifstream in(record_path);
+  std::size_t lines = 0;
+  std::size_t critical = 0;
+  for (std::string line; std::getline(in, line); ++lines) {
+    if (line.find("\"robust_state\":\"critical\"") != std::string::npos) {
+      EXPECT_NE(line.find("\"robust_critical\":true"), std::string::npos)
+          << line;
+      ++critical;
+    }
+  }
+  EXPECT_EQ(lines, result.iterations.size());
+  EXPECT_EQ(critical, result.robust.critical_windows);
 }
 
 }  // namespace

@@ -3,13 +3,24 @@
 // first search, a dead downlink that opens the breaker, a NaN window the
 // quality gate excludes, and a slowed edge that forces CRITICAL.  Every
 // run also keeps the record's basic contract: a call was issued exactly
-// when the reason is `none`.
+// when the reason is `none`.  The streamed file holds exactly the
+// formatted records, on both schedulers, and a crash leaves the lines of
+// every window that finished.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "emap/core/pipeline.hpp"
+#include "emap/core/report.hpp"
+#include "emap/core/stream.hpp"
+#include "emap/robust/crashpoint.hpp"
 #include "emap/sim/device.hpp"
 #include "support/test_util.hpp"
 
@@ -26,6 +37,22 @@ synth::Recording seizure_input(std::uint64_t seed, double duration,
   spec.duration_sec = duration;
   spec.onset_sec = onset;
   return synth::make_eval_input(spec);
+}
+
+std::vector<std::string> lines_of(std::istream&& in) {
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+std::vector<std::string> file_lines(const std::filesystem::path& path) {
+  return lines_of(std::ifstream(path));
+}
+
+std::vector<std::string> record_lines(const RunResult& result) {
+  return lines_of(std::istringstream(iterations_jsonl(result)));
 }
 
 std::size_t count_reason(const RunResult& result, NoCallReason reason) {
@@ -122,6 +149,79 @@ TEST(DecisionRecord, CriticalWindowsSayCritical) {
     EXPECT_EQ(record.robust_critical,
               record.no_call_reason == NoCallReason::kCritical);
   }
+}
+
+TEST(DecisionRecord, StreamedFileMatchesRunResult) {
+  // An edge slow enough to burn its SLO, so the lines carry alert
+  // transitions too.
+  sim::DeviceProfile edge = sim::edge_raspberry_pi();
+  edge.name = "slowed-edge";
+  edge.mac_ops_per_sec /= 50.0;
+  edge.abs_ops_per_sec /= 50.0;
+  edge.per_signal_overhead_sec *= 50.0;
+  testing::TempDir dir("decision_record_stream");
+  for (const bool threaded : {false, true}) {
+    const std::string label = threaded ? "threaded" : "batch";
+    obs::MetricsRegistry registry;
+    PipelineOptions options;
+    options.metrics = &registry;
+    options.edge_device = edge;
+    options.fault.up.drop = 0.1;
+    options.fault.seed = 7;
+    options.record_path = dir.path() / (label + ".jsonl");
+    EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{}, options);
+    const synth::Recording input = seizure_input(31, 40.0, 35.0);
+    RunResult result;
+    if (threaded) {
+      StreamPipeline stream(pipeline);
+      result = stream.run(input);
+    } else {
+      result = pipeline.run(input);
+    }
+    const std::vector<std::string> expected = record_lines(result);
+    ASSERT_EQ(expected.size(), result.iterations.size()) << label;
+    EXPECT_EQ(file_lines(options.record_path), expected) << label;
+    if (!threaded) {
+      // The batch run is seeded end to end, so its transitions are fixed;
+      // the threaded run's depend on thread timing.
+      std::size_t alerts = 0;
+      for (const IterationRecord& record : result.iterations) {
+        alerts += record.alerts.size();
+      }
+      EXPECT_GT(alerts, 0u);
+    }
+  }
+}
+
+TEST(DecisionRecord, CrashPointLeavesCompletedPrefix) {
+  // The uninterrupted run's record, then the same run thrown out at the
+  // k-th window end: the file keeps exactly the k windows that finished,
+  // each line as the uninterrupted run wrote it.
+  constexpr std::size_t kCrashAt = 7;
+  testing::TempDir dir("decision_record_crash");
+  PipelineOptions options;
+  options.fault.up.drop = 0.2;
+  options.fault.seed = 11;
+  options.record_path = dir.path() / "reference.jsonl";
+  const std::vector<std::string> reference = record_lines(
+      EmapPipeline(testing::small_mdb(4), EmapConfig{}, options)
+          .run(seizure_input(21, 30.0, 20.0)));
+  ASSERT_GT(reference.size(), kCrashAt);
+  EXPECT_EQ(file_lines(options.record_path), reference);
+
+  robust::CrashPointRegistry registry;
+  options.crashpoints = &registry;
+  options.record_path = dir.path() / "crashed.jsonl";
+  {
+    robust::ScopedCrashSchedule guard(registry,
+                                      {"pipeline_window_end", kCrashAt});
+    EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{}, options);
+    EXPECT_THROW(pipeline.run(seizure_input(21, 30.0, 20.0)),
+                 robust::InjectedCrash);
+  }
+  const std::vector<std::string> crashed = file_lines(options.record_path);
+  ASSERT_EQ(crashed.size(), kCrashAt);
+  EXPECT_TRUE(std::equal(crashed.begin(), crashed.end(), reference.begin()));
 }
 
 TEST(DecisionRecord, ReasonNamesAreStable) {

@@ -24,6 +24,7 @@
 
 #include "emap/common/crc32.hpp"
 #include "emap/core/pipeline.hpp"
+#include "emap/core/report.hpp"
 #include "emap/dsp/simd.hpp"
 #include "emap/robust/checkpoint.hpp"
 #include "emap/robust/robust.hpp"
@@ -169,7 +170,6 @@ RunResult alerting_run(obs::MetricsRegistry& registry) {
   PipelineOptions options;
   options.edge_device = edge;
   options.metrics = &registry;
-  options.alerts = true;
   EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{}, options);
   return pipeline.run(seizure_input(11, 150.0, 135.0));
 }
@@ -262,16 +262,21 @@ TEST_F(SessionGolden, RobustRunOnSlowedEdge) {
 
 // The built-in alert rules over a slowed edge: the latency-step rule
 // fires and resolves as its mean adapts, the edge burn rule fires.  The
-// CRC pins every exported transition byte.
+// CRC pins every byte of the decision record, the transitions included.
 TEST_F(SessionGolden, BuiltInAlertsOnSlowedEdge) {
   obs::MetricsRegistry registry;
   const RunResult result = alerting_run(registry);
   ASSERT_NE(result.alerts, nullptr);
-  const std::string jsonl = result.alerts->to_jsonl();
-  EXPECT_NE(jsonl.find("\"state\":\"firing\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"state\":\"resolved\""), std::string::npos);
+  const std::string jsonl = iterations_jsonl(result);
+  EXPECT_NE(jsonl.find("\":\"firing\""), std::string::npos);
+  EXPECT_NE(jsonl.find("\":\"resolved\""), std::string::npos);
   EXPECT_EQ(result.alerts->transitions().size(), 3u);
-  EXPECT_EQ(crc32(jsonl.data(), jsonl.size()), 0xfa4e4414u);
+  std::size_t recorded = 0;
+  for (const IterationRecord& r : result.iterations) {
+    recorded += r.alerts.size();
+  }
+  EXPECT_EQ(recorded, 3u);
+  EXPECT_EQ(crc32(jsonl.data(), jsonl.size()), 0x0be9d6f4u);
   EXPECT_EQ(digest(result), 0xf904abf6u);
 }
 

@@ -5,23 +5,22 @@
 // watch (emap_track_step_seconds:mean and the two SLO burn gauges)
 // straight from a registry through 2+ simulated hours with a latency step
 // injected late in the run, then asserts the whole closed loop: the EWMA
-// and burn rules firing with a correlated flight dump, and the offline
-// CUSUM report reconstructing the changepoint from a 7,200-window record
-// within ±2 windows.  The pipeline-level soak runs the real EmapPipeline
-// under the fault injector and pins down determinism (bit-identical record
-// and alert JSONL across identical seeded runs) and that alerting is a
-// pure observer of the run.
+// and burn rules firing, their transitions riding the 7,200-window
+// decision record, and the offline CUSUM report reconstructing the
+// changepoint from that record within ±2 windows.  The pipeline-level
+// soak runs the real EmapPipeline under the fault injector and pins down
+// determinism (a bit-identical record, alert transitions included, across
+// identical seeded runs) and that alerting is a pure observer of the run.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <string>
-#include <utility>
 
 #include "emap/core/pipeline.hpp"
 #include "emap/core/report.hpp"
 #include "emap/obs/alert.hpp"
 #include "emap/obs/dashboard.hpp"
-#include "emap/obs/flight.hpp"
 #include "emap/obs/metrics.hpp"
 #include "emap/obs/span.hpp"
 #include "emap/sim/device.hpp"
@@ -69,18 +68,15 @@ TEST(Soak, TwoVirtualHoursWithLateLatencyStep) {
                                             {{"slo", "initial_response"}});
 
   obs::Tracer tracer;
-  obs::FlightRecorder flight(256);
-  flight.set_dump_path(dir.path() / "flight.jsonl");
-
   obs::AlertEngine::Hooks hooks;
   hooks.registry = &registry;
   hooks.tracer = &tracer;
-  hooks.flight = &flight;
   obs::AlertEngine engine(hooks);
 
   // One virtual second per iteration, exactly like the pipeline's window
-  // cadence; each window's step time also goes into its record.
-  // Deterministic wobble keeps the EWMA variance finite.
+  // cadence; each window's step time and alert transitions also go into
+  // its record, as Session::end_window puts them.  Deterministic wobble
+  // keeps the EWMA variance finite.
   RunResult record;
   for (double t = 1.0; t <= kSoakSeconds; t += 1.0) {
     const double wobble = 0.001 * std::sin(0.37 * t);
@@ -89,13 +85,17 @@ TEST(Soak, TwoVirtualHoursWithLateLatencyStep) {
     track.observe(step_sec);
     edge_burn.set(stepped ? 3.0 : 0.2 + 0.05 * std::sin(0.11 * t));
     initial_burn.set(0.1);
-    engine.evaluate(registry, t, static_cast<std::uint64_t>(t));
+    const std::size_t made =
+        engine.evaluate(registry, t, static_cast<std::uint64_t>(t));
     IterationRecord window;
     window.window_index = record.iterations.size();
     window.t_sec = t;
     window.tracked = true;
     window.track_device_sec = step_sec;
     window.no_call_reason = NoCallReason::kNotNeeded;
+    window.alerts.assign(
+        engine.transitions().end() - static_cast<std::ptrdiff_t>(made),
+        engine.transitions().end());
     record.iterations.push_back(window);
   }
   EXPECT_EQ(engine.evaluations(), static_cast<std::uint64_t>(kSoakSeconds));
@@ -127,15 +127,7 @@ TEST(Soak, TwoVirtualHoursWithLateLatencyStep) {
   EXPECT_FALSE(engine.transitions().back().firing &&
                engine.transitions().back().rule == "track_latency_step");
 
-  // Firing left a correlated flight dump: kAlert events in the ring, a
-  // dump on disk, and alert counters in the registry.
-  EXPECT_GE(flight.dumps_written(), 1u);
-  EXPECT_TRUE(std::filesystem::exists(dir.path() / "flight.jsonl"));
-  std::size_t alert_events = 0;
-  for (const obs::FlightEvent& event : flight.snapshot()) {
-    alert_events += event.type == obs::FlightEventType::kAlert ? 1 : 0;
-  }
-  EXPECT_GE(alert_events, 2u);
+  // Firing left alert counters in the registry and alert spans.
   EXPECT_GE(registry.counter("emap_alerts_fired_total",
                              {{"rule", "track_latency_step"}})
                 .value(),
@@ -145,8 +137,7 @@ TEST(Soak, TwoVirtualHoursWithLateLatencyStep) {
   // Offline reconstruction: export the 7,200-window record, reload it,
   // and the CUSUM pass finds the changepoint within ±2 windows of the
   // injected step.
-  write_iterations_jsonl(record, dir.path() / "record.jsonl");
-  engine.write_jsonl(dir.path() / "alerts.jsonl");
+  std::ofstream(dir.path() / "record.jsonl") << iterations_jsonl(record);
   const obs::SeriesLoadResult loaded =
       obs::load_record_jsonl(dir.path() / "record.jsonl");
   EXPECT_EQ(loaded.skipped_lines, 0u);
@@ -165,12 +156,16 @@ TEST(Soak, TwoVirtualHoursWithLateLatencyStep) {
   EXPECT_LE(cp.t_sec, kStepAtSec + 2.0);
   EXPECT_NEAR(cp.shift, kSteppedTrack - kBaselineTrack, 0.1);
 
-  // The rendered report ties it together (rule names + changepoint rows).
-  const obs::AlertLoadResult alerts =
-      obs::load_alerts_jsonl(dir.path() / "alerts.jsonl");
-  EXPECT_GE(alerts.transitions.size(), 3u);
-  const std::string report =
-      obs::render_ascii_report(loaded, alerts, "track_device");
+  // The record carries every transition, at its window; the rendered
+  // report ties it together (rule names + changepoint rows).
+  ASSERT_EQ(loaded.alerts.size(), engine.transitions().size());
+  EXPECT_GE(loaded.alerts.size(), 3u);
+  for (std::size_t i = 0; i < loaded.alerts.size(); ++i) {
+    EXPECT_EQ(loaded.alerts[i].rule, engine.transitions()[i].rule);
+    EXPECT_EQ(loaded.alerts[i].firing, engine.transitions()[i].firing);
+    EXPECT_EQ(loaded.alerts[i].t_sec, engine.transitions()[i].t_sec);
+  }
+  const std::string report = obs::render_ascii_report(loaded, "track_device");
   EXPECT_NE(report.find("changepoint"), std::string::npos);
   EXPECT_NE(report.find("track_latency_step"), std::string::npos);
 }
@@ -179,7 +174,6 @@ TEST(Soak, PipelineEvaluatesAlertsUnderFaults) {
   obs::MetricsRegistry registry;
   PipelineOptions options;
   options.metrics = &registry;
-  options.alerts = true;
   options.fault.up.drop = 0.2;
   options.fault.seed = 99;
   const auto result =
@@ -201,43 +195,43 @@ TEST(Soak, IdenticalSeededRunsExportBitIdenticalTelemetry) {
     obs::MetricsRegistry registry;
     PipelineOptions options;
     options.metrics = &registry;
-    options.alerts = true;
     options.edge_device = slowed_edge();
     options.fault.up.drop = 0.1;
     options.fault.seed = 7;
-    const auto result =
+    return iterations_jsonl(
         EmapPipeline(emap::testing::small_mdb(4), EmapConfig{}, options)
-            .run(seizure_input(31));
-    return std::pair<std::string, std::string>(iterations_jsonl(result),
-                                               result.alerts->to_jsonl());
+            .run(seizure_input(31)));
   };
-  const auto first = run_once();
-  const auto second = run_once();
-  EXPECT_EQ(first.first, second.first);    // record JSONL bit-identical
-  EXPECT_EQ(first.second, second.second);  // alert JSONL bit-identical
-  EXPECT_FALSE(first.first.empty());
-  EXPECT_FALSE(first.second.empty());
+  const std::string first = run_once();
+  const std::string second = run_once();
+  EXPECT_EQ(first, second);  // record JSONL bit-identical, alerts included
+  EXPECT_FALSE(first.empty());
+  EXPECT_NE(first.find("\"alert_"), std::string::npos);
 }
 
 TEST(Soak, AlertingIsAPureObserverOfTheRun) {
+  // The rules run whenever a metrics registry is set.
   auto run_with = [](bool alerting) {
     obs::MetricsRegistry registry;
     PipelineOptions options;
-    options.metrics = &registry;
+    options.metrics = alerting ? &registry : nullptr;
     options.edge_device = slowed_edge();
-    options.alerts = alerting;
     return EmapPipeline(emap::testing::small_mdb(4), EmapConfig{}, options)
         .run(seizure_input(41));
   };
-  const auto with_alerts = run_with(true);
+  auto with_alerts = run_with(true);
   const auto without_alerts = run_with(false);
 
   // No alerting = no engine; with it, transitions happened — and the run
-  // itself is untouched by the observer.
+  // itself is untouched by the observer: its record differs only in the
+  // alert fields.
   EXPECT_EQ(without_alerts.alerts, nullptr);
   ASSERT_NE(with_alerts.alerts, nullptr);
   EXPECT_FALSE(with_alerts.alerts->transitions().empty());
   EXPECT_EQ(with_alerts.pa_history(), without_alerts.pa_history());
+  for (IterationRecord& r : with_alerts.iterations) {
+    r.alerts.clear();
+  }
   EXPECT_EQ(iterations_jsonl(with_alerts), iterations_jsonl(without_alerts));
   EXPECT_EQ(with_alerts.first_alarm_sec, without_alerts.first_alarm_sec);
   EXPECT_EQ(with_alerts.timings.delta_initial_sec,

@@ -4,20 +4,21 @@
 // Covers the ISSUE acceptance criteria: complete cross-boundary traces on
 // a fault-free run, the tracecat Eq. 4 decomposition agreeing with the
 // pipeline's measured delta_initial, retries/sheds attaching to the
-// originating window's trace, flight dumps ending on the tripped crash
-// point, trace lineage surviving checkpoint/resume, and bit-identical
-// results with tracing disabled.
+// originating window's trace, a crash leaving the decision record of
+// every finished window joinable to its spans, trace lineage surviving
+// checkpoint/resume, and bit-identical results with tracing disabled.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "emap/core/pipeline.hpp"
+#include "emap/core/report.hpp"
 #include "emap/obs/export.hpp"
-#include "emap/obs/flight.hpp"
 #include "emap/obs/span.hpp"
 #include "emap/obs/trace_context.hpp"
 #include "emap/obs/tracecat.hpp"
@@ -158,15 +159,25 @@ TEST_F(TracingTest, RetriesAttachToTheOriginatingWindowsTrace) {
   EXPECT_GT(retry_spans, 0u);
 }
 
-TEST_F(TracingTest, CrashPointTripDumpsFlightWithTheCrashPointLast) {
-  testing::TempDir dir("tracing_crash_dump");
-  const auto dump_path = dir.path() / "flight.jsonl";
-  obs::FlightRecorder recorder;
-  recorder.set_dump_path(dump_path);
+TEST_F(TracingTest, CrashPointTripLeavesTheRecordPrefix) {
+  // The uninterrupted run: its record, and the window that issues the
+  // second cloud call.
+  const RunResult reference = run_with(PipelineOptions{});
+  std::size_t second_call = 0;
+  for (std::size_t calls = 0; second_call < reference.iterations.size();
+       ++second_call) {
+    calls += reference.iterations[second_call].cloud_call_issued ? 1 : 0;
+    if (calls == 2) {
+      break;
+    }
+  }
+  ASSERT_LT(second_call, reference.iterations.size());
 
+  testing::TempDir dir("tracing_crash_record");
+  const auto record_path = dir.path() / "record.jsonl";
   robust::CrashPointRegistry registry;
   PipelineOptions options;
-  options.flight = &recorder;
+  options.record_path = record_path;
   options.crashpoints = &registry;
   {
     robust::ScopedCrashSchedule guard(registry,
@@ -174,22 +185,28 @@ TEST_F(TracingTest, CrashPointTripDumpsFlightWithTheCrashPointLast) {
     EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{}, options);
     EXPECT_THROW(pipeline.run(input()), robust::InjectedCrash);
   }
-  ASSERT_GE(recorder.dumps_written(), 1u);
 
-  const auto dump = obs::load_flight_jsonl(dump_path);
-  EXPECT_EQ(dump.dump_reason, "crash_point");
-  ASSERT_FALSE(dump.events.empty());
-  // The tripped point is the dump's final event — the ring was flushed at
-  // the moment of death, with the history leading up to it intact.
-  EXPECT_EQ(dump.events.back().type, "crash_point");
-  EXPECT_EQ(dump.events.back().label, "pipeline_post_cloud_call");
-  std::size_t traced_events = 0;
-  for (const auto& event : dump.events) {
-    if (event.trace_id != 0) {
-      ++traced_events;
+  // The crash hit mid-window: every earlier window's line is on disk, as
+  // the uninterrupted run wrote it, and the dying window's is not.
+  std::ifstream in(record_path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), second_call);
+  std::set<std::string> window_traces;
+  for (const auto& span : reference.tracer->spans()) {
+    if (span.category == "window") {
+      window_traces.insert(obs::trace_id_hex(span.trace_id));
     }
   }
-  EXPECT_GT(traced_events, 0u);
+  for (std::size_t w = 0; w < lines.size(); ++w) {
+    EXPECT_EQ(lines[w], iteration_json(reference.iterations[w]));
+    // Each line joins its window's spans by trace id.
+    std::map<std::string, std::string> fields;
+    ASSERT_TRUE(obs::parse_flat_json(lines[w], fields));
+    EXPECT_TRUE(window_traces.count(fields["trace_id"]) > 0) << lines[w];
+  }
 }
 
 TEST_F(TracingTest, CheckpointResumeContinuesTheTraceLineage) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "emap/common/error.hpp"
 
@@ -58,32 +59,31 @@ TEST(RetryPolicyProperty, BackoffDeterministicPerSeed) {
   EXPECT_LT(a.backoff_before(1), unjittered * (1.0 + kJitterFraction));
 }
 
-TEST(RetryPolicyProperty, WorstCaseWaitNeverExceedsDeadline) {
-  for (std::size_t attempts : {1U, 3U, 6U}) {
-    for (double deadline : {kMaxTimeoutSec, 6.0, 20.0}) {
-      for (double expected : {0.001, 0.1, 2.0, 100.0}) {
-        RetryOptions options;
-        options.max_attempts = attempts;
-        options.deadline_sec = deadline;
-        const RetryPolicy policy(options);
-        EXPECT_LE(policy.worst_case_wait(expected),
-                  options.deadline_sec + 1e-12);
-      }
-    }
+/// Upper bound on one call's cumulative wait from the schedule constants:
+/// every one of `attempts` fails at `timeout` after the largest jittered
+/// backoff.
+double schedule_bound(std::size_t attempts, double timeout) {
+  double total = 0.0;
+  for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
+    const double backoff =
+        attempt == 0
+            ? 0.0
+            : std::min(kBackoffCapSec,
+                       kBaseBackoffSec *
+                           std::ldexp(1.0, static_cast<int>(attempt) - 1) *
+                           (1.0 + kJitterFraction));
+    total += backoff + timeout;
   }
+  return total;
 }
 
-TEST(RetryPolicyProperty, SimulatedLossyCallStaysWithinWorstCase) {
-  // Drive the policy the way the pipeline does — every attempt times out —
-  // and check the accumulated wait against worst_case_wait().
-  RetryOptions options;
-  options.max_attempts = 5;
-  options.deadline_sec = 30.0;
-  const RetryPolicy policy(options);
-  const double expected = 0.4;
-  const double timeout = policy.timeout_for(expected);
+/// Drives the policy the way the pipeline does — every attempt times out
+/// — and returns the accumulated wait; `attempts` counts the attempts
+/// started.
+double lossy_call_wait(const RetryPolicy& policy, double timeout,
+                       std::size_t& attempts) {
   double elapsed = 0.0;
-  std::size_t attempts = 0;
+  attempts = 0;
   for (std::size_t attempt = 0;
        policy.allow_attempt_after(attempt, elapsed,
                                   policy.backoff_before(attempt), timeout);
@@ -92,8 +92,42 @@ TEST(RetryPolicyProperty, SimulatedLossyCallStaysWithinWorstCase) {
     elapsed += timeout;  // attempt fails at its timeout
     ++attempts;
   }
+  return elapsed;
+}
+
+TEST(RetryPolicyProperty, WorstCaseWaitNeverExceedsDeadline) {
+  for (std::size_t attempts : {1U, 3U, 6U}) {
+    for (double deadline : {kMaxTimeoutSec, 6.0, 20.0}) {
+      for (double expected : {0.001, 0.1, 2.0, 100.0}) {
+        RetryOptions options;
+        options.max_attempts = attempts;
+        options.deadline_sec = deadline;
+        const RetryPolicy policy(options);
+        const double timeout = policy.timeout_for(expected);
+        std::size_t started = 0;
+        const double wait = lossy_call_wait(policy, timeout, started);
+        EXPECT_LE(started, attempts);
+        EXPECT_LE(wait, options.deadline_sec + 1e-12);
+        EXPECT_LE(wait, schedule_bound(attempts, timeout) + 1e-12);
+      }
+    }
+  }
+}
+
+TEST(RetryPolicyProperty, SimulatedLossyCallStaysWithinWorstCase) {
+  // Every attempt times out; the accumulated wait stays inside the
+  // schedule's bound and the deadline.
+  RetryOptions options;
+  options.max_attempts = 5;
+  options.deadline_sec = 30.0;
+  const RetryPolicy policy(options);
+  const double timeout = policy.timeout_for(0.4);
+  std::size_t attempts = 0;
+  const double elapsed = lossy_call_wait(policy, timeout, attempts);
   EXPECT_EQ(attempts, options.max_attempts);
-  EXPECT_LE(elapsed, policy.worst_case_wait(expected) + 1e-12);
+  EXPECT_LE(elapsed, std::min(schedule_bound(options.max_attempts, timeout),
+                              options.deadline_sec) +
+                         1e-12);
   EXPECT_LE(elapsed, options.deadline_sec + 1e-12);
 }
 

@@ -3,13 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <string>
 
-#include "emap/common/error.hpp"
-#include "emap/obs/flight.hpp"
 #include "emap/obs/metrics.hpp"
 #include "emap/obs/slo.hpp"
 #include "emap/obs/span.hpp"
@@ -238,19 +234,13 @@ TEST(AlertEngine, BurnRuleWatchesSloGaugeSeries) {
   EXPECT_EQ(engine.status(kEdgeBurn).state, AlertState::kPending);
 }
 
-TEST(AlertEngine, HooksStampMetricsSpansAndFlightDump) {
+TEST(AlertEngine, HooksStampMetricsAndSpans) {
   MetricsRegistry alert_metrics;
   Tracer tracer;
-  FlightRecorder flight(64);
-  const auto dump_path = std::filesystem::temp_directory_path() /
-                         "emap_alert_test_dump.jsonl";
-  std::filesystem::remove(dump_path);
-  flight.set_dump_path(dump_path);
 
   AlertEngine::Hooks hooks;
   hooks.registry = &alert_metrics;
   hooks.tracer = &tracer;
-  hooks.flight = &flight;
   BurnHarness h(hooks);
 
   for (double t = 1.0; t < 6.0; t += 1.0) {
@@ -277,56 +267,11 @@ TEST(AlertEngine, HooksStampMetricsSpansAndFlightDump) {
   EXPECT_EQ(spans[0].trace_id, 77u);
   EXPECT_EQ(spans[1].name, "alert:edge_iteration_burn:resolved");
 
-  // Flight: kAlert events recorded, firing triggered a dump.
-  std::size_t alert_events = 0;
-  for (const FlightEvent& event : flight.snapshot()) {
-    if (event.type == FlightEventType::kAlert) {
-      ++alert_events;
-      EXPECT_EQ(event.b, kBurnRateLimit);  // threshold rides in b
-    }
-  }
-  EXPECT_EQ(alert_events, 2u);
-  EXPECT_EQ(flight.dumps_written(), 1u);
-  EXPECT_TRUE(std::filesystem::exists(dump_path));
-  std::filesystem::remove(dump_path);
-
   // Transitions carry the trace ids for offline correlation.
   ASSERT_EQ(h.engine.transitions().size(), 2u);
   EXPECT_EQ(h.engine.transitions()[0].trace_id, 77u);
   EXPECT_EQ(h.engine.transitions()[1].trace_id, 78u);
-}
-
-TEST(AlertEngine, TransitionsExportAsJsonl) {
-  // Trace ids are written as trace_id_hex text, as spans write them: the
-  // firing id is above 2^53, where a JSON reader parsing numbers as
-  // doubles would round it.
-  BurnHarness h;
-  for (double t = 1.0; t <= 6.0; t += 1.0) {
-    h.step(t, 9.0, 0xef512c76d9c5eabeu);
-  }
-  h.step(7.0, 0.5, 0x2a);
-  const std::string jsonl = h.engine.to_jsonl();
-  EXPECT_EQ(jsonl,
-            "{\"rule\":\"edge_iteration_burn\",\"series\":\"emap_slo_burn_"
-            "rate{slo=\\\"edge_iteration\\\"}\",\"t_sec\":6,\"state\":"
-            "\"firing\",\"value\":9,\"threshold\":1,\"trace_id\":"
-            "\"ef512c76d9c5eabe\"}\n"
-            "{\"rule\":\"edge_iteration_burn\",\"series\":\"emap_slo_burn_"
-            "rate{slo=\\\"edge_iteration\\\"}\",\"t_sec\":7,\"state\":"
-            "\"resolved\",\"value\":0.5,\"threshold\":1,\"trace_id\":"
-            "\"000000000000002a\"}\n");
-
-  const auto path = std::filesystem::temp_directory_path() /
-                    "emap_alert_test" / "alerts.jsonl";
-  std::filesystem::remove_all(path.parent_path());
-  h.engine.write_jsonl(path);
-  std::ifstream stream(path);
-  ASSERT_TRUE(stream.good());
-
-  // A directory where the file should go is an I/O error, not a bad
-  // argument.
-  EXPECT_THROW(h.engine.write_jsonl(path.parent_path()), IoError);
-  std::filesystem::remove_all(path.parent_path());
+  EXPECT_EQ(h.engine.transitions()[0].threshold, kBurnRateLimit);
 }
 
 TEST(DefaultAlertRules, CoverLatencyStepAndBothSlos) {

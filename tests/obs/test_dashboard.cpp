@@ -7,8 +7,6 @@
 #include <fstream>
 
 #include "emap/common/error.hpp"
-#include "emap/obs/alert.hpp"
-#include "emap/obs/metrics.hpp"
 #include "emap/obs/slo.hpp"
 
 namespace emap::obs {
@@ -91,36 +89,41 @@ TEST(LoadRecordJsonl, SkipsMalformedLinesLeniently) {
 
 TEST(LoadRecordJsonl, ThrowsOnMissingFile) {
   EXPECT_THROW(load_record_jsonl("/nonexistent/record.jsonl"), IoError);
-  EXPECT_THROW(load_alerts_jsonl("/nonexistent/alerts.jsonl"), IoError);
 }
 
-TEST(LoadAlertsJsonl, RoundTripsEngineExport) {
-  MetricsRegistry registry;
-  Gauge& burn =
-      registry.gauge("emap_slo_burn_rate", {{"slo", "edge_iteration"}});
-  AlertEngine engine;
-  burn.set(9.0);
-  for (double t = 1.0; t <= 6.0; t += 1.0) {
-    engine.evaluate(registry, t);  // fires once the 5 s hold has passed
-  }
-  burn.set(0.5);
-  engine.evaluate(registry, 7.0);
-
+TEST(LoadRecordJsonl, ReadsAlertTransitionsFromTheRecord) {
+  // Two windows of the burn rule: firing at t=6, resolved at t=7.  The
+  // second trace id is all digits, so only its key keeps it out of the
+  // series.
   const auto path = temp_file("emap_dashboard_alerts.jsonl");
-  engine.write_jsonl(path);
-  const AlertLoadResult loaded = load_alerts_jsonl(path);
+  {
+    std::ofstream stream(path);
+    stream << R"({"window":5,"t_sec":6,"trace_id":"ef512c76d9c5eabe",)"
+           << R"("alert_edge_iteration_burn":"firing",)"
+           << R"("alert_edge_iteration_burn_value":9,)"
+           << R"("alert_edge_iteration_burn_threshold":1})"
+           << "\n";
+    stream << R"({"window":6,"t_sec":7,"trace_id":"1234567890123456",)"
+           << R"("alert_edge_iteration_burn":"resolved",)"
+           << R"("alert_edge_iteration_burn_value":0.5,)"
+           << R"("alert_edge_iteration_burn_threshold":1})"
+           << "\n";
+  }
+  const SeriesLoadResult loaded = load_record_jsonl(path);
   std::filesystem::remove(path);
   EXPECT_EQ(loaded.skipped_lines, 0u);
-  ASSERT_EQ(loaded.transitions.size(), 2u);
-  EXPECT_EQ(loaded.transitions[0].rule, "edge_iteration_burn");
-  EXPECT_EQ(loaded.transitions[0].series,
-            "emap_slo_burn_rate{slo=\"edge_iteration\"}");
-  EXPECT_TRUE(loaded.transitions[0].firing);
-  EXPECT_EQ(loaded.transitions[0].t_sec, 6.0);
-  EXPECT_EQ(loaded.transitions[0].value, 9.0);
-  EXPECT_EQ(loaded.transitions[0].threshold, kBurnRateLimit);
-  EXPECT_FALSE(loaded.transitions[1].firing);
-  EXPECT_EQ(loaded.transitions[1].t_sec, 7.0);
+  ASSERT_EQ(loaded.alerts.size(), 2u);
+  EXPECT_EQ(loaded.alerts[0].rule, "edge_iteration_burn");
+  EXPECT_TRUE(loaded.alerts[0].firing);
+  EXPECT_EQ(loaded.alerts[0].t_sec, 6.0);
+  EXPECT_EQ(loaded.alerts[0].value, 9.0);
+  EXPECT_EQ(loaded.alerts[0].threshold, kBurnRateLimit);
+  EXPECT_FALSE(loaded.alerts[1].firing);
+  EXPECT_EQ(loaded.alerts[1].t_sec, 7.0);
+  EXPECT_EQ(loaded.alerts[1].value, 0.5);
+  // Only the window column is a series.
+  ASSERT_EQ(loaded.series.size(), 1u);
+  EXPECT_EQ(loaded.series[0].key, "window");
 }
 
 TEST(CusumChangepoint, LocatesACleanStep) {
@@ -176,12 +179,9 @@ TEST(RenderAsciiReport, ShowsSeriesAlertsAndChangepoints) {
   series.series.push_back(
       {"track_device_sec", step_series(100, 60, 0.1, 0.4, 0.005)});
   series.series.push_back({"tracked_after", step_series(100, 100, 50.0, 50.0)});
-  AlertLoadResult alerts;
-  alerts.transitions.push_back(
-      {"track_latency_step", "emap_track_step_seconds:mean", 62.0, true,
-       0.4, 0.12});
+  series.alerts.push_back({"track_latency_step", 62.0, true, 0.4, 0.12});
 
-  const std::string report = render_ascii_report(series, alerts);
+  const std::string report = render_ascii_report(series);
   EXPECT_NE(report.find("track_device_sec"), std::string::npos);
   EXPECT_NE(report.find("tracked_after"), std::string::npos);
   EXPECT_NE(report.find("changepoint"), std::string::npos);
@@ -189,14 +189,13 @@ TEST(RenderAsciiReport, ShowsSeriesAlertsAndChangepoints) {
   EXPECT_NE(report.find("FIRING"), std::string::npos);
 
   // Filter narrows the table to matching keys.
-  const std::string filtered = render_ascii_report(series, alerts, "device");
+  const std::string filtered = render_ascii_report(series, "device");
   EXPECT_NE(filtered.find("track_device_sec"), std::string::npos);
   EXPECT_EQ(filtered.find("tracked_after"), std::string::npos);
 }
 
 TEST(RenderAsciiReport, HandlesEmptyInputs) {
-  const std::string report =
-      render_ascii_report(SeriesLoadResult{}, AlertLoadResult{});
+  const std::string report = render_ascii_report(SeriesLoadResult{});
   EXPECT_FALSE(report.empty());
 }
 
@@ -204,11 +203,9 @@ TEST(RenderHtmlReport, SelfContainedWithMarkersAndEscaping) {
   SeriesLoadResult series;
   series.series.push_back(
       {"emap_g{shard=\"<0>\"}", step_series(50, 30, 1.0, 2.0, 0.02)});
-  AlertLoadResult alerts;
-  alerts.transitions.push_back(
-      {"rule_a", "emap_g{shard=\"<0>\"}", 31.0, true, 2.0, 1.1});
+  series.alerts.push_back({"rule_a", 31.0, true, 2.0, 1.1});
 
-  const std::string html = render_html_report(series, alerts);
+  const std::string html = render_html_report(series);
   EXPECT_NE(html.find("<html"), std::string::npos);
   EXPECT_NE(html.find("<svg"), std::string::npos);
   EXPECT_NE(html.find("polyline"), std::string::npos);

@@ -134,25 +134,6 @@ TEST(BuildCriticalPaths, IgnoresUntracedSpansAndOrdersByWindow) {
   EXPECT_FALSE(paths[2].complete());
 }
 
-TEST(BuildCriticalPaths, CountsFlightEventsPerTrace) {
-  ParsedFlightEvent mine;
-  mine.seq = 0;
-  mine.type = "retry";
-  mine.trace_id = 0xaa;
-  ParsedFlightEvent other;
-  other.seq = 1;
-  other.type = "shed";
-  other.trace_id = 0x123456;
-  ParsedFlightEvent untraced;
-  untraced.seq = 2;
-  untraced.type = "span";
-  untraced.trace_id = 0;
-  const auto paths = build_critical_paths(one_window_trace(0xaa),
-                                          {mine, other, untraced});
-  ASSERT_EQ(paths.size(), 1u);
-  EXPECT_EQ(paths[0].flight_events, 1u);
-}
-
 TEST(CriticalPathTable, RendersRowsTotalsAndCompleteness) {
   const auto paths = build_critical_paths(one_window_trace(0xaa));
   const std::string table = critical_path_table(paths);
