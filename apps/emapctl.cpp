@@ -19,10 +19,12 @@
 //   emapctl synth-run   [duration_sec] [recordings-per-corpus]
 //       Builds an in-memory MDB, monitors a synthetic seizure input, and
 //       exercises the telemetry surface end to end (CI smoke path).
-//   emapctl trace       <spans.jsonl> [--json]
+//   emapctl trace       <spans.jsonl> [--json | --chrome <out.json>]
 //       Reconstructs per-window critical paths from a --spans-out file and
 //       prints the Eq. 4 decomposition table; --json prints one JSONL
-//       record per trace instead.
+//       record per trace instead, and --chrome writes the span log as
+//       Chrome trace_event JSON (open in chrome://tracing or
+//       ui.perfetto.dev).
 //   emapctl report      <record.jsonl> [--html <out.html>]
 //                       [--series-filter <substring>]
 //       Renders the post-run dashboard (ASCII sparklines with CUSUM
@@ -31,16 +33,14 @@
 //
 // Telemetry flags (monitor and synth-run):
 //   --metrics-out <file>   write Prometheus text exposition at end of run
-//   --trace-out <file>     write Chrome trace_event JSON (open in
-//                          chrome://tracing or ui.perfetto.dev)
-//   --summary-out <file>   append one JSONL record of headline numbers
-//   --metrics-dump         print the metrics table to stdout at end of run
+//   --summary-out <file>   append the run summary as one JSONL record:
+//                          headline numbers, every SLO verdict and the
+//                          robust summary (controller states, shed levels,
+//                          breaker/quality/recovery counters, stage queues)
 //   --profile-out <file>   enable the stage profiler; write the JSON
 //                          profile (per-stage call/total/self-time table)
 //   --flame-out <file>     enable the stage profiler; write collapsed
 //                          stacks for flamegraph.pl / speedscope
-//   --slo-report <file>    write the SLO summary (".csv" extension selects
-//                          CSV, anything else JSON)
 //   --record-out <file>    stream the per-window decision record as JSONL,
 //                          one flushed line per completed window, alert
 //                          transitions included (input for `emapctl
@@ -57,11 +57,6 @@
 //   --retry-attempts <n>   max attempts per cloud call (default 3)
 //   --retry-deadline <s>   per-call cumulative wait cap (default 20 s)
 //
-// Robustness flags (monitor and synth-run) — the adaptive overload control
-// loop (docs/robustness.md), always on:
-//   --robust-report <file> write the robust summary JSON (controller
-//                          states, shed levels, breaker/quality counters)
-//
 // Crash-recovery flags (monitor and synth-run) — crash-consistent
 // checkpoint/restore (docs/robustness.md, "Crash recovery"):
 //   --checkpoint-dir <dir> snapshot the session state into <dir> after
@@ -76,7 +71,8 @@
 // Tracing flags (monitor and synth-run) — causal tracing
 // (docs/tracing.md):
 //   --spans-out <file>     write the span log as JSONL (one span per line,
-//                          trace ids included; input for `emapctl trace`)
+//                          trace ids included; input for `emapctl trace`,
+//                          which also renders it as a Chrome trace)
 //   --edge-slowdown <f>    divide the edge device throughput by f (> 1
 //                          forces edge SLO misses; CI uses it to fire the
 //                          edge burn alert deterministically)
@@ -105,7 +101,6 @@
 #include <string>
 #include <vector>
 
-#include "emap/common/build_info.hpp"
 #include "emap/common/error.hpp"
 #include "emap/core/pipeline.hpp"
 #include "emap/core/report.hpp"
@@ -114,12 +109,10 @@
 #include "emap/dsp/resample.hpp"
 #include "emap/edf/edf.hpp"
 #include "emap/mdb/builder.hpp"
-#include "emap/obs/alert.hpp"
 #include "emap/obs/dashboard.hpp"
 #include "emap/obs/export.hpp"
 #include "emap/obs/metrics.hpp"
 #include "emap/obs/profiler.hpp"
-#include "emap/obs/slo.hpp"
 #include "emap/obs/tracecat.hpp"
 #include "emap/robust/robust.hpp"
 #include "emap/sim/device.hpp"
@@ -140,18 +133,15 @@ int usage() {
       "[telemetry flags]\n"
       "  emapctl synth-run  [duration_sec] [recordings-per-corpus] "
       "[telemetry flags]\n"
-      "  emapctl trace      <spans.jsonl> [--json]\n"
+      "  emapctl trace      <spans.jsonl> [--json | --chrome <out.json>]\n"
       "  emapctl report     <record.jsonl> [--html <out.html>] "
       "[--series-filter <s>]\n"
-      "telemetry flags: --metrics-out <file> --trace-out <file> "
-      "--summary-out <file> --metrics-dump\n"
-      "profiling flags: --profile-out <file> --flame-out <file> "
-      "--slo-report <file>\n"
+      "telemetry flags: --metrics-out <file> --summary-out <file>\n"
+      "profiling flags: --profile-out <file> --flame-out <file>\n"
       "record flags:    --record-out <file>\n"
       "fault flags:     --fault-drop <p> --fault-corrupt <p> "
       "--fault-duplicate <p> --fault-delay <p> --fault-seed <n>\n"
       "retry flags:     --retry-attempts <n> --retry-deadline <sec>\n"
-      "robust flags:    --robust-report <file>\n"
       "recovery flags:  --checkpoint-dir <dir> --resume "
       "--crash-at <point[:n]>\n"
       "tracing flags:   --spans-out <file> --edge-slowdown <factor>\n"
@@ -164,13 +154,9 @@ int usage() {
 /// shared by `monitor` and `synth-run`.
 struct TelemetryOptions {
   std::string metrics_out;
-  std::string trace_out;
   std::string summary_out;
   std::string profile_out;
   std::string flame_out;
-  std::string slo_report;
-  std::string robust_report;
-  bool metrics_dump = false;
   net::FaultOptions fault;
   net::RetryOptions retry;
   std::string checkpoint_dir;
@@ -207,20 +193,12 @@ bool extract_telemetry_flags(int& argc, char** argv,
     };
     if (arg == "--metrics-out") {
       if (!take_value(telemetry.metrics_out)) return false;
-    } else if (arg == "--trace-out") {
-      if (!take_value(telemetry.trace_out)) return false;
     } else if (arg == "--summary-out") {
       if (!take_value(telemetry.summary_out)) return false;
     } else if (arg == "--profile-out") {
       if (!take_value(telemetry.profile_out)) return false;
     } else if (arg == "--flame-out") {
       if (!take_value(telemetry.flame_out)) return false;
-    } else if (arg == "--slo-report") {
-      if (!take_value(telemetry.slo_report)) return false;
-    } else if (arg == "--metrics-dump") {
-      telemetry.metrics_dump = true;
-    } else if (arg == "--robust-report") {
-      if (!take_value(telemetry.robust_report)) return false;
     } else if (arg == "--fault-drop") {
       if (!take_double([&](double p) {
             telemetry.fault.up.drop = telemetry.fault.down.drop = p;
@@ -370,8 +348,8 @@ core::RunResult run_scheduled(const TelemetryOptions& telemetry,
 }
 
 /// After a streamed run: the supervisor scoreboard and the per-queue
-/// occupancy columns (the same numbers --robust-report exports as
-/// stage_*/q_* fields).
+/// occupancy columns (the same numbers --summary-out writes as stage_*
+/// fields).
 void print_stream_summary(const core::RunResult& result) {
   if (!result.robust.streamed) {
     return;
@@ -422,47 +400,21 @@ void emit_telemetry(const TelemetryOptions& telemetry,
     std::printf("flame   -> %s (feed to flamegraph.pl or speedscope)\n",
                 telemetry.flame_out.c_str());
   }
-  if (!telemetry.slo_report.empty()) {
-    obs::write_slo_report(telemetry.slo_report, result.slo);
-    std::printf("slo     -> %s\n", telemetry.slo_report.c_str());
-  }
-  if (!telemetry.robust_report.empty()) {
-    robust::write_robust_summary(telemetry.robust_report, result.robust);
-    std::printf("robust  -> %s\n", telemetry.robust_report.c_str());
-  }
-  if (!telemetry.trace_out.empty()) {
-    obs::write_chrome_trace(telemetry.trace_out, *result.tracer);
-    std::printf("trace   -> %s (open in chrome://tracing or "
-                "ui.perfetto.dev)\n",
-                telemetry.trace_out.c_str());
-  }
   if (!telemetry.spans_out.empty()) {
     obs::write_spans_jsonl(telemetry.spans_out, *result.tracer);
     std::printf("spans   -> %s (feed to 'emapctl trace')\n",
                 telemetry.spans_out.c_str());
   }
   if (!telemetry.record_out.empty()) {
+    std::size_t transitions = 0;
+    for (const core::IterationRecord& record : result.iterations) {
+      transitions += record.alerts.size();
+    }
     std::printf("record  -> %s (%zu window(s), %zu alert transition(s); "
                 "feed to 'emapctl report')\n",
                 telemetry.record_out.c_str(), result.iterations.size(),
-                result.alerts->transitions().size());
+                transitions);
   }
-  if (telemetry.metrics_dump) {
-    std::printf("\n%s", obs::metrics_table(registry).c_str());
-  }
-}
-
-/// One JSONL record of the run's headline numbers, led by the run name
-/// and build provenance.
-std::string run_summary_line(const std::string& run_name,
-                             const core::RunResult& result,
-                             double duration_sec) {
-  obs::JsonWriter header;
-  header.field("run", run_name)
-      .field("git_sha", build_info::kGitSha)
-      .field("build_type", build_info::kBuildType)
-      .field("duration_sec", duration_sec);
-  return core::run_summary_json(result, std::move(header));
 }
 
 /// The monitored run `monitor` and `synth-run` share: wires the flags into
@@ -510,8 +462,10 @@ int run_monitored(const TelemetryOptions& telemetry, mdb::MdbStore store,
   print_stream_summary(result);
   verdict(result);
   if (!telemetry.summary_out.empty()) {
+    obs::JsonWriter header;
+    header.field("run", run_name).field("duration_sec", duration_sec);
     obs::append_jsonl_line(telemetry.summary_out,
-                           run_summary_line(run_name, result, duration_sec));
+                           core::run_summary_json(result, std::move(header)));
     std::printf("summary -> %s\n", telemetry.summary_out.c_str());
   }
   emit_telemetry(telemetry, registry, result);
@@ -793,11 +747,15 @@ int cmd_synth_run(int argc, char** argv) {
 
 int cmd_trace(int argc, char** argv) {
   std::string spans_path;
+  std::string chrome_path;
   bool json = false;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json") {
       json = true;
+    } else if (arg == "--chrome") {
+      if (i + 1 >= argc) return usage();
+      chrome_path = argv[++i];
     } else if (arg.rfind("--", 0) == 0) {
       return usage();
     } else if (spans_path.empty()) {
@@ -806,10 +764,17 @@ int cmd_trace(int argc, char** argv) {
       return usage();
     }
   }
-  if (spans_path.empty()) {
+  if (spans_path.empty() || (json && !chrome_path.empty())) {
     return usage();
   }
   const auto spans = obs::load_spans_jsonl(spans_path);
+  if (!chrome_path.empty()) {
+    obs::write_chrome_trace(chrome_path, spans.spans);
+    std::printf("chrome  -> %s (%zu span(s), %zu malformed line(s) skipped; "
+                "open in chrome://tracing or ui.perfetto.dev)\n",
+                chrome_path.c_str(), spans.spans.size(), spans.skipped_lines);
+    return 0;
+  }
   const auto paths = obs::build_critical_paths(spans.spans);
   if (json) {
     // Machine-readable: one record per trace and nothing else on stdout.

@@ -182,16 +182,16 @@ struct RunResult {
   /// Full span log of the run.  Every window mints a deterministic 64-bit
   /// trace id (obs::mint_trace_id under obs::kDefaultTraceSeed) that rides
   /// the wire messages into the cloud and back, so edge and cloud spans of
-  /// one window share a trace.  Export with obs::to_chrome_trace /
-  /// obs::write_chrome_trace, or draw the Fig. 9 chart with
-  /// obs::render_timeline_ascii.
+  /// one window share a trace.  Export with obs::write_spans_jsonl (the
+  /// Chrome trace is a view of that file: `emapctl trace --chrome`), or
+  /// draw the Fig. 9 chart with obs::render_timeline_ascii.
   std::shared_ptr<obs::Tracer> tracer;
   /// Verdicts of the paper's two latency budgets over this run
-  /// (edge_iteration, initial_response); export with
-  /// obs::write_slo_report.
+  /// (edge_iteration, initial_response); core::run_summary_json writes
+  /// them as `slo_<name>_<field>`.
   std::vector<obs::SloSummary> slo;
-  /// Robustness controller-loop outcome; export with
-  /// robust::write_robust_summary.
+  /// Robustness controller-loop outcome; core::run_summary_json writes it
+  /// through robust::robust_summary_json.
   robust::RobustSummary robust;
   /// Alert engine after the run — rule states and the transition log
   /// (null without options.metrics).  Each transition is also on the

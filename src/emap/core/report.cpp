@@ -2,7 +2,9 @@
 
 #include <cstdint>
 
+#include "emap/common/build_info.hpp"
 #include "emap/obs/trace_context.hpp"
+#include "emap/robust/robust.hpp"
 
 namespace emap::core {
 
@@ -57,7 +59,10 @@ std::string iterations_jsonl(const RunResult& result) {
 
 std::string run_summary_json(const RunResult& result,
                              obs::JsonWriter json) {
-  json.field("windows", static_cast<std::uint64_t>(result.iterations.size()))
+  json.field("git_sha", build_info::kGitSha)
+      .field("build_type", build_info::kBuildType)
+      .field("compiler", build_info::kCompiler)
+      .field("windows", static_cast<std::uint64_t>(result.iterations.size()))
       .field("cloud_calls", static_cast<std::uint64_t>(result.cloud_calls))
       .field("delta_ec_sec", result.timings.delta_ec_sec)
       .field("delta_cs_sec", result.timings.delta_cs_sec)
@@ -74,44 +79,28 @@ std::string run_summary_json(const RunResult& result,
       .field("duplicates_discarded",
              static_cast<std::uint64_t>(result.duplicates_discarded))
       .field("degraded", result.degraded);
-  // Final P_A plus the recovery outcome: the CI crash-recovery matrix
-  // diffs these fields between a crashed-then-resumed run and an
-  // uninterrupted one.
+  // The CI crash-recovery matrix diffs final P_A, the alarm and the call
+  // count between a crashed-then-resumed run and an uninterrupted one.
   const auto pa = result.pa_history();
   json.field("final_pa", pa.empty() ? 0.0 : pa.back());
-  for (const auto& slo : result.slo) {
-    json.field("slo_" + slo.name + "_deadline_misses", slo.deadline_misses)
-        .field("slo_" + slo.name + "_near_misses", slo.near_misses)
-        .field("slo_" + slo.name + "_burn_rate", slo.burn_rate);
+  for (const obs::SloSummary& slo : result.slo) {
+    const std::string prefix = "slo_" + slo.name + "_";
+    json.field(prefix + "budget_sec", slo.budget_sec)
+        .field(prefix + "target", slo.target)
+        .field(prefix + "observations", slo.observations)
+        .field(prefix + "deadline_misses", slo.deadline_misses)
+        .field(prefix + "near_misses", slo.near_misses)
+        .field(prefix + "miss_rate", slo.miss_rate)
+        .field(prefix + "burn_rate", slo.burn_rate)
+        .field(prefix + "max_latency_sec", slo.max_latency_sec)
+        .field(prefix + "p50_latency_sec", slo.p50_latency_sec)
+        .field(prefix + "p99_latency_sec", slo.p99_latency_sec);
   }
-  const robust::RobustSummary& rb = result.robust;
-  json.field("robust_final_state",
-             robust::degrade_state_name(rb.degrade.final_state))
-      .field("robust_transitions",
-             static_cast<std::uint64_t>(rb.degrade.transitions))
-      .field("robust_max_shed_level",
-             static_cast<std::uint64_t>(rb.degrade.max_shed_level))
-      .field("robust_entered_degraded", rb.degrade.entered_degraded)
-      .field("robust_critical_windows",
-             static_cast<std::uint64_t>(rb.critical_windows))
-      .field("robust_breaker_opens",
-             static_cast<std::uint64_t>(rb.breaker.opens))
-      .field("robust_breaker_rejected",
-             static_cast<std::uint64_t>(rb.breaker.rejected))
-      .field("robust_quality_bad_windows",
-             static_cast<std::uint64_t>(rb.quality.bad()))
-      .field("robust_watchdog_trips",
-             static_cast<std::uint64_t>(rb.watchdog_trips))
-      .field("robust_shed_loads", static_cast<std::uint64_t>(rb.shed_loads))
-      .field("robust_recovered", rb.recovery.resumed)
-      .field("recovery_resume_window", rb.recovery.resume_window)
-      .field("recovery_checkpoints_written", rb.recovery.checkpoints_written)
-      .field("recovery_checkpoint_compactions",
-             rb.recovery.checkpoint_compactions)
+  robust::robust_summary_json(json, result.robust);
+  json.field("recovery_checkpoint_compactions",
+             result.robust.recovery.checkpoint_compactions)
       .field("recovery_checkpoint_bytes_written",
-             rb.recovery.checkpoint_bytes_written)
-      .field("recovery_cold_start_fallback",
-             rb.recovery.cold_start_fallback);
+             result.robust.recovery.checkpoint_bytes_written);
   return json.str();
 }
 

@@ -28,11 +28,13 @@ std::string iteration_json(const IterationRecord& record);
 /// iteration_json of every window, one line each.
 std::string iterations_jsonl(const RunResult& result);
 
-/// The run's headline numbers as one flat JSON object line: window and
-/// cloud-call counts, the Eq. 4 timings, the alarm, final P_A, the
-/// per-SLO verdicts and the robust/recovery outcome.  Fields already in
-/// `json` come first (emapctl's --summary-out puts the run name and build
-/// provenance there).
+/// The run summary as one flat JSON object line: the build stamp
+/// (`git_sha`, `build_type`, `compiler`), window and cloud-call counts,
+/// the Eq. 4 timings, the alarm, final P_A, every SloSummary field as
+/// `slo_<name>_<field>`, the robust section exactly as
+/// robust::robust_summary_json writes it, and the checkpoint compaction
+/// counters.  Fields already in `json` come first (emapctl's --summary-out
+/// puts the run name and duration there).
 std::string run_summary_json(const RunResult& result,
                              obs::JsonWriter json = {});
 

@@ -265,19 +265,4 @@ CorrelationSetMessage decode_correlation_set(
   return message;
 }
 
-obs::TraceContext peek_trace(std::span<const std::uint8_t> bytes) {
-  obs::TraceContext context;
-  try {
-    Reader reader(check_seal(bytes, "peek_trace"));
-    const std::uint32_t magic = reader.u32();
-    if (magic == kUploadMagic || magic == kDownloadMagic) {
-      context = reader.trace();
-    }
-  } catch (const CorruptData&) {
-    // Fail closed: a mutated message belongs to no trace.
-    context = obs::TraceContext{};
-  }
-  return context;
-}
-
 }  // namespace emap::net

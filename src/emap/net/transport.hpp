@@ -71,11 +71,4 @@ std::vector<std::uint8_t> encode_correlation_set(
 CorrelationSetMessage decode_correlation_set(
     std::span<const std::uint8_t> bytes);
 
-/// Extracts the TraceContext from an encoded message without decoding the
-/// payload.  Verifies the CRC seal first (fail closed: corrupt or
-/// untraced input yields an invalid context, never a garbage id), for an
-/// observer on the byte path that must attribute a transfer to its causal
-/// chain.
-obs::TraceContext peek_trace(std::span<const std::uint8_t> bytes);
-
 }  // namespace emap::net

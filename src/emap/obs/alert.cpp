@@ -12,9 +12,8 @@ namespace {
 
 enum class RuleKind { kEwma, kBurn };
 
-/// One built-in rule.  `series` is the watched key as the transition log
-/// exports it: a histogram's `name:mean` (ewma) or a gauge's
-/// `name{labels}` (burn).
+/// One built-in rule.  `series` is the watched key: a histogram's
+/// `name:mean` (ewma) or a gauge's `name{labels}` (burn).
 struct Rule {
   const char* name;
   RuleKind kind;
@@ -127,12 +126,9 @@ void AlertEngine::transition(std::size_t rule_index, double t_sec,
   AlertRuleStatus& status = status_[rule_index];
   AlertTransition record;
   record.rule = rule.name;
-  record.series = rule.series;
-  record.t_sec = t_sec;
   record.firing = firing;
   record.value = eval.value;
   record.threshold = eval.threshold;
-  record.trace_id = trace_id;
   transitions_.push_back(record);
   if (firing) {
     ++status.fired;

@@ -45,14 +45,13 @@ enum class AlertState { kInactive, kPending, kFiring };
 const char* alert_state_name(AlertState state);
 
 /// One firing or resolved transition (steady states are not recorded).
+/// The evaluation's time and trace are the window's, on the record that
+/// carries the transition (IterationRecord::alerts).
 struct AlertTransition {
   std::string rule;
-  std::string series;
-  double t_sec = 0.0;
   bool firing = false;   ///< true = fired, false = resolved
   double value = 0.0;    ///< observed value at the transition
   double threshold = 0.0;///< effective limit at the transition
-  std::uint64_t trace_id = 0;
 };
 
 /// Live per-rule evaluation state (exposed for tests and the report tool).
@@ -88,9 +87,9 @@ class AlertEngine {
 
   /// Evaluates every rule against the registry's current values at
   /// virtual time `t_sec`.  A rule whose series is not registered yet is
-  /// skipped.  `trace_id` attributes any transitions to the causal chain
-  /// being processed.  Returns the number of transitions this evaluation
-  /// produced.
+  /// skipped.  `t_sec` and `trace_id` stamp the alert span of each
+  /// transition (Hooks::tracer).  Returns the number of transitions this
+  /// evaluation produced.
   std::size_t evaluate(const MetricsRegistry& registry, double t_sec,
                        std::uint64_t trace_id = 0);
 

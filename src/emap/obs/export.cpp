@@ -194,53 +194,6 @@ void write_prometheus(const std::filesystem::path& path,
   stream << to_prometheus(registry);
 }
 
-std::string metrics_table(const MetricsRegistry& registry) {
-  std::ostringstream out;
-  char line[256];
-  std::snprintf(line, sizeof(line), "%-38s %-28s %-9s %12s %12s %12s %12s\n",
-                "metric", "labels", "type", "count/value", "mean", "p50",
-                "p95");
-  out << line;
-  out << std::string(129, '-') << '\n';
-  for (const MetricEntry* entry : registry.entries()) {
-    std::string labels;
-    for (const auto& [key, value] : entry->labels) {
-      if (!labels.empty()) {
-        labels += ',';
-      }
-      labels += key + "=" + value;
-    }
-    switch (entry->kind) {
-      case MetricKind::kCounter:
-        std::snprintf(line, sizeof(line),
-                      "%-38s %-28s %-9s %12llu %12s %12s %12s\n",
-                      entry->name.c_str(), labels.c_str(), "counter",
-                      static_cast<unsigned long long>(
-                          entry->counter->value()),
-                      "-", "-", "-");
-        break;
-      case MetricKind::kGauge:
-        std::snprintf(line, sizeof(line),
-                      "%-38s %-28s %-9s %12.6g %12s %12s %12s\n",
-                      entry->name.c_str(), labels.c_str(), "gauge",
-                      entry->gauge->value(), "-", "-", "-");
-        break;
-      case MetricKind::kHistogram: {
-        const Histogram& histogram = *entry->histogram;
-        std::snprintf(line, sizeof(line),
-                      "%-38s %-28s %-9s %12llu %12.6g %12.6g %12.6g\n",
-                      entry->name.c_str(), labels.c_str(), "histogram",
-                      static_cast<unsigned long long>(histogram.count()),
-                      histogram.mean(), histogram.quantile(0.5),
-                      histogram.quantile(0.95));
-        break;
-      }
-    }
-    out << line;
-  }
-  return out.str();
-}
-
 namespace {
 
 /// The span categories drawn as Fig. 9 rows, top to bottom.
@@ -263,8 +216,7 @@ std::vector<std::string> trace_tracks(const std::vector<SpanRecord>& spans) {
 
 }  // namespace
 
-std::string to_chrome_trace(const Tracer& tracer) {
-  const auto spans = tracer.spans();
+std::string to_chrome_trace(const std::vector<SpanRecord>& spans) {
   const auto tracks = trace_tracks(spans);
   auto tid_of = [&tracks](const std::string& category) {
     const auto it = std::find(tracks.begin(), tracks.end(), category);
@@ -305,14 +257,14 @@ std::string to_chrome_trace(const Tracer& tracer) {
 }
 
 void write_chrome_trace(const std::filesystem::path& path,
-                        const Tracer& tracer) {
+                        const std::vector<SpanRecord>& spans) {
   if (path.has_parent_path()) {
     std::filesystem::create_directories(path.parent_path());
   }
   std::ofstream stream(path);
   require(static_cast<bool>(stream),
           ("write_chrome_trace: cannot open " + path.string()).c_str());
-  stream << to_chrome_trace(tracer) << '\n';
+  stream << to_chrome_trace(spans) << '\n';
 }
 
 std::string render_timeline_ascii(const Tracer& tracer, double horizon_sec,

@@ -1,13 +1,15 @@
 // Telemetry exporters.
 //
-// Three wire formats out of one span log + one metric registry:
+// Wire formats out of one span log + one metric registry:
+//  - the span log as JSONL, one span per line (the file a run keeps);
 //  - Chrome trace_event JSON (open in chrome://tracing or ui.perfetto.dev)
-//    with one named track per span category, mirroring the Fig. 9 rows;
+//    with one named track per span category, mirroring the Fig. 9 rows,
+//    rendered from the span log (`emapctl trace <spans.jsonl> --chrome`);
 //  - Prometheus text exposition (counters, gauges, cumulative histogram
 //    buckets with only the populated `le` bounds emitted);
 //  - compact JSONL records for run-summary / bench-trajectory files.
-// Plus an aligned human-readable end-of-run table and the ASCII Fig. 9
-// Gantt chart of the span log's virtual-clock intervals.
+// Plus the ASCII Fig. 9 Gantt chart of the span log's virtual-clock
+// intervals.
 #pragma once
 
 #include <filesystem>
@@ -19,12 +21,12 @@
 
 namespace emap::obs {
 
-/// Chrome trace_event JSON of the span log.  Spans are placed at their
-/// SimTime (µs scale).  Categories become named tracks via thread_name
-/// metadata.
-std::string to_chrome_trace(const Tracer& tracer);
+/// Chrome trace_event JSON of a span log (Tracer::spans() or the spans
+/// load_spans_jsonl read back).  Spans are placed at their SimTime (µs
+/// scale).  Categories become named tracks via thread_name metadata.
+std::string to_chrome_trace(const std::vector<SpanRecord>& spans);
 void write_chrome_trace(const std::filesystem::path& path,
-                        const Tracer& tracer);
+                        const std::vector<SpanRecord>& spans);
 
 /// Coerces `name` into a legal Prometheus identifier: metric names match
 /// [a-zA-Z_:][a-zA-Z0-9_:]*, label names the same minus the colons.
@@ -40,10 +42,6 @@ std::string to_prometheus(const MetricsRegistry& registry);
 void write_prometheus(const std::filesystem::path& path,
                       const MetricsRegistry& registry);
 
-/// Aligned human-readable table of every registered metric (the
-/// `--metrics-dump` end-of-run view).
-std::string metrics_table(const MetricsRegistry& registry);
-
 /// ASCII Gantt chart of the Fig. 9 timeline: one row per category
 /// (sample, filter, upload, cloud-search, download, edge-track,
 /// prediction), covering [0, horizon] seconds of virtual time in `columns`
@@ -53,10 +51,11 @@ std::string metrics_table(const MetricsRegistry& registry);
 std::string render_timeline_ascii(const Tracer& tracer, double horizon_sec,
                                   std::size_t columns);
 
-/// One span as a flat JSON object line.  The machine-readable sibling of
-/// the Chrome trace: `emapctl trace` reconstructs per-window critical
-/// paths from these lines.  trace_id is emitted as a
-/// 16-char hex string (64-bit ids do not survive a JSON double).
+/// One span as a flat JSON object line.  `emapctl trace` reconstructs
+/// per-window critical paths and renders the Chrome trace from these
+/// lines.  trace_id is emitted as a 16-char hex string (64-bit ids do not
+/// survive a JSON double); doubles are written with %.17g, so a loaded
+/// span equals the recorded one.
 std::string span_json(const SpanRecord& span);
 
 /// Writes the whole span log as JSONL, one span_json line per span.

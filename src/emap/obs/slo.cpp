@@ -1,13 +1,8 @@
 #include "emap/obs/slo.hpp"
 
-#include <cstdio>
-#include <fstream>
 #include <limits>
-#include <sstream>
 
-#include "emap/common/build_info.hpp"
 #include "emap/common/error.hpp"
-#include "emap/obs/export.hpp"
 
 namespace emap::obs {
 
@@ -162,75 +157,6 @@ SloSummary SloMonitor::summary() const {
   out.p50_latency_sec = latency_.quantile(0.50);
   out.p99_latency_sec = latency_.quantile(0.99);
   return out;
-}
-
-std::string slo_report_json(const std::vector<SloSummary>& summaries) {
-  std::ostringstream out;
-  out << "{\"build\":{\"git_sha\":\"" << json_escape(build_info::kGitSha)
-      << "\",\"build_type\":\"" << json_escape(build_info::kBuildType)
-      << "\",\"compiler\":\"" << json_escape(build_info::kCompiler)
-      << "\"},\"slos\":[";
-  bool first = true;
-  for (const SloSummary& slo : summaries) {
-    if (!first) {
-      out << ',';
-    }
-    first = false;
-    JsonWriter json;
-    json.field("slo", slo.name)
-        .field("budget_sec", slo.budget_sec)
-        .field("target", slo.target)
-        .field("observations", slo.observations)
-        .field("deadline_misses", slo.deadline_misses)
-        .field("near_misses", slo.near_misses)
-        .field("miss_rate", slo.miss_rate)
-        .field("burn_rate", slo.burn_rate)
-        .field("max_latency_sec", slo.max_latency_sec)
-        .field("p50_latency_sec", slo.p50_latency_sec)
-        .field("p99_latency_sec", slo.p99_latency_sec);
-    out << json.str();
-  }
-  out << "]}";
-  return out.str();
-}
-
-std::string slo_report_csv(const std::vector<SloSummary>& summaries) {
-  std::ostringstream out;
-  out << "slo,budget_sec,target,observations,deadline_misses,near_misses,"
-         "miss_rate,burn_rate,max_latency_sec,p50_latency_sec,"
-         "p99_latency_sec\n";
-  for (const SloSummary& slo : summaries) {
-    char row[512];
-    std::snprintf(row, sizeof(row),
-                  "%s,%.9g,%.9g,%llu,%llu,%llu,%.9g,%.9g,%.9g,%.9g,%.9g\n",
-                  slo.name.c_str(), slo.budget_sec, slo.target,
-                  static_cast<unsigned long long>(slo.observations),
-                  static_cast<unsigned long long>(slo.deadline_misses),
-                  static_cast<unsigned long long>(slo.near_misses),
-                  slo.miss_rate, slo.burn_rate, slo.max_latency_sec,
-                  slo.p50_latency_sec, slo.p99_latency_sec);
-    out << row;
-  }
-  return out.str();
-}
-
-void write_slo_report(const std::filesystem::path& path,
-                      const std::vector<SloSummary>& summaries) {
-  if (path.has_parent_path()) {
-    std::filesystem::create_directories(path.parent_path());
-  }
-  std::ofstream stream(path);
-  if (!stream) {
-    throw IoError("write_slo_report: cannot open " + path.string());
-  }
-  if (path.extension() == ".csv") {
-    stream << slo_report_csv(summaries);
-  } else {
-    stream << slo_report_json(summaries) << "\n";
-  }
-  if (!stream) {
-    throw IoError("write_slo_report: write failed for " + path.string());
-  }
 }
 
 }  // namespace emap::obs

@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -139,19 +138,5 @@ class SloMonitor {
   Gauge* budget_metric_ = nullptr;
   Histogram* latency_metric_ = nullptr;
 };
-
-/// JSON report `{"build":{...},"slos":[{...}]}` (build-info stamped).
-std::string slo_report_json(const std::vector<SloSummary>& summaries);
-
-/// CSV report with header
-///   slo,budget_sec,target,observations,deadline_misses,near_misses,
-///   miss_rate,burn_rate,max_latency_sec,p50_latency_sec,p99_latency_sec
-std::string slo_report_csv(const std::vector<SloSummary>& summaries);
-
-/// Writes slo_report_json / slo_report_csv to `path` (extension ".csv"
-/// selects CSV, anything else JSON), creating parent directories; throws
-/// IoError on failure.
-void write_slo_report(const std::filesystem::path& path,
-                      const std::vector<SloSummary>& summaries);
 
 }  // namespace emap::obs

@@ -195,8 +195,8 @@ SpanLoadResult load_spans_jsonl(const std::filesystem::path& path) {
       ++result.skipped_lines;
       continue;
     }
-    ParsedSpan span;
-    span.span_id = to_u64(fields, "span_id");
+    SpanRecord span;
+    span.id = to_u64(fields, "span_id");
     span.parent = to_u64(fields, "parent");
     span.trace_id = parse_trace_id_hex(to_string(fields, "trace_id"));
     span.name = to_string(fields, "name");
@@ -209,9 +209,9 @@ SpanLoadResult load_spans_jsonl(const std::filesystem::path& path) {
 }
 
 std::vector<TraceCriticalPath> build_critical_paths(
-    const std::vector<ParsedSpan>& spans) {
+    const std::vector<SpanRecord>& spans) {
   std::map<std::uint64_t, TraceCriticalPath> by_trace;
-  for (const ParsedSpan& span : spans) {
+  for (const SpanRecord& span : spans) {
     if (span.trace_id == 0) {
       continue;
     }

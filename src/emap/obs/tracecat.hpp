@@ -19,18 +19,9 @@
 #include <string>
 #include <vector>
 
-namespace emap::obs {
+#include "emap/obs/span.hpp"
 
-/// One span record parsed back from the spans JSONL (obs::span_json).
-struct ParsedSpan {
-  std::uint64_t span_id = 0;
-  std::uint64_t parent = 0;
-  std::uint64_t trace_id = 0;  ///< decoded from the 16-hex-char field
-  std::string name;
-  std::string category;
-  double sim_start_sec = -1.0;
-  double sim_dur_sec = 0.0;
-};
+namespace emap::obs {
 
 /// Parses one flat (non-nested) JSON object line into key -> raw value
 /// (strings unescaped, numbers kept as text).  Returns false on anything
@@ -41,12 +32,14 @@ bool parse_flat_json(const std::string& line,
 /// Result of a lenient JSONL load: the parsed records plus how many lines
 /// were skipped as malformed.
 struct SpanLoadResult {
-  std::vector<ParsedSpan> spans;
+  std::vector<SpanRecord> spans;
   std::size_t skipped_lines = 0;
 };
 
-/// Loads a span JSONL file (write_spans_jsonl output).  Throws IoError when
-/// the file cannot be opened; malformed lines are skipped, not fatal.
+/// Loads a span JSONL file (write_spans_jsonl output) back into the
+/// records it was written from.  A line without `sim_start_sec` loads at
+/// -1 (no virtual-clock stamp).  Throws IoError when the file cannot be
+/// opened; malformed lines are skipped, not fatal.
 SpanLoadResult load_spans_jsonl(const std::filesystem::path& path);
 
 /// One window's reconstructed critical path.
@@ -79,7 +72,7 @@ struct TraceCriticalPath {
 /// index (unknown-window traces last).  Untraced spans (trace id 0) are
 /// ignored.
 std::vector<TraceCriticalPath> build_critical_paths(
-    const std::vector<ParsedSpan>& spans);
+    const std::vector<SpanRecord>& spans);
 
 /// Human-readable per-window table plus a totals row.
 std::string critical_path_table(const std::vector<TraceCriticalPath>& paths);

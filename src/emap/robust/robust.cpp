@@ -1,14 +1,11 @@
 #include "emap/robust/robust.hpp"
 
-#include <fstream>
-
-#include "emap/common/error.hpp"
 #include "emap/obs/export.hpp"
 
 namespace emap::robust {
 
-std::string robust_summary_json(const RobustSummary& summary) {
-  obs::JsonWriter writer;
+void robust_summary_json(obs::JsonWriter& writer,
+                         const RobustSummary& summary) {
   writer.field("final_state",
              std::string(degrade_state_name(summary.degrade.final_state)))
       .field("transitions",
@@ -85,22 +82,12 @@ std::string robust_summary_json(const RobustSummary& summary) {
           .field(prefix + "queue_pushed", stage.queue_pushed);
     }
   }
-  return writer.str();
 }
 
-void write_robust_summary(const std::filesystem::path& path,
-                          const RobustSummary& summary) {
-  if (path.has_parent_path()) {
-    std::filesystem::create_directories(path.parent_path());
-  }
-  std::ofstream out(path);
-  if (!out) {
-    throw IoError("write_robust_summary: cannot open " + path.string());
-  }
-  out << robust_summary_json(summary) << '\n';
-  if (!out) {
-    throw IoError("write_robust_summary: write failed for " + path.string());
-  }
+std::string robust_summary_json(const RobustSummary& summary) {
+  obs::JsonWriter writer;
+  robust_summary_json(writer, summary);
+  return writer.str();
 }
 
 }  // namespace emap::robust

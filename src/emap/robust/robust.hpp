@@ -7,9 +7,7 @@
 #pragma once
 
 #include <cstddef>
-#include <filesystem>
 #include <string>
-
 #include <vector>
 
 #include "emap/robust/breaker.hpp"
@@ -18,6 +16,10 @@
 #include "emap/robust/quality.hpp"
 #include "emap/robust/supervisor.hpp"
 #include "emap/robust/watchdog.hpp"
+
+namespace emap::obs {
+class JsonWriter;
+}  // namespace emap::obs
 
 namespace emap::robust {
 
@@ -65,12 +67,12 @@ struct RobustSummary {
   std::vector<StageQueueSummary> stages{};
 };
 
-/// Flat JSON object of the summary (one line, no trailing newline).
-std::string robust_summary_json(const RobustSummary& summary);
+/// Appends the summary's fields to `writer` (core::run_summary_json's
+/// robust section).
+void robust_summary_json(obs::JsonWriter& writer,
+                         const RobustSummary& summary);
 
-/// Writes robust_summary_json to `path` + newline, creating parent
-/// directories; throws IoError on failure.
-void write_robust_summary(const std::filesystem::path& path,
-                          const RobustSummary& summary);
+/// The same fields as a flat JSON object (one line, no trailing newline).
+std::string robust_summary_json(const RobustSummary& summary);
 
 }  // namespace emap::robust

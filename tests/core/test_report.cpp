@@ -5,12 +5,16 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <regex>
+#include <set>
 #include <utility>
 
 #include "emap/common/error.hpp"
 #include "emap/obs/dashboard.hpp"
+#include "emap/obs/slo.hpp"
 #include "emap/obs/trace_context.hpp"
 #include "emap/obs/tracecat.hpp"
+#include "emap/robust/robust.hpp"
 #include "support/test_util.hpp"
 
 namespace emap::core {
@@ -49,6 +53,27 @@ void write_text(const std::filesystem::path& path, const std::string& text) {
   std::ofstream stream(path);
   stream << text;
 }
+
+/// Every key of a flat JSON object line, in order, repeats included
+/// (parse_flat_json keeps only the last of a repeated key).  A key opens
+/// with `{"` or `,"`; inside a string value a quote is escaped, so a value
+/// cannot fake one.
+std::vector<std::string> json_keys(const std::string& line) {
+  static const std::regex key(R"re([{,]"((?:[^"\\]|\\.)*)":)re");
+  std::vector<std::string> keys;
+  for (auto it = std::sregex_iterator(line.begin(), line.end(), key);
+       it != std::sregex_iterator(); ++it) {
+    keys.push_back((*it)[1]);
+  }
+  return keys;
+}
+
+/// The SloSummary fields, as the run summary suffixes them.
+constexpr const char* kSloFields[] = {
+    "budget_sec",      "target",          "observations",
+    "deadline_misses", "near_misses",     "miss_rate",
+    "burn_rate",       "max_latency_sec", "p50_latency_sec",
+    "p99_latency_sec"};
 
 TEST(Report, IterationsJsonlHasOneObjectPerIteration) {
   testing::TempDir dir("report");
@@ -146,7 +171,6 @@ TEST(Report, AlertTransitionsWriteAsRecordFields) {
   window.t_sec = 6.0;
   obs::AlertTransition fired;
   fired.rule = "edge_iteration_burn";
-  fired.t_sec = 6.0;
   fired.firing = true;
   fired.value = 9.0;
   fired.threshold = 1.0;
@@ -213,6 +237,93 @@ TEST(Report, JsonSummaryContainsAllKeys) {
   }
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
+}
+
+TEST(Report, RunSummaryCarriesEveryRobustAndSloField) {
+  // The one run summary: every key robust_summary_json writes (a streamed
+  // stage row included) and every field the per-SLO report wrote, each
+  // exactly once, with the robust section written by the same code.
+  RunResult result = sample_run();
+  ASSERT_EQ(result.slo.size(), 2u);
+  robust::StageQueueSummary stage;
+  stage.stage = "q_raw";
+  stage.processed = 20;
+  stage.queue = "raw";
+  stage.queue_capacity = 8;
+  result.robust.stages.push_back(stage);
+  const std::string summary = run_summary_json(result);
+  const std::vector<std::string> keys = json_keys(summary);
+  std::map<std::string, std::size_t> count;
+  for (const std::string& key : keys) {
+    ++count[key];
+  }
+  EXPECT_EQ(count.size(), keys.size()) << "duplicate key in " << summary;
+
+  const std::string robust = robust::robust_summary_json(result.robust);
+  const std::vector<std::string> robust_keys = json_keys(robust);
+  ASSERT_GT(robust_keys.size(), 30u);
+  for (const std::string& key : robust_keys) {
+    EXPECT_EQ(count[key], 1u) << key;
+  }
+  EXPECT_EQ(count["stage_q_raw_queue_capacity"], 1u);
+  EXPECT_NE(summary.find(robust.substr(1, robust.size() - 2)),
+            std::string::npos);
+
+  for (const char* key : {"git_sha", "build_type", "compiler"}) {
+    EXPECT_EQ(count[key], 1u) << key;
+  }
+  for (const obs::SloSummary& slo : result.slo) {
+    for (const char* field : kSloFields) {
+      EXPECT_EQ(count["slo_" + slo.name + "_" + field], 1u)
+          << slo.name << " " << field;
+    }
+  }
+}
+
+TEST(SloReport, RunSummaryCarriesBuildStampAndEachSlo) {
+  obs::SloMonitor a(obs::edge_iteration_slo());
+  obs::SloMonitor b(obs::initial_response_slo());
+  a.observe(0.5);
+  b.observe(2.0);
+  RunResult result;
+  result.slo = {a.summary(), b.summary()};
+  const std::string json = run_summary_json(result);
+  EXPECT_NE(json.find("\"git_sha\":"), std::string::npos);
+  EXPECT_NE(json.find("\"compiler\":"), std::string::npos);
+  EXPECT_NE(json.find("\"slo_edge_iteration_observations\":1,"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"slo_initial_response_observations\":1,"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"slo_edge_iteration_deadline_misses\":0,"),
+            std::string::npos);
+}
+
+TEST(SloReport, RunSummaryWritesEverySloFieldInColumnOrder) {
+  obs::SloSpec spec;
+  spec.name = "test";
+  spec.budget_sec = 1.0;
+  spec.target = 0.9;
+  obs::SloMonitor monitor(spec);
+  monitor.observe(1.5);
+  RunResult result;
+  result.slo = {monitor.summary()};
+  const std::string json = run_summary_json(result);
+  std::vector<std::string> slo_keys;
+  for (const std::string& key : json_keys(json)) {
+    if (key.rfind("slo_test_", 0) == 0) {
+      slo_keys.push_back(key.substr(std::strlen("slo_test_")));
+    }
+  }
+  EXPECT_EQ(slo_keys,
+            std::vector<std::string>(std::begin(kSloFields),
+                                     std::end(kSloFields)));
+  EXPECT_NE(json.find("\"slo_test_budget_sec\":1,\"slo_test_target\":0.9"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"slo_test_observations\":1,"
+                      "\"slo_test_deadline_misses\":1,"),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace

@@ -338,7 +338,7 @@ TEST_F(RecoveryTest, RecoveryMetricsAndReportFieldsAreWired) {
   const RunResult resumed = run_with(options);
   ASSERT_TRUE(resumed.robust.recovery.resumed);
   const std::string summary = run_summary_json(resumed);
-  EXPECT_NE(summary.find("\"robust_recovered\":true"), std::string::npos);
+  EXPECT_NE(summary.find("\"recovery_resumed\":true"), std::string::npos);
   EXPECT_NE(summary.find("\"recovery_checkpoints_written\":"),
             std::string::npos);
   // Every resumed window is flagged in the CSV column source field.

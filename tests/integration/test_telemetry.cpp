@@ -1,5 +1,6 @@
 // End-to-end telemetry: the span log and the exporters must agree with
-// the pipeline's own RunTimings.
+// the pipeline's own RunTimings, and the Chrome trace rendered from the
+// written span log must equal the one rendered from the live tracer.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -7,6 +8,7 @@
 
 #include "emap/core/pipeline.hpp"
 #include "emap/obs/export.hpp"
+#include "emap/obs/tracecat.hpp"
 #include "support/test_util.hpp"
 
 namespace emap::core {
@@ -94,8 +96,8 @@ TEST(Telemetry, ChromeTraceExportCoversTheRun) {
   EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{});
   const auto result = pipeline.run(seizure_input(14, 20.0, 15.0), 4.0);
   ASSERT_NE(result.tracer, nullptr);
-  obs::write_chrome_trace(dir.path() / "trace.json", *result.tracer);
-  const std::string json = obs::to_chrome_trace(*result.tracer);
+  obs::write_chrome_trace(dir.path() / "trace.json", result.tracer->spans());
+  const std::string json = obs::to_chrome_trace(result.tracer->spans());
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   for (const char* name : {"delta_EC", "delta_CS", "delta_CE", "sample",
                            "filter", "edge-track", "prediction"}) {
@@ -103,6 +105,31 @@ TEST(Telemetry, ChromeTraceExportCoversTheRun) {
               std::string::npos)
         << name;
   }
+}
+
+TEST(ChromeTrace, SpanLogViewMatchesLiveExport) {
+  // The span JSONL is the one span log a run writes; `emapctl trace
+  // --chrome` renders the Chrome trace from it.  Under faults (retry and
+  // backoff spans, fractional SimTime stamps) that view must be the live
+  // export byte for byte: %.17g round-trips every double.
+  testing::TempDir dir("telemetry_span_view");
+  PipelineOptions options;
+  options.fault.up.drop = options.fault.down.drop = 0.25;
+  options.retry.max_attempts = 3;
+  options.retry.deadline_sec = 6.0;
+  EmapPipeline pipeline(testing::small_mdb(4), EmapConfig{}, options);
+  const auto result = pipeline.run(seizure_input(16, 20.0, 15.0));
+  ASSERT_NE(result.tracer, nullptr);
+  ASSERT_GT(result.retry_attempts, 0u)
+      << "fault schedule produced no retries; raise the drop rate";
+
+  const auto path = dir.path() / "spans.jsonl";
+  obs::write_spans_jsonl(path, *result.tracer);
+  const obs::SpanLoadResult loaded = obs::load_spans_jsonl(path);
+  EXPECT_EQ(loaded.skipped_lines, 0u);
+  ASSERT_EQ(loaded.spans.size(), result.tracer->size());
+  EXPECT_EQ(obs::to_chrome_trace(loaded.spans),
+            obs::to_chrome_trace(result.tracer->spans()));
 }
 
 TEST(Telemetry, PrometheusExportCoversEveryInstrumentedLayer) {

@@ -249,25 +249,9 @@ TEST(Transport, UntracedMessagesCarryAZeroTraceHeader) {
   EXPECT_FALSE(decode_correlation_set(empty_set).trace.valid());
 }
 
-TEST(Transport, PeekTraceReadsV2AndFailsClosedOtherwise) {
-  SignalUploadMessage message;
-  message.trace = {0x1122334455667788ull, 0x9};
-  message.samples = testing::noise(13, 32);
-  const auto v2 = encode_upload(message);
-  EXPECT_EQ(peek_trace(v2), message.trace);
-  // Untraced input: valid message, no context.
-  message.trace = {};
-  EXPECT_FALSE(peek_trace(encode_upload(message)).valid());
-  // Corrupt input: never a garbage id, and never a throw.
-  auto mutated = v2;
-  mutated[8] ^= 0x01;
-  EXPECT_FALSE(peek_trace(mutated).valid());
-  EXPECT_FALSE(peek_trace(std::span<const std::uint8_t>{}).valid());
-}
-
 TEST(Transport, ZeroTraceIdDecodesAsUntraced) {
   // A zero trace id means "untraced" whatever the parent span says: decode
-  // and peek both return the all-zero context, never a half-valid one.
+  // returns the all-zero context, never a half-valid one.
   // Zero the id and re-seal the CRC so the message is otherwise intact.
   SignalUploadMessage message;
   message.sequence = 5;
@@ -285,7 +269,6 @@ TEST(Transport, ZeroTraceIdDecodesAsUntraced) {
   const auto decoded = decode_upload(bytes);
   EXPECT_EQ(decoded.trace, obs::TraceContext{});
   EXPECT_EQ(decoded.sequence, 5u);
-  EXPECT_EQ(peek_trace(bytes), obs::TraceContext{});
 }
 
 TEST(Transport, EntryCountBeyondPayloadIsRejectedBeforeAllocation) {

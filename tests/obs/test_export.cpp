@@ -135,7 +135,7 @@ TEST(TimelineAscii, RejectsBadArguments) {
 TEST(ChromeTrace, EmitsNamedTracksAndCompleteEvents) {
   Tracer tracer;
   tracer.record_sim("delta_EC", "upload", 0.5, 0.75);
-  const std::string json = to_chrome_trace(tracer);
+  const std::string json = to_chrome_trace(tracer.spans());
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   // Track metadata for the Fig. 9 rows plus the span itself.
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
@@ -153,7 +153,7 @@ TEST(ChromeTrace, WritesFileToDisk) {
   Tracer tracer;
   tracer.record_sim("x", "upload", 0.0, 1.0);
   const auto path = dir.path() / "nested" / "trace.json";
-  write_chrome_trace(path, tracer);
+  write_chrome_trace(path, tracer.spans());
   const std::string json = slurp(path);
   EXPECT_EQ(json.front(), '{');
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
@@ -642,17 +642,6 @@ TEST(Prometheus, WritesFileToDisk) {
   const auto path = dir.path() / "metrics.prom";
   write_prometheus(path, registry);
   EXPECT_NE(slurp(path).find("emap_total 1"), std::string::npos);
-}
-
-TEST(MetricsTable, ListsEveryRegisteredSeries) {
-  MetricsRegistry registry;
-  registry.counter("emap_calls_total").increment(3);
-  registry.histogram("emap_wait_seconds").observe(0.25);
-  const std::string table = metrics_table(registry);
-  EXPECT_NE(table.find("emap_calls_total"), std::string::npos);
-  EXPECT_NE(table.find("emap_wait_seconds"), std::string::npos);
-  EXPECT_NE(table.find("counter"), std::string::npos);
-  EXPECT_NE(table.find("histogram"), std::string::npos);
 }
 
 TEST(JsonWriter, BuildsFlatObjectsOfEveryFieldType) {

@@ -3,23 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "emap/obs/export.hpp"
-#include "support/test_util.hpp"
 
 namespace emap::obs {
 namespace {
-
-std::string slurp(const std::filesystem::path& path) {
-  std::ifstream stream(path);
-  std::ostringstream out;
-  out << stream.rdbuf();
-  return out.str();
-}
 
 SloSpec test_spec() {
   SloSpec spec;
@@ -130,41 +119,6 @@ TEST(SloSpecs, PaperBudgets) {
   EXPECT_DOUBLE_EQ(edge_iteration_slo().budget_sec, 1.0);
   EXPECT_EQ(initial_response_slo().name, "initial_response");
   EXPECT_DOUBLE_EQ(initial_response_slo().budget_sec, 3.0);
-}
-
-TEST(SloReport, JsonCarriesBuildStampAndOneObjectPerSlo) {
-  SloMonitor a(edge_iteration_slo());
-  SloMonitor b(initial_response_slo());
-  a.observe(0.5);
-  b.observe(2.0);
-  const std::string json = slo_report_json({a.summary(), b.summary()});
-  EXPECT_NE(json.find("\"build\":"), std::string::npos);
-  EXPECT_NE(json.find("\"git_sha\":"), std::string::npos);
-  EXPECT_NE(json.find("\"slo\":\"edge_iteration\""), std::string::npos);
-  EXPECT_NE(json.find("\"slo\":\"initial_response\""), std::string::npos);
-  EXPECT_NE(json.find("\"deadline_misses\":0"), std::string::npos);
-}
-
-TEST(SloReport, CsvHasHeaderAndOneRowPerSlo) {
-  SloMonitor monitor(test_spec());
-  monitor.observe(1.5);
-  const std::string csv = slo_report_csv({monitor.summary()});
-  EXPECT_EQ(csv.rfind("slo,budget_sec,target,observations,deadline_misses",
-                      0),
-            0u);
-  EXPECT_NE(csv.find("\ntest,1,0.9,1,1,"), std::string::npos);
-}
-
-TEST(SloReport, WriteSelectsFormatByExtension) {
-  testing::TempDir dir("slo_report");
-  SloMonitor monitor(test_spec());
-  monitor.observe(0.5);
-  const auto csv_path = dir.path() / "report.csv";
-  const auto json_path = dir.path() / "report.json";
-  write_slo_report(csv_path, {monitor.summary()});
-  write_slo_report(json_path, {monitor.summary()});
-  EXPECT_EQ(slurp(csv_path).rfind("slo,", 0), 0u);
-  EXPECT_EQ(slurp(json_path).front(), '{');
 }
 
 }  // namespace

@@ -62,22 +62,26 @@ TEST(LoadSpansJsonl, ThrowsOnMissingFileSkipsBadLines) {
     }
     out << "garbage line\n";
     out << "{\"no_span_id\":1}\n";
+    out << "{\"span_id\":9,\"name\":\"unstamped\"}\n";
   }
   const auto result = load_spans_jsonl(path);
-  ASSERT_EQ(result.spans.size(), 2u);
+  ASSERT_EQ(result.spans.size(), 3u);
   EXPECT_EQ(result.skipped_lines, 2u);
   EXPECT_EQ(result.spans[0].name, "window_0");
   EXPECT_EQ(result.spans[0].trace_id, 0x77u);
   EXPECT_EQ(result.spans[1].category, "upload");
-  EXPECT_EQ(result.spans[1].parent, result.spans[0].span_id);
+  EXPECT_EQ(result.spans[1].parent, result.spans[0].id);
   EXPECT_DOUBLE_EQ(result.spans[1].sim_dur_sec, 0.25);
+  // A line without a virtual-clock stamp loads at -1, not at t = 0.
+  EXPECT_EQ(result.spans[2].id, 9u);
+  EXPECT_EQ(result.spans[2].sim_start_sec, -1.0);
 }
 
-ParsedSpan make_span(std::uint64_t id, std::uint64_t parent,
+SpanRecord make_span(std::uint64_t id, std::uint64_t parent,
                      std::uint64_t trace, const std::string& name,
                      const std::string& category, double start, double dur) {
-  ParsedSpan span;
-  span.span_id = id;
+  SpanRecord span;
+  span.id = id;
   span.parent = parent;
   span.trace_id = trace;
   span.name = name;
@@ -87,7 +91,7 @@ ParsedSpan make_span(std::uint64_t id, std::uint64_t parent,
   return span;
 }
 
-std::vector<ParsedSpan> one_window_trace(std::uint64_t trace) {
+std::vector<SpanRecord> one_window_trace(std::uint64_t trace) {
   return {
       make_span(1, 0, trace, "window_4", "window", 4.0, 1.0),
       make_span(2, 1, trace, "delta_EC", "upload", 4.0, 0.30),
@@ -120,7 +124,7 @@ TEST(BuildCriticalPaths, DecomposesTheEqFourLegs) {
 }
 
 TEST(BuildCriticalPaths, IgnoresUntracedSpansAndOrdersByWindow) {
-  std::vector<ParsedSpan> spans;
+  std::vector<SpanRecord> spans;
   spans.push_back(make_span(1, 0, 0, "untraced", "upload", 0.0, 9.0));
   spans.push_back(make_span(2, 0, 0xb, "window_7", "window", 7.0, 1.0));
   spans.push_back(make_span(3, 0, 0xc, "window_2", "window", 2.0, 1.0));
